@@ -470,6 +470,7 @@ pub(crate) fn analyze_subset(
     };
 
     // Switching set with final edges.
+    let switching_span = trace.map(|t| t.span(Phase::Logic, "switching_set"));
     let mut edge_of: HashMap<NodeId, Edge> = HashMap::new();
     for (id, node) in net.nodes() {
         if node.kind().is_rail() {
@@ -487,6 +488,7 @@ pub(crate) fn analyze_subset(
             );
         }
     }
+    drop(switching_span);
 
     let conducting = |tid| after.transistor_on(net, tid);
     // Capacitance on nodes whose logic value does not change (e.g. a
@@ -504,6 +506,7 @@ pub(crate) fn analyze_subset(
 
     // The input arrival is seeded before any budgeted work so that a
     // budget-exhausted partial result is never empty.
+    let seed_span = trace.map(|t| t.span(Phase::Propagation, "seed_arrivals"));
     let mut arrivals: Vec<Option<Arrival>> = vec![None; net.node_count()];
     arrivals[scenario.input.index()] = Some(Arrival {
         time: Seconds::ZERO,
@@ -519,6 +522,7 @@ pub(crate) fn analyze_subset(
             arrivals[node.index()] = Some(arrival);
         }
     }
+    drop(seed_span);
     let tracker = BudgetTracker::new(options.budget, options.cancel.clone());
     let pool = ThreadPool::new(options.threads);
     let cache_ref: Option<&StageCache> = options.cache.as_deref();
@@ -570,6 +574,7 @@ pub(crate) fn analyze_subset(
     // Targets of stage extraction, in deterministic node order. Under a
     // subset restriction only the affected targets are (re-)extracted;
     // the rest keep their replayed arrivals.
+    let mut extract_span = trace.map(|t| t.span(Phase::Extraction, "extract"));
     let mut targets: Vec<(NodeId, Edge)> = edge_of
         .iter()
         .filter(|&(&node, _)| {
@@ -590,11 +595,9 @@ pub(crate) fn analyze_subset(
     // node order, so which violation surfaces does not depend on worker
     // scheduling.
     type Extracted = Result<(Vec<Stage>, Vec<u128>), crate::budget::BudgetExceeded>;
-    let extract_span = trace.map(|t| {
-        let mut span = t.span(Phase::Extraction, "extract");
+    if let Some(span) = extract_span.as_mut() {
         span.field("targets", targets.len());
-        span
-    });
+    }
     let extracted: Vec<Extracted> =
         pool.map_traced(trace, "extract_fanout", &targets, |_, &(node, edge)| {
             tracker.check_deadline()?;
@@ -631,7 +634,6 @@ pub(crate) fn analyze_subset(
             };
             Ok((stages, fingerprints))
         });
-    drop(extract_span);
     let mut work: Vec<NodeWork> = Vec::with_capacity(targets.len());
     for (&(node, edge), outcome) in targets.iter().zip(extracted) {
         match outcome {
@@ -648,6 +650,7 @@ pub(crate) fn analyze_subset(
         let stages: usize = work.iter().map(|w| w.stages.len()).sum();
         t.count(Phase::Extraction, "stages_extracted", stages as u64);
     }
+    drop(extract_span);
     let mut target_stages: Vec<(NodeId, usize)> =
         work.iter().map(|w| (w.node, w.stages.len())).collect();
 
@@ -661,6 +664,7 @@ pub(crate) fn analyze_subset(
     // fixpoint or the round count.
     let mut dependents: HashMap<NodeId, Vec<usize>> = HashMap::new();
     if options.propagation == PropagationMode::DirtySet {
+        let _span = trace.map(|t| t.span(Phase::Propagation, "dependents"));
         for (wi, w) in work.iter().enumerate() {
             let mut observed: Vec<NodeId> = Vec::new();
             for stage in &w.stages {
@@ -775,6 +779,10 @@ pub(crate) fn analyze_subset(
             return Err(exhausted(arrivals, e, round));
         }
         if !changed {
+            // Free the stages inside the last round's span: releasing
+            // hundreds of stage trees is the propagation's teardown, and
+            // otherwise the largest cost no span explains.
+            drop(work);
             return Ok(AnalysisOutcome {
                 result: TimingResult {
                     arrivals,

@@ -1403,6 +1403,9 @@ fn run_client(args: &[String]) -> Result<String, CliError> {
 
     fn connect(addr: &str) -> std::io::Result<Conn> {
         let stream = std::net::TcpStream::connect(addr)?;
+        // Each request is one small write answered before the next is
+        // sent; Nagle would hold it for the daemon's delayed ACK.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Conn {
             writer,
@@ -1500,18 +1503,18 @@ fn run_client(args: &[String]) -> Result<String, CliError> {
             let live = conn.as_mut().expect("connection just established");
             // Retransmissions are marked so the daemon's `retries`
             // counter sees them.
+            // The frame and its newline go out in one write.
             let wire = if attempt > 0 {
                 format!(
-                    "{},\"retry\":\"{attempt}\"}}",
+                    "{},\"retry\":\"{attempt}\"}}\n",
                     &request[..request.len() - 1]
                 )
             } else {
-                request.clone()
+                format!("{request}\n")
             };
             let sent = live
                 .writer
                 .write_all(wire.as_bytes())
-                .and_then(|_| live.writer.write_all(b"\n"))
                 .and_then(|_| live.writer.flush());
             let mut response = String::new();
             let received = match sent {

@@ -4,6 +4,7 @@
 use crate::rctree::RcTree;
 use crate::stage::Stage;
 use crate::tech::{Direction, Technology};
+use mosnet::graph::channel_paths;
 use mosnet::{Network, NodeId, TransistorId};
 
 /// Cap on enumerated source→target paths per stage extraction, guarding
@@ -28,31 +29,19 @@ pub fn stages_to(
     target: NodeId,
     direction: Direction,
 ) -> Vec<Stage> {
-    stages_to_with_caps(net, tech, conducting, target, direction, &|_| 1.0)
-}
-
-/// Like [`stages_to`], with a per-node capacitance scale factor.
-///
-/// The analyzer uses this to down-weight nodes whose logic value does not
-/// change across the transition (e.g. the internal nodes of a series
-/// stack, which are already discharged before the stage fires): such
-/// capacitance only redistributes charge transiently instead of being
-/// moved across the full swing.
-pub fn stages_to_with_caps(
-    net: &Network,
-    tech: &Technology,
-    conducting: &dyn Fn(TransistorId) -> bool,
-    target: NodeId,
-    direction: Direction,
-    cap_scale: &dyn Fn(NodeId) -> f64,
-) -> Vec<Stage> {
-    stages_to_full(net, tech, conducting, target, direction, cap_scale, &|_| {
+    stages_to_full(net, tech, conducting, target, direction, &|_| 1.0, &|_| {
         false
     })
 }
 
-/// Full-control stage extraction: per-node capacitance scaling plus the
+/// Like [`stages_to`], with a per-node capacitance scale factor and the
 /// *reservoir* predicate.
+///
+/// The analyzer scales down nodes whose logic value does not change
+/// across the transition (e.g. the internal nodes of a series stack,
+/// which are already discharged before the stage fires): such
+/// capacitance only redistributes charge transiently instead of being
+/// moved across the full swing.
 ///
 /// A reservoir is a path node that already sits at the stage's
 /// destination level and does not switch (e.g. a driven-high net feeding
@@ -74,78 +63,26 @@ pub fn stages_to_full(
         Direction::PullUp => net.power(),
         Direction::PullDown => net.ground(),
     };
-    let paths = conducting_paths(net, conducting, rail, target, MAX_PATHS);
-    paths
+    // One mark buffer serves every path of this target: `build_stage`
+    // leaves it all-false again.
+    let mut visited = vec![false; net.node_count()];
+    channel_paths(net, conducting, rail, target, MAX_PATHS)
         .into_iter()
         .map(|path| {
             build_stage(
-                net, tech, conducting, rail, target, direction, path, cap_scale, reservoir,
+                net,
+                tech,
+                conducting,
+                rail,
+                target,
+                direction,
+                path,
+                cap_scale,
+                reservoir,
+                &mut visited,
             )
         })
         .collect()
-}
-
-/// Enumerates simple channel paths `from → to` through conducting
-/// transistors, never routing *through* a rail.
-fn conducting_paths(
-    net: &Network,
-    conducting: &dyn Fn(TransistorId) -> bool,
-    from: NodeId,
-    to: NodeId,
-    limit: usize,
-) -> Vec<Vec<TransistorId>> {
-    let mut paths = Vec::new();
-    let mut visited = vec![false; net.node_count()];
-    visited[from.index()] = true;
-    let mut stack = Vec::new();
-    dfs(
-        net,
-        conducting,
-        from,
-        to,
-        limit,
-        &mut visited,
-        &mut stack,
-        &mut paths,
-    );
-    paths
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    net: &Network,
-    conducting: &dyn Fn(TransistorId) -> bool,
-    at: NodeId,
-    to: NodeId,
-    limit: usize,
-    visited: &mut [bool],
-    stack: &mut Vec<TransistorId>,
-    paths: &mut Vec<Vec<TransistorId>>,
-) {
-    if paths.len() >= limit {
-        return;
-    }
-    if at == to {
-        paths.push(stack.clone());
-        return;
-    }
-    if (at == net.power() || at == net.ground()) && !stack.is_empty() {
-        return;
-    }
-    for &tid in net.channel_neighbors(at) {
-        if !conducting(tid) {
-            continue;
-        }
-        let other = net.transistor(tid).other_terminal(at);
-        if visited[other.index()] {
-            continue;
-        }
-        visited[other.index()] = true;
-        stack.push(tid);
-        dfs(net, conducting, other, to, limit, visited, stack, paths);
-        stack.pop();
-        visited[other.index()] = false;
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -159,10 +96,13 @@ fn build_stage(
     path: Vec<TransistorId>,
     cap_scale: &dyn Fn(NodeId) -> f64,
     reservoir: &dyn Fn(NodeId) -> bool,
+    visited: &mut [bool],
 ) -> Stage {
     let mut tree = RcTree::with_capacity(path.len() + 1);
-    let mut on_main_path = vec![false; net.node_count()];
-    on_main_path[rail.index()] = true;
+    // Both rails and the main path are marked before any side branch
+    // is attached, so branches never re-enter them.
+    visited[net.power().index()] = true;
+    visited[net.ground().index()] = true;
 
     // Lay down the main path.
     let mut at = rail;
@@ -176,7 +116,7 @@ fn build_stage(
         let r = tech.resistance(t.kind(), direction, t.geometry());
         let c = tech.node_capacitance(net, next) * cap_scale(next);
         tree_at = tree.add_child(tree_at, r, c, Some(next));
-        on_main_path[next.index()] = true;
+        visited[next.index()] = true;
         path_tree_indices.push((next, tree_at));
         path_gates.push(t.gate());
         at = next;
@@ -184,23 +124,20 @@ fn build_stage(
     let target_index = tree_at;
 
     // Attach capacitive side branches from every non-rail path node.
-    let mut visited = on_main_path.clone();
-    visited[net.power().index()] = true;
-    visited[net.ground().index()] = true;
     for &(node, tree_idx) in path_tree_indices.iter().skip(1) {
         attach_branches(
-            net,
-            tech,
-            conducting,
-            direction,
-            node,
-            tree_idx,
-            0,
-            &mut visited,
-            &mut tree,
-            cap_scale,
+            net, tech, conducting, direction, node, tree_idx, 0, visited, &mut tree, cap_scale,
         );
     }
+    // Every marked node is now a labeled tree node or a rail: unmark
+    // them for the target's next path.
+    for index in 0..tree.len() {
+        if let Some(node) = tree.label(index) {
+            visited[node.index()] = false;
+        }
+    }
+    visited[net.power().index()] = false;
+    visited[net.ground().index()] = false;
 
     // Reservoir discount: walk from the target toward the root; once a
     // reservoir node is passed, every edge above it is scaled by its

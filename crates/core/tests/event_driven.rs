@@ -139,13 +139,14 @@ fn dirty_set_charges_strictly_fewer_evals_over_the_same_rounds() {
         };
         let result = analyze_with_options(&net, &tech, ModelKind::Slope, &scenario, opts)
             .expect("analysis succeeds");
-        let metrics = sink.metrics();
-        let charged = metrics.counter(Phase::Evaluation, "stage_evals_charged");
-        let rounds = metrics
-            .phases
+        let charged = sink
+            .metrics()
+            .counter(Phase::Evaluation, "stage_evals_charged");
+        let rounds = sink
+            .events()
             .iter()
-            .find(|m| m.phase == Phase::Propagation)
-            .map_or(0, |m| m.spans);
+            .filter(|e| e.phase == Phase::Propagation && e.label == "round")
+            .count();
         (result, charged, rounds)
     };
 

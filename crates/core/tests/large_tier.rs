@@ -1,0 +1,133 @@
+//! Oracles on the large generator tier (10k–25k devices): pinned result
+//! digests for a fixed scenario set on a 9-bit decoder and a 64×64 SRAM,
+//! bit-identity of cached parallel runs against serial uncached ones,
+//! and the cost bound of stage extraction on a wordline whose rail also
+//! feeds thousands of unrelated cells.
+
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use crystal::analyzer::{analyze_with_options, AnalyzerOptions, Edge, Scenario};
+use crystal::extract::stages_to;
+use crystal::fingerprint::result_digest;
+use crystal::logic;
+use crystal::memo::StageCache;
+use crystal::models::ModelKind;
+use crystal::tech::{Direction, Technology};
+use mosnet::generators::{decoder, memory_array, Style};
+use mosnet::units::{Farads, Seconds};
+use mosnet::{Network, TransistorId};
+
+/// Load on every decoder word line and every SRAM bitline.
+const LOAD_FF: f64 = 100.0;
+
+/// `(input, rising, input transition ns, result digest)`. The digests
+/// were recorded with the unbounded rail-rooted path search that
+/// preceded region-bounded extraction; any change to extraction, the
+/// slope model or propagation that moves one bit of an arrival shows
+/// here.
+type Golden = [(&'static str, bool, f64, u64)];
+
+const DECODER9: &Golden = &[
+    ("a0", true, 0.0, 0x287239b789dc83dc),
+    ("a0", false, 0.5, 0xdcf99c18db4b4ba8),
+    ("a4", true, 1.0, 0x1e4af047fa43bb11),
+    ("a4", false, 2.0, 0x4d74a680375c8a8c),
+    ("a8", true, 0.25, 0x795cb20cc007e056),
+    ("a8", false, 4.0, 0x3a16f2ef9ec6d295),
+];
+
+const SRAM64: &Golden = &[
+    ("row0", false, 0.5, 0x45967df90e8f0e23),
+    ("row0", true, 1.0, 0x348c71b84adfd86a),
+    ("row31", false, 2.0, 0xbe7c99366014d07b),
+    ("row63", true, 0.25, 0x936df0c6c7cbe45a),
+];
+
+fn calibrated() -> Technology {
+    crystal::tech_format::parse(include_str!("../../../examples/netlists/calibrated.tech"))
+        .expect("calibrated technology parses")
+}
+
+fn decoder9() -> Network {
+    decoder(Style::Cmos, 9, Farads::from_femto(LOAD_FF)).expect("decoder-9 generates")
+}
+
+fn sram64() -> Network {
+    memory_array(Style::Cmos, 64, 64, Farads::from_femto(LOAD_FF)).expect("sram-64x64 generates")
+}
+
+fn scenario(net: &Network, input: &str, rising: bool, transition_ns: f64) -> Scenario {
+    let node = net.node_by_name(input).expect("scenario input exists");
+    let edge = if rising { Edge::Rising } else { Edge::Falling };
+    Scenario::step(node, edge).with_input_transition(Seconds::from_nanos(transition_ns))
+}
+
+fn digest(net: &Network, tech: &Technology, scenario: &Scenario, options: AnalyzerOptions) -> u64 {
+    let result = analyze_with_options(net, tech, ModelKind::Slope, scenario, options)
+        .expect("large-tier scenario analyzes");
+    result_digest(net, &result)
+}
+
+/// Serial uncached digests must match the pinned ones, and runs at one
+/// and two threads sharing one `StageCache` must match the serial ones.
+fn check(name: &str, net: &Network, golden: &Golden) {
+    let tech = calibrated();
+    let mut observed = Vec::new();
+    for &(input, rising, transition_ns, _) in golden {
+        let scenario = scenario(net, input, rising, transition_ns);
+        let serial = digest(net, &tech, &scenario, AnalyzerOptions::default());
+        let cache = Arc::new(StageCache::new());
+        for threads in [1, 2] {
+            let options = AnalyzerOptions {
+                threads,
+                cache: Some(Arc::clone(&cache)),
+                ..AnalyzerOptions::default()
+            };
+            assert_eq!(
+                digest(net, &tech, &scenario, options),
+                serial,
+                "{name} {input} rising={rising}: threads={threads} with a cache"
+            );
+        }
+        observed.push((input, rising, transition_ns, serial));
+    }
+    let expected: Vec<_> = golden.to_vec();
+    assert_eq!(observed, expected, "{name}: pinned digests moved");
+}
+
+#[test]
+fn decoder9_digests_are_pinned_and_thread_cache_invariant() {
+    check("decoder-9", &decoder9(), DECODER9);
+}
+
+#[test]
+fn sram64_digests_are_pinned_and_thread_cache_invariant() {
+    check("sram-64x64", &sram64(), SRAM64);
+}
+
+/// `wl0`'s stage is its driver's pull-up. Its rail also feeds 8,256
+/// other devices, with X-valued cells behind them; extraction must not
+/// ask about any of them.
+#[test]
+fn wordline_extraction_probes_only_its_region() {
+    let net = sram64();
+    let tech = calibrated();
+    let wl0 = net.node_by_name("wl0").expect("wl0 exists");
+    // Every row select low: every wordline high, every cell X.
+    let after = logic::solve(&net, &HashMap::new());
+    let calls = Cell::new(0usize);
+    let conducting = |tid: TransistorId| {
+        calls.set(calls.get() + 1);
+        after.transistor_on(&net, tid)
+    };
+    let stages = stages_to(&net, &tech, &conducting, wl0, Direction::PullUp);
+    assert_eq!(stages.len(), 1, "one driver pull-up path");
+    assert_eq!(stages[0].path_length(), 1);
+    assert!(
+        calls.get() < 64,
+        "predicate called {} times for one wordline stage",
+        calls.get()
+    );
+}

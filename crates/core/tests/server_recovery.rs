@@ -1,14 +1,15 @@
-//! Crash-safety tests against the real `crystal-cli serve` binary:
-//! SIGKILL mid-session then restart with `--resume` replays every
-//! journaled session bit-identically, and SIGTERM drains — the
-//! in-flight request finishes and the process exits cleanly.
+//! Tests against the real `crystal-cli serve` binary: SIGKILL
+//! mid-session then restart with `--resume` replays every journaled
+//! session bit-identically, SIGTERM drains — the in-flight request
+//! finishes and the process exits cleanly — and the real `client`
+//! binary is not held back by Nagle's algorithm.
 
 use std::collections::HashMap;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use crystal::fingerprint::{escape_json, parse_json_object};
@@ -205,4 +206,44 @@ fn sigterm_mid_request_finishes_the_request_then_exits_cleanly() {
     // And the listener is gone: no new connections after drain.
     assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(300)).is_err());
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Each request must leave in one segment with `TCP_NODELAY`: a frame
+/// written in two pieces waits for the daemon's delayed ACK, about 40 ms
+/// per request on Linux.
+#[test]
+fn client_round_trips_are_not_delayed_by_nagle() {
+    let dir = scratch_dir("client-nodelay");
+    let (mut child, addr) = spawn_server(&dir, &[]);
+    drop(connect(addr));
+
+    let script = "ping\n".repeat(20);
+    let started = Instant::now();
+    let mut client = Command::new(BIN)
+        .args(["client", "--addr", &addr.to_string()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("client spawns");
+    client
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(script.as_bytes())
+        .expect("script written");
+    let Output { status, stdout, .. } = client.wait_with_output().expect("client runs");
+    let elapsed = started.elapsed();
+    send_signal(&child, SIGTERM);
+    let _ = child.wait();
+    let _ = fs::remove_dir_all(&dir);
+
+    assert!(status.success(), "client failed: {status:?}");
+    let stdout = String::from_utf8_lossy(&stdout);
+    let answered = stdout.lines().filter(|l| l.contains("\"ok\"")).count();
+    assert_eq!(answered, 20, "every ping answered: {stdout}");
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 pings took {elapsed:?}"
+    );
 }

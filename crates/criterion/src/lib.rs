@@ -99,7 +99,9 @@ impl Bencher {
         for _ in 0..iters {
             black_box(f());
         }
-        self.per_iter = start.elapsed() / iters;
+        // Sub-nanosecond bodies would truncate to zero: report at least
+        // the clock's resolution.
+        self.per_iter = (start.elapsed() / iters).max(Duration::from_nanos(1));
     }
 }
 

@@ -120,7 +120,7 @@ mod tests {
         let net = carry_chain(Style::Cmos, bits, Farads::ZERO).unwrap();
         let c0 = net.node_by_name("c0").unwrap();
         let cout = net.node_by_name("cout").unwrap();
-        let paths = channel_paths(&net, c0, cout, 4);
+        let paths = channel_paths(&net, &|_| true, c0, cout, 4);
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].len(), bits);
     }

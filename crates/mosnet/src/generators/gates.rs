@@ -213,7 +213,7 @@ mod tests {
         // Walk the stack: out -> st* -> gnd must exist as a channel path.
         let net = nand(Style::Cmos, 3, Farads::ZERO).unwrap();
         let out = net.node_by_name("out").unwrap();
-        let paths = crate::graph::channel_paths(&net, out, net.ground(), 16);
+        let paths = crate::graph::channel_paths(&net, &|_| true, out, net.ground(), 16);
         assert!(paths.iter().any(|p| p.len() == 3));
     }
 
@@ -221,7 +221,7 @@ mod tests {
     fn nor_pullup_stack_reaches_power() {
         let net = nor(Style::Cmos, 3, Farads::ZERO).unwrap();
         let out = net.node_by_name("out").unwrap();
-        let paths = crate::graph::channel_paths(&net, out, net.power(), 16);
+        let paths = crate::graph::channel_paths(&net, &|_| true, out, net.power(), 16);
         assert!(paths.iter().any(|p| p.len() == 3));
     }
 

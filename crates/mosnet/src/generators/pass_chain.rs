@@ -93,7 +93,7 @@ mod tests {
         let net = pass_chain(Style::Cmos, 5, Farads::ZERO, Farads::ZERO).unwrap();
         let drv = net.node_by_name("drv").unwrap();
         let out = net.node_by_name("out").unwrap();
-        let paths = channel_paths(&net, drv, out, 8);
+        let paths = channel_paths(&net, &|_| true, drv, out, 8);
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].len(), 5);
     }

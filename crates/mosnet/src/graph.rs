@@ -122,55 +122,115 @@ pub fn channel_bfs(net: &Network, start: NodeId) -> Vec<(NodeId, Option<Transist
     order
 }
 
-/// Enumerates every acyclic channel path from `from` to `to` as sequences of
+/// Enumerates every acyclic channel path from `from` to `to` through
+/// transistors for which `conducting` returns `true`, as sequences of
 /// transistor ids, up to `limit` paths (guarding against the exponential
 /// worst case).
 ///
 /// Paths never pass *through* a rail: a rail may only be an endpoint.
+/// They come in depth-first order, each node's devices taken in
+/// ascending id order, so truncation at `limit` keeps a fixed prefix.
+///
+/// The search stays inside the *conducting region* of `to`: the nodes
+/// that reach `to` through conducting channels without crossing a rail,
+/// found by one breadth-first search from `to`. Every path lies inside
+/// it, so the paths and their order are unchanged, but the cost is
+/// O(region + devices from `from` into it) instead of everything `from`
+/// reaches: one stage, not the fan-out of a supply rail. When `to` is a
+/// rail the region is that of `from`, which the search cannot leave
+/// anyway, so no region search runs.
 pub fn channel_paths(
     net: &Network,
+    conducting: &dyn Fn(TransistorId) -> bool,
     from: NodeId,
     to: NodeId,
     limit: usize,
 ) -> Vec<Vec<TransistorId>> {
-    let mut paths = Vec::new();
-    let mut visited = vec![false; net.node_count()];
-    let mut stack = Vec::new();
-    visited[from.index()] = true;
-    dfs_paths(net, from, to, limit, &mut visited, &mut stack, &mut paths);
-    paths
+    let to_rail = is_rail(net, to);
+    // Nodes start closed and the region search opens them; with `to` a
+    // rail, all start open.
+    let mut closed = vec![!to_rail; net.node_count()];
+    // The conducting devices from `from` into the region, in id order:
+    // the subset of `from`'s channel devices the search can use.
+    let mut entries = Vec::new();
+    if !to_rail {
+        closed[to.index()] = false;
+        let mut queue = VecDeque::from([to]);
+        while let Some(n) = queue.pop_front() {
+            if is_rail(net, n) {
+                continue;
+            }
+            for &tid in net.channel_neighbors(n).iter().filter(|&&t| conducting(t)) {
+                let other = net.transistor(tid).other_terminal(n);
+                if other == from {
+                    entries.push(tid);
+                }
+                if closed[other.index()] {
+                    closed[other.index()] = false;
+                    queue.push_back(other);
+                }
+            }
+        }
+        entries.sort_unstable();
+    }
+    closed[from.index()] = true;
+    if to_rail {
+        entries.extend_from_slice(net.channel_neighbors(from));
+    }
+    let mut search = PathSearch {
+        net,
+        conducting,
+        to,
+        limit,
+        closed,
+        stack: Vec::new(),
+        paths: Vec::new(),
+    };
+    search.dfs(from, &entries);
+    search.paths
 }
 
-fn dfs_paths(
-    net: &Network,
-    at: NodeId,
+fn is_rail(net: &Network, node: NodeId) -> bool {
+    node == net.power() || node == net.ground()
+}
+
+/// The depth-first half of [`channel_paths`]. `closed[n]` holds when `n`
+/// is on the current path or outside the region.
+struct PathSearch<'a> {
+    net: &'a Network,
+    conducting: &'a dyn Fn(TransistorId) -> bool,
     to: NodeId,
     limit: usize,
-    visited: &mut [bool],
-    stack: &mut Vec<TransistorId>,
-    paths: &mut Vec<Vec<TransistorId>>,
-) {
-    if paths.len() >= limit {
-        return;
-    }
-    if at == to {
-        paths.push(stack.clone());
-        return;
-    }
-    // Do not route *through* rails.
-    if (at == net.power() || at == net.ground()) && !stack.is_empty() {
-        return;
-    }
-    for &tid in net.channel_neighbors(at) {
-        let other = net.transistor(tid).other_terminal(at);
-        if visited[other.index()] {
-            continue;
+    closed: Vec<bool>,
+    stack: Vec<TransistorId>,
+    paths: Vec<Vec<TransistorId>>,
+}
+
+impl PathSearch<'_> {
+    /// Extends the current path from `at` over `devices`, `at`'s channel
+    /// devices in id order (or the subset of them that enters the region).
+    fn dfs(&mut self, at: NodeId, devices: &[TransistorId]) {
+        if self.paths.len() >= self.limit {
+            return;
         }
-        visited[other.index()] = true;
-        stack.push(tid);
-        dfs_paths(net, other, to, limit, visited, stack, paths);
-        stack.pop();
-        visited[other.index()] = false;
+        if at == self.to {
+            self.paths.push(self.stack.clone());
+            return;
+        }
+        if is_rail(self.net, at) && !self.stack.is_empty() {
+            return;
+        }
+        for &tid in devices {
+            let other = self.net.transistor(tid).other_terminal(at);
+            if self.closed[other.index()] || !(self.conducting)(tid) {
+                continue;
+            }
+            self.closed[other.index()] = true;
+            self.stack.push(tid);
+            self.dfs(other, self.net.channel_neighbors(other));
+            self.stack.pop();
+            self.closed[other.index()] = false;
+        }
     }
 }
 
@@ -256,10 +316,10 @@ mod tests {
         let net = pass_chain();
         let inn = net.node_by_name("in").unwrap();
         let out = net.node_by_name("x2").unwrap();
-        let paths = channel_paths(&net, inn, out, 10);
+        let paths = channel_paths(&net, &|_| true, inn, out, 10);
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].len(), 3);
-        assert!(channel_paths(&net, inn, out, 0).is_empty());
+        assert!(channel_paths(&net, &|_| true, inn, out, 0).is_empty());
     }
 
     #[test]
@@ -285,7 +345,7 @@ mod tests {
             Geometry::default(),
         );
         let net = b.build().unwrap();
-        let paths = channel_paths(&net, inn, out, 10);
+        let paths = channel_paths(&net, &|_| true, inn, out, 10);
         assert_eq!(paths.len(), 2);
     }
 
@@ -302,8 +362,8 @@ mod tests {
         b.add_transistor(TransistorKind::NEnhancement, g, a, vdd, Geometry::default());
         b.add_transistor(TransistorKind::NEnhancement, g, vdd, c, Geometry::default());
         let net = b.build().unwrap();
-        assert!(channel_paths(&net, a, c, 10).is_empty());
+        assert!(channel_paths(&net, &|_| true, a, c, 10).is_empty());
         // But a path *ending* at the rail is found.
-        assert_eq!(channel_paths(&net, a, vdd, 10).len(), 1);
+        assert_eq!(channel_paths(&net, &|_| true, a, vdd, 10).len(), 1);
     }
 }

@@ -20,7 +20,7 @@ use crate::budget::{AnalysisBudget, BudgetTracker, CancelToken, PartialTiming};
 use crate::error::TimingError;
 use crate::extract::stages_to_full;
 use crate::logic::{self, LogicState, LogicValue};
-use crate::memo::{stage_fingerprint, tech_stamp, CacheStats, CachedEval, StageCache};
+use crate::memo::{stage_fingerprint, tech_stamp, CacheStats, CachedEval, StageCache, StageKey};
 use crate::models::{estimate, estimate_with_fallback, ModelKind, TriggerContext};
 use crate::obs::{Phase, TraceSink};
 use crate::pool::ThreadPool;
@@ -935,14 +935,12 @@ fn evaluate_node(
         };
         // The memo key covers everything the models consume (stage
         // topology, technology stamp, slope bucket, model, trigger kind,
-        // fallback flag). With the default exact bucketing a hit is
-        // bit-identical to a fresh evaluation; quantized bucketing trades
-        // a documented rounding error for hit rate
-        // (`memo::SlopeBucketing`). Failed evaluations are not cached:
-        // they are rare (broken technology tables) and skipping them is
-        // cheap.
+        // fallback flag), and the slope bucket is exact, so a hit is
+        // bit-identical to a fresh evaluation. Failed evaluations are not
+        // cached: they are rare (broken technology tables) and skipping
+        // them is cheap.
         let key = cache.map(|cc| {
-            cc.cache.key(
+            StageKey::new(
                 work.fingerprints[stage_index],
                 cc.stamp,
                 ctx.input_transition,

@@ -33,6 +33,7 @@
 //! different inputs is rejected instead of silently mixing results.
 
 use crate::analyzer::{analyze_with_options, AnalyzerOptions, Scenario, TimingResult};
+use crate::applog::{self, AppendLog, Fields, RecoverError};
 use crate::batch::panic_message;
 use crate::budget::CancelToken;
 use crate::error::TimingError;
@@ -43,11 +44,9 @@ use crate::tech::Technology;
 use mosnet::Network;
 use std::collections::HashMap;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -356,7 +355,7 @@ pub use crate::fingerprint::{
     result_digest, run_fingerprint, run_fingerprint_parts, RunFingerprint,
 };
 
-use crate::fingerprint::{escape_json_into as escape_json, parse_json_object};
+use crate::fingerprint::escape_json_into as escape_json;
 
 /// The CLI's per-scenario success line suffix (after `"{label}: "`),
 /// shared by the fresh path, the journal, and the server's report op so
@@ -373,154 +372,32 @@ pub fn scenario_summary(net: &Network, result: &TimingResult) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection & atomic replacement
-// ---------------------------------------------------------------------------
-
-/// A disk-fault injection plan threaded through journal I/O.
-///
-/// Cloned handles share one countdown, so a plan armed once covers the
-/// whole daemon. `fail_writes_after(n)` lets the next `n` journal
-/// writes succeed, then fails subsequent ones (likewise
-/// `fail_syncs_after(n)` for fsync); `fail_count(m)` bounds how many
-/// injected failures fire in total (default: unlimited), which lets a
-/// drill degrade exactly one session while its siblings keep
-/// journaling. The default plan never fires and costs one relaxed
-/// atomic load per check, so production paths run it unconditionally —
-/// fault drills exercise the *exact* production code, not a test
-/// double.
-#[derive(Clone, Debug, Default)]
-pub struct JournalFaultPlan {
-    inner: Arc<FaultInner>,
-}
-
-#[derive(Debug)]
-struct FaultInner {
-    writes_before_failure: AtomicI64,
-    syncs_before_failure: AtomicI64,
-    failures_remaining: AtomicI64,
-}
-
-impl Default for FaultInner {
-    fn default() -> FaultInner {
-        FaultInner {
-            writes_before_failure: AtomicI64::new(i64::MAX),
-            syncs_before_failure: AtomicI64::new(i64::MAX),
-            failures_remaining: AtomicI64::new(i64::MAX),
-        }
-    }
-}
-
-impl JournalFaultPlan {
-    /// A plan that never injects a fault.
-    pub fn none() -> JournalFaultPlan {
-        JournalFaultPlan::default()
-    }
-
-    /// Arms the plan: the next `n` checked writes succeed, later ones
-    /// fail (until the [`JournalFaultPlan::fail_count`] budget runs dry).
-    pub fn fail_writes_after(self, n: u64) -> JournalFaultPlan {
-        self.inner
-            .writes_before_failure
-            .store(n.min(i64::MAX as u64) as i64, Ordering::Relaxed);
-        self
-    }
-
-    /// Arms the plan: the next `n` checked fsyncs succeed, later ones fail.
-    pub fn fail_syncs_after(self, n: u64) -> JournalFaultPlan {
-        self.inner
-            .syncs_before_failure
-            .store(n.min(i64::MAX as u64) as i64, Ordering::Relaxed);
-        self
-    }
-
-    /// Caps the total number of injected failures (write and sync
-    /// combined); after `m` faults the plan goes quiet and I/O heals.
-    pub fn fail_count(self, m: u64) -> JournalFaultPlan {
-        self.inner
-            .failures_remaining
-            .store(m.min(i64::MAX as u64) as i64, Ordering::Relaxed);
-        self
-    }
-
-    /// `true` when any fault is armed (used to skip the hint in docs/UI,
-    /// never to skip the checks themselves).
-    pub fn is_armed(&self) -> bool {
-        self.inner.writes_before_failure.load(Ordering::Relaxed) != i64::MAX
-            || self.inner.syncs_before_failure.load(Ordering::Relaxed) != i64::MAX
-    }
-
-    fn check(&self, budget: &AtomicI64, what: &str, path: &Path) -> std::io::Result<()> {
-        if budget.load(Ordering::Relaxed) == i64::MAX {
-            return Ok(());
-        }
-        if budget.fetch_sub(1, Ordering::Relaxed) > 0 {
-            return Ok(());
-        }
-        // The per-operation budget is exhausted; spend one failure from
-        // the total cap (if it has one).
-        let remaining = &self.inner.failures_remaining;
-        if remaining.load(Ordering::Relaxed) != i64::MAX
-            && remaining.fetch_sub(1, Ordering::Relaxed) <= 0
-        {
-            return Ok(());
-        }
-        Err(std::io::Error::other(format!(
-            "injected {what} fault on `{}`",
-            path.display()
-        )))
-    }
-
-    /// Point of injection for a journal write. Call before `write_all`.
-    pub fn check_write(&self, path: &Path) -> std::io::Result<()> {
-        self.check(&self.inner.writes_before_failure, "write", path)
-    }
-
-    /// Point of injection for a journal fsync. Call before `sync_data`.
-    pub fn check_sync(&self, path: &Path) -> std::io::Result<()> {
-        self.check(&self.inner.syncs_before_failure, "fsync", path)
-    }
-}
-
-/// Atomically replaces `path` with `bytes`: write `{path}.tmp`, fsync
-/// the file, rename over `path`, fsync the directory. A crash at any
-/// byte leaves either the old file or the new one — never a mix — which
-/// is the invariant journal compaction rests on. The fault plan is
-/// checked at the write and fsync points so disk-fault drills cover
-/// this path too.
-pub fn atomic_replace(path: &Path, bytes: &[u8], faults: &JournalFaultPlan) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    faults.check_write(&tmp)?;
-    let mut file = File::create(&tmp)?;
-    file.write_all(bytes)?;
-    faults.check_sync(&tmp)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        if let Ok(dir) = File::open(dir) {
-            let _ = dir.sync_all();
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // Journal
 // ---------------------------------------------------------------------------
 
-/// An append-only JSON-lines outcome log with fsync'd writes.
+// Re-exported under its historical `durable::` path: the fault plan
+// belongs to the append log every durable store shares.
+pub use crate::applog::JournalFaultPlan;
+
+/// An append-only JSON-lines outcome log with fsync'd writes, on the
+/// shared [`AppendLog`].
 ///
 /// Line 1 is a run header pinning the format version and the
-/// [`run_fingerprint`]; every further line is one scenario record. On
-/// resume, a torn final line (crash mid-append) is dropped and the file
-/// truncated back to its valid prefix; damage anywhere earlier is
-/// reported as [`DurableError::CorruptJournal`].
+/// [`run_fingerprint`]; every further line is one scenario record.
+/// Resume follows the [`crate::applog`] recovery contract: a torn final
+/// line is dropped, damage earlier is [`DurableError::CorruptJournal`],
+/// and a journal with no complete header line starts over with a fresh
+/// header.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
-    path: PathBuf,
+    log: AppendLog,
+}
+
+fn io_error(path: &Path, e: std::io::Error) -> DurableError {
+    DurableError::Io {
+        path: path.to_path_buf(),
+        message: e.to_string(),
+    }
 }
 
 impl Journal {
@@ -529,26 +406,19 @@ impl Journal {
         path: &Path,
         fingerprint: impl Into<RunFingerprint>,
     ) -> Result<Journal, DurableError> {
-        let fingerprint = fingerprint.into();
-        let io_err = |e: std::io::Error| DurableError::Io {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        };
-        let file = File::create(path).map_err(io_err)?;
-        let mut journal = Journal {
-            file,
-            path: path.to_path_buf(),
-        };
-        journal.append_line(&header_line(&fingerprint))?;
+        let log =
+            AppendLog::create(path, &JournalFaultPlan::none()).map_err(|e| io_error(path, e))?;
+        let mut journal = Journal { log };
+        journal.append_line(&header_line(&fingerprint.into()))?;
         Ok(journal)
     }
 
-    /// Opens an existing journal for resume: validates the header
-    /// fingerprint, recovers a torn tail (dropping and truncating the
-    /// final line if it is damaged or unterminated), and returns the
-    /// replayable records plus the journal reopened for appending.
+    /// Opens an existing journal for resume: recovers a torn tail,
+    /// validates the header fingerprint, and returns the replayable
+    /// records plus the journal reopened for appending.
     ///
-    /// A missing or empty journal resumes as a fresh run.
+    /// A missing journal, or one with no complete header line, resumes
+    /// as a fresh run.
     ///
     /// When both the header and the current `fingerprint` carry
     /// component fingerprints (see [`run_fingerprint_parts`]), a
@@ -559,111 +429,29 @@ impl Journal {
         fingerprint: impl Into<RunFingerprint>,
     ) -> Result<(Journal, Vec<ScenarioRecord>), DurableError> {
         let fingerprint = fingerprint.into();
-        let io_err = |e: std::io::Error| DurableError::Io {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        };
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err(e)),
-        };
-        if bytes.is_empty() {
-            return Ok((Journal::create(path, fingerprint)?, Vec::new()));
-        }
-        let text = String::from_utf8_lossy(&bytes);
-        let mut valid_len = 0usize;
         let mut records = Vec::new();
-        let lines: Vec<&str> = text.split_inclusive('\n').collect();
-        for (index, raw) in lines.iter().enumerate() {
-            let is_last = index + 1 == lines.len();
-            let torn_tail = |valid_len| {
-                // Only the final line may be damaged (a crash mid-append);
-                // drop it and let the scenario re-run.
-                if is_last {
-                    Ok(valid_len)
-                } else {
-                    Err(DurableError::CorruptJournal {
-                        path: path.to_path_buf(),
-                        line: index + 1,
-                    })
-                }
-            };
-            if !raw.ends_with('\n') {
-                valid_len = torn_tail(valid_len)?;
-                break;
+        let recovered = applog::recover(path, "run", |fields| {
+            record_from_fields(&fields)
+                .map(|record| records.push(record))
+                .is_some()
+        });
+        let recovered = match recovered {
+            Ok(recovered) => recovered,
+            Err(RecoverError::Missing | RecoverError::Empty) => {
+                return Ok((Journal::create(path, fingerprint)?, Vec::new()));
             }
-            let line = raw.trim_end_matches(['\n', '\r']);
-            let Some(fields) = parse_json_object(line) else {
-                valid_len = torn_tail(valid_len)?;
-                break;
-            };
-            if index == 0 {
-                if fields.get("kind").map(String::as_str) != Some("run") {
-                    return Err(DurableError::CorruptJournal {
-                        path: path.to_path_buf(),
-                        line: 1,
-                    });
-                }
-                let found = fields
-                    .get("fingerprint")
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-                    .ok_or(DurableError::CorruptJournal {
-                        path: path.to_path_buf(),
-                        line: 1,
-                    })?;
-                if found != fingerprint.combined {
-                    // Attribute the mismatch wherever both sides carry
-                    // the component fingerprint.
-                    let parts = [
-                        ("net", fingerprint.netlist, MismatchSource::Netlist),
-                        ("tech", fingerprint.tech, MismatchSource::Technology),
-                        ("opts", fingerprint.options, MismatchSource::Options),
-                    ];
-                    let mut sources = Vec::new();
-                    for (key, current, source) in parts {
-                        let recorded = fields
-                            .get(key)
-                            .and_then(|s| u64::from_str_radix(s, 16).ok());
-                        if let (Some(recorded), Some(current)) = (recorded, current) {
-                            if recorded != current {
-                                sources.push(source);
-                            }
-                        }
-                    }
-                    return Err(DurableError::FingerprintMismatch {
-                        path: path.to_path_buf(),
-                        found,
-                        expected: fingerprint.combined,
-                        sources,
-                    });
-                }
-            } else {
-                match record_from_fields(&fields) {
-                    Some(record) => records.push(record),
-                    None => {
-                        valid_len = torn_tail(valid_len)?;
-                        break;
-                    }
-                }
+            Err(RecoverError::Corrupt { line }) => {
+                return Err(DurableError::CorruptJournal {
+                    path: path.to_path_buf(),
+                    line,
+                });
             }
-            valid_len += raw.len();
-        }
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(io_err)?;
-        file.set_len(valid_len as u64).map_err(io_err)?;
-        let mut file = file;
-        file.seek(SeekFrom::End(0)).map_err(io_err)?;
-        Ok((
-            Journal {
-                file,
-                path: path.to_path_buf(),
-            },
-            records,
-        ))
+            Err(RecoverError::Io(e)) => return Err(io_error(path, e)),
+        };
+        check_header(path, &recovered.header, &fingerprint)?;
+        let log = AppendLog::reopen(path, recovered.valid_len, &JournalFaultPlan::none())
+            .map_err(|e| io_error(path, e))?;
+        Ok((Journal { log }, records))
     }
 
     /// Appends one scenario record, fsync'd so it survives a crash that
@@ -673,15 +461,48 @@ impl Journal {
     }
 
     fn append_line(&mut self, line: &str) -> Result<(), DurableError> {
-        let io_err = |path: &Path, e: std::io::Error| DurableError::Io {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        };
-        self.file
-            .write_all(line.as_bytes())
-            .map_err(|e| io_err(&self.path, e))?;
-        self.file.sync_data().map_err(|e| io_err(&self.path, e))
+        self.log
+            .append(line)
+            .map_err(|e| io_error(self.log.path(), e))
     }
+}
+
+/// Checks the header's fingerprint against the current inputs,
+/// attributing a mismatch wherever both sides carry the component
+/// fingerprint.
+fn check_header(
+    path: &Path,
+    header: &Fields,
+    fingerprint: &RunFingerprint,
+) -> Result<(), DurableError> {
+    let hex = |key: &str| {
+        header
+            .get(key)
+            .and_then(|s| u64::from_str_radix(s, 16).ok())
+    };
+    let found = hex("fingerprint").ok_or(DurableError::CorruptJournal {
+        path: path.to_path_buf(),
+        line: 1,
+    })?;
+    if found == fingerprint.combined {
+        return Ok(());
+    }
+    let parts = [
+        ("net", fingerprint.netlist, MismatchSource::Netlist),
+        ("tech", fingerprint.tech, MismatchSource::Technology),
+        ("opts", fingerprint.options, MismatchSource::Options),
+    ];
+    let sources = parts
+        .into_iter()
+        .filter(|&(key, current, _)| matches!((hex(key), current), (Some(r), Some(c)) if r != c))
+        .map(|(_, _, source)| source)
+        .collect();
+    Err(DurableError::FingerprintMismatch {
+        path: path.to_path_buf(),
+        found,
+        expected: fingerprint.combined,
+        sources,
+    })
 }
 
 fn header_line(fingerprint: &RunFingerprint) -> String {
@@ -1204,6 +1025,7 @@ pub fn run_durable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::parse_json_object;
     use mosnet::sim_format;
     use std::sync::atomic::AtomicUsize;
 

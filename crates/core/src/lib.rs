@@ -48,6 +48,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analyzer;
+pub mod applog;
 pub mod batch;
 pub mod budget;
 pub mod charge;
@@ -91,7 +92,7 @@ pub use editscript::parse_edit_script;
 pub use error::TimingError;
 pub use fingerprint::Fnv64;
 pub use incremental::{ArrivalChange, DeltaReport, IncrementalAnalyzer, ScenarioDelta};
-pub use memo::{stage_fingerprint, tech_stamp, CacheStats, SlopeBucketing, StageCache};
+pub use memo::{stage_fingerprint, tech_stamp, CacheStats, StageCache};
 pub use models::{estimate_with_fallback, try_estimate, ModelFailure, ModelKind, StageDelay};
 pub use obs::{Metrics, Phase, TraceEvent, TraceSink};
 pub use pool::ThreadPool;

@@ -23,15 +23,9 @@
 //!   technology — e.g. [`Technology::set_drive`] after a calibration
 //!   pass — changes the stamp, so stale entries can never be returned;
 //!   they simply stop being referenced and age out by eviction;
-//! * the **slope bucket** ([`SlopeBucketing`]): how the input transition
-//!   time is mapped into the key. The default, [`SlopeBucketing::Exact`],
-//!   uses the exact bit pattern (with `-0.0` canonicalized to `+0.0`),
-//!   so a cache hit returns *bit-identical* results to a fresh
-//!   evaluation. [`SlopeBucketing::Quantized`] trades a bounded rounding
-//!   error (two slopes sharing a bucket differ by strictly less than the
-//!   configured width) for a higher hit rate across nearby slopes — the
-//!   width is an explicit [`StageCache`] configuration, not a hidden
-//!   constant;
+//! * the **slope bucket** ([`slope_bucket`]): the exact bit pattern of
+//!   the input transition time (with `-0.0` canonicalized to `+0.0`), so
+//!   a cache hit returns *bit-identical* results to a fresh evaluation;
 //! * the model kind, trigger device kind, and whether model fallback is
 //!   enabled.
 //!
@@ -173,45 +167,20 @@ pub fn tech_stamp(tech: &Technology) -> u64 {
     h.finish()
 }
 
-/// How input transition times are mapped to cache buckets.
-///
-/// The bucket width is part of the [`StageCache`] configuration so the
-/// accuracy/hit-rate trade is explicit and auditable: the self-check
-/// harness compares cached results against exact-slope re-evaluations,
-/// and only a documented, bounded rounding error is acceptable.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum SlopeBucketing {
-    /// The exact bit pattern of the transition time (the default). A hit
-    /// returns a result bit-identical to a fresh evaluation. `-0.0` is
-    /// canonicalized to `+0.0` so the two encodings of a zero-width
-    /// (step) input share one entry instead of duplicating it, and all
-    /// NaN payloads collapse to one canonical quiet-NaN key.
-    #[default]
-    Exact,
-    /// Transition times are rounded to the nearest multiple of `width`
-    /// (half-away-from-zero). Bucket edges sit at `(k ± ½)·width`, so
-    /// two slopes that straddle an edge land in *different* buckets and
-    /// can never alias one entry, while any two slopes sharing a bucket
-    /// differ by strictly less than `width` — the documented maximum
-    /// slope rounding error of a quantized hit. A non-positive or
-    /// non-finite width degenerates to [`SlopeBucketing::Exact`].
-    Quantized {
-        /// The bucket width (maximum slope aliasing distance).
-        width: Seconds,
-    },
-}
-
 /// The single bit pattern every NaN slope is keyed under (the standard
 /// quiet NaN). Without this, the 2^52 distinct NaN payloads would each
 /// mint their own cache entry for one and the same (meaningless) slope,
 /// and a poisoned evaluation could never be deduplicated.
 const CANONICAL_NAN_BITS: u64 = 0x7ff8_0000_0000_0000;
 
-/// Canonical bit pattern of a slope value for keying: `-0.0` maps to
-/// `+0.0` (the same physical slope) and every NaN payload maps to one
-/// quiet-NaN pattern. Infinities keep their sign — they are distinct
-/// (if equally impossible) values.
-fn canonical_slope_bits(v: f64) -> u64 {
+/// Maps an input transition time to its cache bucket: the exact bit
+/// pattern, so a hit returns a result bit-identical to a fresh
+/// evaluation. `-0.0` maps to `+0.0` (the same physical slope, so the
+/// two encodings of a step input share one entry) and every NaN payload
+/// maps to one quiet-NaN pattern. Infinities keep their sign — they are
+/// distinct (if equally impossible) values.
+pub fn slope_bucket(input_transition: Seconds) -> u64 {
+    let v = input_transition.value();
     if v.is_nan() {
         CANONICAL_NAN_BITS
     } else {
@@ -219,58 +188,6 @@ fn canonical_slope_bits(v: f64) -> u64 {
         // round-to-nearest) and leaves every other value untouched.
         (v + 0.0).to_bits()
     }
-}
-
-impl SlopeBucketing {
-    /// Maps an input transition time to its cache bucket.
-    ///
-    /// Non-finite slopes are canonicalized before hashing in **both**
-    /// modes: `-0.0` aliases `+0.0` and every NaN payload shares one
-    /// bucket, so physically identical (or identically meaningless)
-    /// slopes can never mint spurious extra cache entries.
-    pub fn bucket(self, input_transition: Seconds) -> u64 {
-        let v = input_transition.value();
-        match self {
-            SlopeBucketing::Exact => canonical_slope_bits(v),
-            SlopeBucketing::Quantized { width } => {
-                let w = width.value();
-                if !(w > 0.0 && w.is_finite() && v.is_finite()) {
-                    // Zero/negative/non-finite width (or a non-finite
-                    // slope): fall back to exact keying rather than
-                    // collapsing everything into one bucket.
-                    return canonical_slope_bits(v);
-                }
-                // round() is half-away-from-zero, and the f64→i64 cast
-                // saturates, so extreme slopes stay in extreme buckets
-                // instead of wrapping onto small ones. Negative
-                // transitions (physically impossible, but defensively
-                // handled) bucket symmetrically and never alias a
-                // positive slope more than `width` away.
-                (v / w).round() as i64 as u64
-            }
-        }
-    }
-
-    /// The maximum difference between two transition times that may share
-    /// a bucket (zero for exact bucketing).
-    pub fn max_aliasing(self) -> Seconds {
-        match self {
-            SlopeBucketing::Exact => Seconds::ZERO,
-            SlopeBucketing::Quantized { width } => {
-                if width.value() > 0.0 && width.value().is_finite() {
-                    width
-                } else {
-                    Seconds::ZERO
-                }
-            }
-        }
-    }
-}
-
-/// Maps an input transition time to its exact-bit cache bucket (the
-/// default [`SlopeBucketing::Exact`] behavior).
-pub fn slope_bucket(input_transition: Seconds) -> u64 {
-    SlopeBucketing::Exact.bucket(input_transition)
 }
 
 /// The complete lookup key for one stage evaluation.
@@ -286,10 +203,7 @@ pub struct StageKey {
 
 impl StageKey {
     /// Builds the key for evaluating `stage_fingerprint` under the given
-    /// model, trigger, and technology stamp, with **exact** slope
-    /// bucketing. Keys destined for a [`StageCache`] should be built
-    /// with [`StageCache::key`] instead so the cache's configured
-    /// [`SlopeBucketing`] applies.
+    /// model, trigger, and technology stamp.
     pub fn new(
         fingerprint: u128,
         tech_stamp: u64,
@@ -401,7 +315,6 @@ impl CacheStats {
 pub struct StageCache {
     shards: Vec<Mutex<HashMap<StageKey, CachedEval>>>,
     per_shard_capacity: usize,
-    bucketing: SlopeBucketing,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -421,48 +334,13 @@ impl StageCache {
     /// to a multiple of [`SHARDS`], minimum one entry per shard), with
     /// exact slope keying.
     pub fn with_capacity(capacity: usize) -> StageCache {
-        StageCache::with_config(capacity, SlopeBucketing::Exact)
-    }
-
-    /// A cache with explicit capacity *and* slope-bucketing policy.
-    pub fn with_config(capacity: usize, bucketing: SlopeBucketing) -> StageCache {
         StageCache {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             per_shard_capacity: capacity.div_ceil(SHARDS).max(1),
-            bucketing,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             generation: AtomicU64::new(0),
-        }
-    }
-
-    /// The slope-bucketing policy keys of this cache are built with.
-    pub fn bucketing(&self) -> SlopeBucketing {
-        self.bucketing
-    }
-
-    /// Builds the lookup key for one stage evaluation under this cache's
-    /// slope-bucketing policy. Always use this (rather than
-    /// [`StageKey::new`], which is fixed to exact bucketing) when the key
-    /// will be looked up in this cache, so quantized configurations
-    /// actually coalesce nearby slopes.
-    pub fn key(
-        &self,
-        fingerprint: u128,
-        tech_stamp: u64,
-        input_transition: Seconds,
-        model: ModelKind,
-        trigger_kind: TransistorKind,
-        fallback: bool,
-    ) -> StageKey {
-        StageKey {
-            fingerprint,
-            tech: tech_stamp,
-            slope: self.bucketing.bucket(input_transition),
-            model: model_tag(model),
-            trigger: trigger_kind.index() as u8,
-            fallback,
         }
     }
 
@@ -734,130 +612,25 @@ mod tests {
         // -0.0 and +0.0 encode the same physical slope; they must share
         // one bucket (and therefore one cache entry) instead of
         // duplicating the evaluation under two keys.
-        assert_eq!(
-            SlopeBucketing::Exact.bucket(Seconds(-0.0)),
-            SlopeBucketing::Exact.bucket(Seconds(0.0)),
-        );
+        assert_eq!(slope_bucket(Seconds(-0.0)), slope_bucket(Seconds(0.0)));
         // Any genuinely different bit pattern still gets its own bucket.
         assert_ne!(
-            SlopeBucketing::Exact.bucket(Seconds(1.0e-9)),
-            SlopeBucketing::Exact.bucket(Seconds(1.0000000000000002e-9)),
+            slope_bucket(Seconds(1.0e-9)),
+            slope_bucket(Seconds(1.0000000000000002e-9)),
         );
-    }
-
-    #[test]
-    fn quantized_bucket_edges_never_alias() {
-        // Bucket edges sit at (k + 1/2)·width: two slopes straddling an
-        // edge — however close together — land in different buckets, so
-        // they can never share a cache entry.
-        let width = Seconds::from_nanos(1.0);
-        let b = SlopeBucketing::Quantized { width };
-        let edge: f64 = 0.5e-9;
-        let below = f64::from_bits(edge.to_bits() - 1);
-        assert_ne!(b.bucket(Seconds(below)), b.bucket(Seconds(edge)));
-        // … and the same at a higher edge (between buckets 2 and 3).
-        let edge: f64 = 2.5e-9;
-        let below = f64::from_bits(edge.to_bits() - 1);
-        assert_ne!(b.bucket(Seconds(below)), b.bucket(Seconds(edge)));
-    }
-
-    #[test]
-    fn quantized_same_bucket_slopes_differ_less_than_width() {
-        // The documented rounding error: two slopes sharing a bucket
-        // differ by strictly less than the configured width.
-        let width = Seconds::from_nanos(1.0);
-        let b = SlopeBucketing::Quantized { width };
-        let samples: Vec<f64> = (0..4000).map(|i| i as f64 * 0.77e-11).collect();
-        let mut by_bucket: HashMap<u64, (f64, f64)> = HashMap::new();
-        for &s in &samples {
-            let entry = by_bucket.entry(b.bucket(Seconds(s))).or_insert((s, s));
-            entry.0 = entry.0.min(s);
-            entry.1 = entry.1.max(s);
-        }
-        for (bucket, (lo, hi)) in by_bucket {
-            assert!(
-                hi - lo < width.value(),
-                "bucket {bucket}: spread {} exceeds width {}",
-                hi - lo,
-                width.value()
-            );
-        }
-        assert_eq!(b.max_aliasing(), width);
-    }
-
-    #[test]
-    fn zero_width_quantization_degenerates_to_exact() {
-        for width in [Seconds::ZERO, Seconds(-1.0e-9), Seconds(f64::NAN)] {
-            let b = SlopeBucketing::Quantized { width };
-            for t in [0.0, 1.3e-9, 7.7e-10] {
-                assert_eq!(
-                    b.bucket(Seconds(t)),
-                    SlopeBucketing::Exact.bucket(Seconds(t)),
-                    "width {width:?}, slope {t}"
-                );
-            }
-            assert_eq!(b.max_aliasing(), Seconds::ZERO);
-        }
     }
 
     #[test]
     fn negative_transitions_never_alias_positive_ones() {
         // Negative transition times are physically impossible but must
         // not silently collide with real slopes if one ever leaks in.
-        let quantized = SlopeBucketing::Quantized {
-            width: Seconds::from_nanos(1.0),
-        };
-        for b in [SlopeBucketing::Exact, quantized] {
-            for t in [0.6e-9, 1.4e-9, 3.0e-9] {
-                assert_ne!(
-                    b.bucket(Seconds(-t)),
-                    b.bucket(Seconds(t)),
-                    "{b:?}: -{t} aliased +{t}"
-                );
-            }
+        for t in [0.6e-9, 1.4e-9, 3.0e-9] {
+            assert_ne!(
+                slope_bucket(Seconds(-t)),
+                slope_bucket(Seconds(t)),
+                "-{t} aliased +{t}"
+            );
         }
-        // The two encodings of zero are the one exception: same slope,
-        // same bucket.
-        assert_eq!(
-            quantized.bucket(Seconds(-0.0)),
-            quantized.bucket(Seconds(0.0))
-        );
-    }
-
-    #[test]
-    fn cache_key_honors_configured_bucketing() {
-        let width = Seconds::from_nanos(1.0);
-        let cache = StageCache::with_config(1024, SlopeBucketing::Quantized { width });
-        assert_eq!(cache.bucketing(), SlopeBucketing::Quantized { width });
-        let key_at = |t: Seconds| {
-            cache.key(
-                7,
-                42,
-                t,
-                ModelKind::Slope,
-                TransistorKind::NEnhancement,
-                true,
-            )
-        };
-        // Two nearby slopes in one bucket share an entry…
-        cache.insert(key_at(Seconds(1.1e-9)), sample_value());
-        assert!(cache.lookup(&key_at(Seconds(1.3e-9))).is_some());
-        // …while slopes straddling a bucket edge do not.
-        assert!(cache.lookup(&key_at(Seconds(1.6e-9))).is_none());
-        // An exact-config cache keeps every distinct slope separate.
-        let exact = StageCache::new();
-        let exact_key = |t: Seconds| {
-            exact.key(
-                7,
-                42,
-                t,
-                ModelKind::Slope,
-                TransistorKind::NEnhancement,
-                true,
-            )
-        };
-        exact.insert(exact_key(Seconds(1.1e-9)), sample_value());
-        assert!(exact.lookup(&exact_key(Seconds(1.3e-9))).is_none());
     }
 
     #[test]
@@ -1027,55 +800,31 @@ mod tests {
             cache.lookup(&at(Seconds(-0.0))).is_some(),
             "-0.0 must hit the +0.0 entry"
         );
-        // The same aliasing holds for keys built through the cache's
-        // configured bucketing (both exact and quantized).
-        let quantized = StageCache::with_config(
-            1024,
-            SlopeBucketing::Quantized {
-                width: Seconds(1e-9),
-            },
-        );
-        let qkey = |t: Seconds| {
-            quantized.key(
-                7,
-                42,
-                t,
-                ModelKind::Slope,
-                TransistorKind::NEnhancement,
-                true,
-            )
-        };
-        assert_eq!(qkey(Seconds(-0.0)), qkey(Seconds(0.0)));
     }
 
     #[test]
     fn nan_slopes_collapse_to_one_hittable_key() {
         // Every NaN payload is the same "meaningless slope": they must
-        // share one canonical key in both bucketing modes, so a poisoned
-        // evaluation is stored (and found) once instead of minting an
-        // unbounded family of unreachable entries.
+        // share one canonical key, so a poisoned evaluation is stored
+        // (and found) once instead of minting an unbounded family of
+        // unreachable entries.
         let payloads = [
             f64::NAN,
             -f64::NAN,
             f64::from_bits(0x7ff8_0000_0000_0001),
             f64::from_bits(0xfff8_dead_beef_cafe),
         ];
-        let quantized = SlopeBucketing::Quantized {
-            width: Seconds(1e-9),
-        };
-        for mode in [SlopeBucketing::Exact, quantized] {
-            let canonical = mode.bucket(Seconds(f64::NAN));
-            for &p in &payloads {
-                assert_eq!(mode.bucket(Seconds(p)), canonical, "{mode:?} payload {p:?}");
-            }
-            // NaN never aliases a real slope.
-            assert_ne!(canonical, mode.bucket(Seconds(0.0)), "{mode:?}");
-            assert_ne!(canonical, mode.bucket(Seconds(1e-9)), "{mode:?}");
+        let canonical = slope_bucket(Seconds(f64::NAN));
+        for &p in &payloads {
+            assert_eq!(slope_bucket(Seconds(p)), canonical, "payload {p:?}");
         }
+        // NaN never aliases a real slope.
+        assert_ne!(canonical, slope_bucket(Seconds(0.0)));
+        assert_ne!(canonical, slope_bucket(Seconds(1e-9)));
         // Insertion under one NaN payload is found under another.
         let cache = StageCache::new();
         let at = |t: Seconds| {
-            cache.key(
+            StageKey::new(
                 7,
                 42,
                 t,

@@ -3,9 +3,9 @@
 //! Every CLI entry point that produces measurements — `batch`, `check`,
 //! `serve`, and the bench harness — can append one **run record** to a
 //! run database directory (`--run-db DIR`). A record is a single
-//! append-only JSON-lines file, `<run-id>.run`, written with the same
-//! fsync/torn-tail discipline as [`crate::durable`]'s journals and the
-//! same flat-object codec ([`crate::fingerprint::parse_json_object`]):
+//! append-only JSON-lines file, `<run-id>.run`, written through the
+//! [`crate::applog`] append log the journals share, in the same
+//! flat-object codec ([`crate::fingerprint::parse_json_object`]):
 //!
 //! ```text
 //! {"kind":"run","v":1,"id":"run-3f…","command":"batch","fingerprint":"…",…}
@@ -18,13 +18,12 @@
 //! ```
 //!
 //! The `exit` footer marks a complete record; a run that crashed
-//! mid-write is recognizable by its absence. On read, a damaged or
-//! unterminated **final** line is dropped and the file truncated back to
-//! its valid prefix (a crash mid-append); damage anywhere earlier is
-//! reported as [`RunStoreError::Corrupt`] — exactly the recovery
-//! contract of [`crate::durable::Journal`]. [`RunStore::resume`] then
-//! re-appends the missing suffix bit-identically, because every line is
-//! a deterministic function of the in-memory [`RunRecord`].
+//! mid-write is recognizable by its absence. Reads and
+//! [`RunStore::resume`] follow the [`crate::applog`] recovery contract
+//! (a torn final line is dropped; damage earlier is
+//! [`RunStoreError::Corrupt`]), and resume re-appends the missing suffix
+//! bit-identically, because every line is a deterministic function of
+//! the in-memory [`RunRecord`].
 //!
 //! [`diff`] compares two records: per-node arrival deltas (absolute and
 //! relative, with a digest-mismatch section), per-phase span-time
@@ -46,7 +45,8 @@
 //!   skipped with an explicit note instead of silently passed.
 
 use crate::analyzer::{Edge, TimingResult};
-use crate::fingerprint::{escape_json_into, hex64, parse_json_object, run_id, Fnv64};
+use crate::applog::{self, AppendLog, Fields, JournalFaultPlan, RecoverError};
+use crate::fingerprint::{escape_json, hex64, run_id, Fnv64};
 use crate::memo::CacheStats;
 use crate::models::ModelKind;
 use crate::obs::Metrics;
@@ -54,8 +54,6 @@ use mosnet::Network;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Run-record format version (the `"v"` header field).
@@ -347,32 +345,35 @@ impl RunRecord {
         let m = &self.meta;
         let mut head = format!(
             "{{\"kind\":\"run\",\"v\":{RUN_VERSION},\"id\":\"{}\",\"command\":\"",
-            escape(&m.id)
+            escape_json(&m.id)
         );
-        head.push_str(&escape(&m.command));
+        head.push_str(&escape_json(&m.command));
         let _ = write!(
             head,
             "\",\"fingerprint\":\"{}\",\"git\":\"{}\",\"host\":\"{}\",\
              \"hardware_threads\":{},\"threads\":{},\"model\":\"{}\",\"started_unix\":{}}}",
             hex64(m.fingerprint),
-            escape(&m.git),
-            escape(&m.host),
+            escape_json(&m.git),
+            escape_json(&m.host),
             m.hardware_threads,
             m.threads,
-            escape(&m.model),
+            escape_json(&m.model),
             m.started_unix
         );
         lines.push(head);
         for s in &self.scenarios {
-            let mut line = format!("{{\"kind\":\"scenario\",\"label\":\"{}\"", escape(&s.label));
-            let _ = write!(line, ",\"outcome\":\"{}\"", escape(&s.outcome));
+            let mut line = format!(
+                "{{\"kind\":\"scenario\",\"label\":\"{}\"",
+                escape_json(&s.label)
+            );
+            let _ = write!(line, ",\"outcome\":\"{}\"", escape_json(&s.outcome));
             if let Some(digest) = s.digest {
                 let _ = write!(line, ",\"digest\":\"{}\"", hex64(digest));
             }
             let _ = write!(
                 line,
                 ",\"summary\":\"{}\",\"wall_us\":{}",
-                escape(&s.summary),
+                escape_json(&s.summary),
                 s.wall_us
             );
             if s.oversubscribed {
@@ -386,19 +387,19 @@ impl RunRecord {
                 "{{\"kind\":\"arrival\",\"scenario\":\"{}\",\"node\":\"{}\",\
                  \"time\":\"{}\",\"time_ns\":{:.6},\"transition\":\"{}\",\
                  \"edge\":\"{}\",\"model\":\"{}\"}}",
-                escape(&a.scenario),
-                escape(&a.node),
+                escape_json(&a.scenario),
+                escape_json(&a.node),
                 hex64(a.time_bits),
                 a.time_ns(),
                 hex64(a.transition_bits),
                 if a.rising { "rise" } else { "fall" },
-                escape(&a.model),
+                escape_json(&a.model),
             ));
         }
         for p in &self.phases {
             lines.push(format!(
                 "{{\"kind\":\"phase\",\"phase\":\"{}\",\"spans\":{},\"total_ns\":{},\"wall_ns\":{}}}",
-                escape(&p.phase),
+                escape_json(&p.phase),
                 p.spans,
                 p.total_ns,
                 p.wall_ns
@@ -407,8 +408,8 @@ impl RunRecord {
         for c in &self.counters {
             lines.push(format!(
                 "{{\"kind\":\"counter\",\"phase\":\"{}\",\"name\":\"{}\",\"value\":{}}}",
-                escape(&c.phase),
-                escape(&c.name),
+                escape_json(&c.phase),
+                escape_json(&c.name),
                 c.value
             ));
         }
@@ -421,19 +422,23 @@ impl RunRecord {
         if let Some(exit) = &self.exit {
             lines.push(format!(
                 "{{\"kind\":\"exit\",\"status\":\"{}\",\"code\":{},\"wall_us\":{}}}",
-                escape(&exit.status),
+                escape_json(&exit.status),
                 exit.code,
                 exit.wall_us
             ));
         }
         lines
     }
-}
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_json_into(s, &mut out);
-    out
+    /// The record's file text from line `skip` on (0 for the whole file).
+    fn text(&self, skip: usize) -> String {
+        let mut text = String::new();
+        for line in self.lines().into_iter().skip(skip) {
+            text.push_str(&line);
+            text.push('\n');
+        }
+        text
+    }
 }
 
 /// The arrival rows of one result, node-name-sorted. `inject` scales the
@@ -602,14 +607,8 @@ impl RunStore {
     /// returns the record's path.
     pub fn record(&self, record: &RunRecord) -> Result<PathBuf, RunStoreError> {
         let path = self.dir.join(format!("{}.{RUN_EXTENSION}", record.meta.id));
-        let mut file = File::create(&path).map_err(|e| io_err(&path, e))?;
-        let mut text = String::new();
-        for line in record.lines() {
-            text.push_str(&line);
-            text.push('\n');
-        }
-        file.write_all(text.as_bytes())
-            .and_then(|_| file.sync_data())
+        AppendLog::create(&path, &JournalFaultPlan::none())
+            .and_then(|mut log| log.append(&record.text(0)))
             .map_err(|e| io_err(&path, e))?;
         Ok(path)
     }
@@ -672,110 +671,65 @@ impl RunStore {
 
     /// Recovers a (possibly torn) record file and re-appends the missing
     /// suffix from `record`, reproducing the complete file bit for bit.
-    /// The durable-journal resume contract, applied to run records: only
-    /// an unterminated or unparseable final line is dropped; damage
-    /// earlier in the file is [`RunStoreError::Corrupt`].
+    /// Follows the [`crate::applog`] recovery contract: only a torn final
+    /// line is dropped, damage earlier in the file is
+    /// [`RunStoreError::Corrupt`], and a file with no complete header
+    /// line is rewritten whole.
     pub fn resume(&self, path: &Path, record: &RunRecord) -> Result<(), RunStoreError> {
-        let (_rows, valid_len, valid_lines) = recover_lines(path)?;
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-            .map_err(|e| io_err(path, e))?;
-        file.set_len(valid_len as u64)
-            .map_err(|e| io_err(path, e))?;
-        let mut file = file;
-        file.seek(SeekFrom::End(0)).map_err(|e| io_err(path, e))?;
-        let lines = record.lines();
-        let mut text = String::new();
-        for line in lines.iter().skip(valid_lines) {
-            text.push_str(line);
-            text.push('\n');
-        }
-        file.write_all(text.as_bytes())
-            .and_then(|_| file.sync_data())
+        let (valid_len, valid_lines) = match applog::recover(path, "run", |_| true) {
+            Ok(recovered) => (recovered.valid_len, recovered.lines),
+            Err(RecoverError::Missing | RecoverError::Empty) => (0, 0),
+            Err(e) => return Err(recover_err(path, e)),
+        };
+        AppendLog::reopen(path, valid_len, &JournalFaultPlan::none())
+            .and_then(|mut log| log.append(&record.text(valid_lines)))
             .map_err(|e| io_err(path, e))
     }
 }
 
-/// The valid prefix of a record file: parsed line maps, the byte length
-/// of the prefix, and how many complete lines it holds.
-type RecoveredLines = (Vec<BTreeMap<String, String>>, usize, usize);
-
-fn recover_lines(path: &Path) -> Result<RecoveredLines, RunStoreError> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(io_err(path, e)),
-    };
-    let text = String::from_utf8_lossy(&bytes);
-    let mut valid_len = 0usize;
-    let mut rows = Vec::new();
-    let lines: Vec<&str> = text.split_inclusive('\n').collect();
-    for (index, raw) in lines.iter().enumerate() {
-        let is_last = index + 1 == lines.len();
-        let torn = || {
-            // Only the final line may be damaged (a crash mid-append).
-            if is_last {
-                Ok(())
-            } else {
-                Err(RunStoreError::Corrupt {
-                    path: path.to_path_buf(),
-                    line: index + 1,
-                })
-            }
-        };
-        if !raw.ends_with('\n') {
-            torn()?;
-            break;
-        }
-        let line = raw.trim_end_matches(['\n', '\r']);
-        let Some(fields) = parse_json_object(line) else {
-            torn()?;
-            break;
-        };
-        if index == 0 && fields.get("kind").map(String::as_str) != Some("run") {
-            return Err(RunStoreError::Corrupt {
-                path: path.to_path_buf(),
-                line: 1,
-            });
-        }
-        rows.push(fields.into_iter().collect());
-        valid_len += raw.len();
+fn recover_err(path: &Path, e: RecoverError) -> RunStoreError {
+    match e {
+        RecoverError::Missing => io_err(path, std::io::ErrorKind::NotFound.into()),
+        RecoverError::Io(e) => io_err(path, e),
+        RecoverError::Empty => RunStoreError::Corrupt {
+            path: path.to_path_buf(),
+            line: 1,
+        },
+        RecoverError::Corrupt { line } => RunStoreError::Corrupt {
+            path: path.to_path_buf(),
+            line,
+        },
     }
-    let valid_lines = rows.len();
-    Ok((rows, valid_len, valid_lines))
 }
 
 /// Reads one record, applying torn-tail recovery (in memory only — the
 /// file is not truncated; [`RunStore::resume`] is the repairing path).
 pub fn read_run(path: &Path) -> Result<RunRecord, RunStoreError> {
-    let (rows, _, _) = recover_lines(path)?;
+    let mut rows = Vec::new();
+    let recovered = applog::recover(path, "run", |fields| {
+        rows.push(fields);
+        true
+    })
+    .map_err(|e| recover_err(path, e))?;
     let corrupt = |line: usize| RunStoreError::Corrupt {
         path: path.to_path_buf(),
         line,
     };
-    let mut rows_iter = rows.iter().enumerate();
-    let Some((_, head)) = rows_iter.next() else {
-        return Err(corrupt(1));
-    };
-    let get = |fields: &BTreeMap<String, String>, key: &str, line: usize| {
-        fields.get(key).cloned().ok_or(corrupt(line))
-    };
-    let num = |fields: &BTreeMap<String, String>, key: &str, line: usize| {
+    let get =
+        |fields: &Fields, key: &str, line: usize| fields.get(key).cloned().ok_or(corrupt(line));
+    let num = |fields: &Fields, key: &str, line: usize| {
         fields
             .get(key)
             .and_then(|v| v.parse::<u64>().ok())
             .ok_or(corrupt(line))
     };
-    let hex = |fields: &BTreeMap<String, String>, key: &str, line: usize| {
+    let hex = |fields: &Fields, key: &str, line: usize| {
         fields
             .get(key)
             .and_then(|v| u64::from_str_radix(v, 16).ok())
             .ok_or(corrupt(line))
     };
+    let head = &recovered.header;
     let meta = RunMeta {
         id: get(head, "id", 1)?,
         command: get(head, "command", 1)?,
@@ -788,8 +742,8 @@ pub fn read_run(path: &Path) -> Result<RunRecord, RunStoreError> {
         started_unix: num(head, "started_unix", 1)?,
     };
     let mut record = RunRecord::new(meta);
-    for (index, fields) in rows_iter {
-        let line = index + 1;
+    for (index, fields) in rows.iter().enumerate() {
+        let line = index + 2;
         match fields.get("kind").map(String::as_str) {
             Some("scenario") => record.scenarios.push(ScenarioRow {
                 label: get(fields, "label", line)?,
@@ -1349,7 +1303,7 @@ impl RunDiff {
     /// artifacts.
     pub fn to_json(&self, thresholds: &DiffThresholds) -> String {
         let mut out = String::new();
-        let esc = escape;
+        let esc = escape_json;
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"a\": \"{}\",", esc(&self.a_id));
         let _ = writeln!(out, "  \"b\": \"{}\",", esc(&self.b_id));

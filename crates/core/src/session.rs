@@ -9,16 +9,17 @@
 //!
 //! * every session journals its *inputs* — the uploaded netlist text,
 //!   the session configuration, and each applied edit script — to an
-//!   fsync'd JSON-lines file, pinned by a fingerprint built from the
-//!   shared [`crate::fingerprint`] hasher;
+//!   fsync'd [`crate::applog`] file, pinned by a fingerprint built from
+//!   the shared [`crate::fingerprint`] hasher;
 //! * each edit record also stores the post-edit [`Session::digest`], so
 //!   a recovery does not just rebuild state, it **proves** the rebuild:
 //!   [`Session::resume`] re-parses the journaled netlist, re-applies
 //!   every edit, and verifies each recorded digest bit-for-bit;
-//! * a torn tail (daemon killed mid-append) drops exactly the final,
-//!   unacknowledged record — the same recovery rule as
-//!   [`crate::durable::Journal`] — while damage anywhere earlier marks
-//!   the whole journal untrustworthy ([`SessionError::Corrupt`]).
+//! * recovery follows the [`crate::applog`] contract: a torn tail
+//!   (daemon killed mid-append) drops exactly the final, unacknowledged
+//!   record, while damage anywhere earlier — or a header torn before it
+//!   was complete, which no client ever saw acknowledged — marks the
+//!   journal untrustworthy ([`SessionError::Corrupt`]).
 //!
 //! The journal stores inputs rather than results because results are
 //! deterministic: the netlist plus the edit sequence *is* the state.
@@ -31,13 +32,12 @@
 //! serialize, plus a session cap and directory-wide recovery.
 
 use crate::analyzer::{AnalyzerOptions, Edge};
+use crate::applog::{self, atomic_replace, AppendLog, Fields, JournalFaultPlan, RecoverError};
 use crate::budget::{AnalysisBudget, CancelToken};
-use crate::durable::{atomic_replace, scenario_summary, JournalFaultPlan};
+use crate::durable::scenario_summary;
 use crate::editscript::parse_edit_script;
 use crate::error::TimingError;
-use crate::fingerprint::{
-    escape_json_into, hex64, parse_hex64, parse_json_object, result_digest, run_id, Fnv64,
-};
+use crate::fingerprint::{escape_json_into, hex64, parse_hex64, result_digest, run_id, Fnv64};
 use crate::incremental::{DeltaReport, IncrementalAnalyzer};
 use crate::models::ModelKind;
 use crate::selfcheck::standard_scenarios;
@@ -47,8 +47,6 @@ use mosnet::units::Seconds;
 use mosnet::Network;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -277,30 +275,19 @@ pub(crate) fn edge_from_name(name: &str) -> Option<Edge> {
 // Journal records
 // ---------------------------------------------------------------------------
 
-/// The fsync'd append-only file behind one session.
-#[derive(Debug)]
-struct SessionJournal {
-    file: File,
-    path: PathBuf,
+fn io_error(path: &Path, e: std::io::Error) -> SessionError {
+    SessionError::Io {
+        path: path.to_path_buf(),
+        message: e.to_string(),
+    }
 }
 
-impl SessionJournal {
-    fn append_line(&mut self, line: &str, faults: &JournalFaultPlan) -> Result<(), SessionError> {
-        let io_err = |path: &Path, e: std::io::Error| SessionError::Io {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        };
-        faults
-            .check_write(&self.path)
-            .map_err(|e| io_err(&self.path, e))?;
-        self.file
-            .write_all(line.as_bytes())
-            .map_err(|e| io_err(&self.path, e))?;
-        faults
-            .check_sync(&self.path)
-            .map_err(|e| io_err(&self.path, e))?;
-        self.file.sync_data().map_err(|e| io_err(&self.path, e))
-    }
+/// Appends one line to a session journal, mapping failures to
+/// [`SessionError::Io`].
+fn append_line(journal: &mut AppendLog, line: &str) -> Result<(), SessionError> {
+    journal
+        .append(line)
+        .map_err(|e| io_error(journal.path(), e))
 }
 
 /// The self-contained header record. `base_seq`/`checkpoint` are only
@@ -368,6 +355,17 @@ fn edit_record_line(seq: u64, script: &str, digest: u64, req_id: Option<&str>) -
     out
 }
 
+/// Decodes one edit record: `(seq, script, digest, req_id)`.
+fn edit_from_fields(fields: &Fields) -> Option<(u64, String, u64, Option<String>)> {
+    if fields.get("kind").map(String::as_str) != Some("edit") {
+        return None;
+    }
+    let seq: u64 = fields.get("seq")?.parse().ok()?;
+    let script = fields.get("script")?.clone();
+    let digest = parse_hex64(fields.get("digest")?)?;
+    Some((seq, script, digest, fields.get("req").cloned()))
+}
+
 // ---------------------------------------------------------------------------
 // Session
 // ---------------------------------------------------------------------------
@@ -383,8 +381,7 @@ pub struct Session {
     fingerprint: u64,
     netlist_name: String,
     analyzer: IncrementalAnalyzer,
-    journal: Option<SessionJournal>,
-    faults: JournalFaultPlan,
+    journal: Option<AppendLog>,
     seq: u64,
     /// Seq of the journal's checkpoint header: replay after a restart
     /// starts here, so recovery work is O(seq - base_seq).
@@ -453,20 +450,10 @@ impl Session {
         let journal = match journal_path {
             None => None,
             Some(path) => {
-                let io_err = |e: std::io::Error| SessionError::Io {
-                    path: path.to_path_buf(),
-                    message: e.to_string(),
-                };
-                let file = OpenOptions::new()
-                    .write(true)
-                    .create_new(true)
-                    .open(path)
-                    .map_err(io_err)?;
-                let mut journal = SessionJournal {
-                    file,
-                    path: path.to_path_buf(),
-                };
-                journal.append_line(
+                let mut journal =
+                    AppendLog::create_new(path, faults).map_err(|e| io_error(path, e))?;
+                append_line(
+                    &mut journal,
                     &session_header_line(
                         id,
                         fingerprint,
@@ -476,7 +463,6 @@ impl Session {
                         0,
                         None,
                     ),
-                    faults,
                 )?;
                 Some(journal)
             }
@@ -488,7 +474,6 @@ impl Session {
             netlist_name: netlist_name.to_string(),
             analyzer,
             journal,
-            faults: faults.clone(),
             seq: 0,
             base_seq: 0,
             replayed: 0,
@@ -512,72 +497,26 @@ impl Session {
         options: AnalyzerOptions,
         faults: &JournalFaultPlan,
     ) -> Result<Session, SessionError> {
-        let io_err = |e: std::io::Error| SessionError::Io {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        };
         let corrupt = |message: String| SessionError::Corrupt {
             path: path.to_path_buf(),
             message,
         };
-        let bytes = std::fs::read(path).map_err(io_err)?;
-        let text = String::from_utf8_lossy(&bytes);
-        let lines: Vec<&str> = text.split_inclusive('\n').collect();
-        if lines.is_empty() {
-            return Err(corrupt("empty journal".to_string()));
+        let mut edits = Vec::new();
+        let recovered = applog::recover(path, "session", |fields| {
+            edit_from_fields(&fields)
+                .map(|edit| edits.push(edit))
+                .is_some()
+        })
+        .map_err(|e| match e {
+            RecoverError::Missing => io_error(path, std::io::ErrorKind::NotFound.into()),
+            RecoverError::Io(e) => io_error(path, e),
+            RecoverError::Empty => corrupt("no complete header line".to_string()),
+            RecoverError::Corrupt { line } => corrupt(format!("damaged at line {line}")),
+        })?;
+        let header = recovered.header;
+        if header.get("v") != Some(&SESSION_JOURNAL_VERSION.to_string()) {
+            return Err(corrupt("not a session journal header".to_string()));
         }
-
-        // Pass 1: split into (header, edit records), recovering a torn
-        // tail exactly like the durable journal does.
-        let mut valid_len = 0usize;
-        let mut header: Option<HashMap<String, String>> = None;
-        let mut edits: Vec<(u64, String, u64, Option<String>)> = Vec::new();
-        for (index, raw) in lines.iter().enumerate() {
-            let is_last = index + 1 == lines.len();
-            let torn = |valid_len: usize| {
-                if is_last && index > 0 {
-                    Ok(valid_len)
-                } else {
-                    Err(corrupt(format!("damaged at line {}", index + 1)))
-                }
-            };
-            let mut fields = None;
-            if raw.ends_with('\n') {
-                fields = parse_json_object(raw.trim_end_matches(['\n', '\r']));
-            }
-            let Some(fields) = fields else {
-                valid_len = torn(valid_len)?;
-                break;
-            };
-            if index == 0 {
-                if fields.get("kind").map(String::as_str) != Some("session")
-                    || fields.get("v").map(String::as_str)
-                        != Some(&SESSION_JOURNAL_VERSION.to_string())
-                {
-                    return Err(corrupt("not a session journal header".to_string()));
-                }
-                header = Some(fields);
-            } else {
-                let record = (|| {
-                    if fields.get("kind").map(String::as_str) != Some("edit") {
-                        return None;
-                    }
-                    let seq: u64 = fields.get("seq")?.parse().ok()?;
-                    let script = fields.get("script")?.clone();
-                    let digest = parse_hex64(fields.get("digest")?)?;
-                    Some((seq, script, digest, fields.get("req").cloned()))
-                })();
-                match record {
-                    Some(record) => edits.push(record),
-                    None => {
-                        valid_len = torn(valid_len)?;
-                        break;
-                    }
-                }
-            }
-            valid_len += raw.len();
-        }
-        let header = header.ok_or_else(|| corrupt("missing header".to_string()))?;
 
         // Rebuild the configuration from the self-contained header.
         let field = |key: &str| {
@@ -661,7 +600,6 @@ impl Session {
             netlist_name,
             analyzer,
             journal: None,
-            faults: faults.clone(),
             seq: base_seq,
             base_seq,
             replayed: 0,
@@ -706,18 +644,9 @@ impl Session {
         }
 
         // Reopen for appending, truncating any torn tail away.
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(io_err)?;
-        file.set_len(valid_len as u64).map_err(io_err)?;
-        let mut file = file;
-        file.seek(SeekFrom::End(0)).map_err(io_err)?;
-        session.journal = Some(SessionJournal {
-            file,
-            path: path.to_path_buf(),
-        });
+        session.journal = Some(
+            AppendLog::reopen(path, recovered.valid_len, faults).map_err(|e| io_error(path, e))?,
+        );
         Ok(session)
     }
 
@@ -875,9 +804,8 @@ impl Session {
         let digest = self.digest();
         if let Some(journal) = &mut self.journal {
             let line = edit_record_line(self.seq, script, digest, req_id);
-            let faults = self.faults.clone();
-            if let Err(e) = journal.append_line(&line, &faults) {
-                let path = journal.path.clone();
+            if let Err(e) = append_line(journal, &line) {
+                let path = journal.path().to_path_buf();
                 self.degrade(e.to_string());
                 return Err(SessionError::Storage {
                     path,
@@ -918,7 +846,8 @@ impl Session {
                 None => "session has no journal to compact".to_string(),
             }));
         };
-        let path = journal.path.clone();
+        let path = journal.path().to_path_buf();
+        let faults = journal.faults().clone();
         let netlist_text = sim_format::write(self.analyzer.network());
         // Prove the checkpoint rebuilds this exact network before
         // committing to it: sessions open on canonical text and edits
@@ -947,7 +876,7 @@ impl Session {
             self.seq,
             Some(self.digest()),
         );
-        if let Err(e) = atomic_replace(&path, header.as_bytes(), &self.faults) {
+        if let Err(e) = atomic_replace(&path, header.as_bytes(), &faults) {
             self.degrade(e.to_string());
             return Err(SessionError::Storage {
                 path,
@@ -955,8 +884,8 @@ impl Session {
             });
         }
         // The old handle points at the replaced inode; reopen.
-        match OpenOptions::new().append(true).open(&path) {
-            Ok(file) => self.journal = Some(SessionJournal { file, path }),
+        match AppendLog::reopen(&path, header.len(), &faults) {
+            Ok(journal) => self.journal = Some(journal),
             Err(e) => {
                 self.degrade(e.to_string());
                 return Err(SessionError::Storage {
@@ -1008,12 +937,9 @@ impl Session {
     /// session — a closed session has nothing to recover).
     pub fn remove_journal(&mut self) -> Result<(), SessionError> {
         if let Some(journal) = self.journal.take() {
-            let path = journal.path.clone();
+            let path = journal.path().to_path_buf();
             drop(journal);
-            std::fs::remove_file(&path).map_err(|e| SessionError::Io {
-                path,
-                message: e.to_string(),
-            })?;
+            std::fs::remove_file(&path).map_err(|e| io_error(&path, e))?;
         }
         Ok(())
     }

@@ -4,7 +4,8 @@
 //! then truncated at many byte offsets — simulating a `SIGKILL` landing
 //! mid-append — and each wreck is resumed. Every resume must reproduce
 //! the reference records bit-identically (label, outcome, digest,
-//! summary), at one worker thread and at several.
+//! summary), at one worker thread and at several, and leave a journal
+//! that a second resume replays in full.
 
 use crystal::analyzer::AnalyzerOptions;
 use crystal::selfcheck::standard_scenarios;
@@ -72,9 +73,11 @@ fn every_truncation_point_resumes_bit_identically() {
         .expect("journal has a header line")
         + 1;
 
-    // Cut everywhere after the header: mid-record, at record boundaries,
-    // and one byte short of complete — every wreck a crash could leave.
-    let mut cuts: Vec<usize> = (header_end..bytes.len()).step_by(23).collect();
+    // Cut everywhere: inside the header (a crash while the journal was
+    // being created), mid-record, at record boundaries, and one byte
+    // short of complete — every wreck a crash could leave.
+    let mut cuts: Vec<usize> = (1..header_end).collect();
+    cuts.extend((header_end..bytes.len()).step_by(23));
     cuts.extend([header_end, bytes.len() - 1, bytes.len()]);
     for (i, cut) in cuts.into_iter().enumerate() {
         for threads in [1usize, 4] {
@@ -86,6 +89,16 @@ fn every_truncation_point_resumes_bit_identically() {
                 expected,
                 "cut at byte {cut}, {threads} threads"
             );
+            // The repaired journal must itself be a complete one: a
+            // second resume replays every record and recomputes none.
+            let again = run(&net, path.clone(), true, threads);
+            assert_eq!(
+                again.resumed,
+                expected.len(),
+                "second resume after cut at byte {cut}, {threads} threads"
+            );
+            assert!(again.records.iter().all(|r| r.resumed));
+            assert_eq!(record_keys(&again), expected, "second resume, cut {cut}");
             let _ = std::fs::remove_file(&path);
         }
     }

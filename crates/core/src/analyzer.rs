@@ -386,8 +386,8 @@ impl TimingResult {
 /// Runs the analysis.
 ///
 /// # Errors
-/// * [`TimingError::NotAnInput`] if the scenario's switching node is not a
-///   primary input.
+/// * [`TimingError::NotAnInput`] if the scenario's switching node, or a
+///   node it gives a static level, is not a primary input.
 /// * [`TimingError::NoFixpoint`] if arrival propagation fails to settle
 ///   (pathological feedback).
 pub fn analyze(
@@ -410,7 +410,18 @@ pub fn analyze_with_options(
     scenario: &Scenario,
     options: AnalyzerOptions,
 ) -> Result<TimingResult, TimingError> {
-    analyze_subset(net, tech, model, scenario, options, None).map(|outcome| outcome.result)
+    let steady = traced_steady_states(net, scenario, options.trace.as_deref());
+    analyze_subset(net, tech, model, scenario, options, None, &steady).map(|outcome| outcome.result)
+}
+
+/// [`logic::steady_states`] inside a logic-phase trace span.
+pub(crate) fn traced_steady_states(
+    net: &Network,
+    scenario: &Scenario,
+    trace: Option<&TraceSink>,
+) -> (LogicState, LogicState) {
+    let _span = trace.map(|t| t.span(Phase::Logic, "steady_states"));
+    logic::steady_states(net, scenario)
 }
 
 /// Restriction of one analysis to a dependency-closed subset of the
@@ -438,8 +449,10 @@ pub(crate) struct AnalysisOutcome {
 }
 
 /// The full analysis pipeline, optionally restricted to a subset of
-/// targets (see [`SubsetSpec`]). `analyze_with_options` is the public
-/// entry point; [`crate::incremental`] calls this directly.
+/// targets (see [`SubsetSpec`]), given the scenario's
+/// [`logic::steady_states`] so a caller that also needs them solves them
+/// once. `analyze_with_options` is the public entry point;
+/// [`crate::incremental`] calls this directly.
 pub(crate) fn analyze_subset(
     net: &Network,
     tech: &Technology,
@@ -447,27 +460,17 @@ pub(crate) fn analyze_subset(
     scenario: &Scenario,
     options: AnalyzerOptions,
     subset: Option<&SubsetSpec>,
+    steady: &(LogicState, LogicState),
 ) -> Result<AnalysisOutcome, TimingError> {
     if net.node(scenario.input).kind() != NodeKind::Input {
         return Err(TimingError::NotAnInput {
             name: net.node(scenario.input).name().to_string(),
         });
     }
+    logic::require_inputs(net, &scenario.statics)?;
 
     let trace: Option<&TraceSink> = options.trace.as_deref();
-
-    // Steady states before and after the input edge.
-    let mut before_inputs = scenario.statics.clone();
-    before_inputs.insert(scenario.input, !scenario.edge.final_value());
-    let mut after_inputs = scenario.statics.clone();
-    after_inputs.insert(scenario.input, scenario.edge.final_value());
-    let (before, after) = {
-        let _span = trace.map(|t| t.span(Phase::Logic, "steady_states"));
-        (
-            logic::solve(net, &before_inputs),
-            logic::solve(net, &after_inputs),
-        )
-    };
+    let (before, after) = steady;
 
     // Switching set with final edges.
     let switching_span = trace.map(|t| t.span(Phase::Logic, "switching_set"));
@@ -742,8 +745,8 @@ pub(crate) fn analyze_subset(
                     net,
                     tech,
                     model,
-                    &before,
-                    &after,
+                    before,
+                    after,
                     &edge_of,
                     &arrivals,
                     &work[wi],
@@ -1235,6 +1238,26 @@ mod tests {
             ),
             Err(TimingError::NotAnInput { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_static_level_on_non_input() {
+        let net = inverter_chain(Style::Cmos, 2, 2.0, Farads::from_femto(100.0)).unwrap();
+        let input = net.node_by_name("in").unwrap();
+        let out = net.node_by_name("out").unwrap();
+        let scenario = Scenario::step(input, Edge::Rising).with_static(out, true);
+        assert_eq!(
+            analyze(&net, &tech(), ModelKind::Slope, &scenario).unwrap_err(),
+            TimingError::NotAnInput { name: "out".into() }
+        );
+        let sweep = crate::sweep::sweep_inputs(
+            &net,
+            &tech(),
+            ModelKind::Slope,
+            Seconds::ZERO,
+            &HashMap::from([(out, false)]),
+        );
+        assert!(matches!(sweep, Err(TimingError::NotAnInput { .. })));
     }
 
     #[test]

@@ -815,6 +815,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             for (name, level) in &options.statics {
                 levels.insert(resolve(&net, name)?, *level);
             }
+            crystal::logic::require_inputs(&net, &levels).map_err(|e| e.to_string())?;
             let state = crystal::logic::solve(&net, &levels);
             let mut out = String::new();
             for (id, node) in net.nodes() {

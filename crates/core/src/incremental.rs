@@ -42,11 +42,11 @@
 //! state untouched. Incremental sessions normally run unlimited.
 
 use crate::analyzer::{
-    analyze_subset, AnalyzerOptions, Arrival, Edge, IncrementalStats, Scenario, SubsetSpec,
-    TimingResult,
+    analyze_subset, traced_steady_states, AnalyzerOptions, Arrival, Edge, IncrementalStats,
+    Scenario, SubsetSpec, TimingResult,
 };
 use crate::error::TimingError;
-use crate::logic::{self, LogicValue};
+use crate::logic::{LogicState, LogicValue};
 use crate::models::ModelKind;
 use crate::obs::Phase;
 use crate::tech::Technology;
@@ -176,8 +176,17 @@ impl IncrementalAnalyzer {
                 .map(|(&id, &level)| (net.node(id).name().to_string(), level))
                 .collect();
             statics.sort();
-            let outcome = analyze_subset(&net, &tech, model, &scenario, options.clone(), None)?;
-            let logic = logic_pairs(&net, &scenario);
+            let steady = traced_steady_states(&net, &scenario, options.trace.as_deref());
+            let outcome = analyze_subset(
+                &net,
+                &tech,
+                model,
+                &scenario,
+                options.clone(),
+                None,
+                &steady,
+            )?;
+            let logic = logic_pairs(&net, &steady);
             let stage_counts = outcome
                 .target_stages
                 .iter()
@@ -416,13 +425,10 @@ fn resolve_scenario(net: &Network, st: &ScenarioState) -> Result<Scenario, Timin
 
 /// The `(before, after)` steady-state pair of every non-rail node, keyed
 /// by name.
-fn logic_pairs(net: &Network, scenario: &Scenario) -> HashMap<String, (LogicValue, LogicValue)> {
-    let mut before_inputs = scenario.statics.clone();
-    before_inputs.insert(scenario.input, !scenario.edge.final_value());
-    let mut after_inputs = scenario.statics.clone();
-    after_inputs.insert(scenario.input, scenario.edge.final_value());
-    let before = logic::solve(net, &before_inputs);
-    let after = logic::solve(net, &after_inputs);
+fn logic_pairs(
+    net: &Network,
+    (before, after): &(LogicState, LogicState),
+) -> HashMap<String, (LogicValue, LogicValue)> {
     net.nodes()
         .filter(|(_, node)| !node.kind().is_rail())
         .map(|(id, node)| (node.name().to_string(), (before.value(id), after.value(id))))
@@ -469,7 +475,8 @@ fn reanalyze_scenario(
     invalidate_all: bool,
 ) -> Result<NewState, TimingError> {
     let scenario = resolve_scenario(new_net, st)?;
-    let new_logic = logic_pairs(new_net, &scenario);
+    let steady = traced_steady_states(new_net, &scenario, options.trace.as_deref());
+    let new_logic = logic_pairs(new_net, &steady);
 
     // Scenario dirt: structural dirt plus every node whose steady-state
     // pair changed (conduction, edge membership, cap discounts, and
@@ -488,12 +495,7 @@ fn reanalyze_scenario(
 
     // Switching targets of the new network, exactly as the analyzer
     // selects them, in node order.
-    let mut before_inputs = scenario.statics.clone();
-    before_inputs.insert(scenario.input, !scenario.edge.final_value());
-    let mut after_inputs = scenario.statics.clone();
-    after_inputs.insert(scenario.input, scenario.edge.final_value());
-    let before = logic::solve(new_net, &before_inputs);
-    let after = logic::solve(new_net, &after_inputs);
+    let (before, after) = &steady;
     let mut targets: Vec<(NodeId, Edge)> = new_net
         .nodes()
         .filter(|(_, node)| !node.kind().is_rail())
@@ -644,6 +646,7 @@ fn reanalyze_scenario(
         &scenario,
         options.clone(),
         Some(&spec),
+        &steady,
     )?;
     let mut result = outcome.result;
     let mut invalidated_stages = 0usize;

@@ -6,6 +6,8 @@
 //! steady states before and after an input change to decide which nodes
 //! switch and which transistors conduct.
 
+use crate::analyzer::Scenario;
+use crate::error::TimingError;
 use mosnet::{Network, NodeId, NodeKind, TransistorKind};
 use std::collections::HashMap;
 use std::fmt;
@@ -105,38 +107,58 @@ impl LogicState {
     }
 }
 
-/// Maximum relaxation sweeps before declaring non-convergence (the state
-/// lattice is finite, so this is generous).
+/// Maximum relaxation sweeps before the solve gives up and returns the
+/// state the last sweep left (an oscillating feedback loop never settles).
 const MAX_SWEEPS: usize = 10_000;
 
 /// Computes the steady switch-level state of `net` for the given primary
-/// input assignment. Unlisted inputs default to `0`.
+/// input assignment. Unlisted inputs default to `0`; levels given for
+/// nodes that are not primary inputs are ignored.
 ///
-/// The relaxation is monotone in the strength/value lattice per sweep and
-/// always terminates; nodes that end up contested at equal strength read
-/// `X`, and floating nodes read `X` at strength `None`.
+/// A Gauss–Seidel relaxation: every sweep visits the nodes in ascending
+/// id order, and each node takes the strongest contribution over its
+/// conducting channels, reading its neighbours' current values. Nodes
+/// contested at equal strength read `X`, and floating nodes read `X` at
+/// strength `None`. The relaxation is not monotone: an `X` gate that
+/// resolves to off withdraws a contribution, so a node's strength can
+/// fall. The solve ends after the first sweep that changes nothing, or
+/// after `MAX_SWEEPS` sweeps.
+///
+/// A sweep evaluates only the nodes with an input that changed since
+/// their last evaluation; any other node would recompute exactly its
+/// stored value and strength, so the states are those of evaluating every
+/// node on every sweep.
 pub fn solve(net: &Network, inputs: &HashMap<NodeId, bool>) -> LogicState {
     let n = net.node_count();
     let mut values = vec![LogicValue::X; n];
     let mut strengths = vec![Strength::None; n];
-
-    values[net.power().index()] = LogicValue::One;
-    strengths[net.power().index()] = Strength::Driven;
-    values[net.ground().index()] = LogicValue::Zero;
-    strengths[net.ground().index()] = Strength::Driven;
+    // An undriven node starts at `X`/`None`, which is what it computes
+    // until a driven node reaches it: only the driven nodes' dependents
+    // start dirty.
+    let mut dirty = DirtySet::new(n);
+    let mut drive = |id: NodeId, value: LogicValue| {
+        values[id.index()] = value;
+        strengths[id.index()] = Strength::Driven;
+        mark_dependents(net, id, &mut dirty);
+    };
+    drive(net.power(), LogicValue::One);
+    drive(net.ground(), LogicValue::Zero);
     for (id, node) in net.nodes() {
         if node.kind() == NodeKind::Input {
-            values[id.index()] = LogicValue::from_bool(inputs.get(&id).copied().unwrap_or(false));
-            strengths[id.index()] = Strength::Driven;
+            drive(
+                id,
+                LogicValue::from_bool(inputs.get(&id).copied().unwrap_or(false)),
+            );
         }
     }
 
     for _sweep in 0..MAX_SWEEPS {
-        let mut changed = false;
-        for (id, node) in net.nodes() {
-            if node.kind().is_driven_externally() {
-                continue;
-            }
+        // A dependent marked at or below the cursor waits for the next
+        // sweep, exactly when a full sweep would first see the change.
+        let mut cursor = 0;
+        while let Some(i) = dirty.take_from(cursor) {
+            cursor = i + 1;
+            let id = NodeId::from_index(i);
             // Collect the strongest contribution through each conducting
             // adjacent channel.
             let mut best_strength = Strength::None;
@@ -179,18 +201,95 @@ pub fn solve(net: &Network, inputs: &HashMap<NodeId, bool>) -> LogicState {
                 }
             }
             let new_value = if conflict { LogicValue::X } else { best_value };
-            if new_value != values[id.index()] || best_strength != strengths[id.index()] {
-                values[id.index()] = new_value;
-                strengths[id.index()] = best_strength;
-                changed = true;
+            if new_value != values[i] || best_strength != strengths[i] {
+                values[i] = new_value;
+                strengths[i] = best_strength;
+                mark_dependents(net, id, &mut dirty);
             }
         }
-        if !changed {
+        if cursor == 0 {
+            // Nothing was dirty: the previous sweep changed nothing.
             break;
         }
     }
 
     LogicState { values, strengths }
+}
+
+/// The steady states before and after the scenario's input edge.
+pub fn steady_states(net: &Network, scenario: &Scenario) -> (LogicState, LogicState) {
+    let mut inputs = scenario.statics.clone();
+    inputs.insert(scenario.input, !scenario.edge.final_value());
+    let before = solve(net, &inputs);
+    inputs.insert(scenario.input, scenario.edge.final_value());
+    (before, solve(net, &inputs))
+}
+
+/// Rejects a level on a node that is not a primary input, which
+/// [`solve`] would silently ignore. Names the lowest such node id.
+///
+/// # Errors
+/// [`TimingError::NotAnInput`] for the first offending node.
+pub fn require_inputs(net: &Network, levels: &HashMap<NodeId, bool>) -> Result<(), TimingError> {
+    match levels
+        .keys()
+        .filter(|&&id| net.node(id).kind() != NodeKind::Input)
+        .min()
+    {
+        Some(&id) => Err(TimingError::NotAnInput {
+            name: net.node(id).name().to_string(),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Marks every node whose update rule reads `node`: the far terminal of
+/// each channel at `node`, and both terminals of each device it gates.
+/// Externally driven nodes are never evaluated, so never marked.
+fn mark_dependents(net: &Network, node: NodeId, dirty: &mut DirtySet) {
+    let mut mark = |n: NodeId| {
+        if !net.node(n).kind().is_driven_externally() {
+            dirty.insert(n.index());
+        }
+    };
+    for &tid in net.channel_neighbors(node) {
+        mark(net.transistor(tid).other_terminal(node));
+    }
+    for &tid in net.gated_by(node) {
+        let t = net.transistor(tid);
+        mark(t.source());
+        mark(t.drain());
+    }
+}
+
+/// The nodes awaiting evaluation, as a bitset over node indices.
+struct DirtySet {
+    words: Vec<u64>,
+}
+
+impl DirtySet {
+    fn new(n: usize) -> DirtySet {
+        DirtySet {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Removes and returns the lowest member at or above `from`.
+    fn take_from(&mut self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = *self.words.get(w)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+        let bit = bits.trailing_zeros() as usize;
+        self.words[w] &= !(1 << bit);
+        Some(w * 64 + bit)
+    }
 }
 
 #[cfg(test)]

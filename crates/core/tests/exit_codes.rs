@@ -65,6 +65,34 @@ fn unknown_command_is_one() {
 }
 
 #[test]
+fn static_level_on_a_non_input_is_one() {
+    // `m` and `y` are internal/output nodes: the logic solve only reads
+    // levels on primary inputs, so such a level must be refused, not
+    // silently ignored.
+    let path = fixture("static", INVERTER_CHAIN);
+    let path = path.to_str().unwrap();
+    for (args, node) in [
+        (
+            vec![
+                "report", path, "--input", "a", "--edge", "rise", "--output", "y", "--set", "m=0",
+            ],
+            "m",
+        ),
+        (vec!["batch", path, "--set", "y=1"], "y"),
+        (vec!["logic", path, "--set", "y=0"], "y"),
+    ] {
+        let out = Command::new(BIN).args(&args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("node `{node}` is not a primary input")),
+            "{args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
 fn parse_error_is_two() {
     let path = fixture("parse", "n a\n");
     assert_eq!(exit_code(&["batch", path.to_str().unwrap()]), 2);

@@ -1,37 +1,10 @@
 //! `crystal-cli` — command-line switch-level timing analysis.
 //!
-//! ```text
-//! crystal-cli lint   <file.sim>
-//! crystal-cli logic  <file.sim> [--set NAME=0|1]...
-//! crystal-cli report <file.sim> --input NAME --edge rise|fall
-//!                    [--model lumped|rctree|slope] [--transition NS]
-//!                    [--set NAME=0|1]... [--output NAME] [--tech FILE]
-//! crystal-cli sweep  <file.sim> [--model ...] [--transition NS]
-//! crystal-cli batch  <file.sim> [--set NAME=0|1]... [--fail-fast]
-//!                    [--journal FILE [--resume] [--scenario-timeout MS]
-//!                     [--max-retries N] [--retry-backoff-ms MS]
-//!                     [--selfcheck-resume]]
-//! crystal-cli check  <file.sim> [--tech FILE] [--sample N]
-//!                    [--inject MODEL=FACTOR] [--input NAME] [--edge ...]
-//! crystal-cli spice  <file.sim>
-//! crystal-cli watch  <file.sim> [--edits SCRIPT [--selfcheck]] [--once]
-//!                    [--set NAME=0|1]... [--input NAME] [--edge ...]
-//! crystal-cli serve  [--addr HOST:PORT] [--max-sessions N] [--max-inflight N]
-//!                    [--journal-dir DIR [--resume]] [--request-timeout MS]
-//!                    [--session-ttl MS] [--compact-after K] [--chaos-ops]
-//!                    [--tech FILE]
-//! crystal-cli client [--addr HOST:PORT] [--script FILE]
-//!                    [--retries N] [--backoff-ms MS]
-//! crystal-cli chaos-proxy --upstream HOST:PORT [--listen HOST:PORT]
-//!                    [--drop P] [--delay-ms D] [--truncate P] [--seed N]
-//! crystal-cli diff-runs <A> <B> [--run-db DIR] [--json FILE]
-//!                    [--fail-on-timing-regression PCT]
-//!                    [--fail-on-perf-regression PCT] [--fail-on-digest-mismatch]
-//! ```
-//!
-//! `report`, `sweep`, `batch`, `check` and `watch` accept `--trace FILE`
-//! (JSON-lines event trace) and `--metrics` (per-phase timing summary on
-//! stdout).
+//! `USAGE` below is the synopsis and the flag reference. Flags are per
+//! subcommand: `COMMANDS` lists the flags each one takes, and any other
+//! flag is a usage error (exit 1) instead of being silently dropped. So
+//! is a combination in which one flag would do nothing (`REQUIRES`,
+//! `EXCLUDES`).
 //!
 //! `watch` keeps a persistent incremental session over every (input ×
 //! edge) scenario. With `--edits SCRIPT` it applies a scripted edit
@@ -57,19 +30,21 @@
 //! or unique ID prefixes. `--fail-on-timing-regression PCT` exits 4 on a
 //! timing regression, `--fail-on-perf-regression PCT` exits 1 on a
 //! comparable wall-clock regression (threshold precedence: timing >
-//! digest > perf; see `crystal::runstore`). `batch --inject MODEL=FACTOR`
-//! corrupts the *recorded* arrivals of one model — a drill proving the
-//! regression gate fires.
+//! digest > perf; see `crystal::runstore`). `batch --run-db DIR --inject
+//! MODEL=FACTOR` corrupts the *recorded* arrivals of one model — a drill
+//! proving the regression gate fires.
 //!
 //! `serve` hosts concurrent journal-backed incremental sessions over a
 //! JSON-lines TCP protocol with admission control, per-request
 //! deadlines, panic isolation, and crash-safe `--resume` recovery (see
-//! the `crystal::server` module docs for the protocol and the
-//! status-to-exit-code table). `client` replays a request script
-//! against a daemon and exits with the analog of the last response's
-//! status.
+//! the `crystal::server` module docs for the protocol). `client` replays
+//! a request script against a daemon and exits with the analog of the
+//! last response's status.
 //!
 //! ## Exit codes
+//!
+//! A failure carries a `crystal::server::Status`; the process exits with
+//! its `exit_code()`, and a run record stores its wire `name()`.
 //!
 //! | code | meaning |
 //! |------|---------|
@@ -117,75 +92,22 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Stable exit-code taxonomy (see the module docs). Scripts and CI key
-/// off these numbers; change them only with a major version bump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExitKind {
-    Generic,
-    Parse,
-    Budget,
-    Divergence,
-    Timeout,
-    Poisoned,
-    Io,
-    Interrupted,
-    /// Server-only: admission control shed the request (`client` exits
-    /// with the analog of the last response's protocol status).
-    Overloaded,
-    /// Server-only: a journal write or compaction failed and the
-    /// session degraded to ephemeral (`storage_error`, not retryable).
-    Storage,
-}
-
-impl ExitKind {
-    fn code(self) -> u8 {
-        match self {
-            ExitKind::Generic => 1,
-            ExitKind::Parse => 2,
-            ExitKind::Budget => 3,
-            ExitKind::Divergence => 4,
-            ExitKind::Timeout => 5,
-            ExitKind::Poisoned => 6,
-            ExitKind::Io => 7,
-            ExitKind::Interrupted => 8,
-            ExitKind::Overloaded => 9,
-            ExitKind::Storage => 10,
-        }
-    }
-
-    /// The exit classification of a protocol [`Status`] (`client`).
-    fn from_status(status: Status) -> Option<ExitKind> {
-        match status {
-            Status::Ok => None,
-            Status::ParseError => Some(ExitKind::Parse),
-            Status::Budget => Some(ExitKind::Budget),
-            Status::Divergence => Some(ExitKind::Divergence),
-            Status::Timeout => Some(ExitKind::Timeout),
-            Status::Poisoned => Some(ExitKind::Poisoned),
-            Status::Io => Some(ExitKind::Io),
-            Status::Interrupted => Some(ExitKind::Interrupted),
-            Status::Overloaded => Some(ExitKind::Overloaded),
-            Status::Storage => Some(ExitKind::Storage),
-            _ => Some(ExitKind::Generic),
-        }
-    }
-}
-
-/// A classified CLI failure: the message goes to stderr, the kind picks
+/// A classified CLI failure: the message goes to stderr, the status picks
 /// the exit code.
 #[derive(Debug)]
 struct CliError {
-    kind: ExitKind,
+    status: Status,
     message: String,
 }
 
 impl CliError {
-    fn new(kind: ExitKind, message: impl Into<String>) -> CliError {
+    fn new(status: Status, message: impl Into<String>) -> CliError {
         CliError {
-            kind,
+            status,
             message: message.into(),
         }
     }
@@ -194,13 +116,22 @@ impl CliError {
 /// Unclassified errors (usage mistakes, bad flag values) exit 1.
 impl From<String> for CliError {
     fn from(message: String) -> CliError {
-        CliError::new(ExitKind::Generic, message)
+        CliError::new(Status::Error, message)
     }
 }
 
 impl From<&str> for CliError {
     fn from(message: &str) -> CliError {
-        CliError::new(ExitKind::Generic, message)
+        CliError::new(Status::Error, message)
+    }
+}
+
+/// A finished command: `out` is its stdout on success, else its error
+/// message under `status`.
+fn conclude(status: Status, out: String) -> Result<String, CliError> {
+    match status {
+        Status::Ok => Ok(out),
+        status => Err(CliError::new(status, out)),
     }
 }
 
@@ -213,43 +144,40 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("crystal-cli: {}", e.message);
-            ExitCode::from(e.kind.code())
+            ExitCode::from(e.status.exit_code() as u8)
         }
     }
 }
 
-const USAGE: &str =
-    "usage: crystal-cli <lint|logic|report|sweep|batch|check|spice|watch> <file.sim> [options]
-       crystal-cli serve  [--addr HOST:PORT] [--max-sessions N] [--max-inflight N]
-                          [--journal-dir DIR [--resume]] [--request-timeout MS]
-                          [--session-ttl MS] [--compact-after K] [--chaos-ops]
-                          [--tech FILE] [--no-cache] [budget flags]
-       crystal-cli client [--addr HOST:PORT] [--script FILE]
-                          [--retries N] [--backoff-ms MS]
-       crystal-cli chaos-proxy --upstream HOST:PORT [--listen HOST:PORT]
-                          [--drop P] [--delay-ms D] [--truncate P] [--seed N]
-       crystal-cli diff-runs <A> <B> [--run-db DIR] [--json FILE]
-                          [--fail-on-timing-regression PCT]
-                          [--fail-on-perf-regression PCT] [--fail-on-digest-mismatch]
-  --input NAME          switching input (report)
-  --edge rise|fall      input edge direction (report)
+const USAGE: &str = "usage: crystal-cli <lint|spice> <file.sim>
+       crystal-cli <logic|report|sweep|batch|check|watch> <file.sim> [flags]
+       crystal-cli <serve|client|chaos-proxy> [flags]
+       crystal-cli diff-runs <A> <B> [flags]
+flags are per subcommand; one the subcommand does not take exits 1.
+analysis flags (report, sweep, batch, watch; serve takes all but --model and
+--transition; check takes --transition --tech --threads --trace --metrics):
   --model lumped|rctree|slope   delay model (default slope)
   --transition NS       input 10-90% transition time in ns (default 0)
-  --set NAME=0|1        static input level (repeatable)
-  --output NAME         report only this output (default: all arrivals)
   --tech FILE           calibrated technology file (default: built-in nominal)
   --max-stages N        analysis budget: max stage evaluations per scenario
   --max-paths N         analysis budget: max driving paths per node
   --deadline-ms MS      analysis budget: wall-clock deadline per scenario
-  --fail-fast           batch: stop at the first failing scenario
   --threads N           worker threads (1 = serial default, 0 = all hardware threads);
                         batch fans out across scenarios, report across trigger nodes
   --no-cache            disable the shared stage-evaluation memo cache
   --trace FILE          write a JSON-lines trace of every analysis phase to FILE
   --metrics             print a per-phase timing/counter summary after the output
+other flags (each names the subcommands that take it):
+  --set NAME=0|1        logic/report/batch/check/watch: static input level
+                        (repeatable)
+  --input NAME          switching input (report); only this input (check, watch)
+  --edge rise|fall      input edge direction (report); only this edge (check, watch)
+  --output NAME         report: report only this output (default: all arrivals)
+  --fail-fast           batch: stop at the first failing scenario (not with --journal)
   --sample N            check: scenarios given the transient reference comparison (default 4)
   --inject MODEL=F      check: scale MODEL's predictions by F (fault injection;
-                        a working harness must flag the corrupted model)
+                        a working harness must flag the corrupted model);
+                        batch with --run-db: scale MODEL's recorded arrivals by F
   --journal FILE        batch: append every scenario outcome to FILE (JSON lines,
                         fsync'd) so a killed run can be resumed
   --resume              batch: replay scenarios already completed in --journal
@@ -262,15 +190,17 @@ const USAGE: &str =
                         per further retry (default 25)
   --selfcheck-resume    batch: after a --journal run, re-analyze journaled
                         outcomes fresh and fail (exit 4) on any mismatch
+                        (this flag, --resume and the three above need --journal)
   --edits SCRIPT        watch: apply the edit script through the incremental
                         session (lines: `resize GATE SRC DRN W_UM L_UM`,
                         `cap NODE FEMTOFARADS`, `add n|p|d GATE SRC DRN W L`,
                         `remove GATE SRC DRN`; `|` starts a comment)
-  --selfcheck           watch: after the edits, prove every edited state
+  --selfcheck           watch: after the --edits, prove every edited state
                         bit-identical to a fresh full analysis across
                         serial/parallel and cold/warm-cache sessions;
                         any mismatch exits 4
-  --once                watch: exit after the first processed file change
+  --once                watch: without --edits, exit after the first
+                        processed file change
   --addr HOST:PORT      serve/client: daemon address (default 127.0.0.1:7878;
                         serve on port 0 picks a free port and prints it)
   --max-sessions N      serve: concurrent session cap; opens past it are shed
@@ -290,6 +220,7 @@ const USAGE: &str =
   --fault-syncs-after N serve: inject an fsync failure after N good syncs
                         (requires --chaos-ops)
   --fault-count M       serve: cap the injected failures at M, then heal
+                        (requires --chaos-ops)
   --chaos-ops           serve: enable the fault-injection `sleep`/`crash` ops
                         and the --fault-* flags
   --script FILE         client: request script (default: stdin); lines:
@@ -304,13 +235,13 @@ const USAGE: &str =
                         with jitter (default 100)
   --listen HOST:PORT    chaos-proxy: listen address (default 127.0.0.1:0;
                         port 0 picks a free port and prints it)
-  --upstream HOST:PORT  chaos-proxy: the daemon to forward to
+  --upstream HOST:PORT  chaos-proxy: the daemon to forward to (required)
   --drop P              chaos-proxy: probability a forwarded line is dropped
                         and its connection cut (default 0)
   --delay-ms D          chaos-proxy: fixed delay before each forwarded line
   --truncate P          chaos-proxy: probability a line is cut mid-byte and
                         the connection closed (default 0)
-  --seed N              chaos-proxy: fault-sequence seed (default 1)
+  --seed N              chaos-proxy/client: fault and jitter seed (default 1)
   --run-db DIR          batch/check/serve/diff-runs: persistent run database —
                         every run appends a record (scenario digests + arrival
                         times, phase timings, cache stats, provenance, exit
@@ -327,100 +258,220 @@ exit codes: 0 ok, 1 usage/other, 2 parse, 3 budget, 4 divergence,
             10 storage
 ";
 
-/// Parsed common options.
-struct Options {
-    model: ModelKind,
-    transition: Seconds,
-    statics: Vec<(String, bool)>,
-    input: Option<String>,
-    edge: Option<Edge>,
-    output: Option<String>,
-    tech: Option<String>,
-    budget: AnalysisBudget,
-    fail_fast: bool,
-    threads: usize,
-    no_cache: bool,
-    trace: Option<String>,
-    metrics: bool,
-    sample: usize,
-    inject: Option<(ModelKind, f64)>,
-    journal: Option<PathBuf>,
-    resume: bool,
-    scenario_timeout: Option<Duration>,
-    max_retries: usize,
-    retry_backoff: Duration,
-    selfcheck_resume: bool,
-    edits: Option<String>,
-    watch_selfcheck: bool,
-    once: bool,
-    addr: String,
-    max_sessions: usize,
-    max_inflight: usize,
-    journal_dir: Option<PathBuf>,
-    request_timeout: Option<Duration>,
-    session_ttl: Option<Duration>,
-    compact_after: Option<u64>,
-    fault_writes_after: Option<u64>,
-    fault_syncs_after: Option<u64>,
-    fault_count: Option<u64>,
-    chaos_ops: bool,
-    script: Option<String>,
-    retries: u32,
-    backoff_ms: u64,
-    listen: String,
-    upstream: Option<String>,
-    drop_p: f64,
-    delay_ms: u64,
-    truncate_p: f64,
-    seed: u64,
-    run_db: Option<PathBuf>,
-    json_out: Option<String>,
-    fail_timing: Option<f64>,
-    fail_perf: Option<f64>,
-    fail_digest: bool,
+// Flag sets, each written once. A trailing `=` marks a flag that takes a
+// value; the others are switches.
+const MODEL_FLAGS: &str = "--model= --transition=";
+/// The rest of the analysis group: everything `serve` takes of it.
+const ENGINE_FLAGS: &str = "--tech= --threads= --no-cache --max-stages= --max-paths= \
+    --deadline-ms= --trace= --metrics";
+const SCENARIO_FLAGS: &str = "--set= --input= --edge=";
+
+/// The flags each subcommand takes, as a list of flag sets.
+const COMMANDS: &[(&str, &[&str])] = &[
+    ("lint", &[]),
+    ("spice", &[]),
+    ("logic", &["--set="]),
+    (
+        "report",
+        &[MODEL_FLAGS, ENGINE_FLAGS, SCENARIO_FLAGS, "--output="],
+    ),
+    ("sweep", &[MODEL_FLAGS, ENGINE_FLAGS]),
+    (
+        "batch",
+        &[
+            MODEL_FLAGS,
+            ENGINE_FLAGS,
+            "--set= --fail-fast --run-db= --inject= --journal= --resume --scenario-timeout= \
+             --max-retries= --retry-backoff-ms= --selfcheck-resume",
+        ],
+    ),
+    (
+        "check",
+        &[
+            "--tech= --transition= --threads= --trace= --metrics",
+            SCENARIO_FLAGS,
+            "--sample= --inject= --run-db=",
+        ],
+    ),
+    (
+        "watch",
+        &[
+            MODEL_FLAGS,
+            ENGINE_FLAGS,
+            SCENARIO_FLAGS,
+            "--edits= --selfcheck --once",
+        ],
+    ),
+    (
+        "serve",
+        &[
+            "--addr= --max-sessions= --max-inflight= --journal-dir= --resume \
+             --request-timeout= --session-ttl= --compact-after= --fault-writes-after= \
+             --fault-syncs-after= --fault-count= --chaos-ops",
+            ENGINE_FLAGS,
+            "--run-db=",
+        ],
+    ),
+    (
+        "client",
+        &["--addr= --script= --retries= --backoff-ms= --seed="],
+    ),
+    (
+        "chaos-proxy",
+        &["--listen= --upstream= --drop= --delay-ms= --truncate= --seed="],
+    ),
+    (
+        "diff-runs",
+        &[
+            "--run-db= --json= --fail-on-timing-regression= --fail-on-perf-regression= \
+           --fail-on-digest-mismatch",
+        ],
+    ),
+];
+
+/// `(command, flag, needed)`: on `command`, `flag` does nothing without
+/// `needed`.
+const REQUIRES: &[(&str, &str, &str)] = &[
+    ("batch", "--resume", "--journal"),
+    ("batch", "--scenario-timeout", "--journal"),
+    ("batch", "--max-retries", "--journal"),
+    ("batch", "--retry-backoff-ms", "--journal"),
+    ("batch", "--selfcheck-resume", "--journal"),
+    ("batch", "--inject", "--run-db"),
+    ("watch", "--selfcheck", "--edits"),
+    ("serve", "--fault-writes-after", "--chaos-ops"),
+    ("serve", "--fault-syncs-after", "--chaos-ops"),
+    ("serve", "--fault-count", "--chaos-ops"),
+];
+
+/// `(command, flag, other)`: on `command`, `flag` does nothing together
+/// with `other`.
+const EXCLUDES: &[(&str, &str, &str)] = &[
+    ("batch", "--fail-fast", "--journal"),
+    ("batch", "--inject", "--journal"),
+    ("watch", "--once", "--edits"),
+];
+
+/// The daemon address `serve` and `client` default to.
+const DEFAULT_ADDR: &str = "127.0.0.1:7878";
+
+/// The flags of one invocation, in command-line order.
+struct Flags(Vec<(&'static str, Option<String>)>);
+
+impl Flags {
+    /// Walks `args` left to right against `command`'s flag sets; a value
+    /// flag takes the next argument, whatever it looks like. A flag the
+    /// command does not take, or a combination `REQUIRES`/`EXCLUDES`
+    /// forbids, is a usage error.
+    fn parse(command: &str, args: &[String]) -> Result<Flags, String> {
+        let (_, sets) = COMMANDS
+            .iter()
+            .find(|(name, _)| *name == command)
+            .ok_or_else(|| format!("unknown command `{command}`\n{USAGE}"))?;
+        let mut flags = Flags(Vec::new());
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let spec = sets
+                .iter()
+                .flat_map(|set| set.split_whitespace())
+                .find(|spec| spec.trim_end_matches('=') == arg)
+                .ok_or_else(|| format!("`{command}` does not take `{arg}`"))?;
+            let value = match spec.strip_suffix('=') {
+                Some(name) => Some(
+                    it.next()
+                        .cloned()
+                        .ok_or_else(|| format!("{name} needs a value"))?,
+                ),
+                None => None,
+            };
+            flags.0.push((spec.trim_end_matches('='), value));
+        }
+        for &(_, flag, needed) in REQUIRES.iter().filter(|rule| rule.0 == command) {
+            if flags.has(flag) && !flags.has(needed) {
+                return Err(format!("`{command}`: `{flag}` requires `{needed}`"));
+            }
+        }
+        for &(_, flag, other) in EXCLUDES.iter().filter(|rule| rule.0 == command) {
+            if flags.has(flag) && flags.has(other) {
+                return Err(format!(
+                    "`{command}`: `{flag}` cannot be combined with `{other}`"
+                ));
+            }
+        }
+        Ok(flags)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|(flag, _)| *flag == name)
+    }
+
+    /// Every value given for `name`, in order.
+    fn all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
+        self.0
+            .iter()
+            .filter(move |(flag, _)| *flag == name)
+            .filter_map(|(_, value)| value.as_deref())
+    }
+
+    /// The last value given for `name`: a repeated flag overrides.
+    fn get<'a>(&'a self, name: &'a str) -> Option<&'a str> {
+        self.all(name).last()
+    }
+
+    /// Reads every value of `name` with `read`, so each is checked; the
+    /// last one wins.
+    fn read<T>(
+        &self,
+        name: &str,
+        read: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.all(name)
+            .try_fold(None, |_, value| read(value).map(Some))
+    }
+
+    fn parse_as<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.read(name, |value| parse_value(name, value))
+    }
+
+    /// A finite number `>= 0`; `what` ends the error text.
+    fn non_negative(&self, name: &str, what: &str) -> Result<Option<f64>, String> {
+        self.read(name, |value| {
+            let x: f64 = parse_value(name, value)?;
+            if x >= 0.0 && x.is_finite() {
+                Ok(x)
+            } else {
+                Err(format!("{name} must be a non-negative {what}"))
+            }
+        })
+    }
+
+    /// Non-negative (possibly fractional) milliseconds.
+    fn millis(&self, name: &str) -> Result<Option<Duration>, String> {
+        Ok(self
+            .non_negative(name, "number")?
+            .map(|ms| Duration::from_secs_f64(ms / 1e3)))
+    }
+
+    fn percent(&self, name: &str) -> Result<Option<f64>, String> {
+        self.non_negative(name, "percentage")
+    }
+
+    /// A probability in `[0, 1]`, 0 when absent.
+    fn probability(&self, name: &str) -> Result<f64, String> {
+        let p = self.read(name, |value| {
+            let p: f64 = parse_value(name, value)?;
+            if (0.0..=1.0).contains(&p) {
+                Ok(p)
+            } else {
+                Err(format!("{name} must be a probability in [0, 1]"))
+            }
+        })?;
+        Ok(p.unwrap_or(0.0))
+    }
 }
 
-impl Options {
-    fn analyzer_options(&self, sink: &Option<Arc<TraceSink>>) -> AnalyzerOptions {
-        AnalyzerOptions {
-            budget: self.budget,
-            threads: self.threads,
-            cache: if self.no_cache {
-                None
-            } else {
-                Some(Arc::new(StageCache::new()))
-            },
-            trace: sink.clone(),
-            ..AnalyzerOptions::default()
-        }
-    }
-
-    /// A shared trace sink when `--trace` or `--metrics` asked for one —
-    /// or when `--run-db` did: run records always carry phase timings.
-    fn trace_sink(&self) -> Option<Arc<TraceSink>> {
-        (self.trace.is_some() || self.metrics || self.run_db.is_some())
-            .then(|| Arc::new(TraceSink::new()))
-    }
-
-    /// Writes the `--trace` file and appends the `--metrics` summary.
-    /// Called on both the success and failure paths so a failing batch or
-    /// a diverging check still leaves its trace behind.
-    fn emit_observability(
-        &self,
-        out: &mut String,
-        sink: &Option<Arc<TraceSink>>,
-    ) -> Result<(), CliError> {
-        let Some(sink) = sink else { return Ok(()) };
-        if let Some(path) = self.trace.as_deref() {
-            fs::write(path, sink.to_json_lines()).map_err(|e| {
-                CliError::new(ExitKind::Io, format!("cannot write trace `{path}`: {e}"))
-            })?;
-        }
-        if self.metrics {
-            out.push_str(&sink.metrics().render());
-        }
-        Ok(())
-    }
+fn parse_value<T: FromStr>(name: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("cannot parse {name}"))
 }
 
 fn parse_model(name: &str) -> Result<ModelKind, String> {
@@ -432,302 +483,174 @@ fn parse_model(name: &str) -> Result<ModelKind, String> {
     }
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut options = Options {
-        model: ModelKind::Slope,
-        transition: Seconds::ZERO,
-        statics: Vec::new(),
-        input: None,
-        edge: None,
-        output: None,
-        tech: None,
-        budget: AnalysisBudget::unlimited(),
-        fail_fast: false,
-        threads: 1,
-        no_cache: false,
-        trace: None,
-        metrics: false,
-        sample: 4,
-        inject: None,
-        journal: None,
-        resume: false,
-        scenario_timeout: None,
-        max_retries: 2,
-        retry_backoff: Duration::from_millis(25),
-        selfcheck_resume: false,
-        edits: None,
-        watch_selfcheck: false,
-        once: false,
-        addr: "127.0.0.1:7878".to_string(),
-        max_sessions: 16,
-        max_inflight: 4,
-        journal_dir: None,
-        request_timeout: None,
-        session_ttl: None,
-        compact_after: None,
-        fault_writes_after: None,
-        fault_syncs_after: None,
-        fault_count: None,
-        chaos_ops: false,
-        script: None,
-        retries: 0,
-        backoff_ms: 100,
-        listen: "127.0.0.1:0".to_string(),
-        upstream: None,
-        drop_p: 0.0,
-        delay_ms: 0,
-        truncate_p: 0.0,
-        seed: 1,
-        run_db: None,
-        json_out: None,
-        fail_timing: None,
-        fail_perf: None,
-        fail_digest: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{what} needs a value"))
+fn parse_edge(name: &str) -> Result<Edge, String> {
+    match name {
+        "rise" | "rising" => Ok(Edge::Rising),
+        "fall" | "falling" => Ok(Edge::Falling),
+        other => Err(format!("unknown edge `{other}`")),
+    }
+}
+
+/// `--inject MODEL=FACTOR`.
+fn parse_inject(pair: &str) -> Result<(ModelKind, f64), String> {
+    let (model, factor) = pair
+        .split_once('=')
+        .ok_or_else(|| format!("--inject expects MODEL=FACTOR, got `{pair}`"))?;
+    let factor: f64 = factor
+        .parse()
+        .map_err(|_| format!("cannot parse --inject factor `{factor}`"))?;
+    if !(factor > 0.0 && factor.is_finite()) {
+        return Err("--inject factor must be a positive number".into());
+    }
+    Ok((parse_model(model)?, factor))
+}
+
+/// The `--set NAME=0|1` levels, resolved against the netlist; a later
+/// level for the same node wins.
+fn statics(flags: &Flags, net: &Network) -> Result<HashMap<NodeId, bool>, String> {
+    let mut levels = HashMap::new();
+    for pair in flags.all("--set") {
+        let (name, level) = pair
+            .split_once('=')
+            .ok_or_else(|| format!("--set expects NAME=0|1, got `{pair}`"))?;
+        let level = match level {
+            "0" => false,
+            "1" => true,
+            other => return Err(format!("--set level must be 0 or 1, got `{other}`")),
         };
-        match arg.as_str() {
-            "--model" => options.model = parse_model(value("--model")?.as_str())?,
-            "--transition" => {
-                let ns: f64 = value("--transition")?
-                    .parse()
-                    .map_err(|_| "cannot parse --transition".to_string())?;
-                if !(ns >= 0.0 && ns.is_finite()) {
-                    return Err("--transition must be a non-negative number of ns".into());
-                }
-                options.transition = Seconds::from_nanos(ns);
-            }
-            "--set" => {
-                let pair = value("--set")?;
-                let (name, level) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("--set expects NAME=0|1, got `{pair}`"))?;
-                let level = match level {
-                    "0" => false,
-                    "1" => true,
-                    other => return Err(format!("--set level must be 0 or 1, got `{other}`")),
-                };
-                options.statics.push((name.to_string(), level));
-            }
-            "--max-stages" => {
-                let n: usize = value("--max-stages")?
-                    .parse()
-                    .map_err(|_| "cannot parse --max-stages".to_string())?;
-                options.budget.max_stage_evals = Some(n);
-            }
-            "--max-paths" => {
-                let n: usize = value("--max-paths")?
-                    .parse()
-                    .map_err(|_| "cannot parse --max-paths".to_string())?;
-                options.budget.max_paths_per_node = Some(n);
-            }
-            "--deadline-ms" => {
-                let ms: f64 = value("--deadline-ms")?
-                    .parse()
-                    .map_err(|_| "cannot parse --deadline-ms".to_string())?;
-                if !(ms >= 0.0 && ms.is_finite()) {
-                    return Err("--deadline-ms must be a non-negative number".into());
-                }
-                options.budget.deadline = Some(Duration::from_secs_f64(ms / 1e3));
-            }
-            "--threads" => {
-                options.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "cannot parse --threads".to_string())?;
-            }
-            "--no-cache" => options.no_cache = true,
-            "--fail-fast" => options.fail_fast = true,
-            "--trace" => options.trace = Some(value("--trace")?),
-            "--metrics" => options.metrics = true,
-            "--sample" => {
-                options.sample = value("--sample")?
-                    .parse()
-                    .map_err(|_| "cannot parse --sample".to_string())?;
-            }
-            "--inject" => {
-                let pair = value("--inject")?;
-                let (model, factor) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("--inject expects MODEL=FACTOR, got `{pair}`"))?;
-                let factor: f64 = factor
-                    .parse()
-                    .map_err(|_| format!("cannot parse --inject factor `{factor}`"))?;
-                if !(factor > 0.0 && factor.is_finite()) {
-                    return Err("--inject factor must be a positive number".into());
-                }
-                options.inject = Some((parse_model(model)?, factor));
-            }
-            "--journal" => options.journal = Some(PathBuf::from(value("--journal")?)),
-            "--resume" => options.resume = true,
-            "--scenario-timeout" => {
-                let ms: f64 = value("--scenario-timeout")?
-                    .parse()
-                    .map_err(|_| "cannot parse --scenario-timeout".to_string())?;
-                if !(ms >= 0.0 && ms.is_finite()) {
-                    return Err("--scenario-timeout must be a non-negative number".into());
-                }
-                options.scenario_timeout = Some(Duration::from_secs_f64(ms / 1e3));
-            }
-            "--max-retries" => {
-                options.max_retries = value("--max-retries")?
-                    .parse()
-                    .map_err(|_| "cannot parse --max-retries".to_string())?;
-            }
-            "--retry-backoff-ms" => {
-                let ms: f64 = value("--retry-backoff-ms")?
-                    .parse()
-                    .map_err(|_| "cannot parse --retry-backoff-ms".to_string())?;
-                if !(ms >= 0.0 && ms.is_finite()) {
-                    return Err("--retry-backoff-ms must be a non-negative number".into());
-                }
-                options.retry_backoff = Duration::from_secs_f64(ms / 1e3);
-            }
-            "--selfcheck-resume" => options.selfcheck_resume = true,
-            "--addr" => options.addr = value("--addr")?,
-            "--max-sessions" => {
-                options.max_sessions = value("--max-sessions")?
-                    .parse()
-                    .map_err(|_| "cannot parse --max-sessions".to_string())?;
-            }
-            "--max-inflight" => {
-                options.max_inflight = value("--max-inflight")?
-                    .parse()
-                    .map_err(|_| "cannot parse --max-inflight".to_string())?;
-            }
-            "--journal-dir" => {
-                options.journal_dir = Some(PathBuf::from(value("--journal-dir")?));
-            }
-            "--request-timeout" => {
-                let ms: u64 = value("--request-timeout")?
-                    .parse()
-                    .map_err(|_| "cannot parse --request-timeout".to_string())?;
-                options.request_timeout = Some(Duration::from_millis(ms));
-            }
-            "--session-ttl" => {
-                let ms: u64 = value("--session-ttl")?
-                    .parse()
-                    .map_err(|_| "cannot parse --session-ttl".to_string())?;
-                options.session_ttl = Some(Duration::from_millis(ms));
-            }
-            "--compact-after" => {
-                let k: u64 = value("--compact-after")?
-                    .parse()
-                    .map_err(|_| "cannot parse --compact-after".to_string())?;
-                if k == 0 {
-                    return Err("--compact-after must be at least 1".into());
-                }
-                options.compact_after = Some(k);
-            }
-            "--fault-writes-after" => {
-                options.fault_writes_after = Some(
-                    value("--fault-writes-after")?
-                        .parse()
-                        .map_err(|_| "cannot parse --fault-writes-after".to_string())?,
-                );
-            }
-            "--fault-syncs-after" => {
-                options.fault_syncs_after = Some(
-                    value("--fault-syncs-after")?
-                        .parse()
-                        .map_err(|_| "cannot parse --fault-syncs-after".to_string())?,
-                );
-            }
-            "--fault-count" => {
-                options.fault_count = Some(
-                    value("--fault-count")?
-                        .parse()
-                        .map_err(|_| "cannot parse --fault-count".to_string())?,
-                );
-            }
-            "--chaos-ops" => options.chaos_ops = true,
-            "--script" => options.script = Some(value("--script")?),
-            "--retries" => {
-                options.retries = value("--retries")?
-                    .parse()
-                    .map_err(|_| "cannot parse --retries".to_string())?;
-            }
-            "--backoff-ms" => {
-                options.backoff_ms = value("--backoff-ms")?
-                    .parse()
-                    .map_err(|_| "cannot parse --backoff-ms".to_string())?;
-            }
-            "--listen" => options.listen = value("--listen")?,
-            "--upstream" => options.upstream = Some(value("--upstream")?),
-            "--drop" => {
-                let p: f64 = value("--drop")?
-                    .parse()
-                    .map_err(|_| "cannot parse --drop".to_string())?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err("--drop must be a probability in [0, 1]".into());
-                }
-                options.drop_p = p;
-            }
-            "--delay-ms" => {
-                options.delay_ms = value("--delay-ms")?
-                    .parse()
-                    .map_err(|_| "cannot parse --delay-ms".to_string())?;
-            }
-            "--truncate" => {
-                let p: f64 = value("--truncate")?
-                    .parse()
-                    .map_err(|_| "cannot parse --truncate".to_string())?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err("--truncate must be a probability in [0, 1]".into());
-                }
-                options.truncate_p = p;
-            }
-            "--seed" => {
-                options.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "cannot parse --seed".to_string())?;
-            }
-            "--run-db" => options.run_db = Some(PathBuf::from(value("--run-db")?)),
-            "--json" => options.json_out = Some(value("--json")?),
-            "--fail-on-timing-regression" => {
-                let pct: f64 = value("--fail-on-timing-regression")?
-                    .parse()
-                    .map_err(|_| "cannot parse --fail-on-timing-regression".to_string())?;
-                if !(pct >= 0.0 && pct.is_finite()) {
-                    return Err(
-                        "--fail-on-timing-regression must be a non-negative percentage".into(),
-                    );
-                }
-                options.fail_timing = Some(pct);
-            }
-            "--fail-on-perf-regression" => {
-                let pct: f64 = value("--fail-on-perf-regression")?
-                    .parse()
-                    .map_err(|_| "cannot parse --fail-on-perf-regression".to_string())?;
-                if !(pct >= 0.0 && pct.is_finite()) {
-                    return Err(
-                        "--fail-on-perf-regression must be a non-negative percentage".into(),
-                    );
-                }
-                options.fail_perf = Some(pct);
-            }
-            "--fail-on-digest-mismatch" => options.fail_digest = true,
-            "--edits" => options.edits = Some(value("--edits")?),
-            "--selfcheck" => options.watch_selfcheck = true,
-            "--once" => options.once = true,
-            "--input" => options.input = Some(value("--input")?),
-            "--tech" => options.tech = Some(value("--tech")?),
-            "--output" => options.output = Some(value("--output")?),
-            "--edge" => {
-                options.edge = Some(match value("--edge")?.as_str() {
-                    "rise" | "rising" => Edge::Rising,
-                    "fall" | "falling" => Edge::Falling,
-                    other => return Err(format!("unknown edge `{other}`")),
-                });
-            }
-            other => return Err(format!("unknown option `{other}`\n{USAGE}")),
+        levels.insert(resolve(net, name)?, level);
+    }
+    Ok(levels)
+}
+
+/// Every (input × edge) scenario under the `--set` levels, narrowed to
+/// `--input` / `--edge` where the command takes them. Narrowing keeps an
+/// audit to sensitized transitions: ratioed or floating scenarios
+/// measure the test setup, not the model (see the selfcheck module docs).
+fn scenarios(
+    flags: &Flags,
+    net: &Network,
+    transition: Seconds,
+) -> Result<Vec<(String, Scenario)>, String> {
+    let mut scenarios = standard_scenarios(net, &statics(flags, net)?, transition);
+    if let Some(name) = flags.get("--input") {
+        let input = resolve(net, name)?;
+        scenarios.retain(|(_, s)| s.input == input);
+    }
+    if let Some(edge) = flags.read("--edge", parse_edge)? {
+        scenarios.retain(|(_, s)| s.edge == edge);
+    }
+    Ok(scenarios)
+}
+
+/// The analysis group of flags and the trace sink they ask for. A
+/// command that does not take one of these flags gets its default.
+struct Analysis {
+    model: ModelKind,
+    transition: Seconds,
+    tech: Option<String>,
+    budget: AnalysisBudget,
+    threads: usize,
+    no_cache: bool,
+    trace: Option<String>,
+    metrics: bool,
+    sink: Option<Arc<TraceSink>>,
+}
+
+impl Analysis {
+    fn read(flags: &Flags) -> Result<Analysis, String> {
+        let trace = flags.get("--trace").map(String::from);
+        let metrics = flags.has("--metrics");
+        Ok(Analysis {
+            model: flags
+                .read("--model", parse_model)?
+                .unwrap_or(ModelKind::Slope),
+            transition: flags
+                .non_negative("--transition", "number of ns")?
+                .map_or(Seconds::ZERO, Seconds::from_nanos),
+            tech: flags.get("--tech").map(String::from),
+            budget: AnalysisBudget {
+                max_stage_evals: flags.parse_as("--max-stages")?,
+                max_paths_per_node: flags.parse_as("--max-paths")?,
+                deadline: flags.millis("--deadline-ms")?,
+            },
+            threads: flags.parse_as("--threads")?.unwrap_or(1),
+            no_cache: flags.has("--no-cache"),
+            // Run records always carry phase timings, so `--run-db` asks
+            // for a sink as well.
+            sink: (trace.is_some() || metrics || flags.has("--run-db"))
+                .then(|| Arc::new(TraceSink::new())),
+            trace,
+            metrics,
+        })
+    }
+
+    fn cache(&self) -> Option<Arc<StageCache>> {
+        (!self.no_cache).then(|| Arc::new(StageCache::new()))
+    }
+
+    fn analyzer_options(&self) -> AnalyzerOptions {
+        AnalyzerOptions {
+            budget: self.budget,
+            threads: self.threads,
+            cache: self.cache(),
+            trace: self.sink.clone(),
+            ..AnalyzerOptions::default()
         }
     }
-    Ok(options)
+
+    fn technology(&self) -> Result<Technology, CliError> {
+        match self.tech.as_deref() {
+            None => Ok(Technology::nominal()),
+            Some(path) => {
+                let text = fs::read_to_string(path)
+                    .map_err(|e| CliError::new(Status::Io, format!("cannot read `{path}`: {e}")))?;
+                crystal::tech_format::parse(&text)
+                    .map_err(|e| CliError::new(Status::ParseError, format!("{path}: {e}")))
+            }
+        }
+    }
+
+    /// The self-check harness settings. Its parallel leg needs real
+    /// parallelism to be a check, so `--threads` 0 or 1 means all
+    /// hardware threads.
+    fn selfcheck_config(&self) -> SelfCheckConfig {
+        SelfCheckConfig {
+            threads: if self.threads <= 1 { 0 } else { self.threads },
+            trace: self.sink.clone(),
+            ..SelfCheckConfig::default()
+        }
+    }
+
+    /// An empty run record of `command` under this configuration.
+    fn run_record(&self, command: &str, net: &Network, tech: &Technology) -> RunRecord {
+        let fp =
+            crystal::fingerprint::run_fingerprint(net, tech, self.model, &self.analyzer_options());
+        RunRecord::new(runstore::new_meta(
+            command,
+            fp,
+            &self.model.to_string(),
+            self.threads,
+        ))
+    }
+
+    /// Writes the `--trace` file and appends the `--metrics` summary.
+    /// Called on both the success and failure paths so a failing batch or
+    /// a diverging check still leaves its trace behind.
+    fn emit_observability(&self, out: &mut String) -> Result<(), CliError> {
+        let Some(sink) = &self.sink else {
+            return Ok(());
+        };
+        if let Some(path) = self.trace.as_deref() {
+            fs::write(path, sink.to_json_lines()).map_err(|e| {
+                CliError::new(Status::Io, format!("cannot write trace `{path}`: {e}"))
+            })?;
+        }
+        if self.metrics {
+            out.push_str(&sink.metrics().render());
+        }
+        Ok(())
+    }
 }
 
 /// Whether the configured worker count exceeds the machine's hardware
@@ -737,33 +660,25 @@ fn oversubscribed(threads: usize) -> bool {
     crystal::pool::resolve_threads(threads) > crystal::pool::available_parallelism()
 }
 
-fn load_technology(options: &Options) -> Result<Technology, CliError> {
-    match options.tech.as_deref() {
-        None => Ok(Technology::nominal()),
-        Some(path) => {
-            let text = fs::read_to_string(path)
-                .map_err(|e| CliError::new(ExitKind::Io, format!("cannot read `{path}`: {e}")))?;
-            crystal::tech_format::parse(&text)
-                .map_err(|e| CliError::new(ExitKind::Parse, format!("{path}: {e}")))
-        }
-    }
-}
-
 fn load(path: &str) -> Result<Network, CliError> {
     let text = fs::read_to_string(path)
-        .map_err(|e| CliError::new(ExitKind::Io, format!("cannot read `{path}`: {e}")))?;
+        .map_err(|e| CliError::new(Status::Io, format!("cannot read `{path}`: {e}")))?;
     let name = path.rsplit('/').next().unwrap_or(path);
     sim_format::parse(&text, name)
-        .map_err(|e| CliError::new(ExitKind::Parse, format!("{path}: {e}")))
+        .map_err(|e| CliError::new(Status::ParseError, format!("{path}: {e}")))
 }
 
-/// Exit-code classification of an analysis error: budget exhaustion has
-/// its own code, everything else is generic.
-fn timing_exit_kind(e: &TimingError) -> ExitKind {
+/// Exit classification of an analysis error: budget exhaustion has its
+/// own code, everything else is generic.
+fn timing_status(e: &TimingError) -> Status {
     match e {
-        TimingError::BudgetExhausted { .. } => ExitKind::Budget,
-        _ => ExitKind::Generic,
+        TimingError::BudgetExhausted { .. } => Status::Budget,
+        _ => Status::Error,
     }
+}
+
+fn timing_error(e: TimingError) -> CliError {
+    CliError::new(timing_status(&e), e.to_string())
 }
 
 fn resolve(net: &Network, name: &str) -> Result<NodeId, String> {
@@ -773,22 +688,21 @@ fn resolve(net: &Network, name: &str) -> Result<NodeId, String> {
 
 /// Runs a full CLI invocation; returns the stdout text.
 fn run(args: &[String]) -> Result<String, CliError> {
-    let (command, rest) = args.split_first().ok_or(USAGE.to_string())?;
+    let (command, rest) = args.split_first().ok_or(USAGE)?;
     // The daemon commands take no netlist file — sessions upload theirs
     // — and `diff-runs` compares stored records, not netlists.
     match command.as_str() {
-        "serve" => return run_serve(rest),
-        "client" => return run_client(rest),
-        "chaos-proxy" => return run_chaos_proxy(rest),
+        "serve" => return run_serve(&Flags::parse(command, rest)?),
+        "client" => return run_client(&Flags::parse(command, rest)?),
+        "chaos-proxy" => return run_chaos_proxy(&Flags::parse(command, rest)?),
         "diff-runs" => return run_diff_runs(rest),
         _ => {}
     }
     let (path, rest) = rest
         .split_first()
         .ok_or_else(|| format!("`{command}` needs a netlist file\n{USAGE}"))?;
+    let flags = Flags::parse(command, rest)?;
     let net = load(path)?;
-    let options = parse_options(rest)?;
-    let sink = options.trace_sink();
 
     match command.as_str() {
         "lint" => {
@@ -811,10 +725,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             Ok(out)
         }
         "logic" => {
-            let mut levels = HashMap::new();
-            for (name, level) in &options.statics {
-                levels.insert(resolve(&net, name)?, *level);
-            }
+            let levels = statics(&flags, &net)?;
             crystal::logic::require_inputs(&net, &levels).map_err(|e| e.to_string())?;
             let state = crystal::logic::solve(&net, &levels);
             let mut out = String::new();
@@ -824,60 +735,57 @@ fn run(args: &[String]) -> Result<String, CliError> {
             Ok(out)
         }
         "report" => {
-            let input_name = options
-                .input
-                .as_deref()
-                .ok_or("`report` needs --input NAME")?;
-            let edge = options.edge.ok_or("`report` needs --edge rise|fall")?;
-            let input = resolve(&net, input_name)?;
-            let mut scenario =
-                Scenario::step(input, edge).with_input_transition(options.transition);
-            for (name, level) in &options.statics {
-                scenario = scenario.with_static(resolve(&net, name)?, *level);
-            }
-            let tech = load_technology(&options)?;
+            let analysis = Analysis::read(&flags)?;
+            let input_name = flags.get("--input").ok_or("`report` needs --input NAME")?;
+            let edge = flags
+                .read("--edge", parse_edge)?
+                .ok_or("`report` needs --edge rise|fall")?;
+            let scenario = Scenario {
+                statics: statics(&flags, &net)?,
+                ..Scenario::step(resolve(&net, input_name)?, edge)
+                    .with_input_transition(analysis.transition)
+            };
+            let tech = analysis.technology()?;
             let result = analyze_with_options(
                 &net,
                 &tech,
-                options.model,
+                analysis.model,
                 &scenario,
-                options.analyzer_options(&sink),
+                analysis.analyzer_options(),
             )
-            .map_err(|e| CliError::new(timing_exit_kind(&e), e.to_string()))?;
-            let mut out = match options.output.as_deref() {
-                Some(name) => {
-                    let output = resolve(&net, name)?;
-                    critical_path_report(&net, &result, output)
-                }
+            .map_err(timing_error)?;
+            let mut out = match flags.get("--output") {
+                Some(name) => critical_path_report(&net, &result, resolve(&net, name)?),
                 None => full_report(&net, &result),
             };
-            options.emit_observability(&mut out, &sink)?;
+            analysis.emit_observability(&mut out)?;
             Ok(out)
         }
         "sweep" => {
-            let tech = load_technology(&options)?;
+            let analysis = Analysis::read(&flags)?;
+            let tech = analysis.technology()?;
             // One shared cache (and thread setting) across the whole
             // sweep: repeated stages amortize beautifully here.
-            let analyzer_options = options.analyzer_options(&sink);
+            let analyzer_options = analysis.analyzer_options();
             let sweep = if net.inputs().len() <= MAX_EXHAUSTIVE_INPUTS {
                 sweep_exhaustive_with_options(
                     &net,
                     &tech,
-                    options.model,
-                    options.transition,
+                    analysis.model,
+                    analysis.transition,
                     &analyzer_options,
                 )
             } else {
                 sweep_inputs_with_options(
                     &net,
                     &tech,
-                    options.model,
-                    options.transition,
+                    analysis.model,
+                    analysis.transition,
                     &HashMap::new(),
                     &analyzer_options,
                 )
             }
-            .map_err(|e| CliError::new(timing_exit_kind(&e), e.to_string()))?;
+            .map_err(timing_error)?;
             let mut out = String::new();
             let _ = writeln!(out, "{} scenarios analyzed", sweep.runs().len());
             match sweep.worst_output_arrival(&net) {
@@ -899,36 +807,31 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 }
                 None => out.push_str("no output ever switches\n"),
             }
-            options.emit_observability(&mut out, &sink)?;
+            analysis.emit_observability(&mut out)?;
             Ok(out)
         }
         "batch" => {
-            let tech = load_technology(&options)?;
+            let analysis = Analysis::read(&flags)?;
+            let tech = analysis.technology()?;
             // Every (input × edge) scenario; unlisted inputs sit at their
             // --set level (default 0).
-            let mut statics = HashMap::new();
-            for (name, level) in &options.statics {
-                statics.insert(resolve(&net, name)?, *level);
-            }
-            let scenarios = standard_scenarios(&net, &statics, options.transition);
+            let scenarios = scenarios(&flags, &net, analysis.transition)?;
             if scenarios.is_empty() {
-                return Err("netlist has no primary inputs to batch over"
-                    .to_string()
-                    .into());
+                return Err("netlist has no primary inputs to batch over".into());
             }
-            if options.journal.is_some() {
-                return run_durable_batch(&net, &tech, &options, &scenarios, &sink);
+            if let Some(journal) = flags.get("--journal") {
+                return run_durable_batch(&net, &tech, &analysis, &flags, journal, &scenarios);
             }
             let started = Instant::now();
-            let analyzer_options = options.analyzer_options(&sink);
+            let analyzer_options = analysis.analyzer_options();
             let cache = analyzer_options.cache.clone();
             let batch = run_batch(
                 &net,
                 &tech,
-                options.model,
+                analysis.model,
                 &scenarios,
-                analyzer_options.clone(),
-                options.fail_fast,
+                analyzer_options,
+                flags.has("--fail-fast"),
             );
             let mut out = String::new();
             for (label, outcome) in &batch.results {
@@ -951,8 +854,8 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     }
                 }
             }
-            let kind = if batch.all_ok() {
-                None
+            let status = if batch.all_ok() {
+                Status::Ok
             } else if batch.results.iter().any(|(_, r)| {
                 matches!(
                     r,
@@ -961,31 +864,21 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     ))
                 )
             }) {
-                Some(ExitKind::Budget)
+                Status::Budget
             } else {
-                Some(ExitKind::Generic)
+                Status::Error
             };
             if batch.all_ok() {
                 let _ = writeln!(out, "{} scenarios, all ok", batch.results.len());
             }
-            if let Some(db) = options.run_db.clone() {
-                let fp = crystal::fingerprint::run_fingerprint(
-                    &net,
-                    &tech,
-                    options.model,
-                    &analyzer_options,
-                );
-                let mut record = RunRecord::new(runstore::new_meta(
-                    "batch",
-                    fp,
-                    &options.model.to_string(),
-                    options.threads,
-                ));
+            if let Some(db) = flags.get("--run-db") {
+                let inject = flags.read("--inject", parse_inject)?;
+                let mut record = analysis.run_record("batch", &net, &tech);
                 for (label, outcome) in &batch.results {
                     match outcome {
                         Ok(result) => {
                             let summary = crystal::durable::scenario_summary(&net, result);
-                            record.push_result(&net, label, result, &summary, options.inject);
+                            record.push_result(&net, label, result, &summary, inject);
                         }
                         Err(failure) => record.scenarios.push(runstore::ScenarioRow {
                             label: label.clone(),
@@ -993,77 +886,47 @@ fn run(args: &[String]) -> Result<String, CliError> {
                             digest: None,
                             summary: failure.to_string(),
                             wall_us: 0,
-                            oversubscribed: oversubscribed(options.threads),
+                            oversubscribed: oversubscribed(analysis.threads),
                         }),
                     }
                 }
                 record.cache = cache.as_ref().map(|c| c.stats());
-                record_run(&db, record, &sink, kind, started, &mut out)?;
+                record_run(db, record, &analysis, status, started, &mut out)?;
             }
             // Completed scenarios stay visible either way; the failure
             // summary drives the non-zero exit. The trace file still
             // gets written — failing runs are the ones worth inspecting.
-            options.emit_observability(&mut out, &sink)?;
-            match kind {
-                None => Ok(out),
-                Some(kind) => Err(CliError::new(
-                    kind,
-                    format!("{out}{}", batch.failure_summary()),
-                )),
+            analysis.emit_observability(&mut out)?;
+            if status != Status::Ok {
+                out.push_str(&batch.failure_summary());
             }
+            conclude(status, out)
         }
         "check" => {
-            let tech = load_technology(&options)?;
-            let mut statics = HashMap::new();
-            for (name, level) in &options.statics {
-                statics.insert(resolve(&net, name)?, *level);
-            }
-            let mut scenarios = standard_scenarios(&net, &statics, options.transition);
-            // --input / --edge narrow the audit to sensitized transitions
-            // (ratioed or floating scenarios measure the test setup, not
-            // the model; see the selfcheck module docs).
-            if let Some(name) = options.input.as_deref() {
-                let input = resolve(&net, name)?;
-                scenarios.retain(|(_, s)| s.input == input);
-            }
-            if let Some(edge) = options.edge {
-                scenarios.retain(|(_, s)| s.edge == edge);
-            }
+            let analysis = Analysis::read(&flags)?;
+            let tech = analysis.technology()?;
+            let scenarios = scenarios(&flags, &net, analysis.transition)?;
             if scenarios.is_empty() {
-                return Err("no scenarios to check (no inputs, or filters exclude all)"
-                    .to_string()
-                    .into());
+                return Err("no scenarios to check (no inputs, or filters exclude all)".into());
             }
+            let defaults = analysis.selfcheck_config();
             let config = SelfCheckConfig {
-                // The parallel leg needs real parallelism to be a check;
-                // `--threads` overrides, otherwise all hardware threads.
-                threads: if options.threads <= 1 {
-                    0
-                } else {
-                    options.threads
-                },
-                reference_sample: options.sample,
-                inject_scale: options.inject,
-                trace: sink.clone(),
-                ..SelfCheckConfig::default()
+                reference_sample: flags
+                    .parse_as("--sample")?
+                    .unwrap_or(defaults.reference_sample),
+                inject_scale: flags.read("--inject", parse_inject)?,
+                ..defaults
             };
             let started = Instant::now();
             let report = check_network(&net, &tech, &scenarios, &config);
             let mut out = report.render();
-            let kind = (!report.ok()).then_some(ExitKind::Divergence);
-            if let Some(db) = options.run_db.clone() {
-                let fp = crystal::fingerprint::run_fingerprint(
-                    &net,
-                    &tech,
-                    options.model,
-                    &options.analyzer_options(&sink),
-                );
-                let mut record = RunRecord::new(runstore::new_meta(
-                    "check",
-                    fp,
-                    &options.model.to_string(),
-                    options.threads,
-                ));
+            let status = if report.ok() {
+                Status::Ok
+            } else {
+                Status::Divergence
+            };
+            if let Some(db) = flags.get("--run-db") {
+                let mut record = analysis.run_record("check", &net, &tech);
                 // The harness compares legs instead of producing one
                 // result set, so the record carries its verdict counters
                 // rather than arrivals.
@@ -1078,43 +941,33 @@ fn run(args: &[String]) -> Result<String, CliError> {
                         value,
                     });
                 }
-                record_run(&db, record, &sink, kind, started, &mut out)?;
+                record_run(db, record, &analysis, status, started, &mut out)?;
             }
-            options.emit_observability(&mut out, &sink)?;
-            match kind {
-                None => Ok(out),
-                Some(kind) => Err(CliError::new(kind, out)),
-            }
+            analysis.emit_observability(&mut out)?;
+            conclude(status, out)
         }
         "spice" => Ok(spice_format::write(&net)),
         "watch" => {
-            let tech = load_technology(&options)?;
-            let mut statics = HashMap::new();
-            for (name, level) in &options.statics {
-                statics.insert(resolve(&net, name)?, *level);
-            }
-            let mut scenarios = standard_scenarios(&net, &statics, options.transition);
-            // --input / --edge narrow the session, exactly as in `check`.
-            if let Some(name) = options.input.as_deref() {
-                let input = resolve(&net, name)?;
-                scenarios.retain(|(_, s)| s.input == input);
-            }
-            if let Some(edge) = options.edge {
-                scenarios.retain(|(_, s)| s.edge == edge);
-            }
+            let watch = Watch {
+                analysis: Analysis::read(&flags)?,
+                edits: flags.get("--edits").map(String::from),
+                selfcheck: flags.has("--selfcheck"),
+                once: flags.has("--once"),
+            };
+            let analysis = &watch.analysis;
+            let tech = analysis.technology()?;
+            let scenarios = scenarios(&flags, &net, analysis.transition)?;
             if scenarios.is_empty() {
-                return Err("no scenarios to watch (no inputs, or filters exclude all)"
-                    .to_string()
-                    .into());
+                return Err("no scenarios to watch (no inputs, or filters exclude all)".into());
             }
             let session = IncrementalAnalyzer::new(
                 net.clone(),
                 tech.clone(),
-                options.model,
+                analysis.model,
                 scenarios.clone(),
-                options.analyzer_options(&sink),
+                analysis.analyzer_options(),
             )
-            .map_err(|e| CliError::new(timing_exit_kind(&e), e.to_string()))?;
+            .map_err(timing_error)?;
             let mut out = String::new();
             let _ = writeln!(out, "watching `{path}`: {} scenario(s)", scenarios.len());
             for (label, _) in &scenarios {
@@ -1133,34 +986,40 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     }
                 }
             }
-            match options.edits.clone() {
-                Some(script) => run_scripted_edits(
-                    session, &net, &tech, &options, &scenarios, &script, out, &sink,
-                ),
-                None => run_watch_loop(session, path, &options, out, &sink),
+            match watch.edits.as_deref() {
+                Some(script) => {
+                    run_scripted_edits(session, &net, &tech, &scenarios, &watch, script, out)
+                }
+                None => run_watch_loop(session, path, &watch, out),
             }
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}").into()),
+        other => unreachable!("`{other}` has a flag table but no handler"),
     }
+}
+
+/// The parsed `watch` flags.
+struct Watch {
+    analysis: Analysis,
+    edits: Option<String>,
+    selfcheck: bool,
+    once: bool,
 }
 
 /// The `watch --edits` path: apply a scripted edit sequence through the
 /// incremental session, reporting the invalidation accounting per edit,
 /// and optionally (`--selfcheck`) prove every edited state bit-identical
 /// to fresh full analysis.
-#[allow(clippy::too_many_arguments)]
 fn run_scripted_edits(
     mut session: IncrementalAnalyzer,
     net: &Network,
     tech: &Technology,
-    options: &Options,
     scenarios: &[(String, Scenario)],
+    watch: &Watch,
     script: &str,
     mut out: String,
-    sink: &Option<Arc<TraceSink>>,
 ) -> Result<String, CliError> {
     let text = fs::read_to_string(script)
-        .map_err(|e| CliError::new(ExitKind::Io, format!("cannot read `{script}`: {e}")))?;
+        .map_err(|e| CliError::new(Status::Io, format!("cannot read `{script}`: {e}")))?;
     let edits = parse_edit_script(&text)?;
     if edits.is_empty() {
         return Err(format!("edit script `{script}` contains no edits").into());
@@ -1169,7 +1028,7 @@ fn run_scripted_edits(
     for (i, edit) in edits.iter().enumerate() {
         let delta = session
             .apply_edit(edit)
-            .map_err(|e| CliError::new(timing_exit_kind(&e), format!("edit {}: {e}", i + 1)))?;
+            .map_err(|e| CliError::new(timing_status(&e), format!("edit {}: {e}", i + 1)))?;
         for s in &delta.scenarios {
             reevaluated += s.stats.invalidated_stages;
             reused += s.stats.reused_stages;
@@ -1188,26 +1047,18 @@ fn run_scripted_edits(
         reevaluated,
         reused
     );
-    if options.watch_selfcheck {
-        let config = SelfCheckConfig {
-            threads: if options.threads <= 1 {
-                0
-            } else {
-                options.threads
-            },
-            trace: sink.clone(),
-            ..SelfCheckConfig::default()
-        };
-        let report = check_incremental(net, tech, options.model, scenarios, &edits, &config);
+    let analysis = &watch.analysis;
+    let mut status = Status::Ok;
+    if watch.selfcheck {
+        let config = analysis.selfcheck_config();
+        let report = check_incremental(net, tech, analysis.model, scenarios, &edits, &config);
         out.push_str(&report.render());
-        options.emit_observability(&mut out, sink)?;
         if !report.ok() {
-            return Err(CliError::new(ExitKind::Divergence, out));
+            status = Status::Divergence;
         }
-        return Ok(out);
     }
-    options.emit_observability(&mut out, sink)?;
-    Ok(out)
+    analysis.emit_observability(&mut out)?;
+    conclude(status, out)
 }
 
 /// The plain `watch` path: poll the netlist file and push every change
@@ -1217,19 +1068,17 @@ fn run_scripted_edits(
 fn run_watch_loop(
     mut session: IncrementalAnalyzer,
     path: &str,
-    options: &Options,
+    watch: &Watch,
     mut out: String,
-    sink: &Option<Arc<TraceSink>>,
 ) -> Result<String, CliError> {
-    use std::io::Write as _;
     let poll = Duration::from_millis(100);
     let stamp = |path: &str| {
         fs::metadata(path)
             .and_then(|m| m.modified())
-            .map_err(|e| CliError::new(ExitKind::Io, format!("cannot stat `{path}`: {e}")))
+            .map_err(|e| CliError::new(Status::Io, format!("cannot stat `{path}`: {e}")))
     };
     let mut last = stamp(path)?;
-    if !options.once {
+    if !watch.once {
         // Streaming mode: flush eagerly, nothing accumulates.
         print!("{out}");
         let _ = std::io::stdout().flush();
@@ -1257,14 +1106,14 @@ fn run_watch_loop(
             }
             Ok(delta) => {
                 chunk.push_str(&delta.to_string().replacen("edit:", "change:", 1));
-                if options.once {
+                if watch.once {
                     out.push_str(&chunk);
-                    options.emit_observability(&mut out, sink)?;
+                    watch.analysis.emit_observability(&mut out)?;
                     return Ok(out);
                 }
             }
         }
-        if options.once {
+        if watch.once {
             out.push_str(&chunk);
         } else {
             print!("{chunk}");
@@ -1279,57 +1128,54 @@ fn run_watch_loop(
 /// The `serve` command: start the timing-analysis daemon, print the
 /// bound address (parsed by scripts when `--addr` ends in `:0`), block
 /// until a `SIGINT`/`SIGTERM` drain, then print the final counters.
-fn run_serve(args: &[String]) -> Result<String, CliError> {
-    let options = parse_options(args)?;
-    install_signal_handlers();
-    let tech = load_technology(&options)?;
-    let sink = options.trace_sink();
-    let started = Instant::now();
-    let fault_flags = options.fault_writes_after.is_some()
-        || options.fault_syncs_after.is_some()
-        || options.fault_count.is_some();
-    if fault_flags && !options.chaos_ops {
-        return Err(
-            "--fault-writes-after/--fault-syncs-after/--fault-count require --chaos-ops"
-                .to_string()
-                .into(),
-        );
-    }
+fn run_serve(flags: &Flags) -> Result<String, CliError> {
+    let analysis = Analysis::read(flags)?;
     let mut journal_faults = JournalFaultPlan::none();
-    if let Some(n) = options.fault_writes_after {
+    if let Some(n) = flags.parse_as("--fault-writes-after")? {
         journal_faults = journal_faults.fail_writes_after(n);
     }
-    if let Some(n) = options.fault_syncs_after {
+    if let Some(n) = flags.parse_as("--fault-syncs-after")? {
         journal_faults = journal_faults.fail_syncs_after(n);
     }
-    if let Some(m) = options.fault_count {
+    if let Some(m) = flags.parse_as("--fault-count")? {
         journal_faults = journal_faults.fail_count(m);
     }
+    let run_db = flags.get("--run-db");
+    let defaults = ServerOptions::default();
     let server_options = ServerOptions {
-        addr: options.addr.clone(),
-        max_sessions: options.max_sessions,
-        max_inflight: options.max_inflight,
-        journal_dir: options.journal_dir.clone(),
-        resume: options.resume,
-        request_timeout: options.request_timeout,
-        budget: options.budget,
-        tech,
-        threads: options.threads,
-        cache: if options.no_cache {
-            None
-        } else {
-            Some(Arc::new(StageCache::new()))
-        },
-        trace: sink.clone(),
-        shutdown: ShutdownFlag::new(),
-        chaos_ops: options.chaos_ops,
-        run_db: options.run_db.clone(),
-        session_ttl: options.session_ttl,
-        compact_after: options.compact_after,
+        addr: flags.get("--addr").unwrap_or(DEFAULT_ADDR).to_string(),
+        max_sessions: flags
+            .parse_as("--max-sessions")?
+            .unwrap_or(defaults.max_sessions),
+        max_inflight: flags
+            .parse_as("--max-inflight")?
+            .unwrap_or(defaults.max_inflight),
+        journal_dir: flags.get("--journal-dir").map(PathBuf::from),
+        resume: flags.has("--resume"),
+        request_timeout: flags
+            .parse_as("--request-timeout")?
+            .map(Duration::from_millis),
+        budget: analysis.budget,
+        tech: analysis.technology()?,
+        threads: analysis.threads,
+        cache: analysis.cache(),
+        trace: analysis.sink.clone(),
+        chaos_ops: flags.has("--chaos-ops"),
+        run_db: run_db.map(PathBuf::from),
+        session_ttl: flags.parse_as("--session-ttl")?.map(Duration::from_millis),
+        compact_after: flags.read("--compact-after", |value| {
+            match parse_value::<u64>("--compact-after", value)? {
+                0 => Err("--compact-after must be at least 1".to_string()),
+                k => Ok(k),
+            }
+        })?,
         journal_faults,
+        ..defaults
     };
+    install_signal_handlers();
+    let started = Instant::now();
     let handle = serve(server_options)
-        .map_err(|e| CliError::new(ExitKind::Io, format!("cannot start server: {e}")))?;
+        .map_err(|e| CliError::new(Status::Io, format!("cannot start server: {e}")))?;
 
     // Streamed (not returned) so scripts can read the port immediately.
     println!("crystal-cli: listening on {}", handle.addr());
@@ -1356,8 +1202,8 @@ fn run_serve(args: &[String]) -> Result<String, CliError> {
         stats.interrupted,
         stats.recovered,
     );
-    if let Some(db) = &options.run_db {
-        let mut record = RunRecord::new(runstore::new_meta("serve", 0, "-", options.threads));
+    if let Some(db) = run_db {
+        let mut record = RunRecord::new(runstore::new_meta("serve", 0, "-", analysis.threads));
         for (name, value) in [
             ("accepted", stats.accepted),
             ("requests", stats.requests),
@@ -1383,9 +1229,9 @@ fn run_serve(args: &[String]) -> Result<String, CliError> {
                 value,
             });
         }
-        record_run(db, record, &sink, None, started, &mut out)?;
+        record_run(db, record, &analysis, Status::Ok, started, &mut out)?;
     }
-    options.emit_observability(&mut out, &sink)?;
+    analysis.emit_observability(&mut out)?;
     Ok(out)
 }
 
@@ -1393,7 +1239,7 @@ fn run_serve(args: &[String]) -> Result<String, CliError> {
 /// streaming raw response lines to stdout. The process exit code is the
 /// exit analog of the **last** response's protocol status, so shell
 /// scripts compose with the daemon exactly like with `batch`.
-fn run_client(args: &[String]) -> Result<String, CliError> {
+fn run_client(flags: &Flags) -> Result<String, CliError> {
     use std::io::{BufRead as _, BufReader, Read as _};
 
     /// One live connection: a cloned writer plus a buffered reader.
@@ -1418,29 +1264,29 @@ fn run_client(args: &[String]) -> Result<String, CliError> {
     /// stderr with the error, mirroring the wire `retryable` field.
     fn transport_error(out: &str, what: &str) -> CliError {
         CliError::new(
-            ExitKind::Io,
+            Status::Io,
             format!("{out}{what} (retryable: true; use --retries N to auto-retry)"),
         )
     }
 
-    let options = parse_options(args)?;
-    let script = match options.script.as_deref() {
+    let addr = flags.get("--addr").unwrap_or(DEFAULT_ADDR);
+    let retries: u32 = flags.parse_as("--retries")?.unwrap_or(0);
+    let backoff_ms: u64 = flags.parse_as("--backoff-ms")?.unwrap_or(100);
+    let seed: u64 = flags.parse_as("--seed")?.unwrap_or(1);
+    let script = match flags.get("--script") {
         Some(path) => fs::read_to_string(path)
-            .map_err(|e| CliError::new(ExitKind::Io, format!("cannot read `{path}`: {e}")))?,
+            .map_err(|e| CliError::new(Status::Io, format!("cannot read `{path}`: {e}")))?,
         None => {
             let mut text = String::new();
             std::io::stdin()
                 .read_to_string(&mut text)
-                .map_err(|e| CliError::new(ExitKind::Io, format!("cannot read stdin: {e}")))?;
+                .map_err(|e| CliError::new(Status::Io, format!("cannot read stdin: {e}")))?;
             text
         }
     };
-    let mut rng = SplitMix64::new(options.seed ^ u64::from(std::process::id()));
+    let mut rng = SplitMix64::new(seed ^ u64::from(std::process::id()));
     let backoff = |attempt: u32, rng: &mut SplitMix64| {
-        let base = options
-            .backoff_ms
-            .saturating_mul(1u64 << attempt.min(6))
-            .min(5_000);
+        let base = backoff_ms.saturating_mul(1u64 << attempt.min(6)).min(5_000);
         std::thread::sleep(Duration::from_millis(base + rng.next_below(base / 2 + 1)));
     };
     let mut conn: Option<Conn> = None;
@@ -1470,7 +1316,7 @@ fn run_client(args: &[String]) -> Result<String, CliError> {
         let resend_safe = !matches!(op, "close" | "crash");
         // `req_id` makes an edit retry dedupe server-side instead of
         // double-applying; deterministic per line so re-runs correlate.
-        let request = if options.retries > 0 && op == "edit" {
+        let request = if retries > 0 && op == "edit" {
             let mut with_id = request[..request.len() - 1].to_string();
             let _ = write!(
                 with_id,
@@ -1484,19 +1330,19 @@ fn run_client(args: &[String]) -> Result<String, CliError> {
         };
 
         let mut attempt: u32 = 0;
-        let response = loop {
+        let (response, status) = loop {
             if conn.is_none() {
-                match connect(&options.addr) {
+                match connect(addr) {
                     Ok(c) => conn = Some(c),
                     Err(e) => {
-                        if attempt < options.retries {
+                        if attempt < retries {
                             attempt += 1;
                             backoff(attempt, &mut rng);
                             continue;
                         }
                         return Err(transport_error(
                             &out,
-                            &format!("cannot connect to `{}`: {e}", options.addr),
+                            &format!("cannot connect to `{addr}`: {e}"),
                         ));
                     }
                 }
@@ -1535,12 +1381,12 @@ fn run_client(args: &[String]) -> Result<String, CliError> {
                         .and_then(|fields| fields.get("status").cloned())
                         .and_then(|name| Status::from_name(&name))
                         .unwrap_or(Status::Error);
-                    if status.is_retryable() && attempt < options.retries {
+                    if status.is_retryable() && attempt < retries {
                         attempt += 1;
                         backoff(attempt, &mut rng);
                         continue;
                     }
-                    break response;
+                    break (response, status);
                 }
                 // Reset, refused, timed out, a clean close mid-script,
                 // or a torn frame: reconnect and re-send when the op
@@ -1552,7 +1398,7 @@ fn run_client(args: &[String]) -> Result<String, CliError> {
                         Ok(_) => "server sent a torn response frame".to_string(),
                         Err(e) => format!("transport failure: {e}"),
                     };
-                    if resend_safe && attempt < options.retries {
+                    if resend_safe && attempt < retries {
                         attempt += 1;
                         backoff(attempt, &mut rng);
                         continue;
@@ -1562,43 +1408,37 @@ fn run_client(args: &[String]) -> Result<String, CliError> {
             }
         };
         let _ = writeln!(out, "{response}");
-        last_status = crystal::fingerprint::parse_json_object(&response)
-            .and_then(|fields| fields.get("status").cloned())
-            .and_then(|name| Status::from_name(&name))
-            .unwrap_or(Status::Error);
+        last_status = status;
     }
-    match ExitKind::from_status(last_status) {
-        None => Ok(out),
-        Some(kind) => Err(CliError::new(kind, out)),
-    }
+    conclude(last_status, out)
 }
 
 /// The `chaos-proxy` command: a line-oriented TCP proxy that injects
 /// network faults between a client and the daemon — per-line drop
 /// (connection cut), fixed delay, and mid-line truncation — all from a
 /// seeded deterministic schedule so a failing soak reproduces exactly.
-fn run_chaos_proxy(args: &[String]) -> Result<String, CliError> {
+fn run_chaos_proxy(flags: &Flags) -> Result<String, CliError> {
     use std::io::{BufRead as _, BufReader};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    let options = parse_options(args)?;
-    let Some(upstream) = options.upstream.clone() else {
+    let Some(upstream) = flags.get("--upstream").map(String::from) else {
         return Err("chaos-proxy requires --upstream HOST:PORT".into());
     };
+    let listen = flags.get("--listen").unwrap_or("127.0.0.1:0");
+    let drop_p = flags.probability("--drop")?;
+    let truncate_p = flags.probability("--truncate")?;
+    let delay = Duration::from_millis(flags.parse_as("--delay-ms")?.unwrap_or(0));
+    let seed: u64 = flags.parse_as("--seed")?.unwrap_or(1);
     install_signal_handlers();
     let shutdown = ShutdownFlag::new();
-    let listener = std::net::TcpListener::bind(&options.listen).map_err(|e| {
-        CliError::new(
-            ExitKind::Io,
-            format!("cannot listen on `{}`: {e}", options.listen),
-        )
-    })?;
+    let listener = std::net::TcpListener::bind(listen)
+        .map_err(|e| CliError::new(Status::Io, format!("cannot listen on `{listen}`: {e}")))?;
     listener
         .set_nonblocking(true)
-        .map_err(|e| CliError::new(ExitKind::Io, format!("cannot configure listener: {e}")))?;
+        .map_err(|e| CliError::new(Status::Io, format!("cannot configure listener: {e}")))?;
     let local = listener
         .local_addr()
-        .map_err(|e| CliError::new(ExitKind::Io, format!("cannot resolve listen address: {e}")))?;
+        .map_err(|e| CliError::new(Status::Io, format!("cannot resolve listen address: {e}")))?;
     // Streamed (not returned) so scripts can read the port immediately,
     // same contract as `serve`.
     println!("crystal-cli: chaos-proxy listening on {local} -> {upstream}");
@@ -1673,12 +1513,6 @@ fn run_chaos_proxy(args: &[String]) -> Result<String, CliError> {
                 let (Ok(client_r), Ok(server_r)) = (client.try_clone(), server.try_clone()) else {
                     continue;
                 };
-                let seed = options.seed;
-                let (drop_p, delay, truncate_p) = (
-                    options.drop_p,
-                    Duration::from_millis(options.delay_ms),
-                    options.truncate_p,
-                );
                 std::thread::spawn(move || {
                     pump(
                         client_r,
@@ -1782,60 +1616,39 @@ fn client_request(line: &str) -> Result<String, String> {
     Ok(request)
 }
 
-/// The wire-taxonomy status name and exit code a run record stores for a
-/// CLI outcome (`None` = success).
-fn exit_status(kind: Option<ExitKind>) -> (&'static str, u8) {
-    match kind {
-        None => ("ok", 0),
-        Some(ExitKind::Generic) => ("error", 1),
-        Some(ExitKind::Parse) => ("parse_error", 2),
-        Some(ExitKind::Budget) => ("budget", 3),
-        Some(ExitKind::Divergence) => ("divergence", 4),
-        Some(ExitKind::Timeout) => ("timeout", 5),
-        Some(ExitKind::Poisoned) => ("poisoned", 6),
-        Some(ExitKind::Io) => ("io_error", 7),
-        Some(ExitKind::Interrupted) => ("interrupted", 8),
-        Some(ExitKind::Overloaded) => ("overloaded", 9),
-        Some(ExitKind::Storage) => ("storage_error", 10),
-    }
-}
-
 /// Classifies a run-store failure: damaged records parse-error, missing
 /// or ambiguous specs are usage errors, the rest is I/O.
-fn runstore_exit_kind(e: &RunStoreError) -> ExitKind {
-    match e {
-        RunStoreError::Io { .. } => ExitKind::Io,
-        RunStoreError::Corrupt { .. } => ExitKind::Parse,
-        _ => ExitKind::Generic,
-    }
+fn runstore_error(e: RunStoreError) -> CliError {
+    let status = match e {
+        RunStoreError::Io { .. } => Status::Io,
+        RunStoreError::Corrupt { .. } => Status::ParseError,
+        _ => Status::Error,
+    };
+    CliError::new(status, e.to_string())
 }
 
 /// Finalizes and persists one run record: stamps the phase/counter
 /// metrics from the shared sink, the exit footer, and the wall clock,
 /// then appends the record to the `--run-db` database and echoes its ID.
 fn record_run(
-    db: &Path,
+    db: &str,
     mut record: RunRecord,
-    sink: &Option<Arc<TraceSink>>,
-    kind: Option<ExitKind>,
+    analysis: &Analysis,
+    status: Status,
     started: Instant,
     out: &mut String,
 ) -> Result<(), CliError> {
-    if let Some(sink) = sink {
+    if let Some(sink) = &analysis.sink {
         sink.count(crystal::obs::Phase::RunStore, "runs_recorded", 1);
         record.set_metrics(&sink.metrics());
     }
-    let (status, code) = exit_status(kind);
     record.exit = Some(runstore::ExitRow {
-        status: status.to_string(),
-        code,
+        status: status.name().to_string(),
+        code: status.exit_code() as u8,
         wall_us: started.elapsed().as_micros() as u64,
     });
-    let store =
-        RunStore::open(db).map_err(|e| CliError::new(runstore_exit_kind(&e), e.to_string()))?;
-    let path = store
-        .record(&record)
-        .map_err(|e| CliError::new(runstore_exit_kind(&e), e.to_string()))?;
+    let store = RunStore::open(Path::new(db)).map_err(runstore_error)?;
+    let path = store.record(&record).map_err(runstore_error)?;
     let _ = writeln!(
         out,
         "run-db: recorded {} -> {}",
@@ -1859,43 +1672,40 @@ fn run_diff_runs(args: &[String]) -> Result<String, CliError> {
     };
     let (a_spec, rest) = spec(args, "baseline A")?;
     let (b_spec, rest) = spec(&rest, "candidate B")?;
-    let options = parse_options(&rest)?;
-    let store = RunStore::open(options.run_db.as_deref().unwrap_or(Path::new(".")))
-        .map_err(|e| CliError::new(runstore_exit_kind(&e), e.to_string()))?;
+    let flags = Flags::parse("diff-runs", &rest)?;
+    let thresholds = DiffThresholds {
+        timing_pct: flags.percent("--fail-on-timing-regression")?,
+        perf_pct: flags.percent("--fail-on-perf-regression")?,
+        digest: flags.has("--fail-on-digest-mismatch"),
+    };
+    let store =
+        RunStore::open(Path::new(flags.get("--run-db").unwrap_or("."))).map_err(runstore_error)?;
     let read = |spec: &str| -> Result<RunRecord, CliError> {
-        let path = store
-            .resolve(spec)
-            .map_err(|e| CliError::new(runstore_exit_kind(&e), e.to_string()))?;
-        runstore::read_run(&path).map_err(|e| CliError::new(runstore_exit_kind(&e), e.to_string()))
+        let path = store.resolve(spec).map_err(runstore_error)?;
+        runstore::read_run(&path).map_err(runstore_error)
     };
     let a = read(&a_spec)?;
     let b = read(&b_spec)?;
-    let thresholds = DiffThresholds {
-        timing_pct: options.fail_timing,
-        perf_pct: options.fail_perf,
-        digest: options.fail_digest,
-    };
     let d = runstore::diff(&a, &b);
     let mut out = d.render();
-    if let Some(path) = options.json_out.as_deref() {
-        fs::write(path, d.to_json(&thresholds)).map_err(|e| {
-            CliError::new(ExitKind::Io, format!("cannot write report `{path}`: {e}"))
-        })?;
+    if let Some(path) = flags.get("--json") {
+        fs::write(path, d.to_json(&thresholds))
+            .map_err(|e| CliError::new(Status::Io, format!("cannot write report `{path}`: {e}")))?;
         let _ = writeln!(out, "json report: {path}");
     }
-    match d.verdict(&thresholds) {
+    let status = match d.verdict(&thresholds) {
         DiffVerdict::Clean => {
             let _ = writeln!(out, "verdict: clean");
-            Ok(out)
+            Status::Ok
         }
         DiffVerdict::TimingRegression => {
             let _ = writeln!(
                 out,
                 "verdict: TIMING REGRESSION ({:.4}% worst arrival change exceeds {}%)",
                 d.max_timing_pct,
-                options.fail_timing.unwrap_or(0.0)
+                thresholds.timing_pct.unwrap_or(0.0)
             );
-            Err(CliError::new(ExitKind::Divergence, out))
+            Status::Divergence
         }
         DiffVerdict::DigestMismatch => {
             let _ = writeln!(
@@ -1903,18 +1713,19 @@ fn run_diff_runs(args: &[String]) -> Result<String, CliError> {
                 "verdict: DIGEST MISMATCH ({} scenario(s))",
                 d.digest_mismatches.len() + d.only_in_a.len() + d.only_in_b.len()
             );
-            Err(CliError::new(ExitKind::Divergence, out))
+            Status::Divergence
         }
         DiffVerdict::PerfRegression => {
             let _ = writeln!(
                 out,
                 "verdict: PERF REGRESSION ({:+.1}% worst comparable wall-clock change exceeds {}%)",
                 d.max_perf_pct,
-                options.fail_perf.unwrap_or(0.0)
+                thresholds.perf_pct.unwrap_or(0.0)
             );
-            Err(CliError::new(ExitKind::Generic, out))
+            Status::Error
         }
-    }
+    };
+    conclude(status, out)
 }
 
 /// The `batch --journal` path: durable execution with checkpoint/resume,
@@ -1923,33 +1734,38 @@ fn run_diff_runs(args: &[String]) -> Result<String, CliError> {
 fn run_durable_batch(
     net: &Network,
     tech: &Technology,
-    options: &Options,
+    analysis: &Analysis,
+    flags: &Flags,
+    journal: &str,
     scenarios: &[(String, Scenario)],
-    sink: &Option<Arc<TraceSink>>,
 ) -> Result<String, CliError> {
-    install_signal_handlers();
-    let started = Instant::now();
-    let journal = options.journal.clone().expect("caller checked --journal");
-    let analyzer_options = options.analyzer_options(sink);
-    let cache = analyzer_options.cache.clone();
+    let defaults = DurableOptions::default();
     let durable = DurableOptions {
-        journal,
-        resume: options.resume,
-        scenario_timeout: options.scenario_timeout,
-        max_retries: options.max_retries,
-        retry_backoff: options.retry_backoff,
-        threads: options.threads,
+        journal: PathBuf::from(journal),
+        resume: flags.has("--resume"),
+        scenario_timeout: flags.millis("--scenario-timeout")?,
+        max_retries: flags
+            .parse_as("--max-retries")?
+            .unwrap_or(defaults.max_retries),
+        retry_backoff: flags
+            .millis("--retry-backoff-ms")?
+            .unwrap_or(defaults.retry_backoff),
+        threads: analysis.threads,
         shutdown: Some(ShutdownFlag::new()),
     };
+    install_signal_handlers();
+    let started = Instant::now();
+    let analyzer_options = analysis.analyzer_options();
+    let cache = analyzer_options.cache.clone();
     let run = run_durable(
         net,
         tech,
-        options.model,
+        analysis.model,
         scenarios,
         analyzer_options.clone(),
         &durable,
     )
-    .map_err(|e| CliError::new(ExitKind::Io, e.to_string()))?;
+    .map_err(|e| CliError::new(Status::Io, e.to_string()))?;
 
     // Scenario lines replay bit-identically on resume: the summary text
     // comes from the journal record either way.
@@ -1977,43 +1793,43 @@ fn run_durable_batch(
     out.push('\n');
 
     let mut divergences = 0usize;
-    if options.selfcheck_resume {
-        let report =
-            check_resume_equivalence(net, tech, options.model, scenarios, &analyzer_options, &run);
+    if flags.has("--selfcheck-resume") {
+        let report = check_resume_equivalence(
+            net,
+            tech,
+            analysis.model,
+            scenarios,
+            &analyzer_options,
+            &run,
+        );
         divergences = report.divergences.len();
         out.push_str(&report.render());
     }
-    options.emit_observability(&mut out, sink)?;
+    analysis.emit_observability(&mut out)?;
 
     // Exit precedence: an interrupted drain beats everything (the run is
     // incomplete), then quarantine, timeout, divergence, budget.
-    let kind = if run.interrupted {
-        Some(ExitKind::Interrupted)
+    let status = if run.interrupted {
+        Status::Interrupted
     } else if run.count(Outcome::Poisoned) > 0 {
-        Some(ExitKind::Poisoned)
+        Status::Poisoned
     } else if run.count(Outcome::TimedOut) > 0 {
-        Some(ExitKind::Timeout)
+        Status::Timeout
     } else if divergences > 0 {
-        Some(ExitKind::Divergence)
+        Status::Divergence
     } else if run
         .records
         .iter()
         .any(|r| r.outcome == Outcome::Error && r.taxonomy == Some(FailureKind::Budget))
     {
-        Some(ExitKind::Budget)
+        Status::Budget
     } else if run.count(Outcome::Error) > 0 {
-        Some(ExitKind::Generic)
+        Status::Error
     } else {
-        None
+        Status::Ok
     };
-    if let Some(db) = options.run_db.clone() {
-        let fp = crystal::fingerprint::run_fingerprint(net, tech, options.model, &analyzer_options);
-        let mut record = RunRecord::new(runstore::new_meta(
-            "batch",
-            fp,
-            &options.model.to_string(),
-            options.threads,
-        ));
+    if let Some(db) = flags.get("--run-db") {
+        let mut record = analysis.run_record("batch", net, tech);
         // Durable records carry digests and per-scenario wall clocks but
         // not retained arrivals — the journal is the arrival source.
         for scenario in &run.records {
@@ -2031,16 +1847,13 @@ fn run_durable_batch(
                 digest: scenario.digest,
                 summary: scenario.summary.clone(),
                 wall_us: scenario.wall_ms.saturating_mul(1000),
-                oversubscribed: oversubscribed(options.threads),
+                oversubscribed: oversubscribed(analysis.threads),
             });
         }
         record.cache = cache.as_ref().map(|c| c.stats());
-        record_run(&db, record, sink, kind, started, &mut out)?;
+        record_run(db, record, analysis, status, started, &mut out)?;
     }
-    match kind {
-        None => Ok(out),
-        Some(kind) => Err(CliError::new(kind, out)),
-    }
+    conclude(status, out)
 }
 
 #[cfg(test)]
@@ -2424,7 +2237,7 @@ mod tests {
         tampered.replace_range(at..at + 1, flipped);
         fs::write(&journal, tampered).unwrap();
         let err = cli_err(&["batch", p, "--journal", j, "--resume", "--selfcheck-resume"]);
-        assert_eq!(err.kind, ExitKind::Divergence, "{}", err.message);
+        assert_eq!(err.status, Status::Divergence, "{}", err.message);
         assert!(err.message.contains("DIVERGENCE"), "{}", err.message);
         let _ = fs::remove_file(&journal);
     }
@@ -2445,7 +2258,7 @@ mod tests {
             "--max-retries",
             "0",
         ]);
-        assert_eq!(err.kind, ExitKind::Timeout, "{}", err.message);
+        assert_eq!(err.status, Status::Timeout, "{}", err.message);
         assert!(err.message.contains("TIMED OUT"), "{}", err.message);
         let _ = fs::remove_file(&journal);
         // With retries: the ladder exhausts and quarantines.
@@ -2462,7 +2275,7 @@ mod tests {
             "--retry-backoff-ms",
             "1",
         ]);
-        assert_eq!(err.kind, ExitKind::Poisoned, "{}", err.message);
+        assert_eq!(err.status, Status::Poisoned, "{}", err.message);
         assert!(
             err.message.contains("POISONED after 2 attempts"),
             "{}",
@@ -2587,17 +2400,17 @@ mod tests {
         let path = fixture("exit_kinds", INVERTER_CHAIN);
         let p = path.to_str().unwrap();
         assert_eq!(
-            cli_err(&["lint", "/nonexistent/file.sim"]).kind,
-            ExitKind::Io
+            cli_err(&["lint", "/nonexistent/file.sim"]).status,
+            Status::Io
         );
         let bad = fixture("exit_kinds_bad", "n a\n");
         assert_eq!(
-            cli_err(&["lint", bad.to_str().unwrap()]).kind,
-            ExitKind::Parse
+            cli_err(&["lint", bad.to_str().unwrap()]).status,
+            Status::ParseError
         );
         assert_eq!(
-            cli_err(&["batch", p, "--max-stages", "0"]).kind,
-            ExitKind::Budget
+            cli_err(&["batch", p, "--max-stages", "0"]).status,
+            Status::Budget
         );
         assert_eq!(
             cli_err(&[
@@ -2610,16 +2423,16 @@ mod tests {
                 "--max-stages",
                 "0"
             ])
-            .kind,
-            ExitKind::Budget
+            .status,
+            Status::Budget
         );
-        assert_eq!(cli_err(&["frobnicate", p]).kind, ExitKind::Generic);
+        assert_eq!(cli_err(&["frobnicate", p]).status, Status::Error);
         let journal = std::env::temp_dir()
             .join("no_such_dir_crystal")
             .join("j.jsonl");
         assert_eq!(
-            cli_err(&["batch", p, "--journal", journal.to_str().unwrap()]).kind,
-            ExitKind::Io
+            cli_err(&["batch", p, "--journal", journal.to_str().unwrap()]).status,
+            Status::Io
         );
     }
 
@@ -2700,7 +2513,7 @@ mod tests {
             "--fail-on-timing-regression",
             "0.5",
         ]);
-        assert_eq!(err.kind, ExitKind::Divergence, "{}", err.message);
+        assert_eq!(err.status, Status::Divergence, "{}", err.message);
         assert!(err.message.contains("TIMING REGRESSION"), "{}", err.message);
         // A doubled lumped model doubles every non-zero arrival: the
         // per-node delta section must spell out the +100% moves.
@@ -2720,7 +2533,7 @@ mod tests {
         let out = cli(&["diff-runs", &a[..12], &b, "--run-db", db_s]).unwrap();
         assert!(out.contains("verdict: clean"), "{out}");
         let err = cli_err(&["diff-runs", "run-", &b, "--run-db", db_s]);
-        assert_eq!(err.kind, ExitKind::Generic, "{}", err.message);
+        assert_eq!(err.status, Status::Error, "{}", err.message);
         assert!(err.message.contains("ambiguous"), "{}", err.message);
         // A literal record path bypasses the store entirely.
         let literal = db.join(format!("{a}.run"));

@@ -14,9 +14,15 @@
 //! | 6 | scenario poisoned (retry ladder exhausted) |
 //! | 7 | I/O failure |
 //! | 8 | interrupted by SIGINT/SIGTERM |
+//! | 9 | overloaded (`client`: the daemon shed the last request) |
+//! | 10 | storage error (`client`: a session journal write failed) |
+//!
+//! Flags are per subcommand: a flag the subcommand does not take, or a
+//! combination in which one flag would do nothing, is a usage error (1).
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_crystal-cli");
 
@@ -38,6 +44,38 @@ fn temp_journal(tag: &str) -> PathBuf {
         "crystal_exit_codes_{tag}_{}.journal",
         std::process::id()
     ))
+}
+
+/// Runs the binary to completion, killing it (and failing the test) if
+/// it is still running after 30 s: an invocation that should be refused
+/// must not block instead.
+fn run_bounded(args: &[&str]) -> Output {
+    let mut child = Command::new(BIN)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().expect("child status").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{args:?} still running after 30 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("child output")
+}
+
+/// Asserts a usage error: exit 1, and stderr names every one of `names`.
+fn assert_usage_error(args: &[&str], names: &[&str]) {
+    let out = run_bounded(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    for name in names {
+        assert!(stderr.contains(name), "{args:?}: `{name}` not in {stderr}");
+    }
 }
 
 fn exit_code(args: &[&str]) -> i32 {
@@ -90,6 +128,125 @@ fn static_level_on_a_non_input_is_one() {
         );
     }
     let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn foreign_flags_are_refused() {
+    let path = fixture("foreign", INVERTER_CHAIN);
+    let p = path.to_str().unwrap();
+    let db = temp_journal("foreign_db");
+    let journal = temp_journal("foreign_journal");
+    let _ = std::fs::remove_dir_all(&db);
+    let _ = std::fs::remove_file(&journal);
+    let (db_s, journal_s) = (db.to_str().unwrap(), journal.to_str().unwrap());
+    let baseline = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/baselines/adder-slope.run"
+    );
+    let report = ["report", p, "--input", "a", "--edge", "rise"];
+    for (args, command, flag) in [
+        (vec!["sweep", p, "--set", "a=1"], "sweep", "--set"),
+        (
+            [&report[..], &["--run-db", db_s]].concat(),
+            "report",
+            "--run-db",
+        ),
+        (
+            [&report[..], &["--journal", journal_s]].concat(),
+            "report",
+            "--journal",
+        ),
+        (vec!["lint", p, "--threads", "2"], "lint", "--threads"),
+        (vec!["spice", p, "--model", "lumped"], "spice", "--model"),
+        (
+            vec!["logic", p, "--transition", "1"],
+            "logic",
+            "--transition",
+        ),
+        (
+            vec!["diff-runs", baseline, baseline, "--threads", "2"],
+            "diff-runs",
+            "--threads",
+        ),
+    ] {
+        assert_usage_error(&args, &[&format!("`{command}`"), flag]);
+    }
+    assert!(!db.exists(), "a refused --run-db must record nothing");
+    assert!(!journal.exists(), "a refused --journal must write nothing");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn flags_that_would_do_nothing_are_refused() {
+    let path = fixture("inert", INVERTER_CHAIN);
+    let p = path.to_str().unwrap();
+    let journal = temp_journal("inert");
+    let j = journal.to_str().unwrap();
+    let db = temp_journal("inert_db");
+    let db_s = db.to_str().unwrap();
+    let script = temp_journal("inert_edits");
+    std::fs::write(&script, "cap y 80\n").expect("edit script writes");
+    let edits = script.to_str().unwrap();
+    let _ = std::fs::remove_file(&journal);
+    for (args, flag, other) in [
+        (vec!["batch", p, "--resume"], "--resume", "--journal"),
+        (
+            vec!["batch", p, "--scenario-timeout", "0"],
+            "--scenario-timeout",
+            "--journal",
+        ),
+        (
+            vec!["batch", p, "--max-retries", "0"],
+            "--max-retries",
+            "--journal",
+        ),
+        (
+            vec!["batch", p, "--retry-backoff-ms", "1"],
+            "--retry-backoff-ms",
+            "--journal",
+        ),
+        (
+            vec!["batch", p, "--selfcheck-resume"],
+            "--selfcheck-resume",
+            "--journal",
+        ),
+        (
+            vec!["batch", p, "--journal", j, "--fail-fast"],
+            "--fail-fast",
+            "--journal",
+        ),
+        (
+            vec![
+                "batch",
+                p,
+                "--journal",
+                j,
+                "--run-db",
+                db_s,
+                "--inject",
+                "slope=2",
+            ],
+            "--inject",
+            "--journal",
+        ),
+        (
+            vec!["batch", p, "--inject", "slope=2"],
+            "--inject",
+            "--run-db",
+        ),
+        (vec!["watch", p, "--selfcheck"], "--selfcheck", "--edits"),
+        (
+            vec!["watch", p, "--once", "--edits", edits],
+            "--once",
+            "--edits",
+        ),
+    ] {
+        assert_usage_error(&args, &[flag, other]);
+    }
+    assert!(!journal.exists(), "a refused batch must not journal");
+    assert!(!db.exists(), "a refused batch must not record");
+    let _ = std::fs::remove_file(&script);
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

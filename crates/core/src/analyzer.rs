@@ -195,6 +195,27 @@ impl Edge {
             Edge::Falling => Edge::Rising,
         }
     }
+
+    /// The spelling labels, journals and the daemon use: `rise`, `fall`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Edge::Rising => "rise",
+            Edge::Falling => "fall",
+        }
+    }
+}
+
+/// The edge-name table the CLI, the daemon and the journals share.
+impl std::str::FromStr for Edge {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Edge, String> {
+        match name {
+            "rise" | "rising" => Ok(Edge::Rising),
+            "fall" | "falling" => Ok(Edge::Falling),
+            other => Err(format!("unknown edge `{other}`")),
+        }
+    }
 }
 
 /// One timing scenario: which input switches, how fast, and the static

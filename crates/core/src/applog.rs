@@ -2,11 +2,11 @@
 //! journal ([`crate::durable::Journal`]), the daemon's session journals
 //! ([`crate::session`]) and the run records ([`crate::runstore`]).
 //!
-//! A log is one file of flat JSON objects, one per line
-//! ([`crate::fingerprint::parse_json_object`]). Line 1 is a header whose
-//! `kind` names the store; every later line is one record. An append is
-//! one `write_all` plus one `sync_data`, so a crash loses at most the
-//! line being written. [`recover`] applies the one recovery contract:
+//! A log is one file of flat JSON objects, one per line, in the
+//! [`crate::fingerprint`] codec. Line 1 is a header whose `kind` names
+//! the store; every later line is one record. An append is one
+//! `write_all` plus one `sync_data`, so a crash loses at most the line
+//! being written. [`recover`] applies the one recovery contract:
 //!
 //! * only the **final** line may be damaged — unterminated, unparseable,
 //!   or rejected by the store's record decoder. That is a torn tail (a
@@ -22,7 +22,7 @@
 //! appends after it. Record codecs, fingerprint checks and error types
 //! stay with each store: this module knows lines, not records.
 
-use crate::fingerprint::parse_json_object;
+use crate::fingerprint::{parse_json_object, ReadFields};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Seek, SeekFrom, Write as _};
@@ -30,7 +30,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-/// The fields of one log line, as [`parse_json_object`] returns them.
+/// The fields of one log line, as [`parse_json_object`] returns them;
+/// read them through [`crate::fingerprint::ReadFields`].
 pub type Fields = HashMap<String, String>;
 
 // ---------------------------------------------------------------------------
@@ -292,7 +293,7 @@ pub fn recover(
         let kept = match fields {
             None => false,
             Some(fields) if index == 0 => {
-                if fields.get("kind").map(String::as_str) != Some(header_kind) {
+                if fields.str("kind") != Some(header_kind) {
                     return Err(RecoverError::Corrupt { line: 1 });
                 }
                 header = Some(fields);

@@ -68,7 +68,7 @@ use crystal::durable::{
     ShutdownFlag,
 };
 use crystal::editscript::parse_edit_script;
-use crystal::fingerprint::{escape_json_into, SplitMix64};
+use crystal::fingerprint::{JsonLine, ReadFields, SplitMix64};
 use crystal::incremental::IncrementalAnalyzer;
 use crystal::memo::StageCache;
 use crystal::models::ModelKind;
@@ -474,23 +474,6 @@ fn parse_value<T: FromStr>(name: &str, value: &str) -> Result<T, String> {
     value.parse().map_err(|_| format!("cannot parse {name}"))
 }
 
-fn parse_model(name: &str) -> Result<ModelKind, String> {
-    match name {
-        "lumped" => Ok(ModelKind::Lumped),
-        "rctree" | "rc-tree" => Ok(ModelKind::RcTree),
-        "slope" => Ok(ModelKind::Slope),
-        other => Err(format!("unknown model `{other}`")),
-    }
-}
-
-fn parse_edge(name: &str) -> Result<Edge, String> {
-    match name {
-        "rise" | "rising" => Ok(Edge::Rising),
-        "fall" | "falling" => Ok(Edge::Falling),
-        other => Err(format!("unknown edge `{other}`")),
-    }
-}
-
 /// `--inject MODEL=FACTOR`.
 fn parse_inject(pair: &str) -> Result<(ModelKind, f64), String> {
     let (model, factor) = pair
@@ -502,7 +485,7 @@ fn parse_inject(pair: &str) -> Result<(ModelKind, f64), String> {
     if !(factor > 0.0 && factor.is_finite()) {
         return Err("--inject factor must be a positive number".into());
     }
-    Ok((parse_model(model)?, factor))
+    Ok((model.parse()?, factor))
 }
 
 /// The `--set NAME=0|1` levels, resolved against the netlist; a later
@@ -537,7 +520,7 @@ fn scenarios(
         let input = resolve(net, name)?;
         scenarios.retain(|(_, s)| s.input == input);
     }
-    if let Some(edge) = flags.read("--edge", parse_edge)? {
+    if let Some(edge) = flags.read("--edge", str::parse)? {
         scenarios.retain(|(_, s)| s.edge == edge);
     }
     Ok(scenarios)
@@ -563,7 +546,7 @@ impl Analysis {
         let metrics = flags.has("--metrics");
         Ok(Analysis {
             model: flags
-                .read("--model", parse_model)?
+                .read("--model", str::parse)?
                 .unwrap_or(ModelKind::Slope),
             transition: flags
                 .non_negative("--transition", "number of ns")?
@@ -738,7 +721,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             let analysis = Analysis::read(&flags)?;
             let input_name = flags.get("--input").ok_or("`report` needs --input NAME")?;
             let edge = flags
-                .read("--edge", parse_edge)?
+                .read("--edge", str::parse)?
                 .ok_or("`report` needs --edge rise|fall")?;
             let scenario = Scenario {
                 statics: statics(&flags, &net)?,
@@ -1317,14 +1300,7 @@ fn run_client(flags: &Flags) -> Result<String, CliError> {
         // `req_id` makes an edit retry dedupe server-side instead of
         // double-applying; deterministic per line so re-runs correlate.
         let request = if retries > 0 && op == "edit" {
-            let mut with_id = request[..request.len() - 1].to_string();
-            let _ = write!(
-                with_id,
-                ",\"req_id\":\"q{}-{}\"}}",
-                std::process::id(),
-                index + 1
-            );
-            with_id
+            request.str("req_id", &format!("q{}-{}", std::process::id(), index + 1))
         } else {
             request
         };
@@ -1351,14 +1327,12 @@ fn run_client(flags: &Flags) -> Result<String, CliError> {
             // Retransmissions are marked so the daemon's `retries`
             // counter sees them.
             // The frame and its newline go out in one write.
-            let wire = if attempt > 0 {
-                format!(
-                    "{},\"retry\":\"{attempt}\"}}\n",
-                    &request[..request.len() - 1]
-                )
+            let frame = if attempt > 0 {
+                request.clone().str("retry", &attempt.to_string())
             } else {
-                format!("{request}\n")
+                request.clone()
             };
+            let wire = frame.finish() + "\n";
             let sent = live
                 .writer
                 .write_all(wire.as_bytes())
@@ -1372,14 +1346,15 @@ fn run_client(flags: &Flags) -> Result<String, CliError> {
             // trailing newline arrived) and parses as a flat JSON
             // object; a connection cut mid-line yields a partial read
             // that must count as a transport failure, not an answer.
-            let complete = response.ends_with('\n')
-                && crystal::fingerprint::parse_json_object(response.trim_end()).is_some();
-            match received {
-                Ok(n) if n > 0 && complete => {
+            let parsed = response
+                .strip_suffix('\n')
+                .and_then(crystal::fingerprint::parse_json_object);
+            match (received, parsed) {
+                (Ok(n), Some(fields)) if n > 0 => {
                     let response = response.trim_end().to_string();
-                    let status = crystal::fingerprint::parse_json_object(&response)
-                        .and_then(|fields| fields.get("status").cloned())
-                        .and_then(|name| Status::from_name(&name))
+                    let status = fields
+                        .str("status")
+                        .and_then(Status::from_name)
                         .unwrap_or(Status::Error);
                     if status.is_retryable() && attempt < retries {
                         attempt += 1;
@@ -1391,7 +1366,7 @@ fn run_client(flags: &Flags) -> Result<String, CliError> {
                 // Reset, refused, timed out, a clean close mid-script,
                 // or a torn frame: reconnect and re-send when the op
                 // permits it.
-                Ok(_) | Err(_) => {
+                (received, _) => {
                     conn = None;
                     let what = match received {
                         Ok(0) => "server closed the connection".to_string(),
@@ -1543,77 +1518,46 @@ fn run_chaos_proxy(flags: &Flags) -> Result<String, CliError> {
     Ok("chaos-proxy: drained\n".to_string())
 }
 
-/// Translates one client-script line into a wire request. The grammar
-/// mirrors the ops table in the `crystal::server` docs; trailing
-/// `key=value` words pass through as extra request fields (`model=`,
-/// `deadline_ms=`, `set=a=1`, ...).
-fn client_request(line: &str) -> Result<String, String> {
-    let mut request = String::from("{\"op\":\"");
-    let push_field = |request: &mut String, key: &str, value: &str| {
-        request.push_str("\",\"");
-        request.push_str(key);
-        request.push_str("\":\"");
-        let mut escaped = String::new();
-        escape_json_into(value, &mut escaped);
-        request.push_str(&escaped);
-    };
-    let push_extras = |request: &mut String, words: &[&str]| -> Result<(), String> {
+/// Translates one client-script line into a wire request, left open so
+/// the caller can add `req_id`/`retry`. The grammar mirrors the ops
+/// table in the `crystal::server` docs; trailing `key=value` words pass
+/// through as extra request fields (`model=`, `deadline_ms=`,
+/// `set=a=1`, ...).
+fn client_request(line: &str) -> Result<JsonLine, String> {
+    let op = |name: &str| JsonLine::new().str("op", name);
+    let with_extras = |mut request: JsonLine, words: &[&str]| -> Result<JsonLine, String> {
         for word in words {
             let (key, value) = word
                 .split_once('=')
                 .ok_or_else(|| format!("expected key=value, got `{word}`"))?;
-            let mut escaped = String::new();
-            escape_json_into(value, &mut escaped);
-            request.push_str(&format!("\",\"{key}\":\"{escaped}"));
+            request = request.str(key, value);
         }
-        Ok(())
+        Ok(request)
     };
     let words: Vec<&str> = line.split_whitespace().collect();
-    match words.as_slice() {
-        ["ping"] => request.push_str("ping"),
-        ["stats"] => request.push_str("stats"),
-        ["health"] => request.push_str("health"),
-        ["history"] => request.push_str("history"),
-        ["diff", a, b, extras @ ..] => {
-            request.push_str("diff");
-            push_field(&mut request, "a", a);
-            push_field(&mut request, "b", b);
-            push_extras(&mut request, extras)?;
-        }
+    Ok(match words.as_slice() {
+        [name @ ("ping" | "stats" | "health" | "history" | "crash")] => op(name),
+        ["diff", a, b, extras @ ..] => with_extras(op("diff").str("a", a).str("b", b), extras)?,
         ["open", session, file, extras @ ..] => {
             let netlist = fs::read_to_string(file)
                 .map_err(|e| format!("cannot read netlist `{file}`: {e}"))?;
             let name = file.rsplit('/').next().unwrap_or(file);
-            request.push_str("open");
-            push_field(&mut request, "session", session);
-            push_field(&mut request, "name", name);
-            push_field(&mut request, "netlist", &netlist);
-            push_extras(&mut request, extras)?;
+            let request = op("open")
+                .str("session", session)
+                .str("name", name)
+                .str("netlist", &netlist);
+            with_extras(request, extras)?
         }
-        ["edit", session, edit_line @ ..] if !edit_line.is_empty() => {
-            request.push_str("edit");
-            push_field(&mut request, "session", session);
-            push_field(&mut request, "script", &edit_line.join(" "));
+        ["edit", session, edit_line @ ..] if !edit_line.is_empty() => op("edit")
+            .str("session", session)
+            .str("script", &edit_line.join(" ")),
+        [name @ ("report" | "batch" | "check" | "compact" | "close"), session, extras @ ..] => {
+            with_extras(op(name).str("session", session), extras)?
         }
-        [op @ ("report" | "batch" | "check" | "compact" | "close"), session, extras @ ..] => {
-            request.push_str(op);
-            push_field(&mut request, "session", session);
-            push_extras(&mut request, extras)?;
-        }
-        ["sleep", ms, extras @ ..] => {
-            request.push_str("sleep");
-            push_field(&mut request, "ms", ms);
-            push_extras(&mut request, extras)?;
-        }
-        ["crash"] => request.push_str("crash"),
-        ["crash", session] => {
-            request.push_str("crash");
-            push_field(&mut request, "session", session);
-        }
+        ["sleep", ms, extras @ ..] => with_extras(op("sleep").str("ms", ms), extras)?,
+        ["crash", session] => op("crash").str("session", session),
         _ => return Err(format!("cannot parse client command `{line}`")),
-    }
-    request.push_str("\"}");
-    Ok(request)
+    })
 }
 
 /// Classifies a run-store failure: damaged records parse-error, missing
@@ -1881,6 +1825,19 @@ mod tests {
     fn cli_err(parts: &[&str]) -> CliError {
         let args: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
         run(&args).expect_err("invocation must fail")
+    }
+
+    #[test]
+    fn client_requests_escape_extra_keys_and_values() {
+        let request = client_request(r#"report s1 k"ey=v\al deadline_ms=5"#)
+            .expect("parses")
+            .finish();
+        assert_eq!(
+            request,
+            r#"{"op":"report","session":"s1","k\"ey":"v\\al","deadline_ms":"5"}"#
+        );
+        let fields = crystal::fingerprint::parse_json_object(&request).expect("flat JSON");
+        assert_eq!(fields.get("k\"ey").map(String::as_str), Some("v\\al"));
     }
 
     #[test]

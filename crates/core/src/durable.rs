@@ -37,6 +37,7 @@ use crate::applog::{self, AppendLog, Fields, RecoverError};
 use crate::batch::panic_message;
 use crate::budget::CancelToken;
 use crate::error::TimingError;
+use crate::fingerprint::{JsonLine, ReadFields};
 use crate::models::ModelKind;
 use crate::obs::{Phase, TraceSink};
 use crate::pool::ThreadPool;
@@ -355,8 +356,6 @@ pub use crate::fingerprint::{
     result_digest, run_fingerprint, run_fingerprint_parts, RunFingerprint,
 };
 
-use crate::fingerprint::escape_json_into as escape_json;
-
 /// The CLI's per-scenario success line suffix (after `"{label}: "`),
 /// shared by the fresh path, the journal, and the server's report op so
 /// replays are bit-identical.
@@ -475,11 +474,7 @@ fn check_header(
     header: &Fields,
     fingerprint: &RunFingerprint,
 ) -> Result<(), DurableError> {
-    let hex = |key: &str| {
-        header
-            .get(key)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-    };
+    let hex = |key: &str| header.hex(key);
     let found = hex("fingerprint").ok_or(DurableError::CorruptJournal {
         path: path.to_path_buf(),
         line: 1,
@@ -506,67 +501,56 @@ fn check_header(
 }
 
 fn header_line(fingerprint: &RunFingerprint) -> String {
-    let mut out = format!(
-        "{{\"kind\":\"run\",\"v\":{JOURNAL_VERSION},\"fingerprint\":\"{:016x}\"",
-        fingerprint.combined
-    );
+    let mut line = JsonLine::new()
+        .str("kind", "run")
+        .num("v", JOURNAL_VERSION)
+        .hex("fingerprint", fingerprint.combined);
     for (key, part) in [
         ("net", fingerprint.netlist),
         ("tech", fingerprint.tech),
         ("opts", fingerprint.options),
     ] {
         if let Some(part) = part {
-            out.push_str(&format!(",\"{key}\":\"{part:016x}\""));
+            line = line.hex(key, part);
         }
     }
-    out.push_str("}\n");
-    out
+    line.finish() + "\n"
 }
 
 fn record_line(record: &ScenarioRecord) -> String {
-    let mut out = String::from("{\"kind\":\"scenario\",\"label\":\"");
-    escape_json(&record.label, &mut out);
-    out.push_str("\",\"outcome\":\"");
-    out.push_str(record.outcome.name());
-    out.push('"');
+    let mut line = JsonLine::new()
+        .str("kind", "scenario")
+        .str("label", &record.label)
+        .str("outcome", record.outcome.name());
     if let Some(kind) = record.taxonomy {
-        out.push_str(",\"taxonomy\":\"");
-        out.push_str(kind.name());
-        out.push('"');
+        line = line.str("taxonomy", kind.name());
     }
     if let Some(digest) = record.digest {
-        out.push_str(&format!(",\"digest\":\"{digest:016x}\""));
+        line = line.hex("digest", digest);
     }
-    out.push_str(",\"summary\":\"");
-    escape_json(&record.summary, &mut out);
-    out.push_str(&format!(
-        "\",\"attempts\":{},\"wall_ms\":{}}}\n",
-        record.attempts, record.wall_ms
-    ));
-    out
+    line.str("summary", &record.summary)
+        .num("attempts", u64::from(record.attempts))
+        .num("wall_ms", record.wall_ms)
+        .finish()
+        + "\n"
 }
 
-fn record_from_fields(fields: &HashMap<String, String>) -> Option<ScenarioRecord> {
-    if fields.get("kind").map(String::as_str) != Some("scenario") {
+fn record_from_fields(fields: &Fields) -> Option<ScenarioRecord> {
+    if fields.str("kind") != Some("scenario") {
         return None;
     }
-    let outcome = Outcome::from_name(fields.get("outcome")?)?;
-    let taxonomy = match fields.get("taxonomy") {
+    let taxonomy = match fields.str("taxonomy") {
         Some(name) => Some(FailureKind::from_name(name)?),
         None => None,
     };
-    let digest = match fields.get("digest") {
-        Some(hex) => Some(u64::from_str_radix(hex, 16).ok()?),
-        None => None,
-    };
     Some(ScenarioRecord {
-        label: fields.get("label")?.clone(),
-        outcome,
+        label: fields.string("label")?,
+        outcome: Outcome::from_name(fields.str("outcome")?)?,
         taxonomy,
-        digest,
-        summary: fields.get("summary")?.clone(),
-        attempts: fields.get("attempts")?.parse().ok()?,
-        wall_ms: fields.get("wall_ms")?.parse().ok()?,
+        digest: fields.opt_hex("digest")?,
+        summary: fields.string("summary")?,
+        attempts: fields.num("attempts")?,
+        wall_ms: fields.num("wall_ms")?,
         resumed: true,
     })
 }
@@ -1065,10 +1049,34 @@ mod tests {
             resumed: true,
         };
         let line = record_line(&record);
-        assert!(line.ends_with('\n'));
+        assert_eq!(
+            line,
+            concat!(
+                r#"{"kind":"scenario","label":"a \"rise\"\nweird","outcome":"poisoned","#,
+                r#""taxonomy":"panic","digest":"00000000deadbeef","#,
+                r#""summary":"POISONED after 3 attempts (panic: \\boom\\)","#,
+                r#""attempts":3,"wall_ms":41}"#,
+                "\n"
+            )
+        );
         let fields = parse_json_object(line.trim_end()).expect("parses");
         let back = record_from_fields(&fields).expect("reconstructs");
         assert_eq!(back, record);
+
+        let header = header_line(&RunFingerprint {
+            combined: 0xabc,
+            netlist: Some(1),
+            tech: None,
+            options: Some(u64::MAX),
+        });
+        assert_eq!(
+            header,
+            concat!(
+                r#"{"kind":"run","v":1,"fingerprint":"0000000000000abc","#,
+                r#""net":"0000000000000001","opts":"ffffffffffffffff"}"#,
+                "\n"
+            )
+        );
     }
 
     #[test]

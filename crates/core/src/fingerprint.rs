@@ -1,5 +1,6 @@
 //! Shared run identity: content fingerprints, run IDs, result digests,
-//! and the minimal JSON-lines codec every journal and wire format uses.
+//! and the one flat-JSON codec every journal, run record, wire frame and
+//! trace line goes through.
 //!
 //! Three subsystems need to answer "is this the same run?" with bits:
 //!
@@ -12,9 +13,10 @@
 //! * the [`crate::server`] wire protocol reports those digests to
 //!   clients so *they* can assert bit-identical recovery.
 //!
-//! Before this module existed the FNV-1a hasher and the flat JSON codec
-//! were private copies inside `durable` and `memo`; they live here once
-//! now, and `durable` re-exports its old names for compatibility.
+//! Every JSON line — journals, run records, daemon frames, `--trace`
+//! files — is one flat object that [`JsonLine`] writes and
+//! [`parse_json_object`] plus [`ReadFields`] read: the line format is the
+//! analyzer's scripting interface, so it is decided here once.
 //!
 //! Everything here is dependency-free, like the rest of the workspace.
 
@@ -23,6 +25,8 @@ use crate::models::ModelKind;
 use crate::tech::Technology;
 use mosnet::{sim_format, Network};
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
+use std::str::FromStr;
 
 /// FNV-1a 64-bit offset basis, shared with the memo cache's hashers.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -272,11 +276,11 @@ pub fn result_digest(net: &Network, result: &crate::analyzer::TimingResult) -> u
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON (the workspace is dependency-free)
+// Flat JSON lines (the workspace is dependency-free)
 // ---------------------------------------------------------------------------
 
 /// Appends `s` to `out` with JSON string escaping.
-pub fn escape_json_into(s: &str, out: &mut String) {
+fn escape_json_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -299,13 +303,149 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
+/// The writer of one flat JSON object — every journal line, run-record
+/// line, wire frame and trace line.
+///
+/// Fields appear in call order and every key and string value is
+/// escaped, so no input can break the line. [`JsonLine::finish`]
+/// closes the object; it adds no newline.
+///
+/// ```
+/// use crystal::fingerprint::JsonLine;
+/// let line = JsonLine::new().str("kind", "edit").num("seq", 3).hex("digest", 0xab).finish();
+/// assert_eq!(line, r#"{"kind":"edit","seq":3,"digest":"00000000000000ab"}"#);
+/// ```
+#[derive(Debug, Clone)]
+pub struct JsonLine {
+    out: String,
+}
+
+impl JsonLine {
+    /// An empty object.
+    pub fn new() -> JsonLine {
+        JsonLine {
+            out: String::from("{"),
+        }
+    }
+
+    /// Writes the escaped `key`, then `value` verbatim.
+    fn field(mut self, key: &str, value: impl fmt::Display) -> JsonLine {
+        if self.out.len() > 1 {
+            self.out.push(',');
+        }
+        self.out.push('"');
+        escape_json_into(key, &mut self.out);
+        let _ = write!(self.out, "\":{value}");
+        self
+    }
+
+    /// A string field.
+    pub fn str(self, key: &str, value: &str) -> JsonLine {
+        let mut line = self.field(key, '"');
+        escape_json_into(value, &mut line.out);
+        line.out.push('"');
+        line
+    }
+
+    /// An integer field.
+    pub fn num(self, key: &str, value: u64) -> JsonLine {
+        self.field(key, value)
+    }
+
+    /// A `true`/`false` field.
+    pub fn bool(self, key: &str, value: bool) -> JsonLine {
+        self.field(key, value)
+    }
+
+    /// A fingerprint, digest or `f64` bit pattern as a [`hex64`] string.
+    pub fn hex(self, key: &str, value: u64) -> JsonLine {
+        self.field(key, format_args!("\"{value:016x}\""))
+    }
+
+    /// A number the caller has already formatted (say `{:.6}`), written
+    /// unquoted and verbatim.
+    pub fn formatted(self, key: &str, number: &str) -> JsonLine {
+        self.field(key, number)
+    }
+
+    /// One nested flat object of string fields, in iteration order.
+    pub fn object<'a>(
+        self,
+        key: &str,
+        fields: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> JsonLine {
+        let inner = fields
+            .into_iter()
+            .fold(JsonLine::new(), |inner, (k, v)| inner.str(k, v));
+        self.field(key, inner.finish())
+    }
+
+    /// The finished object, without a trailing newline.
+    pub fn finish(mut self) -> String {
+        self.out.push('}');
+        self.out
+    }
+}
+
+impl Default for JsonLine {
+    fn default() -> JsonLine {
+        JsonLine::new()
+    }
+}
+
+/// Typed reads over one decoded line — the map [`parse_json_object`]
+/// returns ([`crate::applog::Fields`]).
+///
+/// A required read is `None` when the key is absent or its value does
+/// not decode. An optional read (`opt_*`) is `Some(None)` when the key
+/// is absent and `None` only when it is present but malformed. Each
+/// caller maps `None` onto its own error.
+pub trait ReadFields {
+    /// The raw string value.
+    fn str(&self, key: &str) -> Option<&str>;
+
+    /// The string value, owned.
+    fn string(&self, key: &str) -> Option<String> {
+        self.str(key).map(str::to_string)
+    }
+
+    /// The value parsed as `T` (integers, floats).
+    fn num<T: FromStr>(&self, key: &str) -> Option<T> {
+        self.str(key)?.parse().ok()
+    }
+
+    /// The value read as a [`hex64`] string.
+    fn hex(&self, key: &str) -> Option<u64> {
+        parse_hex64(self.str(key)?)
+    }
+
+    /// [`ReadFields::num`] for a key that may be absent.
+    fn opt_num<T: FromStr>(&self, key: &str) -> Option<Option<T>> {
+        self.str(key)
+            .map_or(Some(None), |v| v.parse().ok().map(Some))
+    }
+
+    /// [`ReadFields::hex`] for a key that may be absent.
+    fn opt_hex(&self, key: &str) -> Option<Option<u64>> {
+        self.str(key)
+            .map_or(Some(None), |v| parse_hex64(v).map(Some))
+    }
+}
+
+impl ReadFields for HashMap<String, String> {
+    fn str(&self, key: &str) -> Option<&str> {
+        self.get(key).map(String::as_str)
+    }
+}
+
 /// Parses one flat JSON object of string/number/bool values into a
 /// string-valued map. Returns `None` on any malformation — the caller
 /// decides whether that is a torn tail, corruption, or a bad request.
 ///
-/// This is the entire wire format of the [`crate::server`] protocol and
-/// the journal line format of [`crate::durable`] and [`crate::session`]:
-/// one flat object per line, no nesting, no arrays.
+/// This is the reading half of the codec [`JsonLine`] writes: one flat
+/// object per line, no nesting, no arrays. `\\uXXXX` escapes decode,
+/// including a surrogate pair as one char; a lone surrogate is
+/// malformed.
 pub fn parse_json_object(line: &str) -> Option<HashMap<String, String>> {
     let mut map = HashMap::new();
     let bytes = line.as_bytes();
@@ -315,6 +455,7 @@ pub fn parse_json_object(line: &str) -> Option<HashMap<String, String>> {
             *i += 1;
         }
     };
+    let hex4 = |at: usize| u32::from_str_radix(line.get(at..at + 4)?, 16).ok();
     let parse_string = |i: &mut usize| -> Option<String> {
         if bytes.get(*i) != Some(&b'"') {
             return None;
@@ -337,10 +478,19 @@ pub fn parse_json_object(line: &str) -> Option<HashMap<String, String>> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex = line.get(*i + 1..*i + 5)?;
-                            let code = u32::from_str_radix(hex, 16).ok()?;
-                            out.push(char::from_u32(code)?);
+                            let mut code = hex4(*i + 1)?;
                             *i += 4;
+                            // A high surrogate and the escaped low one
+                            // after it are one char outside the BMP.
+                            if (0xd800..0xdc00).contains(&code) {
+                                let low = hex4(*i + 3).filter(|low| {
+                                    line.get(*i + 1..*i + 3) == Some("\\u")
+                                        && (0xdc00..0xe000).contains(low)
+                                })?;
+                                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                *i += 6;
+                            }
+                            out.push(char::from_u32(code)?);
                         }
                         _ => return None,
                     }
@@ -456,6 +606,104 @@ mod tests {
         line.push_str("\"}");
         let map = parse_json_object(&line).expect("parses");
         assert_eq!(map.get("k").map(String::as_str), Some(nasty));
+
+        // A surrogate pair is one astral char, as standard encoders
+        // write it; a lone or reversed surrogate is malformed.
+        let map = parse_json_object(r#"{"k":"a\uD83D\uDE00b"}"#).expect("pair parses");
+        assert_eq!(map.get("k").map(String::as_str), Some("a\u{1F600}b"));
+        for bad in [
+            r#"\uD83D"#,
+            r#"\uD83Dx"#,
+            r#"\uDE00"#,
+            r#"\uDE00\uD83D"#,
+            r#"\uD83D\u0041"#,
+        ] {
+            assert!(
+                parse_json_object(&format!(r#"{{"k":"{bad}"}}"#)).is_none(),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn seeded_codec_fuzz_round_trips_and_never_panics() {
+        // Hostile alphabet: the escapes, controls (DEL included), the
+        // structural bytes, multi-byte and astral chars.
+        const ALPHABET: &[char] = &[
+            '"',
+            '\\',
+            '/',
+            '\n',
+            '\r',
+            '\t',
+            '\u{0}',
+            '\u{1}',
+            '\u{1f}',
+            '\u{7f}',
+            'a',
+            'Z',
+            '0',
+            ' ',
+            ':',
+            ',',
+            '{',
+            '}',
+            'μ',
+            '€',
+            '\u{ffff}',
+            '\u{1F600}',
+            '\u{10FFFF}',
+        ];
+        let draw = |rng: &mut SplitMix64| -> String {
+            (0..rng.next_below(8))
+                .map(|_| ALPHABET[rng.next_below(ALPHABET.len() as u64) as usize])
+                .collect()
+        };
+        for seed in [1, 7, 42, 0xdead_beef] {
+            let mut rng = SplitMix64::new(seed);
+            for _ in 0..500 {
+                let mut line = JsonLine::new();
+                let mut expected = HashMap::new();
+                for _ in 0..rng.next_below(6) {
+                    let key = draw(&mut rng);
+                    let (v, b) = (rng.next_u64(), rng.next_below(2) == 1);
+                    let value = match rng.next_below(4) {
+                        0 => {
+                            line = line.num(&key, v);
+                            v.to_string()
+                        }
+                        1 => {
+                            line = line.hex(&key, v);
+                            hex64(v)
+                        }
+                        2 => {
+                            line = line.bool(&key, b);
+                            b.to_string()
+                        }
+                        _ => {
+                            let text = draw(&mut rng);
+                            line = line.str(&key, &text);
+                            text
+                        }
+                    };
+                    expected.insert(key, value);
+                }
+                let text = line.finish();
+                assert_eq!(parse_json_object(&text), Some(expected), "{text:?}");
+
+                // Damaged lines decode or are refused; they never panic.
+                for _ in 0..8 {
+                    let mut bytes = text.clone().into_bytes();
+                    let at = rng.next_below(bytes.len() as u64) as usize;
+                    match rng.next_below(3) {
+                        0 => bytes[at] ^= 1 << rng.next_below(8),
+                        1 => bytes.truncate(at),
+                        _ => bytes.insert(at, b"\"\\{},"[rng.next_below(5) as usize]),
+                    }
+                    let _ = parse_json_object(&String::from_utf8_lossy(&bytes));
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::tech::Technology;
 use mosnet::units::Seconds;
 use mosnet::TransistorKind;
 use std::fmt;
+use std::str::FromStr;
 
 /// Which delay model to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,6 +46,28 @@ impl ModelKind {
             ModelKind::RcTree => Some(ModelKind::Lumped),
             ModelKind::Lumped => None,
         }
+    }
+
+    /// The spelling journals and the daemon store (`Display` says
+    /// `rc-tree`, this says `rctree`; parsing accepts both).
+    pub fn name(self) -> &'static str {
+        match self {
+            ModelKind::Lumped => "lumped",
+            ModelKind::RcTree => "rctree",
+            ModelKind::Slope => "slope",
+        }
+    }
+}
+
+/// The model-name table the CLI, the daemon and the journals share.
+impl FromStr for ModelKind {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<ModelKind, String> {
+        ModelKind::ALL
+            .into_iter()
+            .find(|model| name == model.name() || name == model.to_string())
+            .ok_or_else(|| format!("unknown model `{name}`"))
     }
 }
 

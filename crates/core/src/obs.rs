@@ -11,7 +11,8 @@
 //! Design constraints, in order:
 //!
 //! 1. **zero dependencies** — the build environment is offline, so the
-//!    event model, the JSON emitter, and the aggregation are all local;
+//!    event model and the aggregation are local, and the JSON lines go
+//!    through the workspace's one codec ([`crate::fingerprint::JsonLine`]);
 //! 2. **cheap when off** — the analyzer threads an
 //!    `Option<&TraceSink>`; a `None` costs one branch per span site;
 //! 3. **safe under parallelism** — events are pushed under a mutex from
@@ -35,8 +36,8 @@
 //! * `phase` — one of the [`Phase`] names;
 //! * `fields` — free-form string key/value annotations.
 
-// JSON string escaping is shared with the journal and wire formats.
-use crate::fingerprint::escape_json;
+// Trace lines go through the codec the journals and the wire share.
+use crate::fingerprint::JsonLine;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -314,46 +315,38 @@ impl TraceSink {
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
         for event in self.events() {
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"t_ns\":{},\"kind\":\"{}\",\"phase\":\"{}\",\"label\":\"{}\"",
-                event.seq,
-                event.t_ns,
-                event.kind.name(),
-                event.phase.name(),
-                escape_json(&event.label),
-            );
+            let mut line = JsonLine::new()
+                .num("seq", event.seq)
+                .num("t_ns", event.t_ns)
+                .str("kind", event.kind.name())
+                .str("phase", event.phase.name())
+                .str("label", &event.label);
             if event.kind == EventKind::Span {
-                let _ = write!(out, ",\"dur_ns\":{}", event.dur_ns);
+                line = line.num("dur_ns", event.dur_ns);
             }
             if event.kind == EventKind::Counter {
-                let _ = write!(out, ",\"value\":{}", event.value);
+                line = line.num("value", event.value);
             }
             if !event.fields.is_empty() {
-                out.push_str(",\"fields\":{");
-                for (i, (k, v)) in event.fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\":\"{}\"", escape_json(k), escape_json(v));
-                }
-                out.push('}');
+                let fields = event.fields.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                line = line.object("fields", fields);
             }
-            out.push_str("}\n");
+            out.push_str(&line.finish());
+            out.push('\n');
         }
         // Counter totals come last so a consumer replaying the file sees
         // final values after every span they summarize.
         let first_seq = self.seq.load(Ordering::Relaxed);
         for (offset, ((phase, name), value)) in self.counters().into_iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{{\"seq\":{},\"t_ns\":{},\"kind\":\"counter\",\"phase\":\"{}\",\
-                 \"label\":\"{}\",\"value\":{value}}}",
-                first_seq + offset as u64,
-                self.now_ns(),
-                phase.name(),
-                escape_json(&name),
-            );
+            let line = JsonLine::new()
+                .num("seq", first_seq + offset as u64)
+                .num("t_ns", self.now_ns())
+                .str("kind", "counter")
+                .str("phase", phase.name())
+                .str("label", &name)
+                .num("value", value);
+            out.push_str(&line.finish());
+            out.push('\n');
         }
         out
     }
@@ -560,6 +553,38 @@ mod tests {
         assert!(lines[0].contains("steady \\\"states\\\""), "{}", lines[0]);
         assert!(lines[1].contains("\"kind\":\"instant\""), "{}", lines[1]);
         assert!(lines[2].contains("\"value\":2"), "{}", lines[2]);
+        // The exact bytes, with the clock readings masked.
+        let mask = |line: &str| {
+            let mut out = String::new();
+            let mut rest = line;
+            while let Some(at) = ["\"t_ns\":", "\"dur_ns\":"]
+                .iter()
+                .filter_map(|key| rest.find(key).map(|i| i + key.len()))
+                .min()
+            {
+                out.push_str(&rest[..at]);
+                out.push('#');
+                rest = rest[at..].trim_start_matches(|c: char| c.is_ascii_digit());
+            }
+            out + rest
+        };
+        let sink = TraceSink::new();
+        let mut span = sink.span(Phase::Extraction, "extract");
+        span.field("targets", 5);
+        span.field("k\"ey", "v\\al");
+        span.finish();
+        sink.count(Phase::Cache, "hits", 12);
+        let masked: Vec<String> = sink.to_json_lines().lines().map(mask).collect();
+        assert_eq!(
+            masked,
+            [
+                concat!(
+                    r#"{"seq":0,"t_ns":#,"kind":"span","phase":"extraction","label":"extract","#,
+                    r#""dur_ns":#,"fields":{"targets":"5","k\"ey":"v\\al"}}"#
+                ),
+                r#"{"seq":1,"t_ns":#,"kind":"counter","phase":"cache","label":"hits","value":12}"#,
+            ]
+        );
     }
 
     #[test]

@@ -37,10 +37,7 @@ pub fn critical_path_report(net: &Network, result: &TimingResult, node: NodeId) 
                 net.node(n).name(),
                 a.time.nanos(),
                 a.transition.nanos(),
-                match a.edge {
-                    crate::analyzer::Edge::Rising => "rise",
-                    crate::analyzer::Edge::Falling => "fall",
-                }
+                a.edge.name()
             );
         }
     }
@@ -69,10 +66,7 @@ pub fn full_report(net: &Network, result: &TimingResult) -> String {
             net.node(id).name(),
             t,
             tr,
-            match e {
-                crate::analyzer::Edge::Rising => "rise",
-                crate::analyzer::Edge::Falling => "fall",
-            }
+            e.name()
         );
     }
     // Only analyses run with a stage cache carry statistics; reports for

@@ -5,7 +5,8 @@
 //! run database directory (`--run-db DIR`). A record is a single
 //! append-only JSON-lines file, `<run-id>.run`, written through the
 //! [`crate::applog`] append log the journals share, in the same
-//! flat-object codec ([`crate::fingerprint::parse_json_object`]):
+//! flat-object codec ([`crate::fingerprint::JsonLine`] out,
+//! [`crate::fingerprint::parse_json_object`] in):
 //!
 //! ```text
 //! {"kind":"run","v":1,"id":"run-3f…","command":"batch","fingerprint":"…",…}
@@ -46,7 +47,7 @@
 
 use crate::analyzer::{Edge, TimingResult};
 use crate::applog::{self, AppendLog, Fields, JournalFaultPlan, RecoverError};
-use crate::fingerprint::{escape_json, hex64, run_id, Fnv64};
+use crate::fingerprint::{escape_json, run_id, Fnv64, JsonLine, ReadFields};
 use crate::memo::CacheStats;
 use crate::models::ModelKind;
 use crate::obs::Metrics;
@@ -342,90 +343,85 @@ impl RunRecord {
     pub fn lines(&self) -> Vec<String> {
         let mut lines =
             Vec::with_capacity(2 + self.scenarios.len() + self.arrivals.len() + self.phases.len());
+        let row = |kind: &str| JsonLine::new().str("kind", kind);
         let m = &self.meta;
-        let mut head = format!(
-            "{{\"kind\":\"run\",\"v\":{RUN_VERSION},\"id\":\"{}\",\"command\":\"",
-            escape_json(&m.id)
+        lines.push(
+            row("run")
+                .num("v", u64::from(RUN_VERSION))
+                .str("id", &m.id)
+                .str("command", &m.command)
+                .hex("fingerprint", m.fingerprint)
+                .str("git", &m.git)
+                .str("host", &m.host)
+                .num("hardware_threads", m.hardware_threads)
+                .num("threads", m.threads)
+                .str("model", &m.model)
+                .num("started_unix", m.started_unix)
+                .finish(),
         );
-        head.push_str(&escape_json(&m.command));
-        let _ = write!(
-            head,
-            "\",\"fingerprint\":\"{}\",\"git\":\"{}\",\"host\":\"{}\",\
-             \"hardware_threads\":{},\"threads\":{},\"model\":\"{}\",\"started_unix\":{}}}",
-            hex64(m.fingerprint),
-            escape_json(&m.git),
-            escape_json(&m.host),
-            m.hardware_threads,
-            m.threads,
-            escape_json(&m.model),
-            m.started_unix
-        );
-        lines.push(head);
         for s in &self.scenarios {
-            let mut line = format!(
-                "{{\"kind\":\"scenario\",\"label\":\"{}\"",
-                escape_json(&s.label)
-            );
-            let _ = write!(line, ",\"outcome\":\"{}\"", escape_json(&s.outcome));
+            let mut line = row("scenario")
+                .str("label", &s.label)
+                .str("outcome", &s.outcome);
             if let Some(digest) = s.digest {
-                let _ = write!(line, ",\"digest\":\"{}\"", hex64(digest));
+                line = line.hex("digest", digest);
             }
-            let _ = write!(
-                line,
-                ",\"summary\":\"{}\",\"wall_us\":{}",
-                escape_json(&s.summary),
-                s.wall_us
-            );
+            line = line.str("summary", &s.summary).num("wall_us", s.wall_us);
             if s.oversubscribed {
-                line.push_str(",\"oversubscribed\":true");
+                line = line.bool("oversubscribed", true);
             }
-            line.push('}');
-            lines.push(line);
+            lines.push(line.finish());
         }
         for a in &self.arrivals {
-            lines.push(format!(
-                "{{\"kind\":\"arrival\",\"scenario\":\"{}\",\"node\":\"{}\",\
-                 \"time\":\"{}\",\"time_ns\":{:.6},\"transition\":\"{}\",\
-                 \"edge\":\"{}\",\"model\":\"{}\"}}",
-                escape_json(&a.scenario),
-                escape_json(&a.node),
-                hex64(a.time_bits),
-                a.time_ns(),
-                hex64(a.transition_bits),
-                if a.rising { "rise" } else { "fall" },
-                escape_json(&a.model),
-            ));
+            lines.push(
+                row("arrival")
+                    .str("scenario", &a.scenario)
+                    .str("node", &a.node)
+                    .hex("time", a.time_bits)
+                    .formatted("time_ns", &format!("{:.6}", a.time_ns()))
+                    .hex("transition", a.transition_bits)
+                    .str("edge", if a.rising { "rise" } else { "fall" })
+                    .str("model", &a.model)
+                    .finish(),
+            );
         }
         for p in &self.phases {
-            lines.push(format!(
-                "{{\"kind\":\"phase\",\"phase\":\"{}\",\"spans\":{},\"total_ns\":{},\"wall_ns\":{}}}",
-                escape_json(&p.phase),
-                p.spans,
-                p.total_ns,
-                p.wall_ns
-            ));
+            lines.push(
+                row("phase")
+                    .str("phase", &p.phase)
+                    .num("spans", p.spans)
+                    .num("total_ns", p.total_ns)
+                    .num("wall_ns", p.wall_ns)
+                    .finish(),
+            );
         }
         for c in &self.counters {
-            lines.push(format!(
-                "{{\"kind\":\"counter\",\"phase\":\"{}\",\"name\":\"{}\",\"value\":{}}}",
-                escape_json(&c.phase),
-                escape_json(&c.name),
-                c.value
-            ));
+            lines.push(
+                row("counter")
+                    .str("phase", &c.phase)
+                    .str("name", &c.name)
+                    .num("value", c.value)
+                    .finish(),
+            );
         }
         if let Some(cache) = &self.cache {
-            lines.push(format!(
-                "{{\"kind\":\"cache\",\"hits\":{},\"misses\":{},\"evictions\":{},\"generation\":{}}}",
-                cache.hits, cache.misses, cache.evictions, cache.generation
-            ));
+            lines.push(
+                row("cache")
+                    .num("hits", cache.hits)
+                    .num("misses", cache.misses)
+                    .num("evictions", cache.evictions)
+                    .num("generation", cache.generation)
+                    .finish(),
+            );
         }
         if let Some(exit) = &self.exit {
-            lines.push(format!(
-                "{{\"kind\":\"exit\",\"status\":\"{}\",\"code\":{},\"wall_us\":{}}}",
-                escape_json(&exit.status),
-                exit.code,
-                exit.wall_us
-            ));
+            lines.push(
+                row("exit")
+                    .str("status", &exit.status)
+                    .num("code", u64::from(exit.code))
+                    .num("wall_us", exit.wall_us)
+                    .finish(),
+            );
         }
         lines
     }
@@ -715,97 +711,86 @@ pub fn read_run(path: &Path) -> Result<RunRecord, RunStoreError> {
         path: path.to_path_buf(),
         line,
     };
-    let get =
-        |fields: &Fields, key: &str, line: usize| fields.get(key).cloned().ok_or(corrupt(line));
-    let num = |fields: &Fields, key: &str, line: usize| {
-        fields
-            .get(key)
-            .and_then(|v| v.parse::<u64>().ok())
-            .ok_or(corrupt(line))
-    };
-    let hex = |fields: &Fields, key: &str, line: usize| {
-        fields
-            .get(key)
-            .and_then(|v| u64::from_str_radix(v, 16).ok())
-            .ok_or(corrupt(line))
-    };
-    let head = &recovered.header;
-    let meta = RunMeta {
-        id: get(head, "id", 1)?,
-        command: get(head, "command", 1)?,
-        fingerprint: hex(head, "fingerprint", 1)?,
-        git: get(head, "git", 1)?,
-        host: get(head, "host", 1)?,
-        hardware_threads: num(head, "hardware_threads", 1)?,
-        threads: num(head, "threads", 1)?,
-        model: get(head, "model", 1)?,
-        started_unix: num(head, "started_unix", 1)?,
-    };
+    let meta = meta_from_fields(&recovered.header).ok_or_else(|| corrupt(1))?;
     let mut record = RunRecord::new(meta);
     for (index, fields) in rows.iter().enumerate() {
-        let line = index + 2;
-        match fields.get("kind").map(String::as_str) {
-            Some("scenario") => record.scenarios.push(ScenarioRow {
-                label: get(fields, "label", line)?,
-                outcome: get(fields, "outcome", line)?,
-                digest: match fields.get("digest") {
-                    Some(v) => Some(u64::from_str_radix(v, 16).map_err(|_| corrupt(line))?),
-                    None => None,
-                },
-                summary: get(fields, "summary", line)?,
-                wall_us: num(fields, "wall_us", line)?,
-                oversubscribed: fields.get("oversubscribed").map(String::as_str) == Some("true"),
-            }),
-            Some("arrival") => record.arrivals.push(ArrivalRow {
-                scenario: get(fields, "scenario", line)?,
-                node: get(fields, "node", line)?,
-                time_bits: hex(fields, "time", line)?,
-                transition_bits: hex(fields, "transition", line)?,
-                rising: match fields.get("edge").map(String::as_str) {
-                    Some("rise") => true,
-                    Some("fall") => false,
-                    _ => return Err(corrupt(line)),
-                },
-                model: get(fields, "model", line)?,
-            }),
-            Some("phase") => {
-                let total_ns = num(fields, "total_ns", line)?;
-                record.phases.push(PhaseRow {
-                    phase: get(fields, "phase", line)?,
-                    spans: num(fields, "spans", line)?,
-                    total_ns,
-                    // Records predating the field: wall was unmeasured,
-                    // total is the conservative stand-in.
-                    wall_ns: match fields.get("wall_ns") {
-                        Some(v) => v.parse::<u64>().map_err(|_| corrupt(line))?,
-                        None => total_ns,
-                    },
-                })
-            }
-            Some("counter") => record.counters.push(CounterRow {
-                phase: get(fields, "phase", line)?,
-                name: get(fields, "name", line)?,
-                value: num(fields, "value", line)?,
-            }),
-            Some("cache") => {
-                record.cache = Some(CacheStats {
-                    hits: num(fields, "hits", line)?,
-                    misses: num(fields, "misses", line)?,
-                    evictions: num(fields, "evictions", line)?,
-                    generation: num(fields, "generation", line)?,
-                })
-            }
-            Some("exit") => {
-                record.exit = Some(ExitRow {
-                    status: get(fields, "status", line)?,
-                    code: u8::try_from(num(fields, "code", line)?).map_err(|_| corrupt(line))?,
-                    wall_us: num(fields, "wall_us", line)?,
-                })
-            }
-            _ => return Err(corrupt(line)),
-        }
+        push_row(&mut record, fields).ok_or_else(|| corrupt(index + 2))?;
     }
     Ok(record)
+}
+
+/// Decodes the header line; `None` when it is malformed.
+fn meta_from_fields(head: &Fields) -> Option<RunMeta> {
+    Some(RunMeta {
+        id: head.string("id")?,
+        command: head.string("command")?,
+        fingerprint: head.hex("fingerprint")?,
+        git: head.string("git")?,
+        host: head.string("host")?,
+        hardware_threads: head.num("hardware_threads")?,
+        threads: head.num("threads")?,
+        model: head.string("model")?,
+        started_unix: head.num("started_unix")?,
+    })
+}
+
+/// Decodes one content line into `record`; `None` when it is malformed.
+fn push_row(record: &mut RunRecord, fields: &Fields) -> Option<()> {
+    match fields.str("kind")? {
+        "scenario" => record.scenarios.push(ScenarioRow {
+            label: fields.string("label")?,
+            outcome: fields.string("outcome")?,
+            digest: fields.opt_hex("digest")?,
+            summary: fields.string("summary")?,
+            wall_us: fields.num("wall_us")?,
+            oversubscribed: fields.str("oversubscribed") == Some("true"),
+        }),
+        "arrival" => record.arrivals.push(ArrivalRow {
+            scenario: fields.string("scenario")?,
+            node: fields.string("node")?,
+            time_bits: fields.hex("time")?,
+            transition_bits: fields.hex("transition")?,
+            rising: match fields.str("edge")? {
+                "rise" => true,
+                "fall" => false,
+                _ => return None,
+            },
+            model: fields.string("model")?,
+        }),
+        "phase" => {
+            let total_ns = fields.num("total_ns")?;
+            record.phases.push(PhaseRow {
+                phase: fields.string("phase")?,
+                spans: fields.num("spans")?,
+                total_ns,
+                // Records predating the field: wall was unmeasured,
+                // total is the conservative stand-in.
+                wall_ns: fields.opt_num("wall_ns")?.unwrap_or(total_ns),
+            })
+        }
+        "counter" => record.counters.push(CounterRow {
+            phase: fields.string("phase")?,
+            name: fields.string("name")?,
+            value: fields.num("value")?,
+        }),
+        "cache" => {
+            record.cache = Some(CacheStats {
+                hits: fields.num("hits")?,
+                misses: fields.num("misses")?,
+                evictions: fields.num("evictions")?,
+                generation: fields.num("generation")?,
+            })
+        }
+        "exit" => {
+            record.exit = Some(ExitRow {
+                status: fields.string("status")?,
+                code: fields.num("code")?,
+                wall_us: fields.num("wall_us")?,
+            })
+        }
+        _ => return None,
+    }
+    Some(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1493,6 +1478,21 @@ mod tests {
             std::env::temp_dir().join(format!("crystal_runstore_{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         RunStore::open(&dir).expect("store opens")
+    }
+
+    #[test]
+    fn committed_baselines_reserialize_byte_identically() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/baselines");
+        for name in ["adder-slope.run", "bench-smoke.run"] {
+            let path = dir.join(name);
+            let bytes = std::fs::read_to_string(&path).expect("baseline reads");
+            let record = read_run(&path).expect("baseline decodes");
+            assert!(record.complete(), "{name}");
+            assert!(
+                record.text(0) == bytes,
+                "{name} does not re-serialize byte-identically"
+            );
+        }
     }
 
     #[test]

@@ -310,11 +310,7 @@ pub fn standard_scenarios(
     let mut scenarios = Vec::new();
     for input in net.inputs() {
         for edge in [Edge::Rising, Edge::Falling] {
-            let label = format!(
-                "{} {}",
-                net.node(input).name(),
-                if edge == Edge::Rising { "rise" } else { "fall" }
-            );
+            let label = format!("{} {}", net.node(input).name(), edge.name());
             let mut scenario = Scenario::step(input, edge).with_input_transition(input_transition);
             for (&node, &level) in statics {
                 if node != input {

@@ -34,8 +34,9 @@
 //! ## Protocol
 //!
 //! One flat JSON object per line, both directions — the same
-//! [`crate::fingerprint::parse_json_object`] codec the durable journal
-//! uses; there is no second wire format to fuzz. Requests carry an
+//! [`crate::fingerprint`] codec ([`crate::fingerprint::JsonLine`] out,
+//! [`crate::fingerprint::parse_json_object`] in) the journals use;
+//! there is no second wire format to fuzz. Requests carry an
 //! `op` plus op-specific fields; every response carries `status`
 //! (see [`Status`]), `retryable`, and echoes the request's `id` field
 //! for correlation.
@@ -64,29 +65,30 @@
 //! a failing `check` earns), a tripped perf threshold answers
 //! [`Status::Error`].
 
-use std::collections::HashMap;
 use std::fmt;
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::analyzer::{analyze_with_options, AnalyzerOptions};
+use crate::applog::Fields;
 use crate::budget::{AnalysisBudget, CancelToken};
 use crate::durable::{JournalFaultPlan, ShutdownFlag, Watchdog};
 use crate::error::TimingError;
-use crate::fingerprint::{escape_json_into, hex64, parse_json_object, result_digest};
+use crate::fingerprint::{hex64, parse_json_object, result_digest, JsonLine, ReadFields};
 use crate::memo::StageCache;
 use crate::obs::{Phase, TraceSink};
 use crate::runstore::{self, DiffThresholds, DiffVerdict, RunStore, RunStoreError};
 use crate::selfcheck::{check_network, SelfCheckConfig};
 use crate::session::{
-    edge_from_name, model_from_name, model_name, session_fingerprint, RecoveryReport, Session,
-    SessionConfig, SessionError, SessionManager,
+    parse_statics, session_fingerprint, RecoveryReport, Session, SessionConfig, SessionError,
+    SessionManager,
 };
 use crate::tech::Technology;
 use mosnet::units::Seconds;
@@ -719,49 +721,39 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
 // Request handling
 // ---------------------------------------------------------------------------
 
-/// Flat-JSON response builder; `status` and `retryable` always lead,
-/// the request's `id` (when present) is echoed last.
+/// One response frame on the shared [`JsonLine`] writer: `status` and
+/// `retryable` always lead, the request's `id` (when present) is echoed
+/// last.
 struct Response {
     status: Status,
-    body: String,
+    line: JsonLine,
 }
 
 impl Response {
     fn new(status: Status) -> Response {
         Response {
             status,
-            body: String::new(),
+            line: JsonLine::new()
+                .str("status", status.name())
+                .bool("retryable", status.is_retryable()),
         }
     }
 
     fn field(mut self, key: &str, value: &str) -> Response {
-        self.body.push_str(",\"");
-        self.body.push_str(key);
-        self.body.push_str("\":\"");
-        escape_json_into(value, &mut self.body);
-        self.body.push('"');
+        self.line = self.line.str(key, value);
         self
     }
 
     fn num(mut self, key: &str, value: u64) -> Response {
-        self.body.push_str(&format!(",\"{key}\":{value}"));
+        self.line = self.line.num(key, value);
         self
     }
 
     fn finish(self, correlation: Option<&str>) -> String {
-        let mut out = format!(
-            "{{\"status\":\"{}\",\"retryable\":{}{}",
-            self.status.name(),
-            self.status.is_retryable(),
-            self.body
-        );
-        if let Some(id) = correlation {
-            out.push_str(",\"id\":\"");
-            escape_json_into(id, &mut out);
-            out.push('"');
+        match correlation {
+            Some(id) => self.line.str("id", id).finish(),
+            None => self.line.finish(),
         }
-        out.push('}');
-        out
     }
 }
 
@@ -787,11 +779,11 @@ fn handle_line(inner: &Arc<Inner>, line: &str) -> String {
             .field("error", "request is not a flat one-line JSON object")
             .finish(None);
     };
-    let correlation = request.get("id").cloned();
+    let correlation = request.string("id");
     if request.contains_key("retry") {
         inner.bump(&inner.counters.retries, "retries");
     }
-    let op = request.get("op").map(String::as_str).unwrap_or("");
+    let op = request.str("op").unwrap_or("");
     let response = match op {
         // Ungated ops: health checks and cleanup must work even under
         // full load and during drain.
@@ -817,7 +809,7 @@ fn handle_line(inner: &Arc<Inner>, line: &str) -> String {
 
 /// Admission control, deadline registration, and panic isolation around
 /// one work-carrying op.
-fn gated_request(inner: &Arc<Inner>, op: &str, request: &HashMap<String, String>) -> Response {
+fn gated_request(inner: &Arc<Inner>, op: &str, request: &Fields) -> Response {
     if matches!(op, "sleep" | "crash") && !inner.chaos_ops {
         return Response::new(Status::Error)
             .field("error", &format!("op `{op}` requires --chaos-ops"));
@@ -846,15 +838,9 @@ fn gated_request(inner: &Arc<Inner>, op: &str, request: &HashMap<String, String>
     // Per-request deadline: the request's `deadline_ms` wins over the
     // server default; 0 pre-cancels (the deterministic-timeout idiom).
     let token = CancelToken::new();
-    let deadline = match request.get("deadline_ms") {
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(ms) => Some(Duration::from_millis(ms)),
-            Err(_) => {
-                return Response::new(Status::Error)
-                    .field("error", &format!("cannot parse deadline_ms `{raw}`"))
-            }
-        },
-        None => inner.request_timeout,
+    let deadline = match opt_field(request, "deadline_ms") {
+        Ok(ms) => ms.map(Duration::from_millis).or(inner.request_timeout),
+        Err(message) => return Response::new(Status::Error).field("error", &message),
     };
     let watchdog_slot = match deadline {
         Some(d) if d.is_zero() => {
@@ -884,7 +870,7 @@ fn gated_request(inner: &Arc<Inner>, op: &str, request: &HashMap<String, String>
             }
             Response::new(Status::Poisoned)
                 .field("error", &format!("request panicked: {message}"))
-                .field("session", request.get("session").map_or("", String::as_str))
+                .field("session", request.str("session").unwrap_or(""))
         }
     }
 }
@@ -896,12 +882,7 @@ fn lock_session(session: &Arc<Mutex<Session>>) -> MutexGuard<'_, Session> {
     }
 }
 
-fn execute_op(
-    inner: &Arc<Inner>,
-    op: &str,
-    request: &HashMap<String, String>,
-    token: &CancelToken,
-) -> Response {
+fn execute_op(inner: &Arc<Inner>, op: &str, request: &Fields, token: &CancelToken) -> Response {
     match op {
         "open" => op_open(inner, request, token),
         "edit" => op_edit(inner, request, token),
@@ -949,14 +930,7 @@ fn health_response(inner: &Arc<Inner>) -> Response {
     let degraded = inner.manager.degraded_ids();
     let mut response = Response::new(Status::Ok)
         .field("op", "health")
-        .field(
-            "draining",
-            if inner.shutdown.is_requested() {
-                "true"
-            } else {
-                "false"
-            },
-        )
+        .field("draining", &inner.shutdown.is_requested().to_string())
         .num("sessions", inner.manager.session_count() as u64)
         .num("inflight", inner.inflight.load(Ordering::SeqCst) as u64)
         .num("degraded", degraded.len() as u64);
@@ -1000,10 +974,7 @@ fn op_history(inner: &Arc<Inner>) -> Response {
                     .field(&format!("run.{index}.command"), &run.command)
                     .num(&format!("run.{index}.started_unix"), run.started_unix)
                     .num(&format!("run.{index}.scenarios"), run.scenarios as u64)
-                    .field(
-                        &format!("run.{index}.complete"),
-                        if run.complete { "true" } else { "false" },
-                    );
+                    .field(&format!("run.{index}.complete"), &run.complete.to_string());
             }
             response
         }
@@ -1014,7 +985,7 @@ fn op_history(inner: &Arc<Inner>) -> Response {
 /// paths, run IDs, or unique ID prefixes). Threshold fields mirror the
 /// CLI flags; a tripped timing/digest threshold answers
 /// [`Status::Divergence`], a tripped perf threshold [`Status::Error`].
-fn op_diff(inner: &Arc<Inner>, request: &HashMap<String, String>) -> Response {
+fn op_diff(inner: &Arc<Inner>, request: &Fields) -> Response {
     let Some(db) = &inner.run_db else {
         return Response::new(Status::Error)
             .field("error", "diff requires the daemon to run with --run-db DIR");
@@ -1027,17 +998,18 @@ fn op_diff(inner: &Arc<Inner>, request: &HashMap<String, String>) -> Response {
         ("fail_on_timing_pct", &mut thresholds.timing_pct),
         ("fail_on_perf_pct", &mut thresholds.perf_pct),
     ] {
-        if let Some(raw) = request.get(field) {
-            match raw.parse::<f64>() {
-                Ok(pct) if pct >= 0.0 && pct.is_finite() => *slot = Some(pct),
-                _ => {
-                    return Response::new(Status::Error)
-                        .field("error", &format!("cannot parse {field} `{raw}`"))
-                }
+        match request.opt_num::<f64>(field) {
+            Some(None) => {}
+            Some(Some(pct)) if pct >= 0.0 && pct.is_finite() => *slot = Some(pct),
+            _ => {
+                return Response::new(Status::Error).field(
+                    "error",
+                    &format!("cannot parse {field} `{}`", request[field]),
+                )
             }
         }
     }
-    thresholds.digest = request.get("fail_on_digest").map(String::as_str) == Some("true");
+    thresholds.digest = request.str("fail_on_digest") == Some("true");
     let store = match RunStore::open(db) {
         Ok(store) => store,
         Err(e) => return runstore_error(&e),
@@ -1069,73 +1041,50 @@ fn op_diff(inner: &Arc<Inner>, request: &HashMap<String, String>) -> Response {
         .num("node_deltas", d.node_deltas.len() as u64)
         .field("max_timing_pct", &format!("{:.4}", d.max_timing_pct))
         .field("max_perf_pct", &format!("{:.4}", d.max_perf_pct))
-        .field(
-            "perf_comparable",
-            if d.perf_comparable { "true" } else { "false" },
-        )
+        .field("perf_comparable", &d.perf_comparable.to_string())
+}
+
+/// An optional numeric request field; a value that does not parse is
+/// the "cannot parse" request error.
+fn opt_field<T: FromStr>(request: &Fields, key: &str) -> Result<Option<T>, String> {
+    request
+        .opt_num(key)
+        .ok_or_else(|| format!("cannot parse {key} `{}`", request[key]))
 }
 
 /// Parses the `model`/`transition_ns`/`set`/`input`/`edge` request
 /// fields into a [`SessionConfig`].
-fn parse_config(request: &HashMap<String, String>) -> Result<SessionConfig, String> {
+fn parse_config(request: &Fields) -> Result<SessionConfig, String> {
     let mut config = SessionConfig::default();
-    if let Some(name) = request.get("model") {
-        config.model = model_from_name(name).ok_or_else(|| format!("unknown model `{name}`"))?;
+    if let Some(name) = request.str("model") {
+        config.model = name.parse()?;
     }
-    if let Some(raw) = request.get("transition_ns") {
-        let ns: f64 = raw
-            .parse()
-            .map_err(|_| format!("cannot parse transition_ns `{raw}`"))?;
+    if let Some(ns) = opt_field::<f64>(request, "transition_ns")? {
         if !(ns >= 0.0 && ns.is_finite()) {
+            let raw = &request["transition_ns"];
             return Err(format!("transition_ns must be non-negative, got `{raw}`"));
         }
         config.transition = Seconds::from_nanos(ns);
     }
-    if let Some(set) = request.get("set") {
-        for pair in set.split(',').filter(|p| !p.is_empty()) {
-            let (name, level) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("bad static `{pair}` (want name=0|1)"))?;
-            let level = match level {
-                "0" => false,
-                "1" => true,
-                other => return Err(format!("bad static level `{other}` (want 0 or 1)")),
-            };
-            config.statics.push((name.to_string(), level));
-        }
-    }
-    config.input = request.get("input").cloned();
-    if let Some(name) = request.get("edge") {
-        config.edge = Some(edge_from_name(name).ok_or_else(|| format!("unknown edge `{name}`"))?);
-    }
+    config.statics = parse_statics(request.str("set").unwrap_or(""))?;
+    config.input = request.string("input");
+    config.edge = request.str("edge").map(str::parse).transpose()?;
     Ok(config)
 }
 
 /// The request's analysis budget: the server default, tightened by the
 /// optional `max_stage_evals` / `max_paths_per_node` fields.
-fn parse_budget(
-    inner: &Inner,
-    request: &HashMap<String, String>,
-) -> Result<AnalysisBudget, String> {
+fn parse_budget(inner: &Inner, request: &Fields) -> Result<AnalysisBudget, String> {
     let mut budget = inner.budget;
-    if let Some(raw) = request.get("max_stage_evals") {
-        budget.max_stage_evals = Some(
-            raw.parse()
-                .map_err(|_| format!("cannot parse max_stage_evals `{raw}`"))?,
-        );
-    }
-    if let Some(raw) = request.get("max_paths_per_node") {
-        budget.max_paths_per_node = Some(
-            raw.parse()
-                .map_err(|_| format!("cannot parse max_paths_per_node `{raw}`"))?,
-        );
-    }
+    budget.max_stage_evals = opt_field(request, "max_stage_evals")?.or(budget.max_stage_evals);
+    budget.max_paths_per_node =
+        opt_field(request, "max_paths_per_node")?.or(budget.max_paths_per_node);
     Ok(budget)
 }
 
 fn resolve_session(
     inner: &Arc<Inner>,
-    request: &HashMap<String, String>,
+    request: &Fields,
 ) -> Result<(String, Arc<Mutex<Session>>), Response> {
     let id = request
         .get("session")
@@ -1162,12 +1111,12 @@ fn resolve_session(
     }
 }
 
-fn op_open(inner: &Arc<Inner>, request: &HashMap<String, String>, token: &CancelToken) -> Response {
+fn op_open(inner: &Arc<Inner>, request: &Fields, token: &CancelToken) -> Response {
     let Some(netlist) = request.get("netlist") else {
         return Response::new(Status::Error)
             .field("error", "open requires a `netlist` field (.sim text)");
     };
-    let name = request.get("name").map_or("upload.sim", String::as_str);
+    let name = request.str("name").unwrap_or("upload.sim");
     let config = match parse_config(request) {
         Ok(config) => config,
         Err(message) => return Response::new(Status::Error).field("error", &message),
@@ -1179,7 +1128,7 @@ fn op_open(inner: &Arc<Inner>, request: &HashMap<String, String>, token: &Cancel
     // Idempotent re-open: a retried `open` whose original response was
     // lost finds the session already live with the same fingerprint —
     // answer from current state instead of failing on the duplicate id.
-    if let Some(id) = request.get("session") {
+    if let Some(id) = request.str("session") {
         if let Some(session) = inner.manager.get(id) {
             // Sessions pin their fingerprint to the canonical netlist
             // text; canonicalize the submitted text the same way so a
@@ -1191,39 +1140,34 @@ fn op_open(inner: &Arc<Inner>, request: &HashMap<String, String>, token: &Cancel
             if guard.poisoned().is_none() && guard.fingerprint() == fingerprint {
                 inner.bump(&inner.counters.dedup_hits, "dedup_hits");
                 guard.touch();
-                return Response::new(Status::Ok)
-                    .field("session", id)
-                    .field("model", model_name(guard.config().model))
-                    .num("scenarios", guard.scenario_rows().len() as u64)
-                    .field("fingerprint", &hex64(guard.fingerprint()))
-                    .field("digest", &hex64(guard.digest()))
-                    .field("dedup", "true");
+                return opened(id, &guard).field("dedup", "true");
             }
         }
     }
     let options = inner.request_options(budget, Some(token.clone()));
-    match inner.manager.open(
-        request.get("session").map(String::as_str),
-        netlist,
-        name,
-        &config,
-        options,
-    ) {
+    match inner
+        .manager
+        .open(request.str("session"), netlist, name, &config, options)
+    {
         Ok((id, session)) => {
             inner.bump(&inner.counters.sessions_opened, "sessions_opened");
-            let guard = lock_session(&session);
-            Response::new(Status::Ok)
-                .field("session", &id)
-                .field("model", model_name(guard.config().model))
-                .num("scenarios", guard.scenario_rows().len() as u64)
-                .field("fingerprint", &hex64(guard.fingerprint()))
-                .field("digest", &hex64(guard.digest()))
+            opened(&id, &lock_session(&session))
         }
         Err(e) => error_response(&e),
     }
 }
 
-fn op_edit(inner: &Arc<Inner>, request: &HashMap<String, String>, token: &CancelToken) -> Response {
+/// The `open` answer, fresh or deduplicated.
+fn opened(id: &str, session: &Session) -> Response {
+    Response::new(Status::Ok)
+        .field("session", id)
+        .field("model", session.config().model.name())
+        .num("scenarios", session.scenario_rows().len() as u64)
+        .field("fingerprint", &hex64(session.fingerprint()))
+        .field("digest", &hex64(session.digest()))
+}
+
+fn op_edit(inner: &Arc<Inner>, request: &Fields, token: &CancelToken) -> Response {
     let (id, session) = match resolve_session(inner, request) {
         Ok(found) => found,
         Err(response) => return response,
@@ -1238,7 +1182,7 @@ fn op_edit(inner: &Arc<Inner>, request: &HashMap<String, String>, token: &Cancel
         Ok(budget) => budget,
         Err(message) => return Response::new(Status::Error).field("error", &message),
     };
-    let req_id = request.get("req_id").map(String::as_str);
+    let req_id = request.str("req_id");
     let mut guard = lock_session(&session);
     guard.touch();
     // Idempotent retry: a duplicate `req_id` means the edit was already
@@ -1306,7 +1250,7 @@ fn op_edit(inner: &Arc<Inner>, request: &HashMap<String, String>, token: &Cancel
 /// checkpoint header via write-temp/fsync/rename, re-pinning the
 /// fingerprint to the canonical netlist text. Replay cost after this is
 /// O(edits since checkpoint).
-fn op_compact(inner: &Arc<Inner>, request: &HashMap<String, String>) -> Response {
+fn op_compact(inner: &Arc<Inner>, request: &Fields) -> Response {
     let (id, session) = match resolve_session(inner, request) {
         Ok(found) => found,
         Err(response) => return response,
@@ -1331,7 +1275,7 @@ fn op_compact(inner: &Arc<Inner>, request: &HashMap<String, String>) -> Response
     }
 }
 
-fn op_report(inner: &Arc<Inner>, request: &HashMap<String, String>) -> Response {
+fn op_report(inner: &Arc<Inner>, request: &Fields) -> Response {
     let (id, session) = match resolve_session(inner, request) {
         Ok(found) => found,
         Err(response) => return response,
@@ -1360,11 +1304,7 @@ fn op_report(inner: &Arc<Inner>, request: &HashMap<String, String>) -> Response 
 /// session's incremental state — the server-side analog of the
 /// resume-equivalence self-check: if incremental maintenance ever
 /// drifted from from-scratch analysis, this op reports `divergence`.
-fn op_batch(
-    inner: &Arc<Inner>,
-    request: &HashMap<String, String>,
-    token: &CancelToken,
-) -> Response {
+fn op_batch(inner: &Arc<Inner>, request: &Fields, token: &CancelToken) -> Response {
     let (id, session) = match resolve_session(inner, request) {
         Ok(found) => found,
         Err(response) => return response,
@@ -1425,7 +1365,7 @@ fn op_batch(
     }
 }
 
-fn op_check(inner: &Arc<Inner>, request: &HashMap<String, String>) -> Response {
+fn op_check(inner: &Arc<Inner>, request: &Fields) -> Response {
     let (id, session) = match resolve_session(inner, request) {
         Ok(found) => found,
         Err(response) => return response,
@@ -1441,19 +1381,14 @@ fn op_check(inner: &Arc<Inner>, request: &HashMap<String, String>) -> Response {
         trace: inner.trace.clone(),
         ..SelfCheckConfig::default()
     };
-    if let Some(raw) = request.get("sample") {
-        match raw.parse() {
-            Ok(sample) => config.reference_sample = sample,
-            Err(_) => {
-                return Response::new(Status::Error)
-                    .field("error", &format!("cannot parse sample `{raw}`"))
-            }
-        }
+    match opt_field(request, "sample") {
+        Ok(sample) => config.reference_sample = sample.unwrap_or(config.reference_sample),
+        Err(message) => return Response::new(Status::Error).field("error", &message),
     }
-    if let Some(raw) = request.get("inject") {
-        let parsed = raw.split_once(':').and_then(|(model, factor)| {
-            Some((model_from_name(model)?, factor.parse::<f64>().ok()?))
-        });
+    if let Some(raw) = request.str("inject") {
+        let parsed = raw
+            .split_once(':')
+            .and_then(|(model, factor)| Some((model.parse().ok()?, factor.parse::<f64>().ok()?)));
         match parsed {
             Some(inject) => config.inject_scale = Some(inject),
             None => {
@@ -1490,7 +1425,7 @@ fn op_check(inner: &Arc<Inner>, request: &HashMap<String, String>) -> Response {
     }
 }
 
-fn op_close(inner: &Arc<Inner>, request: &HashMap<String, String>) -> Response {
+fn op_close(inner: &Arc<Inner>, request: &Fields) -> Response {
     let Some(id) = request.get("session") else {
         return Response::new(Status::Error).field("error", "missing `session` field");
     };
@@ -1505,10 +1440,9 @@ fn op_close(inner: &Arc<Inner>, request: &HashMap<String, String>) -> Response {
 
 /// Chaos op: holds an in-flight slot for `ms`, polling the request's
 /// cancel token — the knob the shed, deadline, and drain tests turn.
-fn op_sleep(request: &HashMap<String, String>, token: &CancelToken) -> Response {
-    let ms: u64 = match request.get("ms").map(|raw| raw.parse()) {
-        Some(Ok(ms)) => ms,
-        _ => return Response::new(Status::Error).field("error", "sleep requires integer `ms`"),
+fn op_sleep(request: &Fields, token: &CancelToken) -> Response {
+    let Some(ms) = request.num::<u64>("ms") else {
+        return Response::new(Status::Error).field("error", "sleep requires integer `ms`");
     };
     let total = Duration::from_millis(ms);
     let start = Instant::now();
@@ -1549,6 +1483,10 @@ mod tests {
             .field("error", "too \"busy\"")
             .num("inflight", 7)
             .finish(Some("req-1"));
+        assert_eq!(
+            line,
+            r#"{"status":"overloaded","retryable":true,"error":"too \"busy\"","inflight":7,"id":"req-1"}"#
+        );
         let fields = parse_json_object(&line).expect("parses");
         assert_eq!(fields.get("status").map(String::as_str), Some("overloaded"));
         assert_eq!(fields.get("retryable").map(String::as_str), Some("true"));
@@ -1558,6 +1496,10 @@ mod tests {
         );
         assert_eq!(fields.get("inflight").map(String::as_str), Some("7"));
         assert_eq!(fields.get("id").map(String::as_str), Some("req-1"));
+        assert_eq!(
+            Response::new(Status::Ok).field("op", "ping").finish(None),
+            r#"{"status":"ok","retryable":false,"op":"ping"}"#
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::budget::{AnalysisBudget, CancelToken};
 use crate::durable::scenario_summary;
 use crate::editscript::parse_edit_script;
 use crate::error::TimingError;
-use crate::fingerprint::{escape_json_into, hex64, parse_hex64, result_digest, run_id, Fnv64};
+use crate::fingerprint::{hex64, parse_hex64, result_digest, run_id, Fnv64, JsonLine, ReadFields};
 use crate::incremental::{DeltaReport, IncrementalAnalyzer};
 use crate::models::ModelKind;
 use crate::selfcheck::standard_scenarios;
@@ -230,45 +230,38 @@ pub fn session_fingerprint(netlist_text: &str, tech: &Technology, config: &Sessi
     }
     h.write(config.input.as_deref().unwrap_or("").as_bytes());
     h.write(&[0]);
-    h.write(match config.edge {
-        None => b"any".as_slice(),
-        Some(Edge::Rising) => b"rise",
-        Some(Edge::Falling) => b"fall",
-    });
+    h.write(config.edge.map_or("any", Edge::name).as_bytes());
     h.finish()
 }
 
-pub(crate) fn model_name(model: ModelKind) -> &'static str {
-    match model {
-        ModelKind::Lumped => "lumped",
-        ModelKind::RcTree => "rctree",
-        ModelKind::Slope => "slope",
-    }
+/// The static-level list as the session journal header stores it:
+/// `name=0|1` pairs, sorted, comma-separated.
+fn statics_text(statics: &[(String, bool)]) -> String {
+    let mut statics = statics.to_vec();
+    statics.sort();
+    let pairs: Vec<String> = statics
+        .iter()
+        .map(|(name, level)| format!("{name}={}", u8::from(*level)))
+        .collect();
+    pairs.join(",")
 }
 
-pub(crate) fn model_from_name(name: &str) -> Option<ModelKind> {
-    Some(match name {
-        "lumped" => ModelKind::Lumped,
-        "rctree" | "rc-tree" => ModelKind::RcTree,
-        "slope" => ModelKind::Slope,
-        _ => return None,
-    })
-}
-
-pub(crate) fn edge_name(edge: Edge) -> &'static str {
-    if edge == Edge::Rising {
-        "rise"
-    } else {
-        "fall"
-    }
-}
-
-pub(crate) fn edge_from_name(name: &str) -> Option<Edge> {
-    Some(match name {
-        "rise" | "rising" => Edge::Rising,
-        "fall" | "falling" => Edge::Falling,
-        _ => return None,
-    })
+/// Parses a `name=0|1,...` static-level list — the daemon's `set`
+/// request field and the journal header's `statics`.
+pub(crate) fn parse_statics(text: &str) -> Result<Vec<(String, bool)>, String> {
+    text.split(',')
+        .filter(|pair| !pair.is_empty())
+        .map(|pair| {
+            let (name, level) = pair
+                .split_once('=')
+                .ok_or_else(|| format!("bad static `{pair}` (want name=0|1)"))?;
+            match level {
+                "0" => Ok((name.to_string(), false)),
+                "1" => Ok((name.to_string(), true)),
+                other => Err(format!("bad static level `{other}` (want 0 or 1)")),
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -304,66 +297,56 @@ fn session_header_line(
     base_seq: u64,
     checkpoint: Option<u64>,
 ) -> String {
-    let mut out = format!(
-        "{{\"kind\":\"session\",\"v\":{SESSION_JOURNAL_VERSION},\"id\":\"{}\",\"run\":\"{}\",\
-         \"fingerprint\":\"{}\",\"model\":\"{}\",\"transition\":\"{}\"",
-        id,
-        run_id("session", fingerprint),
-        hex64(fingerprint),
-        model_name(config.model),
-        hex64(config.transition.value().to_bits()),
-    );
-    let mut statics = config.statics.clone();
-    statics.sort();
-    let statics: Vec<String> = statics
-        .iter()
-        .map(|(name, level)| format!("{name}={}", u8::from(*level)))
-        .collect();
-    out.push_str(&format!(",\"statics\":\"{}\"", statics.join(",")));
+    let mut line = JsonLine::new()
+        .str("kind", "session")
+        .num("v", SESSION_JOURNAL_VERSION)
+        .str("id", id)
+        .str("run", &run_id("session", fingerprint))
+        .hex("fingerprint", fingerprint)
+        .str("model", config.model.name())
+        .hex("transition", config.transition.value().to_bits())
+        .str("statics", &statics_text(&config.statics));
     if let Some(input) = &config.input {
-        out.push_str(",\"input\":\"");
-        escape_json_into(input, &mut out);
-        out.push('"');
+        line = line.str("input", input);
     }
     if let Some(edge) = config.edge {
-        out.push_str(&format!(",\"edge\":\"{}\"", edge_name(edge)));
+        line = line.str("edge", edge.name());
     }
     if base_seq > 0 {
-        out.push_str(&format!(",\"base_seq\":{base_seq}"));
+        line = line.num("base_seq", base_seq);
         if let Some(digest) = checkpoint {
-            out.push_str(&format!(",\"checkpoint\":\"{}\"", hex64(digest)));
+            line = line.hex("checkpoint", digest);
         }
     }
-    out.push_str(",\"name\":\"");
-    escape_json_into(netlist_name, &mut out);
-    out.push_str("\",\"netlist\":\"");
-    escape_json_into(netlist_text, &mut out);
-    out.push_str("\"}\n");
-    out
+    line.str("name", netlist_name)
+        .str("netlist", netlist_text)
+        .finish()
+        + "\n"
 }
 
 fn edit_record_line(seq: u64, script: &str, digest: u64, req_id: Option<&str>) -> String {
-    let mut out = format!("{{\"kind\":\"edit\",\"seq\":{seq},\"script\":\"");
-    escape_json_into(script, &mut out);
-    out.push_str(&format!("\",\"digest\":\"{}\"", hex64(digest)));
+    let mut line = JsonLine::new()
+        .str("kind", "edit")
+        .num("seq", seq)
+        .str("script", script)
+        .hex("digest", digest);
     if let Some(req_id) = req_id {
-        out.push_str(",\"req\":\"");
-        escape_json_into(req_id, &mut out);
-        out.push('"');
+        line = line.str("req", req_id);
     }
-    out.push_str("}\n");
-    out
+    line.finish() + "\n"
 }
 
 /// Decodes one edit record: `(seq, script, digest, req_id)`.
 fn edit_from_fields(fields: &Fields) -> Option<(u64, String, u64, Option<String>)> {
-    if fields.get("kind").map(String::as_str) != Some("edit") {
+    if fields.str("kind") != Some("edit") {
         return None;
     }
-    let seq: u64 = fields.get("seq")?.parse().ok()?;
-    let script = fields.get("script")?.clone();
-    let digest = parse_hex64(fields.get("digest")?)?;
-    Some((seq, script, digest, fields.get("req").cloned()))
+    Some((
+        fields.num("seq")?,
+        fields.string("script")?,
+        fields.hex("digest")?,
+        fields.string("req"),
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -514,15 +497,14 @@ impl Session {
             RecoverError::Corrupt { line } => corrupt(format!("damaged at line {line}")),
         })?;
         let header = recovered.header;
-        if header.get("v") != Some(&SESSION_JOURNAL_VERSION.to_string()) {
+        if header.num("v") != Some(SESSION_JOURNAL_VERSION) {
             return Err(corrupt("not a session journal header".to_string()));
         }
 
         // Rebuild the configuration from the self-contained header.
         let field = |key: &str| {
             header
-                .get(key)
-                .cloned()
+                .string(key)
                 .ok_or_else(|| corrupt(format!("header missing `{key}`")))
         };
         let id = field("id")?;
@@ -531,50 +513,29 @@ impl Session {
         }
         let recorded_fingerprint =
             parse_hex64(&field("fingerprint")?).ok_or_else(|| corrupt("bad fingerprint".into()))?;
-        let model = model_from_name(&field("model")?)
-            .ok_or_else(|| corrupt("unknown model in header".to_string()))?;
         let transition = Seconds(f64::from_bits(
             parse_hex64(&field("transition")?).ok_or_else(|| corrupt("bad transition".into()))?,
         ));
-        let mut statics = Vec::new();
-        let statics_text = field("statics")?;
-        for pair in statics_text.split(',').filter(|p| !p.is_empty()) {
-            let (name, level) = pair
-                .split_once('=')
-                .ok_or_else(|| corrupt(format!("bad static `{pair}`")))?;
-            let level = match level {
-                "0" => false,
-                "1" => true,
-                other => return Err(corrupt(format!("bad static level `{other}`"))),
-            };
-            statics.push((name.to_string(), level));
-        }
         let config = SessionConfig {
-            model,
+            model: field("model")?.parse().map_err(corrupt)?,
             transition,
-            statics,
-            input: header.get("input").cloned(),
-            edge: match header.get("edge") {
-                None => None,
-                Some(name) => Some(
-                    edge_from_name(name).ok_or_else(|| corrupt(format!("bad edge `{name}`")))?,
-                ),
-            },
+            statics: parse_statics(&field("statics")?).map_err(corrupt)?,
+            input: header.string("input"),
+            edge: header
+                .str("edge")
+                .map(str::parse)
+                .transpose()
+                .map_err(corrupt)?,
         };
         let netlist_name = field("name")?;
         let netlist_text = field("netlist")?;
-        let base_seq: u64 = match header.get("base_seq") {
-            None => 0,
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| corrupt(format!("bad base_seq `{raw}`")))?,
-        };
-        let checkpoint = match header.get("checkpoint") {
-            None => None,
-            Some(raw) => {
-                Some(parse_hex64(raw).ok_or_else(|| corrupt("bad checkpoint digest".into()))?)
-            }
-        };
+        let base_seq = header
+            .opt_num("base_seq")
+            .ok_or_else(|| corrupt(format!("bad base_seq `{}`", header["base_seq"])))?
+            .unwrap_or(0);
+        let checkpoint = header
+            .opt_hex("checkpoint")
+            .ok_or_else(|| corrupt("bad checkpoint digest".into()))?;
 
         // The journal is self-contained except for the technology, which
         // belongs to the daemon: recompute the fingerprint and refuse to
@@ -1463,6 +1424,88 @@ mod tests {
         assert_eq!(resumed.edits_applied(), 2);
         assert_eq!(resumed.digest(), digest2, "bit-identical replay");
         assert_eq!(resumed.scenario_rows(), rows);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_lines_keep_their_bytes() {
+        let config = SessionConfig {
+            model: ModelKind::RcTree,
+            transition: Seconds(0.5e-9),
+            statics: vec![("b".to_string(), true), ("a".to_string(), false)],
+            input: Some("in \"x\"".to_string()),
+            edge: Some(Edge::Falling),
+        };
+        let header =
+            session_header_line("s1", 0x1234, "chain.sim", "i a\n", &config, 3, Some(0xbeef));
+        assert_eq!(
+            header,
+            concat!(
+                r#"{"kind":"session","v":1,"id":"s1","run":"session-0000000000001234","#,
+                r#""fingerprint":"0000000000001234","model":"rctree","#,
+                r#""transition":"3e012e0be826d695","statics":"a=0,b=1","#,
+                r#""input":"in \"x\"","edge":"fall","base_seq":3,"#,
+                r#""checkpoint":"000000000000beef","name":"chain.sim","netlist":"i a\n"}"#,
+                "\n"
+            )
+        );
+        let edit = edit_record_line(4, "cap y 150\nresize a m gnd 4 8", 0xdead, Some("q7-2"));
+        assert_eq!(
+            edit,
+            concat!(
+                r#"{"kind":"edit","seq":4,"script":"cap y 150\nresize a m gnd 4 8","#,
+                r#""digest":"000000000000dead","req":"q7-2"}"#,
+                "\n"
+            )
+        );
+        let fields = crate::fingerprint::parse_json_object(edit.trim_end()).expect("parses");
+        assert_eq!(
+            edit_from_fields(&fields),
+            Some((
+                4,
+                "cap y 150\nresize a m gnd 4 8".to_string(),
+                0xdead,
+                Some("q7-2".to_string())
+            ))
+        );
+    }
+
+    #[test]
+    fn statics_whose_names_need_escaping_survive_resume() {
+        let netlist = "i a\ni q\"x\ni b\\s\no y\n\
+            n a m gnd 2 8\np a m vdd 2 16\nC m 20\n\
+            n m y gnd 2 8\np m y vdd 2 16\n\
+            n q\"x y gnd 2 8\nn b\\s y gnd 2 8\nC y 100\n";
+        let dir = temp_dir("escaped_statics");
+        let path = dir.join(format!("s1.{SESSION_JOURNAL_EXT}"));
+        let config = SessionConfig {
+            statics: vec![("b\\s".to_string(), false), ("q\"x".to_string(), false)],
+            input: Some("a".to_string()),
+            ..SessionConfig::default()
+        };
+        let mut session = Session::open(
+            "s1",
+            netlist,
+            "escaped.sim",
+            &Technology::nominal(),
+            &config,
+            AnalyzerOptions::default(),
+            Some(&path),
+            &JournalFaultPlan::none(),
+        )
+        .expect("opens");
+        session.apply_script("cap y 150", None).expect("edit");
+        let digest = session.digest();
+        drop(session);
+        let resumed = Session::resume(
+            &path,
+            &Technology::nominal(),
+            AnalyzerOptions::default(),
+            &JournalFaultPlan::none(),
+        )
+        .expect("resumes");
+        assert_eq!(resumed.config(), &config);
+        assert_eq!(resumed.digest(), digest, "bit-identical replay");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,7 +2,7 @@
 //! batch engine with the stage-evaluation memo cache, plus the
 //! incremental-session edit loop.
 //!
-//! Runs the `run_batch` scenario fan-out over three netlists
+//! Runs the `run_durable` scenario fan-out over three netlists
 //! (inverter chain, random pass mesh, Manchester-carry adder) at 1, 2,
 //! and all hardware threads, then replays a 10-edit resize sequence
 //! through an `IncrementalAnalyzer` session against full re-analysis,
@@ -51,8 +51,8 @@
 
 use std::collections::HashMap;
 
-use crystal::analyzer::{AnalyzerOptions, Edge, Scenario};
-use crystal::batch::run_batch;
+use crystal::analyzer::{analyze_with_options, AnalyzerOptions, Edge, Scenario};
+use crystal::durable::{run_durable, DurableOptions};
 use crystal::incremental::IncrementalAnalyzer;
 use crystal::memo::{CacheStats, StageCache};
 use crystal::models::ModelKind;
@@ -704,18 +704,19 @@ fn edit_loop_bench(
         let mut edited = net.clone();
         for edit in &edits {
             edited = apply_edit(&edited, edit).expect("edit applies");
-            let run = run_batch(
-                &edited,
-                tech,
-                ModelKind::Slope,
-                &scenarios,
-                options.clone(),
-                false,
-            );
-            full_final = run
-                .results
-                .into_iter()
-                .map(|(label, outcome)| (label.clone(), outcome.expect("scenario analyzes")))
+            full_final = scenarios
+                .iter()
+                .map(|(label, scenario)| {
+                    let result = analyze_with_options(
+                        &edited,
+                        tech,
+                        ModelKind::Slope,
+                        scenario,
+                        options.clone(),
+                    )
+                    .expect("scenario analyzes");
+                    (label.clone(), result)
+                })
                 .collect();
         }
         full_secs = full_secs.min(start.elapsed().as_secs_f64());
@@ -845,18 +846,10 @@ fn measure(
             ..AnalyzerOptions::default()
         };
         let start = Instant::now();
-        let run = run_batch(net, tech, ModelKind::Slope, scenarios, options, false);
+        results = analyze_all(net, tech, scenarios, options);
         let secs = start.elapsed().as_secs_f64();
         best = best.min(secs);
         stats = cache.stats();
-        results = run
-            .results
-            .into_iter()
-            .map(|(label, outcome)| {
-                let result = outcome.unwrap_or_else(|e| panic!("scenario `{label}` failed: {e}"));
-                (label, result)
-            })
-            .collect();
     }
     (best, stats, results)
 }
@@ -876,9 +869,33 @@ fn traced_metrics(
         trace: Some(Arc::clone(&sink)),
         ..AnalyzerOptions::default()
     };
-    let run = run_batch(net, tech, ModelKind::Slope, scenarios, options, false);
-    assert!(run.all_ok(), "instrumented run failed");
+    analyze_all(net, tech, scenarios, options);
     (sink.metrics(), sink.to_json_lines())
+}
+
+/// Analyzes every scenario with the slope model through the scenario
+/// executor (no journal), fanning `options.threads` workers out at the
+/// executor's grain. Panics on a failed scenario: every bench circuit
+/// analyzes cleanly.
+fn analyze_all(
+    net: &Network,
+    tech: &Technology,
+    scenarios: &[(String, Scenario)],
+    options: AnalyzerOptions,
+) -> Vec<(String, crystal::analyzer::TimingResult)> {
+    let durable = DurableOptions {
+        threads: options.threads,
+        ..DurableOptions::default()
+    };
+    let run = run_durable(net, tech, ModelKind::Slope, scenarios, options, &durable)
+        .expect("a run without a journal has no I/O to fail");
+    run.records
+        .into_iter()
+        .map(|r| match r.result {
+            Some(result) => (r.label, result),
+            None => panic!("scenario `{}` failed: {}", r.label, r.summary),
+        })
+        .collect()
 }
 
 /// The `"phases"` JSON array for one run: span counts, summed span time

@@ -14,12 +14,14 @@
 //! Without `--edits` it polls the netlist file and incrementally
 //! re-analyzes on every change (`--once` exits after the first).
 //!
-//! `batch --journal FILE` turns the batch durable: every scenario outcome
-//! is appended to the journal with an fsync'd write, `--resume` replays
-//! completed scenarios bit-identically after a crash or kill,
-//! `--scenario-timeout` arms a per-scenario watchdog, and retryable
-//! failures climb a bounded retry ladder before being quarantined as
-//! poisoned records. `SIGINT`/`SIGTERM` drain gracefully.
+//! `batch` runs every scenario through one executor
+//! (`crystal::durable::run_durable`). `--scenario-timeout` arms a
+//! per-scenario watchdog, retryable failures (panics, timeouts) climb a
+//! bounded retry ladder before being quarantined as poisoned records,
+//! and `SIGINT`/`SIGTERM` drain gracefully. `--journal FILE` adds the
+//! checkpoint: every scenario outcome is appended to the journal with an
+//! fsync'd write, and `--resume` replays completed scenarios
+//! bit-identically after a crash or kill.
 //!
 //! `batch`, `check`, and `serve` accept `--run-db DIR`: every run appends
 //! a persistent record (per-scenario arrival digests and times, phase
@@ -61,7 +63,6 @@
 //! | 10 | storage error (`client`: a session journal write failed; the session degraded) |
 
 use crystal::analyzer::{analyze_with_options, AnalyzerOptions, Edge, Scenario};
-use crystal::batch::run_batch;
 use crystal::budget::AnalysisBudget;
 use crystal::durable::{
     install_signal_handlers, run_durable, DurableOptions, FailureKind, JournalFaultPlan, Outcome,
@@ -173,7 +174,7 @@ other flags (each names the subcommands that take it):
   --input NAME          switching input (report); only this input (check, watch)
   --edge rise|fall      input edge direction (report); only this edge (check, watch)
   --output NAME         report: report only this output (default: all arrivals)
-  --fail-fast           batch: stop at the first failing scenario (not with --journal)
+  --fail-fast           batch: stop at the first failing scenario
   --sample N            check: scenarios given the transient reference comparison (default 4)
   --inject MODEL=F      check: scale MODEL's predictions by F (fault injection;
                         a working harness must flag the corrupted model);
@@ -190,7 +191,7 @@ other flags (each names the subcommands that take it):
                         per further retry (default 25)
   --selfcheck-resume    batch: after a --journal run, re-analyze journaled
                         outcomes fresh and fail (exit 4) on any mismatch
-                        (this flag, --resume and the three above need --journal)
+                        (this flag and --resume need --journal)
   --edits SCRIPT        watch: apply the edit script through the incremental
                         session (lines: `resize GATE SRC DRN W_UM L_UM`,
                         `cap NODE FEMTOFARADS`, `add n|p|d GATE SRC DRN W L`,
@@ -333,9 +334,6 @@ const COMMANDS: &[(&str, &[&str])] = &[
 /// `needed`.
 const REQUIRES: &[(&str, &str, &str)] = &[
     ("batch", "--resume", "--journal"),
-    ("batch", "--scenario-timeout", "--journal"),
-    ("batch", "--max-retries", "--journal"),
-    ("batch", "--retry-backoff-ms", "--journal"),
     ("batch", "--selfcheck-resume", "--journal"),
     ("batch", "--inject", "--run-db"),
     ("watch", "--selfcheck", "--edits"),
@@ -347,7 +345,6 @@ const REQUIRES: &[(&str, &str, &str)] = &[
 /// `(command, flag, other)`: on `command`, `flag` does nothing together
 /// with `other`.
 const EXCLUDES: &[(&str, &str, &str)] = &[
-    ("batch", "--fail-fast", "--journal"),
     ("batch", "--inject", "--journal"),
     ("watch", "--once", "--edits"),
 ];
@@ -802,88 +799,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             if scenarios.is_empty() {
                 return Err("netlist has no primary inputs to batch over".into());
             }
-            if let Some(journal) = flags.get("--journal") {
-                return run_durable_batch(&net, &tech, &analysis, &flags, journal, &scenarios);
-            }
-            let started = Instant::now();
-            let analyzer_options = analysis.analyzer_options();
-            let cache = analyzer_options.cache.clone();
-            let batch = run_batch(
-                &net,
-                &tech,
-                analysis.model,
-                &scenarios,
-                analyzer_options,
-                flags.has("--fail-fast"),
-            );
-            let mut out = String::new();
-            for (label, outcome) in &batch.results {
-                match outcome {
-                    Ok(result) => match result.max_arrival() {
-                        Some((node, arrival)) => {
-                            let _ = writeln!(
-                                out,
-                                "{label}: ok, latest `{}` at {:.4} ns",
-                                net.node(node).name(),
-                                arrival.time.nanos()
-                            );
-                        }
-                        None => {
-                            let _ = writeln!(out, "{label}: ok, nothing switches");
-                        }
-                    },
-                    Err(failure) => {
-                        let _ = writeln!(out, "{label}: FAILED ({failure})");
-                    }
-                }
-            }
-            let status = if batch.all_ok() {
-                Status::Ok
-            } else if batch.results.iter().any(|(_, r)| {
-                matches!(
-                    r,
-                    Err(crystal::BatchFailure::Error(
-                        TimingError::BudgetExhausted { .. }
-                    ))
-                )
-            }) {
-                Status::Budget
-            } else {
-                Status::Error
-            };
-            if batch.all_ok() {
-                let _ = writeln!(out, "{} scenarios, all ok", batch.results.len());
-            }
-            if let Some(db) = flags.get("--run-db") {
-                let inject = flags.read("--inject", parse_inject)?;
-                let mut record = analysis.run_record("batch", &net, &tech);
-                for (label, outcome) in &batch.results {
-                    match outcome {
-                        Ok(result) => {
-                            let summary = crystal::durable::scenario_summary(&net, result);
-                            record.push_result(&net, label, result, &summary, inject);
-                        }
-                        Err(failure) => record.scenarios.push(runstore::ScenarioRow {
-                            label: label.clone(),
-                            outcome: "error".to_string(),
-                            digest: None,
-                            summary: failure.to_string(),
-                            wall_us: 0,
-                            oversubscribed: oversubscribed(analysis.threads),
-                        }),
-                    }
-                }
-                record.cache = cache.as_ref().map(|c| c.stats());
-                record_run(db, record, &analysis, status, started, &mut out)?;
-            }
-            // Completed scenarios stay visible either way; the failure
-            // summary drives the non-zero exit. The trace file still
-            // gets written — failing runs are the ones worth inspecting.
-            analysis.emit_observability(&mut out)?;
-            if status != Status::Ok {
-                out.push_str(&batch.failure_summary());
-            }
-            conclude(status, out)
+            batch_command(&net, &tech, &analysis, &flags, &scenarios)
         }
         "check" => {
             let analysis = Analysis::read(&flags)?;
@@ -1672,21 +1588,22 @@ fn run_diff_runs(args: &[String]) -> Result<String, CliError> {
     conclude(status, out)
 }
 
-/// The `batch --journal` path: durable execution with checkpoint/resume,
-/// watchdog timeouts, the retry ladder, and graceful shutdown. See the
-/// module docs for the exit-code precedence.
-fn run_durable_batch(
+/// The `batch` command: every scenario through the one executor, with
+/// the journal, resume, watchdog, retry ladder, fail-fast stop and
+/// graceful drain as the flags ask. See the module docs for the exit
+/// codes.
+fn batch_command(
     net: &Network,
     tech: &Technology,
     analysis: &Analysis,
     flags: &Flags,
-    journal: &str,
     scenarios: &[(String, Scenario)],
 ) -> Result<String, CliError> {
     let defaults = DurableOptions::default();
     let durable = DurableOptions {
-        journal: PathBuf::from(journal),
+        journal: flags.get("--journal").map(PathBuf::from),
         resume: flags.has("--resume"),
+        fail_fast: flags.has("--fail-fast"),
         scenario_timeout: flags.millis("--scenario-timeout")?,
         max_retries: flags
             .parse_as("--max-retries")?
@@ -1712,10 +1629,13 @@ fn run_durable_batch(
     .map_err(|e| CliError::new(Status::Io, e.to_string()))?;
 
     // Scenario lines replay bit-identically on resume: the summary text
-    // comes from the journal record either way.
+    // comes from the journal record either way. A fail-fast stop lists
+    // only what ran; a drain also lists what it skipped.
     let mut out = String::new();
     for record in &run.records {
-        let _ = writeln!(out, "{}: {}", record.label, record.summary);
+        if run.interrupted || record.outcome != Outcome::Skipped {
+            let _ = writeln!(out, "{}: {}", record.label, record.summary);
+        }
     }
     let oks = run.count(Outcome::Ok);
     if run.all_ok() {
@@ -1749,7 +1669,6 @@ fn run_durable_batch(
         divergences = report.divergences.len();
         out.push_str(&report.render());
     }
-    analysis.emit_observability(&mut out)?;
 
     // Exit precedence: an interrupted drain beats everything (the run is
     // incomplete), then quarantine, timeout, divergence, budget.
@@ -1773,22 +1692,29 @@ fn run_durable_batch(
         Status::Ok
     };
     if let Some(db) = flags.get("--run-db") {
+        let inject = flags.read("--inject", parse_inject)?;
         let mut record = analysis.run_record("batch", net, tech);
-        // Durable records carry digests and per-scenario wall clocks but
-        // not retained arrivals — the journal is the arrival source.
+        // Fresh successes record their arrival rows (and the digest of
+        // exactly what was recorded); replayed ones keep the journal's
+        // digest.
         for scenario in &run.records {
+            let mut digest = scenario.digest;
+            if let Some(result) = &scenario.result {
+                let rows = runstore::arrival_rows(net, &scenario.label, result, inject);
+                digest = Some(runstore::arrival_digest(&rows));
+                record.arrivals.extend(rows);
+            }
             record.scenarios.push(runstore::ScenarioRow {
                 label: scenario.label.clone(),
                 outcome: match scenario.outcome {
                     Outcome::Ok => "ok",
-                    Outcome::Error => "error",
                     Outcome::TimedOut => "timeout",
                     Outcome::Poisoned => "poisoned",
                     Outcome::Skipped => "skipped",
                     _ => "error",
                 }
                 .to_string(),
-                digest: scenario.digest,
+                digest,
                 summary: scenario.summary.clone(),
                 wall_us: scenario.wall_ms.saturating_mul(1000),
                 oversubscribed: oversubscribed(analysis.threads),
@@ -1797,6 +1723,9 @@ fn run_durable_batch(
         record.cache = cache.as_ref().map(|c| c.stats());
         record_run(db, record, analysis, status, started, &mut out)?;
     }
+    // The trace file still gets written on failure — failing runs are
+    // the ones worth inspecting.
+    analysis.emit_observability(&mut out)?;
     conclude(status, out)
 }
 
@@ -1963,8 +1892,11 @@ mod tests {
         assert!(err.contains("a rise: FAILED"), "{err}");
         assert!(err.contains("a fall: FAILED"), "{err}");
         assert!(err.contains("budget exhausted"), "{err}");
-        // …and the structured summary counts them.
-        assert!(err.contains("2 of 2 attempted scenarios failed"), "{err}");
+        // …and the tally line counts them.
+        assert!(
+            err.contains("2 scenarios, 0 ok, 2 error, 0 timed out, 0 poisoned, 0 skipped"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1978,10 +1910,38 @@ mod tests {
             "--fail-fast",
         ])
         .expect_err("failures propagate");
-        assert!(err.contains("1 of 1 attempted scenarios failed"), "{err}");
-        assert!(err.contains("aborted early"), "{err}");
+        assert!(
+            err.contains("2 scenarios, 0 ok, 1 error, 0 timed out, 0 poisoned, 1 skipped"),
+            "{err}"
+        );
         // The second scenario never ran.
         assert!(!err.contains("a fall"), "{err}");
+    }
+
+    #[test]
+    fn fail_fast_journals_what_ran_and_resume_runs_the_rest() {
+        let path = fixture("batch_ff_journal", INVERTER_CHAIN);
+        let journal = temp_journal("fail_fast");
+        let (p, j) = (path.to_str().unwrap(), journal.to_str().unwrap());
+        let base = ["batch", p, "--journal", j, "--max-stages", "0"];
+        let err = cli_err(&[&base[..], &["--fail-fast"]].concat());
+        assert_eq!(err.status, Status::Budget, "{}", err.message);
+        let records = || {
+            let text = fs::read_to_string(&journal).expect("journal exists");
+            text.matches("\"kind\":\"scenario\"").count()
+        };
+        assert_eq!(records(), 1, "the skipped scenario is not journaled");
+        // The resume replays the failure and runs the skipped scenario.
+        let err = cli_err(&[&base[..], &["--resume"]].concat());
+        assert_eq!(err.status, Status::Budget, "{}", err.message);
+        assert!(err.message.contains("a fall: FAILED"), "{}", err.message);
+        assert!(
+            err.message.contains("(1 resumed from journal)"),
+            "{}",
+            err.message
+        );
+        assert_eq!(records(), 2);
+        let _ = fs::remove_file(&journal);
     }
 
     #[test]
@@ -2451,6 +2411,30 @@ mod tests {
         assert!(out.contains("0 mismatch(es)"), "{out}");
         assert!(out.contains("verdict: clean"), "{out}");
         let _ = fs::remove_dir_all(db);
+    }
+
+    #[test]
+    fn journaled_batch_records_carry_arrival_rows() {
+        let path = fixture("rundb_journal", INVERTER_CHAIN);
+        let db = temp_db("journal");
+        let journal = temp_journal("rundb");
+        let (p, j) = (path.to_str().unwrap(), journal.to_str().unwrap());
+        let id = batch_into(db.to_str().unwrap(), p, &["--journal", j]);
+        let record = runstore::read_run(&db.join(format!("{id}.run"))).expect("record reads");
+        // Two scenarios, each recording its arrivals and their digest.
+        assert_eq!(record.scenarios.len(), 2);
+        for scenario in &record.scenarios {
+            let rows: Vec<_> = record
+                .arrivals
+                .iter()
+                .filter(|a| a.scenario == scenario.label)
+                .cloned()
+                .collect();
+            assert!(!rows.is_empty(), "no arrivals for {}", scenario.label);
+            assert_eq!(scenario.digest, Some(runstore::arrival_digest(&rows)));
+        }
+        let _ = fs::remove_file(&journal);
+        let _ = fs::remove_dir_all(&db);
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Durable (crash-safe) batch execution: journaled checkpoint/resume,
-//! per-scenario watchdogs, a bounded retry ladder, and poison quarantine.
+//! The scenario executor: every batch of timing scenarios runs here,
+//! with an optional journal for checkpoint/resume, per-scenario
+//! watchdogs, a bounded retry ladder, and poison quarantine.
 //!
-//! [`crate::batch`] makes a batch *fail-soft* — one panicking scenario
-//! cannot take down its siblings. This module makes it *durable*:
+//! Every scenario is *fail-soft*: it runs behind
+//! [`std::panic::catch_unwind`], so one panicking or failing scenario
+//! cannot take down its siblings. On top of that the run is *durable*:
 //!
-//! * every scenario outcome is appended to a JSON-lines **journal** with
-//!   an fsync'd write, so a `SIGKILL`ed run loses at most the in-flight
-//!   scenarios ([`Journal`]);
+//! * with [`DurableOptions::journal`] set, every scenario outcome is
+//!   appended to a JSON-lines **journal** with an fsync'd write, so a
+//!   `SIGKILL`ed run loses at most the in-flight scenarios ([`Journal`]);
 //! * a resumed run ([`DurableOptions::resume`]) recovers the journal —
 //!   including a **torn tail** left by a crash mid-append — and replays
 //!   completed scenarios bit-identically instead of re-running them;
@@ -22,7 +24,9 @@
 //! * a [`ShutdownFlag`] (wired to `SIGINT`/`SIGTERM` by
 //!   [`install_signal_handlers`]) triggers a **graceful drain**: no new
 //!   scenario starts, in-flight scenarios finish and are journaled, and
-//!   the run reports itself interrupted.
+//!   the run reports itself interrupted;
+//! * [`DurableOptions::fail_fast`] stops the run at the first failure in
+//!   input order; the scenarios after it are skipped, not journaled.
 //!
 //! Determinism contract: a run killed at any point and resumed produces
 //! the same set of `(label, outcome, digest, summary)` records as an
@@ -34,7 +38,6 @@
 
 use crate::analyzer::{analyze_with_options, AnalyzerOptions, Scenario, TimingResult};
 use crate::applog::{self, AppendLog, Fields, RecoverError};
-use crate::batch::panic_message;
 use crate::budget::CancelToken;
 use crate::error::TimingError;
 use crate::fingerprint::{JsonLine, ReadFields};
@@ -188,8 +191,9 @@ pub enum Outcome {
     /// Quarantined: a retryable failure survived the whole retry ladder.
     /// Resumed runs skip and report poisoned scenarios.
     Poisoned,
-    /// Never started: a shutdown request arrived first. Not journaled —
-    /// a later resume runs the scenario for real.
+    /// Never started: a shutdown request arrived first, or a fail-fast
+    /// stop came before it. Not journaled — a later resume runs the
+    /// scenario for real.
     Skipped,
 }
 
@@ -218,6 +222,8 @@ impl Outcome {
 }
 
 /// One journaled (or skipped) scenario outcome.
+///
+/// Equality covers the result too, which only fresh successes carry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioRecord {
     /// The scenario label (journal key for resume).
@@ -239,6 +245,35 @@ pub struct ScenarioRecord {
     /// `true` when this record was replayed from the journal rather than
     /// computed in this run. Not serialized.
     pub resumed: bool,
+    /// The analysis result of a fresh success, for callers that need
+    /// more than the digest (per-node arrival rows). `None` for failures,
+    /// skips, and replayed records. Not serialized.
+    pub result: Option<TimingResult>,
+}
+
+impl ScenarioRecord {
+    /// A record that carries no digest and no result: a failure or a
+    /// skip.
+    fn unfinished(
+        label: &str,
+        outcome: Outcome,
+        taxonomy: Option<FailureKind>,
+        summary: String,
+        attempts: u32,
+        wall_ms: u64,
+    ) -> ScenarioRecord {
+        ScenarioRecord {
+            label: label.to_string(),
+            outcome,
+            taxonomy,
+            digest: None,
+            summary,
+            attempts,
+            wall_ms,
+            resumed: false,
+            result: None,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -552,6 +587,7 @@ fn record_from_fields(fields: &Fields) -> Option<ScenarioRecord> {
         attempts: fields.num("attempts")?,
         wall_ms: fields.num("wall_ms")?,
         resumed: true,
+        result: None,
     })
 }
 
@@ -623,11 +659,17 @@ impl Watchdog {
 /// Knobs of one durable run.
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
-    /// Journal file path.
-    pub journal: PathBuf,
+    /// Journal file path; `None` runs without checkpointing.
+    pub journal: Option<PathBuf>,
     /// Replay completed scenarios from an existing journal instead of
-    /// truncating it.
+    /// truncating it. Does nothing without a journal.
     pub resume: bool,
+    /// Stop at the first failing scenario in input order: the scenarios
+    /// after it become [`Outcome::Skipped`] records that are neither
+    /// journaled nor counted as an interrupted drain. Scenarios are then
+    /// dispatched in bounded chunks (one at a time when serial), so a
+    /// chunk's results are journaled together once the chunk ends.
+    pub fail_fast: bool,
     /// Per-scenario wall-clock deadline enforced by the watchdog.
     /// `None` never times out. `Some(ZERO)` cancels every attempt before
     /// it starts — a deterministic timeout for tests and fault drills.
@@ -637,7 +679,7 @@ pub struct DurableOptions {
     pub max_retries: usize,
     /// Base backoff before the first retry; doubles per further retry.
     pub retry_backoff: Duration,
-    /// Worker threads across scenarios (same semantics as
+    /// Worker threads (same semantics as
     /// [`AnalyzerOptions::threads`](crate::analyzer::AnalyzerOptions)).
     pub threads: usize,
     /// Graceful-shutdown flag to honor; `None` never drains early.
@@ -647,8 +689,9 @@ pub struct DurableOptions {
 impl Default for DurableOptions {
     fn default() -> DurableOptions {
         DurableOptions {
-            journal: PathBuf::from("crystal.journal"),
+            journal: None,
             resume: false,
+            fail_fast: false,
             scenario_timeout: None,
             max_retries: 2,
             retry_backoff: Duration::from_millis(25),
@@ -668,6 +711,8 @@ pub enum AttemptOutcome {
         digest: u64,
         /// [`scenario_summary`]-style display text.
         summary: String,
+        /// The analysis result, handed back in [`ScenarioRecord::result`].
+        result: Option<TimingResult>,
     },
     /// Failure, classified; [`FailureKind::is_retryable`] kinds climb the
     /// retry ladder.
@@ -703,8 +748,9 @@ impl DurableRun {
     }
 }
 
-/// The generic durable executor: journaling, resume, watchdog, retry
-/// ladder, and graceful drain over an arbitrary attempt closure.
+/// The generic executor: panic isolation, the optional journal, resume,
+/// watchdog, retry ladder, fail-fast stop, and graceful drain over an
+/// arbitrary attempt closure.
 ///
 /// `attempt(item, cancel, attempt_number)` runs one attempt; it should
 /// poll `cancel` (or hand it to the analyzer) so the watchdog can stop
@@ -716,6 +762,11 @@ impl DurableRun {
 /// [`run_fingerprint_parts`] for real scenarios so a later mismatch can
 /// name its source (a bare [`run_fingerprint`] `u64` also works but
 /// reports generic mismatches).
+///
+/// Records come back in input order and are identical at every thread
+/// count (wall clocks aside); with `fail_fast` the run truncates at the
+/// first failure in input order, even when a later scenario failed first
+/// on another worker.
 pub fn run_durable_with<T, F>(
     items: &[(String, T)],
     fingerprint: impl Into<RunFingerprint>,
@@ -728,10 +779,13 @@ where
     F: Fn(&T, &CancelToken, u32) -> AttemptOutcome + Sync,
 {
     let fingerprint = fingerprint.into();
-    let (journal, prior) = if durable.resume {
-        Journal::open_resume(&durable.journal, fingerprint)?
-    } else {
-        (Journal::create(&durable.journal, fingerprint)?, Vec::new())
+    let (journal, prior) = match &durable.journal {
+        None => (None, Vec::new()),
+        Some(path) if durable.resume => {
+            let (journal, prior) = Journal::open_resume(path, fingerprint)?;
+            (Some(journal), prior)
+        }
+        Some(path) => (Some(Journal::create(path, fingerprint)?), Vec::new()),
     };
     // Later records win (a rerun may append a fresh outcome for a label).
     let mut replay: HashMap<&str, &ScenarioRecord> = HashMap::new();
@@ -752,40 +806,90 @@ where
         t.count(Phase::Durable, "resumed_skips", resumed as u64);
     }
 
-    let journal = Mutex::new(journal);
+    let journal = journal.map(Mutex::new);
     let journal_error: Mutex<Option<DurableError>> = Mutex::new(None);
+    let append = |record: &ScenarioRecord| {
+        let Some(journal) = &journal else { return };
+        match journal.lock().expect("journal lock").append(record) {
+            Ok(()) => {
+                if let Some(t) = trace {
+                    t.count(Phase::Durable, "journal_appends", 1);
+                }
+            }
+            Err(e) => {
+                let mut slot = journal_error.lock().expect("journal error lock");
+                slot.get_or_insert(e);
+            }
+        }
+    };
     let stop = AtomicBool::new(false);
     let watchdog = Watchdog::default();
     let pool = ThreadPool::new(durable.threads);
+    // Without fail-fast every pending scenario is one dispatch and each
+    // record is journaled the moment it exists. Fail-fast dispatches
+    // bounded chunks and journals in input order, up to the first failure.
+    let chunk_len = match (durable.fail_fast, pool.workers()) {
+        (false, _) => pending.len().max(1),
+        (true, 1) => 1,
+        (true, workers) => 2 * workers,
+    };
+    // The 1 ms ticker only runs when there is a deadline or a shutdown
+    // flag to watch; a zero timeout pre-cancels without it.
+    let ticker_needed = durable.shutdown.is_some()
+        || durable
+            .scenario_timeout
+            .is_some_and(|limit| !limit.is_zero());
     let fresh: Vec<Option<ScenarioRecord>> = std::thread::scope(|s| {
         let watchdog = &watchdog;
-        let ticker = s.spawn(|| watchdog.run(durable.shutdown.as_ref(), &stop));
-        let fresh = pool.map_until(&pending, &stop, |_, item| {
-            let (label, payload) = *item;
-            let record = run_ladder(label, payload, &attempt, durable, watchdog, trace);
-            match journal.lock().expect("journal lock").append(&record) {
-                Ok(()) => {
-                    if let Some(t) = trace {
-                        t.count(Phase::Durable, "journal_appends", 1);
-                    }
+        let ticker =
+            ticker_needed.then(|| s.spawn(|| watchdog.run(durable.shutdown.as_ref(), &stop)));
+        let mut fresh = Vec::with_capacity(pending.len());
+        'chunks: for chunk in pending.chunks(chunk_len) {
+            let records = pool.map_until(chunk, &stop, |_, item| {
+                let (label, payload) = *item;
+                // One Batch-phase span per scenario; the attempts and the
+                // analyzer's own phase spans nest inside it.
+                let _span = trace.map(|t| t.span(Phase::Batch, "scenario"));
+                let record = run_ladder(label, payload, &attempt, durable, watchdog, trace);
+                if !durable.fail_fast {
+                    append(&record);
                 }
-                Err(e) => {
-                    let mut slot = journal_error.lock().expect("journal error lock");
-                    slot.get_or_insert(e);
+                record
+            });
+            for record in records {
+                let failed = record.as_ref().is_some_and(|r| r.outcome != Outcome::Ok);
+                if let (true, Some(record)) = (durable.fail_fast, &record) {
+                    append(record);
+                }
+                fresh.push(record);
+                if failed && durable.fail_fast {
+                    break 'chunks;
                 }
             }
-            record
-        });
+        }
         watchdog.finish();
-        let _ = ticker.join();
+        if let Some(ticker) = ticker {
+            let _ = ticker.join();
+        }
         fresh
     });
     if let Some(e) = journal_error.into_inner().expect("journal error lock") {
         return Err(e);
     }
+    if let Some(t) = trace {
+        let attempted = fresh.iter().flatten();
+        let failed = attempted.clone().filter(|r| r.outcome != Outcome::Ok);
+        t.count(
+            Phase::Batch,
+            "scenarios_attempted",
+            attempted.count() as u64,
+        );
+        t.count(Phase::Batch, "scenarios_failed", failed.count() as u64);
+    }
 
-    // Reassemble in input order: replayed + computed + skipped.
-    let mut fresh_iter = fresh.into_iter();
+    // Reassemble in input order: replayed + computed + skipped. Pending
+    // scenarios past the end of `fresh` were cut off by fail-fast.
+    let mut fresh = fresh.into_iter();
     let mut records = Vec::with_capacity(items.len());
     let mut interrupted = false;
     for (label, _) in items {
@@ -793,25 +897,21 @@ where
             records.push((*record).clone());
             continue;
         }
-        match fresh_iter.next().expect("one slot per pending item") {
-            Some(record) => records.push(record),
-            None => {
+        let skipped = |why: &str| {
+            let summary = format!("SKIPPED ({why})");
+            ScenarioRecord::unfinished(label, Outcome::Skipped, None, summary, 0, 0)
+        };
+        records.push(match fresh.next() {
+            Some(Some(record)) => record,
+            Some(None) => {
                 interrupted = true;
                 if let Some(t) = trace {
                     t.count(Phase::Durable, "skipped_shutdown", 1);
                 }
-                records.push(ScenarioRecord {
-                    label: label.clone(),
-                    outcome: Outcome::Skipped,
-                    taxonomy: None,
-                    digest: None,
-                    summary: "SKIPPED (shutdown before start)".to_string(),
-                    attempts: 0,
-                    wall_ms: 0,
-                    resumed: false,
-                });
+                skipped("shutdown before start")
             }
-        }
+            None => skipped("fail-fast stop"),
+        });
     }
     Ok(DurableRun {
         records,
@@ -819,7 +919,6 @@ where
         interrupted,
     })
 }
-
 /// One scenario through the retry ladder; see [`run_durable_with`].
 fn run_ladder<T, F>(
     label: &str,
@@ -869,7 +968,11 @@ where
         }
         let wall_ms = || started.elapsed().as_millis() as u64;
         match outcome {
-            AttemptOutcome::Ok { digest, summary } => {
+            AttemptOutcome::Ok {
+                digest,
+                summary,
+                result,
+            } => {
                 return ScenarioRecord {
                     label: label.to_string(),
                     outcome: Outcome::Ok,
@@ -879,6 +982,7 @@ where
                     attempts,
                     wall_ms: wall_ms(),
                     resumed: false,
+                    result,
                 };
             }
             AttemptOutcome::Failed { kind, message } if kind.is_retryable() => {
@@ -901,47 +1005,42 @@ where
             }
             AttemptOutcome::Failed { kind, message } => {
                 // Deterministic failure: record immediately, never retry.
-                return ScenarioRecord {
-                    label: label.to_string(),
-                    outcome: Outcome::Error,
-                    taxonomy: Some(kind),
-                    digest: None,
-                    summary: format!("FAILED ({message})"),
+                let summary = format!("FAILED ({message})");
+                return ScenarioRecord::unfinished(
+                    label,
+                    Outcome::Error,
+                    Some(kind),
+                    summary,
                     attempts,
-                    wall_ms: wall_ms(),
-                    resumed: false,
-                };
+                    wall_ms(),
+                );
             }
         }
     }
     // Retry ladder exhausted on a retryable failure.
     let (kind, message) = last_failure;
     let wall_ms = started.elapsed().as_millis() as u64;
-    if kind == FailureKind::Timeout && durable.max_retries == 0 {
-        ScenarioRecord {
-            label: label.to_string(),
-            outcome: Outcome::TimedOut,
-            taxonomy: Some(kind),
-            digest: None,
-            summary: format!("TIMED OUT ({message})"),
-            attempts,
-            wall_ms,
-            resumed: false,
-        }
+    let (outcome, summary) = if kind == FailureKind::Timeout && durable.max_retries == 0 {
+        (Outcome::TimedOut, format!("TIMED OUT ({message})"))
     } else {
         if let Some(t) = trace {
             t.count(Phase::Durable, "quarantined", 1);
         }
-        ScenarioRecord {
-            label: label.to_string(),
-            outcome: Outcome::Poisoned,
-            taxonomy: Some(kind),
-            digest: None,
-            summary: format!("POISONED after {attempts} attempts ({kind}: {message})"),
-            attempts,
-            wall_ms,
-            resumed: false,
-        }
+        let summary = format!("POISONED after {attempts} attempts ({kind}: {message})");
+        (Outcome::Poisoned, summary)
+    };
+    ScenarioRecord::unfinished(label, outcome, Some(kind), summary, attempts, wall_ms)
+}
+
+/// Renders a caught panic payload as text: the retry ladder records it
+/// in scenario records, the server in its `internal` responses.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -951,6 +1050,7 @@ fn classify(net: &Network, result: Result<TimingResult, TimingError>) -> Attempt
         Ok(result) => AttemptOutcome::Ok {
             digest: result_digest(net, &result),
             summary: scenario_summary(net, &result),
+            result: Some(result),
         },
         Err(e) if e.was_cancelled() => AttemptOutcome::Failed {
             kind: FailureKind::Timeout,
@@ -967,12 +1067,27 @@ fn classify(net: &Network, result: Result<TimingResult, TimingError>) -> Attempt
     }
 }
 
-/// Durable timing batch: [`run_durable_with`] over real scenarios.
+/// Transistor count at which [`run_durable`] switches its parallelism
+/// grain from scenario-level to intra-analysis. Below it, whole
+/// scenarios are the unit of work (coarse jobs, zero per-round fan-out
+/// overhead — always the win for the small seed circuits); at or above
+/// it, one circuit's extraction/evaluation fan-out dominates a scenario,
+/// so scenarios run one at a time with the workers inside the analysis.
+/// Either grain produces bit-identical arrivals; only wall time differs.
+const INTRA_ANALYSIS_TRANSISTORS: usize = 512;
+
+/// The timing batch: [`run_durable_with`] over real scenarios, each
+/// analyzed against one network.
 ///
-/// Per-scenario analyses run with `threads: 1` (the durable layer fans
-/// out across scenarios, like [`crate::batch::run_batch`]); retries drop
-/// the memo cache — the relaxed-options rung of the ladder — which is
-/// safe because cached results are bit-identical to fresh ones.
+/// `durable.threads` is the worker budget, spent on one grain picked from
+/// the circuit size (`INTRA_ANALYSIS_TRANSISTORS`): small circuits
+/// parallelize across *scenarios* with each analysis serial inside,
+/// large circuits run scenarios serially with the workers inside each
+/// analysis — never both at once, so the machine is not oversubscribed.
+/// `options.threads` is overridden accordingly. A shared `options.cache`
+/// pools stage evaluations across all scenarios; retries drop it — the
+/// relaxed-options rung of the ladder — which is safe because cached
+/// results are bit-identical to fresh ones.
 pub fn run_durable(
     net: &Network,
     tech: &Technology,
@@ -981,10 +1096,20 @@ pub fn run_durable(
     options: AnalyzerOptions,
     durable: &DurableOptions,
 ) -> Result<DurableRun, DurableError> {
-    let fingerprint = run_fingerprint_parts(net, tech, model, &options);
+    // The fingerprint only pins a journal; without one, skip serializing
+    // the netlist to hash it.
+    let fingerprint = match durable.journal {
+        Some(_) => run_fingerprint_parts(net, tech, model, &options),
+        None => RunFingerprint::from(0),
+    };
     let trace = options.trace.clone();
+    let (outer, inner) = if net.transistor_count() >= INTRA_ANALYSIS_TRANSISTORS {
+        (1, durable.threads)
+    } else {
+        (durable.threads, 1)
+    };
     let per_scenario = AnalyzerOptions {
-        threads: 1,
+        threads: inner,
         ..options
     };
     run_durable_with(
@@ -1001,7 +1126,10 @@ pub fn run_durable(
                 analyze_with_options(net, tech, model, scenario, attempt_options),
             )
         },
-        durable,
+        &DurableOptions {
+            threads: outer,
+            ..durable.clone()
+        },
         trace.as_deref(),
     )
 }
@@ -1033,6 +1161,7 @@ mod tests {
         AttemptOutcome::Ok {
             digest: *i as u64 + 10,
             summary: format!("ok, item {i}"),
+            result: None,
         }
     }
 
@@ -1047,6 +1176,7 @@ mod tests {
             attempts: 3,
             wall_ms: 41,
             resumed: true,
+            result: None,
         };
         let line = record_line(&record);
         assert_eq!(
@@ -1092,7 +1222,7 @@ mod tests {
                     ok_attempt(i)
                 },
                 &DurableOptions {
-                    journal: path.clone(),
+                    journal: Some(path.clone()),
                     resume,
                     ..DurableOptions::default()
                 },
@@ -1126,7 +1256,7 @@ mod tests {
             7,
             |i, _, _| ok_attempt(i),
             &DurableOptions {
-                journal: path.clone(),
+                journal: Some(path.clone()),
                 ..DurableOptions::default()
             },
             None,
@@ -1144,7 +1274,7 @@ mod tests {
                 ok_attempt(i)
             },
             &DurableOptions {
-                journal: path.clone(),
+                journal: Some(path.clone()),
                 resume: true,
                 ..DurableOptions::default()
             },
@@ -1170,7 +1300,7 @@ mod tests {
             7,
             |i, _, _| ok_attempt(i),
             &DurableOptions {
-                journal: path.clone(),
+                journal: Some(path.clone()),
                 ..DurableOptions::default()
             },
             None,
@@ -1197,7 +1327,7 @@ mod tests {
             7,
             |i, _, _| ok_attempt(i),
             &DurableOptions {
-                journal: path.clone(),
+                journal: Some(path.clone()),
                 ..DurableOptions::default()
             },
             None,
@@ -1334,7 +1464,7 @@ mod tests {
                 ok_attempt(i)
             },
             &DurableOptions {
-                journal: path.clone(),
+                journal: Some(path.clone()),
                 max_retries: 2,
                 retry_backoff: Duration::from_millis(1),
                 ..DurableOptions::default()
@@ -1356,7 +1486,7 @@ mod tests {
             7,
             |_: &usize, _: &CancelToken, _| -> AttemptOutcome { panic!("always broken") },
             &DurableOptions {
-                journal: path.clone(),
+                journal: Some(path.clone()),
                 max_retries: 1,
                 retry_backoff: Duration::from_millis(1),
                 ..DurableOptions::default()
@@ -1386,7 +1516,7 @@ mod tests {
                 ok_attempt(i)
             },
             &DurableOptions {
-                journal: path.clone(),
+                journal: Some(path.clone()),
                 resume: true,
                 ..DurableOptions::default()
             },
@@ -1414,7 +1544,7 @@ mod tests {
                 }
             },
             &DurableOptions {
-                journal: path.clone(),
+                journal: Some(path.clone()),
                 max_retries: 5,
                 retry_backoff: Duration::from_millis(1),
                 ..DurableOptions::default()
@@ -1454,7 +1584,7 @@ mod tests {
                 }
             },
             &DurableOptions {
-                journal: path.clone(),
+                journal: Some(path.clone()),
                 scenario_timeout: Some(Duration::from_millis(10)),
                 max_retries: 1,
                 retry_backoff: Duration::from_millis(1),
@@ -1487,7 +1617,7 @@ mod tests {
                 }
             },
             &DurableOptions {
-                journal: path.clone(),
+                journal: Some(path.clone()),
                 scenario_timeout: Some(Duration::ZERO),
                 max_retries: 0,
                 ..DurableOptions::default()
@@ -1513,7 +1643,7 @@ mod tests {
                 ok_attempt(i)
             },
             &DurableOptions {
-                journal: path.clone(),
+                journal: Some(path.clone()),
                 threads: 1,
                 shutdown: Some(shutdown),
                 ..DurableOptions::default()
@@ -1543,7 +1673,7 @@ mod tests {
             7,
             |i, _, _| ok_attempt(i),
             &DurableOptions {
-                journal: baseline_path.clone(),
+                journal: Some(baseline_path.clone()),
                 threads: 1,
                 ..DurableOptions::default()
             },
@@ -1557,7 +1687,7 @@ mod tests {
                 7,
                 |i, _, _| ok_attempt(i),
                 &DurableOptions {
-                    journal: path.clone(),
+                    journal: Some(path.clone()),
                     threads,
                     ..DurableOptions::default()
                 },
@@ -1568,5 +1698,226 @@ mod tests {
             let _ = std::fs::remove_file(&path);
         }
         let _ = std::fs::remove_file(&baseline_path);
+    }
+
+    // --- fail-soft batches (no journal) ---
+
+    fn numbered(n: usize) -> Vec<(String, usize)> {
+        (0..n).map(|i| (format!("item{i}"), i)).collect()
+    }
+
+    /// Item `error` fails deterministically, item `panic_at` panics, the
+    /// rest succeed.
+    fn error_at(i: usize, error: usize, panic_at: usize) -> AttemptOutcome {
+        if i == error {
+            AttemptOutcome::Failed {
+                kind: FailureKind::Analysis,
+                message: format!("ordinary failure {i}"),
+            }
+        } else if i == panic_at {
+            panic!("injected panic {i}");
+        } else {
+            ok_attempt(&i)
+        }
+    }
+
+    /// No journal, no retries, and the given workers and fail-fast mode.
+    fn soft(threads: usize, fail_fast: bool) -> DurableOptions {
+        DurableOptions {
+            max_retries: 0,
+            threads,
+            fail_fast,
+            ..DurableOptions::default()
+        }
+    }
+
+    /// The records with their wall clocks zeroed: everything else must
+    /// match across thread counts.
+    fn keys(run: &DurableRun) -> Vec<ScenarioRecord> {
+        let timeless = |r: &ScenarioRecord| ScenarioRecord {
+            wall_ms: 0,
+            ..r.clone()
+        };
+        run.records.iter().map(timeless).collect()
+    }
+
+    #[test]
+    fn batch_continues_past_errors_and_panics() {
+        let run = run_durable_with(
+            &numbered(5),
+            7,
+            |&i, _, _| error_at(i, 1, 3),
+            &soft(1, false),
+            None,
+        )
+        .expect("no journal, no I/O");
+        assert_eq!(run.records.len(), 5, "every item was attempted");
+        assert!(!run.all_ok());
+        assert!(!run.interrupted);
+        assert_eq!(run.count(Outcome::Ok), 3);
+        let failed = &run.records[1];
+        assert_eq!(
+            (failed.outcome, failed.taxonomy),
+            (Outcome::Error, Some(FailureKind::Analysis))
+        );
+        assert_eq!(failed.summary, "FAILED (ordinary failure 1)");
+        let panicked = &run.records[3];
+        assert_eq!(panicked.outcome, Outcome::Poisoned);
+        assert_eq!(panicked.taxonomy, Some(FailureKind::Panic));
+        assert!(
+            panicked.summary.contains("injected panic 3"),
+            "{}",
+            panicked.summary
+        );
+    }
+
+    #[test]
+    fn fail_fast_stops_at_the_first_failure() {
+        let attempted = Mutex::new(Vec::new());
+        let run = run_durable_with(
+            &numbered(4),
+            7,
+            |&i, _, _| {
+                attempted.lock().unwrap().push(i);
+                error_at(i, 1, usize::MAX)
+            },
+            &soft(1, true),
+            None,
+        )
+        .expect("runs");
+        let attempted = attempted.into_inner().unwrap();
+        assert_eq!(attempted, vec![0, 1], "items after the failure are skipped");
+        assert_eq!(run.records.len(), 4, "one record per item");
+        assert_eq!(run.records[1].outcome, Outcome::Error);
+        for record in &run.records[2..] {
+            assert_eq!(record.outcome, Outcome::Skipped);
+            assert_eq!(record.summary, "SKIPPED (fail-fast stop)");
+        }
+        assert!(!run.interrupted, "a fail-fast stop is not a drain");
+        assert!(!run.all_ok());
+    }
+
+    #[test]
+    fn clean_batch_is_all_ok() {
+        let run = run_durable_with(
+            &numbered(3),
+            7,
+            |i, _, _| ok_attempt(i),
+            &soft(1, false),
+            None,
+        )
+        .expect("runs");
+        assert!(run.all_ok());
+        assert_eq!(run.count(Outcome::Ok), 3);
+    }
+
+    #[test]
+    fn parallel_batch_matches_serial_output() {
+        let f = |&i: &usize, _: &CancelToken, _| error_at(i, 2, 5);
+        let serial = run_durable_with(&numbered(12), 7, f, &soft(1, false), None).expect("runs");
+        for threads in [2, 3, 8] {
+            let par =
+                run_durable_with(&numbered(12), 7, f, &soft(threads, false), None).expect("runs");
+            assert_eq!(par.interrupted, serial.interrupted);
+            assert_eq!(keys(&par), keys(&serial), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn parallel_fail_fast_stops_at_first_input_order_failure() {
+        let f = |&i: &usize, _: &CancelToken, _| error_at(i, 3, usize::MAX);
+        let serial = run_durable_with(&numbered(20), 7, f, &soft(1, true), None).expect("runs");
+        assert_eq!(serial.count(Outcome::Skipped), 16);
+        for threads in [2, 4] {
+            let par =
+                run_durable_with(&numbered(20), 7, f, &soft(threads, true), None).expect("runs");
+            assert_eq!(keys(&par), keys(&serial), "threads={threads}");
+            assert_eq!(par.records[3].outcome, Outcome::Error);
+            assert!(!par.interrupted);
+        }
+    }
+
+    #[test]
+    fn parallel_fail_fast_panic_in_later_chunk_truncates_in_input_order() {
+        // threads=2 → dispatch chunks of 4: the panic at index 6 sits in
+        // the *second* chunk, and the error at index 9 in the third chunk
+        // must never surface — truncation is input-order-first even when
+        // the failure is a panic rather than an ordinary error. Only the
+        // records up to the panic reach the journal.
+        let path = temp_journal("fail_fast_chunks");
+        let run = run_durable_with(
+            &numbered(16),
+            7,
+            |&i, _, _| match i {
+                9 => error_at(i, 9, usize::MAX),
+                _ => error_at(i, usize::MAX, 6),
+            },
+            &DurableOptions {
+                journal: Some(path.clone()),
+                ..soft(2, true)
+            },
+            None,
+        )
+        .expect("runs");
+        assert!(!run.all_ok(), "a panicking scenario fails the batch");
+        assert!(!run.interrupted);
+        assert_eq!(run.count(Outcome::Ok), 6);
+        let last = &run.records[6];
+        assert_eq!(last.outcome, Outcome::Poisoned);
+        assert!(
+            last.summary.contains("injected panic 6"),
+            "{}",
+            last.summary
+        );
+        assert_eq!(
+            run.count(Outcome::Skipped),
+            9,
+            "truncates right after the panic"
+        );
+        assert_eq!(
+            run.count(Outcome::Error),
+            0,
+            "the later failure never surfaces"
+        );
+        let text = std::fs::read_to_string(&path).expect("journal exists");
+        assert_eq!(
+            text.lines().count(),
+            1 + 7,
+            "header plus the records up to the panic"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn timing_batch_analyzes_scenarios() {
+        use crate::analyzer::Edge;
+        let net = tiny_net(INVERTER);
+        let (a, y) = (
+            net.node_by_name("a").unwrap(),
+            net.node_by_name("y").unwrap(),
+        );
+        let scenarios = vec![
+            ("a rise".to_string(), Scenario::step(a, Edge::Rising)),
+            ("a fall".to_string(), Scenario::step(a, Edge::Falling)),
+        ];
+        let run = run_durable(
+            &net,
+            &Technology::nominal(),
+            ModelKind::Slope,
+            &scenarios,
+            AnalyzerOptions::default(),
+            &DurableOptions::default(),
+        )
+        .expect("no journal, no I/O");
+        assert!(run.all_ok());
+        // Fresh successes hand their result back, digested as journaled.
+        for record in &run.records {
+            let result = record
+                .result
+                .as_ref()
+                .expect("fresh success carries its result");
+            assert!(result.arrival(y).is_some());
+            assert_eq!(record.digest, Some(result_digest(&net, result)));
+        }
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! Everything here is dependency-free, like the rest of the workspace.
 
-use crate::analyzer::AnalyzerOptions;
+use crate::analyzer::{AnalyzerOptions, Arrival, Edge, TimingResult};
 use crate::models::ModelKind;
 use crate::tech::Technology;
 use mosnet::{sim_format, Network};
@@ -247,32 +247,56 @@ pub fn run_fingerprint_parts(
 /// FNV-1a digest over a result's arrivals — exact bit patterns of every
 /// `(node, time, transition, edge, model)` row in node-name order. Two
 /// results digest equal iff the analyses are bit-identical, which is the
-/// property resume and the resume-equivalence self-check verify.
-pub fn result_digest(net: &Network, result: &crate::analyzer::TimingResult) -> u64 {
-    let mut rows: Vec<(String, u64, u64, bool, String)> = result
-        .arrivals()
-        .map(|(id, a)| {
-            (
-                net.node(id).name().to_string(),
-                a.time.value().to_bits(),
-                a.transition.value().to_bits(),
-                a.edge == crate::analyzer::Edge::Rising,
-                a.model.to_string(),
-            )
-        })
-        .collect();
-    rows.sort();
+/// property resume and the resume-equivalence self-check verify. Run
+/// records hash their arrival rows the same way
+/// ([`crate::runstore::arrival_digest`]), so run records, journals, and
+/// server reports speak one digest.
+pub fn result_digest(net: &Network, result: &TimingResult) -> u64 {
     let mut h = Fnv64::new();
-    for (name, time, transition, rising, model) in rows {
-        h.write(name.as_bytes());
-        h.write(&[0]);
-        h.write_u64(time);
-        h.write_u64(transition);
-        h.write(&[u8::from(rising)]);
-        h.write(model.as_bytes());
-        h.write(&[0]);
+    for (node, a) in sorted_arrivals(net, result) {
+        hash_arrival_row(
+            &mut h,
+            node,
+            a.time.value().to_bits(),
+            a.transition.value().to_bits(),
+            a.edge == Edge::Rising,
+            a.model.label(),
+        );
     }
     h.finish()
+}
+
+/// A result's arrivals with their node names, in node-name order: the
+/// row order of [`result_digest`] and of run-record arrival rows.
+pub(crate) fn sorted_arrivals<'a>(
+    net: &'a Network,
+    result: &'a TimingResult,
+) -> Vec<(&'a str, &'a Arrival)> {
+    let mut arrivals: Vec<(&str, &Arrival)> = result
+        .arrivals()
+        .map(|(id, a)| (net.node(id).name(), a))
+        .collect();
+    arrivals.sort_unstable_by_key(|&(node, _)| node);
+    arrivals
+}
+
+/// Feeds one arrival row into a digest: the one row layout behind
+/// [`result_digest`] and [`crate::runstore::arrival_digest`].
+pub(crate) fn hash_arrival_row(
+    h: &mut Fnv64,
+    node: &str,
+    time_bits: u64,
+    transition_bits: u64,
+    rising: bool,
+    model: &str,
+) {
+    h.write(node.as_bytes());
+    h.write(&[0]);
+    h.write_u64(time_bits);
+    h.write_u64(transition_bits);
+    h.write(&[u8::from(rising)]);
+    h.write(model.as_bytes());
+    h.write(&[0]);
 }
 
 // ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@
 
 pub mod analyzer;
 pub mod applog;
-pub mod batch;
 pub mod budget;
 pub mod charge;
 pub mod durable;
@@ -77,10 +76,6 @@ pub mod tech_format;
 pub use analyzer::{
     analyze, analyze_with_options, AnalysisMode, AnalyzerOptions, Arrival, Edge, IncrementalStats,
     PropagationMode, Scenario, TimingResult,
-};
-pub use batch::{
-    run_batch, run_batch_par_with, run_batch_with, BatchFailure, BatchRun,
-    INTRA_ANALYSIS_TRANSISTORS,
 };
 pub use budget::{AnalysisBudget, BudgetExceeded, CancelToken, PartialTiming};
 pub use durable::{

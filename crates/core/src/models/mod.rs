@@ -57,6 +57,16 @@ impl ModelKind {
             ModelKind::Slope => "slope",
         }
     }
+
+    /// The display spelling (`rc-tree`), which run-record arrival rows
+    /// and result digests carry.
+    pub fn label(self) -> &'static str {
+        match self {
+            ModelKind::Lumped => "lumped",
+            ModelKind::RcTree => "rc-tree",
+            ModelKind::Slope => "slope",
+        }
+    }
 }
 
 /// The model-name table the CLI, the daemon and the journals share.
@@ -66,18 +76,14 @@ impl FromStr for ModelKind {
     fn from_str(name: &str) -> Result<ModelKind, String> {
         ModelKind::ALL
             .into_iter()
-            .find(|model| name == model.name() || name == model.to_string())
+            .find(|model| name == model.name() || name == model.label())
             .ok_or_else(|| format!("unknown model `{name}`"))
     }
 }
 
 impl fmt::Display for ModelKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ModelKind::Lumped => "lumped",
-            ModelKind::RcTree => "rc-tree",
-            ModelKind::Slope => "slope",
-        })
+        f.write_str(self.label())
     }
 }
 

@@ -26,7 +26,7 @@
 //!   of the **lowest-indexed** panicking item is re-raised on the calling
 //!   thread after every worker has drained — exactly what a serial
 //!   left-to-right loop would have surfaced, so `catch_unwind` isolation
-//!   in [`crate::batch`] keeps working unchanged.
+//!   in [`crate::durable`] keeps working unchanged.
 
 use crate::obs::{Phase, TraceSink};
 use std::collections::VecDeque;
@@ -92,8 +92,8 @@ struct PoolShared {
 /// Batches are serialized — the pool is not re-entrant, and a closure
 /// running on the pool must not call back into the same pool instance
 /// (the analyzer gives every analysis its own pool, and
-/// [`crate::batch`] runs per-scenario analyses with an inner worker
-/// count of 1, so this does not arise in practice).
+/// [`crate::durable`] fans out either across scenarios or inside one
+/// analysis, never both, so this does not arise in practice).
 pub struct ThreadPool {
     workers: usize,
     shared: Option<Arc<PoolShared>>,

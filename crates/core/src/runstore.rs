@@ -47,7 +47,9 @@
 
 use crate::analyzer::{Edge, TimingResult};
 use crate::applog::{self, AppendLog, Fields, JournalFaultPlan, RecoverError};
-use crate::fingerprint::{escape_json, run_id, Fnv64, JsonLine, ReadFields};
+use crate::fingerprint::{
+    escape_json, hash_arrival_row, run_id, sorted_arrivals, Fnv64, JsonLine, ReadFields,
+};
 use crate::memo::CacheStats;
 use crate::models::ModelKind;
 use crate::obs::Metrics;
@@ -448,9 +450,9 @@ pub fn arrival_rows(
     result: &TimingResult,
     inject: Option<(ModelKind, f64)>,
 ) -> Vec<ArrivalRow> {
-    let mut rows: Vec<ArrivalRow> = result
-        .arrivals()
-        .map(|(id, a)| {
+    sorted_arrivals(net, result)
+        .into_iter()
+        .map(|(node, a)| {
             let mut time_bits = a.time.value().to_bits();
             if let Some((model, factor)) = inject {
                 if a.model == model {
@@ -459,32 +461,30 @@ pub fn arrival_rows(
             }
             ArrivalRow {
                 scenario: label.to_string(),
-                node: net.node(id).name().to_string(),
+                node: node.to_string(),
                 time_bits,
                 transition_bits: a.transition.value().to_bits(),
                 rising: a.edge == Edge::Rising,
-                model: a.model.to_string(),
+                model: a.model.label().to_string(),
             }
         })
-        .collect();
-    rows.sort_by(|x, y| x.node.cmp(&y.node));
-    rows
+        .collect()
 }
 
-/// FNV-1a digest over arrival rows, row-layout-compatible with
+/// FNV-1a digest over arrival rows, in the row layout of
 /// [`crate::fingerprint::result_digest`]: without an injected fault the
-/// two digests are identical, so run records, durable journals, and
-/// server reports all speak the same digest for the same result.
+/// two digests are identical, so a recorded digest matches the journal's.
 pub fn arrival_digest(rows: &[ArrivalRow]) -> u64 {
     let mut h = Fnv64::new();
     for row in rows {
-        h.write(row.node.as_bytes());
-        h.write(&[0]);
-        h.write_u64(row.time_bits);
-        h.write_u64(row.transition_bits);
-        h.write(&[u8::from(row.rising)]);
-        h.write(row.model.as_bytes());
-        h.write(&[0]);
+        hash_arrival_row(
+            &mut h,
+            &row.node,
+            row.time_bits,
+            row.transition_bits,
+            row.rising,
+            &row.model,
+        );
     }
     h.finish()
 }
@@ -1478,6 +1478,28 @@ mod tests {
             std::env::temp_dir().join(format!("crystal_runstore_{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         RunStore::open(&dir).expect("store opens")
+    }
+
+    #[test]
+    fn arrival_digest_is_the_result_digest_until_injected() {
+        use crate::analyzer::{analyze, Scenario};
+        use mosnet::generators::{carry_chain, Style};
+        let net = carry_chain(Style::Cmos, 4, mosnet::units::Farads::from_femto(60.0)).unwrap();
+        let tech = crate::tech::Technology::nominal();
+        let input = net.inputs()[0];
+        let result = analyze(
+            &net,
+            &tech,
+            ModelKind::Slope,
+            &Scenario::step(input, Edge::Rising),
+        )
+        .unwrap();
+        let rows = arrival_rows(&net, "s", &result, None);
+        assert!(rows.windows(2).all(|w| w[0].node < w[1].node));
+        let digest = crate::fingerprint::result_digest(&net, &result);
+        assert_eq!(arrival_digest(&rows), digest);
+        let injected = arrival_rows(&net, "s", &result, Some((ModelKind::Slope, 2.0)));
+        assert_ne!(arrival_digest(&injected), digest);
     }
 
     #[test]

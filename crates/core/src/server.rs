@@ -79,7 +79,7 @@ use std::time::{Duration, Instant};
 use crate::analyzer::{analyze_with_options, AnalyzerOptions};
 use crate::applog::Fields;
 use crate::budget::{AnalysisBudget, CancelToken};
-use crate::durable::{JournalFaultPlan, ShutdownFlag, Watchdog};
+use crate::durable::{panic_message, JournalFaultPlan, ShutdownFlag, Watchdog};
 use crate::error::TimingError;
 use crate::fingerprint::{hex64, parse_json_object, result_digest, JsonLine, ReadFields};
 use crate::memo::StageCache;
@@ -761,16 +761,6 @@ fn error_response(err: &SessionError) -> Response {
     Response::new(status_for(err)).field("error", &err.to_string())
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic of unknown type".to_string()
-    }
-}
-
 fn handle_line(inner: &Arc<Inner>, line: &str) -> String {
     inner.bump(&inner.counters.requests, "requests");
     let Some(request) = parse_json_object(line) else {
@@ -858,7 +848,7 @@ fn gated_request(inner: &Arc<Inner>, op: &str, request: &Fields) -> Response {
     match outcome {
         Ok(response) => response,
         Err(payload) => {
-            let message = panic_message(payload);
+            let message = panic_message(payload.as_ref());
             inner.bump(&inner.counters.panics, "panics");
             // Poison exactly the session the request was operating on;
             // its mutex may itself be poisoned by the unwinding — that

@@ -43,7 +43,7 @@ fn run(net: &Network, journal: PathBuf, resume: bool, threads: usize) -> crystal
         &scenarios,
         AnalyzerOptions::default(),
         &DurableOptions {
-            journal,
+            journal: Some(journal),
             resume,
             threads,
             ..DurableOptions::default()

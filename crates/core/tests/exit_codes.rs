@@ -191,28 +191,8 @@ fn flags_that_would_do_nothing_are_refused() {
     for (args, flag, other) in [
         (vec!["batch", p, "--resume"], "--resume", "--journal"),
         (
-            vec!["batch", p, "--scenario-timeout", "0"],
-            "--scenario-timeout",
-            "--journal",
-        ),
-        (
-            vec!["batch", p, "--max-retries", "0"],
-            "--max-retries",
-            "--journal",
-        ),
-        (
-            vec!["batch", p, "--retry-backoff-ms", "1"],
-            "--retry-backoff-ms",
-            "--journal",
-        ),
-        (
             vec!["batch", p, "--selfcheck-resume"],
             "--selfcheck-resume",
-            "--journal",
-        ),
-        (
-            vec!["batch", p, "--journal", j, "--fail-fast"],
-            "--fail-fast",
             "--journal",
         ),
         (
@@ -308,6 +288,18 @@ fn scenario_timeout_is_five() {
             path.to_str().unwrap(),
             "--journal",
             journal.to_str().unwrap(),
+            "--scenario-timeout",
+            "0",
+            "--max-retries",
+            "0",
+        ]),
+        5
+    );
+    // The watchdog and the retry ladder need no journal.
+    assert_eq!(
+        exit_code(&[
+            "batch",
+            path.to_str().unwrap(),
             "--scenario-timeout",
             "0",
             "--max-retries",

@@ -1,11 +1,14 @@
 //! Property tests for the parallel timing engine: every observable
 //! output — full results, tripped-budget partial results, and fail-soft
-//! batch runs with injected panics — must be bit-identical whether the
-//! analysis runs on one thread or many.
+//! batch runs (through the scenario executor) with injected panics —
+//! must be bit-identical whether the analysis runs on one thread or many.
 
 use crystal::analyzer::{analyze_with_options, AnalyzerOptions, Edge, Scenario};
-use crystal::batch::{run_batch, run_batch_par_with, BatchFailure};
-use crystal::budget::AnalysisBudget;
+use crystal::budget::{AnalysisBudget, CancelToken};
+use crystal::durable::{
+    run_durable, run_durable_with, AttemptOutcome, DurableOptions, DurableRun, FailureKind,
+    Outcome, ScenarioRecord,
+};
 use crystal::memo::StageCache;
 use crystal::models::ModelKind;
 use crystal::tech::Technology;
@@ -199,26 +202,50 @@ fn tripped_stage_budget_is_bit_identical_at_any_thread_count() {
     }
 }
 
+/// The records with their wall clocks zeroed: everything else, results
+/// included, must match across thread counts.
+fn record_keys(run: &DurableRun) -> Vec<ScenarioRecord> {
+    let timeless = |r: &ScenarioRecord| ScenarioRecord {
+        wall_ms: 0,
+        ..r.clone()
+    };
+    run.records.iter().map(timeless).collect()
+}
+
 #[test]
 fn batch_with_injected_panic_is_bit_identical_at_any_thread_count() {
     let items: Vec<(String, usize)> = (0..24).map(|i| (format!("item{i}"), i)).collect();
-    let f = |&i: &usize| -> Result<usize, String> {
+    let f = |&i: &usize, _: &CancelToken, _| -> AttemptOutcome {
         match i {
             7 => panic!("injected panic in item {i}"),
-            13 => Err(format!("injected error in item {i}")),
-            _ => Ok(i * 3),
+            13 => AttemptOutcome::Failed {
+                kind: FailureKind::Analysis,
+                message: format!("injected error in item {i}"),
+            },
+            _ => AttemptOutcome::Ok {
+                digest: i as u64 * 3,
+                summary: format!("ok {i}"),
+                result: None,
+            },
         }
     };
-    let serial = run_batch_par_with(&items, f, false, 1);
+    let run_at = |threads: usize| {
+        let durable = DurableOptions {
+            threads,
+            max_retries: 0,
+            ..DurableOptions::default()
+        };
+        run_durable_with(&items, 7, f, &durable, None).expect("no journal, no I/O")
+    };
+    let serial = run_at(1);
     assert!(!serial.all_ok());
-    assert!(matches!(
-        serial.results[7].1,
-        Err(BatchFailure::Panicked { .. })
-    ));
+    assert_eq!(serial.records[7].outcome, Outcome::Poisoned);
+    assert_eq!(serial.records[7].taxonomy, Some(FailureKind::Panic));
+    assert_eq!(serial.records[13].outcome, Outcome::Error);
     for threads in THREAD_COUNTS {
-        let par = run_batch_par_with(&items, f, false, threads);
-        assert_eq!(par.aborted_early, serial.aborted_early);
-        assert_eq!(par.results, serial.results, "threads {threads}");
+        let par = run_at(threads);
+        assert_eq!(par.interrupted, serial.interrupted);
+        assert_eq!(record_keys(&par), record_keys(&serial), "threads {threads}");
     }
 }
 
@@ -245,21 +272,24 @@ fn scenario_batch_with_tripped_budgets_is_bit_identical_at_any_thread_count() {
         scenarios.push((format!("cin {edge:?}"), scenario));
     }
     let run_at = |threads: usize, cap: Option<usize>| {
-        run_batch(
+        run_durable(
             &net,
             &tech,
             ModelKind::Slope,
             &scenarios,
             AnalyzerOptions {
-                threads,
                 budget: AnalysisBudget {
                     max_stage_evals: cap,
                     ..AnalysisBudget::unlimited()
                 },
                 ..AnalyzerOptions::default()
             },
-            false,
+            &DurableOptions {
+                threads,
+                ..DurableOptions::default()
+            },
         )
+        .expect("no journal, no I/O")
     };
     for cap in [None, Some(2)] {
         let serial = run_at(1, cap);
@@ -268,9 +298,10 @@ fn scenario_batch_with_tripped_budgets_is_bit_identical_at_any_thread_count() {
         }
         for threads in THREAD_COUNTS {
             let par = run_at(threads, cap);
-            assert_eq!(par.aborted_early, serial.aborted_early);
+            assert_eq!(par.interrupted, serial.interrupted);
             assert_eq!(
-                par.results, serial.results,
+                record_keys(&par),
+                record_keys(&serial),
                 "cap {cap:?}, threads {threads}"
             );
         }

@@ -222,42 +222,44 @@ fn budget_exhausted_partial_is_a_prefix_of_the_full_result() {
 
 #[test]
 fn batch_survives_injected_panics() {
-    use crystal::batch::{run_batch_with, BatchFailure};
+    use crystal::durable::{run_durable_with, AttemptOutcome, DurableOptions, Outcome};
     let items: Vec<(String, usize)> = (0..6).map(|i| (format!("scenario{i}"), i)).collect();
-    let run = run_batch_with(
-        &items,
-        |&i| {
+    let run = |fail_fast: bool| {
+        let durable = DurableOptions {
+            fail_fast,
+            max_retries: 0,
+            ..DurableOptions::default()
+        };
+        let attempt = |&i: &usize, _: &_, _| {
             if i == 2 {
                 panic!("injected panic in scenario {i}");
             }
-            Ok::<usize, String>(i)
-        },
-        false,
-    );
-    // Every scenario after the panic still ran.
-    assert_eq!(run.results.len(), 6);
-    assert!(!run.all_ok());
-    let failures: Vec<_> = run.failures().collect();
-    assert_eq!(failures.len(), 1);
-    assert_eq!(failures[0].0, "scenario2");
-    assert!(matches!(
-        failures[0].1,
-        BatchFailure::Panicked { message } if message.contains("injected panic")
-    ));
-    // With fail-fast, the batch stops right after the panic instead.
-    let run = run_batch_with(
-        &items,
-        |&i| {
-            if i == 2 {
-                panic!("injected panic");
+            AttemptOutcome::Ok {
+                digest: i as u64,
+                summary: "ok".to_string(),
+                result: None,
             }
-            Ok::<usize, String>(i)
-        },
-        true,
+        };
+        run_durable_with(&items, 7, attempt, &durable, None).expect("no journal, no I/O")
+    };
+    // Every scenario after the panic still ran.
+    let soft = run(false);
+    assert!(!soft.all_ok());
+    assert_eq!(soft.count(Outcome::Ok), 5);
+    let panicked = &soft.records[2];
+    assert_eq!(panicked.label, "scenario2");
+    assert_eq!(panicked.outcome, Outcome::Poisoned);
+    assert!(
+        panicked.summary.contains("injected panic"),
+        "{}",
+        panicked.summary
     );
-    assert_eq!(run.results.len(), 3);
-    assert!(run.aborted_early);
-    assert!(run.failure_summary().contains("aborted early"));
+    // With fail-fast, the batch stops right after the panic instead.
+    let fast = run(true);
+    assert_eq!(fast.count(Outcome::Ok), 2);
+    assert_eq!(fast.records[2].outcome, Outcome::Poisoned);
+    assert_eq!(fast.count(Outcome::Skipped), 3);
+    assert!(!fast.interrupted);
 }
 
 #[test]

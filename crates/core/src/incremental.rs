@@ -1,45 +1,55 @@
 //! Incremental re-analysis: dependency-tracked invalidation over netlist
 //! edits.
 //!
-//! An [`IncrementalAnalyzer`] holds a network, a technology, and a set of
-//! named scenarios with their fully analyzed [`TimingResult`]s. Applying
-//! an edit ([`mosnet::diff::Edit`], or a wholesale replacement network)
-//! diffs the new netlist against the old one, maps the structural and
-//! logic-state changes onto the set of switching targets whose stages can
-//! change, and re-extracts/re-evaluates **only those targets** — every
-//! untouched target's arrival is replayed bit-identically from the
-//! previous result.
+//! An [`IncrementalAnalyzer`] holds a network, a technology, and named
+//! scenarios with their analyzed [`TimingResult`]s. An edit script
+//! ([`mosnet::diff::Edit`]) or a replacement network is mapped onto the
+//! switching targets whose stages can change, and **only those targets**
+//! are re-extracted and re-evaluated; every other arrival is replayed
+//! bit-identically from the previous result.
+//!
+//! Everything a scenario keeps is indexed by [`NodeId`]. Edit scripts keep
+//! every node id and only append nodes, so the edit path compares states
+//! index by index and [`diff::apply_edits_with_diff`] diffs only what the
+//! script touched. Only [`IncrementalAnalyzer::replace_network`] (a
+//! re-parsed file may renumber everything) matches nodes by name, once,
+//! and then runs the same id-keyed core.
 //!
 //! ## The dependency index
 //!
-//! A target's extracted stages and its evaluation depend on:
+//! A target's stages and their evaluation depend on the nodes reachable
+//! from it through *potentially conducting* transistors (conducting in
+//! the before **or** after steady state), which carry the stage's
+//! resistances and capacitances, and on the gates of every transistor
+//! whose channel touches one of those nodes: gate arrivals trigger
+//! stages, gate logic selects conduction, and (via
+//! [`Technology::node_capacitance`](crate::tech::Technology::node_capacitance))
+//! a resize changes the load on the node that gates the device. That
+//! union is the **support** of the target's component of the
+//! potentially-conducting channel graph (rails are barriers).
 //!
-//! * the nodes reachable from it through *potentially conducting*
-//!   transistors (conducting in the before **or** after steady state) —
-//!   these carry the stage's resistances and capacitances;
-//! * the gates of every transistor whose channel touches one of those
-//!   nodes — gate arrivals trigger stages, gate logic selects conduction,
-//!   and (via [`Technology::node_capacitance`](crate::tech::Technology::node_capacitance))
-//!   a device resize changes the loading of the node that gates it.
+//! An edit dirties every node the diff touches and every node whose
+//! steady-state pair changed. A node `d` is in the support of component
+//! `c` exactly when it is a member of `c` or gates a device with a channel
+//! terminal in `c`, so marking `comp[d]` and the components of the
+//! channel terminals of `gated_by(d)` marks every component whose support
+//! meets the dirt. A worklist marks from the dirty nodes and the fresh
+//! targets (no previous arrival, changed edge, vanished cause), then from
+//! the targets of every newly marked component, because a replayed
+//! arrival they read may change. The targets of the marked components
+//! re-analyze; the rest are seeded with their previous arrivals and the
+//! Jacobi fixpoint runs over the subset, so results are bit-identical to
+//! a fresh analysis — what [`crate::selfcheck`]'s incremental mode checks.
 //!
-//! The union of the two is the target's **support set** (of node names —
-//! names survive renumbering, ids do not). An edit dirties the gate and
-//! channel terminals of every added/removed/resized device, every node
-//! with a capacitance or kind change, and every node whose steady-state
-//! logic pair changed; a target is invalidated when its support meets the
-//! dirty set. Invalidation then closes transitively: a target whose
-//! support contains an invalidated target is invalidated too, because a
-//! replayed arrival may no longer match what re-evaluation would produce.
+//! **Steady-state reuse.** [`logic::steady_states`](crate::logic::steady_states)
+//! reads topology and node kinds in node order, never geometry or
+//! capacitance. When ids are stable and the diff adds or removes no node
+//! or device and changes no kind (every `cap` and `resize` script), each
+//! scenario keeps its steady pair and component labels: a new solve would
+//! read the same inputs and return the same states.
 //!
-//! The subset re-analysis seeds every unaffected target's previous
-//! arrival and runs the ordinary Jacobi fixpoint over the affected
-//! targets only, so results are bit-identical to a fresh full analysis —
-//! the property [`crate::selfcheck`]'s incremental mode checks after
-//! every edit.
-//!
-//! Budget caps in [`AnalyzerOptions`] apply to each re-analysis pass
-//! individually; a tripped budget aborts the edit and leaves the session
-//! state untouched. Incremental sessions normally run unlimited.
+//! Budget caps in [`AnalyzerOptions`] apply to each re-analysis pass; a
+//! tripped budget aborts the edit and leaves the session untouched.
 
 use crate::analyzer::{
     analyze_subset, traced_steady_states, AnalyzerOptions, Arrival, Edge, IncrementalStats,
@@ -51,9 +61,7 @@ use crate::models::ModelKind;
 use crate::obs::Phase;
 use crate::tech::Technology;
 use mosnet::diff::{self, Edit, NetworkDiff};
-use mosnet::units::Seconds;
 use mosnet::{Network, NodeId, NodeKind};
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// One arrival that changed across an edit, keyed by node name.
@@ -117,29 +125,74 @@ impl fmt::Display for DeltaReport {
     }
 }
 
-/// Per-scenario persistent state: the definition (by node *name*, so it
-/// survives renumbering) plus the last result and the bookkeeping the
-/// dependency index needs.
+/// Component label of a rail: rails are barriers, in no component.
+const RAIL: u32 = u32::MAX;
+
+/// Per-scenario persistent state, indexed by node id of the current
+/// network.
 #[derive(Debug, Clone)]
 struct ScenarioState {
     label: String,
-    input: String,
-    edge: Edge,
-    input_transition: Seconds,
-    statics: Vec<(String, bool)>,
+    scenario: Scenario,
     result: TimingResult,
-    /// `(before, after)` steady-state pair per non-rail node name.
-    logic: HashMap<String, (LogicValue, LogicValue)>,
-    /// Extracted stage count per target name, for reuse accounting.
-    stage_counts: HashMap<String, usize>,
+    /// The `(before, after)` steady states.
+    steady: (LogicState, LogicState),
+    /// Component of every node ([`RAIL`] for the rails).
+    comp: Vec<u32>,
+    /// Extracted stage count of every switching target.
+    stage_counts: Vec<Option<usize>>,
 }
 
-/// Replacement state computed for one scenario before any commit.
-struct NewState {
-    result: TimingResult,
-    logic: HashMap<String, (LogicValue, LogicValue)>,
-    stage_counts: HashMap<String, usize>,
-    delta: ScenarioDelta,
+/// How the next network's node ids relate to the current network's.
+enum Ids {
+    /// Every current node keeps its id; ids past the current count are
+    /// new nodes. Always true of edit scripts.
+    Stable { count: usize },
+    /// Matched by name: `old[next id]` and `new[current id]`.
+    ByName {
+        old: Vec<Option<NodeId>>,
+        new: Vec<Option<NodeId>>,
+    },
+}
+
+impl Ids {
+    /// The name match of `next` against `cur`, or [`Ids::Stable`] when
+    /// every node kept its id.
+    fn by_name(cur: &Network, next: &Network) -> Ids {
+        let mut pairs = cur.nodes().zip(next.nodes());
+        if cur.node_count() == next.node_count()
+            && pairs.all(|((_, a), (_, b))| a.name() == b.name())
+        {
+            return Ids::Stable {
+                count: cur.node_count(),
+            };
+        }
+        let lookup = |from: &Network, to: &Network| -> Vec<Option<NodeId>> {
+            from.nodes()
+                .map(|(_, n)| to.node_by_name(n.name()))
+                .collect()
+        };
+        Ids::ByName {
+            old: lookup(next, cur),
+            new: lookup(cur, next),
+        }
+    }
+
+    /// The current id of the next network's node `id`.
+    fn to_old(&self, id: NodeId) -> Option<NodeId> {
+        match self {
+            Ids::Stable { count } => (id.index() < *count).then_some(id),
+            Ids::ByName { old, .. } => old[id.index()],
+        }
+    }
+
+    /// The next network's id of the current node `id`.
+    fn to_new(&self, id: NodeId) -> Option<NodeId> {
+        match self {
+            Ids::Stable { .. } => Some(id),
+            Ids::ByName { new, .. } => new[id.index()],
+        }
+    }
 }
 
 /// A persistent analysis session that re-analyzes incrementally across
@@ -155,8 +208,7 @@ pub struct IncrementalAnalyzer {
 
 impl IncrementalAnalyzer {
     /// Builds a session by fully analyzing every `(label, scenario)` pair
-    /// against `net`. Scenario node ids refer to `net`; they are stored
-    /// by name internally.
+    /// against `net`. Scenario node ids refer to `net`.
     ///
     /// # Errors
     /// Any error of [`crate::analyze_with_options`] for any scenario.
@@ -169,13 +221,6 @@ impl IncrementalAnalyzer {
     ) -> Result<IncrementalAnalyzer, TimingError> {
         let mut states = Vec::with_capacity(scenarios.len());
         for (label, scenario) in scenarios {
-            let input = net.node(scenario.input).name().to_string();
-            let mut statics: Vec<(String, bool)> = scenario
-                .statics
-                .iter()
-                .map(|(&id, &level)| (net.node(id).name().to_string(), level))
-                .collect();
-            statics.sort();
             let steady = traced_steady_states(&net, &scenario, options.trace.as_deref());
             let outcome = analyze_subset(
                 &net,
@@ -186,20 +231,16 @@ impl IncrementalAnalyzer {
                 None,
                 &steady,
             )?;
-            let logic = logic_pairs(&net, &steady);
-            let stage_counts = outcome
-                .target_stages
-                .iter()
-                .map(|&(id, n)| (net.node(id).name().to_string(), n))
-                .collect();
+            let mut stage_counts = vec![None; net.node_count()];
+            for &(id, n) in &outcome.target_stages {
+                stage_counts[id.index()] = Some(n);
+            }
             states.push(ScenarioState {
                 label,
-                input,
-                edge: scenario.edge,
-                input_transition: scenario.input_transition,
-                statics,
+                comp: components(&net, &steady),
+                scenario,
                 result: outcome.result,
-                logic,
+                steady,
                 stage_counts,
             });
         }
@@ -246,10 +287,7 @@ impl IncrementalAnalyzer {
     /// The current [`TimingResult`] for the labelled scenario. Node ids
     /// inside refer to [`Self::network`].
     pub fn result(&self, label: &str) -> Option<&TimingResult> {
-        self.scenarios
-            .iter()
-            .find(|s| s.label == label)
-            .map(|s| &s.result)
+        self.state(label).map(|s| &s.result)
     }
 
     /// The labelled scenario resolved against the current network —
@@ -257,17 +295,17 @@ impl IncrementalAnalyzer {
     /// cross-check an incremental result.
     ///
     /// # Errors
-    /// [`TimingError::UnknownNode`] if the label is unknown or a scenario
-    /// node no longer exists.
+    /// [`TimingError::UnknownNode`] if the label is unknown.
     pub fn scenario(&self, label: &str) -> Result<Scenario, TimingError> {
-        let st = self
-            .scenarios
-            .iter()
-            .find(|s| s.label == label)
+        self.state(label)
+            .map(|s| s.scenario.clone())
             .ok_or_else(|| TimingError::UnknownNode {
                 name: label.to_string(),
-            })?;
-        resolve_scenario(&self.net, st)
+            })
+    }
+
+    fn state(&self, label: &str) -> Option<&ScenarioState> {
+        self.scenarios.iter().find(|s| s.label == label)
     }
 
     /// Applies one structural edit and incrementally re-analyzes every
@@ -278,10 +316,7 @@ impl IncrementalAnalyzer {
     /// current network; any analysis error otherwise. On error the
     /// session state is unchanged.
     pub fn apply_edit(&mut self, edit: &Edit) -> Result<DeltaReport, TimingError> {
-        let next = diff::apply_edit(&self.net, edit).map_err(|e| TimingError::BadParameter {
-            message: e.to_string(),
-        })?;
-        self.replace_network(next)
+        self.apply_edits(std::slice::from_ref(edit))
     }
 
     /// Applies a sequence of edits as one step (one diff, one
@@ -290,10 +325,14 @@ impl IncrementalAnalyzer {
     /// # Errors
     /// See [`Self::apply_edit`].
     pub fn apply_edits(&mut self, edits: &[Edit]) -> Result<DeltaReport, TimingError> {
-        let next = diff::apply_edits(&self.net, edits).map_err(|e| TimingError::BadParameter {
-            message: e.to_string(),
-        })?;
-        self.replace_network(next)
+        self.reanalyze(|net| {
+            let (next, d) =
+                diff::apply_edits_with_diff(net, edits).map_err(|e| TimingError::BadParameter {
+                    message: e.to_string(),
+                })?;
+            let count = net.node_count();
+            Ok((next, d, Ids::Stable { count }))
+        })
     }
 
     /// Replaces the whole network (e.g. a re-parsed file in watch mode),
@@ -303,424 +342,386 @@ impl IncrementalAnalyzer {
     /// # Errors
     /// See [`Self::apply_edit`].
     pub fn replace_network(&mut self, next: Network) -> Result<DeltaReport, TimingError> {
-        let d = diff::diff(&self.net, &next);
+        self.reanalyze(|net| {
+            let d = diff::diff(net, &next);
+            let ids = Ids::by_name(net, &next);
+            Ok((next, d, ids))
+        })
+    }
+
+    /// The id-keyed core of both edit paths: builds the next network and
+    /// its diff inside the `apply_edit` span, re-analyzes every scenario
+    /// against it, and commits only when all of them succeed.
+    fn reanalyze(
+        &mut self,
+        build: impl FnOnce(&Network) -> Result<(Network, NetworkDiff, Ids), TimingError>,
+    ) -> Result<DeltaReport, TimingError> {
         let trace = self.options.trace.clone();
-        let _span = trace.as_deref().map(|t| {
-            let mut span = t.span(Phase::Incremental, "apply_edit");
+        let mut span = trace
+            .as_deref()
+            .map(|t| t.span(Phase::Incremental, "apply_edit"));
+        let (next, d, ids) = build(&self.net)?;
+        if let Some(span) = span.as_mut() {
             span.field("changes", d.change_count());
-            span
-        });
+        }
         if d.is_empty() {
+            let scenarios = self.scenarios.iter().map(|st| ScenarioDelta {
+                label: st.label.clone(),
+                changed: Vec::new(),
+                stats: IncrementalStats {
+                    reused_targets: st.stage_counts.iter().flatten().count(),
+                    reused_stages: st.stage_counts.iter().flatten().sum(),
+                    ..IncrementalStats::default()
+                },
+            });
             let report = DeltaReport {
                 netlist_changes: 0,
-                scenarios: self
-                    .scenarios
-                    .iter()
-                    .map(|st| ScenarioDelta {
-                        label: st.label.clone(),
-                        changed: Vec::new(),
-                        stats: IncrementalStats {
-                            invalidated_targets: 0,
-                            reused_targets: st.stage_counts.len(),
-                            invalidated_stages: 0,
-                            reused_stages: st.stage_counts.values().sum(),
-                            rounds: 0,
-                        },
-                    })
-                    .collect(),
+                scenarios: scenarios.collect(),
             };
-            self.record_counters(&report);
+            self.record_counters(&report, 0);
             return Ok(report);
         }
 
-        let (dirty_base, invalidate_all) = structural_dirt(&self.net, &next, &d);
-        let mut new_states = Vec::with_capacity(self.scenarios.len());
-        for st in &self.scenarios {
-            new_states.push(reanalyze_scenario(
-                &self.net,
-                &next,
-                &self.tech,
-                self.model,
-                &self.options,
-                st,
-                &dirty_base,
-                invalidate_all,
-            )?);
-        }
+        // Scenario-independent dirt: the nodes the diff touches. Rails
+        // are excluded (their logic is fixed and stage roots carry no
+        // capacitance); a node changing kind to or from a rail is drastic
+        // enough to invalidate everything instead.
+        let touched = d.touched_nodes();
+        let pass = Pass {
+            session: self,
+            next: &next,
+            ids: &ids,
+            dirty: touched
+                .iter()
+                .filter_map(|name| next.node_by_name(name))
+                .filter(|&id| !next.node(id).kind().is_rail())
+                .collect(),
+            invalidate_all: d
+                .kind_changed
+                .iter()
+                .any(|k| k.from.is_rail() != k.to.is_rail()),
+            keep_steady: matches!(ids, Ids::Stable { .. })
+                && d.added.is_empty()
+                && d.removed.is_empty()
+                && d.added_nodes.is_empty()
+                && d.removed_nodes.is_empty()
+                && d.kind_changed.is_empty(),
+        };
+        let new_states = self.scenarios.iter().map(|st| pass.scenario(st));
+        let (states, deltas) = new_states.collect::<Result<(Vec<_>, Vec<_>), _>>()?;
 
         // All scenarios succeeded — commit atomically.
-        let mut report = DeltaReport {
+        let kept = usize::from(pass.keep_steady) * states.len();
+        let report = DeltaReport {
             netlist_changes: d.change_count(),
-            scenarios: Vec::with_capacity(new_states.len()),
+            scenarios: deltas,
         };
-        for (st, new_state) in self.scenarios.iter_mut().zip(new_states) {
-            st.result = new_state.result;
-            st.logic = new_state.logic;
-            st.stage_counts = new_state.stage_counts;
-            report.scenarios.push(new_state.delta);
-        }
+        self.scenarios = states;
         self.net = next;
-        self.record_counters(&report);
+        self.record_counters(&report, kept);
         Ok(report)
     }
 
-    fn record_counters(&self, report: &DeltaReport) {
-        if let Some(t) = self.options.trace.as_deref() {
-            for s in &report.scenarios {
-                t.count(
-                    Phase::Incremental,
-                    "invalidated_targets",
-                    s.stats.invalidated_targets as u64,
-                );
-                t.count(
-                    Phase::Incremental,
-                    "reused_targets",
-                    s.stats.reused_targets as u64,
-                );
-                t.count(
-                    Phase::Incremental,
-                    "invalidated_stages",
-                    s.stats.invalidated_stages as u64,
-                );
-                t.count(
-                    Phase::Incremental,
-                    "reused_stages",
-                    s.stats.reused_stages as u64,
-                );
-                t.count(
-                    Phase::Incremental,
-                    "arrivals_changed",
-                    s.changed.len() as u64,
-                );
+    fn record_counters(&self, report: &DeltaReport, steady_reused: usize) {
+        let Some(t) = self.options.trace.as_deref() else {
+            return;
+        };
+        t.count(Phase::Incremental, "steady_reused", steady_reused as u64);
+        for s in &report.scenarios {
+            let st = &s.stats;
+            for (name, n) in [
+                ("invalidated_targets", st.invalidated_targets),
+                ("reused_targets", st.reused_targets),
+                ("invalidated_stages", st.invalidated_stages),
+                ("reused_stages", st.reused_stages),
+                ("arrivals_changed", s.changed.len()),
+            ] {
+                t.count(Phase::Incremental, name, n as u64);
             }
         }
     }
 }
 
-/// Resolves a name-based scenario definition against `net`.
-fn resolve_scenario(net: &Network, st: &ScenarioState) -> Result<Scenario, TimingError> {
-    let lookup = |name: &str| {
-        net.node_by_name(name)
-            .ok_or_else(|| TimingError::UnknownNode {
-                name: name.to_string(),
-            })
-    };
-    let input = lookup(&st.input)?;
-    if net.node(input).kind() != NodeKind::Input {
-        return Err(TimingError::NotAnInput {
-            name: st.input.clone(),
-        });
-    }
-    let mut statics = HashMap::new();
-    for (name, level) in &st.statics {
-        statics.insert(lookup(name)?, *level);
-    }
-    Ok(Scenario {
-        input,
-        edge: st.edge,
-        input_transition: st.input_transition,
-        statics,
-    })
-}
-
-/// The `(before, after)` steady-state pair of every non-rail node, keyed
-/// by name.
-fn logic_pairs(
-    net: &Network,
-    (before, after): &(LogicState, LogicState),
-) -> HashMap<String, (LogicValue, LogicValue)> {
-    net.nodes()
-        .filter(|(_, node)| !node.kind().is_rail())
-        .map(|(id, node)| (node.name().to_string(), (before.value(id), after.value(id))))
-        .collect()
-}
-
-/// Scenario-independent dirt: the node names an edit touches
-/// structurally. Rails are excluded (their logic is fixed and stage
-/// roots carry no capacitance); a node changing kind to or from a rail
-/// is drastic enough to invalidate everything instead.
-fn structural_dirt(
-    old_net: &Network,
-    new_net: &Network,
-    d: &NetworkDiff,
-) -> (BTreeSet<String>, bool) {
-    let mut rails = BTreeSet::new();
-    for net in [old_net, new_net] {
-        rails.insert(net.node(net.power()).name().to_string());
-        rails.insert(net.node(net.ground()).name().to_string());
-    }
-    let dirty: BTreeSet<String> = d
-        .touched_nodes()
-        .into_iter()
-        .filter(|n| !rails.contains(n))
-        .collect();
-    let invalidate_all = d
-        .kind_changed
-        .iter()
-        .any(|k| k.from.is_rail() != k.to.is_rail());
-    (dirty, invalidate_all)
-}
-
-/// Re-analyzes one scenario against `new_net`, invalidating only targets
-/// whose support meets the dirty set (see the [module docs](self)).
-#[allow(clippy::too_many_arguments)]
-fn reanalyze_scenario(
-    old_net: &Network,
-    new_net: &Network,
-    tech: &Technology,
-    model: ModelKind,
-    options: &AnalyzerOptions,
-    st: &ScenarioState,
-    dirty_base: &BTreeSet<String>,
-    invalidate_all: bool,
-) -> Result<NewState, TimingError> {
-    let scenario = resolve_scenario(new_net, st)?;
-    let steady = traced_steady_states(new_net, &scenario, options.trace.as_deref());
-    let new_logic = logic_pairs(new_net, &steady);
-
-    // Scenario dirt: structural dirt plus every node whose steady-state
-    // pair changed (conduction, edge membership, cap discounts, and
-    // reservoir status all derive from it).
-    let mut dirty = dirty_base.clone();
-    for (name, pair) in &new_logic {
-        if st.logic.get(name) != Some(pair) {
-            dirty.insert(name.clone());
-        }
-    }
-    for name in st.logic.keys() {
-        if !new_logic.contains_key(name) {
-            dirty.insert(name.clone());
-        }
-    }
-
-    // Switching targets of the new network, exactly as the analyzer
-    // selects them, in node order.
-    let (before, after) = &steady;
-    let mut targets: Vec<(NodeId, Edge)> = new_net
-        .nodes()
-        .filter(|(_, node)| !node.kind().is_rail())
-        .filter_map(|(id, node)| {
-            let (b, a) = (before.value(id), after.value(id));
-            if !a.is_known() || b == a {
-                return None;
-            }
-            if id == scenario.input || node.kind().is_driven_externally() {
-                return None;
-            }
-            let edge = if a == LogicValue::One {
-                Edge::Rising
-            } else {
-                Edge::Falling
-            };
-            Some((id, edge))
-        })
-        .collect();
-    targets.sort_by_key(|&(id, _)| id);
-
-    // Support sets. Components of the potentially-conducting channel
-    // graph (conducting before OR after — both states can shape stages
-    // and releasing devices), rails as barriers; a component's support is
-    // its member names plus the gate names of every transistor whose
-    // channel touches a member.
-    let cond: Vec<bool> = new_net
+/// Component labels of the potentially-conducting channel graph
+/// (conducting before OR after — both states can shape stages and
+/// releasing devices), rails as barriers, numbered in node order.
+fn components(net: &Network, (before, after): &(LogicState, LogicState)) -> Vec<u32> {
+    let cond: Vec<bool> = net
         .transistors()
-        .map(|(tid, _)| before.transistor_on(new_net, tid) || after.transistor_on(new_net, tid))
+        .map(|(tid, _)| before.transistor_on(net, tid) || after.transistor_on(net, tid))
         .collect();
-    let mut comp = vec![usize::MAX; new_net.node_count()];
-    let mut n_comp = 0usize;
-    for (id, node) in new_net.nodes() {
-        if node.kind().is_rail() || comp[id.index()] != usize::MAX {
+    let mut comp = vec![RAIL; net.node_count()];
+    let mut n_comp = 0u32;
+    let mut queue = Vec::new();
+    for (id, node) in net.nodes() {
+        if node.kind().is_rail() || comp[id.index()] != RAIL {
             continue;
         }
-        let c = n_comp;
-        n_comp += 1;
-        comp[id.index()] = c;
-        let mut queue = vec![id];
+        comp[id.index()] = n_comp;
+        queue.push(id);
         while let Some(at) = queue.pop() {
-            for &tid in new_net.channel_neighbors(at) {
-                if !cond[tid.index()] {
-                    continue;
+            for &tid in net.channel_neighbors(at) {
+                let other = net.transistor(tid).other_terminal(at);
+                if cond[tid.index()]
+                    && !net.node(other).kind().is_rail()
+                    && comp[other.index()] == RAIL
+                {
+                    comp[other.index()] = n_comp;
+                    queue.push(other);
                 }
-                let other = new_net.transistor(tid).other_terminal(at);
-                if new_net.node(other).kind().is_rail() || comp[other.index()] != usize::MAX {
-                    continue;
-                }
-                comp[other.index()] = c;
-                queue.push(other);
             }
         }
+        n_comp += 1;
     }
-    let mut support: Vec<BTreeSet<&str>> = vec![BTreeSet::new(); n_comp];
-    for (id, node) in new_net.nodes() {
-        if !node.kind().is_rail() {
-            support[comp[id.index()]].insert(node.name());
-        }
-    }
-    for (_, t) in new_net.transistors() {
-        let gate = new_net.node(t.gate()).name();
-        for term in [t.source(), t.drain()] {
-            if !new_net.node(term).kind().is_rail() {
-                support[comp[term.index()]].insert(gate);
-            }
-        }
-    }
+    comp
+}
 
-    // Invalidation: dirty support, brand-new targets, and targets whose
-    // previous cause no longer exists — then the transitive closure over
-    // affected targets.
-    let dirty_ref: BTreeSet<&str> = dirty.iter().map(String::as_str).collect();
-    let mut affected: BTreeSet<&str> = BTreeSet::new();
-    for &(id, edge) in &targets {
-        let name = new_net.node(id).name();
-        let sup = &support[comp[id.index()]];
-        let prev = old_net
-            .node_by_name(name)
-            .and_then(|oid| st.result.arrival(oid));
-        let fresh_target = match prev {
-            None => true,
-            Some(a) => {
-                a.edge != edge
-                    || a.cause
-                        .is_some_and(|c| new_net.node_by_name(old_net.node(c).name()).is_none())
+/// One re-analysis pass: what every scenario shares about the edit.
+struct Pass<'a> {
+    session: &'a IncrementalAnalyzer,
+    next: &'a Network,
+    ids: &'a Ids,
+    /// Structural dirt, as ids of `next`.
+    dirty: Vec<NodeId>,
+    invalidate_all: bool,
+    /// Keep every steady pair and its component labels.
+    keep_steady: bool,
+}
+
+impl Pass<'_> {
+    /// Re-analyzes one scenario against the next network, invalidating
+    /// only targets whose support meets the dirty set (see the
+    /// [module docs](self)).
+    fn scenario(&self, st: &ScenarioState) -> Result<(ScenarioState, ScenarioDelta), TimingError> {
+        let (session, next, ids) = (self.session, self.next, self.ids);
+        let (cur, options) = (&session.net, &session.options);
+        let scenario = self.resolve(&st.scenario)?;
+        let mut dirty = self.dirty.clone();
+        let (steady, comp) = if self.keep_steady {
+            (st.steady.clone(), st.comp.clone())
+        } else {
+            let steady = traced_steady_states(next, &scenario, options.trace.as_deref());
+            // Logic dirt: every node whose steady-state pair changed
+            // (conduction, edge membership, cap discounts, and reservoir
+            // status all derive from it).
+            let (b0, a0) = &st.steady;
+            let (b1, a1) = &steady;
+            for (id, node) in next.nodes() {
+                if node.kind().is_rail() {
+                    continue;
+                }
+                let kept = ids.to_old(id).is_some_and(|o| {
+                    !cur.node(o).kind().is_rail()
+                        && (b0.value(o), a0.value(o)) == (b1.value(id), a1.value(id))
+                });
+                if !kept {
+                    dirty.push(id);
+                }
             }
+            let comp = components(next, &steady);
+            (steady, comp)
         };
-        if invalidate_all || fresh_target || !sup.is_disjoint(&dirty_ref) {
-            affected.insert(name);
-        }
-    }
-    loop {
-        let mut grown = false;
+
+        // Switching targets of the next network, exactly as the analyzer
+        // selects them, in node order.
+        let (before, after) = &steady;
+        let targets: Vec<(NodeId, Edge)> = next
+            .nodes()
+            .filter(|&(id, node)| {
+                let (b, a) = (before.value(id), after.value(id));
+                let kind = node.kind();
+                !kind.is_rail()
+                    && a.is_known()
+                    && b != a
+                    && id != scenario.input
+                    && !kind.is_driven_externally()
+            })
+            .map(|(id, _)| match after.value(id) {
+                LogicValue::One => (id, Edge::Rising),
+                _ => (id, Edge::Falling),
+            })
+            .collect();
+
+        let n_comp = comp
+            .iter()
+            .filter(|&&c| c != RAIL)
+            .max()
+            .map_or(0, |&c| c as usize + 1);
+        let mut by_comp = vec![Vec::new(); n_comp];
         for &(id, _) in &targets {
-            let name = new_net.node(id).name();
-            if affected.contains(name) {
+            by_comp[comp[id.index()] as usize].push(id);
+        }
+
+        // Invalidation: dirty nodes and fresh targets (no previous
+        // arrival, changed edge, vanished cause) mark the components
+        // whose support holds them; each marked component's targets mark
+        // in turn, until the worklist drains.
+        let mut work = dirty;
+        for &(id, edge) in &targets {
+            let fresh = match ids.to_old(id).and_then(|o| st.result.arrival(o)) {
+                None => true,
+                Some(a) => a.edge != edge || a.cause.is_some_and(|c| ids.to_new(c).is_none()),
+            };
+            if self.invalidate_all || fresh {
+                work.push(id);
+            }
+        }
+        let mut marked = vec![false; n_comp];
+        while let Some(x) = work.pop() {
+            let mut mark = |c: u32, work: &mut Vec<NodeId>| {
+                if c != RAIL && !marked[c as usize] {
+                    marked[c as usize] = true;
+                    work.extend_from_slice(&by_comp[c as usize]);
+                }
+            };
+            mark(comp[x.index()], &mut work);
+            for &tid in next.gated_by(x) {
+                let t = next.transistor(tid);
+                mark(comp[t.source().index()], &mut work);
+                mark(comp[t.drain().index()], &mut work);
+            }
+        }
+
+        // Partition: affected targets re-analyze, the rest replay.
+        let mut affected = Vec::new();
+        let mut seeded = Vec::new();
+        let mut reused_stages = 0usize;
+        let mut stage_counts = vec![None; next.node_count()];
+        for &(id, _) in &targets {
+            if marked[comp[id.index()] as usize] {
+                affected.push(id);
                 continue;
             }
-            if !support[comp[id.index()]].is_disjoint(&affected) {
-                affected.insert(name);
-                grown = true;
-            }
+            let old = ids
+                .to_old(id)
+                .expect("unaffected target existed before the edit");
+            let a = *st
+                .result
+                .arrival(old)
+                .expect("unaffected target had an arrival");
+            let cause = a.cause.map(|c| {
+                ids.to_new(c)
+                    .expect("unaffected target's cause survived the edit")
+            });
+            seeded.push((id, Arrival { cause, ..a }));
+            let n = st.stage_counts[old.index()].unwrap_or(0);
+            reused_stages += n;
+            stage_counts[id.index()] = Some(n);
         }
-        if !grown {
-            break;
+        let invalidated_targets = affected.len();
+        let reused_targets = targets.len() - invalidated_targets;
+        let spec = SubsetSpec { affected, seeded };
+        let outcome = analyze_subset(
+            next,
+            &session.tech,
+            session.model,
+            &scenario,
+            options.clone(),
+            Some(&spec),
+            &steady,
+        )?;
+        let mut result = outcome.result;
+        let mut invalidated_stages = 0usize;
+        for &(id, n) in &outcome.target_stages {
+            invalidated_stages += n;
+            stage_counts[id.index()] = Some(n);
         }
-    }
+        let stats = IncrementalStats {
+            invalidated_targets,
+            reused_targets,
+            invalidated_stages,
+            reused_stages,
+            rounds: outcome.rounds,
+        };
+        result.incremental = Some(stats);
 
-    // Partition: affected targets re-analyze, the rest replay.
-    let mut affected_ids = Vec::new();
-    let mut seeded = Vec::new();
-    let mut reused_stages = 0usize;
-    let mut stage_counts: HashMap<String, usize> = HashMap::new();
-    for &(id, _) in &targets {
-        let name = new_net.node(id).name();
-        if affected.contains(name) {
-            affected_ids.push(id);
-            continue;
-        }
-        let oid = old_net
-            .node_by_name(name)
-            .expect("unaffected target existed before the edit");
-        let a = *st
-            .result
-            .arrival(oid)
-            .expect("unaffected target had an arrival");
-        let cause = a.cause.map(|c| {
-            new_net
-                .node_by_name(old_net.node(c).name())
-                .expect("unaffected target's cause survived the edit")
-        });
-        seeded.push((id, Arrival { cause, ..a }));
-        let n = st.stage_counts.get(name).copied().unwrap_or(0);
-        reused_stages += n;
-        stage_counts.insert(name.to_string(), n);
-    }
-    let invalidated_targets = affected_ids.len();
-    let reused_targets = targets.len() - invalidated_targets;
-    let spec = SubsetSpec {
-        affected: affected_ids,
-        seeded,
-    };
-    let outcome = analyze_subset(
-        new_net,
-        tech,
-        model,
-        &scenario,
-        options.clone(),
-        Some(&spec),
-        &steady,
-    )?;
-    let mut result = outcome.result;
-    let mut invalidated_stages = 0usize;
-    for &(id, n) in &outcome.target_stages {
-        invalidated_stages += n;
-        stage_counts.insert(new_net.node(id).name().to_string(), n);
-    }
-    let stats = IncrementalStats {
-        invalidated_targets,
-        reused_targets,
-        invalidated_stages,
-        reused_stages,
-        rounds: outcome.rounds,
-    };
-    result.incremental = Some(stats);
-
-    // Arrival delta, bit-exact, by name.
-    let mut names: BTreeSet<&str> = st
-        .result
-        .arrivals()
-        .map(|(id, _)| old_net.node(id).name())
-        .collect();
-    names.extend(result.arrivals().map(|(id, _)| new_net.node(id).name()));
-    let mut changed = Vec::new();
-    for name in names {
-        let before_a = old_net
-            .node_by_name(name)
-            .and_then(|id| st.result.arrival(id))
-            .copied();
-        let after_a = new_net
-            .node_by_name(name)
-            .and_then(|id| result.arrival(id))
-            .copied();
-        let same = match (&before_a, &after_a) {
-            (None, None) => true,
+        // Arrival delta, bit-exact, in name order.
+        let same = |x: Option<&Arrival>, y: Option<&Arrival>| match (x, y) {
             (Some(x), Some(y)) => {
                 x.time.value().to_bits() == y.time.value().to_bits()
                     && x.transition.value().to_bits() == y.transition.value().to_bits()
-                    && x.edge == y.edge
-                    && x.model == y.model
-                    && x.cause.map(|c| old_net.node(c).name())
-                        == y.cause.map(|c| new_net.node(c).name())
+                    && (x.edge, x.model) == (y.edge, y.model)
+                    && x.cause.map(|c| ids.to_new(c)) == y.cause.map(Some)
             }
-            _ => false,
+            (x, y) => x.is_none() && y.is_none(),
         };
-        if !same {
-            changed.push(ArrivalChange {
-                node: name.to_string(),
-                before: before_a,
-                after: after_a,
-            });
-        }
-    }
+        let next_rows = next.nodes().map(|(id, node)| {
+            let before = ids.to_old(id).and_then(|o| st.result.arrival(o));
+            (node.name(), before, result.arrival(id))
+        });
+        let vanished = st
+            .result
+            .arrivals()
+            .filter(|&(o, _)| ids.to_new(o).is_none());
+        let mut changed: Vec<ArrivalChange> = next_rows
+            .chain(vanished.map(|(o, a)| (cur.node(o).name(), Some(a), None)))
+            .filter(|&(_, before, after)| !same(before, after))
+            .map(|(node, before, after)| ArrivalChange {
+                node: node.to_string(),
+                before: before.copied(),
+                after: after.copied(),
+            })
+            .collect();
+        changed.sort_by(|x, y| x.node.cmp(&y.node));
 
-    Ok(NewState {
-        result,
-        logic: new_logic,
-        stage_counts,
-        delta: ScenarioDelta {
+        let delta = ScenarioDelta {
             label: st.label.clone(),
             changed,
             stats,
-        },
-    })
+        };
+        let state = ScenarioState {
+            label: st.label.clone(),
+            scenario,
+            result,
+            steady,
+            comp,
+            stage_counts,
+        };
+        Ok((state, delta))
+    }
+
+    /// The scenario with its nodes carried over to the next network: the
+    /// input must survive as an input, and every static must survive.
+    fn resolve(&self, scenario: &Scenario) -> Result<Scenario, TimingError> {
+        let name = |id: NodeId| self.session.net.node(id).name().to_string();
+        let carry = |id| {
+            self.ids
+                .to_new(id)
+                .ok_or_else(|| TimingError::UnknownNode { name: name(id) })
+        };
+        let input = carry(scenario.input)?;
+        if self.next.node(input).kind() != NodeKind::Input {
+            let name = name(scenario.input);
+            return Err(TimingError::NotAnInput { name });
+        }
+        let mut statics: Vec<_> = scenario.statics.iter().collect();
+        statics.sort_unstable_by_key(|&(&id, _)| self.session.net.node(id).name());
+        let statics = statics
+            .into_iter()
+            .map(|(&id, &level)| Ok((carry(id)?, level)));
+        Ok(Scenario {
+            input,
+            edge: scenario.edge,
+            input_transition: scenario.input_transition,
+            statics: statics.collect::<Result<_, TimingError>>()?,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyzer::analyze_with_options;
+    use crate::fingerprint::result_digest;
+    use crate::logic;
+    use crate::obs::TraceSink;
+    use crate::selfcheck::standard_scenarios;
     use mosnet::diff::TransistorDesc;
-    use mosnet::generators::{carry_chain, inverter_chain, Style};
-    use mosnet::units::Farads;
+    use mosnet::generators::{carry_chain, decoder, inverter_chain, Style};
+    use mosnet::units::{Farads, Seconds};
     use mosnet::{Geometry, TransistorKind};
+    use std::collections::HashMap;
+    use std::sync::Arc;
 
     fn session(net: Network, scenario: Scenario, options: AnalyzerOptions) -> IncrementalAnalyzer {
         IncrementalAnalyzer::new(
@@ -911,14 +912,210 @@ mod tests {
         );
     }
 
+    /// A decoder-4 session over every input × edge scenario.
+    fn decoder_session(options: AnalyzerOptions) -> IncrementalAnalyzer {
+        let net = decoder(Style::Cmos, 4, Farads::from_femto(50.0)).unwrap();
+        let scenarios = standard_scenarios(&net, &HashMap::new(), Seconds::ZERO);
+        IncrementalAnalyzer::new(
+            net,
+            Technology::nominal(),
+            ModelKind::Slope,
+            scenarios,
+            options,
+        )
+        .expect("session builds")
+    }
+
+    /// Every scenario equals a fresh serial uncached analysis.
+    fn assert_fresh(analyzer: &IncrementalAnalyzer, what: &str) {
+        for label in analyzer.labels() {
+            let fresh = analyze_with_options(
+                analyzer.network(),
+                &Technology::nominal(),
+                ModelKind::Slope,
+                &analyzer.scenario(label).unwrap(),
+                AnalyzerOptions::default(),
+            )
+            .expect("fresh analysis succeeds");
+            assert_eq!(
+                analyzer.result(label).unwrap(),
+                &fresh,
+                "`{label}` diverged after {what}"
+            );
+        }
+    }
+
+    /// An inverter chain written as `.sim` text with its inverters listed
+    /// in reverse and parsed back: the same circuit, with the internal
+    /// nodes renumbered in their new order of first appearance. Each
+    /// inverter's two device lines keep their order, so every node sums
+    /// its loads in the same order and the analysis is bit-identical.
+    fn reversed_chain(net: &Network) -> Network {
+        let text = mosnet::sim_format::write(net);
+        let (devices, rest): (Vec<&str>, Vec<&str>) =
+            text.lines().partition(|line| line.starts_with(['n', 'p']));
+        let inverters = devices.chunks(2).rev().flatten();
+        let text: Vec<&str> = rest.into_iter().chain(inverters.copied()).collect();
+        mosnet::sim_format::parse(&text.join("\n"), "reversed.sim").expect("reparses")
+    }
+
+    /// Per-label digests, which key arrivals by node name.
+    fn digests(analyzer: &IncrementalAnalyzer) -> Vec<(String, u64)> {
+        analyzer
+            .labels()
+            .map(|label| {
+                let result = analyzer.result(label).unwrap();
+                (label.to_string(), result_digest(analyzer.network(), result))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn self_cancelling_script_reanalyzes_nothing() {
+        let mut analyzer = adder_session();
+        let baseline = analyzer.result("t").unwrap().clone();
+        let resize = |geometry| Edit::Resize {
+            gate: "p1".to_string(),
+            source: "c0".to_string(),
+            drain: "c1".to_string(),
+            geometry,
+        };
+        let net = analyzer.network();
+        let (_, pass) = net
+            .transistors()
+            .find(|(_, t)| net.node(t.gate()).name() == "p1")
+            .unwrap();
+        let c1 = net.node(net.node_by_name("c1").unwrap()).capacitance();
+        let script = [
+            Edit::SetCapacitance {
+                node: "c1".to_string(),
+                capacitance: Farads::from_femto(3.0),
+            },
+            resize(Geometry::from_microns(13.0, 2.0)),
+            resize(pass.geometry()),
+            Edit::SetCapacitance {
+                node: "c1".to_string(),
+                capacitance: c1,
+            },
+        ];
+        let report = analyzer.apply_edits(&script).expect("script applies");
+        assert_eq!(report.netlist_changes, 0);
+        assert_eq!(report.total_changed(), 0);
+        let stats = &report.scenarios[0].stats;
+        assert_eq!((stats.invalidated_targets, stats.rounds), (0, 0));
+        assert!(stats.reused_targets > 0);
+        assert_eq!(analyzer.result("t").unwrap(), &baseline);
+    }
+
+    #[test]
+    fn renumbered_replacement_matches_the_edit_path() {
+        // A chain has no series stacks, so its steady states do not
+        // depend on node order and a renumbered copy analyzes the same.
+        let net = inverter_chain(Style::Cmos, 8, 2.0, Farads::from_femto(100.0)).unwrap();
+        let chain = || {
+            let scenarios = standard_scenarios(&net, &HashMap::new(), Seconds::ZERO);
+            IncrementalAnalyzer::new(
+                net.clone(),
+                Technology::nominal(),
+                ModelKind::Slope,
+                scenarios,
+                AnalyzerOptions::default(),
+            )
+            .expect("session builds")
+        };
+        let (mut by_id, mut by_name) = (chain(), chain());
+        let edit = Edit::Resize {
+            gate: "s5".to_string(),
+            source: "s6".to_string(),
+            drain: "gnd".to_string(),
+            geometry: Geometry::from_microns(7.0, 2.0),
+        };
+        let edited = reversed_chain(&diff::apply_edit(&net, &edit).unwrap());
+        assert_ne!(
+            edited.node_by_name("s6"),
+            net.node_by_name("s6"),
+            "ids moved"
+        );
+        let id_report = by_id.apply_edit(&edit).expect("edit applies");
+        let name_report = by_name
+            .replace_network(edited)
+            .expect("replacement applies");
+        assert!(id_report.total_changed() > 0, "the resize moves arrivals");
+        assert!(id_report
+            .scenarios
+            .iter()
+            .any(|s| s.stats.reused_targets > 0));
+        // `after` causes are ids of each session's own network.
+        let split = |mut report: DeltaReport, net: &Network| {
+            let mut causes = Vec::new();
+            for change in report.scenarios.iter_mut().flat_map(|s| &mut s.changed) {
+                let cause = change.after.as_mut().and_then(|a| a.cause.take());
+                causes.push(cause.map(|id| net.node(id).name().to_string()));
+            }
+            (report, causes)
+        };
+        assert_eq!(
+            split(name_report, by_name.network()),
+            split(id_report, by_id.network())
+        );
+        assert_eq!(digests(&by_name), digests(&by_id));
+        assert_fresh(&by_name, "a renumbered replacement");
+
+        // Renumbering back with no edit diffs empty.
+        let report = by_name
+            .replace_network(by_id.network().clone())
+            .expect("no-op replacement");
+        assert_eq!(report.netlist_changes, 0);
+    }
+
+    #[test]
+    fn kept_steady_pairs_match_a_fresh_solve() {
+        let sink = Arc::new(TraceSink::with_capacity(1 << 12));
+        let mut analyzer = decoder_session(AnalyzerOptions {
+            trace: Some(Arc::clone(&sink)),
+            ..AnalyzerOptions::default()
+        });
+        let edits = [
+            Edit::SetCapacitance {
+                node: "w3".to_string(),
+                capacitance: Farads::from_femto(95.0),
+            },
+            Edit::Resize {
+                gate: "nw9".to_string(),
+                source: "w9".to_string(),
+                drain: "vdd".to_string(),
+                geometry: Geometry::from_microns(3.0, 2.0),
+            },
+            Edit::Resize {
+                gate: "a1".to_string(),
+                source: "na1".to_string(),
+                drain: "gnd".to_string(),
+                geometry: Geometry::from_microns(5.0, 2.0),
+            },
+        ];
+        for edit in &edits {
+            analyzer.apply_edit(edit).expect("edit applies");
+            for st in &analyzer.scenarios {
+                let net = analyzer.network();
+                assert_eq!(st.steady, logic::steady_states(net, &st.scenario));
+                assert_eq!(st.comp, components(net, &st.steady));
+            }
+            assert_fresh(&analyzer, &format!("{edit:?}"));
+        }
+        let kept = sink.counters()[&(Phase::Incremental, "steady_reused".to_string())];
+        assert_eq!(kept as usize, edits.len() * analyzer.scenarios.len());
+    }
+
     #[test]
     fn randomized_edit_sequences_match_fresh_analysis() {
-        // Deterministic xorshift over a resize/cap-tweak edit vocabulary:
-        // after every edit the incremental result must equal a fresh
-        // serial uncached analysis of the current network, bit for bit.
+        // Deterministic xorshift over a resize / cap / add / remove edit
+        // vocabulary, on a one-scenario inverter chain and a
+        // multi-scenario decoder-4 session: after every edit every
+        // incremental result must equal a fresh serial uncached analysis
+        // of the current network, bit for bit.
         let net = inverter_chain(Style::Cmos, 10, 2.5, Farads::from_femto(120.0)).unwrap();
         let input = net.node_by_name("in").unwrap();
-        let mut analyzer = session(
+        let chain = session(
             net,
             Scenario::step(input, Edge::Rising),
             AnalyzerOptions::default(),
@@ -930,47 +1127,83 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut reused_total = 0usize;
-        for _ in 0..12 {
-            let net = analyzer.network();
-            let r = rng();
-            let edit = if r % 3 == 0 {
-                let stage = 1 + (r / 3) as usize % 9;
-                let node = if stage == 9 {
-                    "s9".to_string()
-                } else {
-                    format!("s{stage}")
-                };
-                Edit::SetCapacitance {
-                    node,
-                    capacitance: Farads::from_femto(4.0 + (r % 17) as f64),
-                }
-            } else {
-                let idx = (r as usize / 5) % net.transistor_count();
-                let t = net
+        for mut analyzer in [chain, decoder_session(AnalyzerOptions::default())] {
+            let mut reused_total = 0usize;
+            let mut added: Vec<(String, String)> = Vec::new();
+            for step in 0..16 {
+                let net = analyzer.network();
+                let r = rng();
+                let names: Vec<&str> = net
+                    .nodes()
+                    .filter(|(_, n)| !n.kind().is_rail())
+                    .map(|(_, n)| n.name())
+                    .collect();
+                let (_, t) = net
                     .transistors()
-                    .nth(idx)
-                    .map(|(_, t)| t)
+                    .nth((r as usize / 5) % net.transistor_count())
                     .expect("index in range");
-                let scale = if r % 2 == 0 { 1.5 } else { 0.75 };
-                Edit::Resize {
-                    gate: net.node(t.gate()).name().to_string(),
-                    source: net.node(t.source()).name().to_string(),
-                    drain: net.node(t.drain()).name().to_string(),
-                    geometry: Geometry {
-                        width: mosnet::units::Metres(t.geometry().width.value() * scale),
-                        length: t.geometry().length,
+                let edit = match r % 6 {
+                    0 | 1 => Edit::SetCapacitance {
+                        node: names[(r as usize / 7) % names.len()].to_string(),
+                        capacitance: Farads::from_femto(4.0 + (r % 17) as f64),
                     },
-                }
-            };
-            let report = analyzer.apply_edit(&edit).expect("edit applies");
-            reused_total += report.scenarios[0].stats.reused_stages;
-            assert_eq!(
-                analyzer.result("t").unwrap(),
-                &fresh(&analyzer),
-                "incremental diverged after {edit:?}"
-            );
+                    2 => {
+                        // A pull-down on an existing node, gated by an
+                        // existing or a brand-new node.
+                        let gate = names[(r as usize / 11) % names.len()].to_string();
+                        let source = if r % 2 == 0 {
+                            format!("x{step}")
+                        } else {
+                            names[(r as usize / 13) % names.len()].to_string()
+                        };
+                        added.push((gate.clone(), source.clone()));
+                        Edit::Add(TransistorDesc {
+                            kind: TransistorKind::NEnhancement,
+                            gate,
+                            source,
+                            drain: "gnd".to_string(),
+                            geometry: Geometry::from_microns(3.0, 2.0),
+                        })
+                    }
+                    3 if !added.is_empty() => {
+                        let (gate, source) = added.swap_remove((r as usize / 17) % added.len());
+                        Edit::Remove {
+                            gate,
+                            source,
+                            drain: "gnd".to_string(),
+                        }
+                    }
+                    _ => {
+                        let scale = if r % 2 == 0 { 1.5 } else { 0.75 };
+                        Edit::Resize {
+                            gate: net.node(t.gate()).name().to_string(),
+                            source: net.node(t.source()).name().to_string(),
+                            drain: net.node(t.drain()).name().to_string(),
+                            geometry: Geometry {
+                                width: mosnet::units::Metres(t.geometry().width.value() * scale),
+                                length: t.geometry().length,
+                            },
+                        }
+                    }
+                };
+                let report = match analyzer.apply_edit(&edit) {
+                    Ok(report) => report,
+                    // Two adds on one site went out with the first remove.
+                    Err(TimingError::BadParameter { .. })
+                        if matches!(edit, Edit::Remove { .. }) =>
+                    {
+                        continue
+                    }
+                    Err(e) => panic!("{edit:?}: {e}"),
+                };
+                reused_total += report
+                    .scenarios
+                    .iter()
+                    .map(|s| s.stats.reused_stages)
+                    .sum::<usize>();
+                assert_fresh(&analyzer, &format!("{edit:?}"));
+            }
+            assert!(reused_total > 0, "the sequence reused work somewhere");
         }
-        assert!(reused_total > 0, "the sequence reused work somewhere");
     }
 }

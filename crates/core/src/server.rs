@@ -1190,7 +1190,7 @@ fn op_edit(inner: &Arc<Inner>, request: &Fields, token: &CancelToken) -> Respons
     }
     guard.set_request_controls(budget, Some(token.clone()));
     match guard.apply_script(script, req_id) {
-        Ok(delta) => {
+        Ok((delta, digest)) => {
             let changed: usize = delta.scenarios.iter().map(|s| s.changed.len()).sum();
             let invalidated: usize = delta
                 .scenarios
@@ -1205,7 +1205,7 @@ fn op_edit(inner: &Arc<Inner>, request: &Fields, token: &CancelToken) -> Respons
                 .num("changed", changed as u64)
                 .num("invalidated_targets", invalidated as u64)
                 .num("reused_targets", reused as u64)
-                .field("digest", &hex64(guard.digest()));
+                .field("digest", &hex64(digest));
             // Auto-compaction: once enough edits accumulated since the
             // last checkpoint, fold them into one. The edit above is
             // already acknowledged-by-journal, so a compaction failure

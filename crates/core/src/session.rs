@@ -725,7 +725,8 @@ impl Session {
     }
 
     /// Applies an edit script (one or more grammar lines) as a single
-    /// journaled step and returns the incremental delta.
+    /// journaled step and returns the incremental delta with the session
+    /// digest it journaled (the value [`Session::digest`] now returns).
     ///
     /// Ordering is the durability contract: the edit is journaled
     /// (fsync'd) *before* the caller can acknowledge it, so a crash
@@ -750,7 +751,7 @@ impl Session {
         &mut self,
         script: &str,
         req_id: Option<&str>,
-    ) -> Result<DeltaReport, SessionError> {
+    ) -> Result<(DeltaReport, u64), SessionError> {
         if let Some(message) = &self.poisoned {
             return Err(SessionError::Poisoned(message.clone()));
         }
@@ -777,7 +778,7 @@ impl Session {
         if let Some(req_id) = req_id {
             self.record_reply(req_id, self.seq, digest);
         }
-        Ok(delta)
+        Ok((delta, digest))
     }
 
     /// Compacts the journal: atomically rewrites it as one checkpoint
@@ -864,11 +865,16 @@ impl Session {
     /// session order — the value journaled per edit, reported to
     /// clients, and verified on recovery.
     pub fn digest(&self) -> u64 {
+        let net = self.analyzer.network();
         let mut h = Fnv64::new();
-        for (label, digest, _) in self.scenario_rows() {
+        for label in self.analyzer.labels() {
+            let result = self
+                .analyzer
+                .result(label)
+                .expect("every label has a result");
             h.write(label.as_bytes());
             h.write(&[0]);
-            h.write_u64(digest);
+            h.write_u64(result_digest(net, result));
         }
         h.finish()
     }

@@ -223,10 +223,11 @@ fn compacted_resume_is_bit_identical_across_thread_counts() {
             );
             // The same follow-up edit must produce the same DeltaReport
             // whichever journal the session came back from.
-            let delta = session
+            let (delta, digest) = session
                 .apply_script("cap y 200", None)
                 .expect("follow-up edit");
-            resumed_from.push((session.digest(), delta.to_string()));
+            assert_eq!(digest, session.digest(), "the journaled digest is current");
+            resumed_from.push((digest, delta.to_string()));
         }
         let [(digest_a, delta_a), (digest_b, delta_b)] = resumed_from.as_slice() else {
             unreachable!("two journals resumed");
@@ -274,7 +275,7 @@ fn degraded_sessions_stay_usable_but_ephemeral() {
 
     // Further edits work without touching the dead journal (the fault
     // plan would fail them; degraded mode never calls it).
-    let ephemeral = session
+    let (ephemeral, _) = session
         .apply_script(EDITS[2], None)
         .expect("ephemeral edit");
     assert!(ephemeral.netlist_changes > 0);

@@ -1,8 +1,9 @@
 //! Structural diff between two switch-level networks, plus single edits.
 //!
 //! Node and transistor ids are dense per-network indices assigned in
-//! insertion order, so the same circuit rebuilt after an edit renumbers
-//! everything. A structural comparison therefore keys on *names*:
+//! insertion order, so the same circuit re-parsed from a re-ordered
+//! netlist renumbers everything. A comparison of two independently built
+//! networks therefore keys on *names*:
 //! [`diff`] compares two [`Network`]s and reports added/removed nodes,
 //! capacitance and role changes, and added/removed/re-sized transistors,
 //! all described by node names; [`apply`] replays a diff onto a base
@@ -11,10 +12,17 @@
 //! level), and parallel devices between the same terminals are handled
 //! as a multiset.
 //!
+//! An [`Edit`] is different: it keeps every node id and kind and only
+//! appends new nodes, so [`apply_edits_with_diff`] computes the same
+//! [`NetworkDiff`] by id over just the nodes and sites the script
+//! touched, for the cost of the edit rather than of the network.
+//!
 //! The `crystal` crate's incremental analyzer consumes
 //! [`NetworkDiff::touched_nodes`] to decide which timing stages an edit
-//! can possibly affect; [`Edit`] and [`apply_edit`] are the unit of
-//! change its session API and the CLI's scripted-edit mode speak.
+//! can possibly affect. [`Edit`] and [`apply_edits_with_diff`] are the
+//! unit of change its session API and the CLI's scripted-edit mode
+//! speak; [`diff`] serves only a wholesale replacement network (the
+//! CLI's file-watching mode).
 
 use crate::error::NetworkError;
 use crate::network::{Network, NetworkBuilder};
@@ -205,6 +213,68 @@ fn desc_of(net: &Network, t: &Transistor) -> TransistorDesc {
     }
 }
 
+/// One site's devices in the base and the edited network, as
+/// `(geometry bits, desc)` entries.
+type SiteEntries = (
+    Vec<((u64, u64), TransistorDesc)>,
+    Vec<((u64, u64), TransistorDesc)>,
+);
+type Sites = BTreeMap<SiteKey, SiteEntries>;
+
+fn add_site_entry(sites: &mut Sites, net: &Network, t: &Transistor, edited: bool) {
+    let desc = desc_of(net, t);
+    let entry = (geom_bits(desc.geometry), desc);
+    let (in_a, in_b) = sites.entry(site_key(&entry.1)).or_default();
+    if edited { in_b } else { in_a }.push(entry);
+}
+
+/// Compares every site as a geometry multiset, in site-key order:
+/// geometries present on both sides cancel, equal-count leftovers pair up
+/// as [`Resize`]s (smallest-first on both sides, so the pairing is
+/// deterministic), and any excess becomes an addition or removal.
+fn diff_sites(sites: Sites, out: &mut NetworkDiff) {
+    for (_, (mut in_a, mut in_b)) in sites {
+        in_a.sort_by_key(|e| e.0);
+        in_b.sort_by_key(|e| e.0);
+        // Cancel geometries present on both sides (multiset intersection).
+        let (mut i, mut j) = (0usize, 0usize);
+        let mut only_a = Vec::new();
+        let mut only_b = Vec::new();
+        while i < in_a.len() && j < in_b.len() {
+            match in_a[i].0.cmp(&in_b[j].0) {
+                std::cmp::Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+                std::cmp::Ordering::Less => {
+                    only_a.push(in_a[i].1.clone());
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    only_b.push(in_b[j].1.clone());
+                    j += 1;
+                }
+            }
+        }
+        only_a.extend(in_a[i..].iter().map(|e| e.1.clone()));
+        only_b.extend(in_b[j..].iter().map(|e| e.1.clone()));
+        // Equal-count leftovers pair up as resizes; excess is add/remove.
+        let paired = only_a.len().min(only_b.len());
+        for (before, after) in only_a.iter().zip(&only_b).take(paired) {
+            out.resized.push(Resize {
+                kind: after.kind,
+                gate: after.gate.clone(),
+                source: after.source.clone(),
+                drain: after.drain.clone(),
+                from: before.geometry,
+                to: after.geometry,
+            });
+        }
+        out.removed.extend(only_a.into_iter().skip(paired));
+        out.added.extend(only_b.into_iter().skip(paired));
+    }
+}
+
 /// Computes the structural difference from `a` (base) to `b` (edited).
 ///
 /// Transistors are grouped per *site* — `(kind, gate, {source, drain})`
@@ -212,6 +282,10 @@ fn desc_of(net: &Network, t: &Transistor) -> TransistorDesc {
 /// geometries present on both sides cancel, equal-count leftovers pair up
 /// as [`Resize`]s (smallest-first on both sides, so the pairing is
 /// deterministic), and any excess becomes an addition or removal.
+///
+/// This walks both networks whole; when the edited network came from an
+/// edit script, [`apply_edits_with_diff`] returns the same diff for the
+/// cost of the sites the script touched.
 pub fn diff(a: &Network, b: &Network) -> NetworkDiff {
     let mut out = NetworkDiff::default();
 
@@ -255,58 +329,14 @@ pub fn diff(a: &Network, b: &Network) -> NetworkDiff {
     }
 
     // Transistors, as per-site geometry multisets.
-    type Entry = ((u64, u64), TransistorDesc);
-    let mut sites: BTreeMap<SiteKey, (Vec<Entry>, Vec<Entry>)> = BTreeMap::new();
+    let mut sites = Sites::new();
     for (_, t) in a.transistors() {
-        let desc = desc_of(a, t);
-        let entry = (geom_bits(desc.geometry), desc.clone());
-        sites.entry(site_key(&desc)).or_default().0.push(entry);
+        add_site_entry(&mut sites, a, t, false);
     }
     for (_, t) in b.transistors() {
-        let desc = desc_of(b, t);
-        let entry = (geom_bits(desc.geometry), desc.clone());
-        sites.entry(site_key(&desc)).or_default().1.push(entry);
+        add_site_entry(&mut sites, b, t, true);
     }
-    for (_, (mut in_a, mut in_b)) in sites {
-        in_a.sort_by_key(|e| e.0);
-        in_b.sort_by_key(|e| e.0);
-        // Cancel geometries present on both sides (multiset intersection).
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut only_a = Vec::new();
-        let mut only_b = Vec::new();
-        while i < in_a.len() && j < in_b.len() {
-            match in_a[i].0.cmp(&in_b[j].0) {
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => {
-                    only_a.push(in_a[i].1.clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    only_b.push(in_b[j].1.clone());
-                    j += 1;
-                }
-            }
-        }
-        only_a.extend(in_a[i..].iter().map(|e| e.1.clone()));
-        only_b.extend(in_b[j..].iter().map(|e| e.1.clone()));
-        // Equal-count leftovers pair up as resizes; excess is add/remove.
-        let paired = only_a.len().min(only_b.len());
-        for (before, after) in only_a.iter().zip(&only_b).take(paired) {
-            out.resized.push(Resize {
-                kind: after.kind,
-                gate: after.gate.clone(),
-                source: after.source.clone(),
-                drain: after.drain.clone(),
-                from: before.geometry,
-                to: after.geometry,
-            });
-        }
-        out.removed.extend(only_a.into_iter().skip(paired));
-        out.added.extend(only_b.into_iter().skip(paired));
-    }
+    diff_sites(sites, &mut out);
     out
 }
 
@@ -507,6 +537,76 @@ fn matches_site(net: &Network, t: &Transistor, gate: &str, a: &str, b: &str) -> 
 /// missing node and [`NetworkError::Invalid`] when a resize/remove
 /// matches no transistor.
 pub fn apply_edit(base: &Network, edit: &Edit) -> Result<Network, NetworkError> {
+    let require_match = |gate: &str, source: &str, drain: &str| {
+        if base
+            .transistors()
+            .any(|(_, t)| matches_site(base, t, gate, source, drain))
+        {
+            return Ok(());
+        }
+        Err(invalid(format!(
+            "no transistor matches gate `{gate}`, channel `{source}`/`{drain}`"
+        )))
+    };
+    // Capacitance and geometry edits keep every node and device, so they
+    // edit a copy in place; only device membership rebuilds the network.
+    match edit {
+        Edit::Resize {
+            gate,
+            source,
+            drain,
+            geometry,
+        } => {
+            require_match(gate, source, drain)?;
+            let mut net = base.copy_for_edit();
+            for (tid, t) in base.transistors() {
+                if matches_site(base, t, gate, source, drain) {
+                    *net.transistor_mut(tid) =
+                        Transistor::new(t.kind(), t.gate(), t.source(), t.drain(), *geometry);
+                }
+            }
+            Ok(net)
+        }
+        Edit::SetCapacitance { node, capacitance } => {
+            let id = base
+                .node_by_name(node)
+                .ok_or_else(|| NetworkError::UnknownNode { name: node.clone() })?;
+            let mut net = base.copy_for_edit();
+            net.node_mut(id).set_capacitance(*capacitance);
+            Ok(net)
+        }
+        Edit::Add(desc) => rebuild(base, |b| {
+            for (_, t) in base.transistors() {
+                b.add_transistor(t.kind(), t.gate(), t.source(), t.drain(), t.geometry());
+            }
+            let gate = b.node(&desc.gate, NodeKind::Internal);
+            let source = b.node(&desc.source, NodeKind::Internal);
+            let drain = b.node(&desc.drain, NodeKind::Internal);
+            b.add_transistor(desc.kind, gate, source, drain, desc.geometry);
+        }),
+        Edit::Remove {
+            gate,
+            source,
+            drain,
+        } => {
+            require_match(gate, source, drain)?;
+            rebuild(base, |b| {
+                for (_, t) in base.transistors() {
+                    if !matches_site(base, t, gate, source, drain) {
+                        b.add_transistor(t.kind(), t.gate(), t.source(), t.drain(), t.geometry());
+                    }
+                }
+            })
+        }
+    }
+}
+
+/// Rebuilds `base` node by node, so every node keeps its id, and lets
+/// `devices` add the transistors.
+fn rebuild(
+    base: &Network,
+    devices: impl FnOnce(&mut NetworkBuilder),
+) -> Result<Network, NetworkError> {
     let mut b = NetworkBuilder::new(base.name());
     for (id, node) in base.nodes() {
         let nid = if id == base.power() {
@@ -519,69 +619,7 @@ pub fn apply_edit(base: &Network, edit: &Edit) -> Result<Network, NetworkError> 
         debug_assert_eq!(nid, id);
         b.set_capacitance(nid, node.capacitance());
     }
-    // Node ids carry over: the builder re-assigns them in the same
-    // insertion order.
-    match edit {
-        Edit::Resize {
-            gate,
-            source,
-            drain,
-            geometry,
-        } => {
-            let mut hits = 0usize;
-            for (_, t) in base.transistors() {
-                let g = if matches_site(base, t, gate, source, drain) {
-                    hits += 1;
-                    *geometry
-                } else {
-                    t.geometry()
-                };
-                b.add_transistor(t.kind(), t.gate(), t.source(), t.drain(), g);
-            }
-            if hits == 0 {
-                return Err(invalid(format!(
-                    "no transistor matches gate `{gate}`, channel `{source}`/`{drain}`"
-                )));
-            }
-        }
-        Edit::SetCapacitance { node, capacitance } => {
-            let id = base
-                .node_by_name(node)
-                .ok_or_else(|| NetworkError::UnknownNode { name: node.clone() })?;
-            b.set_capacitance(id, *capacitance);
-            for (_, t) in base.transistors() {
-                b.add_transistor(t.kind(), t.gate(), t.source(), t.drain(), t.geometry());
-            }
-        }
-        Edit::Add(desc) => {
-            for (_, t) in base.transistors() {
-                b.add_transistor(t.kind(), t.gate(), t.source(), t.drain(), t.geometry());
-            }
-            let gate = b.node(&desc.gate, NodeKind::Internal);
-            let source = b.node(&desc.source, NodeKind::Internal);
-            let drain = b.node(&desc.drain, NodeKind::Internal);
-            b.add_transistor(desc.kind, gate, source, drain, desc.geometry);
-        }
-        Edit::Remove {
-            gate,
-            source,
-            drain,
-        } => {
-            let mut hits = 0usize;
-            for (_, t) in base.transistors() {
-                if matches_site(base, t, gate, source, drain) {
-                    hits += 1;
-                    continue;
-                }
-                b.add_transistor(t.kind(), t.gate(), t.source(), t.drain(), t.geometry());
-            }
-            if hits == 0 {
-                return Err(invalid(format!(
-                    "no transistor matches gate `{gate}`, channel `{source}`/`{drain}`"
-                )));
-            }
-        }
-    }
+    devices(&mut b);
     b.build()
 }
 
@@ -590,11 +628,86 @@ pub fn apply_edit(base: &Network, edit: &Edit) -> Result<Network, NetworkError> 
 /// # Errors
 /// Propagates the first failing [`apply_edit`].
 pub fn apply_edits(base: &Network, edits: &[Edit]) -> Result<Network, NetworkError> {
-    let mut net = base.clone();
+    apply_edits_with_diff(base, edits).map(|(net, _)| net)
+}
+
+/// Applies a sequence of edits left to right and returns the edited
+/// network with its [`NetworkDiff`] against `base`, equal to
+/// `diff(base, &edited)`.
+///
+/// Edits keep every node id and kind and only append new nodes, so the
+/// diff is computed by id over what the script touched: the appended
+/// nodes, the nodes whose capacitance it set, and every site gated by the
+/// gate of a resized, removed, or added device. A device's site carries
+/// its gate, so no other site can differ; sites the script restored
+/// compare equal and drop out, exactly as in [`diff`].
+///
+/// # Errors
+/// Propagates the first failing [`apply_edit`].
+pub fn apply_edits_with_diff(
+    base: &Network,
+    edits: &[Edit],
+) -> Result<(Network, NetworkDiff), NetworkError> {
+    let mut edited: Option<Network> = None;
+    let mut capped = Vec::new();
+    let mut gates = Vec::new();
     for edit in edits {
-        net = apply_edit(&net, edit)?;
+        let net = edited.as_ref().unwrap_or(base);
+        match edit {
+            Edit::SetCapacitance { node, .. } => capped.extend(net.node_by_name(node)),
+            Edit::Resize { gate, .. } | Edit::Remove { gate, .. } => {
+                gates.extend(net.node_by_name(gate))
+            }
+            Edit::Add(_) => {}
+        }
+        let next = apply_edit(net, edit)?;
+        if let Edit::Add(_) = edit {
+            let (_, added) = next.transistors().last().expect("an add leaves a device");
+            gates.push(added.gate());
+        }
+        edited = Some(next);
     }
-    Ok(net)
+    let net = edited.unwrap_or_else(|| base.clone());
+
+    let mut out = NetworkDiff::default();
+    let old_count = base.node_count();
+    for (_, node) in net.nodes().skip(old_count) {
+        out.added_nodes.push(NodeChange {
+            name: node.name().to_string(),
+            kind: node.kind(),
+            capacitance: node.capacitance(),
+        });
+    }
+    capped.sort_unstable();
+    capped.dedup();
+    for id in capped.into_iter().filter(|id| id.index() < old_count) {
+        let (from, to) = (base.node(id), net.node(id));
+        if from.capacitance().value().to_bits() != to.capacitance().value().to_bits() {
+            out.cap_changed.push(CapChange {
+                name: to.name().to_string(),
+                from: from.capacitance(),
+                to: to.capacitance(),
+            });
+        }
+    }
+    out.added_nodes.sort_by(|x, y| x.name.cmp(&y.name));
+    out.cap_changed.sort_by(|x, y| x.name.cmp(&y.name));
+
+    gates.sort_unstable();
+    gates.dedup();
+    let mut sites = Sites::new();
+    for &gate in &gates {
+        if gate.index() < old_count {
+            for &tid in base.gated_by(gate) {
+                add_site_entry(&mut sites, base, base.transistor(tid), false);
+            }
+        }
+        for &tid in net.gated_by(gate) {
+            add_site_entry(&mut sites, &net, net.transistor(tid), true);
+        }
+    }
+    diff_sites(sites, &mut out);
+    Ok((net, out))
 }
 
 #[cfg(test)]
@@ -819,6 +932,206 @@ mod tests {
         assert!(d.added.is_empty() && d.resized.is_empty());
         let rebuilt = apply(&two, &d).unwrap();
         assert!(diff(&rebuilt, &one).is_empty());
+    }
+
+    /// `apply_edits_with_diff` must return exactly the whole-network
+    /// diff of what it built.
+    fn assert_exact(base: &Network, edits: &[Edit]) -> NetworkDiff {
+        let (edited, d) = apply_edits_with_diff(base, edits).expect("script fits");
+        assert_eq!(d, diff(base, &edited), "script {edits:?}");
+        d
+    }
+
+    fn site_of(net: &Network, t: &Transistor) -> (String, String, String) {
+        let name = |id| net.node(id).name().to_string();
+        (name(t.gate()), name(t.source()), name(t.drain()))
+    }
+
+    #[test]
+    fn in_place_edits_equal_a_rebuild() {
+        // `apply` rebuilds node by node in id order, which drops rail
+        // aliases; the in-place capacitance and geometry edits must give
+        // that same network.
+        let mut b = NetworkBuilder::new("alias");
+        b.power();
+        b.declare_power("pwr");
+        let gnd = b.ground();
+        let a = b.node("a", NodeKind::Input);
+        let y = b.node("y", NodeKind::Output);
+        b.add_transistor(TransistorKind::NEnhancement, a, y, gnd, Geometry::default());
+        let base = b.build().unwrap();
+        assert!(base.node_by_name("pwr").is_some());
+        for edit in [
+            Edit::SetCapacitance {
+                node: "y".into(),
+                capacitance: Farads::from_femto(30.0),
+            },
+            Edit::Resize {
+                gate: "a".into(),
+                source: "gnd".into(),
+                drain: "y".into(),
+                geometry: Geometry::from_microns(6.0, 2.0),
+            },
+        ] {
+            let edited = apply_edit(&base, &edit).unwrap();
+            let rebuilt = apply(&base, &diff(&base, &edited)).unwrap();
+            let write = crate::sim_format::write;
+            assert_eq!(write(&edited), write(&rebuilt), "{edit:?}");
+            for (id, node) in rebuilt.nodes() {
+                assert_eq!(edited.node_by_name(node.name()), Some(id));
+                assert_eq!(edited.channel_neighbors(id), rebuilt.channel_neighbors(id));
+                assert_eq!(edited.gated_by(id), rebuilt.gated_by(id));
+            }
+            assert_eq!(edited.node_by_name("pwr"), rebuilt.node_by_name("pwr"));
+        }
+    }
+
+    #[test]
+    fn self_cancelling_scripts_diff_empty() {
+        let a = chain();
+        let (gate, source, drain) = site_of(&a, a.transistors().next().unwrap().1);
+        let geometry = a.transistors().next().unwrap().1.geometry();
+        let script = [
+            Edit::SetCapacitance {
+                node: "s1".into(),
+                capacitance: Farads::from_femto(7.0),
+            },
+            Edit::Resize {
+                gate: gate.clone(),
+                source: source.clone(),
+                drain: drain.clone(),
+                geometry: Geometry::from_microns(13.0, 2.0),
+            },
+            Edit::Add(TransistorDesc {
+                kind: TransistorKind::NEnhancement,
+                gate: "s1".into(),
+                source: "out".into(),
+                drain: "gnd".into(),
+                geometry: Geometry::default(),
+            }),
+            Edit::Remove {
+                gate: "s1".into(),
+                source: "gnd".into(),
+                drain: "out".into(),
+            },
+            Edit::Resize {
+                gate,
+                source: drain,
+                drain: source,
+                geometry,
+            },
+            Edit::SetCapacitance {
+                node: "s1".into(),
+                capacitance: a.node(a.node_by_name("s1").unwrap()).capacitance(),
+            },
+        ];
+        assert!(assert_exact(&a, &script).is_empty());
+    }
+
+    #[test]
+    fn resizing_a_mixed_parallel_site_diffs_exactly() {
+        // Two extra parallel devices of different widths beside the
+        // original: the resize sets all three to one geometry.
+        let a = chain();
+        let (gate, source, drain) = site_of(&a, a.transistors().nth(2).unwrap().1);
+        let kind = a.transistors().nth(2).unwrap().1.kind();
+        let parallel = |w: f64| {
+            Edit::Add(TransistorDesc {
+                kind,
+                gate: gate.clone(),
+                source: drain.clone(),
+                drain: source.clone(),
+                geometry: Geometry::from_microns(w, 2.0),
+            })
+        };
+        let mixed = apply_edits(&a, &[parallel(3.0), parallel(9.0)]).unwrap();
+        let d = assert_exact(&a, &[parallel(3.0), parallel(9.0)]);
+        assert_eq!(d.added.len(), 2);
+        let resize = Edit::Resize {
+            gate,
+            source,
+            drain,
+            geometry: Geometry::from_microns(9.0, 2.0),
+        };
+        let d = assert_exact(&mixed, std::slice::from_ref(&resize));
+        assert_eq!(d.resized.len(), 2, "the 9 µm device cancels: {d:?}");
+    }
+
+    #[test]
+    fn edit_diffs_match_whole_network_diffs() {
+        // Property: for seeded random scripts of one to four edits — add
+        // (on new and existing names), remove, resize, cap — over three
+        // generator families, the touched-site diff equals `diff`.
+        use crate::generators::{carry_chain, decoder};
+        let corpus: Vec<Network> = vec![
+            inverter_chain(Style::Cmos, 6, 2.0, Farads::from_femto(90.0)).unwrap(),
+            carry_chain(Style::Cmos, 4, Farads::from_femto(60.0)).unwrap(),
+            decoder(Style::Cmos, 3, Farads::from_femto(50.0)).unwrap(),
+        ];
+        let mut state = 0x9b05_688c_2b3e_6c1fu64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut seen = [0usize; 4];
+        for base in corpus {
+            let mut net = base;
+            for round in 0..40 {
+                let mut script = Vec::new();
+                let mut scratch = net.clone();
+                for _ in 0..1 + rng() % 4 {
+                    let r = rng();
+                    let names: Vec<String> =
+                        scratch.nodes().map(|(_, n)| n.name().to_string()).collect();
+                    let pick = |k: u64| names[(k as usize) % names.len()].clone();
+                    let (_, t) = scratch
+                        .transistors()
+                        .nth((r as usize / 4) % scratch.transistor_count())
+                        .unwrap();
+                    let (gate, source, drain) = site_of(&scratch, t);
+                    let width = Geometry::from_microns(2.0 + (r % 5) as f64, 2.0);
+                    let edit = match r % 4 {
+                        0 => Edit::Add(TransistorDesc {
+                            kind: TransistorKind::ALL[(r as usize / 7) % 3],
+                            gate: pick(r / 11),
+                            source: if r % 3 == 0 {
+                                format!("new{round}_{}", r % 97)
+                            } else {
+                                pick(r / 13)
+                            },
+                            drain: pick(r / 17),
+                            geometry: width,
+                        }),
+                        1 if scratch.transistor_count() > 4 => Edit::Remove {
+                            gate,
+                            source,
+                            drain,
+                        },
+                        2 => Edit::SetCapacitance {
+                            node: pick(r / 19),
+                            capacitance: Farads::from_femto((r % 40) as f64),
+                        },
+                        _ => Edit::Resize {
+                            gate,
+                            source,
+                            drain,
+                            geometry: width,
+                        },
+                    };
+                    seen[(r % 4) as usize] += 1;
+                    scratch = apply_edit(&scratch, &edit).expect("generated edit fits");
+                    script.push(edit);
+                }
+                assert_exact(&net, &script);
+                net = scratch;
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 10),
+            "every edit kind drawn: {seen:?}"
+        );
     }
 
     #[test]

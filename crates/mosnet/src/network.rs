@@ -158,6 +158,26 @@ impl Network {
     pub fn total_capacitance(&self) -> Farads {
         self.nodes.iter().map(|n| n.capacitance()).sum()
     }
+
+    /// A copy to edit in place, for an edit that keeps every node and
+    /// device (a capacitance or geometry change). Its name index keeps
+    /// the node names only, exactly as a network rebuilt node by node
+    /// would, so the copy equals that rebuild.
+    pub(crate) fn copy_for_edit(&self) -> Network {
+        let mut net = self.clone();
+        let nodes = &net.nodes;
+        net.by_name
+            .retain(|name, id| nodes[id.index()].name() == name);
+        net
+    }
+
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
+        &mut self.nodes[id.index()]
+    }
+
+    pub(crate) fn transistor_mut(&mut self, id: TransistorId) -> &mut Transistor {
+        &mut self.transistors[id.index()]
+    }
 }
 
 /// Incrementally builds a [`Network`].

@@ -60,11 +60,11 @@ use crystal::obs::{Metrics, TraceSink};
 use crystal::pool::available_parallelism;
 use crystal::tech::Technology;
 use mosnet::generators::{
-    barrel_shifter, carry_chain, decoder, inverter_chain, memory_array, pass_chain, Style,
+    barrel_shifter, carry_chain, decoder, inverter_chain, memory_array, pass_chain,
+    random_pass_mesh, Style,
 };
-use mosnet::network::NetworkBuilder;
 use mosnet::units::{Farads, Seconds};
-use mosnet::{Geometry, Network, NodeKind, TransistorKind};
+use mosnet::{Geometry, Network};
 use nanospice::circuit::MosModelSet;
 use nanospice::devices::Waveshape;
 use nanospice::{elaborate, Circuit, Options, Simulator, SolverChoice};
@@ -946,10 +946,9 @@ fn circuits() -> Vec<(&'static str, Network, Vec<(String, Scenario)>)> {
     let chain = inverter_chain(Style::Cmos, 24, 2.0, load).expect("chain generates");
     let chain_scenarios = transition_scenarios(&chain, "in", &[], 16);
 
-    // A random 24-transistor pass mesh (the same construction the
-    // failure-injection suite uses): every mesh node hangs off a random
-    // earlier node through an n-pass device gated by `ctl`.
-    let mesh = random_pass_mesh(7);
+    // A random 24-transistor pass mesh: every mesh node hangs off a
+    // random earlier node through an n-pass device gated by `ctl`.
+    let mesh = random_pass_mesh(7, 22);
     let mesh_scenarios = {
         let ctl = mesh.node_by_name("ctl").expect("mesh has ctl");
         transition_scenarios(&mesh, "in", &[(ctl, true)], 16)
@@ -1017,61 +1016,4 @@ fn transition_scenarios(
         }
     }
     scenarios
-}
-
-/// The failure-injection suite's random pass mesh, with an inline
-/// SplitMix64 in place of a PRNG dependency: a CMOS inverter anchors the
-/// mesh to the rails and 22 nodes hang off random earlier nodes through
-/// `ctl`-gated n-pass devices.
-fn random_pass_mesh(seed: u64) -> Network {
-    let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut b = NetworkBuilder::new("pass-mesh");
-    let vdd = b.power();
-    let gnd = b.ground();
-    let inp = b.node("in", NodeKind::Input);
-    let ctl = b.node("ctl", NodeKind::Input);
-    let drv = b.node("drv", NodeKind::Internal);
-    b.set_capacitance(drv, Farads::from_femto(20.0));
-    b.add_transistor(
-        TransistorKind::NEnhancement,
-        inp,
-        drv,
-        gnd,
-        Geometry::from_microns(8.0, 2.0),
-    );
-    b.add_transistor(
-        TransistorKind::PEnhancement,
-        inp,
-        drv,
-        vdd,
-        Geometry::from_microns(16.0, 2.0),
-    );
-    let mut nodes = vec![drv];
-    for i in 0..22 {
-        let kind = if i == 21 {
-            NodeKind::Output
-        } else {
-            NodeKind::Internal
-        };
-        let n = b.node(&format!("m{i}"), kind);
-        let femto = 20.0 + (next() % 1000) as f64 * 0.1; // 20–120 fF
-        b.set_capacitance(n, Farads::from_femto(femto));
-        let from = nodes[next() as usize % nodes.len()];
-        b.add_transistor(
-            TransistorKind::NEnhancement,
-            ctl,
-            from,
-            n,
-            Geometry::from_microns(8.0, 2.0),
-        );
-        nodes.push(n);
-    }
-    b.build().expect("pass mesh is a valid network")
 }

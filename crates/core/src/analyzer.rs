@@ -21,7 +21,7 @@ use crate::error::TimingError;
 use crate::extract::stages_to_full;
 use crate::logic::{self, LogicState, LogicValue};
 use crate::memo::{stage_fingerprint, tech_stamp, CacheStats, CachedEval, StageCache, StageKey};
-use crate::models::{estimate, estimate_with_fallback, ModelKind, TriggerContext};
+use crate::models::{estimate_with_fallback, ModelKind, TriggerContext};
 use crate::obs::{Phase, TraceSink};
 use crate::pool::ThreadPool;
 use crate::stage::Stage;
@@ -55,26 +55,6 @@ pub enum AnalysisMode {
     BestCase,
 }
 
-/// How the fixpoint loop picks the nodes to evaluate each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PropagationMode {
-    /// Event-driven dirty sets (the default): after each round's merge,
-    /// only the nodes observing a changed arrival are re-examined next
-    /// round — Crystal's rule. The dirty set is derived from the merged
-    /// updates alone, so it is identical at every thread count, and a
-    /// node outside it would have reproduced its previous candidate bit
-    /// for bit, so the fixpoint (and the round count) matches
-    /// [`PropagationMode::FullJacobi`] exactly.
-    #[default]
-    DirtySet,
-    /// Re-evaluate every target every round — the pre-dirty-set
-    /// behavior, kept as the reference implementation for equivalence
-    /// tests. O(targets × rounds) stage evaluations; only the budget
-    /// charge sequence differs from [`PropagationMode::DirtySet`]
-    /// (more is charged per round), never the arrivals.
-    FullJacobi,
-}
-
 /// Tunable knobs of the analysis; [`AnalyzerOptions::default`] matches
 /// the behavior of [`analyze`].
 #[derive(Debug, Clone)]
@@ -89,11 +69,6 @@ pub struct AnalyzerOptions {
     /// [`TimingError::BudgetExhausted`] carrying every arrival computed
     /// so far.
     pub budget: AnalysisBudget,
-    /// Degrade a stage down the model chain (slope → rc-tree → lumped)
-    /// when the requested model cannot produce a usable estimate for it,
-    /// recording the substitute in [`Arrival::model`]. `false` restores
-    /// the strict single-model behavior.
-    pub model_fallback: bool,
     /// Worker threads for stage extraction and per-node evaluation:
     /// `1` (the default) runs serially, `0` uses every hardware thread,
     /// any other value is taken literally. Arrivals — including partial
@@ -102,11 +77,6 @@ pub struct AnalyzerOptions {
     /// round's arrival snapshot, merges in node order, and commits
     /// budgets in node order before parallel dispatch.
     pub threads: usize,
-    /// Which nodes each propagation round evaluates (see
-    /// [`PropagationMode`]). Both modes produce bit-identical arrivals;
-    /// the default dirty-set mode does O(changes) work per round instead
-    /// of O(targets).
-    pub propagation: PropagationMode,
     /// Shared stage-evaluation memo cache. `None` (the default) disables
     /// memoization; pass a clone of one [`Arc<StageCache>`] to every
     /// analysis that should pool its evaluations. Cached results are
@@ -135,39 +105,11 @@ impl Default for AnalyzerOptions {
             non_switching_cap_weight: NON_SWITCHING_CAP_WEIGHT,
             mode: AnalysisMode::WorstCase,
             budget: AnalysisBudget::unlimited(),
-            model_fallback: true,
             threads: 1,
-            propagation: PropagationMode::default(),
             cache: None,
             trace: None,
             cancel: None,
         }
-    }
-}
-
-impl PartialEq for AnalyzerOptions {
-    fn eq(&self, other: &AnalyzerOptions) -> bool {
-        self.non_switching_cap_weight == other.non_switching_cap_weight
-            && self.mode == other.mode
-            && self.budget == other.budget
-            && self.model_fallback == other.model_fallback
-            && self.threads == other.threads
-            && self.propagation == other.propagation
-            && match (&self.cache, &other.cache) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
-            && match (&self.trace, &other.trace) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
-            && match (&self.cancel, &other.cancel) {
-                (None, None) => true,
-                (Some(a), Some(b)) => std::ptr::eq(a.as_atomic(), b.as_atomic()),
-                _ => false,
-            }
     }
 }
 
@@ -687,32 +629,31 @@ pub(crate) fn analyze_subset(
     // previous candidate bit for bit, so skipping it cannot alter the
     // fixpoint or the round count.
     let mut dependents: HashMap<NodeId, Vec<usize>> = HashMap::new();
-    if options.propagation == PropagationMode::DirtySet {
-        let _span = trace.map(|t| t.span(Phase::Propagation, "dependents"));
-        for (wi, w) in work.iter().enumerate() {
-            let mut observed: Vec<NodeId> = Vec::new();
-            for stage in &w.stages {
-                for &gate in &stage.path_gates {
-                    if gate != w.node && edge_of.contains_key(&gate) {
-                        observed.push(gate);
-                    }
+    let dependents_span = trace.map(|t| t.span(Phase::Propagation, "dependents"));
+    for (wi, w) in work.iter().enumerate() {
+        let mut observed: Vec<NodeId> = Vec::new();
+        for stage in &w.stages {
+            for &gate in &stage.path_gates {
+                if gate != w.node && edge_of.contains_key(&gate) {
+                    observed.push(gate);
                 }
-            }
-            for &tid in net.channel_neighbors(w.node) {
-                if before.transistor_on(net, tid) && !after.transistor_on(net, tid) {
-                    let gate = net.transistor(tid).gate();
-                    if gate != w.node && edge_of.contains_key(&gate) {
-                        observed.push(gate);
-                    }
-                }
-            }
-            observed.sort_unstable();
-            observed.dedup();
-            for gate in observed {
-                dependents.entry(gate).or_default().push(wi);
             }
         }
+        for &tid in net.channel_neighbors(w.node) {
+            if before.transistor_on(net, tid) && !after.transistor_on(net, tid) {
+                let gate = net.transistor(tid).gate();
+                if gate != w.node && edge_of.contains_key(&gate) {
+                    observed.push(gate);
+                }
+            }
+        }
+        observed.sort_unstable();
+        observed.dedup();
+        for gate in observed {
+            dependents.entry(gate).or_default().push(wi);
+        }
     }
+    drop(dependents_span);
 
     // Propagation evaluates against the previous round's arrival
     // snapshot for *every* thread count, serial included, then merges
@@ -720,10 +661,9 @@ pub(crate) fn analyze_subset(
     // make results depend on evaluation order and thus on the worker
     // count; snapshot rounds cost at most a few extra rounds and make
     // `threads = N` bit-identical to `threads = 1`. Round 0 examines
-    // every target; under the default dirty-set mode each later round
-    // examines only the targets observing an arrival the previous
-    // round's merge changed — a set derived from the merged updates
-    // alone, hence equally thread-count independent.
+    // every target; each later round examines only the targets observing
+    // an arrival the previous round's merge changed — a set derived from
+    // the merged updates alone, hence equally thread-count independent.
     let max_rounds = work.len() + 2;
     let mut dirty: Vec<usize> = (0..work.len()).collect();
     for round in 0..=max_rounds {
@@ -772,7 +712,6 @@ pub(crate) fn analyze_subset(
                     &arrivals,
                     &work[wi],
                     options.mode,
-                    options.model_fallback,
                     cache_ctx.as_ref(),
                 )
             });
@@ -823,14 +762,9 @@ pub(crate) fn analyze_subset(
                 iterations: max_rounds,
             });
         }
-        dirty = match options.propagation {
-            PropagationMode::DirtySet => {
-                next_dirty.sort_unstable();
-                next_dirty.dedup();
-                next_dirty
-            }
-            PropagationMode::FullJacobi => (0..work.len()).collect(),
-        };
+        next_dirty.sort_unstable();
+        next_dirty.dedup();
+        dirty = next_dirty;
     }
     unreachable!("loop always returns");
 }
@@ -847,15 +781,12 @@ struct CacheCtx<'a> {
 }
 
 impl CacheCtx<'_> {
-    /// Exact per-analysis counts; the generation is the shared cache's,
-    /// so `CacheStats::delta_since` keeps treating a concurrent `clear`
-    /// as an epoch break.
+    /// Exact per-analysis counts.
     fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            generation: self.cache.stats().generation,
         }
     }
 }
@@ -882,7 +813,6 @@ fn evaluate_node(
     arrivals: &[Option<Arrival>],
     work: &NodeWork,
     mode: AnalysisMode,
-    model_fallback: bool,
     cache: Option<&CacheCtx<'_>>,
 ) -> Option<Arrival> {
     let node = work.node;
@@ -958,11 +888,10 @@ fn evaluate_node(
             trigger_kind: kind,
         };
         // The memo key covers everything the models consume (stage
-        // topology, technology stamp, slope bucket, model, trigger kind,
-        // fallback flag), and the slope bucket is exact, so a hit is
-        // bit-identical to a fresh evaluation. Failed evaluations are not
-        // cached: they are rare (broken technology tables) and skipping
-        // them is cheap.
+        // topology, technology stamp, slope bucket, model, trigger kind),
+        // and the slope bucket is exact, so a hit is bit-identical to a
+        // fresh evaluation. Failed evaluations are not cached: they are
+        // rare (broken technology tables) and skipping them is cheap.
         let key = cache.map(|cc| {
             StageKey::new(
                 work.fingerprints[stage_index],
@@ -970,7 +899,6 @@ fn evaluate_node(
                 ctx.input_transition,
                 model,
                 ctx.trigger_kind,
-                model_fallback,
             )
         });
         let memoized = match (cache, &key) {
@@ -989,17 +917,13 @@ fn evaluate_node(
         let (d, used_model) = match memoized {
             Some(pair) => pair,
             None => {
-                let computed = if model_fallback {
-                    match estimate_with_fallback(model, tech, stage, ctx) {
-                        Ok(pair) => pair,
-                        // Fail-soft: when even the lumped model cannot
-                        // produce a usable number for this stage, skip it
-                        // rather than poisoning the whole analysis with
-                        // NaN/negative times.
-                        Err(_) => continue,
-                    }
-                } else {
-                    (estimate(model, tech, stage, ctx), model)
+                let computed = match estimate_with_fallback(model, tech, stage, ctx) {
+                    Ok(pair) => pair,
+                    // Fail-soft: when even the lumped model cannot
+                    // produce a usable number for this stage, skip it
+                    // rather than poisoning the whole analysis with
+                    // NaN/negative times.
+                    Err(_) => continue,
                 };
                 if let (Some(cc), Some(k)) = (cache, &key) {
                     let evicted = cc.cache.insert(
@@ -1633,20 +1557,6 @@ mod tests {
         let a = degraded.delay_to(&net, out).unwrap();
         assert_eq!(a.model, ModelKind::RcTree);
         assert!(a.time.value() > 0.0);
-        // With fallback disabled the strict single-model path is used and
-        // the (unvalidated) slope estimate is recorded as such.
-        let strict = analyze_with_options(
-            &net,
-            &broken_slope_tech(),
-            ModelKind::Slope,
-            &s,
-            AnalyzerOptions {
-                model_fallback: false,
-                ..AnalyzerOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(strict.delay_to(&net, out).unwrap().model, ModelKind::Slope);
     }
 
     #[test]

@@ -49,12 +49,6 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
-
-    /// A borrowed view of the underlying flag, for APIs (like the
-    /// nanospice reference simulator) that poll a plain [`AtomicBool`].
-    pub fn as_atomic(&self) -> &AtomicBool {
-        &self.flag
-    }
 }
 
 /// Caps on the work one analysis may perform. `None` means unlimited;
@@ -321,7 +315,6 @@ mod tests {
         assert!(!clone.is_cancelled());
         clone.cancel();
         assert!(token.is_cancelled());
-        assert!(token.as_atomic().load(Ordering::Acquire));
     }
 
     #[test]

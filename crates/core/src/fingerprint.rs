@@ -156,10 +156,20 @@ pub fn run_fingerprint(
     let mut h = Fnv64::new();
     h.write(sim_format::write(net).as_bytes());
     h.write_u64(crate::memo::tech_stamp(tech));
+    write_options(&mut h, model, options);
+    h.finish()
+}
+
+/// Hashes the model and the result-affecting analyzer options, in the
+/// order both [`run_fingerprint`] and the `options` component of
+/// [`run_fingerprint_parts`] consume them.
+fn write_options(h: &mut Fnv64, model: ModelKind, options: &AnalyzerOptions) {
     h.write(format!("{model:?}").as_bytes());
     h.write_u64(options.non_switching_cap_weight.to_bits());
     h.write(format!("{:?}", options.mode).as_bytes());
-    h.write(&[u8::from(options.model_fallback)]);
+    // Model fallback, always on: the byte keeps older journals, sessions
+    // and run records matching.
+    h.write(&[1]);
     let cap = |v: Option<usize>| v.map_or(u64::MAX, |n| n as u64);
     h.write_u64(cap(options.budget.max_stage_evals));
     h.write_u64(cap(options.budget.max_paths_per_node));
@@ -169,7 +179,6 @@ pub fn run_fingerprint(
             .deadline
             .map_or(u64::MAX, |d| d.as_nanos() as u64),
     );
-    h.finish()
 }
 
 /// A run fingerprint with optional per-input components.
@@ -223,19 +232,7 @@ pub fn run_fingerprint_parts(
     let mut net_hash = Fnv64::new();
     net_hash.write(sim_format::write(net).as_bytes());
     let mut opt_hash = Fnv64::new();
-    opt_hash.write(format!("{model:?}").as_bytes());
-    opt_hash.write_u64(options.non_switching_cap_weight.to_bits());
-    opt_hash.write(format!("{:?}", options.mode).as_bytes());
-    opt_hash.write(&[u8::from(options.model_fallback)]);
-    let cap = |v: Option<usize>| v.map_or(u64::MAX, |n| n as u64);
-    opt_hash.write_u64(cap(options.budget.max_stage_evals));
-    opt_hash.write_u64(cap(options.budget.max_paths_per_node));
-    opt_hash.write_u64(
-        options
-            .budget
-            .deadline
-            .map_or(u64::MAX, |d| d.as_nanos() as u64),
-    );
+    write_options(&mut opt_hash, model, options);
     RunFingerprint {
         combined: run_fingerprint(net, tech, model, options),
         netlist: Some(net_hash.finish()),
@@ -620,6 +617,43 @@ mod tests {
     #[test]
     fn run_id_is_prefix_plus_hex() {
         assert_eq!(run_id("session", 0xab), "session-00000000000000ab");
+    }
+
+    /// Golden fingerprints: journals, sessions and run records written
+    /// by earlier builds only match while these values hold.
+    #[test]
+    fn run_fingerprints_are_pinned() {
+        let net = sim_format::parse(
+            include_str!("../../../examples/netlists/adder.sim"),
+            "adder.sim",
+        )
+        .expect("adder parses");
+        let tech =
+            crate::tech_format::parse(include_str!("../../../examples/netlists/calibrated.tech"))
+                .expect("tech parses");
+        let options = AnalyzerOptions::default();
+        let parts = run_fingerprint_parts(&net, &tech, ModelKind::Slope, &options);
+        assert_eq!(hex64(parts.combined), "e9a58b4770730166");
+        assert_eq!(
+            parts.netlist.map(hex64).as_deref(),
+            Some("b2c987ce5e1d4940")
+        );
+        assert_eq!(parts.tech.map(hex64).as_deref(), Some("c1dbe226bebede3f"));
+        assert_eq!(
+            parts.options.map(hex64).as_deref(),
+            Some("3686f058e93a0e9a")
+        );
+        assert_eq!(
+            parts.combined,
+            run_fingerprint(&net, &tech, ModelKind::Slope, &options)
+        );
+        for (model, opts) in [
+            (ModelKind::Lumped, "324041d5eb7653d0"),
+            (ModelKind::RcTree, "9dafcd07e19e5490"),
+        ] {
+            let parts = run_fingerprint_parts(&net, &tech, model, &options);
+            assert_eq!(parts.options.map(hex64).as_deref(), Some(opts), "{model:?}");
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub mod tech_format;
 
 pub use analyzer::{
     analyze, analyze_with_options, AnalysisMode, AnalyzerOptions, Arrival, Edge, IncrementalStats,
-    PropagationMode, Scenario, TimingResult,
+    Scenario, TimingResult,
 };
 pub use budget::{AnalysisBudget, BudgetExceeded, CancelToken, PartialTiming};
 pub use durable::{

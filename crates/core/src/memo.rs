@@ -2,10 +2,11 @@
 //!
 //! Repeated sweeps and batch runs evaluate the *same* stage — same RC
 //! topology, same model, same input slope — thousands of times: every
-//! scenario of a batch re-extracts near-identical stages, and every
-//! propagation round re-evaluates stages whose triggers did not move.
-//! A [`StageCache`] memoizes `(stage, model, slope, technology) →
-//! delay`, turning those re-evaluations into a hash lookup.
+//! scenario of a batch re-extracts near-identical stages, and a node the
+//! dirty set re-examines re-evaluates all its stages, including those
+//! whose triggers did not move. A [`StageCache`] memoizes
+//! `(stage, model, slope, technology) → delay`, turning those
+//! re-evaluations into a hash lookup.
 //!
 //! ## Keying
 //!
@@ -26,32 +27,20 @@
 //! * the **slope bucket** ([`slope_bucket`]): the exact bit pattern of
 //!   the input transition time (with `-0.0` canonicalized to `+0.0`), so
 //!   a cache hit returns *bit-identical* results to a fresh evaluation;
-//! * the model kind, trigger device kind, and whether model fallback is
-//!   enabled.
+//! * the model kind and the trigger device kind.
 //!
 //! ## Concurrency
 //!
 //! The map is split into [`SHARDS`] independently locked shards selected
 //! by key hash, so parallel analyzer workers rarely contend. Hit, miss,
-//! and eviction counters are atomics updated while the shard lock is
-//! held; note that under concurrency two workers can miss on the same
-//! key simultaneously and both insert — counters are exact event counts,
-//! not a deduplicated key census, and may differ run to run. Cached
-//! *values* never differ: an entry is only ever written with the result
-//! its key deterministically produces.
-//!
-//! ## Counter guarantees
-//!
-//! [`StageCache::stats`] takes a seqlock-consistent snapshot: it never
-//! mixes counter values from before and after a concurrent
-//! [`StageCache::clear`], so `hits + misses` always equals the number of
-//! completed lookups of one epoch and a derived hit rate can never
-//! exceed 100%. `clear` resets the counters to zero *atomically* with
-//! dropping the entries (all shards locked) and bumps a **generation**
-//! recorded in every [`CacheStats`]; [`CacheStats::delta_since`] uses it
-//! to detect a clear between two snapshots and reports the current
-//! epoch's counts instead of silently saturating a negative difference
-//! to zero (which would mask counter regressions).
+//! and eviction counters are relaxed atomics; under concurrency two
+//! workers can miss on the same key simultaneously and both insert —
+//! counters are exact event counts, not a deduplicated key census, and
+//! may differ run to run. [`StageCache::stats`] reads the three counters
+//! one at a time, so a snapshot taken under traffic is approximate;
+//! per-analysis counts come from the analyzer's own counters instead.
+//! Cached *values* never differ: an entry is only ever written with the
+//! result its key deterministically produces.
 
 use crate::fingerprint::{Fnv64, FNV_OFFSET, FNV_PRIME};
 use crate::models::{ModelKind, StageDelay};
@@ -198,7 +187,6 @@ pub struct StageKey {
     slope: u64,
     model: u8,
     trigger: u8,
-    fallback: bool,
 }
 
 impl StageKey {
@@ -210,7 +198,6 @@ impl StageKey {
         input_transition: Seconds,
         model: ModelKind,
         trigger_kind: TransistorKind,
-        fallback: bool,
     ) -> StageKey {
         StageKey {
             fingerprint,
@@ -218,7 +205,6 @@ impl StageKey {
             slope: slope_bucket(input_transition),
             model: model_tag(model),
             trigger: trigger_kind.index() as u8,
-            fallback,
         }
     }
 
@@ -230,8 +216,7 @@ impl StageKey {
             ^ self.tech.rotate_left(17)
             ^ self.slope.rotate_left(31)
             ^ u64::from(self.model) << 8
-            ^ u64::from(self.trigger) << 16
-            ^ u64::from(self.fallback) << 24;
+            ^ u64::from(self.trigger) << 16;
         // SplitMix64 finalizer.
         x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -267,43 +252,17 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries displaced to stay under the capacity cap.
     pub evictions: u64,
-    /// Counter epoch: how many times [`StageCache::clear`] had run when
-    /// this snapshot was taken. Two snapshots with different generations
-    /// straddle a clear and their counters are not directly comparable —
-    /// [`CacheStats::delta_since`] uses this to avoid masking resets.
-    pub generation: u64,
 }
 
 impl CacheStats {
     /// Hits as a fraction of all lookups (zero when nothing was looked
-    /// up). Snapshots are seqlock-consistent, so this can never exceed
-    /// `1.0`.
+    /// up).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
         } else {
             self.hits as f64 / total as f64
-        }
-    }
-
-    /// The counter deltas accumulated since `earlier` was snapshot.
-    ///
-    /// When the cache was [cleared](StageCache::clear) between the two
-    /// snapshots (the generations differ), `earlier`'s counts describe a
-    /// dead epoch: the delta returned is everything accumulated in the
-    /// *current* epoch rather than a silently saturated near-zero — a
-    /// per-field `saturating_sub` across a reset would under-report and
-    /// mask counter regressions.
-    pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
-        if self.generation != earlier.generation {
-            return *self;
-        }
-        CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            generation: self.generation,
         }
     }
 }
@@ -318,10 +277,6 @@ pub struct StageCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// Seqlock word guarding counter consistency across [`StageCache::clear`]:
-    /// even = stable, odd = a clear is mid-flight. `generation / 2` is
-    /// the number of completed clears (the epoch in [`CacheStats`]).
-    generation: AtomicU64,
 }
 
 impl StageCache {
@@ -340,29 +295,27 @@ impl StageCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
         }
     }
 
     /// Looks `key` up, counting a hit or a miss.
     pub fn lookup(&self, key: &StageKey) -> Option<CachedEval> {
-        let shard = self.shards[key.shard()].lock().expect("cache shard lock");
-        let found = shard.get(key).copied();
-        // The counter bump happens under the shard lock: `clear()` holds
-        // every shard lock while resetting, so no increment can land
-        // between a reset and the generation bump that publishes it.
+        let found = self.shards[key.shard()]
+            .lock()
+            .expect("cache shard lock")
+            .get(key)
+            .copied();
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
-        drop(shard);
         found
     }
 
     /// Inserts an evaluation, displacing an arbitrary resident entry of
     /// the same shard when the shard is full (counted as an eviction).
     /// Returns `true` when an entry was evicted, so callers keeping
-    /// per-analysis accounting (the analyzer's [`CacheStats`] delta) can
+    /// per-analysis accounting (the analyzer's own [`CacheStats`]) can
     /// attribute the eviction without re-reading the shared counters.
     pub fn insert(&self, key: StageKey, value: CachedEval) -> bool {
         let mut shard = self.shards[key.shard()].lock().expect("cache shard lock");
@@ -396,53 +349,15 @@ impl StageCache {
         self.per_shard_capacity * SHARDS
     }
 
-    /// A seqlock-consistent snapshot of the current epoch's
-    /// hit/miss/eviction counters: the three counts are guaranteed to
-    /// come from one epoch (never mixing values from before and after a
-    /// concurrent [`StageCache::clear`]), so `hits + misses` matches the
-    /// completed lookups of that epoch and derived hit rates cannot
-    /// exceed 100%.
+    /// The lifetime hit/miss/eviction counters. Each is read on its
+    /// own, so under concurrent traffic the three may come from slightly
+    /// different instants.
     pub fn stats(&self) -> CacheStats {
-        loop {
-            let g1 = self.generation.load(Ordering::Acquire);
-            if g1 % 2 == 1 {
-                // A clear is mid-flight; wait for it to publish.
-                std::hint::spin_loop();
-                continue;
-            }
-            let stats = CacheStats {
-                hits: self.hits.load(Ordering::Relaxed),
-                misses: self.misses.load(Ordering::Relaxed),
-                evictions: self.evictions.load(Ordering::Relaxed),
-                generation: g1 / 2,
-            };
-            if self.generation.load(Ordering::Acquire) == g1 {
-                return stats;
-            }
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
         }
-    }
-
-    /// Drops every resident entry and resets the counters to zero in one
-    /// atomic step (all shard locks held for the duration), bumping the
-    /// counter generation so snapshots from before the clear can never
-    /// be mistaken for the new epoch's counts.
-    pub fn clear(&self) {
-        // Locking every shard first quiesces all lookups/inserts — their
-        // counter bumps happen under the shard lock — making the counter
-        // reset atomic with respect to cache traffic.
-        let mut guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock"))
-            .collect();
-        self.generation.fetch_add(1, Ordering::AcqRel); // odd: in progress
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        for shard in &mut guards {
-            shard.clear();
-        }
-        self.generation.fetch_add(1, Ordering::AcqRel); // even: published
     }
 }
 
@@ -489,7 +404,6 @@ mod tests {
             Seconds::ZERO,
             ModelKind::Slope,
             TransistorKind::NEnhancement,
-            true,
         )
     }
 
@@ -576,30 +490,14 @@ mod tests {
             Seconds::ZERO,
             ModelKind::Slope,
             TransistorKind::NEnhancement,
-            true,
         );
         let keys = [
-            StageKey::new(base.0, base.1, base.2, base.3, base.4, base.5),
-            StageKey::new(8, base.1, base.2, base.3, base.4, base.5),
-            StageKey::new(base.0, 43, base.2, base.3, base.4, base.5),
-            StageKey::new(
-                base.0,
-                base.1,
-                Seconds::from_nanos(1.0),
-                base.3,
-                base.4,
-                base.5,
-            ),
-            StageKey::new(base.0, base.1, base.2, ModelKind::Lumped, base.4, base.5),
-            StageKey::new(
-                base.0,
-                base.1,
-                base.2,
-                base.3,
-                TransistorKind::PEnhancement,
-                base.5,
-            ),
-            StageKey::new(base.0, base.1, base.2, base.3, base.4, false),
+            StageKey::new(base.0, base.1, base.2, base.3, base.4),
+            StageKey::new(8, base.1, base.2, base.3, base.4),
+            StageKey::new(base.0, 43, base.2, base.3, base.4),
+            StageKey::new(base.0, base.1, Seconds::from_nanos(1.0), base.3, base.4),
+            StageKey::new(base.0, base.1, base.2, ModelKind::Lumped, base.4),
+            StageKey::new(base.0, base.1, base.2, base.3, TransistorKind::PEnhancement),
         ];
         cache.insert(keys[0], sample_value());
         for key in &keys[1..] {
@@ -651,7 +549,6 @@ mod tests {
                 slope,
                 ModelKind::Slope,
                 TransistorKind::NEnhancement,
-                true,
             );
             counts[key.shard()] += 1;
         }
@@ -676,7 +573,6 @@ mod tests {
                 Seconds::ZERO,
                 ModelKind::Slope,
                 TransistorKind::NEnhancement,
-                true,
             );
             counts[key.shard()] += 1;
         }
@@ -717,82 +613,13 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_subtracts_snapshots() {
-        let cache = StageCache::new();
-        let key = key_n(9);
-        let _ = cache.lookup(&key); // miss
-        let before = cache.stats();
-        cache.insert(key, sample_value());
-        let _ = cache.lookup(&key); // hit
-        let delta = cache.stats().delta_since(&before);
-        assert_eq!(
-            delta,
-            CacheStats {
-                hits: 1,
-                misses: 0,
-                evictions: 0,
-                generation: 0,
-            }
-        );
-    }
-
-    #[test]
-    fn clear_resets_counters_atomically_with_a_generation_bump() {
-        let cache = StageCache::new();
-        let key = key_n(2);
-        cache.insert(key, sample_value());
-        let _ = cache.lookup(&key); // hit
-        let before = cache.stats();
-        assert_eq!((before.hits, before.generation), (1, 0));
-        cache.clear();
-        assert!(cache.is_empty());
-        // Counters restart from zero in a new epoch.
-        let after = cache.stats();
-        assert_eq!(
-            (after.hits, after.misses, after.evictions, after.generation),
-            (0, 0, 0, 1)
-        );
-        assert!(cache.lookup(&key).is_none());
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn delta_across_a_clear_reports_the_new_epoch_instead_of_masking() {
-        // A pre-clear snapshot must not turn the post-clear counts into
-        // a silent near-zero delta: saturating_sub would report 0 misses
-        // here and hide the regression.
-        let cache = StageCache::new();
-        for i in 0..5 {
-            let _ = cache.lookup(&key_n(i)); // 5 misses, epoch 0
-        }
-        let earlier = cache.stats();
-        assert_eq!(earlier.misses, 5);
-        cache.clear();
-        let _ = cache.lookup(&key_n(100)); // 1 miss, epoch 1
-        let _ = cache.lookup(&key_n(101)); // 1 miss, epoch 1
-        let delta = cache.stats().delta_since(&earlier);
-        assert_eq!(delta.misses, 2, "post-clear activity must be visible");
-        assert_eq!(delta.generation, 1);
-        // Hit rates derived from any snapshot stay within [0, 1].
-        assert!(delta.hit_rate() <= 1.0);
-    }
-
-    #[test]
     fn negative_zero_slope_aliases_positive_zero_in_stage_keys() {
         // -0.0 and +0.0 are the same physical (step) slope: the full
         // StageKey — not just the bucket — must be identical, so the two
         // encodings share one cache entry instead of duplicating the
         // evaluation and reporting a spurious miss.
-        let at = |t: Seconds| {
-            StageKey::new(
-                7,
-                42,
-                t,
-                ModelKind::Slope,
-                TransistorKind::NEnhancement,
-                true,
-            )
-        };
+        let at =
+            |t: Seconds| StageKey::new(7, 42, t, ModelKind::Slope, TransistorKind::NEnhancement);
         assert_eq!(at(Seconds(-0.0)), at(Seconds(0.0)));
         let cache = StageCache::new();
         cache.insert(at(Seconds(0.0)), sample_value());
@@ -823,59 +650,11 @@ mod tests {
         assert_ne!(canonical, slope_bucket(Seconds(1e-9)));
         // Insertion under one NaN payload is found under another.
         let cache = StageCache::new();
-        let at = |t: Seconds| {
-            StageKey::new(
-                7,
-                42,
-                t,
-                ModelKind::Slope,
-                TransistorKind::NEnhancement,
-                true,
-            )
-        };
+        let at =
+            |t: Seconds| StageKey::new(7, 42, t, ModelKind::Slope, TransistorKind::NEnhancement);
         cache.insert(at(Seconds(f64::NAN)), sample_value());
         assert!(cache
             .lookup(&at(Seconds(f64::from_bits(0x7ff8_0000_0000_0001))))
             .is_some());
-    }
-
-    #[test]
-    fn concurrent_clear_never_yields_inconsistent_snapshots() {
-        use std::sync::Arc;
-        // Hammer the cache from worker threads while clearing from the
-        // main thread; every snapshot must be internally consistent
-        // (hit rate within [0, 1] — impossible to violate if hits and
-        // misses come from one epoch).
-        let cache = Arc::new(StageCache::new());
-        let stop = Arc::new(AtomicU64::new(0));
-        let workers: Vec<_> = (0..3)
-            .map(|w| {
-                let cache = Arc::clone(&cache);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut i = 0u64;
-                    while stop.load(Ordering::Relaxed) == 0 {
-                        let key = key_n(w * 1000 + (i % 64));
-                        if cache.lookup(&key).is_none() {
-                            cache.insert(key, sample_value());
-                        }
-                        i += 1;
-                    }
-                })
-            })
-            .collect();
-        for _ in 0..200 {
-            let s = cache.stats();
-            assert!(s.hit_rate() <= 1.0);
-            cache.clear();
-            let cleared = cache.stats();
-            // Immediately after our clear, only lookups that completed
-            // in the new epoch may be visible.
-            assert!(cleared.generation >= 1);
-        }
-        stop.store(1, Ordering::Relaxed);
-        for w in workers {
-            w.join().expect("worker");
-        }
     }
 }

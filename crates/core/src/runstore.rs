@@ -412,7 +412,9 @@ impl RunRecord {
                     .num("hits", cache.hits)
                     .num("misses", cache.misses)
                     .num("evictions", cache.evictions)
-                    .num("generation", cache.generation)
+                    // The retired counter epoch; 0 is the only value any
+                    // record ever carried.
+                    .num("generation", 0)
                     .finish(),
             );
         }
@@ -778,7 +780,6 @@ fn push_row(record: &mut RunRecord, fields: &Fields) -> Option<()> {
                 hits: fields.num("hits")?,
                 misses: fields.num("misses")?,
                 evictions: fields.num("evictions")?,
-                generation: fields.num("generation")?,
             })
         }
         "exit" => {
@@ -821,6 +822,19 @@ pub enum DiffVerdict {
     PerfRegression,
     /// Every enabled gate passed.
     Clean,
+}
+
+impl DiffVerdict {
+    /// The verdict's name in `diff-runs --json` and the daemon's `diff`
+    /// response.
+    pub fn name(self) -> &'static str {
+        match self {
+            DiffVerdict::Clean => "clean",
+            DiffVerdict::TimingRegression => "timing_regression",
+            DiffVerdict::DigestMismatch => "digest_mismatch",
+            DiffVerdict::PerfRegression => "perf_regression",
+        }
+    }
 }
 
 /// One matched node whose recorded arrival differs between the runs.
@@ -1157,7 +1171,7 @@ impl RunDiff {
         if !self.fingerprint_match {
             let _ = writeln!(
                 out,
-                "note: configuration fingerprints differ (the runs analyzed different inputs)"
+                "note: configuration fingerprints differ (the inputs or their serialization changed; the digests below compare results)"
             );
         }
         for note in &self.notes {
@@ -1299,12 +1313,7 @@ impl RunDiff {
             self.hardware_threads.0, self.hardware_threads.1
         );
         let _ = writeln!(out, "  \"perf_comparable\": {},", self.perf_comparable);
-        let verdict = match self.verdict(thresholds) {
-            DiffVerdict::Clean => "clean",
-            DiffVerdict::TimingRegression => "timing_regression",
-            DiffVerdict::DigestMismatch => "digest_mismatch",
-            DiffVerdict::PerfRegression => "perf_regression",
-        };
+        let verdict = self.verdict(thresholds).name();
         let _ = writeln!(out, "  \"verdict\": \"{verdict}\",");
         let json_f64 = |v: f64| {
             if v.is_finite() {
@@ -1463,7 +1472,6 @@ mod tests {
             hits: 12,
             misses: 3,
             evictions: 0,
-            generation: 0,
         });
         record.exit = Some(ExitRow {
             status: "ok".to_string(),

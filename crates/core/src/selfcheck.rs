@@ -102,8 +102,6 @@ pub struct SelfCheckConfig {
     /// reference comparison — a fault-injection hook proving the harness
     /// detects a wrong answer. `None` (default) checks honestly.
     pub inject_scale: Option<(ModelKind, f64)>,
-    /// MOS level-1 parameters for the reference simulation.
-    pub sim_models: MosModelSet,
     /// Observability sink for [`Phase::Check`] spans and counters.
     pub trace: Option<Arc<TraceSink>>,
 }
@@ -116,7 +114,6 @@ impl Default for SelfCheckConfig {
             threads: 0,
             reference_sample: 4,
             inject_scale: None,
-            sim_models: MosModelSet::default(),
             trace: None,
         }
     }
@@ -773,7 +770,8 @@ fn check_against_reference(
         + 2.0 * scenario.input_transition.value();
     let (tstop, dt) = (Seconds(horizon), Seconds(horizon / 4000.0));
 
-    let models = &config.sim_models;
+    // The MOS level-1 parameters `calibrated.tech` was fit against.
+    let models = &MosModelSet::default();
     let statics: HashMap<NodeId, f64> = scenario
         .statics
         .iter()

@@ -1015,16 +1015,15 @@ fn op_diff(inner: &Arc<Inner>, request: &Fields) -> Response {
     };
     let d = runstore::diff(&a, &b);
     let verdict = d.verdict(&thresholds);
-    let (status, verdict_name) = match verdict {
-        DiffVerdict::Clean => (Status::Ok, "clean"),
-        DiffVerdict::TimingRegression => (Status::Divergence, "timing_regression"),
-        DiffVerdict::DigestMismatch => (Status::Divergence, "digest_mismatch"),
-        DiffVerdict::PerfRegression => (Status::Error, "perf_regression"),
+    let status = match verdict {
+        DiffVerdict::Clean => Status::Ok,
+        DiffVerdict::TimingRegression | DiffVerdict::DigestMismatch => Status::Divergence,
+        DiffVerdict::PerfRegression => Status::Error,
     };
     Response::new(status)
         .field("a", &d.a_id)
         .field("b", &d.b_id)
-        .field("verdict", verdict_name)
+        .field("verdict", verdict.name())
         .num("digest_mismatches", d.digest_mismatches.len() as u64)
         .num("only_in_a", d.only_in_a.len() as u64)
         .num("only_in_b", d.only_in_b.len() as u64)

@@ -1,88 +1,205 @@
 //! Property tests for event-driven (dirty-set) propagation: the
-//! dirty-set engine must reproduce the reference full-Jacobi engine bit
-//! for bit at every thread count, while charging strictly fewer stage
+//! analyzer must reproduce an independent full-Jacobi oracle bit for bit
+//! at every thread count, while charging strictly fewer stage
 //! evaluations on multi-round circuits, and tripped budgets must land on
 //! the identical partial result whether the run is cold or warm, serial
 //! or parallel.
 
-use crystal::analyzer::{analyze_with_options, AnalyzerOptions, Edge, PropagationMode, Scenario};
+use crystal::analyzer::{
+    analyze_with_options, AnalyzerOptions, Arrival, Edge, Scenario, TimingResult,
+    NON_SWITCHING_CAP_WEIGHT,
+};
 use crystal::budget::AnalysisBudget;
+use crystal::extract::stages_to_full;
+use crystal::logic::{self, LogicValue};
 use crystal::memo::StageCache;
-use crystal::models::ModelKind;
+use crystal::models::{estimate_with_fallback, ModelKind, TriggerContext};
 use crystal::obs::{Phase, TraceSink};
-use crystal::tech::Technology;
+use crystal::stage::Stage;
+use crystal::tech::{Direction, Technology};
 use crystal::TimingError;
-use mosnet::generators::{inverter_chain, Style};
-use mosnet::network::NetworkBuilder;
-use mosnet::units::Farads;
-use mosnet::{Geometry, Network, NodeKind, TransistorKind};
+use mosnet::generators::{inverter_chain, random_pass_mesh, Style};
+use mosnet::units::{Farads, Seconds};
+use mosnet::{Network, NodeId, TransistorKind};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Same irregular random mesh the determinism suite uses.
-fn random_pass_mesh(seed: u64, nodes: usize) -> Network {
-    let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut b = NetworkBuilder::new("pass-mesh");
-    let vdd = b.power();
-    let gnd = b.ground();
-    let inp = b.node("in", NodeKind::Input);
-    let ctl = b.node("ctl", NodeKind::Input);
-    let drv = b.node("drv", NodeKind::Internal);
-    b.set_capacitance(drv, Farads::from_femto(20.0));
-    b.add_transistor(
-        TransistorKind::NEnhancement,
-        inp,
-        drv,
-        gnd,
-        Geometry::from_microns(8.0, 2.0),
-    );
-    b.add_transistor(
-        TransistorKind::PEnhancement,
-        inp,
-        drv,
-        vdd,
-        Geometry::from_microns(16.0, 2.0),
-    );
-    let mut mesh = vec![drv];
-    for i in 0..nodes {
-        let kind = if i + 1 == nodes {
-            NodeKind::Output
-        } else {
-            NodeKind::Internal
-        };
-        let n = b.node(&format!("m{i}"), kind);
-        b.set_capacitance(n, Farads::from_femto(20.0 + (next() % 1000) as f64 * 0.1));
-        let from = mesh[next() as usize % mesh.len()];
-        b.add_transistor(
-            TransistorKind::NEnhancement,
-            ctl,
-            from,
-            n,
-            Geometry::from_microns(8.0, 2.0),
-        );
-        mesh.push(n);
+/// What the full-Jacobi oracle computed: the fixpoint arrivals (indexed
+/// by node), the stage evaluations it charged, and the rounds it ran,
+/// the settling round included.
+struct Oracle {
+    arrivals: Vec<Option<Arrival>>,
+    charged: usize,
+    rounds: usize,
+}
+
+/// The propagation the dirty set replaced, rebuilt from public API only:
+/// every switching target is re-evaluated every round against the
+/// previous round's arrivals until no arrival moves by more than 1e-18 s.
+/// Worst-case analysis with the analyzer's extraction rules (conduction
+/// after the edge, non-switching capacitance weight, charge reservoirs)
+/// and trigger rule (switching path gates, then releasing channel
+/// neighbours; the latest trigger wins).
+fn full_jacobi(net: &Network, tech: &Technology, model: ModelKind, scenario: &Scenario) -> Oracle {
+    let (before, after) = logic::steady_states(net, scenario);
+    let mut edge_of: HashMap<NodeId, Edge> = HashMap::new();
+    for (id, node) in net.nodes() {
+        let (b, a) = (before.value(id), after.value(id));
+        if !node.kind().is_rail() && a.is_known() && b != a {
+            let edge = if a == LogicValue::One {
+                Edge::Rising
+            } else {
+                Edge::Falling
+            };
+            edge_of.insert(id, edge);
+        }
     }
-    b.build().expect("pass mesh is a valid network")
+    let conducting = |tid| after.transistor_on(net, tid);
+    let cap_scale = |n: NodeId| {
+        let (b, a) = (before.value(n), after.value(n));
+        if a.is_known() && b == a {
+            NON_SWITCHING_CAP_WEIGHT
+        } else {
+            1.0
+        }
+    };
+    let mut targets: Vec<(NodeId, Edge)> = edge_of
+        .iter()
+        .filter(|(&n, _)| n != scenario.input && !net.node(n).kind().is_driven_externally())
+        .map(|(&n, &e)| (n, e))
+        .collect();
+    targets.sort_by_key(|&(n, _)| n);
+    let work: Vec<(NodeId, Edge, Vec<Stage>)> = targets
+        .into_iter()
+        .map(|(node, edge)| {
+            let direction = if edge == Edge::Rising {
+                Direction::PullUp
+            } else {
+                Direction::PullDown
+            };
+            let reservoir = |n: NodeId| {
+                edge == Edge::Rising
+                    && before.value(n) == LogicValue::One
+                    && after.value(n) == LogicValue::One
+            };
+            let stages = stages_to_full(
+                net,
+                tech,
+                &conducting,
+                node,
+                direction,
+                &cap_scale,
+                &reservoir,
+            );
+            (node, edge, stages)
+        })
+        .collect();
+
+    let mut arrivals: Vec<Option<Arrival>> = vec![None; net.node_count()];
+    arrivals[scenario.input.index()] = Some(Arrival {
+        time: Seconds::ZERO,
+        transition: scenario.input_transition,
+        edge: scenario.edge,
+        cause: None,
+        model,
+    });
+    let first_kind = |stage: &Stage| {
+        stage
+            .path
+            .first()
+            .map_or(TransistorKind::NEnhancement, |&t| net.transistor(t).kind())
+    };
+    let max_rounds = work.len() + 2;
+    let mut charged = 0;
+    for round in 0..=max_rounds {
+        let mut candidates: Vec<Option<Arrival>> = Vec::with_capacity(work.len());
+        for (node, edge, stages) in &work {
+            charged += stages.len();
+            let node = *node;
+            let mut best: Option<Arrival> = None;
+            for stage in stages {
+                // (time, transition, trigger kind, trigger node)
+                let mut trigger: Option<(Seconds, Seconds, TransistorKind, NodeId)> = None;
+                let mut waiting = false;
+                let mut offer = |gate: NodeId, kind: TransistorKind| {
+                    if gate == node || !edge_of.contains_key(&gate) {
+                        return;
+                    }
+                    match &arrivals[gate.index()] {
+                        Some(a) if trigger.is_none_or(|t| a.time > t.0) => {
+                            trigger = Some((a.time, a.transition, kind, gate));
+                        }
+                        Some(_) => {}
+                        None => waiting = true,
+                    }
+                };
+                for (&tid, &gate) in stage.path.iter().zip(&stage.path_gates) {
+                    offer(gate, net.transistor(tid).kind());
+                }
+                for &tid in net.channel_neighbors(node) {
+                    if before.transistor_on(net, tid) && !after.transistor_on(net, tid) {
+                        offer(net.transistor(tid).gate(), first_kind(stage));
+                    }
+                }
+                if waiting && trigger.is_none() {
+                    continue;
+                }
+                let (t_trig, transition, kind, cause) =
+                    trigger.unwrap_or((Seconds::ZERO, Seconds::ZERO, first_kind(stage), node));
+                let ctx = TriggerContext {
+                    input_transition: transition,
+                    trigger_kind: kind,
+                };
+                let Ok((delay, used)) = estimate_with_fallback(model, tech, stage, ctx) else {
+                    continue;
+                };
+                let candidate = Arrival {
+                    time: t_trig + delay.delay,
+                    transition: delay.output_transition,
+                    edge: *edge,
+                    cause: (cause != node).then_some(cause),
+                    model: used,
+                };
+                if best.is_none_or(|b| candidate.time > b.time) {
+                    best = Some(candidate);
+                }
+            }
+            candidates.push(best);
+        }
+        let mut changed = false;
+        for ((node, _, _), candidate) in work.iter().zip(candidates) {
+            let Some(candidate) = candidate else { continue };
+            let moved = arrivals[node.index()].is_none_or(|prev| {
+                (candidate.time.value() - prev.time.value()).abs() > 1e-18
+                    || (candidate.transition.value() - prev.transition.value()).abs() > 1e-18
+            });
+            if moved {
+                arrivals[node.index()] = Some(candidate);
+                changed = true;
+            }
+        }
+        if !changed {
+            return Oracle {
+                arrivals,
+                charged,
+                rounds: round + 1,
+            };
+        }
+    }
+    panic!("full Jacobi found no fixpoint in {max_rounds} rounds");
+}
+
+/// A result's arrivals in the oracle's node-indexed layout.
+fn arrivals_of(net: &Network, result: &TimingResult) -> Vec<Option<Arrival>> {
+    (0..net.node_count())
+        .map(|i| result.arrival(NodeId::from_index(i)).copied())
+        .collect()
 }
 
 fn mesh_scenario(net: &Network) -> Scenario {
     let inp = net.node_by_name("in").unwrap();
     let ctl = net.node_by_name("ctl").unwrap();
     Scenario::step(inp, Edge::Rising).with_static(ctl, true)
-}
-
-fn options(propagation: PropagationMode, threads: usize) -> AnalyzerOptions {
-    AnalyzerOptions {
-        propagation,
-        threads,
-        ..AnalyzerOptions::default()
-    }
 }
 
 #[test]
@@ -92,25 +209,18 @@ fn dirty_set_matches_full_jacobi_bit_for_bit() {
         let net = random_pass_mesh(seed, 22);
         let scenario = mesh_scenario(&net);
         for model in [ModelKind::Lumped, ModelKind::RcTree, ModelKind::Slope] {
-            let reference = analyze_with_options(
-                &net,
-                &tech,
-                model,
-                &scenario,
-                options(PropagationMode::FullJacobi, 1),
-            )
-            .unwrap_or_else(|e| panic!("seed {seed}: full-Jacobi analysis failed: {e}"));
+            let reference = full_jacobi(&net, &tech, model, &scenario).arrivals;
             for threads in [1, 2, 4] {
-                let dirty = analyze_with_options(
-                    &net,
-                    &tech,
-                    model,
-                    &scenario,
-                    options(PropagationMode::DirtySet, threads),
-                )
-                .unwrap_or_else(|e| panic!("seed {seed}, threads {threads}: {e}"));
+                let options = AnalyzerOptions {
+                    threads,
+                    ..AnalyzerOptions::default()
+                };
+                let dirty = analyze_with_options(&net, &tech, model, &scenario, options)
+                    .unwrap_or_else(|e| panic!("seed {seed}, threads {threads}: {e}"));
+                assert_eq!(dirty.model(), model);
                 assert_eq!(
-                    dirty, reference,
+                    arrivals_of(&net, &dirty),
+                    reference,
                     "seed {seed}, model {model:?}, threads {threads}"
                 );
             }
@@ -130,30 +240,25 @@ fn dirty_set_charges_strictly_fewer_evals_over_the_same_rounds() {
     let input = net.node_by_name("in").unwrap();
     let scenario = Scenario::step(input, Edge::Rising);
 
-    let charged_and_rounds = |propagation: PropagationMode| {
-        let sink = Arc::new(TraceSink::new());
-        let opts = AnalyzerOptions {
-            propagation,
-            trace: Some(Arc::clone(&sink)),
-            ..AnalyzerOptions::default()
-        };
-        let result = analyze_with_options(&net, &tech, ModelKind::Slope, &scenario, opts)
-            .expect("analysis succeeds");
-        let charged = sink
-            .metrics()
-            .counter(Phase::Evaluation, "stage_evals_charged");
-        let rounds = sink
-            .events()
-            .iter()
-            .filter(|e| e.phase == Phase::Propagation && e.label == "round")
-            .count();
-        (result, charged, rounds)
+    let sink = Arc::new(TraceSink::new());
+    let opts = AnalyzerOptions {
+        trace: Some(Arc::clone(&sink)),
+        ..AnalyzerOptions::default()
     };
+    let dirty_result = analyze_with_options(&net, &tech, ModelKind::Slope, &scenario, opts)
+        .expect("analysis succeeds");
+    let dirty_charged = sink
+        .metrics()
+        .counter(Phase::Evaluation, "stage_evals_charged") as usize;
+    let dirty_rounds = sink
+        .events()
+        .iter()
+        .filter(|e| e.phase == Phase::Propagation && e.label == "round")
+        .count();
+    let full = full_jacobi(&net, &tech, ModelKind::Slope, &scenario);
+    let (full_charged, full_rounds) = (full.charged, full.rounds);
 
-    let (full_result, full_charged, full_rounds) = charged_and_rounds(PropagationMode::FullJacobi);
-    let (dirty_result, dirty_charged, dirty_rounds) = charged_and_rounds(PropagationMode::DirtySet);
-
-    assert_eq!(dirty_result, full_result);
+    assert_eq!(arrivals_of(&net, &dirty_result), full.arrivals);
     assert_eq!(dirty_rounds, full_rounds, "round counts must agree");
     assert!(full_rounds > 2, "the chain must be a multi-round circuit");
     assert!(

@@ -13,73 +13,15 @@ use crystal::memo::StageCache;
 use crystal::models::ModelKind;
 use crystal::tech::Technology;
 use crystal::TimingError;
-use mosnet::generators::{carry_chain, Style};
-use mosnet::network::NetworkBuilder;
+use mosnet::generators::{carry_chain, random_pass_mesh, Style};
 use mosnet::units::Farads;
-use mosnet::{Geometry, Network, NodeKind, TransistorKind};
+use mosnet::Network;
 use std::sync::Arc;
 
 /// Thread counts the suite compares against the serial baseline:
 /// two workers, a deliberate oversubscription, and `0` (= all hardware
 /// threads, whatever this host has).
 const THREAD_COUNTS: [usize; 3] = [2, 8, 0];
-
-/// A random pass mesh (SplitMix64-driven, no PRNG dependency): a CMOS
-/// inverter anchors the mesh to the rails and `nodes` mesh nodes hang
-/// off random earlier nodes through `ctl`-gated n-pass devices —
-/// irregular per-node stage counts, the worst case for scheduling
-/// determinism.
-fn random_pass_mesh(seed: u64, nodes: usize) -> Network {
-    let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut b = NetworkBuilder::new("pass-mesh");
-    let vdd = b.power();
-    let gnd = b.ground();
-    let inp = b.node("in", NodeKind::Input);
-    let ctl = b.node("ctl", NodeKind::Input);
-    let drv = b.node("drv", NodeKind::Internal);
-    b.set_capacitance(drv, Farads::from_femto(20.0));
-    b.add_transistor(
-        TransistorKind::NEnhancement,
-        inp,
-        drv,
-        gnd,
-        Geometry::from_microns(8.0, 2.0),
-    );
-    b.add_transistor(
-        TransistorKind::PEnhancement,
-        inp,
-        drv,
-        vdd,
-        Geometry::from_microns(16.0, 2.0),
-    );
-    let mut mesh = vec![drv];
-    for i in 0..nodes {
-        let kind = if i + 1 == nodes {
-            NodeKind::Output
-        } else {
-            NodeKind::Internal
-        };
-        let n = b.node(&format!("m{i}"), kind);
-        b.set_capacitance(n, Farads::from_femto(20.0 + (next() % 1000) as f64 * 0.1));
-        let from = mesh[next() as usize % mesh.len()];
-        b.add_transistor(
-            TransistorKind::NEnhancement,
-            ctl,
-            from,
-            n,
-            Geometry::from_microns(8.0, 2.0),
-        );
-        mesh.push(n);
-    }
-    b.build().expect("pass mesh is a valid network")
-}
 
 fn mesh_scenario(net: &Network) -> Scenario {
     let inp = net.node_by_name("in").unwrap();

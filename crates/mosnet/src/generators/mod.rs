@@ -29,7 +29,7 @@ pub use inverter_chain::{inverter, inverter_chain};
 pub use memory_array::memory_array;
 pub use mux_tree::mux_tree;
 pub use pass_chain::pass_chain;
-pub use random::{random_network, RandomNetworkConfig};
+pub use random::{random_network, random_pass_mesh, RandomNetworkConfig};
 pub use superbuffer::superbuffer;
 pub use wordline::wordline;
 pub use xor_gate::xor2;

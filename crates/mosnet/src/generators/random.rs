@@ -109,6 +109,66 @@ pub fn random_network(config: RandomNetworkConfig) -> Result<Network, NetworkErr
     b.build()
 }
 
+/// A seeded random pass mesh for scheduling and propagation tests: a
+/// CMOS inverter on input `in` drives node `drv`, and `nodes` mesh nodes
+/// `m0`, `m1`, … (the last one an output) each hang off a random earlier
+/// node through an n-pass device gated by input `ctl`. Per-node stage
+/// counts are irregular, and chains of pass devices take many
+/// propagation rounds. Capacitances (20–120 fF) and attachment points
+/// are drawn from a SplitMix64 stream, so equal seeds give equal
+/// networks.
+pub fn random_pass_mesh(seed: u64, nodes: usize) -> Network {
+    let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut b = NetworkBuilder::new("pass-mesh");
+    let vdd = b.power();
+    let gnd = b.ground();
+    let inp = b.node("in", NodeKind::Input);
+    let ctl = b.node("ctl", NodeKind::Input);
+    let drv = b.node("drv", NodeKind::Internal);
+    b.set_capacitance(drv, Farads::from_femto(20.0));
+    b.add_transistor(
+        TransistorKind::NEnhancement,
+        inp,
+        drv,
+        gnd,
+        Geometry::from_microns(8.0, 2.0),
+    );
+    b.add_transistor(
+        TransistorKind::PEnhancement,
+        inp,
+        drv,
+        vdd,
+        Geometry::from_microns(16.0, 2.0),
+    );
+    let mut mesh = vec![drv];
+    for i in 0..nodes {
+        let kind = if i + 1 == nodes {
+            NodeKind::Output
+        } else {
+            NodeKind::Internal
+        };
+        let n = b.node(&format!("m{i}"), kind);
+        b.set_capacitance(n, Farads::from_femto(20.0 + (next() % 1000) as f64 * 0.1));
+        let from = mesh[next() as usize % mesh.len()];
+        b.add_transistor(
+            TransistorKind::NEnhancement,
+            ctl,
+            from,
+            n,
+            Geometry::from_microns(8.0, 2.0),
+        );
+        mesh.push(n);
+    }
+    b.build().expect("both rails are present")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

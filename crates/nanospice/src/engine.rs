@@ -5,7 +5,7 @@ use crate::circuit::Circuit;
 use crate::devices::{Device, NodeRef};
 use crate::error::SimError;
 use crate::recovery::{RecoveryLog, RecoveryPolicy, RescueStrategy};
-use crate::solver::{create_solver, LinearSolver, SolverChoice};
+use crate::solver::{create_solver, LinearSolver, SolverChoice, Stamp, Stamper};
 use crate::waveform::Waveform;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -858,7 +858,13 @@ impl<'a> Simulator<'a> {
             self.check_cancelled()?;
             solver.begin();
             rhs.fill(0.0);
-            self.assemble(t, dynamic, x, gmin, source_scale, solver, &mut rhs);
+            // One dispatch per assembly: every stamp inside is a direct
+            // call into the backend's own stamper.
+            match solver.stamper() {
+                Stamper::Dense(a) => self.assemble(t, dynamic, x, gmin, source_scale, a, &mut rhs),
+                Stamper::Record(a) => self.assemble(t, dynamic, x, gmin, source_scale, a, &mut rhs),
+                Stamper::Replay(a) => self.assemble(t, dynamic, x, gmin, source_scale, a, &mut rhs),
+            }
             solver.factor()?;
             solver.solve_in_place(&mut rhs);
             let x_new = &rhs;
@@ -894,18 +900,21 @@ impl<'a> Simulator<'a> {
         })
     }
 
-    /// Assembles the linearized MNA system at the current iterate.
+    /// Assembles the linearized MNA system at the current iterate. The
+    /// stamper is taken by value, so its replay state stays local to this
+    /// one assembly (in registers, once the stamps are inlined).
     #[allow(clippy::too_many_arguments)]
-    fn assemble(
+    fn assemble<S: Stamp>(
         &self,
         t: f64,
         dynamic: Option<DynamicCtx<'_>>,
         x: &[f64],
         gmin: f64,
         source_scale: f64,
-        a: &mut dyn LinearSolver,
+        mut a: S,
         rhs: &mut [f64],
     ) {
+        let a = &mut a;
         let n_nodes = self.circuit.node_count();
         for i in 0..n_nodes {
             a.add(i, i, gmin);
@@ -972,13 +981,15 @@ impl<'a> Simulator<'a> {
     }
 }
 
-fn add_term(a: &mut dyn LinearSolver, row: usize, col: NodeRef, g: f64) {
+#[inline(always)]
+fn add_term<S: Stamp>(a: &mut S, row: usize, col: NodeRef, g: f64) {
     if let Some(c) = col.index() {
         a.add(row, c, g);
     }
 }
 
-fn stamp_conductance(a: &mut dyn LinearSolver, p: NodeRef, q: NodeRef, g: f64) {
+#[inline(always)]
+fn stamp_conductance<S: Stamp>(a: &mut S, p: NodeRef, q: NodeRef, g: f64) {
     if let Some(i) = p.index() {
         a.add(i, i, g);
         if let Some(j) = q.index() {
@@ -1611,6 +1622,87 @@ mod tests {
         Simulator::new(&ckt2).transient(1e-6, 1e-8).unwrap();
         let copies = crate::matrix::matrix_copy_count() - before;
         assert_eq!(copies, 0, "transient made {copies} matrix copies");
+    }
+
+    /// A decoder-4 path's circuit: above the dense/sparse threshold, with
+    /// address bit 0 ramping and the other bits held low.
+    fn decoder4_circuit() -> Circuit {
+        use mosnet::generators::{decoder, Style};
+        use mosnet::units::Farads;
+        let net = decoder(Style::Cmos, 4, Farads::from_femto(50.0)).expect("decoder");
+        let models = crate::circuit::MosModelSet::default();
+        let drives = net
+            .inputs()
+            .into_iter()
+            .map(|input| {
+                let shape = if net.node(input).name() == "a0" {
+                    Waveshape::ramp(0.0, models.vdd, 1e-9, 5e-10)
+                } else {
+                    Waveshape::Dc(0.0)
+                };
+                (input, shape)
+            })
+            .collect();
+        let ckt = crate::circuit::elaborate(&net, &models, &drives).circuit;
+        assert!(ckt.unknown_count() > crate::solver::DENSE_SPARSE_THRESHOLD);
+        ckt
+    }
+
+    #[test]
+    fn sparse_gmin_ladder_and_transient_analyze_once_and_refactor() {
+        use crate::sparse::SparseLu;
+        let ckt = decoder4_circuit();
+        let sim = Simulator::new(&ckt);
+        let n = ckt.unknown_count();
+
+        // The DC gmin ladder, every rung restamping one solver.
+        let mut ladder = SparseLu::new(n);
+        let mut x = vec![0.0; n];
+        let mut gmin = 1e-2;
+        while gmin > sim.options.gmin {
+            sim.newton(0.0, None, &mut x, gmin, 100, 1.0, &mut ladder)
+                .expect("rung converges");
+            gmin *= 1e-2;
+        }
+        let c = ladder.counters();
+        assert_eq!((c.analyses, c.rebuilds, c.full_factors), (1, 0, 1), "{c:?}");
+        assert_eq!(c.stale_pivot_fallbacks, 0, "{c:?}");
+        assert!(c.refactors >= 4, "{c:?}");
+
+        // A backward-Euler transient through the input edge, every step
+        // restamping one solver.
+        let mut stepper = SparseLu::new(n);
+        let n_caps = ckt
+            .devices()
+            .iter()
+            .filter(|d| matches!(d, Device::Capacitor(_)))
+            .count();
+        let mut cap_currents = vec![0.0; n_caps];
+        let dt = 20e-12;
+        for step in 1..=150 {
+            let prev = x.clone();
+            let ctx = DynamicCtx {
+                prev: &prev,
+                dt,
+                cap_currents: &cap_currents,
+                method: Integration::BackwardEuler,
+            };
+            sim.newton(
+                step as f64 * dt,
+                Some(ctx),
+                &mut x,
+                sim.options.gmin,
+                100,
+                1.0,
+                &mut stepper,
+            )
+            .expect("step converges");
+            sim.update_cap_currents(&prev, &x, dt, Integration::BackwardEuler, &mut cap_currents);
+        }
+        let c = stepper.counters();
+        assert_eq!((c.analyses, c.rebuilds, c.full_factors), (1, 0, 1), "{c:?}");
+        assert_eq!(c.stale_pivot_fallbacks, 0, "{c:?}");
+        assert!(c.refactors >= 150, "{c:?}");
     }
 
     #[test]

@@ -3,17 +3,23 @@
 //!
 //! The MNA system's sparsity pattern is fixed per (circuit, analysis
 //! mode), so the lifecycle is: create one solver per analysis, then per
-//! Newton iteration call [`LinearSolver::begin`], stamp with
-//! [`LinearSolver::add`], [`LinearSolver::factor`], and
+//! Newton iteration call [`LinearSolver::begin`], stamp through the
+//! backend's [`Stamper`], [`LinearSolver::factor`], and
 //! [`LinearSolver::solve_in_place`]. Backends exploit the repetition —
 //! the dense path reuses its matrix and permutation allocations, the
 //! sparse path ([`SparseLu`]) additionally reuses its symbolic
 //! analysis (fill pattern, elimination order, pivot sequence) so that
 //! iterations after the first are value-only refactorizations.
+//!
+//! Stamping is statically dispatched: [`LinearSolver::stamper`] is the
+//! one virtual call per assembly, and it hands out a concrete [`Stamp`]
+//! implementation that the assembler is generic over. Each backend has
+//! exactly one stamping implementation; [`LinearSolver::add`] is a
+//! single stamp through it.
 
 use crate::error::SimError;
 use crate::matrix::{lu_factor_in_place, lu_solve_in_place, Matrix};
-use crate::sparse::SparseLu;
+use crate::sparse::{RecordStamp, ReplayStamp, SparseLu};
 
 /// Unknown count at or below which [`SolverChoice::Auto`] picks the
 /// dense backend. Dense LU is O(n³) but cache-friendly with zero
@@ -45,11 +51,19 @@ pub trait LinearSolver {
     /// are kept.
     fn begin(&mut self);
 
-    /// Adds `v` to entry `(r, c)` — the MNA stamp primitive.
+    /// Borrows the backend's stamper for the current assembly (after
+    /// [`Self::begin`]). Stamps made through it land exactly as
+    /// [`Self::add`] would place them, one after another.
+    fn stamper(&mut self) -> Stamper<'_>;
+
+    /// Adds `v` to entry `(r, c)` — the MNA stamp primitive, one stamp
+    /// through [`Self::stamper`].
     ///
     /// # Panics
     /// Panics if `r` or `c` is out of bounds.
-    fn add(&mut self, r: usize, c: usize, v: f64);
+    fn add(&mut self, r: usize, c: usize, v: f64) {
+        self.stamper().add(r, c, v);
+    }
 
     /// Factors the assembled matrix.
     ///
@@ -68,6 +82,51 @@ pub trait LinearSolver {
 
     /// Short backend name for diagnostics ("dense" / "sparse").
     fn name(&self) -> &'static str;
+}
+
+/// Adds values into the matrix being assembled: the MNA stamp
+/// primitive, implemented once per backend.
+pub trait Stamp {
+    /// Adds `v` to entry `(r, c)`.
+    ///
+    /// # Panics
+    /// Panics if `r` or `c` is out of bounds.
+    fn add(&mut self, r: usize, c: usize, v: f64);
+}
+
+/// The concrete stamper a backend lends for one assembly. Matching on it
+/// once lets the assembler run generic over [`Stamp`], so every stamp
+/// inside the assembly is a direct, inlinable call.
+#[derive(Debug)]
+pub enum Stamper<'a> {
+    /// Dense LU: `a[r][c] += v`.
+    Dense(DenseStamp<'a>),
+    /// Sparse LU, first assembly: records the stamp sequence.
+    Record(RecordStamp<'a>),
+    /// Sparse LU, later assemblies: replays the recorded sequence into
+    /// value slots.
+    Replay(ReplayStamp<'a>),
+}
+
+impl Stamp for Stamper<'_> {
+    fn add(&mut self, r: usize, c: usize, v: f64) {
+        match self {
+            Stamper::Dense(s) => s.add(r, c, v),
+            Stamper::Record(s) => s.add(r, c, v),
+            Stamper::Replay(s) => s.add(r, c, v),
+        }
+    }
+}
+
+/// [`DenseSolver`]'s stamper: adds straight into the dense matrix.
+#[derive(Debug)]
+pub struct DenseStamp<'a>(&'a mut Matrix);
+
+impl Stamp for DenseStamp<'_> {
+    #[inline]
+    fn add(&mut self, r: usize, c: usize, v: f64) {
+        self.0.add(r, c, v);
+    }
 }
 
 impl std::fmt::Debug for dyn LinearSolver + '_ {
@@ -121,8 +180,8 @@ impl LinearSolver for DenseSolver {
         self.factored = false;
     }
 
-    fn add(&mut self, r: usize, c: usize, v: f64) {
-        self.a.add(r, c, v);
+    fn stamper(&mut self) -> Stamper<'_> {
+        Stamper::Dense(DenseStamp(&mut self.a))
     }
 
     fn factor(&mut self) -> Result<(), SimError> {

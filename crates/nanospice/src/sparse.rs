@@ -1,24 +1,31 @@
 //! CSC sparse LU: the large-circuit path for modified nodal analysis.
 //!
-//! Left-looking Gilbert–Peierls factorization with partial pivoting over
-//! a minimum-degree column ordering, plus KLU-style numeric
-//! *refactorization*: the first `factor()` records the fill pattern, the
-//! per-column reach sets, and the pivot sequence; subsequent factors
-//! replay them value-only — no graph traversal, no reallocation — with a
-//! pivot-stability check that falls back to a full re-pivoting pass when
-//! the operating point drifts far enough to invalidate the recorded
-//! pivots.
+//! Left-looking Gilbert–Peierls factorization with threshold partial
+//! pivoting over an explicit-clique minimum-degree column ordering
+//! (budget-capped; not approximate minimum degree), plus KLU-style
+//! numeric *refactorization*: the first `factor()` records the fill
+//! pattern and the pivot sequence in the L and U factors themselves;
+//! subsequent factors walk that pattern value-only — column `j`'s U
+//! entries are its elimination steps in the topological order the full
+//! factor used, its L entries are the rows pivoted after it — with no
+//! graph traversal and no reallocation. A recorded pivot that falls
+//! below `REFACTOR_PIVOT_TOL` of its column's current candidate
+//! maximum (or fails the absolute or relative singular test) sends the
+//! factor back to a full re-pivoting pass.
 //!
 //! Assembly reuses the engine's determinism the same way: the first
-//! assembly records the `(row, col)` stamp sequence; `analyze` maps each
-//! stamp event to its CSC value slot, so every later assembly replays
-//! through a cursor in O(1) per stamp. A sequence that stops matching
-//! (never the case for a fixed circuit and analysis mode, but handled
-//! anyway) triggers a pattern rebuild instead of wrong answers.
+//! assembly ([`RecordStamp`]) records the `(row, col)` stamp sequence;
+//! `analyze` maps each stamp event to its CSC value slot, so every later
+//! assembly ([`ReplayStamp`]) replays through a cursor in O(1) per stamp,
+//! checking each stamp against the recorded one. A sequence that stops
+//! matching (never the case for a fixed circuit and analysis mode, but
+//! handled anyway) triggers a pattern rebuild instead of wrong answers,
+//! and the rebuilt pattern records the sequence just stamped, so the
+//! next assembly in that order replays again.
 
 use crate::error::SimError;
 use crate::matrix::{ABS_PIVOT_MIN, REL_PIVOT_MIN};
-use crate::solver::LinearSolver;
+use crate::solver::{LinearSolver, Stamp, Stamper};
 
 /// Sentinel for "row not yet pivoted" in `pinv`.
 const UNSET: u32 = u32::MAX;
@@ -38,6 +45,24 @@ const REFACTOR_PIVOT_TOL: f64 = 1e-3;
 /// as a catastrophically cancelled (spuriously "singular") Schur entry.
 const DIAG_PIVOT_PREF: f64 = 0.1;
 
+/// How often [`SparseLu`] took each path, since it was created.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SparseCounters {
+    /// Symbolic analyses: triplet compression plus the ordering (the
+    /// first factor, and every pattern rebuild).
+    pub analyses: u64,
+    /// Assemblies that diverged from the recorded stamp sequence and
+    /// rebuilt the pattern.
+    pub rebuilds: u64,
+    /// Full re-pivoting factorizations.
+    pub full_factors: u64,
+    /// Value-only refactorizations that succeeded.
+    pub refactors: u64,
+    /// Refactorizations abandoned on a stale pivot (each followed by a
+    /// full factor).
+    pub stale_pivot_fallbacks: u64,
+}
+
 /// CSC sparse LU with symbolic-pattern reuse, behind [`LinearSolver`].
 #[derive(Debug)]
 pub struct SparseLu {
@@ -46,26 +71,21 @@ pub struct SparseLu {
     // --- assembly ---
     /// True until the first `factor()`: stamps are recorded as triplets.
     recording: bool,
-    /// The recorded stamp sequence: `(row, col)` per stamp event.
-    trip: Vec<(u32, u32)>,
+    /// The recorded stamp sequence, one event per stamp.
+    trip: Vec<Event>,
     /// Stamp values for the recording assembly only.
     trip_v: Vec<f64>,
-    /// CSC slot for each stamp event, filled by `analyze`.
-    seq_slot: Vec<u32>,
-    /// Replay position in `trip` for the current assembly.
+    /// Replay position in `trip`: after a divergence, the length of the
+    /// prefix that still matched.
     cursor: usize,
-    /// The current assembly stopped matching the recorded sequence.
-    diverged: bool,
-    /// Out-of-sequence stamps collected after divergence.
+    /// Out-of-sequence stamps of the current assembly; nonempty exactly
+    /// when it diverged from the recorded sequence.
     pending: Vec<(u32, u32, f64)>,
 
     // --- the assembled matrix, compressed sparse column ---
     ap: Vec<usize>,
     ai: Vec<u32>,
     av: Vec<f64>,
-    /// Per-column max magnitude of the assembled values, for the relative
-    /// singular test (same policy as the dense path).
-    col_scale: Vec<f64>,
 
     // --- symbolic analysis ---
     /// Column elimination order: step `j` eliminates original column
@@ -73,10 +93,11 @@ pub struct SparseLu {
     q: Vec<u32>,
 
     // --- factors ---
-    // L column-wise in *original* row indices, unit diagonal entry first;
-    // U column-wise in pivot-step indices, diagonal entry last. Keeping L
-    // in original row space avoids a rename pass and lets the refactor
-    // replay reach sets directly.
+    // L column-wise in *original* row indices, unit diagonal entry first
+    // (the pivot row), then the rows pivoted later, in the order the full
+    // factor met them; U column-wise in pivot-step indices, the steps
+    // that update the column in topological order, diagonal entry last.
+    // Together they are the recorded pattern the refactor walks.
     lp: Vec<usize>,
     li: Vec<u32>,
     lx: Vec<f64>,
@@ -87,12 +108,9 @@ pub struct SparseLu {
     pinv: Vec<u32>,
     /// Pivot step → original row.
     prow: Vec<u32>,
-    /// Concatenated per-column reach sets (topological order), replayed
-    /// by the value-only refactorization.
-    reach: Vec<u32>,
-    reach_p: Vec<usize>,
     have_factors: bool,
     factored: bool,
+    counters: SparseCounters,
 
     // --- workspaces (allocated once) ---
     work: Vec<f64>,
@@ -104,6 +122,96 @@ pub struct SparseLu {
     z: Vec<f64>,
 }
 
+/// One event of the recorded stamp sequence: where the stamp landed,
+/// and the CSC value slot it adds into (filled by `analyze`).
+#[derive(Debug, Clone, Copy)]
+struct Event {
+    row: u32,
+    col: u32,
+    slot: u32,
+}
+
+/// [`SparseLu`]'s stamper for the first assembly: records every stamp.
+#[derive(Debug)]
+pub struct RecordStamp<'a> {
+    n: usize,
+    trip: &'a mut Vec<Event>,
+    trip_v: &'a mut Vec<f64>,
+}
+
+impl Stamp for RecordStamp<'_> {
+    #[inline]
+    fn add(&mut self, r: usize, c: usize, v: f64) {
+        assert!(
+            r < self.n && c < self.n,
+            "sparse stamp ({r}, {c}) out of bounds for n = {}",
+            self.n
+        );
+        self.trip.push(Event {
+            row: r as u32,
+            col: c as u32,
+            slot: 0,
+        });
+        self.trip_v.push(v);
+    }
+}
+
+/// [`SparseLu`]'s stamper for every later assembly: checks each stamp
+/// against the recorded sequence and adds it into that event's value
+/// slot. From the first stamp that does not match, every stamp goes to
+/// the pending list and the next `factor()` rebuilds the pattern. The
+/// cursor lives here for the assembly and goes back to the solver when
+/// the stamper is dropped.
+#[derive(Debug)]
+pub struct ReplayStamp<'a> {
+    n: usize,
+    trip: &'a [Event],
+    av: &'a mut [f64],
+    pending: &'a mut Vec<(u32, u32, f64)>,
+    cursor: usize,
+    diverged: bool,
+    cursor_home: &'a mut usize,
+}
+
+impl Stamp for ReplayStamp<'_> {
+    /// The bounds check is the match itself: every recorded coordinate
+    /// passed the bounds assert when it was stamped, so a stamp equal to
+    /// one is in bounds, and every other stamp reaches the assert in
+    /// `off_sequence`.
+    #[inline(always)]
+    fn add(&mut self, r: usize, c: usize, v: f64) {
+        match self.trip.get(self.cursor) {
+            Some(e) if !self.diverged && (e.row as usize, e.col as usize) == (r, c) => {
+                self.av[e.slot as usize] += v;
+                self.cursor += 1;
+            }
+            _ => {
+                self.diverged = true;
+                off_sequence(self.n, self.pending, r, c, v);
+            }
+        }
+    }
+}
+
+/// A stamp that is not the next recorded one: the bounds panic, or the
+/// divergence into `pending`. Kept out of line, and off the stamper's
+/// address, so the replay fast path stays in registers.
+#[cold]
+#[inline(never)]
+fn off_sequence(n: usize, pending: &mut Vec<(u32, u32, f64)>, r: usize, c: usize, v: f64) {
+    assert!(
+        r < n && c < n,
+        "sparse stamp ({r}, {c}) out of bounds for n = {n}"
+    );
+    pending.push((r as u32, c as u32, v));
+}
+
+impl Drop for ReplayStamp<'_> {
+    fn drop(&mut self) {
+        *self.cursor_home = self.cursor;
+    }
+}
+
 impl SparseLu {
     /// Creates a sparse solver for an `n × n` system.
     pub fn new(n: usize) -> SparseLu {
@@ -112,14 +220,11 @@ impl SparseLu {
             recording: true,
             trip: Vec::new(),
             trip_v: Vec::new(),
-            seq_slot: Vec::new(),
             cursor: 0,
-            diverged: false,
             pending: Vec::new(),
             ap: Vec::new(),
             ai: Vec::new(),
             av: Vec::new(),
-            col_scale: Vec::new(),
             q: Vec::new(),
             lp: Vec::new(),
             li: Vec::new(),
@@ -129,10 +234,9 @@ impl SparseLu {
             ux: Vec::new(),
             pinv: Vec::new(),
             prow: Vec::new(),
-            reach: Vec::new(),
-            reach_p: Vec::new(),
             have_factors: false,
             factored: false,
+            counters: SparseCounters::default(),
             work: Vec::new(),
             mark: vec![0; n],
             mark_gen: 0,
@@ -154,27 +258,32 @@ impl SparseLu {
         self.li.len() + self.ui.len()
     }
 
+    /// How often each path ran: analyses, pattern rebuilds, full
+    /// factors, refactors and stale-pivot fallbacks.
+    pub fn counters(&self) -> SparseCounters {
+        self.counters
+    }
+
     /// Compresses the recorded triplets into CSC (duplicates merged, rows
     /// sorted within each column), maps every stamp event to its value
     /// slot, and computes the column elimination order.
     fn analyze(&mut self) {
+        self.counters.analyses += 1;
         let n = self.n;
         let mut order: Vec<u32> = (0..self.trip.len() as u32).collect();
         {
             let trip = &self.trip;
             order.sort_unstable_by_key(|&t| {
-                let (r, c) = trip[t as usize];
-                ((c as u64) << 32) | r as u64
+                let e = trip[t as usize];
+                ((e.col as u64) << 32) | e.row as u64
             });
         }
         self.ai.clear();
         self.av.clear();
-        self.seq_slot.clear();
-        self.seq_slot.resize(self.trip.len(), 0);
         let mut counts = vec![0usize; n];
         let mut last: Option<(u32, u32)> = None;
         for &t in &order {
-            let (r, c) = self.trip[t as usize];
+            let Event { row: r, col: c, .. } = self.trip[t as usize];
             if last != Some((r, c)) {
                 self.ai.push(r);
                 self.av.push(0.0);
@@ -182,7 +291,7 @@ impl SparseLu {
                 last = Some((r, c));
             }
             let slot = self.ai.len() - 1;
-            self.seq_slot[t as usize] = slot as u32;
+            self.trip[t as usize].slot = slot as u32;
             self.av[slot] += self.trip_v[t as usize];
         }
         self.ap.clear();
@@ -199,39 +308,30 @@ impl SparseLu {
     }
 
     /// Rebuilds the pattern when an assembly diverged from the recorded
-    /// stamp sequence: the matrix is the currently assembled values plus
-    /// the out-of-sequence stamps.
+    /// stamp sequence. The new recorded sequence is the one just stamped
+    /// — the matched prefix `trip[..cursor]`, then the pending stamps —
+    /// so the next assembly in that order replays without diverging. The
+    /// matrix is the same as assembled: the prefix's values, already
+    /// summed per slot in `av`, go to each slot's first prefix event.
     fn rebuild_from_current(&mut self) {
-        let mut trip = Vec::with_capacity(self.ai.len() + self.pending.len());
-        let mut trip_v = Vec::with_capacity(trip.capacity());
-        for c in 0..self.n {
-            for p in self.ap[c]..self.ap[c + 1] {
-                trip.push((self.ai[p], c as u32));
-                trip_v.push(self.av[p]);
-            }
+        self.counters.rebuilds += 1;
+        let prefix = self.cursor;
+        let mut taken = vec![false; self.av.len()];
+        let mut trip_v = Vec::with_capacity(prefix + self.pending.len());
+        for e in &self.trip[..prefix] {
+            let slot = e.slot as usize;
+            let first = !std::mem::replace(&mut taken[slot], true);
+            trip_v.push(if first { self.av[slot] } else { 0.0 });
         }
-        for &(r, c, v) in &self.pending {
-            trip.push((r, c));
+        self.trip.truncate(prefix);
+        for &(row, col, v) in &self.pending {
+            self.trip.push(Event { row, col, slot: 0 });
             trip_v.push(v);
         }
-        self.trip = trip;
         self.trip_v = trip_v;
         self.pending.clear();
-        self.diverged = false;
         self.cursor = self.trip.len();
         self.analyze();
-    }
-
-    fn compute_col_scales(&mut self) {
-        self.col_scale.clear();
-        self.col_scale.resize(self.n, 0.0);
-        for c in 0..self.n {
-            let mut m = 0.0f64;
-            for p in self.ap[c]..self.ap[c + 1] {
-                m = m.max(self.av[p].abs());
-            }
-            self.col_scale[c] = m;
-        }
     }
 
     /// Fills `self.topo` with the topological order of the nonzero
@@ -301,13 +401,14 @@ impl SparseLu {
         topo.reverse();
     }
 
-    /// Full Gilbert–Peierls factorization with partial pivoting,
-    /// recording the reach sets and pivot sequence for later value-only
-    /// refactorization.
+    /// Full Gilbert–Peierls factorization with partial pivoting. The L
+    /// and U patterns it emits record the reach sets and the pivot
+    /// sequence for later value-only refactorization.
     // The negated `>=` in the singular test is deliberate: it sends NaN
     // pivots to the error arm too.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     fn factor_full(&mut self) -> Result<(), SimError> {
+        self.counters.full_factors += 1;
         let n = self.n;
         self.lp.clear();
         self.li.clear();
@@ -315,11 +416,8 @@ impl SparseLu {
         self.up.clear();
         self.ui.clear();
         self.ux.clear();
-        self.reach.clear();
-        self.reach_p.clear();
         self.lp.push(0);
         self.up.push(0);
-        self.reach_p.push(0);
         self.pinv.clear();
         self.pinv.resize(n, UNSET);
         self.prow.clear();
@@ -327,14 +425,17 @@ impl SparseLu {
         self.work.clear();
         self.work.resize(n, 0.0);
         self.have_factors = false;
-        self.compute_col_scales();
         for j in 0..n {
             let col = self.q[j] as usize;
             self.compute_reach(col);
-            // Scatter A(:, col), then eliminate in topological order: a
-            // sparse triangular solve x = L⁻¹·A(:, col).
+            // Scatter A(:, col), taking its scale for the relative
+            // singular test (same policy as the dense path), then
+            // eliminate in topological order: a sparse triangular solve
+            // x = L⁻¹·A(:, col).
+            let mut col_scale = 0.0f64;
             for p in self.ap[col]..self.ap[col + 1] {
                 self.work[self.ai[p] as usize] = self.av[p];
+                col_scale = col_scale.max(self.av[p].abs());
             }
             for t in 0..self.topo.len() {
                 let i = self.topo[t] as usize;
@@ -369,10 +470,7 @@ impl SparseLu {
                     choice = col as u32;
                 }
             }
-            if choice == UNSET
-                || pmag < ABS_PIVOT_MIN
-                || !(pmag >= REL_PIVOT_MIN * self.col_scale[col])
-            {
+            if choice == UNSET || pmag < ABS_PIVOT_MIN || !(pmag >= REL_PIVOT_MIN * col_scale) {
                 for t in 0..self.topo.len() {
                     self.work[self.topo[t] as usize] = 0.0;
                 }
@@ -406,75 +504,84 @@ impl SparseLu {
             self.pinv[choice as usize] = j as u32;
             self.prow[j] = choice;
             for t in 0..self.topo.len() {
-                let i = self.topo[t];
-                self.reach.push(i);
-                self.work[i as usize] = 0.0;
+                self.work[self.topo[t] as usize] = 0.0;
             }
-            self.reach_p.push(self.reach.len());
         }
         self.have_factors = true;
         Ok(())
     }
 
-    /// Value-only refactorization along the recorded pattern and pivot
-    /// sequence. Returns `false` (without touching the recorded pattern)
-    /// when a recorded pivot went numerically stale, in which case the
-    /// caller runs [`Self::factor_full`] again.
+    /// Value-only refactorization along the recorded L/U pattern and
+    /// pivot sequence: the same arithmetic in the same order as the full
+    /// factor that recorded them. Column `j`'s U steps
+    /// `ui[up[j]..up[j+1]-1]` are its eliminations in topological order
+    /// (step `k` reads row `prow[k]`), its pivot row is `prow[j]`, and
+    /// `li[lp[j]+1..lp[j+1]]` are its L rows. Returns `false` (without
+    /// touching the recorded pattern) when a recorded pivot went
+    /// numerically stale, in which case the caller runs
+    /// [`Self::factor_full`] again.
     fn refactor(&mut self) -> bool {
-        let n = self.n;
-        self.compute_col_scales();
-        self.work.clear();
-        self.work.resize(n, 0.0);
+        let SparseLu {
+            n,
+            ref ap,
+            ref ai,
+            ref av,
+            ref q,
+            ref lp,
+            ref li,
+            ref mut lx,
+            ref up,
+            ref ui,
+            ref mut ux,
+            ref prow,
+            ref mut work,
+            ..
+        } = *self;
+        work.clear();
+        work.resize(n, 0.0);
         for j in 0..n {
-            let col = self.q[j] as usize;
-            for p in self.ap[col]..self.ap[col + 1] {
-                self.work[self.ai[p] as usize] = self.av[p];
+            let col = q[j] as usize;
+            // Scatter A(:, col) and take its scale.
+            let mut col_scale = 0.0f64;
+            for (&i, &v) in ai[ap[col]..ap[col + 1]]
+                .iter()
+                .zip(&av[ap[col]..ap[col + 1]])
+            {
+                work[i as usize] = v;
+                col_scale = col_scale.max(v.abs());
             }
-            let (rs, re) = (self.reach_p[j], self.reach_p[j + 1]);
-            let mut uslot = self.up[j];
-            for rp in rs..re {
-                let i = self.reach[rp] as usize;
-                let k = self.pinv[i];
-                if (k as usize) < j {
-                    let xk = self.work[i];
-                    self.ux[uslot] = xk;
-                    uslot += 1;
-                    for p in self.lp[k as usize] + 1..self.lp[k as usize + 1] {
-                        self.work[self.li[p] as usize] -= self.lx[p] * xk;
-                    }
+            // Eliminate over U. A row is final once its step reads it
+            // (topological order: nothing later updates it), so it is
+            // zeroed on the way.
+            let diag = up[j + 1] - 1;
+            for (&k, u) in ui[up[j]..diag].iter().zip(&mut ux[up[j]..diag]) {
+                let k = k as usize;
+                let xk = std::mem::take(&mut work[prow[k] as usize]);
+                *u = xk;
+                let (ls, le) = (lp[k] + 1, lp[k + 1]);
+                for (&i, &l) in li[ls..le].iter().zip(&lx[ls..le]) {
+                    work[i as usize] -= l * xk;
                 }
             }
-            let pivot = self.work[self.prow[j] as usize];
+            let pivot = std::mem::take(&mut work[prow[j] as usize]);
             let pmag = pivot.abs();
-            let mut cmax = 0.0f64;
-            for rp in rs..re {
-                let i = self.reach[rp] as usize;
-                if (self.pinv[i] as usize) >= j {
-                    cmax = cmax.max(self.work[i].abs());
-                }
-            }
+            let lrows = lp[j] + 1..lp[j + 1];
+            // The candidates are the pivot row and the L rows.
+            let cmax = li[lrows.clone()]
+                .iter()
+                .fold(pmag, |m, &i| m.max(work[i as usize].abs()));
             let stable = pmag >= ABS_PIVOT_MIN
-                && pmag >= REL_PIVOT_MIN * self.col_scale[col]
+                && pmag >= REL_PIVOT_MIN * col_scale
                 && pmag >= REFACTOR_PIVOT_TOL * cmax;
             if !stable {
-                for rp in rs..re {
-                    self.work[self.reach[rp] as usize] = 0.0;
+                for &i in &li[lrows] {
+                    work[i as usize] = 0.0;
                 }
                 return false;
             }
-            debug_assert_eq!(uslot, self.up[j + 1] - 1);
-            self.ux[uslot] = pivot;
-            let mut lslot = self.lp[j] + 1;
-            for rp in rs..re {
-                let i = self.reach[rp] as usize;
-                if (self.pinv[i] as usize) > j {
-                    self.lx[lslot] = self.work[i] / pivot;
-                    lslot += 1;
-                }
-            }
-            debug_assert_eq!(lslot, self.lp[j + 1]);
-            for rp in rs..re {
-                self.work[self.reach[rp] as usize] = 0.0;
+            ux[diag] = pivot;
+            for (&i, l) in li[lrows.clone()].iter().zip(&mut lx[lrows]) {
+                *l = std::mem::take(&mut work[i as usize]) / pivot;
             }
         }
         true
@@ -494,48 +601,49 @@ impl LinearSolver for SparseLu {
         } else {
             self.av.fill(0.0);
             self.cursor = 0;
-            self.diverged = false;
             self.pending.clear();
         }
     }
 
-    fn add(&mut self, r: usize, c: usize, v: f64) {
-        assert!(
-            r < self.n && c < self.n,
-            "sparse stamp ({r}, {c}) out of bounds for n = {}",
-            self.n
-        );
+    fn stamper(&mut self) -> Stamper<'_> {
         if self.recording {
-            self.trip.push((r as u32, c as u32));
-            self.trip_v.push(v);
-        } else if !self.diverged
-            && self.cursor < self.trip.len()
-            && self.trip[self.cursor] == (r as u32, c as u32)
-        {
-            self.av[self.seq_slot[self.cursor] as usize] += v;
-            self.cursor += 1;
-        } else {
-            self.diverged = true;
-            self.pending.push((r as u32, c as u32, v));
+            return Stamper::Record(RecordStamp {
+                n: self.n,
+                trip: &mut self.trip,
+                trip_v: &mut self.trip_v,
+            });
         }
+        let diverged = !self.pending.is_empty();
+        Stamper::Replay(ReplayStamp {
+            n: self.n,
+            trip: &self.trip,
+            av: &mut self.av,
+            pending: &mut self.pending,
+            cursor: self.cursor,
+            diverged,
+            cursor_home: &mut self.cursor,
+        })
     }
 
     fn factor(&mut self) -> Result<(), SimError> {
         if self.recording {
             self.analyze();
             self.recording = false;
-        } else if self.diverged {
+        } else if !self.pending.is_empty() {
             self.rebuild_from_current();
         }
-        if self.have_factors && self.refactor() {
-            self.factored = true;
-            return Ok(());
+        if self.have_factors {
+            if self.refactor() {
+                self.counters.refactors += 1;
+                self.factored = true;
+                return Ok(());
+            }
+            self.counters.stale_pivot_fallbacks += 1;
         }
         self.factor_full()?;
         self.factored = true;
         Ok(())
     }
-
     fn solve_in_place(&mut self, b: &mut [f64]) {
         assert!(self.factored, "solve_in_place before a successful factor");
         let n = self.n;
@@ -745,40 +853,43 @@ mod tests {
 
     #[test]
     fn refactor_falls_back_when_pivot_order_goes_stale() {
-        // First factor pivots column 0 on row 1 (|3| > |1|); the second
-        // assembly flips the magnitudes so the recorded pivot is 1e4×
-        // smaller than the new candidate — refactor must bail and a full
-        // re-pivoting factor must still produce the right answer.
+        // First factor pivots column 0 on row 1: the diagonal 1e-3 is
+        // under `DIAG_PIVOT_PREF` of |1|. The second assembly flips the
+        // magnitudes so the recorded pivot is 1e4× smaller than the new
+        // candidate — refactor must bail and a full re-pivoting factor
+        // must still produce the right answer. A third assembly with the
+        // same magnitudes refactors along the new pivots.
         let b = [1.0, 2.0];
         let mut sp = SparseLu::new(2);
-        sp.begin();
-        sp.add(0, 0, 1.0);
-        sp.add(0, 1, 2.0);
-        sp.add(1, 0, 3.0);
-        sp.add(1, 1, 4.0);
-        sp.factor().unwrap();
-        let mut x = b.to_vec();
-        sp.solve_in_place(&mut x);
-        // [[1,2],[3,4]]·x = [1,2] → x = [0, 0.5]
-        assert!(x[0].abs() < 1e-12 && (x[1] - 0.5).abs() < 1e-12, "{x:?}");
-
-        sp.begin();
-        sp.add(0, 0, 10.0);
-        sp.add(0, 1, 2.0);
-        sp.add(1, 0, 1e-3);
-        sp.add(1, 1, 4.0);
-        sp.factor().unwrap();
-        let mut x = [24.0, 4.0003];
-        sp.solve_in_place(&mut x);
-        let mut dense = Matrix::zeros(2, 2);
-        dense.add(0, 0, 10.0);
-        dense.add(0, 1, 2.0);
-        dense.add(1, 0, 1e-3);
-        dense.add(1, 1, 4.0);
-        let reference = dense_solve(dense, &[24.0, 4.0003]).unwrap();
-        for (p, q) in reference.iter().zip(&x) {
-            assert!((p - q).abs() < 1e-12, "{p} vs {q}");
+        let rounds = [
+            [1e-3, 2.0, 1.0, 4.0],
+            [10.0, 2.0, 1e-3, 4.0],
+            [9.0, 2.0, 2e-3, 4.0],
+        ];
+        for (round, a) in rounds.iter().enumerate() {
+            sp.begin();
+            sp.add(0, 0, a[0]);
+            sp.add(0, 1, a[1]);
+            sp.add(1, 0, a[2]);
+            sp.add(1, 1, a[3]);
+            sp.factor().unwrap();
+            let mut x = b.to_vec();
+            sp.solve_in_place(&mut x);
+            let mut dense = Matrix::zeros(2, 2);
+            dense.add(0, 0, a[0]);
+            dense.add(0, 1, a[1]);
+            dense.add(1, 0, a[2]);
+            dense.add(1, 1, a[3]);
+            let reference = dense_solve(dense, &b).unwrap();
+            for (p, q) in reference.iter().zip(&x) {
+                assert!((p - q).abs() < 1e-12, "round {round}: {p} vs {q}");
+            }
         }
+        let c = sp.counters();
+        assert_eq!(
+            (c.full_factors, c.refactors, c.stale_pivot_fallbacks),
+            (2, 1, 1)
+        );
     }
 
     #[test]
@@ -793,25 +904,97 @@ mod tests {
         let mut x = b.to_vec();
         sp.solve_in_place(&mut x);
         assert!((x[0] - 0.5).abs() < 1e-12);
+        assert_eq!(sp.counters().analyses, 1);
 
-        // New assembly with a different sequence and an extra entry.
-        sp.begin();
-        sp.add(1, 1, 3.0);
-        sp.add(0, 0, 2.0);
-        sp.add(0, 1, -1.0);
-        sp.add(2, 2, 4.0);
-        sp.factor().unwrap();
-        let mut x = b.to_vec();
-        sp.solve_in_place(&mut x);
-        let mut dense = Matrix::zeros(3, 3);
-        dense.add(1, 1, 3.0);
-        dense.add(0, 0, 2.0);
-        dense.add(0, 1, -1.0);
-        dense.add(2, 2, 4.0);
-        let reference = dense_solve(dense, &b).unwrap();
-        for (p, q) in reference.iter().zip(&x) {
-            assert!((p - q).abs() < 1e-12, "{p} vs {q}");
+        // New assemblies with a different sequence and an extra entry: the
+        // first diverges and rebuilds; the pattern it records is the new
+        // sequence, so the next two replay it without diverging.
+        let stamps = |g: f64| {
+            [
+                (1, 1, 3.0),
+                (0, 0, 2.0 * g),
+                (0, 1, -g),
+                (2, 2, 4.0),
+                (1, 1, g),
+            ]
+        };
+        for round in 1..=3 {
+            let g = round as f64;
+            sp.begin();
+            for &(r, c, v) in &stamps(g) {
+                sp.add(r, c, v);
+            }
+            sp.factor().unwrap();
+            let counters = sp.counters();
+            assert_eq!(counters.rebuilds, 1, "round {round} diverged again");
+            assert_eq!(counters.analyses, 2, "round {round} re-analyzed");
+            let mut x = b.to_vec();
+            sp.solve_in_place(&mut x);
+            let mut dense = Matrix::zeros(3, 3);
+            for &(r, c, v) in &stamps(g) {
+                dense.add(r, c, v);
+            }
+            let reference = dense_solve(dense, &b).unwrap();
+            for (p, q) in reference.iter().zip(&x) {
+                assert!((p - q).abs() < 1e-12, "round {round}: {p} vs {q}");
+            }
         }
+        // One full factor per analysis; the rest refactored in place.
+        let counters = sp.counters();
+        assert_eq!(counters.full_factors, 2);
+        assert_eq!(counters.refactors, 2);
+        assert_eq!(counters.stale_pivot_fallbacks, 0);
+    }
+
+    #[test]
+    fn diverged_mid_sequence_keeps_the_matched_prefix() {
+        // The second assembly matches the first two recorded stamps, then
+        // diverges; the rebuilt sequence is that prefix plus the pending
+        // stamps, and the matrix is the one just stamped (the prefix's
+        // duplicate stamps already summed).
+        let first = [(0, 0, 1.0), (0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)];
+        let second = [
+            (0, 0, 1.5),
+            (0, 0, 0.5),
+            (2, 2, 2.0),
+            (1, 0, -0.25),
+            (1, 1, 3.0),
+        ];
+        let b = [1.0, -1.0, 0.5];
+        let mut sp = SparseLu::new(3);
+        for stamps in [&first[..], &second[..], &second[..]] {
+            sp.begin();
+            for &(r, c, v) in stamps {
+                sp.add(r, c, v);
+            }
+            sp.factor().unwrap();
+            let mut x = b.to_vec();
+            sp.solve_in_place(&mut x);
+            let mut dense = Matrix::zeros(3, 3);
+            for &(r, c, v) in stamps {
+                dense.add(r, c, v);
+            }
+            let reference = dense_solve(dense, &b).unwrap();
+            for (p, q) in reference.iter().zip(&x) {
+                assert!((p - q).abs() < 1e-12, "{p} vs {q}");
+            }
+        }
+        assert_eq!(sp.counters().rebuilds, 1);
+        let recorded: Vec<_> = sp.trip.iter().map(|e| (e.row, e.col)).collect();
+        assert_eq!(recorded, [(0, 0), (0, 0), (2, 2), (1, 0), (1, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn replayed_stamp_out_of_bounds_panics() {
+        let mut sp = SparseLu::new(2);
+        sp.begin();
+        sp.add(0, 0, 1.0);
+        sp.add(1, 1, 1.0);
+        sp.factor().unwrap();
+        sp.begin();
+        sp.add(0, 0, 1.0);
+        sp.add(1, 2, 1.0);
     }
 
     #[test]

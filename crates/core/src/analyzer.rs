@@ -77,12 +77,14 @@ pub struct AnalyzerOptions {
     /// round's arrival snapshot, merges in node order, and commits
     /// budgets in node order before parallel dispatch.
     pub threads: usize,
-    /// Shared stage-evaluation memo cache. `None` (the default) disables
-    /// memoization; pass a clone of one [`Arc<StageCache>`] to every
-    /// analysis that should pool its evaluations. Cached results are
-    /// bit-identical to fresh ones (keys include the exact input-slope
-    /// bits and a technology content stamp), so attaching a cache never
-    /// changes arrivals.
+    /// Shared stage-evaluation and steady-state memo cache. `None` (the
+    /// default) disables memoization; pass a clone of one
+    /// [`Arc<StageCache>`] to every analysis that should pool its
+    /// evaluations and logic solves. Cached results are bit-identical to
+    /// fresh ones (stage keys include the exact input-slope bits and a
+    /// technology content stamp, steady-state keys the network's topology
+    /// fingerprint and the inputs driven high), so attaching a cache
+    /// never changes arrivals.
     pub cache: Option<Arc<StageCache>>,
     /// Observability sink ([`crate::obs`]). `None` (the default) records
     /// nothing; pass a shared [`Arc<TraceSink>`] to collect span timings
@@ -373,18 +375,42 @@ pub fn analyze_with_options(
     scenario: &Scenario,
     options: AnalyzerOptions,
 ) -> Result<TimingResult, TimingError> {
-    let steady = traced_steady_states(net, scenario, options.trace.as_deref());
+    let steady = traced_steady_states(
+        net,
+        scenario,
+        options.cache.as_deref(),
+        options.trace.as_deref(),
+    );
     analyze_subset(net, tech, model, scenario, options, None, &steady).map(|outcome| outcome.result)
 }
 
-/// [`logic::steady_states`] inside a logic-phase trace span.
+/// The scenario's steady states, inside a logic-phase trace span: every
+/// analysis gets them here. With a `cache`, each of the two is looked up
+/// in its steady-state memo and solved only on a miss, counted as
+/// `logic.steady_hits` and `logic.steady_misses`; without one, both are
+/// solved from scratch ([`logic::steady_states`]). Either way the states
+/// are the ones a fresh solve gives.
 pub(crate) fn traced_steady_states(
     net: &Network,
     scenario: &Scenario,
+    cache: Option<&StageCache>,
     trace: Option<&TraceSink>,
 ) -> (LogicState, LogicState) {
     let _span = trace.map(|t| t.span(Phase::Logic, "steady_states"));
-    logic::steady_states(net, scenario)
+    let Some(cache) = cache else {
+        return logic::steady_states(net, scenario);
+    };
+    let mut hits = 0;
+    let steady = logic::steady_states_by(scenario, |inputs| {
+        let (state, hit) = cache.steady_state(net, inputs);
+        hits += u64::from(hit);
+        state
+    });
+    if let Some(t) = trace {
+        t.count(Phase::Logic, "steady_hits", hits);
+        t.count(Phase::Logic, "steady_misses", 2 - hits);
+    }
+    steady
 }
 
 /// Restriction of one analysis to a dependency-closed subset of the

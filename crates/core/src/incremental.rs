@@ -46,7 +46,9 @@
 //! capacitance. When ids are stable and the diff adds or removes no node
 //! or device and changes no kind (every `cap` and `resize` script), each
 //! scenario keeps its steady pair and component labels: a new solve would
-//! read the same inputs and return the same states.
+//! read the same inputs and return the same states. Any other edit
+//! re-solves through the options' cache, whose steady-state memo is keyed
+//! by the new network's topology fingerprint ([`crate::memo`]).
 //!
 //! Budget caps in [`AnalyzerOptions`] apply to each re-analysis pass; a
 //! tripped budget aborts the edit and leaves the session untouched.
@@ -221,7 +223,12 @@ impl IncrementalAnalyzer {
     ) -> Result<IncrementalAnalyzer, TimingError> {
         let mut states = Vec::with_capacity(scenarios.len());
         for (label, scenario) in scenarios {
-            let steady = traced_steady_states(&net, &scenario, options.trace.as_deref());
+            let steady = traced_steady_states(
+                &net,
+                &scenario,
+                options.cache.as_deref(),
+                options.trace.as_deref(),
+            );
             let outcome = analyze_subset(
                 &net,
                 &tech,
@@ -500,7 +507,12 @@ impl Pass<'_> {
         let (steady, comp) = if self.keep_steady {
             (st.steady.clone(), st.comp.clone())
         } else {
-            let steady = traced_steady_states(next, &scenario, options.trace.as_deref());
+            let steady = traced_steady_states(
+                next,
+                &scenario,
+                options.cache.as_deref(),
+                options.trace.as_deref(),
+            );
             // Logic dirt: every node whose steady-state pair changed
             // (conduction, edge membership, cap discounts, and reservoir
             // status all derive from it).

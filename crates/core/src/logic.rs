@@ -216,13 +216,98 @@ pub fn solve(net: &Network, inputs: &HashMap<NodeId, bool>) -> LogicState {
     LogicState { values, strengths }
 }
 
-/// The steady states before and after the scenario's input edge.
+/// A [`LogicState`] packed four bits per node, two nodes a byte (the
+/// even id in the low half): the value in the low two bits, the strength
+/// above them. The steady-state memo stores states this way, a quarter
+/// of their unpacked size, and unpacks a copy for each hit, so analyses
+/// read states at full speed.
+#[derive(Debug)]
+pub(crate) struct PackedState {
+    nodes: usize,
+    bytes: Box<[u8]>,
+}
+
+impl PackedState {
+    /// Packs `state`. The enum discriminants are the codes:
+    /// `Zero, One, X` and `None, Weak, Pass, Driven` count from 0.
+    pub(crate) fn pack(state: &LogicState) -> PackedState {
+        let code = |i: usize| state.values[i] as u8 | (state.strengths[i] as u8) << 2;
+        let nodes = state.values.len();
+        let bytes = (0..nodes.div_ceil(2))
+            .map(|b| {
+                let high = if 2 * b + 1 < nodes {
+                    code(2 * b + 1)
+                } else {
+                    0
+                };
+                code(2 * b) | high << 4
+            })
+            .collect();
+        PackedState { nodes, bytes }
+    }
+
+    /// The state [`PackedState::pack`] was given.
+    pub(crate) fn unpack(&self) -> LogicState {
+        const VALUES: [LogicValue; 4] = [
+            LogicValue::Zero,
+            LogicValue::One,
+            LogicValue::X,
+            LogicValue::X,
+        ];
+        const STRENGTHS: [Strength; 4] = [
+            Strength::None,
+            Strength::Weak,
+            Strength::Pass,
+            Strength::Driven,
+        ];
+        let code = |i: usize| usize::from((self.bytes[i / 2] >> (4 * (i % 2))) & 0xf);
+        LogicState {
+            values: (0..self.nodes).map(|i| VALUES[code(i) & 0b11]).collect(),
+            strengths: (0..self.nodes).map(|i| STRENGTHS[code(i) >> 2]).collect(),
+        }
+    }
+
+    /// Bytes the packed state holds: one per two nodes.
+    pub(crate) fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+}
+
+/// What [`solve`] reads of an input assignment: the primary inputs it
+/// drives high, in ascending id order. `solve` reads a level only as
+/// `inputs.get(&id).unwrap_or(false)` on an `Input` node, so assignments
+/// with the same set settle to the same state: `{a: 0}`, `{}` and a zero
+/// static all give the empty set. This is the steady-state memo's key
+/// (see [`crate::memo`]).
+pub(crate) fn driven_high(net: &Network, inputs: &HashMap<NodeId, bool>) -> Vec<NodeId> {
+    let mut high: Vec<NodeId> = inputs
+        .iter()
+        .filter(|&(&id, &level)| {
+            level && id.index() < net.node_count() && net.node(id).kind() == NodeKind::Input
+        })
+        .map(|(&id, _)| id)
+        .collect();
+    high.sort_unstable();
+    high
+}
+
+/// The steady states before and after the scenario's input edge, solved
+/// from scratch.
 pub fn steady_states(net: &Network, scenario: &Scenario) -> (LogicState, LogicState) {
+    steady_states_by(scenario, |inputs| solve(net, inputs))
+}
+
+/// [`steady_states`] with `state_of` settling each of the two input
+/// assignments, so a caller can memoize them.
+pub(crate) fn steady_states_by(
+    scenario: &Scenario,
+    mut state_of: impl FnMut(&HashMap<NodeId, bool>) -> LogicState,
+) -> (LogicState, LogicState) {
     let mut inputs = scenario.statics.clone();
     inputs.insert(scenario.input, !scenario.edge.final_value());
-    let before = solve(net, &inputs);
+    let before = state_of(&inputs);
     inputs.insert(scenario.input, scenario.edge.final_value());
-    (before, solve(net, &inputs))
+    (before, state_of(&inputs))
 }
 
 /// Rejects a level on a node that is not a primary input, which
@@ -303,6 +388,29 @@ mod tests {
             .iter()
             .map(|&(name, v)| (net.node_by_name(name).expect("node exists"), v))
             .collect()
+    }
+
+    #[test]
+    fn packed_states_unpack_to_every_value_and_strength() {
+        let values = [LogicValue::Zero, LogicValue::One, LogicValue::X];
+        let strengths = [
+            Strength::None,
+            Strength::Weak,
+            Strength::Pass,
+            Strength::Driven,
+        ];
+        let pairs: Vec<(LogicValue, Strength)> = values
+            .iter()
+            .flat_map(|&v| strengths.iter().map(move |&s| (v, s)))
+            .collect();
+        // An even and an odd node count: the last byte is half used.
+        for pairs in [&pairs[..], &pairs[1..]] {
+            let (values, strengths) = pairs.iter().copied().unzip();
+            let state = LogicState { values, strengths };
+            let packed = PackedState::pack(&state);
+            assert_eq!(packed.byte_len(), pairs.len().div_ceil(2));
+            assert_eq!(packed.unpack(), state);
+        }
     }
 
     #[test]

@@ -41,13 +41,29 @@
 //! per-analysis counts come from the analyzer's own counters instead.
 //! Cached *values* never differ: an entry is only ever written with the
 //! result its key deterministically produces.
+//!
+//! ## Steady states
+//!
+//! Beside the stage shards, a cache memoizes [`logic::solve`] per network
+//! and input assignment: every scenario of a batch solves the states
+//! before and after its edge, and most of those assignments recur (an
+//! SRAM-64 pass asks for 256 states of 65 distinct assignments, a
+//! decoder-9 pass for 216 of 10). The key is the network's
+//! [`topology_fingerprint`](mosnet::Network::topology_fingerprint) and
+//! the ascending ids of the primary inputs driven high
+//! (`logic::driven_high`) — exactly what `solve` reads — so a hit
+//! returns the state a fresh solve would, and one cache can serve several
+//! networks. States are held packed, four bits per node, and a hit
+//! unpacks a copy. The memo is bounded by [`STEADY_MEMO_BYTES`],
+//! displacing an arbitrary entry when full as the shards do.
 
 use crate::fingerprint::{Fnv64, FNV_OFFSET, FNV_PRIME};
+use crate::logic::{self, LogicState, PackedState};
 use crate::models::{ModelKind, StageDelay};
 use crate::stage::Stage;
 use crate::tech::{Direction, Technology};
 use mosnet::units::Seconds;
-use mosnet::TransistorKind;
+use mosnet::{Network, NodeId, TransistorKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -57,6 +73,15 @@ pub const SHARDS: usize = 16;
 
 /// Default total entry capacity of a [`StageCache`].
 pub const DEFAULT_CAPACITY: usize = 65_536;
+
+/// Byte budget of a [`StageCache`]'s steady-state memo: about 3,800
+/// states of an SRAM 64×64 (8,450 nodes at four bits each).
+pub const STEADY_MEMO_BYTES: usize = 16 << 20;
+
+/// Bytes charged per memo entry on top of its state and key ids: the
+/// key's fingerprint and vector header, the state's `Arc` header, and a
+/// map slot.
+const STEADY_ENTRY_OVERHEAD: usize = 96;
 
 /// A dual-stream FNV-1a hasher producing 128 bits: the second stream
 /// uses a different offset basis and folds the byte position in, so the
@@ -267,9 +292,52 @@ impl CacheStats {
     }
 }
 
-/// The sharded stage-evaluation cache. Cheap to share: wrap it in an
-/// [`std::sync::Arc`] and hand clones to every analysis that should pool
-/// its evaluations (the CLI does this across a whole batch).
+/// What [`logic::solve`] reads: the network's topology and the inputs
+/// driven high.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct SteadyKey {
+    topology: u128,
+    high: Vec<NodeId>,
+}
+
+impl SteadyKey {
+    fn bytes(&self) -> usize {
+        self.high.len() * std::mem::size_of::<NodeId>() + STEADY_ENTRY_OVERHEAD
+    }
+}
+
+/// Memoized steady states within a byte budget.
+#[derive(Debug, Default)]
+struct SteadyMemo {
+    states: HashMap<SteadyKey, PackedState>,
+    bytes: usize,
+}
+
+impl SteadyMemo {
+    /// Stores `state` under `key`, displacing arbitrary entries until it
+    /// fits in `budget`. A state larger than the whole budget, or a key
+    /// already present, is not stored.
+    fn insert(&mut self, key: SteadyKey, state: PackedState, budget: usize) {
+        let size = key.bytes() + state.byte_len();
+        if size > budget || self.states.contains_key(&key) {
+            return;
+        }
+        while self.bytes + size > budget {
+            let Some(victim) = self.states.keys().next().cloned() else {
+                break;
+            };
+            let gone = self.states.remove(&victim).expect("victim is resident");
+            self.bytes -= victim.bytes() + gone.byte_len();
+        }
+        self.bytes += size;
+        self.states.insert(key, state);
+    }
+}
+
+/// The sharded stage-evaluation cache, with the steady-state memo beside
+/// it. Cheap to share: wrap it in an [`std::sync::Arc`] and hand clones
+/// to every analysis that should pool its evaluations (the CLI does this
+/// across a whole batch).
 #[derive(Debug)]
 pub struct StageCache {
     shards: Vec<Mutex<HashMap<StageKey, CachedEval>>>,
@@ -277,6 +345,7 @@ pub struct StageCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    steady: Mutex<SteadyMemo>,
 }
 
 impl StageCache {
@@ -295,7 +364,36 @@ impl StageCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            steady: Mutex::new(SteadyMemo::default()),
         }
+    }
+
+    /// The state [`logic::solve`] settles `net` to under `inputs`, solved
+    /// on the first request for its key (see the [module docs](self)) and
+    /// unpacked from the memo after. The second value is `true` when the
+    /// state was already memoized. Two threads missing on one key at once
+    /// both solve; the states are equal, so either may stay.
+    pub fn steady_state(
+        &self,
+        net: &Network,
+        inputs: &HashMap<NodeId, bool>,
+    ) -> (LogicState, bool) {
+        let key = SteadyKey {
+            topology: net.topology_fingerprint(),
+            high: logic::driven_high(net, inputs),
+        };
+        let found = self.steady_memo().states.get(&key).map(PackedState::unpack);
+        if let Some(state) = found {
+            return (state, true);
+        }
+        let state = logic::solve(net, inputs);
+        self.steady_memo()
+            .insert(key, PackedState::pack(&state), STEADY_MEMO_BYTES);
+        (state, false)
+    }
+
+    fn steady_memo(&self) -> std::sync::MutexGuard<'_, SteadyMemo> {
+        self.steady.lock().expect("steady memo lock")
     }
 
     /// Looks `key` up, counting a hit or a miss.
@@ -600,6 +698,31 @@ mod tests {
         );
         // Every insert beyond a full shard evicts exactly one entry.
         assert_eq!(200 - cache.len() as u64, stats.evictions);
+    }
+
+    #[test]
+    fn steady_memo_stays_within_its_byte_budget() {
+        let net = inverter(Style::Cmos, Farads::from_femto(100.0));
+        let state = logic::solve(&net, &HashMap::new());
+        let packed = || PackedState::pack(&state);
+        let key = |i: u32| SteadyKey {
+            topology: u128::from(i),
+            high: Vec::new(),
+        };
+        let entry = key(0).bytes() + packed().byte_len();
+        let mut memo = SteadyMemo::default();
+        for i in 0..10 {
+            memo.insert(key(i), packed(), 3 * entry);
+        }
+        assert_eq!((memo.states.len(), memo.bytes), (3, 3 * entry));
+        // Re-inserting a resident key charges nothing.
+        let resident = memo.states.keys().next().cloned().unwrap();
+        memo.insert(resident, packed(), 3 * entry);
+        assert_eq!(memo.bytes, 3 * entry);
+        // A state larger than the whole budget is not stored.
+        let mut small = SteadyMemo::default();
+        small.insert(key(0), packed(), entry - 1);
+        assert!(small.states.is_empty());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Oracles on the large generator tier (10k–25k devices): pinned result
 //! digests for a fixed scenario set on a 9-bit decoder and a 64×64 SRAM,
-//! bit-identity of cached parallel runs against serial uncached ones,
+//! bit-identity of cached parallel runs against serial uncached ones
+//! (one cache per network, and one shared by both),
 //! and the cost bound of stage extraction on a wordline whose rail also
 //! feeds thousands of unrelated cells.
 
@@ -71,18 +72,17 @@ fn digest(net: &Network, tech: &Technology, scenario: &Scenario, options: Analyz
 }
 
 /// Serial uncached digests must match the pinned ones, and runs at one
-/// and two threads sharing one `StageCache` must match the serial ones.
-fn check(name: &str, net: &Network, golden: &Golden) {
+/// and two threads sharing `cache` must match the serial ones.
+fn check(name: &str, net: &Network, golden: &Golden, cache: &Arc<StageCache>) {
     let tech = calibrated();
     let mut observed = Vec::new();
     for &(input, rising, transition_ns, _) in golden {
         let scenario = scenario(net, input, rising, transition_ns);
         let serial = digest(net, &tech, &scenario, AnalyzerOptions::default());
-        let cache = Arc::new(StageCache::new());
         for threads in [1, 2] {
             let options = AnalyzerOptions {
                 threads,
-                cache: Some(Arc::clone(&cache)),
+                cache: Some(Arc::clone(cache)),
                 ..AnalyzerOptions::default()
             };
             assert_eq!(
@@ -99,12 +99,35 @@ fn check(name: &str, net: &Network, golden: &Golden) {
 
 #[test]
 fn decoder9_digests_are_pinned_and_thread_cache_invariant() {
-    check("decoder-9", &decoder9(), DECODER9);
+    check(
+        "decoder-9",
+        &decoder9(),
+        DECODER9,
+        &Arc::new(StageCache::new()),
+    );
 }
 
 #[test]
 fn sram64_digests_are_pinned_and_thread_cache_invariant() {
-    check("sram-64x64", &sram64(), SRAM64);
+    check(
+        "sram-64x64",
+        &sram64(),
+        SRAM64,
+        &Arc::new(StageCache::new()),
+    );
+}
+
+/// One `StageCache` serves both networks, each visited twice: its
+/// steady-state memo keys on the network's topology, so neither network
+/// is handed the other's states and the pins hold.
+#[test]
+fn digests_hold_through_one_cache_shared_by_both_networks() {
+    let cache = Arc::new(StageCache::new());
+    let (decoder, sram) = (decoder9(), sram64());
+    for _ in 0..2 {
+        check("decoder-9", &decoder, DECODER9, &cache);
+        check("sram-64x64", &sram, SRAM64, &cache);
+    }
 }
 
 /// `wl0`'s stage is its driver's pull-up. Its rail also feeds 8,256

@@ -54,6 +54,8 @@ pub struct Network {
     channel_index: Vec<Vec<TransistorId>>,
     /// For each node: transistors whose gate it drives.
     gate_index: Vec<Vec<TransistorId>>,
+    /// See [`Network::topology_fingerprint`].
+    topology: u128,
 }
 
 impl Network {
@@ -154,6 +156,17 @@ impl Network {
             .collect()
     }
 
+    /// A 128-bit hash of the network's switch topology: the node count,
+    /// every node's kind, and every device's kind, gate, source and drain,
+    /// all in id order. Names, geometry and capacitance are left out, so a
+    /// capacitance or geometry edit keeps the fingerprint while adding,
+    /// removing or re-kinding a device or node changes it. Computed once,
+    /// when the network is built.
+    #[inline]
+    pub fn topology_fingerprint(&self) -> u128 {
+        self.topology
+    }
+
     /// Total explicit capacitance in the network (diagnostic).
     pub fn total_capacitance(&self) -> Farads {
         self.nodes.iter().map(|n| n.capacitance()).sum()
@@ -162,7 +175,8 @@ impl Network {
     /// A copy to edit in place, for an edit that keeps every node and
     /// device (a capacitance or geometry change). Its name index keeps
     /// the node names only, exactly as a network rebuilt node by node
-    /// would, so the copy equals that rebuild.
+    /// would, so the copy equals that rebuild. Such an edit changes no
+    /// kind or terminal, so the copy keeps the topology fingerprint.
     pub(crate) fn copy_for_edit(&self) -> Network {
         let mut net = self.clone();
         let nodes = &net.nodes;
@@ -349,6 +363,7 @@ impl NetworkBuilder {
             }
             gate_index[t.gate().index()].push(tid);
         }
+        let topology = topology_fingerprint(&self.nodes, &self.transistors);
 
         Ok(Network {
             name: self.name,
@@ -359,8 +374,49 @@ impl NetworkBuilder {
             ground,
             channel_index,
             gate_index,
+            topology,
         })
     }
+}
+
+/// Hashes what [`Network::topology_fingerprint`] covers, one 32-bit word
+/// per field. Two multiply-rotate streams with distinct constants, the
+/// second folding in each word's position, finished by the SplitMix64
+/// mixer so every input bit reaches every output bit.
+fn topology_fingerprint(nodes: &[Node], transistors: &[Transistor]) -> u128 {
+    let (mut a, mut b, mut n) = (0xcbf2_9ce4_8422_2325_u64, 0x9e37_79b9_7f4a_7c15_u64, 0u64);
+    let mut word = |w: u32| {
+        a = (a ^ u64::from(w))
+            .wrapping_mul(0x0000_0100_0000_01b3)
+            .rotate_left(23);
+        b = (b ^ u64::from(w) ^ n)
+            .wrapping_mul(0xff51_afd7_ed55_8ccd)
+            .rotate_left(31);
+        n += 1;
+    };
+    word(nodes.len() as u32);
+    for node in nodes {
+        word(match node.kind() {
+            NodeKind::Ground => 0,
+            NodeKind::Power => 1,
+            NodeKind::Input => 2,
+            NodeKind::Output => 3,
+            NodeKind::Internal => 4,
+        });
+    }
+    word(transistors.len() as u32);
+    for t in transistors {
+        word(t.kind().index() as u32);
+        word(t.gate().0);
+        word(t.source().0);
+        word(t.drain().0);
+    }
+    let mix = |mut x: u64| {
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    };
+    (u128::from(mix(a)) << 64) | u128::from(mix(b))
 }
 
 #[cfg(test)]
@@ -468,6 +524,94 @@ mod tests {
         assert_eq!(net.outputs().len(), 1);
         assert_eq!(net.node(net.inputs()[0]).name(), "a");
         assert_eq!(net.node(net.outputs()[0]).name(), "out");
+    }
+
+    #[test]
+    fn topology_fingerprint_tracks_kinds_and_terminals_only() {
+        use crate::diff::{apply_edit, Edit, TransistorDesc};
+        use crate::sim_format;
+        let text = "i in\no y\nn in out gnd 2 4\np in out vdd 2 8\n\
+                    n out y gnd 2 4\np out y vdd 2 8\nC out 30\n";
+        let net = sim_format::parse(text, "two.sim").unwrap();
+        let fp = net.topology_fingerprint();
+        assert_eq!(
+            sim_format::parse(text, "again.sim")
+                .unwrap()
+                .topology_fingerprint(),
+            fp,
+            "two parses of one text"
+        );
+        let edit = |e: Edit| apply_edit(&net, &e).unwrap().topology_fingerprint();
+        let site = |g: &str, s: &str, d: &str| (g.to_string(), s.to_string(), d.to_string());
+        let (gate, source, drain) = site("in", "out", "gnd");
+        assert_eq!(
+            edit(Edit::SetCapacitance {
+                node: "out".to_string(),
+                capacitance: Farads::from_femto(99.0),
+            }),
+            fp,
+            "a cap edit keeps the fingerprint"
+        );
+        assert_eq!(
+            edit(Edit::Resize {
+                gate: gate.clone(),
+                source: source.clone(),
+                drain: drain.clone(),
+                geometry: Geometry::from_microns(20.0, 2.0),
+            }),
+            fp,
+            "a resize keeps the fingerprint"
+        );
+        // A rebuild device by device from the parsed network.
+        let mut b = NetworkBuilder::new("rebuilt");
+        for (id, node) in net.nodes() {
+            let nid = if id == net.power() {
+                b.declare_power(node.name())
+            } else if id == net.ground() {
+                b.declare_ground(node.name())
+            } else {
+                b.node(node.name(), node.kind())
+            };
+            assert_eq!(nid, id);
+        }
+        let rebuild = |flip: Option<TransistorId>| {
+            let mut b = b.clone();
+            for (tid, t) in net.transistors() {
+                let kind = match (Some(tid) == flip, t.kind()) {
+                    (true, TransistorKind::NEnhancement) => TransistorKind::Depletion,
+                    (_, kind) => kind,
+                };
+                b.add_transistor(kind, t.gate(), t.source(), t.drain(), Geometry::default());
+            }
+            b.build().unwrap().topology_fingerprint()
+        };
+        assert_eq!(rebuild(None), fp, "a rebuild matches");
+        let pull_down = TransistorId(0);
+        assert_eq!(
+            net.transistor(pull_down).kind(),
+            TransistorKind::NEnhancement
+        );
+        assert_ne!(rebuild(Some(pull_down)), fp, "a device-kind change");
+        assert_ne!(
+            edit(Edit::Add(TransistorDesc {
+                kind: TransistorKind::NEnhancement,
+                gate: "y".to_string(),
+                source: "out".to_string(),
+                drain: "gnd".to_string(),
+                geometry: Geometry::default(),
+            })),
+            fp,
+            "an add"
+        );
+        assert_ne!(
+            edit(Edit::Remove {
+                gate,
+                source,
+                drain
+            }),
+            fp,
+            "a remove"
+        );
     }
 
     #[test]

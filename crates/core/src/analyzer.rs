@@ -387,9 +387,10 @@ pub fn analyze_with_options(
 /// The scenario's steady states, inside a logic-phase trace span: every
 /// analysis gets them here. With a `cache`, each of the two is looked up
 /// in its steady-state memo and solved only on a miss, counted as
-/// `logic.steady_hits` and `logic.steady_misses`; without one, both are
-/// solved from scratch ([`logic::steady_states`]). Either way the states
-/// are the ones a fresh solve gives.
+/// `logic.steady_hits` and `logic.steady_misses`, with the misses' node
+/// evaluations as `logic.node_evals`; without one, both are solved from
+/// scratch ([`logic::steady_states`]). Either way the states are the
+/// ones a fresh solve gives.
 pub(crate) fn traced_steady_states(
     net: &Network,
     scenario: &Scenario,
@@ -400,15 +401,19 @@ pub(crate) fn traced_steady_states(
     let Some(cache) = cache else {
         return logic::steady_states(net, scenario);
     };
-    let mut hits = 0;
+    let (mut misses, mut evals) = (0, 0);
     let steady = logic::steady_states_by(scenario, |inputs| {
-        let (state, hit) = cache.steady_state(net, inputs);
-        hits += u64::from(hit);
+        let (state, miss) = cache.steady_state_counted(net, inputs);
+        if let Some(n) = miss {
+            misses += 1;
+            evals += n;
+        }
         state
     });
     if let Some(t) = trace {
-        t.count(Phase::Logic, "steady_hits", hits);
-        t.count(Phase::Logic, "steady_misses", 2 - hits);
+        t.count(Phase::Logic, "steady_hits", 2 - misses);
+        t.count(Phase::Logic, "steady_misses", misses);
+        t.count(Phase::Logic, "node_evals", evals);
     }
     steady
 }

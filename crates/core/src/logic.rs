@@ -87,6 +87,12 @@ pub struct LogicState {
 }
 
 impl LogicState {
+    /// The state of the node codes `codes`, in id order.
+    fn from_codes(codes: impl Iterator<Item = u8>) -> LogicState {
+        let (values, strengths) = codes.map(decode).unzip();
+        LogicState { values, strengths }
+    }
+
     /// The settled value of `node`.
     #[inline]
     pub fn value(&self, node: NodeId) -> LogicValue {
@@ -128,99 +134,321 @@ const MAX_SWEEPS: usize = 10_000;
 /// their last evaluation; any other node would recompute exactly its
 /// stored value and strength, so the states are those of evaluating every
 /// node on every sweep.
+///
+/// Builds the network's switch graph for this one call; a
+/// [`crate::memo::StageCache`] keeps one per topology instead.
 pub fn solve(net: &Network, inputs: &HashMap<NodeId, bool>) -> LogicState {
-    let n = net.node_count();
-    let mut values = vec![LogicValue::X; n];
-    let mut strengths = vec![Strength::None; n];
-    // An undriven node starts at `X`/`None`, which is what it computes
-    // until a driven node reaches it: only the driven nodes' dependents
-    // start dirty.
-    let mut dirty = DirtySet::new(n);
-    let mut drive = |id: NodeId, value: LogicValue| {
-        values[id.index()] = value;
-        strengths[id.index()] = Strength::Driven;
-        mark_dependents(net, id, &mut dirty);
+    SwitchGraph::new(net).solve(inputs).state()
+}
+
+/// A node's state as one byte: the [`LogicValue`] discriminant in the
+/// low two bits, the [`Strength`] discriminant above them. A node no
+/// channel drives reads `X` at `None`.
+const FLOATING: u8 = LogicValue::X as u8;
+
+/// A driven rail or input at `value`.
+const fn driven(value: LogicValue) -> u8 {
+    value as u8 | (Strength::Driven as u8) << 2
+}
+
+/// Decodes a node code's value and strength; value bits `3` (never
+/// written) read as `X`, as [`PackedState::unpack`] has always read them.
+fn decode(code: u8) -> (LogicValue, Strength) {
+    const VALUES: [LogicValue; 4] = [
+        LogicValue::Zero,
+        LogicValue::One,
+        LogicValue::X,
+        LogicValue::X,
+    ];
+    const STRENGTHS: [Strength; 4] = [
+        Strength::None,
+        Strength::Weak,
+        Strength::Pass,
+        Strength::Driven,
+    ];
+    (
+        VALUES[usize::from(code & 0b11)],
+        STRENGTHS[usize::from(code >> 2 & 0b11)],
+    )
+}
+
+/// An edge class bit: the device only holds its node (a depletion load,
+/// or an enhancement device whose gate is tied to a rail, such as a CMOS
+/// keeper), so it contributes at `Weak` rather than `Pass`. The low two
+/// class bits are the device's [`TransistorKind::index`].
+const LOAD: u32 = 0b100;
+
+/// Bits of an [`Edge`]'s `gate_class` that hold the gate's node index;
+/// the three above hold the class.
+const GATE_BITS: u32 = 29;
+
+/// What one channel contributes to the node it serves, for each
+/// `(class, gate value bits, far node code)`, indexed as
+/// `class << 6 | gate << 4 | far`. A contribution at strength `s` with
+/// value `v` is the bit `1 << (4 * s + v)`; an off channel, or one whose
+/// far node is floating, contributes nothing.
+static CONTRIBUTION: [u16; 512] = contribution_table();
+
+const fn contribution_table() -> [u16; 512] {
+    let mut table = [0; 512];
+    let mut index = 0;
+    while index < 512 {
+        let (class, gate, far) = (index >> 6, index >> 4 & 0b11, index & 0xf);
+        let kind = class & 0b11;
+        // Conduction as `conducts` rules it: 0 off, 1 on, 2 maybe (an X
+        // gate, whose channel passes X).
+        let x = LogicValue::X as usize;
+        let on = match kind {
+            0 if gate >= x => 2,
+            0 => gate,
+            1 if gate >= x => 2,
+            1 => 1 - gate,
+            2 => 1,
+            _ => 0,
+        };
+        let value = if on == 2 || far & 0b11 >= x {
+            x
+        } else {
+            far & 0b11
+        };
+        let device = if kind == 2 || class as u32 & LOAD != 0 {
+            Strength::Weak as usize
+        } else {
+            Strength::Pass as usize
+        };
+        let strength = if far >> 2 < device { far >> 2 } else { device };
+        if on != 0 && strength != 0 {
+            table[index] = 1 << (4 * strength + value);
+        }
+        index += 1;
+    }
+    table
+}
+
+/// The node code of the contributions in `mask`, seeded with the
+/// floating contribution (`X` at `None`): the strongest non-empty
+/// strength, at its one value, or at `X` when that strength carries two.
+#[inline]
+fn resolve(mask: u16) -> u8 {
+    let strength = (15 - mask.leading_zeros()) / 4;
+    let values = mask >> (4 * strength) & 0xf;
+    let value = if values.is_power_of_two() {
+        values.trailing_zeros()
+    } else {
+        LogicValue::X as u32
     };
-    drive(net.power(), LogicValue::One);
-    drive(net.ground(), LogicValue::Zero);
-    for (id, node) in net.nodes() {
-        if node.kind() == NodeKind::Input {
-            drive(
-                id,
-                LogicValue::from_bool(inputs.get(&id).copied().unwrap_or(false)),
-            );
-        }
-    }
+    (value | strength << 2) as u8
+}
 
-    for _sweep in 0..MAX_SWEEPS {
-        // A dependent marked at or below the cursor waits for the next
-        // sweep, exactly when a full sweep would first see the change.
-        let mut cursor = 0;
-        while let Some(i) = dirty.take_from(cursor) {
-            cursor = i + 1;
-            let id = NodeId::from_index(i);
-            // Collect the strongest contribution through each conducting
-            // adjacent channel.
-            let mut best_strength = Strength::None;
-            let mut best_value = LogicValue::X;
-            let mut conflict = false;
+/// One channel as seen from the node it serves: the far terminal, and
+/// the gate with the device's class in the top bits.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    far: u32,
+    gate_class: u32,
+}
+
+impl Edge {
+    /// This edge's [`CONTRIBUTION`] under the node codes `codes`.
+    #[inline]
+    fn contribution(self, codes: &[u8]) -> u16 {
+        let class = (self.gate_class >> GATE_BITS) as usize;
+        let gate = codes[(self.gate_class & ((1 << GATE_BITS) - 1)) as usize] & 0b11;
+        let far = codes[self.far as usize] & 0xf;
+        CONTRIBUTION[class << 6 | usize::from(gate) << 4 | usize::from(far)]
+    }
+}
+
+/// The network as the logic solve reads it, flat: per node, the channels
+/// that can drive it (compressed sparse rows; none for rails and inputs,
+/// which are never evaluated) and the nodes whose update reads it. It is
+/// a function of exactly what
+/// [`Network::topology_fingerprint`](mosnet::Network::topology_fingerprint)
+/// covers — node kinds, and each device's kind and terminals — so one
+/// graph serves every network with that fingerprint.
+#[derive(Debug)]
+pub(crate) struct SwitchGraph {
+    edge_start: Box<[u32]>,
+    edges: Box<[Edge]>,
+    dependent_start: Box<[u32]>,
+    dependents: Box<[u32]>,
+    inputs: Box<[u32]>,
+    power: u32,
+    ground: u32,
+}
+
+impl SwitchGraph {
+    /// The graph of `net`, in one pass over its nodes.
+    ///
+    /// # Panics
+    /// Panics when `net` has `2^29` nodes or more.
+    pub(crate) fn new(net: &Network) -> SwitchGraph {
+        let n = net.node_count();
+        assert!(n < 1 << GATE_BITS, "{n} nodes exceed the switch graph");
+        let index = |id: NodeId| id.index() as u32;
+        let kinds: Vec<NodeKind> = net.nodes().map(|(_, node)| node.kind()).collect();
+        let evaluated = |id: NodeId| !kinds[id.index()].is_driven_externally();
+        let channels = |id: NodeId| net.channel_neighbors(id).len();
+        let mut edge_start = Vec::with_capacity(n + 1);
+        // Sized up front (the dependents to a bound), so neither list
+        // reallocates as it grows.
+        let mut edges = Vec::with_capacity(
+            net.nodes()
+                .map(|(id, _)| if evaluated(id) { channels(id) } else { 0 })
+                .sum(),
+        );
+        let mut dependent_start = Vec::with_capacity(n + 1);
+        let mut dependents = Vec::with_capacity(
+            net.nodes()
+                .map(|(id, _)| channels(id) + 2 * net.gated_by(id).len())
+                .sum(),
+        );
+        let mut inputs = Vec::new();
+        // The node whose dependents last listed each node, so each lists
+        // a node once.
+        let mut listed_by = vec![u32::MAX; n];
+        edge_start.push(0);
+        dependent_start.push(0);
+        for (id, node) in net.nodes() {
+            if node.kind() == NodeKind::Input {
+                inputs.push(index(id));
+            }
+            if evaluated(id) {
+                edges.extend(net.channel_neighbors(id).iter().map(|&tid| {
+                    let t = net.transistor(tid);
+                    let load =
+                        t.kind() == TransistorKind::Depletion || kinds[t.gate().index()].is_rail();
+                    let class = t.kind().index() as u32 | if load { LOAD } else { 0 };
+                    Edge {
+                        far: index(t.other_terminal(id)),
+                        gate_class: index(t.gate()) | class << GATE_BITS,
+                    }
+                }));
+            }
+            edge_start.push(edges.len() as u32);
+            // The nodes whose update rule reads this one: the far terminal
+            // of each channel here, and both terminals of each device it
+            // gates. Externally driven nodes are never evaluated.
+            let mut list = |m: NodeId| {
+                if evaluated(m) && listed_by[m.index()] != index(id) {
+                    listed_by[m.index()] = index(id);
+                    dependents.push(index(m));
+                }
+            };
             for &tid in net.channel_neighbors(id) {
+                list(net.transistor(tid).other_terminal(id));
+            }
+            for &tid in net.gated_by(id) {
                 let t = net.transistor(tid);
-                let gate_v = values[t.gate().index()];
-                let on = conducts(t.kind(), gate_v);
-                if on == LogicValue::Zero {
-                    continue;
-                }
-                let other = t.other_terminal(id);
-                let mut v = values[other.index()];
-                // A "maybe conducting" channel contributes X.
-                if on == LogicValue::X {
-                    v = LogicValue::X;
-                }
-                // Depletion devices are loads; so is an enhancement device
-                // whose gate is tied to a rail (a CMOS keeper/pull-up):
-                // both only hold a node, they never win against a switched
-                // path.
-                let device_strength = if t.kind() == TransistorKind::Depletion
-                    || net.node(t.gate()).kind().is_rail()
-                {
-                    Strength::Weak
-                } else {
-                    Strength::Pass
-                };
-                let s = device_strength.min(strengths[other.index()]);
-                if s == Strength::None {
-                    continue;
-                }
-                if s > best_strength {
-                    best_strength = s;
-                    best_value = v;
-                    conflict = false;
-                } else if s == best_strength && v != best_value {
-                    conflict = true;
-                }
+                list(t.source());
+                list(t.drain());
             }
-            let new_value = if conflict { LogicValue::X } else { best_value };
-            if new_value != values[i] || best_strength != strengths[i] {
-                values[i] = new_value;
-                strengths[i] = best_strength;
-                mark_dependents(net, id, &mut dirty);
-            }
+            dependent_start.push(dependents.len() as u32);
         }
-        if cursor == 0 {
-            // Nothing was dirty: the previous sweep changed nothing.
-            break;
+        SwitchGraph {
+            edge_start: edge_start.into(),
+            edges: edges.into(),
+            dependent_start: dependent_start.into(),
+            dependents: dependents.into(),
+            inputs: inputs.into(),
+            power: index(net.power()),
+            ground: index(net.ground()),
         }
     }
 
-    LogicState { values, strengths }
+    /// Settles the graph under `inputs`, as [`solve`] documents: the same
+    /// evaluations in the same order, each one ORing the [`CONTRIBUTION`]
+    /// of the node's channels and keeping the strongest.
+    pub(crate) fn solve(&self, inputs: &HashMap<NodeId, bool>) -> Settled {
+        let n = self.edge_start.len() - 1;
+        let mut codes = vec![FLOATING; n];
+        // An undriven node starts at `X`/`None`, which is what it computes
+        // until a driven node reaches it: only the driven nodes' dependents
+        // start dirty.
+        let mut dirty = DirtySet::new(n);
+        let mut drive = |node: u32, value: LogicValue| {
+            codes[node as usize] = driven(value);
+            self.mark_dependents(node as usize, &mut dirty);
+        };
+        drive(self.power, LogicValue::One);
+        drive(self.ground, LogicValue::Zero);
+        for &id in self.inputs.iter() {
+            let high = inputs.get(&NodeId::from_index(id as usize));
+            drive(id, LogicValue::from_bool(high.copied().unwrap_or(false)));
+        }
+
+        let mut evals = 0;
+        for _sweep in 0..MAX_SWEEPS {
+            // A dependent marked at or below the cursor waits for the next
+            // sweep, exactly when a full sweep would first see the change.
+            let mut cursor = 0;
+            while let Some(i) = dirty.take_from(cursor) {
+                cursor = i + 1;
+                evals += 1;
+                let channels = self.edge_start[i] as usize..self.edge_start[i + 1] as usize;
+                let mask = self.edges[channels]
+                    .iter()
+                    .fold(1 << FLOATING, |mask, e| mask | e.contribution(&codes));
+                let code = resolve(mask);
+                if code != codes[i] {
+                    codes[i] = code;
+                    self.mark_dependents(i, &mut dirty);
+                }
+            }
+            if cursor == 0 {
+                // Nothing was dirty: the previous sweep changed nothing.
+                break;
+            }
+        }
+        Settled { codes, evals }
+    }
+
+    /// Marks every node whose update rule reads `node`.
+    #[inline]
+    fn mark_dependents(&self, node: usize, dirty: &mut DirtySet) {
+        let range = self.dependent_start[node] as usize..self.dependent_start[node + 1] as usize;
+        for &m in &self.dependents[range] {
+            dirty.insert(m as usize);
+        }
+    }
+
+    /// Bytes the graph holds.
+    pub(crate) fn byte_len(&self) -> usize {
+        std::mem::size_of::<SwitchGraph>()
+            + std::mem::size_of_val(&*self.edges)
+            + 4 * (self.edge_start.len()
+                + self.dependent_start.len()
+                + self.dependents.len()
+                + self.inputs.len())
+    }
+}
+
+/// A settled graph: one code per node, and the node evaluations it took.
+#[derive(Debug)]
+pub(crate) struct Settled {
+    codes: Vec<u8>,
+    /// Node evaluations over all sweeps.
+    pub(crate) evals: u64,
+}
+
+impl Settled {
+    /// The state as a [`LogicState`].
+    pub(crate) fn state(&self) -> LogicState {
+        LogicState::from_codes(self.codes.iter().copied())
+    }
+
+    /// The node codes, in id order.
+    pub(crate) fn codes(&self) -> &[u8] {
+        &self.codes
+    }
 }
 
 /// A [`LogicState`] packed four bits per node, two nodes a byte (the
-/// even id in the low half): the value in the low two bits, the strength
-/// above them. The steady-state memo stores states this way, a quarter
-/// of their unpacked size, and unpacks a copy for each hit, so analyses
-/// read states at full speed.
+/// even id in the low half): the node code of [`SwitchGraph::solve`],
+/// the value in the low two bits, the strength above them. The
+/// steady-state memo stores states this way, a quarter of their unpacked
+/// size, and unpacks a copy for each hit, so analyses read states at full
+/// speed.
 #[derive(Debug)]
 pub(crate) struct PackedState {
     nodes: usize,
@@ -228,43 +456,21 @@ pub(crate) struct PackedState {
 }
 
 impl PackedState {
-    /// Packs `state`. The enum discriminants are the codes:
-    /// `Zero, One, X` and `None, Weak, Pass, Driven` count from 0.
-    pub(crate) fn pack(state: &LogicState) -> PackedState {
-        let code = |i: usize| state.values[i] as u8 | (state.strengths[i] as u8) << 2;
-        let nodes = state.values.len();
-        let bytes = (0..nodes.div_ceil(2))
-            .map(|b| {
-                let high = if 2 * b + 1 < nodes {
-                    code(2 * b + 1)
-                } else {
-                    0
-                };
-                code(2 * b) | high << 4
-            })
+    /// Packs the node codes `codes`.
+    pub(crate) fn pack(codes: &[u8]) -> PackedState {
+        let bytes = codes
+            .chunks(2)
+            .map(|pair| pair[0] | pair.get(1).map_or(0, |&high| high << 4))
             .collect();
-        PackedState { nodes, bytes }
+        PackedState {
+            nodes: codes.len(),
+            bytes,
+        }
     }
 
     /// The state [`PackedState::pack`] was given.
     pub(crate) fn unpack(&self) -> LogicState {
-        const VALUES: [LogicValue; 4] = [
-            LogicValue::Zero,
-            LogicValue::One,
-            LogicValue::X,
-            LogicValue::X,
-        ];
-        const STRENGTHS: [Strength; 4] = [
-            Strength::None,
-            Strength::Weak,
-            Strength::Pass,
-            Strength::Driven,
-        ];
-        let code = |i: usize| usize::from((self.bytes[i / 2] >> (4 * (i % 2))) & 0xf);
-        LogicState {
-            values: (0..self.nodes).map(|i| VALUES[code(i) & 0b11]).collect(),
-            strengths: (0..self.nodes).map(|i| STRENGTHS[code(i) >> 2]).collect(),
-        }
+        LogicState::from_codes((0..self.nodes).map(|i| self.bytes[i / 2] >> (4 * (i % 2)) & 0xf))
     }
 
     /// Bytes the packed state holds: one per two nodes.
@@ -294,7 +500,8 @@ pub(crate) fn driven_high(net: &Network, inputs: &HashMap<NodeId, bool>) -> Vec<
 /// The steady states before and after the scenario's input edge, solved
 /// from scratch.
 pub fn steady_states(net: &Network, scenario: &Scenario) -> (LogicState, LogicState) {
-    steady_states_by(scenario, |inputs| solve(net, inputs))
+    let graph = SwitchGraph::new(net);
+    steady_states_by(scenario, |inputs| graph.solve(inputs).state())
 }
 
 /// [`steady_states`] with `state_of` settling each of the two input
@@ -325,25 +532,6 @@ pub fn require_inputs(net: &Network, levels: &HashMap<NodeId, bool>) -> Result<(
             name: net.node(id).name().to_string(),
         }),
         None => Ok(()),
-    }
-}
-
-/// Marks every node whose update rule reads `node`: the far terminal of
-/// each channel at `node`, and both terminals of each device it gates.
-/// Externally driven nodes are never evaluated, so never marked.
-fn mark_dependents(net: &Network, node: NodeId, dirty: &mut DirtySet) {
-    let mut mark = |n: NodeId| {
-        if !net.node(n).kind().is_driven_externally() {
-            dirty.insert(n.index());
-        }
-    };
-    for &tid in net.channel_neighbors(node) {
-        mark(net.transistor(tid).other_terminal(node));
-    }
-    for &tid in net.gated_by(node) {
-        let t = net.transistor(tid);
-        mark(t.source());
-        mark(t.drain());
     }
 }
 
@@ -390,26 +578,72 @@ mod tests {
             .collect()
     }
 
+    const VALUES: [LogicValue; 3] = [LogicValue::Zero, LogicValue::One, LogicValue::X];
+    const STRENGTHS: [Strength; 4] = [
+        Strength::None,
+        Strength::Weak,
+        Strength::Pass,
+        Strength::Driven,
+    ];
+
     #[test]
     fn packed_states_unpack_to_every_value_and_strength() {
-        let values = [LogicValue::Zero, LogicValue::One, LogicValue::X];
-        let strengths = [
-            Strength::None,
-            Strength::Weak,
-            Strength::Pass,
-            Strength::Driven,
-        ];
-        let pairs: Vec<(LogicValue, Strength)> = values
+        let pairs: Vec<(LogicValue, Strength)> = VALUES
             .iter()
-            .flat_map(|&v| strengths.iter().map(move |&s| (v, s)))
+            .flat_map(|&v| STRENGTHS.iter().map(move |&s| (v, s)))
             .collect();
         // An even and an odd node count: the last byte is half used.
         for pairs in [&pairs[..], &pairs[1..]] {
+            let codes: Vec<u8> = pairs
+                .iter()
+                .map(|&(v, s)| v as u8 | (s as u8) << 2)
+                .collect();
             let (values, strengths) = pairs.iter().copied().unzip();
             let state = LogicState { values, strengths };
-            let packed = PackedState::pack(&state);
+            assert_eq!(LogicState::from_codes(codes.iter().copied()), state);
+            let packed = PackedState::pack(&codes);
             assert_eq!(packed.byte_len(), pairs.len().div_ceil(2));
             assert_eq!(packed.unpack(), state);
+        }
+    }
+
+    /// The contribution rule stated over the enums, as the per-node loop
+    /// before the table applied it: a channel that `conducts` passes its
+    /// far node's value (`X` through a maybe-on channel) at the weaker of
+    /// its device strength (`Weak` for a load, `Pass` otherwise) and the
+    /// far node's strength; an off channel or a floating far node gives
+    /// nothing.
+    fn scalar_contribution(class: usize, gate: u8, far: u8) -> Option<(LogicValue, Strength)> {
+        let kind = *TransistorKind::ALL.get(class & 0b11)?;
+        let on = conducts(kind, decode(gate).0);
+        if on == LogicValue::Zero {
+            return None;
+        }
+        let (far_value, far_strength) = decode(far);
+        let value = if on == LogicValue::X {
+            LogicValue::X
+        } else {
+            far_value
+        };
+        let device = if kind == TransistorKind::Depletion || class as u32 & LOAD != 0 {
+            Strength::Weak
+        } else {
+            Strength::Pass
+        };
+        let strength = device.min(far_strength);
+        (strength != Strength::None).then_some((value, strength))
+    }
+
+    #[test]
+    fn contribution_table_states_the_scalar_rule() {
+        for (index, &bits) in CONTRIBUTION.iter().enumerate() {
+            let (class, gate, far) = (index >> 6, (index >> 4 & 0b11) as u8, (index & 0xf) as u8);
+            let expected = scalar_contribution(class, gate, far)
+                .map_or(0, |(v, s)| 1 << (4 * s as u32 + v as u32));
+            assert_eq!(
+                bits, expected,
+                "class {class:03b} gate {gate} far {far:04b}"
+            );
         }
     }
 

@@ -54,11 +54,15 @@
 //! (`logic::driven_high`) — exactly what `solve` reads — so a hit
 //! returns the state a fresh solve would, and one cache can serve several
 //! networks. States are held packed, four bits per node, and a hit
-//! unpacks a copy. The memo is bounded by [`STEADY_MEMO_BYTES`],
-//! displacing an arbitrary entry when full as the shards do.
+//! unpacks a copy. A miss solves on the topology's flat switch graph
+//! (`logic::SwitchGraph`), which depends on nothing but what the
+//! fingerprint covers, so the memo also holds one graph per fingerprint,
+//! built on the first miss. Graphs and states share one budget,
+//! [`STEADY_MEMO_BYTES`], and an arbitrary entry of either kind is
+//! displaced when the memo is full, as the shards do.
 
 use crate::fingerprint::{Fnv64, FNV_OFFSET, FNV_PRIME};
-use crate::logic::{self, LogicState, PackedState};
+use crate::logic::{self, LogicState, PackedState, SwitchGraph};
 use crate::models::{ModelKind, StageDelay};
 use crate::stage::Stage;
 use crate::tech::{Direction, Technology};
@@ -66,7 +70,7 @@ use mosnet::units::Seconds;
 use mosnet::{Network, NodeId, TransistorKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Number of independently locked shards.
 pub const SHARDS: usize = 16;
@@ -74,13 +78,14 @@ pub const SHARDS: usize = 16;
 /// Default total entry capacity of a [`StageCache`].
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
-/// Byte budget of a [`StageCache`]'s steady-state memo: about 3,800
-/// states of an SRAM 64×64 (8,450 nodes at four bits each).
+/// Byte budget of a [`StageCache`]'s steady-state memo, switch graphs
+/// included: about 3,800 states of an SRAM 64×64 (8,450 nodes at four
+/// bits each).
 pub const STEADY_MEMO_BYTES: usize = 16 << 20;
 
-/// Bytes charged per memo entry on top of its state and key ids: the
-/// key's fingerprint and vector header, the state's `Arc` header, and a
-/// map slot.
+/// Bytes charged per memo entry on top of its state or graph and key
+/// ids: the key's fingerprint and vector header, the entry's header, and
+/// a map slot.
 const STEADY_ENTRY_OVERHEAD: usize = 96;
 
 /// A dual-stream FNV-1a hasher producing 128 bits: the second stream
@@ -292,45 +297,67 @@ impl CacheStats {
     }
 }
 
-/// What [`logic::solve`] reads: the network's topology and the inputs
-/// driven high.
+/// A steady-state memo key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct SteadyKey {
-    topology: u128,
-    high: Vec<NodeId>,
+enum SteadyKey {
+    /// A state, by what [`logic::solve`] reads: the network's topology
+    /// and the inputs driven high.
+    State { topology: u128, high: Vec<NodeId> },
+    /// The switch graph of every network with this topology.
+    Graph(u128),
 }
 
 impl SteadyKey {
     fn bytes(&self) -> usize {
-        self.high.len() * std::mem::size_of::<NodeId>() + STEADY_ENTRY_OVERHEAD
+        let high = match self {
+            SteadyKey::State { high, .. } => high.len(),
+            SteadyKey::Graph(_) => 0,
+        };
+        high * std::mem::size_of::<NodeId>() + STEADY_ENTRY_OVERHEAD
     }
 }
 
-/// Memoized steady states within a byte budget.
+/// A steady-state memo entry.
+#[derive(Debug)]
+enum Steady {
+    State(PackedState),
+    Graph(Arc<SwitchGraph>),
+}
+
+impl Steady {
+    fn byte_len(&self) -> usize {
+        match self {
+            Steady::State(state) => state.byte_len(),
+            Steady::Graph(graph) => graph.byte_len(),
+        }
+    }
+}
+
+/// Memoized steady states and switch graphs within a byte budget.
 #[derive(Debug, Default)]
 struct SteadyMemo {
-    states: HashMap<SteadyKey, PackedState>,
+    entries: HashMap<SteadyKey, Steady>,
     bytes: usize,
 }
 
 impl SteadyMemo {
-    /// Stores `state` under `key`, displacing arbitrary entries until it
-    /// fits in `budget`. A state larger than the whole budget, or a key
+    /// Stores `entry` under `key`, displacing arbitrary entries until it
+    /// fits in `budget`. An entry larger than the whole budget, or a key
     /// already present, is not stored.
-    fn insert(&mut self, key: SteadyKey, state: PackedState, budget: usize) {
-        let size = key.bytes() + state.byte_len();
-        if size > budget || self.states.contains_key(&key) {
+    fn insert(&mut self, key: SteadyKey, entry: Steady, budget: usize) {
+        let size = key.bytes() + entry.byte_len();
+        if size > budget || self.entries.contains_key(&key) {
             return;
         }
         while self.bytes + size > budget {
-            let Some(victim) = self.states.keys().next().cloned() else {
+            let Some(victim) = self.entries.keys().next().cloned() else {
                 break;
             };
-            let gone = self.states.remove(&victim).expect("victim is resident");
+            let gone = self.entries.remove(&victim).expect("victim is resident");
             self.bytes -= victim.bytes() + gone.byte_len();
         }
         self.bytes += size;
-        self.states.insert(key, state);
+        self.entries.insert(key, entry);
     }
 }
 
@@ -378,18 +405,48 @@ impl StageCache {
         net: &Network,
         inputs: &HashMap<NodeId, bool>,
     ) -> (LogicState, bool) {
-        let key = SteadyKey {
-            topology: net.topology_fingerprint(),
+        let (state, evals) = self.steady_state_counted(net, inputs);
+        (state, evals.is_none())
+    }
+
+    /// [`StageCache::steady_state`], with `None` for a hit and the node
+    /// evaluations the solve took for a miss.
+    pub(crate) fn steady_state_counted(
+        &self,
+        net: &Network,
+        inputs: &HashMap<NodeId, bool>,
+    ) -> (LogicState, Option<u64>) {
+        let topology = net.topology_fingerprint();
+        let key = SteadyKey::State {
+            topology,
             high: logic::driven_high(net, inputs),
         };
-        let found = self.steady_memo().states.get(&key).map(PackedState::unpack);
-        if let Some(state) = found {
-            return (state, true);
-        }
-        let state = logic::solve(net, inputs);
-        self.steady_memo()
-            .insert(key, PackedState::pack(&state), STEADY_MEMO_BYTES);
-        (state, false)
+        let graph = {
+            let memo = self.steady_memo();
+            if let Some(Steady::State(state)) = memo.entries.get(&key) {
+                return (state.unpack(), None);
+            }
+            match memo.entries.get(&SteadyKey::Graph(topology)) {
+                Some(Steady::Graph(graph)) => Some(Arc::clone(graph)),
+                _ => None,
+            }
+        };
+        let graph = graph.unwrap_or_else(|| {
+            let graph = Arc::new(SwitchGraph::new(net));
+            self.steady_memo().insert(
+                SteadyKey::Graph(topology),
+                Steady::Graph(Arc::clone(&graph)),
+                STEADY_MEMO_BYTES,
+            );
+            graph
+        });
+        let settled = graph.solve(inputs);
+        self.steady_memo().insert(
+            key,
+            Steady::State(PackedState::pack(settled.codes())),
+            STEADY_MEMO_BYTES,
+        );
+        (settled.state(), Some(settled.evals))
     }
 
     fn steady_memo(&self) -> std::sync::MutexGuard<'_, SteadyMemo> {
@@ -703,9 +760,9 @@ mod tests {
     #[test]
     fn steady_memo_stays_within_its_byte_budget() {
         let net = inverter(Style::Cmos, Farads::from_femto(100.0));
-        let state = logic::solve(&net, &HashMap::new());
-        let packed = || PackedState::pack(&state);
-        let key = |i: u32| SteadyKey {
+        let settled = SwitchGraph::new(&net).solve(&HashMap::new());
+        let packed = || Steady::State(PackedState::pack(settled.codes()));
+        let key = |i: u32| SteadyKey::State {
             topology: u128::from(i),
             high: Vec::new(),
         };
@@ -714,15 +771,72 @@ mod tests {
         for i in 0..10 {
             memo.insert(key(i), packed(), 3 * entry);
         }
-        assert_eq!((memo.states.len(), memo.bytes), (3, 3 * entry));
+        assert_eq!((memo.entries.len(), memo.bytes), (3, 3 * entry));
         // Re-inserting a resident key charges nothing.
-        let resident = memo.states.keys().next().cloned().unwrap();
+        let resident = memo.entries.keys().next().cloned().unwrap();
         memo.insert(resident, packed(), 3 * entry);
         assert_eq!(memo.bytes, 3 * entry);
         // A state larger than the whole budget is not stored.
         let mut small = SteadyMemo::default();
         small.insert(key(0), packed(), entry - 1);
-        assert!(small.states.is_empty());
+        assert!(small.entries.is_empty());
+        // A graph is charged and displaced like a state.
+        let graph = Steady::Graph(Arc::new(SwitchGraph::new(&net)));
+        let graph_size = SteadyKey::Graph(0).bytes() + graph.byte_len();
+        memo.insert(SteadyKey::Graph(0), graph, 3 * entry + graph_size);
+        assert!(memo.entries.contains_key(&SteadyKey::Graph(0)));
+        assert_eq!(memo.bytes, 3 * entry + graph_size);
+        memo.insert(key(10), packed(), 3 * entry);
+        assert!(memo.bytes <= 3 * entry);
+    }
+
+    #[test]
+    fn steady_memo_holds_one_graph_per_topology() {
+        use mosnet::diff::{apply_edit, Edit, TransistorDesc};
+        use mosnet::generators::decoder;
+        use mosnet::Geometry;
+        let base = decoder(Style::Cmos, 4, Farads::from_femto(100.0)).unwrap();
+        let edited = apply_edit(
+            &base,
+            &Edit::Add(TransistorDesc {
+                kind: TransistorKind::NEnhancement,
+                gate: "a0".to_string(),
+                source: "w1".to_string(),
+                drain: "gnd".to_string(),
+                geometry: Geometry::from_microns(2.0, 8.0),
+            }),
+        )
+        .expect("add applies");
+        let cache = StageCache::new();
+        for net in [&base, &edited] {
+            for &input in &net.inputs() {
+                for level in [false, true] {
+                    let inputs = HashMap::from([(input, level)]);
+                    assert_eq!(
+                        cache.steady_state(net, &inputs).0,
+                        logic::solve(net, &inputs)
+                    );
+                }
+            }
+        }
+        let memo = cache.steady_memo();
+        let graphs: Vec<usize> = memo
+            .entries
+            .values()
+            .filter_map(|entry| match entry {
+                Steady::Graph(graph) => Some(graph.byte_len()),
+                Steady::State(_) => None,
+            })
+            .collect();
+        assert_eq!(graphs.len(), 2, "one graph per topology");
+        let charged: usize = memo
+            .entries
+            .iter()
+            .map(|(key, entry)| key.bytes() + entry.byte_len())
+            .sum();
+        assert_eq!(memo.bytes, charged);
+        assert!(graphs.iter().sum::<usize>() < memo.bytes);
+        assert!(memo.bytes <= STEADY_MEMO_BYTES);
     }
 
     #[test]

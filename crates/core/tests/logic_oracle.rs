@@ -8,7 +8,8 @@
 use std::collections::HashMap;
 
 use crystal::fingerprint::SplitMix64;
-use crystal::logic::{conducts, solve, LogicValue, Strength};
+use crystal::logic::{conducts, solve, LogicState, LogicValue, Strength};
+use crystal::memo::StageCache;
 use mosnet::generators::{
     barrel_shifter, carry_chain, decoder, decoder2to4, inverter, inverter_chain, memory_array,
     mux_tree, nand, nor, pass_chain, random_network, superbuffer, wordline, xor2,
@@ -101,8 +102,18 @@ fn reference_solve(
 /// Asserts that `solve` and the reference agree on every node; returns
 /// the reference's sweep count.
 fn check(net: &Network, inputs: &HashMap<NodeId, bool>, what: &str) -> usize {
+    check_state(net, inputs, &solve(net, inputs), what)
+}
+
+/// Asserts that `state` and the reference agree on every node; returns
+/// the reference's sweep count.
+fn check_state(
+    net: &Network,
+    inputs: &HashMap<NodeId, bool>,
+    state: &LogicState,
+    what: &str,
+) -> usize {
     let (values, strengths, sweeps) = reference_solve(net, inputs);
-    let state = solve(net, inputs);
     for (id, node) in net.nodes() {
         assert_eq!(
             (state.value(id), state.strength(id)),
@@ -148,18 +159,7 @@ fn random_networks_match_the_full_sweep() {
     let mut rng = SplitMix64::new(0x5eed_0014);
     let mut multi_sweep = 0;
     for seed in 0..200u64 {
-        let nodes = 4 + rng.next_below(28) as usize;
-        let config = RandomNetworkConfig {
-            nodes,
-            transistors: nodes + rng.next_below(2 * nodes as u64) as usize,
-            style: if seed.is_multiple_of(2) {
-                Style::Cmos
-            } else {
-                Style::Nmos
-            },
-            seed,
-        };
-        let net = random_network(config).expect("random network builds");
+        let net = seeded_network(seed, &mut rng);
         for k in 0..8 {
             let mut inputs = random_levels(&net, &mut rng);
             // Levels on nodes that are not inputs must be ignored alike.
@@ -201,6 +201,50 @@ fn small_generators_match_the_full_sweep() {
                 check(net, inputs, &format!("{} assignment {k}", net.name()));
             }
         }
+    }
+}
+
+/// A seeded random network of 4 to 31 nodes, CMOS for even seeds.
+fn seeded_network(seed: u64, rng: &mut SplitMix64) -> Network {
+    let nodes = 4 + rng.next_below(28) as usize;
+    let config = RandomNetworkConfig {
+        nodes,
+        transistors: nodes + rng.next_below(2 * nodes as u64) as usize,
+        style: if seed.is_multiple_of(2) {
+            Style::Cmos
+        } else {
+            Style::Nmos
+        },
+        seed,
+    };
+    random_network(config).expect("random network builds")
+}
+
+/// The memoized path: one `StageCache` serves every network, each state
+/// is checked as solved on a miss and again as unpacked on a hit.
+#[test]
+fn cached_steady_states_match_the_full_sweep() {
+    let cache = StageCache::new();
+    let cached = |net: &Network, inputs: &HashMap<NodeId, bool>, what: &str| {
+        let (solved, _) = cache.steady_state(net, inputs);
+        check_state(net, inputs, &solved, what);
+        let (unpacked, hit) = cache.steady_state(net, inputs);
+        assert!(hit, "{what}: memoized");
+        assert_eq!(unpacked, solved, "{what}: unpacked from the memo");
+    };
+    let mut rng = SplitMix64::new(0x5eed_0022);
+    for seed in 0..100u64 {
+        let net = seeded_network(seed, &mut rng);
+        for k in 0..4 {
+            let inputs = random_levels(&net, &mut rng);
+            cached(&net, &inputs, &format!("seed {seed} assignment {k}"));
+        }
+    }
+    let sram = memory_array(Style::Cmos, 64, 64, Farads::from_femto(100.0)).unwrap();
+    cached(&sram, &HashMap::new(), "SRAM-64 all low");
+    for id in sram.inputs() {
+        let what = format!("SRAM-64 {} high", sram.node(id).name());
+        cached(&sram, &HashMap::from([(id, true)]), &what);
     }
 }
 

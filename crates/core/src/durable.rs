@@ -8,7 +8,8 @@
 //!
 //! * with [`DurableOptions::journal`] set, every scenario outcome is
 //!   appended to a JSON-lines **journal** with an fsync'd write, so a
-//!   `SIGKILL`ed run loses at most the in-flight scenarios ([`Journal`]);
+//!   `SIGKILL`ed run loses at most the in-flight scenarios (an
+//!   [`AppendLog`] with a fingerprinted run header);
 //! * a resumed run ([`DurableOptions::resume`]) recovers the journal —
 //!   including a **torn tail** left by a crash mid-append — and replays
 //!   completed scenarios bit-identically instead of re-running them;
@@ -37,7 +38,7 @@
 //! different inputs is rejected instead of silently mixing results.
 
 use crate::analyzer::{analyze_with_options, AnalyzerOptions, Scenario, TimingResult};
-use crate::applog::{self, AppendLog, Fields, RecoverError};
+use crate::applog::{AppendLog, Fields, LogError, LogFault};
 use crate::budget::CancelToken;
 use crate::error::TimingError;
 use crate::fingerprint::{JsonLine, ReadFields};
@@ -413,92 +414,42 @@ pub fn scenario_summary(net: &Network, result: &TimingResult) -> String {
 // belongs to the append log every durable store shares.
 pub use crate::applog::JournalFaultPlan;
 
-/// An append-only JSON-lines outcome log with fsync'd writes, on the
-/// shared [`AppendLog`].
-///
-/// Line 1 is a run header pinning the format version and the
-/// [`run_fingerprint`]; every further line is one scenario record.
-/// Resume follows the [`crate::applog`] recovery contract: a torn final
-/// line is dropped, damage earlier is [`DurableError::CorruptJournal`],
-/// and a journal with no complete header line starts over with a fresh
-/// header.
-#[derive(Debug)]
-pub struct Journal {
-    log: AppendLog,
-}
-
-fn io_error(path: &Path, e: std::io::Error) -> DurableError {
-    DurableError::Io {
-        path: path.to_path_buf(),
-        message: e.to_string(),
+impl From<LogError> for DurableError {
+    fn from(e: LogError) -> DurableError {
+        let path = e.path;
+        match e.fault {
+            LogFault::Io(error) => DurableError::Io {
+                path,
+                message: error.to_string(),
+            },
+            LogFault::Corrupt(line) => DurableError::CorruptJournal { path, line },
+            // Unreachable: a batch journal without a header starts over.
+            LogFault::NoHeader => DurableError::CorruptJournal { path, line: 1 },
+        }
     }
 }
 
-impl Journal {
-    /// Creates (truncating) a fresh journal and writes the run header.
-    pub fn create(
-        path: &Path,
-        fingerprint: impl Into<RunFingerprint>,
-    ) -> Result<Journal, DurableError> {
-        let log =
-            AppendLog::create(path, &JournalFaultPlan::none()).map_err(|e| io_error(path, e))?;
-        let mut journal = Journal { log };
-        journal.append_line(&header_line(&fingerprint.into()))?;
-        Ok(journal)
+/// Opens the batch journal: an [`AppendLog`] whose header pins the
+/// format version and the [`run_fingerprint`], then one line per
+/// scenario record. A fresh run truncates; a resume returns the
+/// replayable records, starts over when the file has no header, and
+/// rejects a header over other inputs (naming the changed input when
+/// both sides carry [`run_fingerprint_parts`]).
+fn open_journal(
+    path: &Path,
+    resume: bool,
+    fingerprint: &RunFingerprint,
+) -> Result<(AppendLog, Vec<ScenarioRecord>), DurableError> {
+    let header = header_line(fingerprint);
+    let faults = JournalFaultPlan::none();
+    if !resume {
+        return Ok((AppendLog::create(path, &header, &faults)?, Vec::new()));
     }
-
-    /// Opens an existing journal for resume: recovers a torn tail,
-    /// validates the header fingerprint, and returns the replayable
-    /// records plus the journal reopened for appending.
-    ///
-    /// A missing journal, or one with no complete header line, resumes
-    /// as a fresh run.
-    ///
-    /// When both the header and the current `fingerprint` carry
-    /// component fingerprints (see [`run_fingerprint_parts`]), a
-    /// mismatch names which input changed — netlist vs technology vs
-    /// model/options — in [`DurableError::FingerprintMismatch`].
-    pub fn open_resume(
-        path: &Path,
-        fingerprint: impl Into<RunFingerprint>,
-    ) -> Result<(Journal, Vec<ScenarioRecord>), DurableError> {
-        let fingerprint = fingerprint.into();
-        let mut records = Vec::new();
-        let recovered = applog::recover(path, "run", |fields| {
-            record_from_fields(&fields)
-                .map(|record| records.push(record))
-                .is_some()
-        });
-        let recovered = match recovered {
-            Ok(recovered) => recovered,
-            Err(RecoverError::Missing | RecoverError::Empty) => {
-                return Ok((Journal::create(path, fingerprint)?, Vec::new()));
-            }
-            Err(RecoverError::Corrupt { line }) => {
-                return Err(DurableError::CorruptJournal {
-                    path: path.to_path_buf(),
-                    line,
-                });
-            }
-            Err(RecoverError::Io(e)) => return Err(io_error(path, e)),
-        };
-        check_header(path, &recovered.header, &fingerprint)?;
-        let log = AppendLog::reopen(path, recovered.valid_len, &JournalFaultPlan::none())
-            .map_err(|e| io_error(path, e))?;
-        Ok((Journal { log }, records))
-    }
-
-    /// Appends one scenario record, fsync'd so it survives a crash that
-    /// happens right after.
-    pub fn append(&mut self, record: &ScenarioRecord) -> Result<(), DurableError> {
-        self.append_line(&record_line(record))
-    }
-
-    fn append_line(&mut self, line: &str) -> Result<(), DurableError> {
-        self.log
-            .append(line)
-            .map_err(|e| io_error(self.log.path(), e))
-    }
+    let record = |fields: Fields| record_from_fields(&fields);
+    AppendLog::resume(path, "run", Some(&header), &faults, record, |recovered| {
+        check_header(path, &recovered.header, fingerprint)?;
+        Ok(recovered.records)
+    })
 }
 
 /// Checks the header's fingerprint against the current inputs,
@@ -781,11 +732,10 @@ where
     let fingerprint = fingerprint.into();
     let (journal, prior) = match &durable.journal {
         None => (None, Vec::new()),
-        Some(path) if durable.resume => {
-            let (journal, prior) = Journal::open_resume(path, fingerprint)?;
+        Some(path) => {
+            let (journal, prior) = open_journal(path, durable.resume, &fingerprint)?;
             (Some(journal), prior)
         }
-        Some(path) => (Some(Journal::create(path, fingerprint)?), Vec::new()),
     };
     // Later records win (a rerun may append a fresh outcome for a label).
     let mut replay: HashMap<&str, &ScenarioRecord> = HashMap::new();
@@ -810,7 +760,11 @@ where
     let journal_error: Mutex<Option<DurableError>> = Mutex::new(None);
     let append = |record: &ScenarioRecord| {
         let Some(journal) = &journal else { return };
-        match journal.lock().expect("journal lock").append(record) {
+        match journal
+            .lock()
+            .expect("journal lock")
+            .append(&record_line(record))
+        {
             Ok(()) => {
                 if let Some(t) = trace {
                     t.count(Phase::Durable, "journal_appends", 1);
@@ -818,7 +772,7 @@ where
             }
             Err(e) => {
                 let mut slot = journal_error.lock().expect("journal error lock");
-                slot.get_or_insert(e);
+                slot.get_or_insert(e.into());
             }
         }
     };
@@ -1149,6 +1103,16 @@ mod tests {
         ))
     }
 
+    type Opened = Result<(AppendLog, Vec<ScenarioRecord>), DurableError>;
+
+    fn open_resume(path: &Path, fingerprint: impl Into<RunFingerprint>) -> Opened {
+        open_journal(path, true, &fingerprint.into())
+    }
+
+    fn create_journal(path: &Path, fingerprint: impl Into<RunFingerprint>) -> Opened {
+        open_journal(path, false, &fingerprint.into())
+    }
+
     fn items(labels: &[&str]) -> Vec<(String, usize)> {
         labels
             .iter()
@@ -1311,7 +1275,7 @@ mod tests {
         let mut lines: Vec<&str> = text.lines().collect();
         lines[1] = "{\"kind\":\"scenario\",busted";
         std::fs::write(&path, format!("{}\n", lines.join("\n"))).expect("writes");
-        let err = Journal::open_resume(&path, 7).expect_err("corrupt");
+        let err = open_resume(&path, 7).expect_err("corrupt");
         assert!(
             matches!(err, DurableError::CorruptJournal { line: 2, .. }),
             "{err:?}"
@@ -1333,7 +1297,7 @@ mod tests {
             None,
         )
         .expect("runs");
-        let err = Journal::open_resume(&path, 8).expect_err("different inputs");
+        let err = open_resume(&path, 8).expect_err("different inputs");
         assert!(matches!(
             err,
             DurableError::FingerprintMismatch {
@@ -1358,7 +1322,7 @@ mod tests {
         let tech = Technology::nominal();
         let options = AnalyzerOptions::default();
         let before = tiny_net(INVERTER);
-        Journal::create(
+        create_journal(
             &path,
             run_fingerprint_parts(&before, &tech, ModelKind::Slope, &options),
         )
@@ -1366,7 +1330,7 @@ mod tests {
         // The netlist file is edited between runs: the load doubles.
         let after = tiny_net(&INVERTER.replace("C y 50", "C y 100"));
         let current = run_fingerprint_parts(&after, &tech, ModelKind::Slope, &options);
-        let err = Journal::open_resume(&path, current).expect_err("edited netlist");
+        let err = open_resume(&path, current).expect_err("edited netlist");
         match &err {
             DurableError::FingerprintMismatch { sources, .. } => {
                 assert_eq!(sources, &[MismatchSource::Netlist]);
@@ -1387,7 +1351,7 @@ mod tests {
         let tech = Technology::nominal();
         let options = AnalyzerOptions::default();
         let net = tiny_net(INVERTER);
-        Journal::create(
+        create_journal(
             &path,
             run_fingerprint_parts(&net, &tech, ModelKind::Slope, &options),
         )
@@ -1395,7 +1359,7 @@ mod tests {
 
         let mut other_tech = tech.clone();
         other_tech.name = "perturbed".to_string();
-        let err = Journal::open_resume(
+        let err = open_resume(
             &path,
             run_fingerprint_parts(&net, &other_tech, ModelKind::Slope, &options),
         )
@@ -1407,7 +1371,7 @@ mod tests {
         );
         assert!(err.to_string().contains("the technology changed"), "{err}");
 
-        let err = Journal::open_resume(
+        let err = open_resume(
             &path,
             run_fingerprint_parts(&net, &tech, ModelKind::Lumped, &options),
         )
@@ -1429,7 +1393,7 @@ mod tests {
         // A journal written with an opaque fingerprint (no component
         // fields) still rejects mismatches, just without a source.
         let path = temp_journal("fp_opaque");
-        Journal::create(&path, 7u64).expect("creates");
+        create_journal(&path, 7u64).expect("creates");
         let net = tiny_net(INVERTER);
         let current = run_fingerprint_parts(
             &net,
@@ -1437,7 +1401,7 @@ mod tests {
             ModelKind::Slope,
             &AnalyzerOptions::default(),
         );
-        let err = Journal::open_resume(&path, current).expect_err("mismatch");
+        let err = open_resume(&path, current).expect_err("mismatch");
         match &err {
             DurableError::FingerprintMismatch { found, sources, .. } => {
                 assert_eq!(*found, 7);

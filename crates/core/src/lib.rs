@@ -80,8 +80,8 @@ pub use analyzer::{
 pub use budget::{AnalysisBudget, BudgetExceeded, CancelToken, PartialTiming};
 pub use durable::{
     install_signal_handlers, run_durable, run_durable_with, run_fingerprint, run_fingerprint_parts,
-    AttemptOutcome, DurableError, DurableOptions, DurableRun, FailureKind, Journal, MismatchSource,
-    Outcome, RunFingerprint, ScenarioRecord, ShutdownFlag,
+    AttemptOutcome, DurableError, DurableOptions, DurableRun, FailureKind, MismatchSource, Outcome,
+    RunFingerprint, ScenarioRecord, ShutdownFlag,
 };
 pub use editscript::parse_edit_script;
 pub use error::TimingError;

@@ -46,7 +46,7 @@
 //!   skipped with an explicit note instead of silently passed.
 
 use crate::analyzer::{Edge, TimingResult};
-use crate::applog::{self, AppendLog, Fields, JournalFaultPlan, RecoverError};
+use crate::applog::{self, AppendLog, Fields, JournalFaultPlan, LogError, LogFault};
 use crate::fingerprint::{
     escape_json, hash_arrival_row, run_id, sorted_arrivals, Fnv64, JsonLine, ReadFields,
 };
@@ -315,30 +315,6 @@ impl RunRecord {
         }));
     }
 
-    /// Records one analyzed scenario: its arrival rows (optionally with
-    /// an injected per-model scale fault) plus a scenario row carrying
-    /// the digest over exactly what was recorded.
-    pub fn push_result(
-        &mut self,
-        net: &Network,
-        label: &str,
-        result: &TimingResult,
-        summary: &str,
-        inject: Option<(ModelKind, f64)>,
-    ) {
-        let rows = arrival_rows(net, label, result, inject);
-        let digest = arrival_digest(&rows);
-        self.arrivals.extend(rows);
-        self.scenarios.push(ScenarioRow {
-            label: label.to_string(),
-            outcome: "ok".to_string(),
-            digest: Some(digest),
-            summary: summary.to_string(),
-            wall_us: 0,
-            oversubscribed: false,
-        });
-    }
-
     /// Every line of the record, in file order. Deterministic: the same
     /// record always serializes to the same bytes, which is what makes
     /// [`RunStore::resume`] bit-identical.
@@ -605,9 +581,7 @@ impl RunStore {
     /// returns the record's path.
     pub fn record(&self, record: &RunRecord) -> Result<PathBuf, RunStoreError> {
         let path = self.dir.join(format!("{}.{RUN_EXTENSION}", record.meta.id));
-        AppendLog::create(&path, &JournalFaultPlan::none())
-            .and_then(|mut log| log.append(&record.text(0)))
-            .map_err(|e| io_err(&path, e))?;
+        AppendLog::create(&path, &record.text(0), &JournalFaultPlan::none())?;
         Ok(path)
     }
 
@@ -672,50 +646,40 @@ impl RunStore {
     /// Follows the [`crate::applog`] recovery contract: only a torn final
     /// line is dropped, damage earlier in the file is
     /// [`RunStoreError::Corrupt`], and a file with no complete header
-    /// line is rewritten whole.
+    /// line starts over from the record's header.
     pub fn resume(&self, path: &Path, record: &RunRecord) -> Result<(), RunStoreError> {
-        let (valid_len, valid_lines) = match applog::recover(path, "run", |_| true) {
-            Ok(recovered) => (recovered.valid_len, recovered.lines),
-            Err(RecoverError::Missing | RecoverError::Empty) => (0, 0),
-            Err(e) => return Err(recover_err(path, e)),
-        };
-        AppendLog::reopen(path, valid_len, &JournalFaultPlan::none())
-            .and_then(|mut log| log.append(&record.text(valid_lines)))
-            .map_err(|e| io_err(path, e))
+        let header = format!("{}\n", record.lines()[0]);
+        let faults = JournalFaultPlan::none();
+        let (mut log, valid_lines) =
+            AppendLog::resume(path, "run", Some(&header), &faults, Some, |recovered| {
+                Ok::<_, RunStoreError>(recovered.records.len() + 1)
+            })?;
+        Ok(log.append(&record.text(valid_lines))?)
     }
 }
 
-fn recover_err(path: &Path, e: RecoverError) -> RunStoreError {
-    match e {
-        RecoverError::Missing => io_err(path, std::io::ErrorKind::NotFound.into()),
-        RecoverError::Io(e) => io_err(path, e),
-        RecoverError::Empty => RunStoreError::Corrupt {
-            path: path.to_path_buf(),
-            line: 1,
-        },
-        RecoverError::Corrupt { line } => RunStoreError::Corrupt {
-            path: path.to_path_buf(),
-            line,
-        },
+impl From<LogError> for RunStoreError {
+    fn from(e: LogError) -> RunStoreError {
+        let path = e.path;
+        match e.fault {
+            LogFault::Io(error) => io_err(&path, error),
+            LogFault::Corrupt(line) => RunStoreError::Corrupt { path, line },
+            LogFault::NoHeader => RunStoreError::Corrupt { path, line: 1 },
+        }
     }
 }
 
 /// Reads one record, applying torn-tail recovery (in memory only — the
 /// file is not truncated; [`RunStore::resume`] is the repairing path).
 pub fn read_run(path: &Path) -> Result<RunRecord, RunStoreError> {
-    let mut rows = Vec::new();
-    let recovered = applog::recover(path, "run", |fields| {
-        rows.push(fields);
-        true
-    })
-    .map_err(|e| recover_err(path, e))?;
+    let recovered = applog::recover(path, "run", Some)?;
     let corrupt = |line: usize| RunStoreError::Corrupt {
         path: path.to_path_buf(),
         line,
     };
     let meta = meta_from_fields(&recovered.header).ok_or_else(|| corrupt(1))?;
     let mut record = RunRecord::new(meta);
-    for (index, fields) in rows.iter().enumerate() {
+    for (index, fields) in recovered.records.iter().enumerate() {
         push_row(&mut record, fields).ok_or_else(|| corrupt(index + 2))?;
     }
     Ok(record)
@@ -1342,13 +1306,10 @@ impl RunDiff {
         );
         let _ = writeln!(out, "  \"only_in_a\": [{}],", strings(&self.only_in_a));
         let _ = writeln!(out, "  \"only_in_b\": [{}],", strings(&self.only_in_b));
+        let separator = |i: usize, len: usize| if i + 1 < len { "," } else { "" };
         let _ = writeln!(out, "  \"node_deltas\": [");
         for (i, d) in self.node_deltas.iter().enumerate() {
-            let comma = if i + 1 < self.node_deltas.len() {
-                ","
-            } else {
-                ""
-            };
+            let comma = separator(i, self.node_deltas.len());
             let _ = writeln!(
                 out,
                 "    {{\"scenario\": \"{}\", \"node\": \"{}\", \"a_ns\": {}, \
@@ -1363,11 +1324,7 @@ impl RunDiff {
         let _ = writeln!(out, "  ],");
         let _ = writeln!(out, "  \"phase_deltas\": [");
         for (i, p) in self.phase_deltas.iter().enumerate() {
-            let comma = if i + 1 < self.phase_deltas.len() {
-                ","
-            } else {
-                ""
-            };
+            let comma = separator(i, self.phase_deltas.len());
             let _ = writeln!(
                 out,
                 "    {{\"phase\": \"{}\", \"a_ns\": {}, \"b_ns\": {}, \"pct\": {}}}{comma}",
@@ -1380,11 +1337,7 @@ impl RunDiff {
         let _ = writeln!(out, "  ],");
         let _ = writeln!(out, "  \"scenario_perf\": [");
         for (i, s) in self.scenario_perf.iter().enumerate() {
-            let comma = if i + 1 < self.scenario_perf.len() {
-                ","
-            } else {
-                ""
-            };
+            let comma = separator(i, self.scenario_perf.len());
             let _ = writeln!(
                 out,
                 "    {{\"label\": \"{}\", \"a_us\": {}, \"b_us\": {}, \"pct\": {}}}{comma}",

@@ -22,6 +22,8 @@
 //! predictions so CI can verify the harness actually fires.
 
 use crate::analyzer::{analyze_with_options, AnalyzerOptions, Edge, Scenario, TimingResult};
+use crate::error::TimingError;
+use crate::incremental::IncrementalAnalyzer;
 use crate::memo::StageCache;
 use crate::models::ModelKind;
 use crate::obs::{Phase, TraceSink};
@@ -348,21 +350,20 @@ pub fn check_network(
         });
         let mut fresh_for_reference: Vec<(ModelKind, TimingResult)> = Vec::new();
         for (model, cache) in config.models.iter().copied().zip(&caches) {
-            let serial = AnalyzerOptions {
-                threads: 1,
-                cache: None,
+            let serial = reference_options(&AnalyzerOptions {
                 trace: config.trace.clone(),
                 ..AnalyzerOptions::default()
+            });
+            let failed = |leg, e: TimingError| Divergence::Failed {
+                scenario: label.clone(),
+                model,
+                leg,
+                error: e.to_string(),
             };
             let fresh = match analyze_with_options(net, tech, model, scenario, serial.clone()) {
                 Ok(r) => r,
                 Err(e) => {
-                    report.divergences.push(Divergence::Failed {
-                        scenario: label.clone(),
-                        model,
-                        leg: "fresh",
-                        error: e.to_string(),
-                    });
+                    report.divergences.push(failed("fresh", e));
                     continue;
                 }
             };
@@ -385,12 +386,7 @@ pub fn check_network(
                             });
                         }
                     }
-                    Err(e) => report.divergences.push(Divergence::Failed {
-                        scenario: label.clone(),
-                        model,
-                        leg: "cached",
-                        error: e.to_string(),
-                    }),
+                    Err(e) => report.divergences.push(failed("cached", e)),
                 }
             }
 
@@ -398,9 +394,7 @@ pub fn check_network(
             report.checks_run += 1;
             let parallel_options = AnalyzerOptions {
                 threads: config.threads,
-                cache: None,
-                trace: config.trace.clone(),
-                ..AnalyzerOptions::default()
+                ..serial.clone()
             };
             match analyze_with_options(net, tech, model, scenario, parallel_options) {
                 Ok(parallel) => {
@@ -412,12 +406,7 @@ pub fn check_network(
                         });
                     }
                 }
-                Err(e) => report.divergences.push(Divergence::Failed {
-                    scenario: label.clone(),
-                    model,
-                    leg: "parallel",
-                    error: e.to_string(),
-                }),
+                Err(e) => report.divergences.push(failed("parallel", e)),
             }
 
             fresh_for_reference.push((model, fresh));
@@ -481,14 +470,7 @@ pub fn check_resume_equivalence(
             });
             continue;
         };
-        // The reference leg: serial, uncached, unbounded by any watchdog —
-        // the most deterministic configuration the analyzer has.
-        let fresh_options = AnalyzerOptions {
-            threads: 1,
-            cache: None,
-            cancel: None,
-            ..options.clone()
-        };
+        let fresh_options = reference_options(options);
         match record.outcome {
             Outcome::Ok => {
                 report.checks_run += 1;
@@ -544,9 +526,54 @@ pub fn check_resume_equivalence(
     report
 }
 
+/// The reference leg of every self-check: serial, uncached and never
+/// cancelled — the most deterministic configuration the analyzer has —
+/// with everything else (budget, mode, trace) taken from `base`.
+fn reference_options(base: &AnalyzerOptions) -> AnalyzerOptions {
+    AnalyzerOptions {
+        threads: 1,
+        cache: None,
+        cancel: None,
+        ..base.clone()
+    }
+}
+
+/// How one scenario of an incremental session compares with a fresh
+/// full analysis ([`audit_incremental`]).
+#[derive(Debug)]
+pub(crate) enum Audit {
+    /// Equal results (and so equal digests).
+    Equal,
+    /// The results differ.
+    Differs,
+    /// The fresh reference analysis failed.
+    ReferenceError(TimingError),
+}
+
+/// Re-analyzes every scenario of `session` from scratch under `options`
+/// and compares each with the session's result, lazily and in session
+/// order, so a caller can stop at the first outcome it cares about.
+pub(crate) fn audit_incremental<'a>(
+    session: &'a IncrementalAnalyzer,
+    tech: &'a Technology,
+    model: ModelKind,
+    options: &'a AnalyzerOptions,
+) -> impl Iterator<Item = (&'a str, Audit)> + 'a {
+    session.labels().map(move |label| {
+        let fresh = session.scenario(label).and_then(|scenario| {
+            analyze_with_options(session.network(), tech, model, &scenario, options.clone())
+        });
+        let audit = match fresh {
+            Err(e) => Audit::ReferenceError(e),
+            Ok(fresh) if session.result(label) == Some(&fresh) => Audit::Equal,
+            Ok(_) => Audit::Differs,
+        };
+        (label, audit)
+    })
+}
+
 /// Audits the incremental engine over a scripted edit sequence: four
-/// independent [`IncrementalAnalyzer`](crate::incremental::IncrementalAnalyzer)
-/// sessions — serial, parallel
+/// independent [`IncrementalAnalyzer`] sessions — serial, parallel
 /// (`config.threads`), cold shared cache, and a cache pre-warmed by a
 /// full pass over every scenario — apply the same edits, and after every
 /// edit (plus once right after construction) each session's result for
@@ -561,15 +588,12 @@ pub fn check_incremental(
     edits: &[mosnet::diff::Edit],
     config: &SelfCheckConfig,
 ) -> SelfCheckReport {
-    use crate::incremental::IncrementalAnalyzer;
     let trace = config.trace.as_deref();
     let mut report = SelfCheckReport::default();
-    let base = AnalyzerOptions {
-        threads: 1,
-        cache: None,
+    let base = reference_options(&AnalyzerOptions {
         trace: config.trace.clone(),
         ..AnalyzerOptions::default()
-    };
+    });
     let warm_cache = Arc::new(StageCache::new());
     for (_, scenario) in scenarios {
         // Pre-warm: one full pass per scenario; errors surface later via
@@ -635,27 +659,11 @@ pub fn check_incremental(
         };
         // Edit 0 is the freshly built session; then one audit per edit.
         let audit = |session: &IncrementalAnalyzer, edit: usize, report: &mut SelfCheckReport| {
-            for (label, _) in scenarios {
+            for (label, audit) in audit_incremental(session, tech, model, &base) {
                 report.checks_run += 1;
-                let reference = session.scenario(label).and_then(|scenario| {
-                    analyze_with_options(
-                        session.network(),
-                        tech,
-                        model,
-                        &scenario,
-                        AnalyzerOptions {
-                            trace: config.trace.clone(),
-                            ..AnalyzerOptions::default()
-                        },
-                    )
-                });
-                let diverged = match (session.result(label), &reference) {
-                    (Some(incremental), Ok(fresh)) => incremental != fresh,
-                    _ => true,
-                };
-                if diverged {
+                if !matches!(audit, Audit::Equal) {
                     report.divergences.push(Divergence::Incremental {
-                        scenario: label.clone(),
+                        scenario: label.to_string(),
                         model,
                         edit,
                         leg,

@@ -76,16 +76,16 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::analyzer::{analyze_with_options, AnalyzerOptions};
+use crate::analyzer::AnalyzerOptions;
 use crate::applog::Fields;
 use crate::budget::{AnalysisBudget, CancelToken};
 use crate::durable::{panic_message, JournalFaultPlan, ShutdownFlag, Watchdog};
 use crate::error::TimingError;
-use crate::fingerprint::{hex64, parse_json_object, result_digest, JsonLine, ReadFields};
+use crate::fingerprint::{hex64, parse_json_object, JsonLine, ReadFields};
 use crate::memo::StageCache;
 use crate::obs::{Phase, TraceSink};
 use crate::runstore::{self, DiffThresholds, DiffVerdict, RunStore, RunStoreError};
-use crate::selfcheck::{check_network, SelfCheckConfig};
+use crate::selfcheck::{audit_incremental, check_network, Audit, SelfCheckConfig};
 use crate::session::{
     parse_statics, session_fingerprint, RecoveryReport, Session, SessionConfig, SessionError,
     SessionManager,
@@ -258,7 +258,7 @@ pub struct ServerOptions {
     /// Directory for per-session journals; `None` disables durability.
     /// Without [`ServerOptions::resume`], leftover `*.session` files in
     /// it are deleted at startup (a fresh start means fresh, exactly
-    /// like [`crate::durable::Journal::create`] truncating).
+    /// like a fresh batch run truncating its journal).
     pub journal_dir: Option<PathBuf>,
     /// Recover (and digest-verify) every journal in
     /// [`ServerOptions::journal_dir`] before accepting connections.
@@ -1289,10 +1289,10 @@ fn op_report(inner: &Arc<Inner>, request: &Fields) -> Response {
     response
 }
 
-/// Fresh serial recompute of every scenario, cross-checked against the
-/// session's incremental state — the server-side analog of the
-/// resume-equivalence self-check: if incremental maintenance ever
-/// drifted from from-scratch analysis, this op reports `divergence`.
+/// Fresh recompute of every scenario, cross-checked against the
+/// session's incremental state through [`audit_incremental`]: if
+/// incremental maintenance ever drifted from from-scratch analysis, this
+/// op reports `divergence`.
 fn op_batch(inner: &Arc<Inner>, request: &Fields, token: &CancelToken) -> Response {
     let (id, session) = match resolve_session(inner, request) {
         Ok(found) => found,
@@ -1307,38 +1307,28 @@ fn op_batch(inner: &Arc<Inner>, request: &Fields, token: &CancelToken) -> Respon
     if let Some(message) = guard.poisoned() {
         return error_response(&SessionError::Poisoned(message.to_string()));
     }
-    let analyzer = guard.analyzer();
-    let net = analyzer.network();
-    let model = guard.config().model;
-    let labels: Vec<String> = analyzer.labels().map(str::to_string).collect();
-    let mut mismatches: Vec<String> = Vec::new();
-    for label in &labels {
-        let scenario = match analyzer.scenario(label) {
-            Ok(scenario) => scenario,
-            Err(e) => return error_response(&SessionError::Timing(e)),
-        };
-        let options = inner.request_options(budget, Some(token.clone()));
-        let fresh = match analyze_with_options(
-            net,
-            inner.manager.technology(),
-            model,
-            &scenario,
-            options,
-        ) {
-            Ok(result) => result,
-            Err(e) => return error_response(&SessionError::Timing(e)),
-        };
-        let incremental = analyzer
-            .result(label)
-            .map(|result| result_digest(net, result));
-        if incremental != Some(result_digest(net, &fresh)) {
-            mismatches.push(label.clone());
+    // The request's budget, deadline and threads, but not the shared
+    // cache: the reference must not reuse what the session memoized.
+    let reference = AnalyzerOptions {
+        cache: None,
+        ..inner.request_options(budget, Some(token.clone()))
+    };
+    let tech = inner.manager.technology();
+    let (mut scenarios, mut mismatches) = (0u64, Vec::new());
+    for (label, audit) in
+        audit_incremental(guard.analyzer(), tech, guard.config().model, &reference)
+    {
+        scenarios += 1;
+        match audit {
+            Audit::Equal => {}
+            Audit::Differs => mismatches.push(label),
+            Audit::ReferenceError(e) => return error_response(&SessionError::Timing(e)),
         }
     }
     if mismatches.is_empty() {
         Response::new(Status::Ok)
             .field("session", &id)
-            .num("scenarios", labels.len() as u64)
+            .num("scenarios", scenarios)
             .field("digest", &hex64(guard.digest()))
     } else {
         Response::new(Status::Divergence)

@@ -32,7 +32,7 @@
 //! serialize, plus a session cap and directory-wide recovery.
 
 use crate::analyzer::{AnalyzerOptions, Edge};
-use crate::applog::{self, atomic_replace, AppendLog, Fields, JournalFaultPlan, RecoverError};
+use crate::applog::{AppendLog, Fields, JournalFaultPlan, LogError, LogFault, Recovered};
 use crate::budget::{AnalysisBudget, CancelToken};
 use crate::durable::scenario_summary;
 use crate::editscript::parse_edit_script;
@@ -268,19 +268,14 @@ pub(crate) fn parse_statics(text: &str) -> Result<Vec<(String, bool)>, String> {
 // Journal records
 // ---------------------------------------------------------------------------
 
-fn io_error(path: &Path, e: std::io::Error) -> SessionError {
-    SessionError::Io {
-        path: path.to_path_buf(),
-        message: e.to_string(),
+impl From<LogError> for SessionError {
+    fn from(e: LogError) -> SessionError {
+        let (path, message) = (e.path.clone(), e.to_string());
+        match e.fault {
+            LogFault::Io(_) => SessionError::Io { path, message },
+            _ => SessionError::Corrupt { path, message },
+        }
     }
-}
-
-/// Appends one line to a session journal, mapping failures to
-/// [`SessionError::Io`].
-fn append_line(journal: &mut AppendLog, line: &str) -> Result<(), SessionError> {
-    journal
-        .append(line)
-        .map_err(|e| io_error(journal.path(), e))
 }
 
 /// The self-contained header record. `base_seq`/`checkpoint` are only
@@ -433,21 +428,16 @@ impl Session {
         let journal = match journal_path {
             None => None,
             Some(path) => {
-                let mut journal =
-                    AppendLog::create_new(path, faults).map_err(|e| io_error(path, e))?;
-                append_line(
-                    &mut journal,
-                    &session_header_line(
-                        id,
-                        fingerprint,
-                        netlist_name,
-                        netlist_text,
-                        config,
-                        0,
-                        None,
-                    ),
-                )?;
-                Some(journal)
+                let header = session_header_line(
+                    id,
+                    fingerprint,
+                    netlist_name,
+                    netlist_text,
+                    config,
+                    0,
+                    None,
+                );
+                Some(AppendLog::create_new(path, &header, faults)?)
             }
         };
         Ok(Session {
@@ -480,22 +470,28 @@ impl Session {
         options: AnalyzerOptions,
         faults: &JournalFaultPlan,
     ) -> Result<Session, SessionError> {
+        let edit = |fields: Fields| edit_from_fields(&fields);
+        let (journal, mut session) =
+            AppendLog::resume(path, "session", None, faults, edit, |recovered| {
+                Session::replay(path, tech, options, recovered)
+            })?;
+        session.journal = Some(journal);
+        Ok(session)
+    }
+
+    /// The check behind [`Session::resume`]: rebuilds the session from
+    /// the recovered header and replays every edit, verifying each
+    /// recorded digest. The journal is reopened only after this passes.
+    fn replay(
+        path: &Path,
+        tech: &Technology,
+        options: AnalyzerOptions,
+        recovered: Recovered<(u64, String, u64, Option<String>)>,
+    ) -> Result<Session, SessionError> {
         let corrupt = |message: String| SessionError::Corrupt {
             path: path.to_path_buf(),
             message,
         };
-        let mut edits = Vec::new();
-        let recovered = applog::recover(path, "session", |fields| {
-            edit_from_fields(&fields)
-                .map(|edit| edits.push(edit))
-                .is_some()
-        })
-        .map_err(|e| match e {
-            RecoverError::Missing => io_error(path, std::io::ErrorKind::NotFound.into()),
-            RecoverError::Io(e) => io_error(path, e),
-            RecoverError::Empty => corrupt("no complete header line".to_string()),
-            RecoverError::Corrupt { line } => corrupt(format!("damaged at line {line}")),
-        })?;
         let header = recovered.header;
         if header.num("v") != Some(SESSION_JOURNAL_VERSION) {
             return Err(corrupt("not a session journal header".to_string()));
@@ -582,7 +578,7 @@ impl Session {
                 )));
             }
         }
-        for (seq, script, recorded_digest, req_id) in edits {
+        for (seq, script, recorded_digest, req_id) in recovered.records {
             let parsed = parse_edit_script(&script)
                 .map_err(|e| corrupt(format!("edit {seq} no longer parses: {e}")))?;
             session
@@ -603,11 +599,6 @@ impl Session {
                 session.record_reply(&req_id, seq, digest);
             }
         }
-
-        // Reopen for appending, truncating any torn tail away.
-        session.journal = Some(
-            AppendLog::reopen(path, recovered.valid_len, faults).map_err(|e| io_error(path, e))?,
-        );
         Ok(session)
     }
 
@@ -766,8 +757,9 @@ impl Session {
         let digest = self.digest();
         if let Some(journal) = &mut self.journal {
             let line = edit_record_line(self.seq, script, digest, req_id);
-            if let Err(e) = append_line(journal, &line) {
+            if let Err(e) = journal.append(&line) {
                 let path = journal.path().to_path_buf();
+                let e = SessionError::from(e);
                 self.degrade(e.to_string());
                 return Err(SessionError::Storage {
                     path,
@@ -784,7 +776,7 @@ impl Session {
     /// Compacts the journal: atomically rewrites it as one checkpoint
     /// header — the *current* netlist text, configuration, fingerprint,
     /// and result digest — with an empty edit tail, via
-    /// write-temp/fsync/rename ([`atomic_replace`]). A crash at any
+    /// write-temp/fsync/rename ([`AppendLog::replace`]). A crash at any
     /// byte leaves either the old journal or the new one, both valid;
     /// a resume afterwards replays O(edits since checkpoint) instead of
     /// the session's lifetime. On success the session fingerprint is
@@ -802,14 +794,12 @@ impl Session {
         if let Some(message) = &self.poisoned {
             return Err(SessionError::Poisoned(message.clone()));
         }
-        let Some(journal) = &self.journal else {
+        if self.journal.is_none() {
             return Err(SessionError::BadRequest(match &self.degraded {
                 Some(reason) => format!("session is degraded ({reason}); nothing to compact"),
                 None => "session has no journal to compact".to_string(),
             }));
-        };
-        let path = journal.path().to_path_buf();
-        let faults = journal.faults().clone();
+        }
         let netlist_text = sim_format::write(self.analyzer.network());
         // Prove the checkpoint rebuilds this exact network before
         // committing to it: sessions open on canonical text and edits
@@ -838,23 +828,13 @@ impl Session {
             self.seq,
             Some(self.digest()),
         );
-        if let Err(e) = atomic_replace(&path, header.as_bytes(), &faults) {
+        let replaced = self.journal.as_mut().map_or(Ok(()), |j| j.replace(&header));
+        if let Err(e) = replaced {
             self.degrade(e.to_string());
             return Err(SessionError::Storage {
-                path,
                 message: format!("compaction failed: {e}"),
+                path: e.path,
             });
-        }
-        // The old handle points at the replaced inode; reopen.
-        match AppendLog::reopen(&path, header.len(), &faults) {
-            Ok(journal) => self.journal = Some(journal),
-            Err(e) => {
-                self.degrade(e.to_string());
-                return Err(SessionError::Storage {
-                    path,
-                    message: format!("compacted journal did not reopen: {e}"),
-                });
-            }
         }
         self.fingerprint = fingerprint;
         self.base_seq = self.seq;
@@ -906,7 +886,10 @@ impl Session {
         if let Some(journal) = self.journal.take() {
             let path = journal.path().to_path_buf();
             drop(journal);
-            std::fs::remove_file(&path).map_err(|e| io_error(&path, e))?;
+            std::fs::remove_file(&path).map_err(|e| SessionError::Io {
+                message: e.to_string(),
+                path,
+            })?;
         }
         Ok(())
     }
@@ -1188,7 +1171,7 @@ impl SessionManager {
 
     /// Deletes every `*.{SESSION_JOURNAL_EXT}` file in the journal
     /// directory — the non-`--resume` daemon start, mirroring how
-    /// [`crate::durable::Journal::create`] truncates: a journal dir
+    /// a fresh batch run truncates its journal: a journal dir
     /// belongs to one daemon lineage, and starting fresh means fresh.
     pub fn discard_journals(&self) -> usize {
         let Some(dir) = &self.journal_dir else {

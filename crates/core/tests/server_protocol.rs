@@ -76,6 +76,16 @@ fn open_request(session: &str, name: &str, netlist: &str) -> String {
     )
 }
 
+/// A response's fields, sorted by key.
+fn frame(response: &HashMap<String, String>) -> Vec<(&str, &str)> {
+    let mut fields: Vec<(&str, &str)> = response
+        .iter()
+        .map(|(key, value)| (key.as_str(), value.as_str()))
+        .collect();
+    fields.sort();
+    fields
+}
+
 fn status(response: &HashMap<String, String>) -> &str {
     response.get("status").map_or("<missing>", String::as_str)
 }
@@ -404,13 +414,16 @@ fn history_lists_runs_and_diff_gates_on_thresholds() {
         ) {
             let result = crystal::analyze(&net, &tech, crystal::ModelKind::Slope, &scenario)
                 .expect("analysis succeeds");
-            record.push_result(
-                &net,
-                &label,
-                &result,
-                &crystal::durable::scenario_summary(&net, &result),
-                inject,
-            );
+            let rows = runstore::arrival_rows(&net, &label, &result, inject);
+            record.scenarios.push(runstore::ScenarioRow {
+                label,
+                outcome: "ok".to_string(),
+                digest: Some(runstore::arrival_digest(&rows)),
+                summary: crystal::durable::scenario_summary(&net, &result),
+                wall_us: 0,
+                oversubscribed: false,
+            });
+            record.arrivals.extend(rows);
         }
         record.exit = Some(runstore::ExitRow {
             status: "ok".to_string(),
@@ -491,4 +504,63 @@ fn history_lists_runs_and_diff_gates_on_thresholds() {
     handle.stop();
     handle.join();
     let _ = fs::remove_dir_all(&db);
+}
+
+#[test]
+fn batch_audits_the_session_against_fresh_analysis() {
+    let handle = serve(ServerOptions::default()).expect("server starts");
+    let mut client = Client::connect(&handle);
+    let response = client.request(&open_request("s1", "chain.sim", INVERTER_CHAIN));
+    assert_eq!(status(&response), "ok", "got {response:?}");
+    let mut digest = String::new();
+    for script in ["cap y 150", "resize a m gnd 4 8"] {
+        let line = format!("{{\"op\":\"edit\",\"session\":\"s1\",\"script\":\"{script}\"}}");
+        let response = client.request(&line);
+        assert_eq!(status(&response), "ok", "got {response:?}");
+        digest = response["digest"].clone();
+    }
+
+    // A clean audit: every scenario re-analyzed fresh matches the
+    // session, and the frame carries the last edit's digest.
+    let response = client.request("{\"op\":\"batch\",\"session\":\"s1\"}");
+    assert_eq!(
+        frame(&response),
+        [
+            ("digest", digest.as_str()),
+            ("retryable", "false"),
+            ("scenarios", "2"),
+            ("session", "s1"),
+            ("status", "ok"),
+        ],
+        "got {response:?}"
+    );
+
+    // The request's budget binds the fresh re-analysis.
+    let response = client.request("{\"op\":\"batch\",\"session\":\"s1\",\"max_stage_evals\":1}");
+    assert_eq!(
+        frame(&response),
+        [
+            (
+                "error",
+                "analysis budget exhausted (stage-evaluation cap of 1 reached); \
+                 partial result carries 1 arrivals from 0 completed rounds"
+            ),
+            ("retryable", "false"),
+            ("status", "budget"),
+        ],
+        "got {response:?}"
+    );
+
+    let response = client.request("{\"op\":\"batch\",\"session\":\"nope\"}");
+    assert_eq!(
+        frame(&response),
+        [
+            ("error", "unknown session `nope`"),
+            ("retryable", "false"),
+            ("status", "error"),
+        ],
+        "got {response:?}"
+    );
+    handle.stop();
+    handle.join();
 }

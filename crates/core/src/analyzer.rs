@@ -375,13 +375,47 @@ pub fn analyze_with_options(
     scenario: &Scenario,
     options: AnalyzerOptions,
 ) -> Result<TimingResult, TimingError> {
-    let steady = traced_steady_states(
-        net,
-        scenario,
-        options.cache.as_deref(),
-        options.trace.as_deref(),
-    );
-    analyze_subset(net, tech, model, scenario, options, None, &steady).map(|outcome| outcome.result)
+    let trace = options.trace.as_deref();
+    let steady = traced_steady_states(net, scenario, options.cache.as_deref(), trace);
+    let switching = switching_edges(net, &steady, trace);
+    analyze_subset(
+        net, tech, model, scenario, options, None, &steady, &switching,
+    )
+    .map(|outcome| outcome.result)
+}
+
+/// The switching set of a steady pair, dense by node id: the final edge
+/// of every non-rail node whose after value is known and differs from its
+/// before value, `None` for every other node. Inside a logic-phase trace
+/// span.
+pub(crate) fn switching_edges(
+    net: &Network,
+    (before, after): &(LogicState, LogicState),
+    trace: Option<&TraceSink>,
+) -> Vec<Option<Edge>> {
+    let _span = trace.map(|t| t.span(Phase::Logic, "switching_set"));
+    net.nodes()
+        .map(|(id, node)| {
+            let (b, a) = (before.value(id), after.value(id));
+            let switches = !node.kind().is_rail() && a.is_known() && b != a;
+            switches.then_some(if a == LogicValue::One {
+                Edge::Rising
+            } else {
+                Edge::Falling
+            })
+        })
+        .collect()
+}
+
+/// The targets of stage extraction, in node order: the switching nodes
+/// (see [`switching_edges`]) that are not driven from outside.
+pub(crate) fn switching_targets<'a>(
+    net: &'a Network,
+    switching: &'a [Option<Edge>],
+) -> impl Iterator<Item = (NodeId, Edge)> + 'a {
+    (switching.iter().enumerate())
+        .filter_map(|(i, edge)| edge.map(|edge| (NodeId::from_index(i), edge)))
+        .filter(|&(id, _)| !net.node(id).kind().is_driven_externally())
 }
 
 /// The scenario's steady states, inside a logic-phase trace span: every
@@ -444,9 +478,10 @@ pub(crate) struct AnalysisOutcome {
 
 /// The full analysis pipeline, optionally restricted to a subset of
 /// targets (see [`SubsetSpec`]), given the scenario's
-/// [`logic::steady_states`] so a caller that also needs them solves them
-/// once. `analyze_with_options` is the public entry point;
-/// [`crate::incremental`] calls this directly.
+/// [`logic::steady_states`] and their [`switching_edges`] so a caller
+/// that keeps them derives them once. `analyze_with_options` is the
+/// public entry point; [`crate::incremental`] calls this directly.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn analyze_subset(
     net: &Network,
     tech: &Technology,
@@ -455,6 +490,7 @@ pub(crate) fn analyze_subset(
     options: AnalyzerOptions,
     subset: Option<&SubsetSpec>,
     steady: &(LogicState, LogicState),
+    switching: &[Option<Edge>],
 ) -> Result<AnalysisOutcome, TimingError> {
     if net.node(scenario.input).kind() != NodeKind::Input {
         return Err(TimingError::NotAnInput {
@@ -465,27 +501,7 @@ pub(crate) fn analyze_subset(
 
     let trace: Option<&TraceSink> = options.trace.as_deref();
     let (before, after) = steady;
-
-    // Switching set with final edges.
-    let switching_span = trace.map(|t| t.span(Phase::Logic, "switching_set"));
-    let mut edge_of: HashMap<NodeId, Edge> = HashMap::new();
-    for (id, node) in net.nodes() {
-        if node.kind().is_rail() {
-            continue;
-        }
-        let (b, a) = (before.value(id), after.value(id));
-        if a.is_known() && b != a {
-            edge_of.insert(
-                id,
-                if a == LogicValue::One {
-                    Edge::Rising
-                } else {
-                    Edge::Falling
-                },
-            );
-        }
-    }
-    drop(switching_span);
+    let switches = |node: NodeId| switching[node.index()].is_some();
 
     let conducting = |tid| after.transistor_on(net, tid);
     // Capacitance on nodes whose logic value does not change (e.g. a
@@ -572,17 +588,13 @@ pub(crate) fn analyze_subset(
     // subset restriction only the affected targets are (re-)extracted;
     // the rest keep their replayed arrivals.
     let mut extract_span = trace.map(|t| t.span(Phase::Extraction, "extract"));
-    let mut targets: Vec<(NodeId, Edge)> = edge_of
-        .iter()
-        .filter(|&(&node, _)| {
-            node != scenario.input && !net.node(node).kind().is_driven_externally()
-        })
-        .map(|(&node, &edge)| (node, edge))
-        .collect();
-    targets.sort_by_key(|&(node, _)| node);
-    if let Some(spec) = subset {
-        targets.retain(|(node, _)| spec.affected.binary_search(node).is_ok());
-    }
+    let targets: Vec<(NodeId, Edge)> = match subset {
+        Some(spec) => (spec.affected.iter())
+            .filter_map(|&node| switching[node.index()].map(|edge| (node, edge)))
+            .filter(|&(node, _)| !net.node(node).kind().is_driven_externally())
+            .collect(),
+        None => switching_targets(net, switching).collect(),
+    };
 
     if let Err(e) = tracker.check_deadline() {
         return Err(exhausted(arrivals, e, 0));
@@ -665,7 +677,7 @@ pub(crate) fn analyze_subset(
         let mut observed: Vec<NodeId> = Vec::new();
         for stage in &w.stages {
             for &gate in &stage.path_gates {
-                if gate != w.node && edge_of.contains_key(&gate) {
+                if gate != w.node && switches(gate) {
                     observed.push(gate);
                 }
             }
@@ -673,7 +685,7 @@ pub(crate) fn analyze_subset(
         for &tid in net.channel_neighbors(w.node) {
             if before.transistor_on(net, tid) && !after.transistor_on(net, tid) {
                 let gate = net.transistor(tid).gate();
-                if gate != w.node && edge_of.contains_key(&gate) {
+                if gate != w.node && switches(gate) {
                     observed.push(gate);
                 }
             }
@@ -739,7 +751,7 @@ pub(crate) fn analyze_subset(
                     model,
                     before,
                     after,
-                    &edge_of,
+                    switching,
                     &arrivals,
                     &work[wi],
                     options.mode,
@@ -840,7 +852,7 @@ fn evaluate_node(
     model: ModelKind,
     before: &LogicState,
     after: &LogicState,
-    edge_of: &HashMap<NodeId, Edge>,
+    switching: &[Option<Edge>],
     arrivals: &[Option<Arrival>],
     work: &NodeWork,
     mode: AnalysisMode,
@@ -859,7 +871,7 @@ fn evaluate_node(
         let mut trigger: Option<(Seconds, Seconds, TransistorKind, NodeId)> = None;
         let mut waiting = false;
         for (tid, &gate) in stage.path.iter().zip(&stage.path_gates) {
-            if gate == node || !edge_of.contains_key(&gate) {
+            if gate == node || switching[gate.index()].is_none() {
                 continue;
             }
             match &arrivals[gate.index()] {
@@ -883,7 +895,7 @@ fn evaluate_node(
                 continue;
             }
             let gate = net.transistor(tid).gate();
-            if gate == node || !edge_of.contains_key(&gate) {
+            if gate == node || switching[gate.index()].is_none() {
                 continue;
             }
             match &arrivals[gate.index()] {

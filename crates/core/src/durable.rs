@@ -776,7 +776,9 @@ where
             }
         }
     };
-    let stop = AtomicBool::new(false);
+    // The ticker mirrors a shutdown request into `stop`; one requested
+    // before dispatch stops the run before any scenario starts.
+    let stop = AtomicBool::new((durable.shutdown.as_ref()).is_some_and(ShutdownFlag::is_requested));
     let watchdog = Watchdog::default();
     let pool = ThreadPool::new(durable.threads);
     // Without fail-fast every pending scenario is one dispatch and each
@@ -1615,15 +1617,11 @@ mod tests {
             None,
         )
         .expect("runs");
-        // Pre-requested shutdown: the watchdog mirrors it into the stop
-        // flag; depending on timing zero or a few scenarios start, but
-        // the run must report interruption and mark the rest skipped.
+        // Pre-requested shutdown: no scenario starts, every one is
+        // skipped, and the run reports interruption.
         assert!(run.interrupted);
-        assert!(run.count(Outcome::Skipped) >= 1);
-        assert_eq!(
-            calls.load(Ordering::SeqCst) + run.count(Outcome::Skipped),
-            3
-        );
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        assert_eq!(run.count(Outcome::Skipped), 3);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -45,26 +45,36 @@
 //! reads topology and node kinds in node order, never geometry or
 //! capacitance. When ids are stable and the diff adds or removes no node
 //! or device and changes no kind (every `cap` and `resize` script), each
-//! scenario keeps its steady pair and component labels: a new solve would
-//! read the same inputs and return the same states. Any other edit
-//! re-solves through the options' cache, whose steady-state memo is keyed
-//! by the new network's topology fingerprint ([`crate::memo`]).
+//! scenario keeps its steady pair: a new solve would read the same inputs
+//! and return the same states. With the pair it keeps everything derived
+//! from the pair alone — the switching set, the targets with their edges,
+//! the component labels and each component's targets — so such an edit
+//! costs the dirty nodes' worklist and the re-analyzed targets, not a
+//! pass over every node. Any other edit re-solves through the options'
+//! cache, whose steady-state memo is keyed by the new network's topology
+//! fingerprint ([`crate::memo`]), and rebuilds that index.
+//!
+//! **The delta.** Only a re-analyzed target, a target that left the
+//! switching set, or the input can change its arrival; every other
+//! arrival was replayed bit for bit. The delta compares those rows only
+//! (none leave when the index is kept).
 //!
 //! Budget caps in [`AnalyzerOptions`] apply to each re-analysis pass; a
 //! tripped budget aborts the edit and leaves the session untouched.
 
 use crate::analyzer::{
-    analyze_subset, traced_steady_states, AnalyzerOptions, Arrival, Edge, IncrementalStats,
-    Scenario, SubsetSpec, TimingResult,
+    analyze_subset, switching_edges, switching_targets, traced_steady_states, AnalyzerOptions,
+    Arrival, Edge, IncrementalStats, Scenario, SubsetSpec, TimingResult,
 };
 use crate::error::TimingError;
-use crate::logic::{LogicState, LogicValue};
+use crate::logic::LogicState;
 use crate::models::ModelKind;
-use crate::obs::Phase;
+use crate::obs::{Phase, TraceSink};
 use crate::tech::Technology;
 use mosnet::diff::{self, Edit, NetworkDiff};
 use mosnet::{Network, NodeId, NodeKind};
 use std::fmt;
+use std::sync::Arc;
 
 /// One arrival that changed across an edit, keyed by node name.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,6 +140,52 @@ impl fmt::Display for DeltaReport {
 /// Component label of a rail: rails are barriers, in no component.
 const RAIL: u32 = u32::MAX;
 
+/// What a scenario derives from its steady pair alone. A scenario keeps
+/// it exactly when it keeps the pair, and then shares it with the
+/// previous state.
+#[derive(Debug, PartialEq)]
+struct SwitchingIndex {
+    /// The `(before, after)` steady states.
+    steady: (LogicState, LogicState),
+    /// The switching set ([`switching_edges`]), dense by node id.
+    edges: Vec<Option<Edge>>,
+    /// The switching targets with their edges, in node order: exactly
+    /// the nodes the analyzer extracts stages for.
+    targets: Vec<(NodeId, Edge)>,
+    /// Component of every node ([`RAIL`] for the rails).
+    comp: Vec<u32>,
+    /// Each component's targets.
+    by_comp: Vec<Vec<NodeId>>,
+}
+
+impl SwitchingIndex {
+    fn new(
+        net: &Network,
+        steady: (LogicState, LogicState),
+        trace: Option<&TraceSink>,
+    ) -> SwitchingIndex {
+        let edges = switching_edges(net, &steady, trace);
+        let targets: Vec<(NodeId, Edge)> = switching_targets(net, &edges).collect();
+        let (comp, n_comp) = components(net, &steady);
+        let mut by_comp = vec![Vec::new(); n_comp];
+        for &(id, _) in &targets {
+            by_comp[comp[id.index()] as usize].push(id);
+        }
+        SwitchingIndex {
+            steady,
+            edges,
+            targets,
+            comp,
+            by_comp,
+        }
+    }
+
+    /// `id`'s position in `targets`.
+    fn position(&self, id: NodeId) -> Option<usize> {
+        self.targets.binary_search_by_key(&id, |&(n, _)| n).ok()
+    }
+}
+
 /// Per-scenario persistent state, indexed by node id of the current
 /// network.
 #[derive(Debug, Clone)]
@@ -137,12 +193,10 @@ struct ScenarioState {
     label: String,
     scenario: Scenario,
     result: TimingResult,
-    /// The `(before, after)` steady states.
-    steady: (LogicState, LogicState),
-    /// Component of every node ([`RAIL`] for the rails).
-    comp: Vec<u32>,
-    /// Extracted stage count of every switching target.
-    stage_counts: Vec<Option<usize>>,
+    index: Arc<SwitchingIndex>,
+    /// Extracted stage count of every target, parallel to
+    /// `index.targets`.
+    stage_counts: Vec<usize>,
 }
 
 /// How the next network's node ids relate to the current network's.
@@ -222,13 +276,10 @@ impl IncrementalAnalyzer {
         options: AnalyzerOptions,
     ) -> Result<IncrementalAnalyzer, TimingError> {
         let mut states = Vec::with_capacity(scenarios.len());
+        let trace = options.trace.as_deref();
         for (label, scenario) in scenarios {
-            let steady = traced_steady_states(
-                &net,
-                &scenario,
-                options.cache.as_deref(),
-                options.trace.as_deref(),
-            );
+            let steady = traced_steady_states(&net, &scenario, options.cache.as_deref(), trace);
+            let index = SwitchingIndex::new(&net, steady, trace);
             let outcome = analyze_subset(
                 &net,
                 &tech,
@@ -236,19 +287,15 @@ impl IncrementalAnalyzer {
                 &scenario,
                 options.clone(),
                 None,
-                &steady,
+                &index.steady,
+                &index.edges,
             )?;
-            let mut stage_counts = vec![None; net.node_count()];
-            for &(id, n) in &outcome.target_stages {
-                stage_counts[id.index()] = Some(n);
-            }
             states.push(ScenarioState {
                 label,
-                comp: components(&net, &steady),
                 scenario,
                 result: outcome.result,
-                steady,
-                stage_counts,
+                stage_counts: outcome.target_stages.iter().map(|&(_, n)| n).collect(),
+                index: Arc::new(index),
             });
         }
         Ok(IncrementalAnalyzer {
@@ -376,8 +423,8 @@ impl IncrementalAnalyzer {
                 label: st.label.clone(),
                 changed: Vec::new(),
                 stats: IncrementalStats {
-                    reused_targets: st.stage_counts.iter().flatten().count(),
-                    reused_stages: st.stage_counts.iter().flatten().sum(),
+                    reused_targets: st.index.targets.len(),
+                    reused_stages: st.stage_counts.iter().sum(),
                     ..IncrementalStats::default()
                 },
             });
@@ -385,7 +432,7 @@ impl IncrementalAnalyzer {
                 netlist_changes: 0,
                 scenarios: scenarios.collect(),
             };
-            self.record_counters(&report, 0);
+            self.record_counters(&report, 0, 0);
             return Ok(report);
         }
 
@@ -414,8 +461,15 @@ impl IncrementalAnalyzer {
                 && d.removed_nodes.is_empty()
                 && d.kind_changed.is_empty(),
         };
-        let new_states = self.scenarios.iter().map(|st| pass.scenario(st));
-        let (states, deltas) = new_states.collect::<Result<(Vec<_>, Vec<_>), _>>()?;
+        let mut states = Vec::with_capacity(self.scenarios.len());
+        let mut deltas = Vec::with_capacity(self.scenarios.len());
+        let mut rows = 0;
+        for st in &self.scenarios {
+            let (state, delta, compared) = pass.scenario(st)?;
+            states.push(state);
+            deltas.push(delta);
+            rows += compared;
+        }
 
         // All scenarios succeeded — commit atomically.
         let kept = usize::from(pass.keep_steady) * states.len();
@@ -425,15 +479,19 @@ impl IncrementalAnalyzer {
         };
         self.scenarios = states;
         self.net = next;
-        self.record_counters(&report, kept);
+        self.record_counters(&report, kept, rows);
         Ok(report)
     }
 
-    fn record_counters(&self, report: &DeltaReport, steady_reused: usize) {
+    /// `kept`: scenarios that kept their steady pair and switching index;
+    /// `rows`: arrival rows the deltas compared.
+    fn record_counters(&self, report: &DeltaReport, kept: usize, rows: usize) {
         let Some(t) = self.options.trace.as_deref() else {
             return;
         };
-        t.count(Phase::Incremental, "steady_reused", steady_reused as u64);
+        t.count(Phase::Incremental, "steady_reused", kept as u64);
+        t.count(Phase::Incremental, "index_reused", kept as u64);
+        t.count(Phase::Incremental, "delta_rows", rows as u64);
         for s in &report.scenarios {
             let st = &s.stats;
             for (name, n) in [
@@ -451,8 +509,9 @@ impl IncrementalAnalyzer {
 
 /// Component labels of the potentially-conducting channel graph
 /// (conducting before OR after — both states can shape stages and
-/// releasing devices), rails as barriers, numbered in node order.
-fn components(net: &Network, (before, after): &(LogicState, LogicState)) -> Vec<u32> {
+/// releasing devices), rails as barriers, numbered in node order, with
+/// the number of components.
+fn components(net: &Network, (before, after): &(LogicState, LogicState)) -> (Vec<u32>, usize) {
     let cond: Vec<bool> = net
         .transistors()
         .map(|(tid, _)| before.transistor_on(net, tid) || after.transistor_on(net, tid))
@@ -480,7 +539,7 @@ fn components(net: &Network, (before, after): &(LogicState, LogicState)) -> Vec<
         }
         n_comp += 1;
     }
-    comp
+    (comp, n_comp as usize)
 }
 
 /// One re-analysis pass: what every scenario shares about the edit.
@@ -491,32 +550,32 @@ struct Pass<'a> {
     /// Structural dirt, as ids of `next`.
     dirty: Vec<NodeId>,
     invalidate_all: bool,
-    /// Keep every steady pair and its component labels.
+    /// Keep every steady pair and its switching index.
     keep_steady: bool,
 }
 
 impl Pass<'_> {
     /// Re-analyzes one scenario against the next network, invalidating
     /// only targets whose support meets the dirty set (see the
-    /// [module docs](self)).
-    fn scenario(&self, st: &ScenarioState) -> Result<(ScenarioState, ScenarioDelta), TimingError> {
+    /// [module docs](self)), with the arrival rows its delta compared.
+    fn scenario(
+        &self,
+        st: &ScenarioState,
+    ) -> Result<(ScenarioState, ScenarioDelta, usize), TimingError> {
         let (session, next, ids) = (self.session, self.next, self.ids);
         let (cur, options) = (&session.net, &session.options);
+        let trace = options.trace.as_deref();
         let scenario = self.resolve(&st.scenario)?;
-        let mut dirty = self.dirty.clone();
-        let (steady, comp) = if self.keep_steady {
-            (st.steady.clone(), st.comp.clone())
+        let old = &st.index;
+        let mut work = self.dirty.clone();
+        let index = if self.keep_steady {
+            Arc::clone(old)
         } else {
-            let steady = traced_steady_states(
-                next,
-                &scenario,
-                options.cache.as_deref(),
-                options.trace.as_deref(),
-            );
+            let steady = traced_steady_states(next, &scenario, options.cache.as_deref(), trace);
             // Logic dirt: every node whose steady-state pair changed
             // (conduction, edge membership, cap discounts, and reservoir
             // status all derive from it).
-            let (b0, a0) = &st.steady;
+            let (b0, a0) = &old.steady;
             let (b1, a1) = &steady;
             for (id, node) in next.nodes() {
                 if node.kind().is_rail() {
@@ -527,49 +586,17 @@ impl Pass<'_> {
                         && (b0.value(o), a0.value(o)) == (b1.value(id), a1.value(id))
                 });
                 if !kept {
-                    dirty.push(id);
+                    work.push(id);
                 }
             }
-            let comp = components(next, &steady);
-            (steady, comp)
+            Arc::new(SwitchingIndex::new(next, steady, trace))
         };
-
-        // Switching targets of the next network, exactly as the analyzer
-        // selects them, in node order.
-        let (before, after) = &steady;
-        let targets: Vec<(NodeId, Edge)> = next
-            .nodes()
-            .filter(|&(id, node)| {
-                let (b, a) = (before.value(id), after.value(id));
-                let kind = node.kind();
-                !kind.is_rail()
-                    && a.is_known()
-                    && b != a
-                    && id != scenario.input
-                    && !kind.is_driven_externally()
-            })
-            .map(|(id, _)| match after.value(id) {
-                LogicValue::One => (id, Edge::Rising),
-                _ => (id, Edge::Falling),
-            })
-            .collect();
-
-        let n_comp = comp
-            .iter()
-            .filter(|&&c| c != RAIL)
-            .max()
-            .map_or(0, |&c| c as usize + 1);
-        let mut by_comp = vec![Vec::new(); n_comp];
-        for &(id, _) in &targets {
-            by_comp[comp[id.index()] as usize].push(id);
-        }
 
         // Invalidation: dirty nodes and fresh targets (no previous
         // arrival, changed edge, vanished cause) mark the components
         // whose support holds them; each marked component's targets mark
         // in turn, until the worklist drains.
-        let mut work = dirty;
-        for &(id, edge) in &targets {
+        for &(id, edge) in &index.targets {
             let fresh = match ids.to_old(id).and_then(|o| st.result.arrival(o)) {
                 None => true,
                 Some(a) => a.edge != edge || a.cause.is_some_and(|c| ids.to_new(c).is_none()),
@@ -578,51 +605,54 @@ impl Pass<'_> {
                 work.push(id);
             }
         }
-        let mut marked = vec![false; n_comp];
+        let mut marked = vec![false; index.by_comp.len()];
         while let Some(x) = work.pop() {
             let mut mark = |c: u32, work: &mut Vec<NodeId>| {
                 if c != RAIL && !marked[c as usize] {
                     marked[c as usize] = true;
-                    work.extend_from_slice(&by_comp[c as usize]);
+                    work.extend_from_slice(&index.by_comp[c as usize]);
                 }
             };
-            mark(comp[x.index()], &mut work);
+            mark(index.comp[x.index()], &mut work);
             for &tid in next.gated_by(x) {
                 let t = next.transistor(tid);
-                mark(comp[t.source().index()], &mut work);
-                mark(comp[t.drain().index()], &mut work);
+                mark(index.comp[t.source().index()], &mut work);
+                mark(index.comp[t.drain().index()], &mut work);
             }
         }
-
-        // Partition: affected targets re-analyze, the rest replay.
+        // Partition: affected targets re-analyze, the rest replay their
+        // arrival and stage count.
         let mut affected = Vec::new();
         let mut seeded = Vec::new();
-        let mut reused_stages = 0usize;
-        let mut stage_counts = vec![None; next.node_count()];
-        for &(id, _) in &targets {
-            if marked[comp[id.index()] as usize] {
-                affected.push(id);
+        let mut stage_counts = vec![0; index.targets.len()];
+        let mut reused_stages = 0;
+        for (at, &(id, _)) in index.targets.iter().enumerate() {
+            if marked[index.comp[id.index()] as usize] {
+                affected.push((at, id));
                 continue;
             }
-            let old = ids
+            let o = ids
                 .to_old(id)
                 .expect("unaffected target existed before the edit");
             let a = *st
                 .result
-                .arrival(old)
+                .arrival(o)
                 .expect("unaffected target had an arrival");
             let cause = a.cause.map(|c| {
                 ids.to_new(c)
                     .expect("unaffected target's cause survived the edit")
             });
             seeded.push((id, Arrival { cause, ..a }));
-            let n = st.stage_counts[old.index()].unwrap_or(0);
+            let n = old.position(o).map_or(0, |p| st.stage_counts[p]);
             reused_stages += n;
-            stage_counts[id.index()] = Some(n);
+            stage_counts[at] = n;
         }
         let invalidated_targets = affected.len();
-        let reused_targets = targets.len() - invalidated_targets;
-        let spec = SubsetSpec { affected, seeded };
+        let reused_targets = index.targets.len() - invalidated_targets;
+        let spec = SubsetSpec {
+            affected: affected.iter().map(|&(_, id)| id).collect(),
+            seeded,
+        };
         let outcome = analyze_subset(
             next,
             &session.tech,
@@ -630,13 +660,15 @@ impl Pass<'_> {
             &scenario,
             options.clone(),
             Some(&spec),
-            &steady,
+            &index.steady,
+            &index.edges,
         )?;
         let mut result = outcome.result;
         let mut invalidated_stages = 0usize;
-        for &(id, n) in &outcome.target_stages {
+        for (&(at, id), &(evaluated, n)) in affected.iter().zip(&outcome.target_stages) {
+            debug_assert_eq!(id, evaluated);
             invalidated_stages += n;
-            stage_counts[id.index()] = Some(n);
+            stage_counts[at] = n;
         }
         let stats = IncrementalStats {
             invalidated_targets,
@@ -647,7 +679,12 @@ impl Pass<'_> {
         };
         result.incremental = Some(stats);
 
-        // Arrival delta, bit-exact, in name order.
+        // Arrival delta, bit-exact, in name order. Only three kinds of
+        // row can differ: a re-analyzed target, a target that left the
+        // set (one that entered had no arrival, so it re-analyzed), and
+        // the input. Every other arrival was replayed with its cause
+        // carried over by id. A kept index has the same targets, so
+        // none left.
         let same = |x: Option<&Arrival>, y: Option<&Arrival>| match (x, y) {
             (Some(x), Some(y)) => {
                 x.time.value().to_bits() == y.time.value().to_bits()
@@ -657,16 +694,24 @@ impl Pass<'_> {
             }
             (x, y) => x.is_none() && y.is_none(),
         };
-        let next_rows = next.nodes().map(|(id, node)| {
+        let row = |id: NodeId| {
             let before = ids.to_old(id).and_then(|o| st.result.arrival(o));
-            (node.name(), before, result.arrival(id))
-        });
-        let vanished = st
-            .result
-            .arrivals()
-            .filter(|&(o, _)| ids.to_new(o).is_none());
-        let mut changed: Vec<ArrivalChange> = next_rows
-            .chain(vanished.map(|(o, a)| (cur.node(o).name(), Some(a), None)))
+            (next.node(id).name(), before, result.arrival(id))
+        };
+        let mut rows: Vec<_> = affected.iter().map(|&(_, id)| row(id)).collect();
+        rows.push(row(scenario.input));
+        if !self.keep_steady {
+            for &(o, _) in &old.targets {
+                match ids.to_new(o) {
+                    None => rows.push((cur.node(o).name(), st.result.arrival(o), None)),
+                    Some(id) if index.position(id).is_none() => rows.push(row(id)),
+                    Some(_) => {}
+                }
+            }
+        }
+        let compared = rows.len();
+        let mut changed: Vec<ArrivalChange> = rows
+            .into_iter()
             .filter(|&(_, before, after)| !same(before, after))
             .map(|(node, before, after)| ArrivalChange {
                 node: node.to_string(),
@@ -685,11 +730,10 @@ impl Pass<'_> {
             label: st.label.clone(),
             scenario,
             result,
-            steady,
-            comp,
+            index,
             stage_counts,
         };
-        Ok((state, delta))
+        Ok((state, delta, compared))
     }
 
     /// The scenario with its nodes carried over to the next network: the
@@ -1105,17 +1149,31 @@ mod tests {
                 geometry: Geometry::from_microns(5.0, 2.0),
             },
         ];
+        let mut expected_rows = 0;
         for edit in &edits {
-            analyzer.apply_edit(edit).expect("edit applies");
+            let report = analyzer.apply_edit(edit).expect("edit applies");
+            let rows = report
+                .scenarios
+                .iter()
+                .map(|s| s.stats.invalidated_targets + 1);
+            expected_rows += rows.sum::<usize>();
             for st in &analyzer.scenarios {
                 let net = analyzer.network();
-                assert_eq!(st.steady, logic::steady_states(net, &st.scenario));
-                assert_eq!(st.comp, components(net, &st.steady));
+                let steady = logic::steady_states(net, &st.scenario);
+                assert_eq!(*st.index, SwitchingIndex::new(net, steady, None));
             }
             assert_fresh(&analyzer, &format!("{edit:?}"));
         }
-        let kept = sink.counters()[&(Phase::Incremental, "steady_reused".to_string())];
-        assert_eq!(kept as usize, edits.len() * analyzer.scenarios.len());
+        let counters = sink.counters();
+        let count = |name: &str| counters[&(Phase::Incremental, name.to_string())] as usize;
+        assert_eq!(
+            count("steady_reused"),
+            edits.len() * analyzer.scenarios.len()
+        );
+        assert_eq!(count("index_reused"), count("steady_reused"));
+        // A kept index compares only the re-analyzed targets and the
+        // input.
+        assert_eq!(count("delta_rows"), expected_rows);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::selfcheck::standard_scenarios;
 use crate::tech::Technology;
 use mosnet::sim_format;
 use mosnet::units::Seconds;
-use mosnet::Network;
+use mosnet::{Edit, Network};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -359,6 +359,8 @@ pub struct Session {
     fingerprint: u64,
     netlist_name: String,
     analyzer: IncrementalAnalyzer,
+    /// Every scenario's [`result_digest`], in session order.
+    digests: Vec<u64>,
     journal: Option<AppendLog>,
     seq: u64,
     /// Seq of the journal's checkpoint header: replay after a restart
@@ -445,6 +447,7 @@ impl Session {
             config: config.clone(),
             fingerprint,
             netlist_name: netlist_name.to_string(),
+            digests: result_digests(&analyzer),
             analyzer,
             journal,
             seq: 0,
@@ -555,6 +558,7 @@ impl Session {
             config,
             fingerprint,
             netlist_name,
+            digests: result_digests(&analyzer),
             analyzer,
             journal: None,
             seq: base_seq,
@@ -582,7 +586,6 @@ impl Session {
             let parsed = parse_edit_script(&script)
                 .map_err(|e| corrupt(format!("edit {seq} no longer parses: {e}")))?;
             session
-                .analyzer
                 .apply_edits(&parsed)
                 .map_err(|e| corrupt(format!("edit {seq} no longer applies: {e}")))?;
             let digest = session.digest();
@@ -752,7 +755,7 @@ impl Session {
                 "edit script contains no edits".to_string(),
             ));
         }
-        let delta = self.analyzer.apply_edits(&edits)?;
+        let delta = self.apply_edits(&edits)?;
         self.seq += 1;
         let digest = self.digest();
         if let Some(journal) = &mut self.journal {
@@ -771,6 +774,22 @@ impl Session {
             self.record_reply(req_id, self.seq, digest);
         }
         Ok((delta, digest))
+    }
+
+    /// Applies parsed edits and re-digests only the scenarios whose
+    /// delta is non-empty: a scenario with no changed arrival keeps its
+    /// digest, since edits never rename a node.
+    fn apply_edits(&mut self, edits: &[Edit]) -> Result<DeltaReport, TimingError> {
+        let delta = self.analyzer.apply_edits(edits)?;
+        let net = self.analyzer.network();
+        for (digest, scenario) in self.digests.iter_mut().zip(&delta.scenarios) {
+            if !scenario.changed.is_empty() {
+                let result =
+                    (self.analyzer.result(&scenario.label)).expect("every label has a result");
+                *digest = result_digest(net, result);
+            }
+        }
+        Ok(delta)
     }
 
     /// Compacts the journal: atomically rewrites it as one checkpoint
@@ -845,16 +864,11 @@ impl Session {
     /// session order — the value journaled per edit, reported to
     /// clients, and verified on recovery.
     pub fn digest(&self) -> u64 {
-        let net = self.analyzer.network();
         let mut h = Fnv64::new();
-        for label in self.analyzer.labels() {
-            let result = self
-                .analyzer
-                .result(label)
-                .expect("every label has a result");
+        for (label, &digest) in self.analyzer.labels().zip(&self.digests) {
             h.write(label.as_bytes());
             h.write(&[0]);
-            h.write_u64(result_digest(net, result));
+            h.write_u64(digest);
         }
         h.finish()
     }
@@ -863,19 +877,13 @@ impl Session {
     /// the payload of the server's `report` op.
     pub fn scenario_rows(&self) -> Vec<(String, u64, String)> {
         let net = self.analyzer.network();
-        let labels: Vec<String> = self.analyzer.labels().map(str::to_string).collect();
-        labels
-            .into_iter()
-            .map(|label| {
+        (self.analyzer.labels().zip(&self.digests))
+            .map(|(label, &digest)| {
                 let result = self
                     .analyzer
-                    .result(&label)
+                    .result(label)
                     .expect("every session label has a result");
-                (
-                    label.clone(),
-                    result_digest(net, result),
-                    scenario_summary(net, result),
-                )
+                (label.to_string(), digest, scenario_summary(net, result))
             })
             .collect()
     }
@@ -934,6 +942,19 @@ fn networks_identical(a: &Network, b: &Network) -> bool {
                     && ta.drain() == tb.drain()
                     && ta.geometry() == tb.geometry()
             })
+}
+
+/// Every scenario's [`result_digest`], in session order.
+fn result_digests(analyzer: &IncrementalAnalyzer) -> Vec<u64> {
+    let net = analyzer.network();
+    (analyzer.labels())
+        .map(|label| {
+            result_digest(
+                net,
+                analyzer.result(label).expect("every label has a result"),
+            )
+        })
+        .collect()
 }
 
 /// Parses the netlist and builds the analyzer over the configured

@@ -27,7 +27,7 @@
 use crate::error::NetworkError;
 use crate::network::{Network, NetworkBuilder};
 use crate::node::{NodeId, NodeKind};
-use crate::transistor::{Geometry, Transistor, TransistorKind};
+use crate::transistor::{Geometry, Transistor, TransistorId, TransistorKind};
 use crate::units::Farads;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -530,6 +530,17 @@ fn matches_site(net: &Network, t: &Transistor, gate: &str, a: &str, b: &str) -> 
     g == gate && ((s == a && d == b) || (s == b && d == a))
 }
 
+/// The devices at a site, in id order. Only the node named `gate` can
+/// gate them, so only its gate list is searched.
+fn site_devices(net: &Network, gate: &str, a: &str, b: &str) -> Vec<TransistorId> {
+    let Some(g) = net.node_by_name(gate) else {
+        return Vec::new();
+    };
+    (net.gated_by(g).iter().copied())
+        .filter(|&tid| matches_site(net, net.transistor(tid), gate, a, b))
+        .collect()
+}
+
 /// Applies one [`Edit`] to `base`, returning the edited network.
 ///
 /// # Errors
@@ -538,15 +549,13 @@ fn matches_site(net: &Network, t: &Transistor, gate: &str, a: &str, b: &str) -> 
 /// matches no transistor.
 pub fn apply_edit(base: &Network, edit: &Edit) -> Result<Network, NetworkError> {
     let require_match = |gate: &str, source: &str, drain: &str| {
-        if base
-            .transistors()
-            .any(|(_, t)| matches_site(base, t, gate, source, drain))
-        {
-            return Ok(());
+        let devices = site_devices(base, gate, source, drain);
+        if devices.is_empty() {
+            return Err(invalid(format!(
+                "no transistor matches gate `{gate}`, channel `{source}`/`{drain}`"
+            )));
         }
-        Err(invalid(format!(
-            "no transistor matches gate `{gate}`, channel `{source}`/`{drain}`"
-        )))
+        Ok(devices)
     };
     // Capacitance and geometry edits keep every node and device, so they
     // edit a copy in place; only device membership rebuilds the network.
@@ -557,13 +566,12 @@ pub fn apply_edit(base: &Network, edit: &Edit) -> Result<Network, NetworkError> 
             drain,
             geometry,
         } => {
-            require_match(gate, source, drain)?;
+            let devices = require_match(gate, source, drain)?;
             let mut net = base.copy_for_edit();
-            for (tid, t) in base.transistors() {
-                if matches_site(base, t, gate, source, drain) {
-                    *net.transistor_mut(tid) =
-                        Transistor::new(t.kind(), t.gate(), t.source(), t.drain(), *geometry);
-                }
+            for tid in devices {
+                let t = base.transistor(tid);
+                *net.transistor_mut(tid) =
+                    Transistor::new(t.kind(), t.gate(), t.source(), t.drain(), *geometry);
             }
             Ok(net)
         }
@@ -572,7 +580,7 @@ pub fn apply_edit(base: &Network, edit: &Edit) -> Result<Network, NetworkError> 
                 .node_by_name(node)
                 .ok_or_else(|| NetworkError::UnknownNode { name: node.clone() })?;
             let mut net = base.copy_for_edit();
-            net.node_mut(id).set_capacitance(*capacitance);
+            net.set_capacitance(id, *capacitance);
             Ok(net)
         }
         Edit::Add(desc) => rebuild(base, |b| {

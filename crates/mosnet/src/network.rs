@@ -6,6 +6,7 @@ use crate::node::{Node, NodeId, NodeKind};
 use crate::transistor::{Geometry, Transistor, TransistorId, TransistorKind};
 use crate::units::Farads;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Conventional names accepted for the power rail by the builder's
 /// name-based lookup helpers.
@@ -45,17 +46,40 @@ pub const GROUND_NAMES: &[&str] = &["gnd", "GND", "Gnd", "vss", "VSS", "0"];
 #[derive(Debug, Clone)]
 pub struct Network {
     name: String,
-    nodes: Vec<Node>,
+    /// Per node, in id order: what a capacitance edit may change.
+    nodes: Vec<NodeAttrs>,
     transistors: Vec<Transistor>,
-    by_name: HashMap<String, NodeId>,
+    /// What no capacitance or geometry edit changes, shared by a network
+    /// and every [`Network::copy_for_edit`] of it.
+    index: Arc<NameIndex>,
+    /// Extra names of the rails (`VDD` beside `vdd`, say), kept apart
+    /// from the shared index so an edited copy can drop them.
+    aliases: HashMap<String, NodeId>,
     power: NodeId,
     ground: NodeId,
+    /// See [`Network::topology_fingerprint`].
+    topology: u128,
+}
+
+/// A node's kind and explicit capacitance; its name lives in the
+/// [`NameIndex`].
+#[derive(Debug, Clone, Copy)]
+struct NodeAttrs {
+    kind: NodeKind,
+    capacitance: Farads,
+}
+
+/// Node names and adjacency: fixed by the node and device lists.
+#[derive(Debug)]
+struct NameIndex {
+    /// Every node's own name, in id order.
+    names: Vec<String>,
+    /// Each node's own name to its id (no aliases).
+    by_name: HashMap<String, NodeId>,
     /// For each node: transistors whose source or drain touches it.
     channel_index: Vec<Vec<TransistorId>>,
     /// For each node: transistors whose gate it drives.
     gate_index: Vec<Vec<TransistorId>>,
-    /// See [`Network::topology_fingerprint`].
-    topology: u128,
 }
 
 impl Network {
@@ -91,7 +115,11 @@ impl Network {
 
     /// Looks a node up by netlist name.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.by_name.get(name).copied()
+        self.index
+            .by_name
+            .get(name)
+            .or_else(|| self.aliases.get(name))
+            .copied()
     }
 
     /// Returns the node data for `id`.
@@ -99,8 +127,9 @@ impl Network {
     /// # Panics
     /// Panics if `id` does not belong to this network.
     #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: NodeId) -> Node<'_> {
+        let NodeAttrs { kind, capacitance } = self.nodes[id.index()];
+        Node::new(&self.index.names[id.index()], kind, capacitance)
     }
 
     /// Returns the transistor data for `id`.
@@ -112,12 +141,12 @@ impl Network {
         &self.transistors[id.index()]
     }
 
-    /// Iterates over `(NodeId, &Node)` in id order.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (NodeId(i as u32), n))
+    /// Iterates over `(NodeId, Node)` in id order.
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, Node<'_>)> {
+        (0..self.nodes.len()).map(|i| {
+            let id = NodeId(i as u32);
+            (id, self.node(id))
+        })
     }
 
     /// Iterates over `(TransistorId, &Transistor)` in id order.
@@ -131,13 +160,13 @@ impl Network {
     /// Transistors whose channel (source or drain) touches `node`.
     #[inline]
     pub fn channel_neighbors(&self, node: NodeId) -> &[TransistorId] {
-        &self.channel_index[node.index()]
+        &self.index.channel_index[node.index()]
     }
 
     /// Transistors whose gate is driven by `node`.
     #[inline]
     pub fn gated_by(&self, node: NodeId) -> &[TransistorId] {
-        &self.gate_index[node.index()]
+        &self.index.gate_index[node.index()]
     }
 
     /// All primary inputs, in id order.
@@ -169,24 +198,31 @@ impl Network {
 
     /// Total explicit capacitance in the network (diagnostic).
     pub fn total_capacitance(&self) -> Farads {
-        self.nodes.iter().map(|n| n.capacitance()).sum()
+        self.nodes.iter().map(|n| n.capacitance).sum()
     }
 
     /// A copy to edit in place, for an edit that keeps every node and
-    /// device (a capacitance or geometry change). Its name index keeps
-    /// the node names only, exactly as a network rebuilt node by node
-    /// would, so the copy equals that rebuild. Such an edit changes no
-    /// kind or terminal, so the copy keeps the topology fingerprint.
+    /// device (a capacitance or geometry change). It shares this
+    /// network's names and adjacency and copies only the per-node kinds
+    /// and capacitances and the device list. It drops the rail aliases,
+    /// keeping the node names only, exactly as a network rebuilt node by
+    /// node would, so the copy equals that rebuild. Such an edit changes
+    /// no kind or terminal, so the copy keeps the topology fingerprint.
     pub(crate) fn copy_for_edit(&self) -> Network {
-        let mut net = self.clone();
-        let nodes = &net.nodes;
-        net.by_name
-            .retain(|name, id| nodes[id.index()].name() == name);
-        net
+        Network {
+            name: self.name.clone(),
+            nodes: self.nodes.clone(),
+            transistors: self.transistors.clone(),
+            index: Arc::clone(&self.index),
+            aliases: HashMap::new(),
+            power: self.power,
+            ground: self.ground,
+            topology: self.topology,
+        }
     }
 
-    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.index()]
+    pub(crate) fn set_capacitance(&mut self, id: NodeId, c: Farads) {
+        self.nodes[id.index()].capacitance = c;
     }
 
     pub(crate) fn transistor_mut(&mut self, id: TransistorId) -> &mut Transistor {
@@ -202,7 +238,8 @@ impl Network {
 #[derive(Debug, Clone)]
 pub struct NetworkBuilder {
     name: String,
-    nodes: Vec<Node>,
+    names: Vec<String>,
+    nodes: Vec<NodeAttrs>,
     transistors: Vec<Transistor>,
     by_name: HashMap<String, NodeId>,
     power: Option<NodeId>,
@@ -214,6 +251,7 @@ impl NetworkBuilder {
     pub fn new(name: impl Into<String>) -> NetworkBuilder {
         NetworkBuilder {
             name: name.into(),
+            names: Vec::new(),
             nodes: Vec::new(),
             transistors: Vec::new(),
             by_name: HashMap::new(),
@@ -255,8 +293,9 @@ impl NetworkBuilder {
             return self.ground_named(name);
         }
         if let Some(&id) = self.by_name.get(name) {
-            if self.nodes[id.index()].kind() == NodeKind::Internal && kind != NodeKind::Internal {
-                self.nodes[id.index()].set_kind(kind);
+            let node = &mut self.nodes[id.index()];
+            if node.kind == NodeKind::Internal && kind != NodeKind::Internal {
+                node.kind = kind;
             }
             return id;
         }
@@ -299,19 +338,23 @@ impl NetworkBuilder {
 
     fn insert_node(&mut self, name: &str, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::new(name, kind, Farads::ZERO));
+        self.names.push(name.to_string());
+        self.nodes.push(NodeAttrs {
+            kind,
+            capacitance: Farads::ZERO,
+        });
         self.by_name.insert(name.to_string(), id);
         id
     }
 
     /// Sets the explicit capacitance of `node`, replacing any prior value.
     pub fn set_capacitance(&mut self, node: NodeId, c: Farads) {
-        self.nodes[node.index()].set_capacitance(c);
+        self.nodes[node.index()].capacitance = c;
     }
 
     /// Adds capacitance to `node` on top of its current value.
     pub fn add_capacitance(&mut self, node: NodeId, c: Farads) {
-        self.nodes[node.index()].add_capacitance(c);
+        self.nodes[node.index()].capacitance += c;
     }
 
     /// Adds a transistor and returns its id.
@@ -364,16 +407,30 @@ impl NetworkBuilder {
             gate_index[t.gate().index()].push(tid);
         }
         let topology = topology_fingerprint(&self.nodes, &self.transistors);
+        let names = self.names;
+        let mut by_name = self.by_name;
+        let mut aliases = HashMap::new();
+        by_name.retain(|name, &mut id| {
+            let own = names[id.index()] == *name;
+            if !own {
+                aliases.insert(name.clone(), id);
+            }
+            own
+        });
 
         Ok(Network {
             name: self.name,
             nodes: self.nodes,
             transistors: self.transistors,
-            by_name: self.by_name,
+            index: Arc::new(NameIndex {
+                names,
+                by_name,
+                channel_index,
+                gate_index,
+            }),
+            aliases,
             power,
             ground,
-            channel_index,
-            gate_index,
             topology,
         })
     }
@@ -383,7 +440,7 @@ impl NetworkBuilder {
 /// per field. Two multiply-rotate streams with distinct constants, the
 /// second folding in each word's position, finished by the SplitMix64
 /// mixer so every input bit reaches every output bit.
-fn topology_fingerprint(nodes: &[Node], transistors: &[Transistor]) -> u128 {
+fn topology_fingerprint(nodes: &[NodeAttrs], transistors: &[Transistor]) -> u128 {
     let (mut a, mut b, mut n) = (0xcbf2_9ce4_8422_2325_u64, 0x9e37_79b9_7f4a_7c15_u64, 0u64);
     let mut word = |w: u32| {
         a = (a ^ u64::from(w))
@@ -396,7 +453,7 @@ fn topology_fingerprint(nodes: &[Node], transistors: &[Transistor]) -> u128 {
     };
     word(nodes.len() as u32);
     for node in nodes {
-        word(match node.kind() {
+        word(match node.kind {
             NodeKind::Ground => 0,
             NodeKind::Power => 1,
             NodeKind::Input => 2,
@@ -612,6 +669,54 @@ mod tests {
             fp,
             "a remove"
         );
+    }
+
+    #[test]
+    fn cap_and_resize_copies_share_the_name_index() {
+        use crate::diff::{apply_edit, Edit, TransistorDesc};
+        let base = inverter();
+        let out = base.node_by_name("out").unwrap();
+        let pull_down = TransistorId(0);
+        let cap = Edit::SetCapacitance {
+            node: "out".into(),
+            capacitance: Farads::from_femto(75.0),
+        };
+        let wide = Geometry::from_microns(9.0, 2.0);
+        let resize = Edit::Resize {
+            gate: "a".into(),
+            source: "out".into(),
+            drain: "gnd".into(),
+            geometry: wide,
+        };
+        let capped = apply_edit(&base, &cap).unwrap();
+        let resized = apply_edit(&base, &resize).unwrap();
+        assert_eq!(capped.node(out).capacitance(), Farads::from_femto(75.0));
+        assert_eq!(resized.transistor(pull_down).geometry(), wide);
+        for copy in [&capped, &resized] {
+            assert!(Arc::ptr_eq(&copy.index, &base.index));
+            assert_eq!(copy.topology_fingerprint(), base.topology_fingerprint());
+            for (id, node) in base.nodes() {
+                assert_eq!(copy.node_by_name(node.name()), Some(id));
+                assert_eq!(copy.channel_neighbors(id), base.channel_neighbors(id));
+                assert_eq!(copy.gated_by(id), base.gated_by(id));
+            }
+        }
+        // The base keeps its own capacitance and geometry.
+        assert_eq!(base.node(out).capacitance(), Farads::from_femto(50.0));
+        assert_eq!(base.transistor(pull_down).geometry(), Geometry::default());
+
+        let added = apply_edit(
+            &base,
+            &Edit::Add(TransistorDesc {
+                kind: TransistorKind::NEnhancement,
+                gate: "out".into(),
+                source: "a".into(),
+                drain: "gnd".into(),
+                geometry: Geometry::default(),
+            }),
+        )
+        .unwrap();
+        assert!(!Arc::ptr_eq(&added.index, &base.index), "an add rebuilds");
     }
 
     #[test]

@@ -77,26 +77,28 @@ impl fmt::Display for NodeKind {
     }
 }
 
-/// A single electrical net with its name, role, and lumped capacitance.
+/// A single electrical net with its name, role, and lumped capacitance,
+/// as [`Network::node`](crate::network::Network::node) reads it: a view
+/// borrowing the name from the network.
 ///
 /// The capacitance recorded here is the *explicit* node capacitance (wiring
 /// plus any annotated load). Device capacitances contributed by transistor
 /// gates and diffusions are added on top by the technology model in the
 /// `crystal` crate and by the device models in `nanospice`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Node {
-    name: String,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Node<'a> {
+    name: &'a str,
     kind: NodeKind,
     capacitance: Farads,
 }
 
-impl Node {
-    /// Creates a node. Prefer building nodes through
+impl<'a> Node<'a> {
+    /// Creates a node view. Networks hand these out; build nodes through
     /// [`NetworkBuilder`](crate::network::NetworkBuilder), which also
     /// registers the name for lookup.
-    pub fn new(name: impl Into<String>, kind: NodeKind, capacitance: Farads) -> Node {
+    pub fn new(name: &'a str, kind: NodeKind, capacitance: Farads) -> Node<'a> {
         Node {
-            name: name.into(),
+            name,
             kind,
             capacitance,
         }
@@ -104,8 +106,8 @@ impl Node {
 
     /// The node's name as given in the netlist.
     #[inline]
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        self.name
     }
 
     /// The node's electrical role.
@@ -118,18 +120,6 @@ impl Node {
     #[inline]
     pub fn capacitance(&self) -> Farads {
         self.capacitance
-    }
-
-    pub(crate) fn set_capacitance(&mut self, c: Farads) {
-        self.capacitance = c;
-    }
-
-    pub(crate) fn add_capacitance(&mut self, c: Farads) {
-        self.capacitance += c;
-    }
-
-    pub(crate) fn set_kind(&mut self, kind: NodeKind) {
-        self.kind = kind;
     }
 }
 
@@ -149,12 +139,10 @@ mod tests {
 
     #[test]
     fn node_accessors() {
-        let mut n = Node::new("out", NodeKind::Output, Farads::from_femto(25.0));
+        let n = Node::new("out", NodeKind::Output, Farads::from_femto(25.0));
         assert_eq!(n.name(), "out");
         assert_eq!(n.kind(), NodeKind::Output);
         assert!((n.capacitance().femto() - 25.0).abs() < 1e-9);
-        n.add_capacitance(Farads::from_femto(5.0));
-        assert!((n.capacitance().femto() - 30.0).abs() < 1e-9);
     }
 
     #[test]

@@ -20,11 +20,13 @@ use crate::budget::{AnalysisBudget, BudgetTracker, CancelToken, PartialTiming};
 use crate::error::TimingError;
 use crate::extract::stages_to_full;
 use crate::logic::{self, LogicState, LogicValue};
-use crate::memo::{stage_fingerprint, tech_stamp, CacheStats, CachedEval, StageCache, StageKey};
+use crate::memo::{
+    stage_fingerprint, tech_stamp, CacheStats, CachedEval, StageCache, StageKey, StageSetKey,
+};
 use crate::models::{estimate_with_fallback, ModelKind, TriggerContext};
 use crate::obs::{Phase, TraceSink};
 use crate::pool::ThreadPool;
-use crate::stage::Stage;
+use crate::stage::{Stage, StageSet, TargetStages};
 use crate::tech::{Direction, Technology};
 use mosnet::units::Seconds;
 use mosnet::{Network, NodeId, NodeKind, TransistorKind};
@@ -503,20 +505,6 @@ pub(crate) fn analyze_subset(
     let (before, after) = steady;
     let switches = |node: NodeId| switching[node.index()].is_some();
 
-    let conducting = |tid| after.transistor_on(net, tid);
-    // Capacitance on nodes whose logic value does not change (e.g. a
-    // pre-discharged series-stack internal node) only redistributes
-    // charge transiently; counting it in full makes gate stages
-    // noticeably pessimistic. Known-static nodes are down-weighted.
-    let cap_scale = |node: NodeId| -> f64 {
-        let (b, a) = (before.value(node), after.value(node));
-        if a.is_known() && b == a {
-            options.non_switching_cap_weight
-        } else {
-            1.0
-        }
-    };
-
     // The input arrival is seeded before any budgeted work so that a
     // budget-exhausted partial result is never empty.
     let seed_span = trace.map(|t| t.span(Phase::Propagation, "seed_arrivals"));
@@ -584,84 +572,82 @@ pub(crate) fn analyze_subset(
         }
     };
 
-    // Targets of stage extraction, in deterministic node order. Under a
-    // subset restriction only the affected targets are (re-)extracted;
-    // the rest keep their replayed arrivals.
+    // A plain cached analysis looks its stage set up before extracting:
+    // extraction reads only what the key covers, so a hit is the set a
+    // miss would extract (see `crate::memo`). Incremental subsets and
+    // uncached analyses always extract.
     let mut extract_span = trace.map(|t| t.span(Phase::Extraction, "extract"));
-    let targets: Vec<(NodeId, Edge)> = match subset {
-        Some(spec) => (spec.affected.iter())
-            .filter_map(|&node| switching[node.index()].map(|edge| (node, edge)))
-            .filter(|&(node, _)| !net.node(node).kind().is_driven_externally())
-            .collect(),
-        None => switching_targets(net, switching).collect(),
+    let memo: Option<(&StageCache, StageSetKey)> = match (subset, cache_ctx.as_ref()) {
+        (None, Some(cc)) => Some((
+            cc.cache,
+            StageSetKey::new(net, cc.stamp, options.non_switching_cap_weight, scenario),
+        )),
+        _ => None,
     };
+    let memoized = memo.as_ref().and_then(|(cache, key)| cache.stage_set(key));
+    if let Some(t) = trace.filter(|_| memo.is_some()) {
+        let hit = u64::from(memoized.is_some());
+        t.count(Phase::Extraction, "work_hits", hit);
+        t.count(Phase::Extraction, "work_misses", 1 - hit);
+    }
 
     if let Err(e) = tracker.check_deadline() {
         return Err(exhausted(arrivals, e, 0));
     }
-    // Extraction is independent per target node — fan it across the
-    // pool. Budget violations are collected and reported afterwards in
-    // node order, so which violation surfaces does not depend on worker
-    // scheduling.
-    type Extracted = Result<(Vec<Stage>, Vec<u128>), crate::budget::BudgetExceeded>;
+    let stage_set: Arc<StageSet> = match memoized {
+        // The budget trips as on a miss: the deadline above, then each
+        // target's path count in node order.
+        Some(set) => {
+            for target in set.targets() {
+                if let Err(e) = tracker.check_paths(target.len()) {
+                    return Err(exhausted(arrivals, e, 0));
+                }
+            }
+            set
+        }
+        None => {
+            // Targets in deterministic node order. Under a subset
+            // restriction only the affected targets are (re-)extracted;
+            // the rest keep their replayed arrivals.
+            let targets: Vec<(NodeId, Edge)> = match subset {
+                Some(spec) => (spec.affected.iter())
+                    .filter_map(|&node| switching[node.index()].map(|edge| (node, edge)))
+                    .filter(|&(node, _)| !net.node(node).kind().is_driven_externally())
+                    .collect(),
+                None => switching_targets(net, switching).collect(),
+            };
+            let set = extract_stage_set(
+                net,
+                tech,
+                steady,
+                &targets,
+                options.non_switching_cap_weight,
+                cache_ctx.is_some(),
+                &tracker,
+                &pool,
+                trace,
+            );
+            let set = match set {
+                Ok(set) => Arc::new(set),
+                Err(e) => return Err(exhausted(arrivals, e, 0)),
+            };
+            if let Some((cache, key)) = memo {
+                cache.insert_stage_set(key, Arc::clone(&set));
+            }
+            set
+        }
+    };
+    let targets = stage_set.targets();
     if let Some(span) = extract_span.as_mut() {
         span.field("targets", targets.len());
     }
-    let extracted: Vec<Extracted> =
-        pool.map_traced(trace, "extract_fanout", &targets, |_, &(node, edge)| {
-            tracker.check_deadline()?;
-            let direction = if edge == Edge::Rising {
-                Direction::PullUp
-            } else {
-                Direction::PullDown
-            };
-            // A path node already sitting (and staying) at logic One is a
-            // charge reservoir for a pull-up stage: its stored charge
-            // (C·Vdd) supplies the early transition. The discount applies
-            // only to charging — a discharged node holds no charge to
-            // donate, and treating it as a source makes pull-down stacks
-            // optimistic (see `extract::stages_to_full`).
-            let reservoir = |n: NodeId| -> bool {
-                edge == Edge::Rising
-                    && before.value(n) == LogicValue::One
-                    && after.value(n) == LogicValue::One
-            };
-            let stages = stages_to_full(
-                net,
-                tech,
-                &conducting,
-                node,
-                direction,
-                &cap_scale,
-                &reservoir,
-            );
-            tracker.check_paths(stages.len())?;
-            let fingerprints = if cache_ctx.is_some() {
-                stages.iter().map(stage_fingerprint).collect()
-            } else {
-                Vec::new()
-            };
-            Ok((stages, fingerprints))
-        });
-    let mut work: Vec<NodeWork> = Vec::with_capacity(targets.len());
-    for (&(node, edge), outcome) in targets.iter().zip(extracted) {
-        match outcome {
-            Ok((stages, fingerprints)) => work.push(NodeWork {
-                node,
-                edge,
-                stages,
-                fingerprints,
-            }),
-            Err(e) => return Err(exhausted(arrivals, e, 0)),
-        }
-    }
     if let Some(t) = trace {
-        let stages: usize = work.iter().map(|w| w.stages.len()).sum();
-        t.count(Phase::Extraction, "stages_extracted", stages as u64);
+        let stages = stage_set.stage_count() as u64;
+        t.count(Phase::Extraction, "stages_extracted", stages);
     }
     drop(extract_span);
     let mut target_stages: Vec<(NodeId, usize)> =
-        work.iter().map(|w| (w.node, w.stages.len())).collect();
+        targets.iter().map(|t| (t.node, t.len())).collect();
 
     // Reverse dependency map for the event-driven dirty sets: for every
     // work item, the switching nodes whose arrivals `evaluate_node`
@@ -673,10 +659,11 @@ pub(crate) fn analyze_subset(
     // fixpoint or the round count.
     let mut dependents: HashMap<NodeId, Vec<usize>> = HashMap::new();
     let dependents_span = trace.map(|t| t.span(Phase::Propagation, "dependents"));
-    for (wi, w) in work.iter().enumerate() {
+    for (wi, w) in targets.iter().enumerate() {
         let mut observed: Vec<NodeId> = Vec::new();
-        for stage in &w.stages {
-            for &gate in &stage.path_gates {
+        for stage in stage_set.stages(w) {
+            for &tid in stage.path {
+                let gate = net.transistor(tid).gate();
                 if gate != w.node && switches(gate) {
                     observed.push(gate);
                 }
@@ -707,8 +694,8 @@ pub(crate) fn analyze_subset(
     // every target; each later round examines only the targets observing
     // an arrival the previous round's merge changed — a set derived from
     // the merged updates alone, hence equally thread-count independent.
-    let max_rounds = work.len() + 2;
-    let mut dirty: Vec<usize> = (0..work.len()).collect();
+    let max_rounds = targets.len() + 2;
+    let mut dirty: Vec<usize> = (0..targets.len()).collect();
     for round in 0..=max_rounds {
         let _round_span = trace.map(|t| {
             let mut span = t.span(Phase::Propagation, "round");
@@ -720,14 +707,14 @@ pub(crate) fn analyze_subset(
             return Err(exhausted(arrivals, e, round));
         }
         // Budget is committed serially, in node order (`dirty` holds
-        // ascending work indices and `work` is sorted by node id),
+        // ascending target indices and `targets` is sorted by node id),
         // *before* parallel dispatch: the round evaluates exactly the
         // prefix of dirty nodes whose charges fit, so a tripped budget
         // yields the same partial result at any thread count.
         let mut cutoff = dirty.len();
         let mut tripped = None;
         for (i, &wi) in dirty.iter().enumerate() {
-            if let Err(e) = tracker.charge_stage_evals(work[wi].stages.len()) {
+            if let Err(e) = tracker.charge_stage_evals(targets[wi].len()) {
                 cutoff = i;
                 tripped = Some(e);
                 break;
@@ -735,7 +722,7 @@ pub(crate) fn analyze_subset(
         }
         let ready = &dirty[..cutoff];
         if let Some(t) = trace {
-            let evals: usize = ready.iter().map(|&wi| work[wi].stages.len()).sum();
+            let evals: usize = ready.iter().map(|&wi| targets[wi].len()).sum();
             t.count(Phase::Evaluation, "stage_evals_charged", evals as u64);
         }
         let eval_span = trace.map(|t| {
@@ -753,7 +740,8 @@ pub(crate) fn analyze_subset(
                     after,
                     switching,
                     &arrivals,
-                    &work[wi],
+                    &stage_set,
+                    &targets[wi],
                     options.mode,
                     cache_ctx.as_ref(),
                 )
@@ -763,7 +751,7 @@ pub(crate) fn analyze_subset(
         let mut next_dirty: Vec<usize> = Vec::new();
         for (&wi, candidate) in ready.iter().zip(candidates) {
             if let Some(candidate) = candidate {
-                let node = work[wi].node;
+                let node = targets[wi].node;
                 let update = match &arrivals[node.index()] {
                     None => true,
                     Some(prev) => {
@@ -787,8 +775,9 @@ pub(crate) fn analyze_subset(
         if !changed {
             // Free the stages inside the last round's span: releasing
             // hundreds of stage trees is the propagation's teardown, and
-            // otherwise the largest cost no span explains.
-            drop(work);
+            // otherwise the largest cost no span explains. A memoized set
+            // only drops a reference.
+            drop(stage_set);
             return Ok(AnalysisOutcome {
                 result: TimingResult {
                     arrivals,
@@ -810,6 +799,76 @@ pub(crate) fn analyze_subset(
         dirty = next_dirty;
     }
     unreachable!("loop always returns");
+}
+
+/// Extracts the stages of every target, fanned across the pool, with
+/// their fingerprints when `fingerprinted` (the set then interns its
+/// trees). A target's budget violation is reported after the fan-out,
+/// the first in node order, so which one surfaces does not depend on
+/// worker scheduling.
+#[allow(clippy::too_many_arguments)]
+fn extract_stage_set(
+    net: &Network,
+    tech: &Technology,
+    (before, after): &(LogicState, LogicState),
+    targets: &[(NodeId, Edge)],
+    non_switching_cap_weight: f64,
+    fingerprinted: bool,
+    tracker: &BudgetTracker,
+    pool: &ThreadPool,
+    trace: Option<&TraceSink>,
+) -> Result<StageSet, crate::budget::BudgetExceeded> {
+    let conducting = |tid| after.transistor_on(net, tid);
+    // Capacitance on nodes whose logic value does not change (e.g. a
+    // pre-discharged series-stack internal node) only redistributes
+    // charge transiently; counting it in full makes gate stages
+    // noticeably pessimistic. Known-static nodes are down-weighted.
+    let cap_scale = |node: NodeId| -> f64 {
+        let (b, a) = (before.value(node), after.value(node));
+        if a.is_known() && b == a {
+            non_switching_cap_weight
+        } else {
+            1.0
+        }
+    };
+    type Extracted = Result<(Vec<Stage>, Option<Vec<u128>>), crate::budget::BudgetExceeded>;
+    let extracted: Vec<Extracted> =
+        pool.map_traced(trace, "extract_fanout", targets, |_, &(node, edge)| {
+            tracker.check_deadline()?;
+            let direction = if edge == Edge::Rising {
+                Direction::PullUp
+            } else {
+                Direction::PullDown
+            };
+            // A path node already sitting (and staying) at logic One is a
+            // charge reservoir for a pull-up stage: its stored charge
+            // (C·Vdd) supplies the early transition. The discount applies
+            // only to charging — a discharged node holds no charge to
+            // donate, and treating it as a source makes pull-down stacks
+            // optimistic (see `extract::stages_to_full`).
+            let reservoir = |n: NodeId| -> bool {
+                edge == Edge::Rising
+                    && before.value(n) == LogicValue::One
+                    && after.value(n) == LogicValue::One
+            };
+            let stages = stages_to_full(
+                net,
+                tech,
+                &conducting,
+                node,
+                direction,
+                &cap_scale,
+                &reservoir,
+            );
+            tracker.check_paths(stages.len())?;
+            let fingerprints =
+                fingerprinted.then(|| stages.iter().map(stage_fingerprint).collect());
+            Ok((stages, fingerprints))
+        });
+    let extracted = extracted.into_iter().collect::<Result<Vec<_>, _>>()?;
+    Ok(StageSet::new(targets.iter().zip(extracted).map(
+        |(&(node, edge), (stages, fingerprints))| (node, edge, stages, fingerprints),
+    )))
 }
 
 /// Shared stage-memo handle plus this analysis's private probe counters
@@ -834,15 +893,6 @@ impl CacheCtx<'_> {
     }
 }
 
-/// One switching node's propagation work: its driving stages plus (when
-/// caching) their precomputed fingerprints, parallel to `stages`.
-struct NodeWork {
-    node: NodeId,
-    edge: Edge,
-    stages: Vec<Stage>,
-    fingerprints: Vec<u128>,
-}
-
 /// Computes the worst-case arrival of one switching node, or `None` if no
 /// driving stage is ready yet.
 #[allow(clippy::too_many_arguments)]
@@ -854,29 +904,31 @@ fn evaluate_node(
     after: &LogicState,
     switching: &[Option<Edge>],
     arrivals: &[Option<Arrival>],
-    work: &NodeWork,
+    stage_set: &StageSet,
+    target: &TargetStages,
     mode: AnalysisMode,
     cache: Option<&CacheCtx<'_>>,
 ) -> Option<Arrival> {
-    let node = work.node;
-    let _edge = work.edge;
+    let node = target.node;
     let trigger_wins = |candidate: Seconds, best: Seconds| match mode {
         AnalysisMode::WorstCase => candidate > best,
         AnalysisMode::BestCase => candidate < best,
     };
     let mut worst: Option<Arrival> = None;
-    for (stage_index, stage) in work.stages.iter().enumerate() {
+    for stage in stage_set.stages(target) {
         // Trigger candidates: switching gates along the path (self-gates —
         // a load whose gate is the target itself — excluded)…
         let mut trigger: Option<(Seconds, Seconds, TransistorKind, NodeId)> = None;
         let mut waiting = false;
-        for (tid, &gate) in stage.path.iter().zip(&stage.path_gates) {
+        for &tid in stage.path {
+            let t = net.transistor(tid);
+            let gate = t.gate();
             if gate == node || switching[gate.index()].is_none() {
                 continue;
             }
             match &arrivals[gate.index()] {
                 Some(a) => {
-                    let kind = net.transistor(*tid).kind();
+                    let kind = t.kind();
                     if trigger.as_ref().is_none_or(|t| trigger_wins(a.time, t.0)) {
                         trigger = Some((a.time, a.transition, kind, gate));
                     }
@@ -935,9 +987,9 @@ fn evaluate_node(
         // and the slope bucket is exact, so a hit is bit-identical to a
         // fresh evaluation. Failed evaluations are not cached: they are
         // rare (broken technology tables) and skipping them is cheap.
-        let key = cache.map(|cc| {
+        let key = cache.zip(stage.fingerprint).map(|(cc, fingerprint)| {
             StageKey::new(
-                work.fingerprints[stage_index],
+                fingerprint,
                 cc.stamp,
                 ctx.input_transition,
                 model,
@@ -960,7 +1012,7 @@ fn evaluate_node(
         let (d, used_model) = match memoized {
             Some(pair) => pair,
             None => {
-                let computed = match estimate_with_fallback(model, tech, stage, ctx) {
+                let computed = match estimate_with_fallback(model, tech, stage.electrical, ctx) {
                     Ok(pair) => pair,
                     // Fail-soft: when even the lumped model cannot
                     // produce a usable number for this stage, skip it
@@ -986,7 +1038,7 @@ fn evaluate_node(
         let candidate = Arrival {
             time: t_trig + d.delay,
             transition: d.output_transition,
-            edge: _edge,
+            edge: target.edge,
             cause: if cause == node { None } else { Some(cause) },
             model: used_model,
         };

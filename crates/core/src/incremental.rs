@@ -72,7 +72,7 @@ use crate::models::ModelKind;
 use crate::obs::{Phase, TraceSink};
 use crate::tech::Technology;
 use mosnet::diff::{self, Edit, NetworkDiff};
-use mosnet::{Network, NodeId, NodeKind};
+use mosnet::{Network, NodeId, NodeKind, TransistorId};
 use std::fmt;
 use std::sync::Arc;
 
@@ -385,13 +385,17 @@ impl IncrementalAnalyzer {
                     message: e.to_string(),
                 })?;
             let count = net.node_count();
-            Ok((next, d, Ids::Stable { count }))
+            // A script keeps the order of every device it does not
+            // touch, so no untouched node's devices move.
+            Ok((next, d, Ids::Stable { count }, Vec::new()))
         })
     }
 
     /// Replaces the whole network (e.g. a re-parsed file in watch mode),
-    /// re-analyzing only what the structural diff invalidates. An empty
-    /// diff re-analyzes nothing and keeps the current network.
+    /// re-analyzing only what the structural diff invalidates, plus every
+    /// node whose devices the new netlist lists in another order: such a
+    /// node sums its loads in the new order. An empty diff with no
+    /// reordered node re-analyzes nothing and keeps the current network.
     ///
     /// # Errors
     /// See [`Self::apply_edit`].
@@ -399,26 +403,28 @@ impl IncrementalAnalyzer {
         self.reanalyze(|net| {
             let d = diff::diff(net, &next);
             let ids = Ids::by_name(net, &next);
-            Ok((next, d, ids))
+            let reordered = reordered_nodes(net, &next, &ids);
+            Ok((next, d, ids, reordered))
         })
     }
 
-    /// The id-keyed core of both edit paths: builds the next network and
-    /// its diff inside the `apply_edit` span, re-analyzes every scenario
-    /// against it, and commits only when all of them succeed.
+    /// The id-keyed core of both edit paths: builds the next network, its
+    /// diff and its reordered nodes inside the `apply_edit` span,
+    /// re-analyzes every scenario against it, and commits only when all
+    /// of them succeed.
     fn reanalyze(
         &mut self,
-        build: impl FnOnce(&Network) -> Result<(Network, NetworkDiff, Ids), TimingError>,
+        build: impl FnOnce(&Network) -> Result<(Network, NetworkDiff, Ids, Vec<NodeId>), TimingError>,
     ) -> Result<DeltaReport, TimingError> {
         let trace = self.options.trace.clone();
         let mut span = trace
             .as_deref()
             .map(|t| t.span(Phase::Incremental, "apply_edit"));
-        let (next, d, ids) = build(&self.net)?;
+        let (next, d, ids, reordered) = build(&self.net)?;
         if let Some(span) = span.as_mut() {
             span.field("changes", d.change_count());
         }
-        if d.is_empty() {
+        if d.is_empty() && reordered.is_empty() {
             let scenarios = self.scenarios.iter().map(|st| ScenarioDelta {
                 label: st.label.clone(),
                 changed: Vec::new(),
@@ -436,18 +442,18 @@ impl IncrementalAnalyzer {
             return Ok(report);
         }
 
-        // Scenario-independent dirt: the nodes the diff touches. Rails
-        // are excluded (their logic is fixed and stage roots carry no
-        // capacitance); a node changing kind to or from a rail is drastic
-        // enough to invalidate everything instead.
+        // Scenario-independent dirt: the nodes the diff touches and the
+        // reordered nodes. Rails are excluded (their logic is fixed and
+        // stage roots carry no capacitance); a node changing kind to or
+        // from a rail is drastic enough to invalidate everything instead.
         let touched = d.touched_nodes();
         let pass = Pass {
             session: self,
             next: &next,
             ids: &ids,
-            dirty: touched
-                .iter()
+            dirty: (touched.iter())
                 .filter_map(|name| next.node_by_name(name))
+                .chain(reordered.iter().copied())
                 .filter(|&id| !next.node(id).kind().is_rail())
                 .collect(),
             invalidate_all: d
@@ -455,6 +461,7 @@ impl IncrementalAnalyzer {
                 .iter()
                 .any(|k| k.from.is_rail() != k.to.is_rail()),
             keep_steady: matches!(ids, Ids::Stable { .. })
+                && reordered.is_empty()
                 && d.added.is_empty()
                 && d.removed.is_empty()
                 && d.added_nodes.is_empty()
@@ -505,6 +512,37 @@ impl IncrementalAnalyzer {
             }
         }
     }
+}
+
+/// The nodes of `next` whose devices `next` lists in another order than
+/// `cur` does, each device read as its kind, gate and channel terminals
+/// carried back to `cur`'s ids. A node sums its loads
+/// ([`Technology::node_capacitance`](crate::tech::Technology::node_capacitance))
+/// and enumerates its channels in that order, so a reordered node can
+/// move the last bits of every stage through it even though
+/// [`diff::diff`], which matches devices by site, sees no change. A node
+/// new to `next` is left out: the diff touches it.
+fn reordered_nodes(cur: &Network, next: &Network, ids: &Ids) -> Vec<NodeId> {
+    type Site = (usize, Option<NodeId>, Option<NodeId>, Option<NodeId>);
+    let site = |net: &Network, tid, to_cur: &dyn Fn(NodeId) -> Option<NodeId>| -> Site {
+        let t = net.transistor(tid);
+        let (s, d) = (to_cur(t.source()), to_cur(t.drain()));
+        (t.kind().index(), to_cur(t.gate()), s.min(d), s.max(d))
+    };
+    let same = |a: &[TransistorId], b: &[TransistorId]| {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(&x, &y)| site(cur, x, &|id| Some(id)) == site(next, y, &|id| ids.to_old(id)))
+    };
+    (next.nodes())
+        .filter_map(|(id, _)| ids.to_old(id).map(|o| (id, o)))
+        .filter(|&(id, o)| {
+            !same(cur.channel_neighbors(o), next.channel_neighbors(id))
+                || !same(cur.gated_by(o), next.gated_by(id))
+        })
+        .map(|(id, _)| id)
+        .collect()
 }
 
 /// Component labels of the potentially-conducting channel graph

@@ -504,12 +504,13 @@ pub fn steady_states(net: &Network, scenario: &Scenario) -> (LogicState, LogicSt
     steady_states_by(scenario, |inputs| graph.solve(inputs).state())
 }
 
-/// [`steady_states`] with `state_of` settling each of the two input
-/// assignments, so a caller can memoize them.
-pub(crate) fn steady_states_by(
+/// `state_of` applied to each of the two input assignments
+/// [`steady_states`] settles, before and after the edge, so a caller can
+/// memoize the states or key them.
+pub(crate) fn steady_states_by<T>(
     scenario: &Scenario,
-    mut state_of: impl FnMut(&HashMap<NodeId, bool>) -> LogicState,
-) -> (LogicState, LogicState) {
+    mut state_of: impl FnMut(&HashMap<NodeId, bool>) -> T,
+) -> (T, T) {
     let mut inputs = scenario.statics.clone();
     inputs.insert(scenario.input, !scenario.edge.final_value());
     let before = state_of(&inputs);

@@ -58,13 +58,31 @@
 //! (`logic::SwitchGraph`), which depends on nothing but what the
 //! fingerprint covers, so the memo also holds one graph per fingerprint,
 //! built on the first miss. Graphs and states share one budget,
-//! [`STEADY_MEMO_BYTES`], and an arbitrary entry of either kind is
+//! [`STEADY_MEMO_BYTES`], and an arbitrary entry of any kind is
 //! displaced when the memo is full, as the shards do.
+//!
+//! ## Stage sets
+//!
+//! The same memo holds a third kind of entry: the stages a plain cached
+//! analysis extracts for every switching target, as one
+//! `stage::StageSet`. Extraction depends on the steady pair, not on the
+//! input transition, so a slope sweep over one input and edge extracts
+//! once. The key (`StageSetKey`) is what extraction reads: the network's
+//! [`electrical_fingerprint`](mosnet::Network::electrical_fingerprint)
+//! (kinds, terminals, capacitances and geometry; the topology fingerprint
+//! leaves the last two out on purpose), the [`tech_stamp`], the bits of
+//! the non-switching capacitance weight, and the inputs driven high
+//! before and after the edge. The input transition, the model, the mode
+//! and the thread count are not in it: extraction reads none of them. An
+//! entry interns its RC trees by [`stage_fingerprint`], and is charged to
+//! the same byte budget as states and graphs. An extraction that tripped
+//! a budget is never stored.
 
+use crate::analyzer::Scenario;
 use crate::fingerprint::{Fnv64, FNV_OFFSET, FNV_PRIME};
 use crate::logic::{self, LogicState, PackedState, SwitchGraph};
 use crate::models::{ModelKind, StageDelay};
-use crate::stage::Stage;
+use crate::stage::{Stage, StageSet};
 use crate::tech::{Direction, Technology};
 use mosnet::units::Seconds;
 use mosnet::{Network, NodeId, TransistorKind};
@@ -305,15 +323,51 @@ enum SteadyKey {
     State { topology: u128, high: Vec<NodeId> },
     /// The switch graph of every network with this topology.
     Graph(u128),
+    /// A stage set, by what extraction reads (see [`StageSetKey`]).
+    Stages {
+        network: u128,
+        tech: u64,
+        weight: u64,
+        before: Vec<NodeId>,
+        after: Vec<NodeId>,
+    },
 }
 
 impl SteadyKey {
     fn bytes(&self) -> usize {
-        let high = match self {
+        let ids = match self {
             SteadyKey::State { high, .. } => high.len(),
             SteadyKey::Graph(_) => 0,
+            SteadyKey::Stages { before, after, .. } => before.len() + after.len(),
         };
-        high * std::mem::size_of::<NodeId>() + STEADY_ENTRY_OVERHEAD
+        ids * std::mem::size_of::<NodeId>() + STEADY_ENTRY_OVERHEAD
+    }
+}
+
+/// The key of a memoized [`StageSet`]: the network's electrical
+/// fingerprint, the technology stamp, the bits of the non-switching
+/// capacitance weight, and the inputs driven high before and after the
+/// scenario's edge. See the [module docs](self) for why that is all
+/// extraction reads.
+#[derive(Debug)]
+pub(crate) struct StageSetKey(SteadyKey);
+
+impl StageSetKey {
+    pub(crate) fn new(
+        net: &Network,
+        tech_stamp: u64,
+        non_switching_cap_weight: f64,
+        scenario: &Scenario,
+    ) -> StageSetKey {
+        let (before, after) =
+            logic::steady_states_by(scenario, |inputs| logic::driven_high(net, inputs));
+        StageSetKey(SteadyKey::Stages {
+            network: net.electrical_fingerprint(),
+            tech: tech_stamp,
+            weight: non_switching_cap_weight.to_bits(),
+            before,
+            after,
+        })
     }
 }
 
@@ -322,6 +376,7 @@ impl SteadyKey {
 enum Steady {
     State(PackedState),
     Graph(Arc<SwitchGraph>),
+    Stages(Arc<StageSet>),
 }
 
 impl Steady {
@@ -329,11 +384,13 @@ impl Steady {
         match self {
             Steady::State(state) => state.byte_len(),
             Steady::Graph(graph) => graph.byte_len(),
+            Steady::Stages(set) => set.byte_len(),
         }
     }
 }
 
-/// Memoized steady states and switch graphs within a byte budget.
+/// Memoized steady states, switch graphs and stage sets within a byte
+/// budget.
 #[derive(Debug, Default)]
 struct SteadyMemo {
     entries: HashMap<SteadyKey, Steady>,
@@ -447,6 +504,22 @@ impl StageCache {
             STEADY_MEMO_BYTES,
         );
         (settled.state(), Some(settled.evals))
+    }
+
+    /// The stage set memoized under `key`, if any (see the
+    /// [module docs](self)).
+    pub(crate) fn stage_set(&self, key: &StageSetKey) -> Option<Arc<StageSet>> {
+        match self.steady_memo().entries.get(&key.0) {
+            Some(Steady::Stages(set)) => Some(Arc::clone(set)),
+            _ => None,
+        }
+    }
+
+    /// Memoizes the stage set of a complete extraction under `key`,
+    /// within the memo's byte budget.
+    pub(crate) fn insert_stage_set(&self, key: StageSetKey, set: Arc<StageSet>) {
+        self.steady_memo()
+            .insert(key.0, Steady::Stages(set), STEADY_MEMO_BYTES);
     }
 
     fn steady_memo(&self) -> std::sync::MutexGuard<'_, SteadyMemo> {
@@ -791,6 +864,69 @@ mod tests {
     }
 
     #[test]
+    fn stage_sets_are_charged_to_the_steady_budget() {
+        use crate::analyzer::Edge;
+        let stage = inverter_stage();
+        let fingerprint = stage_fingerprint(&stage);
+        // Three targets with one electrical stage each, all alike: the
+        // set interns them into one tree.
+        let set = StageSet::new((0..3).map(|i| {
+            let stages = vec![stage.clone()];
+            (
+                NodeId::from_index(i),
+                Edge::Falling,
+                stages,
+                Some(vec![fingerprint]),
+            )
+        }));
+        assert_eq!((set.stage_count(), set.electrical_count()), (3, 1));
+        let set = Arc::new(set);
+        let key = |i: u32| SteadyKey::Stages {
+            network: u128::from(i),
+            tech: 7,
+            weight: 0,
+            before: Vec::new(),
+            after: vec![NodeId::from_index(1)],
+        };
+        let entry = key(0).bytes() + set.byte_len();
+        assert!(set.byte_len() > stage.tree.byte_len());
+        let stages = || Steady::Stages(Arc::clone(&set));
+        let mut memo = SteadyMemo::default();
+        for i in 0..10 {
+            memo.insert(key(i), stages(), 3 * entry);
+        }
+        assert_eq!((memo.entries.len(), memo.bytes), (3, 3 * entry));
+        // A state displaces a stage set to fit, and is charged alike.
+        let settled = SwitchGraph::new(&inverter(Style::Cmos, Farads::from_femto(1.0)))
+            .solve(&HashMap::new());
+        let state = SteadyKey::State {
+            topology: 1,
+            high: Vec::new(),
+        };
+        let state_size = state.bytes() + PackedState::pack(settled.codes()).byte_len();
+        memo.insert(
+            state.clone(),
+            Steady::State(PackedState::pack(settled.codes())),
+            3 * entry,
+        );
+        assert!(memo.entries.contains_key(&state));
+        assert_eq!(memo.bytes, 2 * entry + state_size);
+        // A set larger than the whole budget is not stored.
+        let mut small = SteadyMemo::default();
+        small.insert(key(0), stages(), entry - 1);
+        assert!(small.entries.is_empty());
+        // Through the cache: stored, found, and a different key misses.
+        let cache = StageCache::new();
+        let lookup = |i| StageSetKey(key(i));
+        assert!(cache.stage_set(&lookup(0)).is_none());
+        cache.insert_stage_set(lookup(0), Arc::clone(&set));
+        let found = cache.stage_set(&lookup(0)).expect("stored");
+        assert!(Arc::ptr_eq(&found, &set));
+        assert!(cache.stage_set(&lookup(1)).is_none());
+        assert_eq!(cache.steady_memo().bytes, entry);
+    }
+
+    #[test]
     fn steady_memo_holds_one_graph_per_topology() {
         use mosnet::diff::{apply_edit, Edit, TransistorDesc};
         use mosnet::generators::decoder;
@@ -825,7 +961,7 @@ mod tests {
             .values()
             .filter_map(|entry| match entry {
                 Steady::Graph(graph) => Some(graph.byte_len()),
-                Steady::State(_) => None,
+                _ => None,
             })
             .collect();
         assert_eq!(graphs.len(), 2, "one graph per topology");

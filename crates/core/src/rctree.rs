@@ -16,9 +16,21 @@
 use mosnet::units::{Farads, Ohms, Seconds};
 use mosnet::NodeId;
 
-/// Sentinel in the compact parent/label arrays: "no parent" (the root)
-/// or "no label". Kept internal — the public API speaks `Option`.
+/// Sentinel in the compact parent and label fields: "no parent" (the
+/// root) or "no label". Kept internal — the public API speaks `Option`.
 const NONE: u32 = u32::MAX;
+
+/// One tree node: its parent and label interned as `u32` indices beside
+/// the entering edge's resistance and the node's capacitance.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TreeNode {
+    /// Parent tree index; [`NONE`] for the root.
+    parent: u32,
+    /// Network-node index; [`NONE`] when unlabeled.
+    label: u32,
+    resistance: Ohms,
+    capacitance: Farads,
+}
 
 /// An RC tree rooted at the stage's driving source.
 ///
@@ -26,19 +38,13 @@ const NONE: u32 = u32::MAX;
 /// series resistance and, conventionally, no capacitance (rail capacitance
 /// is irrelevant to the transition).
 ///
-/// Storage is column-compact: parents and node labels are interned as
-/// `u32` indices (24 bytes per tree node total), so the analyzer can hold
-/// stage trees for 10k+ transistor circuits without the `Option<usize>`
-/// overhead the naive layout pays.
+/// Storage is compact: parents and node labels are interned as `u32`
+/// indices (24 bytes per tree node), all in one allocation, so the
+/// analyzer can hold stage trees for 10k+ transistor circuits without the
+/// `Option<usize>` overhead the naive layout pays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RcTree {
-    /// Parent tree index per node; [`NONE`] for the root.
-    parent: Vec<u32>,
-    resistance: Vec<Ohms>,
-    capacitance: Vec<Farads>,
-    /// Interned network-node index per tree node; [`NONE`] when
-    /// unlabeled.
-    label: Vec<u32>,
+    nodes: Vec<TreeNode>,
 }
 
 impl RcTree {
@@ -48,29 +54,29 @@ impl RcTree {
     }
 
     /// Creates a tree containing only the root, with room reserved for
-    /// `nodes` tree nodes in every column.
+    /// `nodes` tree nodes.
     pub fn with_capacity(nodes: usize) -> RcTree {
-        let nodes = nodes.max(1);
         let mut tree = RcTree {
-            parent: Vec::with_capacity(nodes),
-            resistance: Vec::with_capacity(nodes),
-            capacitance: Vec::with_capacity(nodes),
-            label: Vec::with_capacity(nodes),
+            nodes: Vec::with_capacity(nodes.max(1)),
         };
-        tree.parent.push(NONE);
-        tree.resistance.push(Ohms::ZERO);
-        tree.capacitance.push(Farads::ZERO);
-        tree.label.push(NONE);
+        tree.nodes.push(TreeNode {
+            parent: NONE,
+            label: NONE,
+            resistance: Ohms::ZERO,
+            capacitance: Farads::ZERO,
+        });
         tree
     }
 
-    /// Drops the slack capacity of every column — call once a tree is
-    /// fully built and will be kept around.
+    /// Drops the slack capacity — call once a tree is fully built and
+    /// will be kept around.
     pub fn shrink_to_fit(&mut self) {
-        self.parent.shrink_to_fit();
-        self.resistance.shrink_to_fit();
-        self.capacitance.shrink_to_fit();
-        self.label.shrink_to_fit();
+        self.nodes.shrink_to_fit();
+    }
+
+    /// Bytes the tree holds on the heap.
+    pub fn byte_len(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<TreeNode>()
     }
 
     /// The root index (always `0`).
@@ -82,13 +88,13 @@ impl RcTree {
     /// Number of tree nodes including the root.
     #[inline]
     pub fn len(&self) -> usize {
-        self.parent.len()
+        self.nodes.len()
     }
 
     /// `true` when only the root exists.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.parent.len() == 1
+        self.nodes.len() == 1
     }
 
     /// Adds a child under `parent` reached through `resistance`, loaded
@@ -104,14 +110,16 @@ impl RcTree {
         capacitance: Farads,
         label: Option<NodeId>,
     ) -> usize {
-        assert!(parent < self.parent.len(), "parent index out of range");
+        assert!(parent < self.nodes.len(), "parent index out of range");
         assert!(resistance.value() >= 0.0, "resistance must be non-negative");
-        let idx = self.parent.len();
+        let idx = self.nodes.len();
         assert!(idx < NONE as usize, "RC tree exceeds u32 node indices");
-        self.parent.push(parent as u32);
-        self.resistance.push(resistance);
-        self.capacitance.push(capacitance);
-        self.label.push(label.map_or(NONE, |n| n.index() as u32));
+        self.nodes.push(TreeNode {
+            parent: parent as u32,
+            label: label.map_or(NONE, |n| n.index() as u32),
+            resistance,
+            capacitance,
+        });
         idx
     }
 
@@ -120,12 +128,12 @@ impl RcTree {
     /// # Panics
     /// Panics if `index` is out of range.
     pub fn add_capacitance(&mut self, index: usize, c: Farads) {
-        self.capacitance[index] += c;
+        self.nodes[index].capacitance += c;
     }
 
     /// The network node a tree node represents, if labeled.
     pub fn label(&self, index: usize) -> Option<NodeId> {
-        match self.label[index] {
+        match self.nodes[index].label {
             NONE => None,
             i => Some(NodeId::from_index(i as usize)),
         }
@@ -133,7 +141,7 @@ impl RcTree {
 
     /// The parent of `index` (`None` for the root).
     pub fn parent(&self, index: usize) -> Option<usize> {
-        match self.parent[index] {
+        match self.nodes[index].parent {
             NONE => None,
             p => Some(p as usize),
         }
@@ -142,32 +150,32 @@ impl RcTree {
     /// Series resistance of the edge entering `index` from its parent
     /// (zero for the root).
     pub fn edge_resistance(&self, index: usize) -> Ohms {
-        self.resistance[index]
+        self.nodes[index].resistance
     }
 
     /// The capacitance loaded at `index`.
     pub fn capacitance(&self, index: usize) -> Farads {
-        self.capacitance[index]
+        self.nodes[index].capacitance
     }
 
     /// Finds the tree index labeled with `node`.
     pub fn find_label(&self, node: NodeId) -> Option<usize> {
         let want = node.index() as u32;
-        self.label.iter().position(|&l| l == want)
+        self.nodes.iter().position(|n| n.label == want)
     }
 
     /// Total capacitance of the whole tree.
     pub fn total_capacitance(&self) -> Farads {
-        self.capacitance.iter().copied().sum()
+        self.nodes.iter().map(|n| n.capacitance).sum()
     }
 
     /// Series resistance along the root→`index` path.
     pub fn path_resistance(&self, index: usize) -> Ohms {
         let mut r = Ohms::ZERO;
         let mut at = index;
-        while self.parent[at] != NONE {
-            r += self.resistance[at];
-            at = self.parent[at] as usize;
+        while self.nodes[at].parent != NONE {
+            r += self.nodes[at].resistance;
+            at = self.nodes[at].parent as usize;
         }
         r
     }
@@ -179,8 +187,8 @@ impl RcTree {
         let mut a_chain = Vec::new();
         let mut at = a;
         a_chain.push(at);
-        while self.parent[at] != NONE {
-            at = self.parent[at] as usize;
+        while self.nodes[at].parent != NONE {
+            at = self.nodes[at].parent as usize;
             a_chain.push(at);
         }
         let mut bt = b;
@@ -189,7 +197,7 @@ impl RcTree {
                 // bt is the LCA; shared resistance is root→LCA.
                 return self.path_resistance(bt);
             }
-            match self.parent[bt] {
+            match self.nodes[bt].parent {
                 NONE => return Ohms::ZERO,
                 p => bt = p as usize,
             }
@@ -199,14 +207,14 @@ impl RcTree {
     /// Total capacitance of the subtree rooted at `index` (the node
     /// itself plus every descendant).
     pub fn subtree_capacitance(&self, index: usize) -> Farads {
-        let mut total = self.capacitance[index];
+        let mut total = self.nodes[index].capacitance;
         // Children always have larger indices than their parents.
         for k in (index + 1)..self.len() {
             let mut at = k;
-            while self.parent[at] != NONE {
-                let p = self.parent[at] as usize;
+            while self.nodes[at].parent != NONE {
+                let p = self.nodes[at].parent as usize;
                 if p == index {
-                    total += self.capacitance[k];
+                    total += self.nodes[k].capacitance;
                     break;
                 }
                 at = p;
@@ -223,14 +231,14 @@ impl RcTree {
     pub fn scale_resistance(&mut self, index: usize, factor: f64) {
         assert!(index < self.len(), "index out of range");
         assert!(factor >= 0.0, "factor must be non-negative");
-        self.resistance[index] = self.resistance[index] * factor;
+        self.nodes[index].resistance = self.nodes[index].resistance * factor;
     }
 
     /// The Elmore delay `T_P` at `target`.
     pub fn elmore(&self, target: usize) -> Seconds {
         let mut t = Seconds::ZERO;
         for k in 0..self.len() {
-            t += self.shared_resistance(k, target) * self.capacitance[k];
+            t += self.shared_resistance(k, target) * self.nodes[k].capacitance;
         }
         t
     }
@@ -239,7 +247,7 @@ impl RcTree {
     pub fn t_di(&self) -> Seconds {
         let mut t = Seconds::ZERO;
         for k in 0..self.len() {
-            t += self.path_resistance(k) * self.capacitance[k];
+            t += self.path_resistance(k) * self.nodes[k].capacitance;
         }
         t
     }
@@ -254,7 +262,7 @@ impl RcTree {
         let mut t = 0.0;
         for k in 0..self.len() {
             let r_ke = self.shared_resistance(k, target).value();
-            t += r_ke * r_ke * self.capacitance[k].value() / r_ee;
+            t += r_ke * r_ke * self.nodes[k].capacitance.value() / r_ee;
         }
         Seconds(t)
     }

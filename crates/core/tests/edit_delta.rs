@@ -1,6 +1,7 @@
 //! The incremental delta against a full scan: seeded random `cap`,
 //! `resize`, `add` and `remove` scripts through a [`Session`] on
-//! decoder-5 and SRAM-8×8, and one renumbering `replace_network`. After
+//! decoder-5 and SRAM-8×8, and renumbering and reordering
+//! `replace_network`s. After
 //! every edit each scenario's `changed` list must equal a diff of the
 //! pre- and post-edit results over every node, each result must equal a
 //! fresh analysis, and the session digest must equal one recomputed
@@ -240,23 +241,27 @@ fn sram_edit_deltas_match_a_full_scan() {
     random_session(&net, 8, 16);
 }
 
-/// `net` written as `.sim` text with its input, output and capacitance
-/// lines reversed and moved ahead of the devices, then parsed back: the
-/// same circuit with its nodes renumbered in their new order of first
-/// appearance. The device lines keep their order, so every node sums
-/// its loads in the same order.
-fn renumbered(net: &Network) -> Network {
+/// `net` written as `.sim` text with every device line reversed, then
+/// parsed back: the same circuit with every node's devices listed in the
+/// opposite order, so every node sums its loads in the opposite order.
+/// With `rename`, the input, output and capacitance lines are reversed
+/// and moved ahead of the devices too. Either way the nodes are
+/// renumbered in their new order of first appearance.
+fn rewritten(net: &Network, rename: bool) -> Network {
     let text = mosnet::sim_format::write(net);
     let (devices, rest): (Vec<&str>, Vec<&str>) =
         text.lines().partition(|line| line.starts_with(['n', 'p']));
-    let (named, header): (Vec<&str>, Vec<&str>) = rest
+    let (mut named, header): (Vec<&str>, Vec<&str>) = rest
         .into_iter()
         .partition(|line| line.starts_with(['i', 'o', 'C']));
+    if rename {
+        named.reverse();
+    }
     let lines: Vec<&str> = (header.into_iter())
-        .chain(named.into_iter().rev())
-        .chain(devices)
+        .chain(named)
+        .chain(devices.into_iter().rev())
         .collect();
-    mosnet::sim_format::parse(&lines.join("\n"), "renumbered.sim").expect("reparses")
+    mosnet::sim_format::parse(&lines.join("\n"), "rewritten.sim").expect("reparses")
 }
 
 #[test]
@@ -271,18 +276,57 @@ fn renumbered_replacement_delta_matches_a_full_scan() {
         AnalyzerOptions::default(),
     )
     .expect("session builds");
-    let edit = Edit::SetCapacitance {
-        node: "w1".to_string(),
-        capacitance: Farads::from_femto(140.0),
+    let cap = |node: &str, femto: f64| Edit::SetCapacitance {
+        node: node.to_string(),
+        capacitance: Farads::from_femto(femto),
     };
-    let next = renumbered(&apply_edit(&net, &edit).unwrap());
-    assert_ne!(next.node_by_name("w1"), net.node_by_name("w1"), "ids moved");
-    let old = results(&analyzer);
-    let report = analyzer.replace_network(next).expect("replacement applies");
-    assert!(report.total_changed() > 0, "the replacement moves arrivals");
+    // A cap edit in a renamed and reordered file, then one in a file
+    // that only reorders its devices: the word lines' load sums move in
+    // their last bits where no edit touched them.
+    for (what, rename, edit) in [
+        ("a renumbering replacement", true, cap("w1", 140.0)),
+        ("a reordering replacement", false, cap("w2", 90.0)),
+    ] {
+        let (old_net, old) = (analyzer.network().clone(), results(&analyzer));
+        let next = rewritten(&apply_edit(&old_net, &edit).unwrap(), rename);
+        assert_ne!(
+            next.node_by_name("w1"),
+            old_net.node_by_name("w1"),
+            "ids moved"
+        );
+        let report = analyzer.replace_network(next).expect("replacement applies");
+        assert_eq!(report.netlist_changes, 1, "{what}");
+        assert!(report.total_changed() > 0, "{what} moves arrivals");
+        check_edit(
+            what,
+            (&old_net, &old),
+            &analyzer,
+            &report,
+            &mut Seen::default(),
+        );
+    }
+
+    // Reordering alone diffs empty, yet the session must take the new
+    // network and every result must match a fresh analysis of it.
+    let (old_net, old) = (analyzer.network().clone(), results(&analyzer));
+    let next = rewritten(&old_net, false);
+    let first = |net: &Network| {
+        let (_, t) = net.transistors().next().unwrap();
+        [t.gate(), t.source(), t.drain()].map(|id| net.node(id).name().to_string())
+    };
+    assert_ne!(first(&next), first(&old_net), "devices moved");
+    let report = analyzer
+        .replace_network(next.clone())
+        .expect("reordering applies");
+    assert_eq!(report.netlist_changes, 0);
+    assert_eq!(
+        first(analyzer.network()),
+        first(&next),
+        "the session took it"
+    );
     check_edit(
-        "a renumbering replacement",
-        (&net, &old),
+        "a reordering-only replacement",
+        (&old_net, &old),
         &analyzer,
         &report,
         &mut Seen::default(),

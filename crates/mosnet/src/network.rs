@@ -6,7 +6,7 @@ use crate::node::{Node, NodeId, NodeKind};
 use crate::transistor::{Geometry, Transistor, TransistorId, TransistorKind};
 use crate::units::Farads;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Conventional names accepted for the power rail by the builder's
 /// name-based lookup helpers.
@@ -59,6 +59,9 @@ pub struct Network {
     ground: NodeId,
     /// See [`Network::topology_fingerprint`].
     topology: u128,
+    /// See [`Network::electrical_fingerprint`]: computed on first use,
+    /// and never carried into an edited copy.
+    electrical: OnceLock<u128>,
 }
 
 /// A node's kind and explicit capacitance; its name lives in the
@@ -196,6 +199,28 @@ impl Network {
         self.topology
     }
 
+    /// A 128-bit hash of everything stage extraction reads from the
+    /// network: what [`Network::topology_fingerprint`] covers, plus every
+    /// node's capacitance and every device's width and length, as bits.
+    /// Names are left out. Adjacency follows from the device list in id
+    /// order, so it is covered too. Computed on the first call and kept
+    /// for the life of this instance, so an edited copy that is never
+    /// asked for it never pays for it.
+    pub fn electrical_fingerprint(&self) -> u128 {
+        *self.electrical.get_or_init(|| {
+            let mut h = Words::new();
+            kinds_and_terminals(&mut h, &self.nodes, &self.transistors);
+            for node in &self.nodes {
+                h.bits(node.capacitance.value());
+            }
+            for t in &self.transistors {
+                h.bits(t.geometry().width.value());
+                h.bits(t.geometry().length.value());
+            }
+            h.finish()
+        })
+    }
+
     /// Total explicit capacitance in the network (diagnostic).
     pub fn total_capacitance(&self) -> Farads {
         self.nodes.iter().map(|n| n.capacitance).sum()
@@ -218,14 +243,17 @@ impl Network {
             power: self.power,
             ground: self.ground,
             topology: self.topology,
+            electrical: OnceLock::new(),
         }
     }
 
     pub(crate) fn set_capacitance(&mut self, id: NodeId, c: Farads) {
+        self.electrical = OnceLock::new();
         self.nodes[id.index()].capacitance = c;
     }
 
     pub(crate) fn transistor_mut(&mut self, id: TransistorId) -> &mut Transistor {
+        self.electrical = OnceLock::new();
         &mut self.transistors[id.index()]
     }
 }
@@ -406,7 +434,8 @@ impl NetworkBuilder {
             }
             gate_index[t.gate().index()].push(tid);
         }
-        let topology = topology_fingerprint(&self.nodes, &self.transistors);
+        let mut topology = Words::new();
+        kinds_and_terminals(&mut topology, &self.nodes, &self.transistors);
         let names = self.names;
         let mut by_name = self.by_name;
         let mut aliases = HashMap::new();
@@ -431,29 +460,64 @@ impl NetworkBuilder {
             aliases,
             power,
             ground,
-            topology,
+            topology: topology.finish(),
+            electrical: OnceLock::new(),
         })
     }
 }
 
-/// Hashes what [`Network::topology_fingerprint`] covers, one 32-bit word
-/// per field. Two multiply-rotate streams with distinct constants, the
-/// second folding in each word's position, finished by the SplitMix64
-/// mixer so every input bit reaches every output bit.
-fn topology_fingerprint(nodes: &[NodeAttrs], transistors: &[Transistor]) -> u128 {
-    let (mut a, mut b, mut n) = (0xcbf2_9ce4_8422_2325_u64, 0x9e37_79b9_7f4a_7c15_u64, 0u64);
-    let mut word = |w: u32| {
-        a = (a ^ u64::from(w))
+/// The 128-bit hash behind both network fingerprints, fed one 32-bit
+/// word per field. Two multiply-rotate streams with distinct constants,
+/// the second folding in each word's position, finished by the
+/// SplitMix64 mixer so every input bit reaches every output bit.
+struct Words {
+    a: u64,
+    b: u64,
+    n: u64,
+}
+
+impl Words {
+    fn new() -> Words {
+        Words {
+            a: 0xcbf2_9ce4_8422_2325,
+            b: 0x9e37_79b9_7f4a_7c15,
+            n: 0,
+        }
+    }
+
+    fn word(&mut self, w: u32) {
+        self.a = (self.a ^ u64::from(w))
             .wrapping_mul(0x0000_0100_0000_01b3)
             .rotate_left(23);
-        b = (b ^ u64::from(w) ^ n)
+        self.b = (self.b ^ u64::from(w) ^ self.n)
             .wrapping_mul(0xff51_afd7_ed55_8ccd)
             .rotate_left(31);
-        n += 1;
-    };
-    word(nodes.len() as u32);
+        self.n += 1;
+    }
+
+    /// An `f64` as its bits, low word first.
+    fn bits(&mut self, v: f64) {
+        let bits = v.to_bits();
+        self.word(bits as u32);
+        self.word((bits >> 32) as u32);
+    }
+
+    fn finish(&self) -> u128 {
+        let mix = |mut x: u64| {
+            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            x ^ (x >> 31)
+        };
+        (u128::from(mix(self.a)) << 64) | u128::from(mix(self.b))
+    }
+}
+
+/// Feeds what [`Network::topology_fingerprint`] covers: the node count,
+/// every node's kind, and every device's kind and terminals, in id order.
+fn kinds_and_terminals(h: &mut Words, nodes: &[NodeAttrs], transistors: &[Transistor]) {
+    h.word(nodes.len() as u32);
     for node in nodes {
-        word(match node.kind {
+        h.word(match node.kind {
             NodeKind::Ground => 0,
             NodeKind::Power => 1,
             NodeKind::Input => 2,
@@ -461,19 +525,13 @@ fn topology_fingerprint(nodes: &[NodeAttrs], transistors: &[Transistor]) -> u128
             NodeKind::Internal => 4,
         });
     }
-    word(transistors.len() as u32);
+    h.word(transistors.len() as u32);
     for t in transistors {
-        word(t.kind().index() as u32);
-        word(t.gate().0);
-        word(t.source().0);
-        word(t.drain().0);
+        h.word(t.kind().index() as u32);
+        h.word(t.gate().0);
+        h.word(t.source().0);
+        h.word(t.drain().0);
     }
-    let mix = |mut x: u64| {
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
-    };
-    (u128::from(mix(a)) << 64) | u128::from(mix(b))
 }
 
 #[cfg(test)]
@@ -668,6 +726,56 @@ mod tests {
             }),
             fp,
             "a remove"
+        );
+    }
+
+    #[test]
+    fn electrical_fingerprint_adds_capacitance_and_geometry() {
+        use crate::diff::{apply_edit, Edit};
+        use crate::sim_format;
+        let text = "i in\no y\nn in out gnd 2 4\np in out vdd 2 8\n\
+                    n out y gnd 2 4\np out y vdd 2 8\nC out 30\n";
+        let net = sim_format::parse(text, "two.sim").unwrap();
+        // Asked first, so a copy made after it must not inherit it.
+        let fp = net.electrical_fingerprint();
+        assert_eq!(net.electrical_fingerprint(), fp, "kept per instance");
+        assert_eq!(net.clone().electrical_fingerprint(), fp, "a clone");
+        assert_eq!(
+            sim_format::parse(text, "again.sim")
+                .unwrap()
+                .electrical_fingerprint(),
+            fp,
+            "two parses of one text"
+        );
+        assert_ne!(fp, net.topology_fingerprint());
+        let edited = |e: Edit| {
+            let copy = apply_edit(&net, &e).unwrap();
+            assert_eq!(copy.topology_fingerprint(), net.topology_fingerprint());
+            copy.electrical_fingerprint()
+        };
+        let cap = |femto: f64| Edit::SetCapacitance {
+            node: "out".to_string(),
+            capacitance: Farads::from_femto(femto),
+        };
+        assert_ne!(edited(cap(99.0)), fp, "a cap edit");
+        assert_eq!(edited(cap(30.0)), fp, "a cap edit to the same value");
+        let resize = |w: f64, l: f64| Edit::Resize {
+            gate: "in".to_string(),
+            source: "out".to_string(),
+            drain: "gnd".to_string(),
+            geometry: Geometry::from_microns(w, l),
+        };
+        assert_ne!(edited(resize(20.0, 2.0)), fp, "a wider device");
+        assert_ne!(edited(resize(4.0, 3.0)), fp, "a longer device");
+        assert_eq!(edited(resize(4.0, 2.0)), fp, "a resize to the same size");
+        // Reordered device lines: the same sites, other adjacency order.
+        let reordered = "i in\no y\np in out vdd 2 8\nn in out gnd 2 4\n\
+                         n out y gnd 2 4\np out y vdd 2 8\nC out 30\n";
+        let reordered = sim_format::parse(reordered, "reordered.sim").unwrap();
+        assert_ne!(
+            reordered.electrical_fingerprint(),
+            fp,
+            "another device order"
         );
     }
 

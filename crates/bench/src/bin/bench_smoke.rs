@@ -15,7 +15,9 @@
 //!                         solver scaling tier: dense-vs-sparse circuit
 //!                         simulation on mid-size chains plus sparse-only
 //!                         operating points on 10k+ transistor
-//!                         generators), or `all`
+//!                         generators, then 108-scenario decoder-9 and
+//!                         128-scenario SRAM-64 batches at 1 and 2
+//!                         scenario threads), or `all`
 //!   --max-rss-mb X        gate (large tier): the process peak RSS after
 //!                         the 10k+ transistor legs must stay at or
 //!                         below X MB (skipped where /proc/self/status
@@ -197,7 +199,8 @@ fn main() {
         let mut serial_run: Option<Vec<(String, crystal::analyzer::TimingResult)>> = None;
         let mut json_runs: Vec<String> = Vec::new();
         for &threads in &thread_counts {
-            let (secs, stats, run) = measure(net, &tech, scenarios, threads, reps);
+            let (walls, stats, run) = measure(net, &tech, scenarios, threads, reps);
+            let secs = walls[0];
             let wall_ms = secs * 1e3;
             let speedup = if threads == 1 || wall_ms <= 0.0 {
                 1.0
@@ -564,17 +567,81 @@ fn large_tier_bench(
         }
         (None, None) => {}
     }
+    // After the RSS reading, so the batches leave its gate as it was.
+    let batches = large_batch_rows(reps, failures);
 
     format!(
         "{{\"comparison\": [{}], \
          \"superlinear\": {{\"small_unknowns\": {small_n}, \"small_speedup\": {small_speedup:.4}, \
          \"large_unknowns\": {large_n}, \"large_speedup\": {large_speedup:.4}, \
          \"pass\": {superlinear}}}, \
-         \"sparse_only\": [{}], \"peak_rss_mb\": {}}}",
+         \"sparse_only\": [{}], \"peak_rss_mb\": {}, \"batches\": [{}]}}",
         compare_json.join(", "),
         sparse_only_json.join(", "),
         rss.map_or("null".to_string(), |mb| format!("{mb:.1}")),
+        batches.join(", "),
     )
+}
+
+/// Scenario-level parallelism at the large tier: a 108-scenario
+/// decoder-9 batch (every input × edge × transition) and a 128-scenario
+/// SRAM-64 batch (every row select × edge, transitions taken in turn)
+/// through the scenario executor at 1 and 2 threads, each repetition
+/// with a fresh shared cache. A row records the min, median and max
+/// wall time over `reps` and the host's hardware threads; a result that
+/// differs from the serial batch is a failure. No timing gate.
+fn large_batch_rows(reps: usize, failures: &mut Vec<String>) -> Vec<String> {
+    const TRANSITIONS_NS: [f64; 6] = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0];
+    let hw = available_parallelism();
+    let tech = Technology::nominal();
+    let load = Farads::from_femto(100.0);
+    let batches = [
+        ("decoder-9", decoder(Style::Cmos, 9, load), 6),
+        ("sram-64x64", memory_array(Style::Cmos, 64, 64, load), 1),
+    ];
+    let mut json = Vec::new();
+    // Per input edge: every transition, or the next one in turn.
+    for (name, net, per_edge) in batches {
+        let net = net.expect("large generator builds");
+        let mut scenarios = Vec::new();
+        for input in net.inputs() {
+            for edge in [Edge::Rising, Edge::Falling] {
+                let first = scenarios.len();
+                for k in 0..per_edge {
+                    let ns = TRANSITIONS_NS[(first + k) % 6];
+                    let label = format!("{} {edge:?} {ns}", net.node(input).name());
+                    let step = Scenario::step(input, edge);
+                    scenarios.push((label, step.with_input_transition(Seconds::from_nanos(ns))));
+                }
+            }
+        }
+        let mut serial = None;
+        for threads in [1, 2] {
+            let (walls, _, results) = measure(&net, &tech, &scenarios, threads, reps);
+            let identical = runs_identical(serial.get_or_insert(results.clone()), &results);
+            if !identical {
+                failures.push(format!(
+                    "large batch {name}: {threads} threads differ from serial"
+                ));
+            }
+            let ms = |secs: f64| secs * 1e3;
+            let (min, max) = (ms(walls[0]), ms(walls[walls.len() - 1]));
+            let median = ms(walls[walls.len() / 2]);
+            let n = scenarios.len();
+            println!(
+                "large batch {name:<10} {n:>4} scenarios  {threads} thread(s)  \
+                 min {min:>8.2} / median {median:>8.2} / max {max:>8.2} ms  identical {identical}"
+            );
+            json.push(format!(
+                "{{\"circuit\": \"{name}\", \"scenarios\": {n}, \"threads\": {threads}, \
+                 \"hardware_threads\": {hw}, \"oversubscribed\": {}, \"reps\": {reps}, \
+                 \"min_ms\": {min:.4}, \"median_ms\": {median:.4}, \"max_ms\": {max:.4}, \
+                 \"identical\": {identical}}}",
+                threads > hw
+            ));
+        }
+    }
+    json
 }
 
 /// DC drives for every declared input of a generator network: power is
@@ -820,10 +887,11 @@ fn tail_output(gate_index: usize) -> String {
     }
 }
 
-/// Times one batch configuration, best-of-`reps`, with a fresh shared
+/// Times one batch configuration `reps` times, with a fresh shared
 /// cache per repetition (so the hit rate reflects a single batch, not
-/// earlier repetitions). Returns the best wall-clock seconds, the cache
-/// counters, and the results of the final repetition.
+/// earlier repetitions). Returns every repetition's wall-clock seconds,
+/// fastest first, the cache counters, and the results of the final
+/// repetition.
 fn measure(
     net: &Network,
     tech: &Technology,
@@ -831,11 +899,11 @@ fn measure(
     threads: usize,
     reps: usize,
 ) -> (
-    f64,
+    Vec<f64>,
     CacheStats,
     Vec<(String, crystal::analyzer::TimingResult)>,
 ) {
-    let mut best = f64::INFINITY;
+    let mut walls = Vec::with_capacity(reps);
     let mut stats = CacheStats::default();
     let mut results = Vec::new();
     for _ in 0..reps {
@@ -847,11 +915,11 @@ fn measure(
         };
         let start = Instant::now();
         results = analyze_all(net, tech, scenarios, options);
-        let secs = start.elapsed().as_secs_f64();
-        best = best.min(secs);
+        walls.push(start.elapsed().as_secs_f64());
         stats = cache.stats();
     }
-    (best, stats, results)
+    walls.sort_by(f64::total_cmp);
+    (walls, stats, results)
 }
 
 /// One instrumented (untimed) batch run: returns the per-phase metrics

@@ -25,13 +25,12 @@ use crate::memo::{
 };
 use crate::models::{estimate_with_fallback, ModelKind, TriggerContext};
 use crate::obs::{Phase, TraceSink};
-use crate::pool::ThreadPool;
-use crate::stage::{Stage, StageSet, TargetStages};
+use crate::stage::{StageSet, TargetStages};
 use crate::tech::{Direction, Technology};
 use mosnet::units::Seconds;
 use mosnet::{Network, NodeId, NodeKind, TransistorKind};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Weight applied to the capacitance of stage nodes whose logic value is
@@ -71,13 +70,14 @@ pub struct AnalyzerOptions {
     /// [`TimingError::BudgetExhausted`] carrying every arrival computed
     /// so far.
     pub budget: AnalysisBudget,
-    /// Worker threads for stage extraction and per-node evaluation:
-    /// `1` (the default) runs serially, `0` uses every hardware thread,
-    /// any other value is taken literally. Arrivals — including partial
-    /// results from a tripped budget — are **bit-identical for every
-    /// thread count**: propagation always evaluates against the previous
-    /// round's arrival snapshot, merges in node order, and commits
-    /// budgets in node order before parallel dispatch.
+    /// Scenario-level worker count, read by the entry points that run
+    /// many scenarios under one set of options ([`crate::sweep`]'s
+    /// `*_with_options` sweeps): `1` (the default) runs them serially,
+    /// `0` uses every hardware thread, any other value is taken
+    /// literally. One analysis always runs on one thread and ignores it;
+    /// results are **bit-identical for every thread count**. Batches
+    /// take their worker count from
+    /// [`DurableOptions::threads`](crate::durable::DurableOptions).
     pub threads: usize,
     /// Shared stage-evaluation and steady-state memo cache. `None` (the
     /// default) disables memoization; pass a clone of one
@@ -525,20 +525,19 @@ pub(crate) fn analyze_subset(
     }
     drop(seed_span);
     let tracker = BudgetTracker::new(options.budget, options.cancel.clone());
-    let pool = ThreadPool::new(options.threads);
     let cache_ref: Option<&StageCache> = options.cache.as_deref();
     // This analysis's share of the cache traffic is counted in private
-    // atomics bumped at the probe site — *not* as a start/end delta of
+    // counters bumped at the probe site — *not* as a start/end delta of
     // the shared cache's lifetime counters. The cache typically serves a
-    // whole batch of concurrent analyses, and a window delta also counts
+    // whole batch of concurrent scenarios, and a window delta also counts
     // every probe the neighbors made in the meantime (observed as ~1.6×
     // inflated hit counts at threads ≥ 2 for identical work).
     let cache_ctx: Option<CacheCtx<'_>> = cache_ref.map(|c| CacheCtx {
         cache: c,
         stamp: tech_stamp(tech),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-        evictions: AtomicU64::new(0),
+        hits: Cell::new(0),
+        misses: Cell::new(0),
+        evictions: Cell::new(0),
     });
     // Recorded into the trace sink on every exit path, success or
     // budget-exhausted alike.
@@ -624,8 +623,6 @@ pub(crate) fn analyze_subset(
                 options.non_switching_cap_weight,
                 cache_ctx.is_some(),
                 &tracker,
-                &pool,
-                trace,
             );
             let set = match set {
                 Ok(set) => Arc::new(set),
@@ -686,14 +683,12 @@ pub(crate) fn analyze_subset(
     drop(dependents_span);
 
     // Propagation evaluates against the previous round's arrival
-    // snapshot for *every* thread count, serial included, then merges
-    // the updates in node order. In-round (Gauss-Seidel) updates would
-    // make results depend on evaluation order and thus on the worker
-    // count; snapshot rounds cost at most a few extra rounds and make
-    // `threads = N` bit-identical to `threads = 1`. Round 0 examines
-    // every target; each later round examines only the targets observing
-    // an arrival the previous round's merge changed — a set derived from
-    // the merged updates alone, hence equally thread-count independent.
+    // snapshot, then merges the updates in node order. The snapshot
+    // rounds define the results (every pinned digest was recorded under
+    // them): in-round (Gauss-Seidel) updates would converge to other
+    // last bits. Round 0 examines every target; each later round
+    // examines only the targets observing an arrival the previous
+    // round's merge changed.
     let max_rounds = targets.len() + 2;
     let mut dirty: Vec<usize> = (0..targets.len()).collect();
     for round in 0..=max_rounds {
@@ -706,11 +701,11 @@ pub(crate) fn analyze_subset(
         if let Err(e) = tracker.check_deadline() {
             return Err(exhausted(arrivals, e, round));
         }
-        // Budget is committed serially, in node order (`dirty` holds
-        // ascending target indices and `targets` is sorted by node id),
-        // *before* parallel dispatch: the round evaluates exactly the
-        // prefix of dirty nodes whose charges fit, so a tripped budget
-        // yields the same partial result at any thread count.
+        // Budget is committed in node order (`dirty` holds ascending
+        // target indices and `targets` is sorted by node id) before the
+        // round evaluates: the round evaluates exactly the prefix of
+        // dirty nodes whose charges fit, so a tripped budget yields a
+        // prefix of the unbudgeted result, cold cache or warm.
         let mut cutoff = dirty.len();
         let mut tripped = None;
         for (i, &wi) in dirty.iter().enumerate() {
@@ -730,8 +725,9 @@ pub(crate) fn analyze_subset(
             span.field("nodes", cutoff);
             span
         });
-        let candidates: Vec<Option<Arrival>> =
-            pool.map_traced(trace, "evaluate_fanout", ready, |_, &wi| {
+        let candidates: Vec<Option<Arrival>> = ready
+            .iter()
+            .map(|&wi| {
                 evaluate_node(
                     net,
                     tech,
@@ -745,7 +741,8 @@ pub(crate) fn analyze_subset(
                     options.mode,
                     cache_ctx.as_ref(),
                 )
-            });
+            })
+            .collect();
         drop(eval_span);
         let mut changed = false;
         let mut next_dirty: Vec<usize> = Vec::new();
@@ -801,11 +798,9 @@ pub(crate) fn analyze_subset(
     unreachable!("loop always returns");
 }
 
-/// Extracts the stages of every target, fanned across the pool, with
-/// their fingerprints when `fingerprinted` (the set then interns its
-/// trees). A target's budget violation is reported after the fan-out,
-/// the first in node order, so which one surfaces does not depend on
-/// worker scheduling.
+/// Extracts the stages of every target in node order, with their
+/// fingerprints when `fingerprinted` (the set then interns its trees).
+/// The first target whose extraction trips the budget ends it.
 #[allow(clippy::too_many_arguments)]
 fn extract_stage_set(
     net: &Network,
@@ -815,8 +810,6 @@ fn extract_stage_set(
     non_switching_cap_weight: f64,
     fingerprinted: bool,
     tracker: &BudgetTracker,
-    pool: &ThreadPool,
-    trace: Option<&TraceSink>,
 ) -> Result<StageSet, crate::budget::BudgetExceeded> {
     let conducting = |tid| after.transistor_on(net, tid);
     // Capacitance on nodes whose logic value does not change (e.g. a
@@ -831,9 +824,9 @@ fn extract_stage_set(
             1.0
         }
     };
-    type Extracted = Result<(Vec<Stage>, Option<Vec<u128>>), crate::budget::BudgetExceeded>;
-    let extracted: Vec<Extracted> =
-        pool.map_traced(trace, "extract_fanout", targets, |_, &(node, edge)| {
+    let extracted = targets
+        .iter()
+        .map(|&(node, edge)| {
             tracker.check_deadline()?;
             let direction = if edge == Edge::Rising {
                 Direction::PullUp
@@ -864,8 +857,8 @@ fn extract_stage_set(
             let fingerprints =
                 fingerprinted.then(|| stages.iter().map(stage_fingerprint).collect());
             Ok((stages, fingerprints))
-        });
-    let extracted = extracted.into_iter().collect::<Result<Vec<_>, _>>()?;
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(StageSet::new(targets.iter().zip(extracted).map(
         |(&(node, edge), (stages, fingerprints))| (node, edge, stages, fingerprints),
     )))
@@ -873,22 +866,22 @@ fn extract_stage_set(
 
 /// Shared stage-memo handle plus this analysis's private probe counters
 /// (see `analyze_subset` for why the counters are not read off the
-/// shared cache).
+/// shared cache). One thread probes per analysis, so plain cells do.
 struct CacheCtx<'a> {
     cache: &'a StageCache,
     stamp: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    evictions: Cell<u64>,
 }
 
 impl CacheCtx<'_> {
     /// Exact per-analysis counts.
     fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
         }
     }
 }
@@ -999,11 +992,11 @@ fn evaluate_node(
         let memoized = match (cache, &key) {
             (Some(cc), Some(k)) => match cc.cache.lookup(k) {
                 Some(v) => {
-                    cc.hits.fetch_add(1, Ordering::Relaxed);
+                    cc.hits.set(cc.hits.get() + 1);
                     Some((v.delay, v.used_model))
                 }
                 None => {
-                    cc.misses.fetch_add(1, Ordering::Relaxed);
+                    cc.misses.set(cc.misses.get() + 1);
                     None
                 }
             },
@@ -1029,7 +1022,7 @@ fn evaluate_node(
                         },
                     );
                     if evicted {
-                        cc.evictions.fetch_add(1, Ordering::Relaxed);
+                        cc.evictions.set(cc.evictions.get() + 1);
                     }
                 }
                 computed
@@ -1509,10 +1502,12 @@ mod tests {
         use crate::memo::StageCache;
         // A warm cache turns stage evaluations into hits, but a hit must
         // charge the budget exactly like a computed evaluation (charges
-        // are committed in node order before dispatch, upstream of the
+        // are committed in node order before evaluation, upstream of the
         // cache probe): the budget trips at the same point and the
-        // partial prefix is bit-identical across cache off/warm and any
-        // thread count.
+        // partial prefix is bit-identical across cache off/warm. The
+        // partial comes back as a sweep's first error (`a0` rising leads
+        // the sweep), at one scenario thread and at four.
+        use crate::sweep::sweep_inputs_with_options;
         let net = decoder2to4(Style::Cmos, Farads::from_femto(100.0)).unwrap();
         let a0 = net.node_by_name("a0").unwrap();
         let s = Scenario::step(a0, Edge::Rising);
@@ -1544,8 +1539,15 @@ mod tests {
                     cache,
                     ..AnalyzerOptions::default()
                 };
-                let err = analyze_with_options(&net, &tech(), ModelKind::Slope, &s, options)
-                    .expect_err("a 3-eval cap cannot finish a decoder");
+                let err = sweep_inputs_with_options(
+                    &net,
+                    &tech(),
+                    ModelKind::Slope,
+                    Seconds::ZERO,
+                    &HashMap::new(),
+                    &options,
+                )
+                .expect_err("a 3-eval cap cannot finish a decoder");
                 let TimingError::BudgetExhausted { partial } = err else {
                     panic!("expected BudgetExhausted, got {err:?}");
                 };

@@ -155,16 +155,18 @@ const USAGE: &str = "usage: crystal-cli <lint|spice> <file.sim>
        crystal-cli <serve|client|chaos-proxy> [flags]
        crystal-cli diff-runs <A> <B> [flags]
 flags are per subcommand; one the subcommand does not take exits 1.
-analysis flags (report, sweep, batch, watch; serve takes all but --model and
---transition; check takes --transition --tech --threads --trace --metrics):
+analysis flags (report, sweep, batch, watch; serve takes all but --model,
+--transition and --threads; check takes --transition --tech --threads --trace
+--metrics; report does not take --threads):
   --model lumped|rctree|slope   delay model (default slope)
   --transition NS       input 10-90% transition time in ns (default 0)
   --tech FILE           calibrated technology file (default: built-in nominal)
   --max-stages N        analysis budget: max stage evaluations per scenario
   --max-paths N         analysis budget: max driving paths per node
   --deadline-ms MS      analysis budget: wall-clock deadline per scenario
-  --threads N           worker threads (1 = serial default, 0 = all hardware threads);
-                        batch fans out across scenarios, report across trigger nodes
+  --threads N           scenario workers (1 = serial default, 0 = all hardware
+                        threads) for sweep, batch, check and watch --selfcheck;
+                        each analysis runs on one thread
   --no-cache            disable the shared stage-evaluation memo cache
   --trace FILE          write a JSON-lines trace of every analysis phase to FILE
   --metrics             print a per-phase timing/counter summary after the output
@@ -198,8 +200,8 @@ other flags (each names the subcommands that take it):
                         `remove GATE SRC DRN`; `|` starts a comment)
   --selfcheck           watch: after the --edits, prove every edited state
                         bit-identical to a fresh full analysis across
-                        serial/parallel and cold/warm-cache sessions;
-                        any mismatch exits 4
+                        serial and cold/warm-cache sessions and a
+                        --threads scenario fan-out; any mismatch exits 4
   --once                watch: without --edits, exit after the first
                         processed file change
   --addr HOST:PORT      serve/client: daemon address (default 127.0.0.1:7878;
@@ -262,8 +264,9 @@ exit codes: 0 ok, 1 usage/other, 2 parse, 3 budget, 4 divergence,
 // Flag sets, each written once. A trailing `=` marks a flag that takes a
 // value; the others are switches.
 const MODEL_FLAGS: &str = "--model= --transition=";
-/// The rest of the analysis group: everything `serve` takes of it.
-const ENGINE_FLAGS: &str = "--tech= --threads= --no-cache --max-stages= --max-paths= \
+/// The rest of the analysis group: everything `serve` and `report` take
+/// of it. `--threads` only reaches commands that run many scenarios.
+const ENGINE_FLAGS: &str = "--tech= --no-cache --max-stages= --max-paths= \
     --deadline-ms= --trace= --metrics";
 const SCENARIO_FLAGS: &str = "--set= --input= --edge=";
 
@@ -276,13 +279,13 @@ const COMMANDS: &[(&str, &[&str])] = &[
         "report",
         &[MODEL_FLAGS, ENGINE_FLAGS, SCENARIO_FLAGS, "--output="],
     ),
-    ("sweep", &[MODEL_FLAGS, ENGINE_FLAGS]),
+    ("sweep", &[MODEL_FLAGS, ENGINE_FLAGS, "--threads="]),
     (
         "batch",
         &[
             MODEL_FLAGS,
             ENGINE_FLAGS,
-            "--set= --fail-fast --run-db= --inject= --journal= --resume --scenario-timeout= \
+            "--threads= --set= --fail-fast --run-db= --inject= --journal= --resume --scenario-timeout= \
              --max-retries= --retry-backoff-ms= --selfcheck-resume",
         ],
     ),
@@ -300,7 +303,7 @@ const COMMANDS: &[(&str, &[&str])] = &[
             MODEL_FLAGS,
             ENGINE_FLAGS,
             SCENARIO_FLAGS,
-            "--edits= --selfcheck --once",
+            "--threads= --edits= --selfcheck --once",
         ],
     ),
     (
@@ -337,6 +340,7 @@ const REQUIRES: &[(&str, &str, &str)] = &[
     ("batch", "--selfcheck-resume", "--journal"),
     ("batch", "--inject", "--run-db"),
     ("watch", "--selfcheck", "--edits"),
+    ("watch", "--threads", "--selfcheck"),
     ("serve", "--fault-writes-after", "--chaos-ops"),
     ("serve", "--fault-syncs-after", "--chaos-ops"),
     ("serve", "--fault-count", "--chaos-ops"),
@@ -744,8 +748,9 @@ fn run(args: &[String]) -> Result<String, CliError> {
         "sweep" => {
             let analysis = Analysis::read(&flags)?;
             let tech = analysis.technology()?;
-            // One shared cache (and thread setting) across the whole
-            // sweep: repeated stages amortize beautifully here.
+            // One shared cache across the whole sweep, whose scenarios
+            // fan across the --threads workers: repeated stages amortize
+            // beautifully here.
             let analyzer_options = analysis.analyzer_options();
             let sweep = if net.inputs().len() <= MAX_EXHAUSTIVE_INPUTS {
                 sweep_exhaustive_with_options(
@@ -1056,7 +1061,6 @@ fn run_serve(flags: &Flags) -> Result<String, CliError> {
             .map(Duration::from_millis),
         budget: analysis.budget,
         tech: analysis.technology()?,
-        threads: analysis.threads,
         cache: analysis.cache(),
         trace: analysis.sink.clone(),
         chaos_ops: flags.has("--chaos-ops"),
@@ -1102,7 +1106,7 @@ fn run_serve(flags: &Flags) -> Result<String, CliError> {
         stats.recovered,
     );
     if let Some(db) = run_db {
-        let mut record = RunRecord::new(runstore::new_meta("serve", 0, "-", analysis.threads));
+        let mut record = RunRecord::new(runstore::new_meta("serve", 0, "-", 1));
         for (name, value) in [
             ("accepted", stats.accepted),
             ("requests", stats.requests),

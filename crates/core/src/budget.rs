@@ -140,8 +140,8 @@ pub struct PartialTiming {
 
 /// Run-scoped enforcement state: the budget plus the start instant and
 /// the evaluation counter. The counter is atomic, so one tracker can be
-/// shared by reference across the analyzer's worker threads; every
-/// charge is observed exactly once no matter which thread makes it.
+/// shared by reference across threads; every charge is observed exactly
+/// once no matter which thread makes it.
 #[derive(Debug)]
 pub(crate) struct BudgetTracker {
     budget: AnalysisBudget,

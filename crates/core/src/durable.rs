@@ -630,8 +630,9 @@ pub struct DurableOptions {
     pub max_retries: usize,
     /// Base backoff before the first retry; doubles per further retry.
     pub retry_backoff: Duration,
-    /// Worker threads (same semantics as
-    /// [`AnalyzerOptions::threads`](crate::analyzer::AnalyzerOptions)).
+    /// Scenario workers (same semantics as
+    /// [`AnalyzerOptions::threads`](crate::analyzer::AnalyzerOptions));
+    /// each scenario's analysis runs serially on its worker.
     pub threads: usize,
     /// Graceful-shutdown flag to honor; `None` never drains early.
     pub shutdown: Option<ShutdownFlag>,
@@ -1023,25 +1024,12 @@ fn classify(net: &Network, result: Result<TimingResult, TimingError>) -> Attempt
     }
 }
 
-/// Transistor count at which [`run_durable`] switches its parallelism
-/// grain from scenario-level to intra-analysis. Below it, whole
-/// scenarios are the unit of work (coarse jobs, zero per-round fan-out
-/// overhead — always the win for the small seed circuits); at or above
-/// it, one circuit's extraction/evaluation fan-out dominates a scenario,
-/// so scenarios run one at a time with the workers inside the analysis.
-/// Either grain produces bit-identical arrivals; only wall time differs.
-const INTRA_ANALYSIS_TRANSISTORS: usize = 512;
-
 /// The timing batch: [`run_durable_with`] over real scenarios, each
 /// analyzed against one network.
 ///
-/// `durable.threads` is the worker budget, spent on one grain picked from
-/// the circuit size (`INTRA_ANALYSIS_TRANSISTORS`): small circuits
-/// parallelize across *scenarios* with each analysis serial inside,
-/// large circuits run scenarios serially with the workers inside each
-/// analysis — never both at once, so the machine is not oversubscribed.
-/// `options.threads` is overridden accordingly. A shared `options.cache`
-/// pools stage evaluations across all scenarios; retries drop it — the
+/// `durable.threads` workers run whole scenarios, and each analysis runs
+/// serially on its worker. A shared `options.cache` pools stage
+/// evaluations across all scenarios; retries drop it — the
 /// relaxed-options rung of the ladder — which is safe because cached
 /// results are bit-identical to fresh ones.
 pub fn run_durable(
@@ -1059,20 +1047,11 @@ pub fn run_durable(
         None => RunFingerprint::from(0),
     };
     let trace = options.trace.clone();
-    let (outer, inner) = if net.transistor_count() >= INTRA_ANALYSIS_TRANSISTORS {
-        (1, durable.threads)
-    } else {
-        (durable.threads, 1)
-    };
-    let per_scenario = AnalyzerOptions {
-        threads: inner,
-        ..options
-    };
     run_durable_with(
         scenarios,
         fingerprint,
         |scenario, token, attempt| {
-            let mut attempt_options = per_scenario.clone();
+            let mut attempt_options = options.clone();
             attempt_options.cancel = Some(token.clone());
             if attempt > 1 {
                 attempt_options.cache = None;
@@ -1082,10 +1061,7 @@ pub fn run_durable(
                 analyze_with_options(net, tech, model, scenario, attempt_options),
             )
         },
-        &DurableOptions {
-            threads: outer,
-            ..durable.clone()
-        },
+        durable,
         trace.as_deref(),
     )
 }

@@ -1,7 +1,7 @@
 //! Zero-dependency structured observability for the timing engine.
 //!
-//! Every optimized path in crystal (parallel propagation, the stage memo
-//! cache, batched scenario fan-out) is a place where a wrong answer can
+//! Every optimized path in crystal (dirty-set propagation, the memo
+//! caches, batched scenario fan-out) is a place where a wrong answer can
 //! hide behind a fast one. This module provides the instrumentation the
 //! differential self-check harness ([`crate::selfcheck`]) and every perf
 //! PR lean on: span-style timers and per-phase counters collected into a

@@ -6,13 +6,14 @@
 //!
 //! Design:
 //!
-//! * workers are **persistent**: [`ThreadPool::new`] spawns `workers - 1`
-//!   long-lived OS threads once, and every [`ThreadPool::map`] call hands
-//!   them a batch over a condition-variable epoch instead of re-spawning.
-//!   The analyzer calls `map` once per propagation round (tens of times
-//!   per scenario), so per-call spawn/join was a real tax on small
-//!   circuits; the calling thread always participates as worker 0, so a
-//!   1-worker pool spawns nothing and degenerates to a serial loop;
+//! * the grain is a **whole scenario**: the callers are the scenario
+//!   executor ([`crate::durable`], one `map` per batch or per fail-fast
+//!   chunk) and the sweeps ([`crate::sweep`]), while one analysis always
+//!   runs on one thread. Each `map` call therefore spawns its helpers in
+//!   a [`std::thread::scope`] and joins them before it returns — no
+//!   persistent workers and no lifetime erasure. The calling thread is
+//!   always worker 0, so a 1-worker pool spawns nothing and degenerates
+//!   to a serial loop;
 //! * jobs (item indices) are pre-split into one contiguous deque per
 //!   worker; a worker pops from the **front** of its own deque and, once
 //!   empty, steals from the **back** of its siblings', so imbalanced
@@ -20,8 +21,8 @@
 //!   keep every core busy;
 //! * results carry their item index and are re-assembled in input order,
 //!   so the output of [`ThreadPool::map`] is **bit-identical for any
-//!   worker count** — the determinism guarantee the analyzer and batch
-//!   runner build on;
+//!   worker count** — the determinism guarantee the batch runner and the
+//!   sweeps build on;
 //! * a panic inside the closure is caught on the worker, and the payload
 //!   of the **lowest-indexed** panicking item is re-raised on the calling
 //!   thread after every worker has drained — exactly what a serial
@@ -32,7 +33,7 @@ use crate::obs::{Phase, TraceSink};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 
 /// The number of hardware threads, with a serial fallback when the
 /// platform cannot say.
@@ -52,137 +53,28 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// The batch handed to the persistent workers for one epoch: a type- and
-/// lifetime-erased `Fn(worker_index)`. The pointee lives on the stack of
-/// the `map` call that published it; erasure is sound because `map`
-/// blocks until every worker has finished the epoch (and clears the
-/// pointer) before its frame unwinds.
-#[derive(Clone, Copy)]
-struct TaskRef(*const (dyn Fn(usize) + Sync));
-
-// The pointee is `Sync` and the protocol guarantees it outlives every
-// access, so shipping the pointer to the workers is safe.
-unsafe impl Send for TaskRef {}
-
-/// Epoch state shared between the submitting thread and the workers.
-struct PoolState {
-    /// Bumped once per batch; a worker runs the task when it observes an
-    /// epoch it has not seen yet.
-    epoch: u64,
-    /// The current batch, present exactly while an epoch is in flight.
-    task: Option<TaskRef>,
-    /// Persistent workers still inside the current epoch.
-    running: usize,
-    /// Set by `Drop`; workers exit at the next wakeup.
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Workers park here between batches.
-    work_ready: Condvar,
-    /// The submitter parks here until `running` drains to zero.
-    work_done: Condvar,
-}
-
 /// A configured worker count plus the machinery to fan a slice across it.
 ///
-/// With more than one worker the pool owns `workers - 1` long-lived OS
-/// threads; the thread calling [`ThreadPool::map`] is always worker 0.
-/// Batches are serialized — the pool is not re-entrant, and a closure
-/// running on the pool must not call back into the same pool instance
-/// (the analyzer gives every analysis its own pool, and
-/// [`crate::durable`] fans out either across scenarios or inside one
-/// analysis, never both, so this does not arise in practice).
+/// The pool holds no threads between calls: every [`ThreadPool::map`]
+/// spawns up to `workers - 1` scoped helpers and joins them before it
+/// returns, with the calling thread as worker 0.
+#[derive(Debug)]
 pub struct ThreadPool {
     workers: usize,
-    shared: Option<Arc<PoolShared>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    /// Serializes `map` calls so epochs never overlap.
-    submit: Mutex<()>,
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("workers", &self.workers)
-            .finish()
-    }
 }
 
 impl ThreadPool {
     /// A pool with exactly `workers` workers (clamped to at least 1).
-    /// `0` resolves to the hardware thread count. Spawns `workers - 1`
-    /// persistent threads; a 1-worker pool spawns none.
+    /// `0` resolves to the hardware thread count.
     pub fn new(workers: usize) -> ThreadPool {
-        let workers = resolve_threads(workers).max(1);
-        if workers <= 1 {
-            return ThreadPool {
-                workers,
-                shared: None,
-                handles: Vec::new(),
-                submit: Mutex::new(()),
-            };
-        }
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                epoch: 0,
-                task: None,
-                running: 0,
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            work_done: Condvar::new(),
-        });
-        let handles = (1..workers)
-            .map(|id| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("crystal-pool-{id}"))
-                    .spawn(move || worker_loop(&shared, id))
-                    .expect("spawn pool worker")
-            })
-            .collect();
         ThreadPool {
-            workers,
-            shared: Some(shared),
-            handles,
-            submit: Mutex::new(()),
+            workers: resolve_threads(workers).max(1),
         }
     }
 
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Runs `body(worker_index)` once on every worker (persistent workers
-    /// plus the calling thread as worker 0) and returns after all of them
-    /// finish. This is the sole point where the task reference crosses
-    /// threads; see [`TaskRef`] for the lifetime argument.
-    fn run_on_all(&self, body: &(dyn Fn(usize) + Sync)) {
-        let Some(shared) = &self.shared else {
-            body(0);
-            return;
-        };
-        let _submit = self.submit.lock().expect("pool submit lock");
-        // Erase the borrow's lifetime: the wait loop below guarantees no
-        // worker holds the pointer once this function returns.
-        let erased: *const (dyn Fn(usize) + Sync + 'static) =
-            unsafe { std::mem::transmute(body as *const (dyn Fn(usize) + Sync)) };
-        {
-            let mut state = shared.state.lock().expect("pool state lock");
-            state.task = Some(TaskRef(erased));
-            state.epoch += 1;
-            state.running = self.handles.len();
-            shared.work_ready.notify_all();
-        }
-        body(0);
-        let mut state = shared.state.lock().expect("pool state lock");
-        while state.running > 0 {
-            state = shared.work_done.wait(state).expect("pool state lock");
-        }
-        state.task = None;
     }
 
     /// Applies `f` to every item and returns the results **in input
@@ -198,11 +90,7 @@ impl ThreadPool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let parts = self.workers.min(items.len());
-        if parts <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let slots = self.fan_out(items.len(), parts, |i| {
+        let slots = fan_out(items.len(), self.workers, |i| {
             catch_unwind(AssertUnwindSafe(|| f(i, &items[i])))
         });
         collect_in_order(slots)
@@ -230,21 +118,7 @@ impl ThreadPool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let parts = self.workers.min(items.len());
-        if parts <= 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    if stop.load(Ordering::Acquire) {
-                        None
-                    } else {
-                        Some(f(i, t))
-                    }
-                })
-                .collect();
-        }
-        let slots = self.fan_out(items.len(), parts, |i| {
+        let slots = fan_out(items.len(), self.workers, |i| {
             if stop.load(Ordering::Acquire) {
                 None
             } else {
@@ -252,47 +126,6 @@ impl ThreadPool {
             }
         });
         collect_in_order(slots.into_iter().map(Option::flatten).collect())
-    }
-
-    /// The shared fan-out: splits `0..len` into per-worker deques, runs
-    /// `job` for every index across the workers (stealing included), and
-    /// returns the raw per-index outcomes in input order (`None` for an
-    /// index no worker produced — only possible when `job` itself chose
-    /// to return nothing, as in the drained tail of `map_until`).
-    fn fan_out<R, J>(&self, len: usize, parts: usize, job: J) -> Vec<Option<R>>
-    where
-        R: Send,
-        J: Fn(usize) -> R + Sync,
-    {
-        // One deque of item indices per participating worker, pre-filled
-        // with contiguous chunks so unstolen work retains memory locality.
-        let queues: Vec<Mutex<VecDeque<usize>>> = split_indices(len, parts)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(len));
-        self.run_on_all(&|w: usize| {
-            // With fewer items than workers the surplus workers sit the
-            // epoch out (their deques do not exist).
-            if w >= parts {
-                return;
-            }
-            let mut local: Vec<(usize, R)> = Vec::new();
-            while let Some(i) = next_job(&queues, w) {
-                local.push((i, job(i)));
-            }
-            if !local.is_empty() {
-                collected
-                    .lock()
-                    .expect("pool results lock")
-                    .append(&mut local);
-            }
-        });
-        let mut slots: Vec<Option<R>> = (0..len).map(|_| None).collect();
-        for (i, r) in collected.into_inner().expect("pool results lock") {
-            slots[i] = Some(r);
-        }
-        slots
     }
 
     /// [`ThreadPool::map`] wrapped in a [`Phase::Pool`] span recording
@@ -320,52 +153,54 @@ impl ThreadPool {
     }
 }
 
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        if let Some(shared) = &self.shared {
-            shared.state.lock().expect("pool state lock").shutdown = true;
-            shared.work_ready.notify_all();
-            for handle in self.handles.drain(..) {
-                let _ = handle.join();
-            }
+/// The shared fan-out: splits `0..len` into one deque per worker (at
+/// most `workers`, at most one per item), runs `job` for every index on
+/// the calling thread plus a scoped helper per further deque (stealing
+/// included), and returns the raw per-index outcomes in input order
+/// (`None` for an index no worker produced — only possible when `job`
+/// itself chose to return nothing, as in the drained tail of
+/// `map_until`). `job` catches item panics, so no worker unwinds. With
+/// one deque nothing is spawned.
+fn fan_out<R, J>(len: usize, workers: usize, job: J) -> Vec<Option<R>>
+where
+    R: Send,
+    J: Fn(usize) -> R + Sync,
+{
+    let parts = workers.min(len).max(1);
+    // One deque of item indices per worker, pre-filled with contiguous
+    // chunks so unstolen work retains memory locality.
+    let queues: Vec<Mutex<VecDeque<usize>>> = split_indices(len, parts)
+        .into_iter()
+        .map(Mutex::new)
+        .collect();
+    let work = |w: usize| {
+        let mut local: Vec<(usize, R)> = Vec::new();
+        while let Some(i) = next_job(&queues, w) {
+            local.push((i, job(i)));
         }
-    }
-}
-
-impl Default for ThreadPool {
-    fn default() -> ThreadPool {
-        ThreadPool::new(0)
-    }
-}
-
-/// The persistent worker body: wait for a new epoch (or shutdown), run
-/// the batch once, report done, repeat.
-fn worker_loop(shared: &PoolShared, id: usize) {
-    let mut seen = 0u64;
-    loop {
-        let task = {
-            let mut state = shared.state.lock().expect("pool state lock");
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                if state.epoch != seen {
-                    seen = state.epoch;
-                    break state.task.expect("task set while epoch is in flight");
-                }
-                state = shared.work_ready.wait(state).expect("pool state lock");
-            }
-        };
-        // Item panics are already caught inside the batch closure; this
-        // outer catch is defense in depth so a worker can never die while
-        // holding the epoch open (which would deadlock the submitter).
-        let _ = catch_unwind(AssertUnwindSafe(|| unsafe { (&*task.0)(id) }));
-        let mut state = shared.state.lock().expect("pool state lock");
-        state.running -= 1;
-        if state.running == 0 {
-            shared.work_done.notify_all();
+        local
+    };
+    let collected: Vec<(usize, R)> = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..parts)
+            .map(|w| {
+                let work = &work;
+                std::thread::Builder::new()
+                    .name(format!("crystal-pool-{w}"))
+                    .spawn_scoped(s, move || work(w))
+                    .expect("spawn pool worker")
+            })
+            .collect();
+        let mut all = work(0);
+        for helper in helpers {
+            all.extend(helper.join().expect("pool workers catch item panics"));
         }
+        all
+    });
+    let mut slots: Vec<Option<R>> = (0..len).map(|_| None).collect();
+    for (i, r) in collected {
+        slots[i] = Some(r);
     }
+    slots
 }
 
 type Caught = Box<dyn std::any::Any + Send + 'static>;
@@ -458,20 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn workers_are_reused_across_map_calls() {
-        // The whole point of the persistent pool: back-to-back batches on
-        // one instance (the analyzer runs one per propagation round) are
-        // served by the same worker set, and every batch stays correct.
-        let pool = ThreadPool::new(4);
-        for round in 0..50usize {
-            let items: Vec<usize> = (0..round + 1).collect();
-            let got = pool.map(&items, |_, &x| x + round);
-            let expect: Vec<usize> = items.iter().map(|&x| x + round).collect();
-            assert_eq!(got, expect, "round {round}");
-        }
-    }
-
-    #[test]
     fn unbalanced_work_is_stolen() {
         // One expensive item at the front of worker 0's chunk: the rest of
         // the chunk must be stolen while worker 0 grinds. We can't observe
@@ -511,8 +332,8 @@ mod tests {
 
     #[test]
     fn pool_survives_a_panicking_batch() {
-        // A panic re-raised on the caller must leave the persistent
-        // workers parked and healthy for the next batch.
+        // A panic re-raised on the caller must leave the pool usable
+        // for the next batch.
         let pool = ThreadPool::new(3);
         let items: Vec<usize> = (0..16).collect();
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {

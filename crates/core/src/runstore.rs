@@ -166,7 +166,7 @@ pub struct RunMeta {
     /// Hardware threads of the recording machine — wall-clock numbers
     /// from runs with different values are never gate-compared.
     pub hardware_threads: u64,
-    /// Configured analyzer worker threads.
+    /// Configured scenario worker threads.
     pub threads: u64,
     /// Delay model name (`lumped`/`rc-tree`/`slope`), or `-` when the
     /// run spans several models.

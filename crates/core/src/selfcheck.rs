@@ -2,15 +2,17 @@
 //!
 //! The paper's claim — slope tracks the reference simulator closely while
 //! lumped RC can be off by 2× — is only worth anything if the *optimized*
-//! paths (sharded memo cache, parallel propagation) still produce it.
+//! paths (sharded memo cache, scenarios fanned across threads) still
+//! produce it.
 //! This harness re-runs analyzed scenarios three ways and reports every
 //! divergence:
 //!
 //! 1. **cached vs. fresh** — the same scenario analyzed with a shared
 //!    [`StageCache`] (twice, so the second run actually hits) must be
 //!    bit-identical to an uncached run;
-//! 2. **parallel vs. serial** — `threads = N` must be bit-identical to
-//!    `threads = 1` (the Jacobi snapshot-round guarantee);
+//! 2. **parallel vs. serial** — the scenarios fanned across `threads = N`
+//!    scenario workers through [`run_durable`], sharing one fresh cache,
+//!    must be bit-identical to serial analyses;
 //! 3. **model vs. reference** — each delay model's prediction at the
 //!    latest-switching output must sit inside its per-model tolerance
 //!    band around a nanospice transient measurement.
@@ -22,6 +24,7 @@
 //! predictions so CI can verify the harness actually fires.
 
 use crate::analyzer::{analyze_with_options, AnalyzerOptions, Edge, Scenario, TimingResult};
+use crate::durable::{run_durable, DurableOptions};
 use crate::error::TimingError;
 use crate::incremental::IncrementalAnalyzer;
 use crate::memo::StageCache;
@@ -93,7 +96,7 @@ pub struct SelfCheckConfig {
     pub models: Vec<ModelKind>,
     /// Reference-agreement bands.
     pub bands: ToleranceBands,
-    /// Worker threads for the parallel leg of the parallel-vs-serial
+    /// Scenario workers for the parallel leg of the parallel-vs-serial
     /// check (`0` = every hardware thread, the default).
     pub threads: usize,
     /// Cap on the number of scenarios per netlist that get the (much
@@ -134,13 +137,14 @@ pub enum Divergence {
         /// Which cached pass differed (1 = populating, 2 = hitting).
         pass: usize,
     },
-    /// A parallel analysis differed from the serial one.
+    /// A scenario's result from the parallel leg differed from its
+    /// serial analysis.
     Parallel {
         /// Scenario label.
         scenario: String,
         /// The model being audited.
         model: ModelKind,
-        /// The worker-thread setting of the diverging run.
+        /// The scenario-worker setting of the diverging run.
         threads: usize,
     },
     /// A model prediction fell outside its reference tolerance band.
@@ -191,8 +195,9 @@ pub enum Divergence {
         /// 1-based index of the edit after which the divergence appeared
         /// (0 = before any edit, right after session construction).
         edit: usize,
-        /// Which session variant diverged (`serial`, `parallel`,
-        /// `cache-cold`, `cache-warm`).
+        /// Which leg diverged: a session variant (`serial`,
+        /// `cache-cold`, `cache-warm`) or `parallel`, the edited
+        /// network's scenarios fanned across scenario workers.
         leg: &'static str,
     },
 }
@@ -323,7 +328,9 @@ pub fn standard_scenarios(
 }
 
 /// Audits one netlist: every scenario gets the exact cached-vs-fresh and
-/// parallel-vs-serial checks per model, and the first
+/// parallel-vs-serial checks per model (the parallel leg runs all
+/// scenarios of a model at once, across [`SelfCheckConfig::threads`]
+/// scenario workers), and the first
 /// [`SelfCheckConfig::reference_sample`] switching scenarios also get the
 /// model-vs-transient-reference band check.
 pub fn check_network(
@@ -341,6 +348,23 @@ pub fn check_network(
         .iter()
         .map(|_| Arc::new(StageCache::new()))
         .collect();
+    let serial = reference_options(&AnalyzerOptions {
+        trace: config.trace.clone(),
+        ..AnalyzerOptions::default()
+    });
+    // The parallel leg runs each model's whole scenario list up front;
+    // the scenario loop compares its results.
+    let mut fanned: Vec<_> = (config.models.iter())
+        .map(|&model| {
+            let _span = trace.map(|t| t.span(Phase::Check, "parallel"));
+            let shared = AnalyzerOptions {
+                cache: Some(Arc::new(StageCache::new())),
+                ..serial.clone()
+            };
+            let fanned = fan_out_scenarios(net, tech, model, scenarios, shared, config.threads);
+            fanned.into_iter()
+        })
+        .collect();
     let mut references_done = 0usize;
     for (label, scenario) in scenarios {
         let _span = trace.map(|t| {
@@ -349,11 +373,11 @@ pub fn check_network(
             span
         });
         let mut fresh_for_reference: Vec<(ModelKind, TimingResult)> = Vec::new();
-        for (model, cache) in config.models.iter().copied().zip(&caches) {
-            let serial = reference_options(&AnalyzerOptions {
-                trace: config.trace.clone(),
-                ..AnalyzerOptions::default()
-            });
+        for ((model, cache), fanned) in (config.models.iter().copied())
+            .zip(&caches)
+            .zip(&mut fanned)
+        {
+            let parallel = fanned.next().expect("one parallel result per scenario");
             let failed = |leg, e: TimingError| Divergence::Failed {
                 scenario: label.clone(),
                 model,
@@ -392,21 +416,19 @@ pub fn check_network(
 
             // Parallel vs. serial.
             report.checks_run += 1;
-            let parallel_options = AnalyzerOptions {
-                threads: config.threads,
-                ..serial.clone()
-            };
-            match analyze_with_options(net, tech, model, scenario, parallel_options) {
-                Ok(parallel) => {
-                    if parallel != fresh {
-                        report.divergences.push(Divergence::Parallel {
-                            scenario: label.clone(),
-                            model,
-                            threads: config.threads,
-                        });
-                    }
-                }
-                Err(e) => report.divergences.push(failed("parallel", e)),
+            match parallel {
+                Ok(parallel) if parallel == fresh => {}
+                Ok(_) => report.divergences.push(Divergence::Parallel {
+                    scenario: label.clone(),
+                    model,
+                    threads: config.threads,
+                }),
+                Err(error) => report.divergences.push(Divergence::Failed {
+                    scenario: label.clone(),
+                    model,
+                    leg: "parallel",
+                    error,
+                }),
             }
 
             fresh_for_reference.push((model, fresh));
@@ -424,6 +446,7 @@ pub fn check_network(
             }
         }
     }
+
     if let Some(t) = trace {
         t.count(Phase::Check, "comparisons", report.checks_run as u64);
         t.count(Phase::Check, "divergences", report.divergences.len() as u64);
@@ -526,15 +549,39 @@ pub fn check_resume_equivalence(
     report
 }
 
-/// The reference leg of every self-check: serial, uncached and never
-/// cancelled — the most deterministic configuration the analyzer has —
-/// with everything else (budget, mode, trace) taken from `base`.
+/// The reference leg of every self-check: uncached and never cancelled
+/// — the most deterministic configuration the analyzer has — with
+/// everything else (budget, mode, trace) taken from `base`.
 fn reference_options(base: &AnalyzerOptions) -> AnalyzerOptions {
     AnalyzerOptions {
-        threads: 1,
         cache: None,
         cancel: None,
         ..base.clone()
+    }
+}
+
+/// The parallel leg: `scenarios` through [`run_durable`] at `threads`
+/// scenario workers (which share `options.cache`), each analysis serial
+/// on its worker and never retried. Every scenario's result in scenario
+/// order, or its record's failure text.
+fn fan_out_scenarios(
+    net: &Network,
+    tech: &Technology,
+    model: ModelKind,
+    scenarios: &[(String, Scenario)],
+    options: AnalyzerOptions,
+    threads: usize,
+) -> Vec<Result<TimingResult, String>> {
+    let durable = DurableOptions {
+        threads,
+        max_retries: 0,
+        ..DurableOptions::default()
+    };
+    match run_durable(net, tech, model, scenarios, options, &durable) {
+        Ok(run) => (run.records.into_iter())
+            .map(|record| record.result.ok_or(record.summary))
+            .collect(),
+        Err(e) => vec![Err(e.to_string()); scenarios.len()],
     }
 }
 
@@ -572,14 +619,18 @@ pub(crate) fn audit_incremental<'a>(
     })
 }
 
-/// Audits the incremental engine over a scripted edit sequence: four
-/// independent [`IncrementalAnalyzer`] sessions — serial, parallel
-/// (`config.threads`), cold shared cache, and a cache pre-warmed by a
-/// full pass over every scenario — apply the same edits, and after every
-/// edit (plus once right after construction) each session's result for
-/// every scenario must be **bit-identical** to a fresh serial, uncached
-/// full analysis of the edited network. Any mismatch, and any leg that
-/// errors where the reference succeeds, is a divergence.
+/// Audits the incremental engine over a scripted edit sequence: three
+/// independent [`IncrementalAnalyzer`] sessions — serial, cold shared
+/// cache, and a cache pre-warmed by a full pass over every scenario —
+/// apply the same edits, and after every edit (plus once right after
+/// construction) each session's result for every scenario must be
+/// **bit-identical** to a fresh serial, uncached full analysis of the
+/// edited network. At the same points a fourth, `parallel` leg fans the
+/// serial session's network across `config.threads` scenario workers
+/// (one cache shared by every edit) and must match the serial session,
+/// which its own audit holds to the reference.
+/// Any mismatch, and any leg that errors where the reference succeeds,
+/// is a divergence.
 pub fn check_incremental(
     net: &Network,
     tech: &Technology,
@@ -609,15 +660,8 @@ pub fn check_incremental(
             },
         );
     }
-    let variants: [(&'static str, AnalyzerOptions); 4] = [
+    let variants: [(&'static str, AnalyzerOptions); 3] = [
         ("serial", base.clone()),
-        (
-            "parallel",
-            AnalyzerOptions {
-                threads: config.threads,
-                ..base.clone()
-            },
-        ),
         (
             "cache-cold",
             AnalyzerOptions {
@@ -633,6 +677,11 @@ pub fn check_incremental(
             },
         ),
     ];
+    let parallel = AnalyzerOptions {
+        cache: Some(Arc::new(StageCache::new())),
+        ..base.clone()
+    };
+    let threads = config.threads;
     for (leg, options) in variants {
         let _span = trace.map(|t| {
             let mut span = t.span(Phase::Check, "incremental");
@@ -667,6 +716,27 @@ pub fn check_incremental(
                         model,
                         edit,
                         leg,
+                    });
+                }
+            }
+            if leg != "serial" {
+                return;
+            }
+            // The parallel leg, on the network the serial session reached.
+            let current: Vec<(String, Scenario)> = (session.labels())
+                .filter_map(|label| Some((label.to_string(), session.scenario(label).ok()?)))
+                .collect();
+            let network = session.network();
+            let fanned =
+                fan_out_scenarios(network, tech, model, &current, parallel.clone(), threads);
+            for ((label, _), fanned) in current.iter().zip(fanned) {
+                report.checks_run += 1;
+                if fanned.ok().as_ref() != session.result(label) {
+                    report.divergences.push(Divergence::Incremental {
+                        scenario: label.clone(),
+                        model,
+                        edit,
+                        leg: "parallel",
                     });
                 }
             }

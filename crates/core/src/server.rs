@@ -271,8 +271,6 @@ pub struct ServerOptions {
     pub budget: AnalysisBudget,
     /// Technology every session analyzes against.
     pub tech: Technology,
-    /// Analyzer worker threads per request (`1` serial, `0` all cores).
-    pub threads: usize,
     /// Shared stage-evaluation cache pooled across all sessions;
     /// cached results are bit-identical, so this never changes answers.
     pub cache: Option<Arc<StageCache>>,
@@ -313,7 +311,6 @@ impl Default for ServerOptions {
             request_timeout: None,
             budget: AnalysisBudget::unlimited(),
             tech: Technology::nominal(),
-            threads: 1,
             cache: None,
             trace: None,
             shutdown: ShutdownFlag::new(),
@@ -397,7 +394,6 @@ struct Inner {
     max_inflight: usize,
     request_timeout: Option<Duration>,
     budget: AnalysisBudget,
-    threads: usize,
     cache: Option<Arc<StageCache>>,
     trace: Option<Arc<TraceSink>>,
     shutdown: ShutdownFlag,
@@ -426,7 +422,6 @@ impl Inner {
         AnalyzerOptions {
             budget,
             cancel,
-            threads: self.threads,
             cache: self.cache.clone(),
             trace: self.trace.clone(),
             ..AnalyzerOptions::default()
@@ -557,7 +552,6 @@ pub fn serve(options: ServerOptions) -> std::io::Result<ServerHandle> {
         max_inflight: options.max_inflight.max(1),
         request_timeout: options.request_timeout,
         budget: options.budget,
-        threads: options.threads,
         cache: options.cache.clone(),
         trace: options.trace.clone(),
         shutdown: options.shutdown.clone(),
@@ -1307,7 +1301,7 @@ fn op_batch(inner: &Arc<Inner>, request: &Fields, token: &CancelToken) -> Respon
     if let Some(message) = guard.poisoned() {
         return error_response(&SessionError::Poisoned(message.to_string()));
     }
-    // The request's budget, deadline and threads, but not the shared
+    // The request's budget and deadline, but not the shared
     // cache: the reference must not reuse what the session memoized.
     let reference = AnalyzerOptions {
         cache: None,

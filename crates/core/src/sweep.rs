@@ -1,16 +1,22 @@
 //! Worst-case sweeps: run many single-input scenarios and keep the
 //! latest arrival — how a Crystal-class tool finds a circuit's critical
 //! path without being told which input matters.
+//!
+//! The `*_with_options` sweeps fan their scenarios across
+//! [`AnalyzerOptions::threads`] workers, one serial analysis per
+//! scenario; runs come back in scenario order at any thread count.
 
 use crate::analyzer::{
     analyze_with_options, AnalyzerOptions, Arrival, Edge, Scenario, TimingResult,
 };
 use crate::error::TimingError;
 use crate::models::ModelKind;
+use crate::pool::ThreadPool;
 use crate::tech::Technology;
 use mosnet::units::Seconds;
 use mosnet::{Network, NodeId};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Upper bound on primary inputs for the exhaustive sweep (2^(n−1) static
 /// vectors per switching input would explode beyond this).
@@ -84,10 +90,11 @@ pub fn sweep_inputs(
 
 /// [`sweep_inputs`] with explicit [`AnalyzerOptions`] — in particular a
 /// shared stage cache, which pays off across a sweep's many
-/// near-identical scenarios.
+/// near-identical scenarios, and the scenario worker count.
 ///
 /// # Errors
-/// See [`sweep_inputs`].
+/// See [`sweep_inputs`]; of several failing scenarios, the first in
+/// sweep order is reported.
 pub fn sweep_inputs_with_options(
     net: &Network,
     tech: &Technology,
@@ -96,7 +103,7 @@ pub fn sweep_inputs_with_options(
     base_statics: &HashMap<NodeId, bool>,
     options: &AnalyzerOptions,
 ) -> Result<SweepResult, TimingError> {
-    let mut runs = Vec::new();
+    let mut scenarios = Vec::new();
     for input in net.inputs() {
         for edge in [Edge::Rising, Edge::Falling] {
             let mut scenario = Scenario::step(input, edge).with_input_transition(input_transition);
@@ -105,11 +112,10 @@ pub fn sweep_inputs_with_options(
                     scenario = scenario.with_static(n, v);
                 }
             }
-            let result = analyze_with_options(net, tech, model, &scenario, options.clone())?;
-            runs.push((scenario, result));
+            scenarios.push(scenario);
         }
     }
-    Ok(SweepResult { runs })
+    run_all(net, tech, model, scenarios, options)
 }
 
 /// Exhaustive sweep: for every primary input, both edges, over **all**
@@ -137,7 +143,8 @@ pub fn sweep_exhaustive(
 /// [`sweep_exhaustive`] with explicit [`AnalyzerOptions`].
 ///
 /// # Errors
-/// See [`sweep_exhaustive`].
+/// See [`sweep_exhaustive`]; of several failing scenarios, the first in
+/// sweep order is reported.
 pub fn sweep_exhaustive_with_options(
     net: &Network,
     tech: &Technology,
@@ -154,7 +161,7 @@ pub fn sweep_exhaustive_with_options(
             ),
         });
     }
-    let mut runs = Vec::new();
+    let mut scenarios = Vec::new();
     for &input in inputs.iter() {
         let others: Vec<NodeId> = inputs.iter().copied().filter(|&n| n != input).collect();
         for vector in 0u64..(1u64 << others.len()) {
@@ -164,10 +171,44 @@ pub fn sweep_exhaustive_with_options(
                 for (bit, &other) in others.iter().enumerate() {
                     scenario = scenario.with_static(other, vector >> bit & 1 == 1);
                 }
-                let result = analyze_with_options(net, tech, model, &scenario, options.clone())?;
-                runs.push((scenario, result));
+                scenarios.push(scenario);
             }
         }
+    }
+    run_all(net, tech, model, scenarios, options)
+}
+
+/// Analyzes every scenario across `options.threads` workers and pairs
+/// each with its result, in scenario order; the first failure in that
+/// order is the sweep's error. A failure stops the dispatch of later
+/// scenarios, so a serial sweep stops at its first failure; a scenario
+/// a worker skipped ahead of the first failure in scenario order is
+/// analyzed here instead.
+fn run_all(
+    net: &Network,
+    tech: &Technology,
+    model: ModelKind,
+    scenarios: Vec<Scenario>,
+    options: &AnalyzerOptions,
+) -> Result<SweepResult, TimingError> {
+    let analyze =
+        |scenario: &Scenario| analyze_with_options(net, tech, model, scenario, options.clone());
+    // Publishes no data, so relaxed loads and stores do.
+    let failed = AtomicBool::new(false);
+    let pool = ThreadPool::new(options.threads);
+    let trace = options.trace.as_deref();
+    let results = pool.map_traced(trace, "sweep", &scenarios, |_, scenario| {
+        if failed.load(Ordering::Relaxed) {
+            return None;
+        }
+        let result = analyze(scenario);
+        failed.fetch_or(result.is_err(), Ordering::Relaxed);
+        Some(result)
+    });
+    let mut runs = Vec::with_capacity(scenarios.len());
+    for (scenario, result) in scenarios.into_iter().zip(results) {
+        let result = result.unwrap_or_else(|| analyze(&scenario))?;
+        runs.push((scenario, result));
     }
     Ok(SweepResult { runs })
 }

@@ -1,21 +1,23 @@
 //! Property tests for event-driven (dirty-set) propagation: the
 //! analyzer must reproduce an independent full-Jacobi oracle bit for bit
-//! at every thread count, while charging strictly fewer stage
+//! at every scenario-thread count, while charging strictly fewer stage
 //! evaluations on multi-round circuits, and tripped budgets must land on
 //! the identical partial result whether the run is cold or warm, serial
-//! or parallel.
+//! or fanned across scenario workers.
 
 use crystal::analyzer::{
     analyze_with_options, AnalyzerOptions, Arrival, Edge, Scenario, TimingResult,
     NON_SWITCHING_CAP_WEIGHT,
 };
 use crystal::budget::AnalysisBudget;
+use crystal::durable::{run_durable, DurableOptions};
 use crystal::extract::stages_to_full;
 use crystal::logic::{self, LogicValue};
 use crystal::memo::StageCache;
 use crystal::models::{estimate_with_fallback, ModelKind, TriggerContext};
 use crystal::obs::{Phase, TraceSink};
 use crystal::stage::Stage;
+use crystal::sweep::sweep_inputs_with_options;
 use crystal::tech::{Direction, Technology};
 use crystal::TimingError;
 use mosnet::generators::{inverter_chain, random_pass_mesh, Style};
@@ -196,10 +198,20 @@ fn arrivals_of(net: &Network, result: &TimingResult) -> Vec<Option<Arrival>> {
         .collect()
 }
 
-fn mesh_scenario(net: &Network) -> Scenario {
+/// Both edges of the mesh's `in` with `ctl` high, then both edges of
+/// `ctl` with `in` low.
+fn mesh_scenarios(net: &Network) -> Vec<(String, Scenario)> {
     let inp = net.node_by_name("in").unwrap();
     let ctl = net.node_by_name("ctl").unwrap();
-    Scenario::step(inp, Edge::Rising).with_static(ctl, true)
+    let mut scenarios = Vec::new();
+    for edge in [Edge::Rising, Edge::Falling] {
+        let label = format!("in {edge:?}");
+        scenarios.push((label, Scenario::step(inp, edge).with_static(ctl, true)));
+    }
+    for edge in [Edge::Rising, Edge::Falling] {
+        scenarios.push((format!("ctl {edge:?}"), Scenario::step(ctl, edge)));
+    }
+    scenarios
 }
 
 #[test]
@@ -207,22 +219,34 @@ fn dirty_set_matches_full_jacobi_bit_for_bit() {
     let tech = Technology::nominal();
     for seed in 0..6u64 {
         let net = random_pass_mesh(seed, 22);
-        let scenario = mesh_scenario(&net);
+        let scenarios = mesh_scenarios(&net);
         for model in [ModelKind::Lumped, ModelKind::RcTree, ModelKind::Slope] {
-            let reference = full_jacobi(&net, &tech, model, &scenario).arrivals;
+            let references: Vec<_> = (scenarios.iter())
+                .map(|(_, scenario)| full_jacobi(&net, &tech, model, scenario).arrivals)
+                .collect();
             for threads in [1, 2, 4] {
-                let options = AnalyzerOptions {
+                let durable = DurableOptions {
                     threads,
-                    ..AnalyzerOptions::default()
+                    ..DurableOptions::default()
                 };
-                let dirty = analyze_with_options(&net, &tech, model, &scenario, options)
-                    .unwrap_or_else(|e| panic!("seed {seed}, threads {threads}: {e}"));
-                assert_eq!(dirty.model(), model);
-                assert_eq!(
-                    arrivals_of(&net, &dirty),
-                    reference,
-                    "seed {seed}, model {model:?}, threads {threads}"
-                );
+                let options = AnalyzerOptions::default();
+                let run = run_durable(&net, &tech, model, &scenarios, options, &durable)
+                    .expect("no journal");
+                for (record, reference) in run.records.iter().zip(&references) {
+                    let label = &record.label;
+                    let dirty = (record.result.as_ref()).unwrap_or_else(|| {
+                        panic!(
+                            "seed {seed}, threads {threads}, {label}: {}",
+                            record.summary
+                        )
+                    });
+                    assert_eq!(dirty.model(), model);
+                    assert_eq!(
+                        &arrivals_of(&net, dirty),
+                        reference,
+                        "seed {seed}, model {model:?}, threads {threads}, {label}"
+                    );
+                }
             }
         }
     }
@@ -275,10 +299,11 @@ fn dirty_set_charges_strictly_fewer_evals_over_the_same_rounds() {
 
 #[test]
 fn tripped_budget_is_identical_cold_or_warm_serial_or_parallel() {
-    // The stage cap trips in a later round on the chain, so the serial
-    // pre-charge order is what decides which evaluations land under the
-    // cap. Cold vs warm cache and serial vs parallel must all produce
-    // the identical partial result.
+    // The stage cap trips in a later round on the chain, so the
+    // node-order pre-charge is what decides which evaluations land under
+    // the cap. Cold vs warm cache and one vs several scenario workers
+    // must all produce the identical partial result: the chain's sweep
+    // leads with `in` rising, so its first error is that scenario's.
     let tech = Technology::nominal();
     let net =
         inverter_chain(Style::Cmos, 24, 2.0, Farads::from_femto(100.0)).expect("chain generates");
@@ -297,12 +322,32 @@ fn tripped_budget_is_identical_cold_or_warm_serial_or_parallel() {
                 cache,
                 ..AnalyzerOptions::default()
             };
-            match analyze_with_options(&net, &tech, ModelKind::Slope, &scenario, opts) {
+            let statics = HashMap::new();
+            match sweep_inputs_with_options(
+                &net,
+                &tech,
+                ModelKind::Slope,
+                Seconds::ZERO,
+                &statics,
+                &opts,
+            ) {
                 Err(TimingError::BudgetExhausted { partial }) => partial,
                 other => panic!("cap {cap}: expected a tripped budget, got {other:?}"),
             }
         };
-        let reference = run(1, None);
+        let reference = match analyze_with_options(
+            &net,
+            &tech,
+            ModelKind::Slope,
+            &scenario,
+            AnalyzerOptions {
+                budget,
+                ..AnalyzerOptions::default()
+            },
+        ) {
+            Err(TimingError::BudgetExhausted { partial }) => partial,
+            other => panic!("cap {cap}: expected a tripped budget, got {other:?}"),
+        };
         let warm = Arc::new(StageCache::new());
         // Prime the cache with a full unbudgeted run.
         analyze_with_options(

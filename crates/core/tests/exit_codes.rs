@@ -157,6 +157,14 @@ fn foreign_flags_are_refused() {
             "--journal",
         ),
         (vec!["lint", p, "--threads", "2"], "lint", "--threads"),
+        // One analysis runs on one thread, so only the commands that
+        // fan scenarios out take --threads.
+        (vec!["serve", "--threads", "2"], "serve", "--threads"),
+        (
+            [&report[..], &["--threads", "2"]].concat(),
+            "report",
+            "--threads",
+        ),
         (vec!["spice", p, "--model", "lumped"], "spice", "--model"),
         (
             vec!["logic", p, "--transition", "1"],
@@ -215,6 +223,11 @@ fn flags_that_would_do_nothing_are_refused() {
             "--run-db",
         ),
         (vec!["watch", p, "--selfcheck"], "--selfcheck", "--edits"),
+        (
+            vec!["watch", p, "--edits", edits, "--threads", "2"],
+            "--threads",
+            "--selfcheck",
+        ),
         (
             vec!["watch", p, "--once", "--edits", edits],
             "--once",

@@ -1,7 +1,8 @@
 //! Oracles on the large generator tier (10k–25k devices): pinned result
 //! digests for a fixed scenario set on a 9-bit decoder and a 64×64 SRAM,
-//! bit-identity of cached parallel runs against serial uncached ones
-//! (one cache per network, and one shared by both),
+//! bit-identity of cached batches at one and two scenario workers
+//! against serial uncached analyses (one cache per network, and one
+//! shared by both),
 //! and the cost bound of stage extraction on a wordline whose rail also
 //! feeds thousands of unrelated cells.
 
@@ -10,6 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crystal::analyzer::{analyze_with_options, AnalyzerOptions, Edge, Scenario};
+use crystal::durable::{run_durable, DurableOptions};
 use crystal::extract::stages_to;
 use crystal::fingerprint::result_digest;
 use crystal::logic;
@@ -71,27 +73,38 @@ fn digest(net: &Network, tech: &Technology, scenario: &Scenario, options: Analyz
     result_digest(net, &result)
 }
 
-/// Serial uncached digests must match the pinned ones, and runs at one
-/// and two threads sharing `cache` must match the serial ones.
+/// Serial uncached digests must match the pinned ones, and batches of
+/// the same scenarios at one and two scenario workers sharing `cache`
+/// must match the serial ones.
 fn check(name: &str, net: &Network, golden: &Golden, cache: &Arc<StageCache>) {
     let tech = calibrated();
     let mut observed = Vec::new();
+    let mut scenarios = Vec::new();
     for &(input, rising, transition_ns, _) in golden {
         let scenario = scenario(net, input, rising, transition_ns);
         let serial = digest(net, &tech, &scenario, AnalyzerOptions::default());
-        for threads in [1, 2] {
-            let options = AnalyzerOptions {
-                threads,
-                cache: Some(Arc::clone(cache)),
-                ..AnalyzerOptions::default()
-            };
+        observed.push((input, rising, transition_ns, serial));
+        scenarios.push((format!("{input} rising={rising}"), scenario));
+    }
+    for threads in [1, 2] {
+        let options = AnalyzerOptions {
+            cache: Some(Arc::clone(cache)),
+            ..AnalyzerOptions::default()
+        };
+        let durable = DurableOptions {
+            threads,
+            ..DurableOptions::default()
+        };
+        let run = run_durable(net, &tech, ModelKind::Slope, &scenarios, options, &durable)
+            .expect("no journal");
+        for (record, &(.., serial)) in run.records.iter().zip(&observed) {
             assert_eq!(
-                digest(net, &tech, &scenario, options),
-                serial,
-                "{name} {input} rising={rising}: threads={threads} with a cache"
+                record.digest,
+                Some(serial),
+                "{name} {}: threads={threads} with a cache",
+                record.label
             );
         }
-        observed.push((input, rising, transition_ns, serial));
     }
     let expected: Vec<_> = golden.to_vec();
     assert_eq!(observed, expected, "{name}: pinned digests moved");

@@ -1,9 +1,11 @@
-//! Property tests for the parallel timing engine: every observable
+//! Property tests for scenario-level parallelism: every observable
 //! output — full results, tripped-budget partial results, and fail-soft
 //! batch runs (through the scenario executor) with injected panics —
-//! must be bit-identical whether the analysis runs on one thread or many.
+//! must be bit-identical whether the scenarios run on one thread or
+//! many. One analysis always runs on one thread; the workers of
+//! `run_durable` and the sweeps each take whole scenarios.
 
-use crystal::analyzer::{analyze_with_options, AnalyzerOptions, Edge, Scenario};
+use crystal::analyzer::{analyze_with_options, AnalyzerOptions, Edge, Scenario, TimingResult};
 use crystal::budget::{AnalysisBudget, CancelToken};
 use crystal::durable::{
     run_durable, run_durable_with, AttemptOutcome, DurableOptions, DurableRun, FailureKind,
@@ -11,11 +13,13 @@ use crystal::durable::{
 };
 use crystal::memo::StageCache;
 use crystal::models::ModelKind;
+use crystal::sweep::{sweep_exhaustive_with_options, sweep_inputs_with_options, SweepResult};
 use crystal::tech::Technology;
 use crystal::TimingError;
-use mosnet::generators::{carry_chain, random_pass_mesh, Style};
-use mosnet::units::Farads;
+use mosnet::generators::{carry_chain, decoder, random_pass_mesh, Style};
+use mosnet::units::{Farads, Seconds};
 use mosnet::Network;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Thread counts the suite compares against the serial baseline:
@@ -23,10 +27,44 @@ use std::sync::Arc;
 /// threads, whatever this host has).
 const THREAD_COUNTS: [usize; 3] = [2, 8, 0];
 
-fn mesh_scenario(net: &Network) -> Scenario {
+/// Scenario-worker counts of the analyzer-level tests, serial included.
+const SCENARIO_THREADS: [usize; 3] = [1, 2, 4];
+
+/// The mesh's scenarios: both edges of `in` with `ctl` high, then both
+/// edges of `ctl` with `in` low. The first is the mesh scenario the
+/// single-analysis tests used.
+fn mesh_scenarios(net: &Network) -> Vec<(String, Scenario)> {
     let inp = net.node_by_name("in").unwrap();
     let ctl = net.node_by_name("ctl").unwrap();
-    Scenario::step(inp, Edge::Rising).with_static(ctl, true)
+    let mut scenarios = Vec::new();
+    for edge in [Edge::Rising, Edge::Falling] {
+        let label = format!("in {edge:?}");
+        scenarios.push((label, Scenario::step(inp, edge).with_static(ctl, true)));
+    }
+    for edge in [Edge::Rising, Edge::Falling] {
+        scenarios.push((format!("ctl {edge:?}"), Scenario::step(ctl, edge)));
+    }
+    scenarios
+}
+
+/// `scenarios` through the scenario executor at `threads` workers; the
+/// result of every record, which must all succeed.
+fn batch_results(
+    net: &Network,
+    tech: &Technology,
+    model: ModelKind,
+    scenarios: &[(String, Scenario)],
+    options: AnalyzerOptions,
+    threads: usize,
+) -> Vec<TimingResult> {
+    let durable = DurableOptions {
+        threads,
+        ..DurableOptions::default()
+    };
+    let run = run_durable(net, tech, model, scenarios, options, &durable).expect("no journal");
+    (run.records.into_iter())
+        .map(|r| (r.result).unwrap_or_else(|| panic!("{}: {}", r.label, r.summary)))
+        .collect()
 }
 
 #[test]
@@ -34,23 +72,23 @@ fn analyzer_is_bit_identical_at_any_thread_count() {
     let tech = Technology::nominal();
     for seed in 0..6u64 {
         let net = random_pass_mesh(seed, 22);
-        let scenario = mesh_scenario(&net);
+        let scenarios = mesh_scenarios(&net);
         for model in [ModelKind::Lumped, ModelKind::RcTree, ModelKind::Slope] {
-            let serial =
-                analyze_with_options(&net, &tech, model, &scenario, AnalyzerOptions::default())
-                    .unwrap_or_else(|e| panic!("seed {seed}: serial analysis failed: {e}"));
-            for threads in THREAD_COUNTS {
-                let par = analyze_with_options(
+            let serial: Vec<TimingResult> = (scenarios.iter())
+                .map(|(_, scenario)| {
+                    analyze_with_options(&net, &tech, model, scenario, AnalyzerOptions::default())
+                        .unwrap_or_else(|e| panic!("seed {seed}: serial analysis failed: {e}"))
+                })
+                .collect();
+            for threads in SCENARIO_THREADS {
+                let par = batch_results(
                     &net,
                     &tech,
                     model,
-                    &scenario,
-                    AnalyzerOptions {
-                        threads,
-                        ..AnalyzerOptions::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("seed {seed}, threads {threads}: {e}"));
+                    &scenarios,
+                    AnalyzerOptions::default(),
+                    threads,
+                );
                 assert_eq!(
                     par, serial,
                     "seed {seed}, model {model:?}, threads {threads}"
@@ -64,32 +102,29 @@ fn analyzer_is_bit_identical_at_any_thread_count() {
 fn analyzer_with_shared_cache_is_bit_identical_at_any_thread_count() {
     let tech = Technology::nominal();
     let net = random_pass_mesh(11, 22);
-    let scenario = mesh_scenario(&net);
-    let serial = analyze_with_options(
-        &net,
-        &tech,
-        ModelKind::Slope,
-        &scenario,
-        AnalyzerOptions::default(),
-    )
-    .expect("serial analysis succeeds");
-    // One cache shared across every parallel run: warm hits must not
-    // perturb the arrivals either.
-    let cache = Arc::new(StageCache::new());
-    for threads in THREAD_COUNTS {
-        for _ in 0..2 {
-            let par = analyze_with_options(
+    let scenarios = mesh_scenarios(&net);
+    let serial: Vec<TimingResult> = (scenarios.iter())
+        .map(|(_, scenario)| {
+            analyze_with_options(
                 &net,
                 &tech,
                 ModelKind::Slope,
-                &scenario,
-                AnalyzerOptions {
-                    threads,
-                    cache: Some(Arc::clone(&cache)),
-                    ..AnalyzerOptions::default()
-                },
+                scenario,
+                AnalyzerOptions::default(),
             )
-            .expect("parallel analysis succeeds");
+            .expect("serial analysis succeeds")
+        })
+        .collect();
+    // One cache shared across every parallel run: warm hits must not
+    // perturb the arrivals either.
+    let cache = Arc::new(StageCache::new());
+    for threads in SCENARIO_THREADS {
+        for _ in 0..2 {
+            let options = AnalyzerOptions {
+                cache: Some(Arc::clone(&cache)),
+                ..AnalyzerOptions::default()
+            };
+            let par = batch_results(&net, &tech, ModelKind::Slope, &scenarios, options, threads);
             assert_eq!(par, serial, "threads {threads}");
         }
     }
@@ -98,10 +133,14 @@ fn analyzer_with_shared_cache_is_bit_identical_at_any_thread_count() {
 
 #[test]
 fn tripped_stage_budget_is_bit_identical_at_any_thread_count() {
+    // The mesh sweep leads with the mesh scenario (`in` rising, `ctl`
+    // high), so its first error is that scenario's partial result.
     let tech = Technology::nominal();
     for seed in 0..4u64 {
         let net = random_pass_mesh(seed, 22);
-        let scenario = mesh_scenario(&net);
+        let ctl = net.node_by_name("ctl").unwrap();
+        let statics = HashMap::from([(ctl, true)]);
+        let (_, scenario) = mesh_scenarios(&net).swap_remove(0);
         for cap in [1, 3, 7, 20] {
             let budget = AnalysisBudget {
                 max_stage_evals: Some(cap),
@@ -117,13 +156,14 @@ fn tripped_stage_budget_is_bit_identical_at_any_thread_count() {
                 Err(TimingError::BudgetExhausted { partial }) => partial,
                 other => panic!("seed {seed}, cap {cap}: expected a tripped budget, got {other:?}"),
             };
-            for threads in THREAD_COUNTS {
-                let par = analyze_with_options(
+            for threads in SCENARIO_THREADS {
+                let par = sweep_inputs_with_options(
                     &net,
                     &tech,
                     ModelKind::Slope,
-                    &scenario,
-                    options(threads),
+                    Seconds::ZERO,
+                    &statics,
+                    &options(threads),
                 );
                 match &par {
                     Err(TimingError::BudgetExhausted { partial }) => {
@@ -142,6 +182,87 @@ fn tripped_stage_budget_is_bit_identical_at_any_thread_count() {
             }
         }
     }
+}
+
+fn decoder4() -> Network {
+    decoder(Style::Cmos, 4, Farads::from_femto(100.0)).expect("decoder-4 generates")
+}
+
+#[test]
+fn sweep_is_bit_identical_at_any_thread_count() {
+    // Runs come back in scenario order: a sweep that collected them in
+    // completion order would pair scenarios and results differently at
+    // four workers.
+    let tech = Technology::nominal();
+    let net = decoder4();
+    let sweep_at = |threads| {
+        let options = AnalyzerOptions {
+            threads,
+            cache: Some(Arc::new(StageCache::new())),
+            ..AnalyzerOptions::default()
+        };
+        let transition = Seconds::from_nanos(0.5);
+        sweep_exhaustive_with_options(&net, &tech, ModelKind::Slope, transition, &options)
+            .expect("decoder-4 sweeps")
+    };
+    // Each run as its scenario's fields plus its result.
+    let keys = |sweep: &SweepResult| -> Vec<_> {
+        (sweep.runs().iter())
+            .map(|(s, result)| (s.input, s.edge, s.statics.clone(), result.clone()))
+            .collect()
+    };
+    let serial = sweep_at(1);
+    assert_eq!(serial.runs().len(), 4 * 8 * 2);
+    let parallel = sweep_at(4);
+    assert_eq!(keys(&parallel), keys(&serial));
+    assert_eq!(
+        parallel.worst_output_arrival(&net),
+        serial.worst_output_arrival(&net)
+    );
+}
+
+#[test]
+fn sweep_reports_the_first_error_in_scenario_order() {
+    // At a 30-evaluation cap the exhaustive decoder-4 sweep mixes
+    // passing and failing scenarios: every falling edge of `a0` and of
+    // `a3` trips, everything else passes. The first to trip in scenario
+    // order is `a0` falling with every other input low (the second
+    // scenario); at four workers `a3`'s share races it.
+    let tech = Technology::nominal();
+    let net = decoder4();
+    let a0 = net.node_by_name("a0").unwrap();
+    let options = |threads| AnalyzerOptions {
+        threads,
+        budget: AnalysisBudget {
+            max_stage_evals: Some(30),
+            ..AnalysisBudget::unlimited()
+        },
+        ..AnalyzerOptions::default()
+    };
+    let first_error = |threads| match sweep_exhaustive_with_options(
+        &net,
+        &tech,
+        ModelKind::Slope,
+        Seconds::ZERO,
+        &options(threads),
+    ) {
+        Err(TimingError::BudgetExhausted { partial }) => partial,
+        other => panic!("threads {threads}: expected a tripped budget, got {other:?}"),
+    };
+    let serial = first_error(1);
+    let seeded = serial
+        .result
+        .arrival(a0)
+        .expect("the input arrival is seeded");
+    assert_eq!(
+        seeded.edge,
+        Edge::Falling,
+        "the second scenario trips first"
+    );
+    let parallel = first_error(4);
+    assert_eq!(parallel.result, serial.result);
+    assert_eq!(parallel.exceeded, serial.exceeded);
+    assert_eq!(parallel.rounds_completed, serial.rounds_completed);
 }
 
 /// The records with their wall clocks zeroed: everything else, results

@@ -106,7 +106,6 @@ fn concurrent_cached_sessions_match_a_serial_uncached_run_bit_for_bit() {
         max_sessions: WORKERS,
         max_inflight: WORKERS,
         cache: Some(cache.clone()),
-        threads: 2,
         ..ServerOptions::default()
     };
     let handle = serve(options).expect("server starts");

@@ -16,7 +16,9 @@
 //! Every JSON line — journals, run records, daemon frames, `--trace`
 //! files — is one flat object that [`JsonLine`] writes and
 //! [`parse_json_object`] plus [`ReadFields`] read: the line format is the
-//! analyzer's scripting interface, so it is decided here once.
+//! analyzer's scripting interface, so it is decided here once. The two
+//! pretty documents, `BENCH.json` and the `diff-runs --json` report, go
+//! through [`JsonDocument`].
 //!
 //! Everything here is dependency-free, like the rest of the workspace.
 
@@ -586,6 +588,175 @@ pub fn parse_json_object(line: &str) -> Option<HashMap<String, String>> {
             }
             _ => return None,
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pretty documents (`BENCH.json`, the `diff-runs --json` report)
+// ---------------------------------------------------------------------------
+
+/// One value of a [`JsonDocument`], written inline with `", "` between
+/// elements and `": "` after keys.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// A number, already formatted: an integer, or [`Json::fixed`].
+    Num(String),
+    /// A string, escaped when written.
+    Str(String),
+    /// An array.
+    Array(Vec<Json>),
+    /// An object, fields in insertion order.
+    Object(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// `value` with `places` decimals; a non-finite value is written
+    /// `1e999`, which lenient readers parse as +inf.
+    pub fn fixed(value: f64, places: usize) -> Json {
+        Json::Num(if value.is_finite() {
+            format!("{value:.places$}")
+        } else {
+            "1e999".to_string()
+        })
+    }
+
+    /// An empty object, filled with [`Json::with`].
+    pub fn object() -> Json {
+        Json::Object(Vec::new())
+    }
+
+    /// Appends a field to an object.
+    ///
+    /// # Panics
+    /// When `self` is not an object.
+    pub fn with(mut self, key: &str, value: impl Into<Json>) -> Json {
+        let Json::Object(fields) = &mut self else {
+            panic!("Json::with on a non-object");
+        };
+        fields.push((key.to_string(), value.into()));
+        self
+    }
+}
+
+/// `From` conversions of the scalar values into [`Json`].
+macro_rules! json_from {
+    ($($t:ty => |$v:ident| $e:expr),* $(,)?) => {
+        $(impl From<$t> for Json {
+            fn from($v: $t) -> Json {
+                $e
+            }
+        })*
+    };
+}
+
+json_from! {
+    bool => |v| Json::Bool(v),
+    u64 => |v| Json::Num(v.to_string()),
+    usize => |v| Json::Num(v.to_string()),
+    &str => |v| Json::Str(v.to_string()),
+    String => |v| Json::Str(v),
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Json {
+        Json::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(v) => write!(f, "{v}"),
+            Json::Num(v) => f.write_str(v),
+            Json::Str(v) => write!(f, "\"{}\"", escape_json(v)),
+            Json::Array(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}{item}")?;
+                }
+                f.write_str("]")
+            }
+            Json::Object(fields) => {
+                f.write_str("{")?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}\"{}\": {value}", escape_json(key))?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+/// The writer of a pretty JSON document: `BENCH.json` and the
+/// `diff-runs --json` report.
+///
+/// One layout rule: top-level keys go one per line, a
+/// [`rows`](JsonDocument::rows) array goes one element per line, and
+/// everything deeper goes inline ([`Json`]). The document ends with a
+/// newline.
+///
+/// ```
+/// use crystal::fingerprint::{Json, JsonDocument};
+/// let doc = JsonDocument::default()
+///     .field("verdict", "clean")
+///     .rows("runs", [Json::object().with("threads", 2usize)])
+///     .finish();
+/// assert_eq!(doc, "{\n  \"verdict\": \"clean\",\n  \"runs\": [\n    {\"threads\": 2}\n  ]\n}\n");
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct JsonDocument {
+    out: String,
+}
+
+impl JsonDocument {
+    /// Starts the line of top-level `key`.
+    fn key(&mut self, key: &str) {
+        self.out.push(if self.out.is_empty() { '{' } else { ',' });
+        self.out.push_str("\n  \"");
+        escape_json_into(key, &mut self.out);
+        self.out.push_str("\": ");
+    }
+
+    /// A top-level field, its value on the key's line.
+    pub fn field(mut self, key: &str, value: impl Into<Json>) -> JsonDocument {
+        self.key(key);
+        let _ = write!(self.out, "{}", value.into());
+        self
+    }
+
+    /// A top-level array, one element per line (an empty one still
+    /// spans two lines).
+    pub fn rows(mut self, key: &str, rows: impl IntoIterator<Item = Json>) -> JsonDocument {
+        self.key(key);
+        self.out.push('[');
+        for (i, row) in rows.into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(self.out, "{sep}\n    {row}");
+        }
+        self.out.push_str("\n  ]");
+        self
+    }
+
+    /// The finished document, with a trailing newline.
+    pub fn finish(mut self) -> String {
+        if self.out.is_empty() {
+            self.out.push('{');
+        }
+        self.out.push_str("\n}\n");
+        self.out
     }
 }
 

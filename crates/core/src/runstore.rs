@@ -48,7 +48,7 @@
 use crate::analyzer::{Edge, TimingResult};
 use crate::applog::{self, AppendLog, Fields, JournalFaultPlan, LogError, LogFault};
 use crate::fingerprint::{
-    escape_json, hash_arrival_row, run_id, sorted_arrivals, Fnv64, JsonLine, ReadFields,
+    hash_arrival_row, run_id, sorted_arrivals, Fnv64, Json, JsonDocument, JsonLine, ReadFields,
 };
 use crate::memo::CacheStats;
 use crate::models::ModelKind;
@@ -1262,108 +1262,68 @@ impl RunDiff {
     }
 
     /// Renders the machine-readable JSON report (`--json FILE`). Unlike
-    /// the wire format this is ordinary nested JSON, like the bench
-    /// artifacts.
+    /// the wire format this is a pretty document, like `BENCH.json`.
     pub fn to_json(&self, thresholds: &DiffThresholds) -> String {
-        let mut out = String::new();
-        let esc = escape_json;
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"a\": \"{}\",", esc(&self.a_id));
-        let _ = writeln!(out, "  \"b\": \"{}\",", esc(&self.b_id));
-        let _ = writeln!(out, "  \"fingerprint_match\": {},", self.fingerprint_match);
-        let _ = writeln!(
-            out,
-            "  \"hardware_threads\": [{}, {}],",
-            self.hardware_threads.0, self.hardware_threads.1
-        );
-        let _ = writeln!(out, "  \"perf_comparable\": {},", self.perf_comparable);
-        let verdict = self.verdict(thresholds).name();
-        let _ = writeln!(out, "  \"verdict\": \"{verdict}\",");
-        let json_f64 = |v: f64| {
-            if v.is_finite() {
-                format!("{v:.6}")
-            } else {
-                "1e999".to_string() // parses as +inf in lenient readers
-            }
+        let pct = |v: f64| Json::fixed(v, 6);
+        let cache = |c: &CacheStats| {
+            Json::object()
+                .with("hits", c.hits)
+                .with("misses", c.misses)
+                .with("evictions", c.evictions)
         };
-        let _ = writeln!(
-            out,
-            "  \"max_timing_pct\": {},",
-            json_f64(self.max_timing_pct)
-        );
-        let _ = writeln!(out, "  \"max_perf_pct\": {},", json_f64(self.max_perf_pct));
-        let strings = |items: &[String]| {
-            items
-                .iter()
-                .map(|s| format!("\"{}\"", esc(s)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let _ = writeln!(
-            out,
-            "  \"digest_mismatches\": [{}],",
-            strings(&self.digest_mismatches)
-        );
-        let _ = writeln!(out, "  \"only_in_a\": [{}],", strings(&self.only_in_a));
-        let _ = writeln!(out, "  \"only_in_b\": [{}],", strings(&self.only_in_b));
-        let separator = |i: usize, len: usize| if i + 1 < len { "," } else { "" };
-        let _ = writeln!(out, "  \"node_deltas\": [");
-        for (i, d) in self.node_deltas.iter().enumerate() {
-            let comma = separator(i, self.node_deltas.len());
-            let _ = writeln!(
-                out,
-                "    {{\"scenario\": \"{}\", \"node\": \"{}\", \"a_ns\": {}, \
-                 \"b_ns\": {}, \"pct\": {}}}{comma}",
-                esc(&d.scenario),
-                esc(&d.node),
-                json_f64(d.a_ns),
-                json_f64(d.b_ns),
-                json_f64(d.pct)
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"phase_deltas\": [");
-        for (i, p) in self.phase_deltas.iter().enumerate() {
-            let comma = separator(i, self.phase_deltas.len());
-            let _ = writeln!(
-                out,
-                "    {{\"phase\": \"{}\", \"a_ns\": {}, \"b_ns\": {}, \"pct\": {}}}{comma}",
-                esc(&p.phase),
-                p.a_ns,
-                p.b_ns,
-                json_f64(p.pct())
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"scenario_perf\": [");
-        for (i, s) in self.scenario_perf.iter().enumerate() {
-            let comma = separator(i, self.scenario_perf.len());
-            let _ = writeln!(
-                out,
-                "    {{\"label\": \"{}\", \"a_us\": {}, \"b_us\": {}, \"pct\": {}}}{comma}",
-                esc(&s.label),
-                s.a_us,
-                s.b_us,
-                json_f64(s.pct())
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        match &self.cache {
-            Some((ca, cb)) => {
-                let _ = writeln!(
-                    out,
-                    "  \"cache\": {{\"a\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}}, \
-                     \"b\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}}}},",
-                    ca.hits, ca.misses, ca.evictions, cb.hits, cb.misses, cb.evictions
-                );
-            }
-            None => {
-                let _ = writeln!(out, "  \"cache\": null,");
-            }
-        }
-        let _ = writeln!(out, "  \"notes\": [{}]", strings(&self.notes));
-        let _ = writeln!(out, "}}");
-        out
+        JsonDocument::default()
+            .field("a", self.a_id.as_str())
+            .field("b", self.b_id.as_str())
+            .field("fingerprint_match", self.fingerprint_match)
+            .field(
+                "hardware_threads",
+                vec![self.hardware_threads.0, self.hardware_threads.1],
+            )
+            .field("perf_comparable", self.perf_comparable)
+            .field("verdict", self.verdict(thresholds).name())
+            .field("max_timing_pct", pct(self.max_timing_pct))
+            .field("max_perf_pct", pct(self.max_perf_pct))
+            .field("digest_mismatches", self.digest_mismatches.clone())
+            .field("only_in_a", self.only_in_a.clone())
+            .field("only_in_b", self.only_in_b.clone())
+            .rows(
+                "node_deltas",
+                self.node_deltas.iter().map(|d| {
+                    Json::object()
+                        .with("scenario", d.scenario.as_str())
+                        .with("node", d.node.as_str())
+                        .with("a_ns", pct(d.a_ns))
+                        .with("b_ns", pct(d.b_ns))
+                        .with("pct", pct(d.pct))
+                }),
+            )
+            .rows(
+                "phase_deltas",
+                self.phase_deltas.iter().map(|p| {
+                    Json::object()
+                        .with("phase", p.phase.as_str())
+                        .with("a_ns", p.a_ns)
+                        .with("b_ns", p.b_ns)
+                        .with("pct", pct(p.pct()))
+                }),
+            )
+            .rows(
+                "scenario_perf",
+                self.scenario_perf.iter().map(|s| {
+                    Json::object()
+                        .with("label", s.label.as_str())
+                        .with("a_us", s.a_us)
+                        .with("b_us", s.b_us)
+                        .with("pct", pct(s.pct()))
+                }),
+            )
+            .field(
+                "cache",
+                (self.cache.as_ref())
+                    .map(|(a, b)| Json::object().with("a", cache(a)).with("b", cache(b))),
+            )
+            .field("notes", self.notes.clone())
+            .finish()
     }
 }
 
@@ -1614,6 +1574,151 @@ mod tests {
         );
         assert!(d.notes.iter().any(|n| n.contains("hardware_threads")));
         assert!(d.notes.iter().any(|n| n.contains("parallel-speedup")));
+    }
+
+    /// The `diff-runs --json` bytes, pinned on fixed reports: an
+    /// infinite pct, every list non-empty, `cache` present and absent,
+    /// and labels that need escaping.
+    #[test]
+    fn diff_json_report_bytes_are_pinned() {
+        let full = RunDiff {
+            a_id: "run-000000000000000a".to_string(),
+            b_id: "run-\"b\"\\tab\t".to_string(),
+            fingerprint_match: false,
+            digest_mismatches: vec!["a rise".to_string(), "b \"fall\"".to_string()],
+            only_in_a: vec!["gone".to_string()],
+            only_in_b: vec!["new\nline".to_string()],
+            node_deltas: vec![
+                NodeDelta {
+                    scenario: "a rise".to_string(),
+                    node: "y".to_string(),
+                    a_ns: 0.0,
+                    b_ns: 1.25,
+                    pct: f64::INFINITY,
+                },
+                NodeDelta {
+                    scenario: "a rise".to_string(),
+                    node: "m\\1".to_string(),
+                    a_ns: 1.0,
+                    b_ns: 2.0 / 3.0,
+                    pct: -100.0 / 3.0,
+                },
+            ],
+            arrivals_only_a: Vec::new(),
+            arrivals_only_b: Vec::new(),
+            max_timing_pct: f64::INFINITY,
+            phase_deltas: vec![
+                PhaseDelta {
+                    phase: "evaluation".to_string(),
+                    a_ns: 300_000,
+                    b_ns: 450_000,
+                },
+                PhaseDelta {
+                    phase: "logic".to_string(),
+                    a_ns: 0,
+                    b_ns: 7,
+                },
+            ],
+            scenario_perf: vec![ScenarioPerfDelta {
+                label: "a rise".to_string(),
+                a_us: 1500,
+                b_us: 1750,
+            }],
+            wall_us: Some((2000, 2100)),
+            max_perf_pct: 16.666_666_666_666_668,
+            perf_comparable: true,
+            hardware_threads: (4, 4),
+            cache: Some((
+                CacheStats {
+                    hits: 12,
+                    misses: 3,
+                    evictions: 0,
+                },
+                CacheStats {
+                    hits: 10,
+                    misses: 5,
+                    evictions: 1,
+                },
+            )),
+            notes: vec!["perf gate skipped 1 oversubscribed scenario(s)".to_string()],
+        };
+        let thresholds = DiffThresholds {
+            timing_pct: Some(0.5),
+            perf_pct: Some(200.0),
+            digest: true,
+        };
+        let expected = r#"{
+  "a": "run-000000000000000a",
+  "b": "run-\"b\"\\tab\t",
+  "fingerprint_match": false,
+  "hardware_threads": [4, 4],
+  "perf_comparable": true,
+  "verdict": "timing_regression",
+  "max_timing_pct": 1e999,
+  "max_perf_pct": 16.666667,
+  "digest_mismatches": ["a rise", "b \"fall\""],
+  "only_in_a": ["gone"],
+  "only_in_b": ["new\nline"],
+  "node_deltas": [
+    {"scenario": "a rise", "node": "y", "a_ns": 0.000000, "b_ns": 1.250000, "pct": 1e999},
+    {"scenario": "a rise", "node": "m\\1", "a_ns": 1.000000, "b_ns": 0.666667, "pct": -33.333333}
+  ],
+  "phase_deltas": [
+    {"phase": "evaluation", "a_ns": 300000, "b_ns": 450000, "pct": 50.000000},
+    {"phase": "logic", "a_ns": 0, "b_ns": 7, "pct": 0.000000}
+  ],
+  "scenario_perf": [
+    {"label": "a rise", "a_us": 1500, "b_us": 1750, "pct": 16.666667}
+  ],
+  "cache": {"a": {"hits": 12, "misses": 3, "evictions": 0}, "b": {"hits": 10, "misses": 5, "evictions": 1}},
+  "notes": ["perf gate skipped 1 oversubscribed scenario(s)"]
+}
+"#;
+        assert_eq!(full.to_json(&thresholds), expected);
+
+        let empty = RunDiff {
+            a_id: "a".to_string(),
+            b_id: "b".to_string(),
+            fingerprint_match: true,
+            digest_mismatches: Vec::new(),
+            only_in_a: Vec::new(),
+            only_in_b: Vec::new(),
+            node_deltas: Vec::new(),
+            arrivals_only_a: Vec::new(),
+            arrivals_only_b: Vec::new(),
+            max_timing_pct: 0.0,
+            phase_deltas: Vec::new(),
+            scenario_perf: Vec::new(),
+            wall_us: None,
+            max_perf_pct: 0.0,
+            perf_comparable: false,
+            hardware_threads: (1, 2),
+            cache: None,
+            notes: Vec::new(),
+        };
+        let expected = r#"{
+  "a": "a",
+  "b": "b",
+  "fingerprint_match": true,
+  "hardware_threads": [1, 2],
+  "perf_comparable": false,
+  "verdict": "clean",
+  "max_timing_pct": 0.000000,
+  "max_perf_pct": 0.000000,
+  "digest_mismatches": [],
+  "only_in_a": [],
+  "only_in_b": [],
+  "node_deltas": [
+  ],
+  "phase_deltas": [
+  ],
+  "scenario_perf": [
+  ],
+  "cache": null,
+  "notes": []
+}
+"#;
+        assert_eq!(empty.to_json(&thresholds), expected);
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! Flags are per subcommand: a flag the subcommand does not take, or a
 //! combination in which one flag would do nothing, is a usage error (1).
 
+mod common;
+
+use common::BIN;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
-
-const BIN: &str = env!("CARGO_BIN_EXE_crystal-cli");
 
 const INVERTER_CHAIN: &str = "| two inverters\ni a\no y\n\
     n a m gnd 2 8\np a m vdd 2 16\nC m 20\n\
@@ -139,10 +140,8 @@ fn foreign_flags_are_refused() {
     let _ = std::fs::remove_dir_all(&db);
     let _ = std::fs::remove_file(&journal);
     let (db_s, journal_s) = (db.to_str().unwrap(), journal.to_str().unwrap());
-    let baseline = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/baselines/adder-slope.run"
-    );
+    let baseline = common::repo_file("results/baselines/adder-slope.run");
+    let baseline = baseline.to_str().unwrap();
     let report = ["report", p, "--input", "a", "--edge", "rise"];
     for (args, command, flag) in [
         (vec!["sweep", p, "--set", "a=1"], "sweep", "--set"),
@@ -358,11 +357,6 @@ fn io_failure_is_seven() {
 #[cfg(unix)]
 #[test]
 fn sigterm_drains_and_exits_eight() {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    const SIGTERM: i32 = 15;
-
     let path = fixture("sigterm", INVERTER_CHAIN);
     let journal = temp_journal("sigterm");
     // A zero deadline times out every attempt, and the backoff ladder
@@ -385,8 +379,7 @@ fn sigterm_drains_and_exits_eight() {
         .spawn()
         .expect("binary spawns");
     std::thread::sleep(std::time::Duration::from_millis(300));
-    let rc = unsafe { kill(child.id() as i32, SIGTERM) };
-    assert_eq!(rc, 0, "signal delivered");
+    common::send_signal(&child, common::SIGTERM);
     let status = child.wait().expect("child exits");
     assert_eq!(status.code(), Some(8), "graceful drain exits 8");
     let _ = std::fs::remove_file(&path);

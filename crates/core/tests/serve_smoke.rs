@@ -15,100 +15,28 @@
 //! land in `serve_smoke/` under `CARGO_TARGET_TMPDIR`, where CI picks
 //! them up as an artifact.
 
+mod common;
+
+use common::{client, fresh_dir, repo_file, send_signal, spawn_client, SIGKILL, SIGTERM};
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
-
-const BIN: &str = env!("CARGO_BIN_EXE_crystal-cli");
-
-fn repo_file(path: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(path)
-}
+use std::path::Path;
+use std::process::Child;
+use std::time::Duration;
 
 /// `crystal-cli serve` in `dir` with the journal directory, the run
-/// database and the chaos ops, logging to `serve.log`/`serve.err`.
-fn spawn_daemon(dir: &Path, extra: &[&str]) -> Child {
-    Command::new(BIN)
-        .current_dir(dir)
-        .args(["serve", "--addr", "127.0.0.1:0"])
-        .args([
-            "--journal-dir",
-            "journals",
-            "--run-db",
-            "rundb",
-            "--chaos-ops",
-        ])
-        .args(extra)
-        .stdout(fs::File::create(dir.join("serve.log")).expect("serve.log"))
-        .stderr(fs::File::create(dir.join("serve.err")).expect("serve.err"))
-        .spawn()
-        .expect("serve spawns")
-}
-
-/// [`spawn_daemon`], then waits for the address it prints.
+/// database and the chaos ops, logging to `serve.log`/`serve.err`;
+/// returns once it printed its address.
 fn start_daemon(dir: &Path, extra: &[&str]) -> (Child, String) {
-    let child = spawn_daemon(dir, extra);
-    (child, listening_address(dir))
+    let mut args = vec![
+        "--journal-dir",
+        "journals",
+        "--run-db",
+        "rundb",
+        "--chaos-ops",
+    ];
+    args.extend(extra);
+    common::start_daemon(dir, &args)
 }
-
-/// The address in `serve.log`, once the daemon has printed it.
-fn listening_address(dir: &Path) -> String {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let text = fs::read_to_string(dir.join("serve.log")).unwrap_or_default();
-        let addr = text
-            .lines()
-            .find_map(|line| line.strip_prefix("crystal-cli: listening on "));
-        if let Some(addr) = addr {
-            return addr.to_string();
-        }
-        assert!(
-            Instant::now() < deadline,
-            "daemon never printed its address: {}",
-            fs::read_to_string(dir.join("serve.err")).unwrap_or_default()
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    }
-}
-
-/// Writes `script` to `name.script` and spawns `client --script` on it,
-/// its stdout going to `name.txt`.
-fn spawn_client(dir: &Path, addr: &str, name: &str, script: &str) -> Child {
-    let path = dir.join(format!("{name}.script"));
-    fs::write(&path, script).expect("client script");
-    Command::new(BIN)
-        .current_dir(dir)
-        .args(["client", "--addr", addr, "--script"])
-        .arg(&path)
-        .stdout(fs::File::create(dir.join(format!("{name}.txt"))).expect("client output"))
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("client spawns")
-}
-
-/// Runs a client to completion and returns what it printed.
-fn client(dir: &Path, addr: &str, name: &str, script: &str) -> String {
-    let status = spawn_client(dir, addr, name, script)
-        .wait()
-        .expect("client runs");
-    let out = fs::read_to_string(dir.join(format!("{name}.txt"))).expect("client output");
-    assert!(status.success(), "{name} exited {status:?}:\n{out}");
-    out
-}
-
-fn send_signal(child: &Child, signal: i32) {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    let rc = unsafe { kill(child.id() as i32, signal) };
-    assert_eq!(rc, 0, "kill({}, {signal}) failed", child.id());
-}
-
-const SIGTERM: i32 = 15;
-const SIGKILL: i32 = 9;
 
 /// The line of a `report` reply after two edits.
 fn report_line(out: &str) -> String {
@@ -119,8 +47,7 @@ fn report_line(out: &str) -> String {
 
 #[test]
 fn scripted_session_drain_and_resume() {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve_smoke");
-    let _ = fs::remove_dir_all(&dir);
+    let dir = fresh_dir("serve_smoke");
     fs::create_dir_all(dir.join("journals")).expect("journal dir");
     let net = repo_file("examples/netlists/inverter_chain.sim");
 
@@ -131,7 +58,7 @@ fn scripted_session_drain_and_resume() {
          batch s1\nstats\n",
         net.display()
     );
-    let client1 = client(&dir, &addr, "client1", &script);
+    let client1 = client(&dir, &addr, "client1", &script, &[]);
     assert!(
         client1.contains("\"status\":\"ok\",\"retryable\":false,\"session\":\"s1\""),
         "{client1}"
@@ -154,12 +81,13 @@ fn scripted_session_drain_and_resume() {
         &addr,
         "client2",
         "history\ndiff rundb/adder-slope.run rundb/adder-slope.run fail_on_timing_pct=0.5\n",
+        &[],
     );
     assert!(client2.contains("\"status\":\"ok\""), "{client2}");
     assert!(client2.contains("\"verdict\":\"clean\""), "{client2}");
 
     // Leg 3: SIGTERM mid-sleep — the in-flight request finishes.
-    let mut sleeper = spawn_client(&dir, &addr, "drained", "sleep 700\n");
+    let mut sleeper = spawn_client(&dir, &addr, "drained", "sleep 700\n", &[]);
     std::thread::sleep(Duration::from_millis(200));
     let mut daemon = daemon;
     send_signal(&daemon, SIGTERM);
@@ -186,7 +114,7 @@ fn scripted_session_drain_and_resume() {
     send_signal(&daemon, SIGKILL);
     let _ = daemon.wait();
     let (mut daemon, addr) = start_daemon(&dir, &["--resume"]);
-    let client3 = client(&dir, &addr, "client3", "report s1\nstats\n");
+    let client3 = client(&dir, &addr, "client3", "report s1\nstats\n", &[]);
     assert_eq!(
         report_line(&client3),
         report_before,

@@ -4,17 +4,18 @@
 //! finishes and the process exits cleanly — and the real `client`
 //! binary is not held back by Nagle's algorithm.
 
+mod common;
+
 use std::collections::HashMap;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use common::{send_signal, start_daemon, BIN, SIGKILL, SIGTERM};
 use crystal::fingerprint::{escape_json, parse_json_object};
-
-const BIN: &str = env!("CARGO_BIN_EXE_crystal-cli");
 
 const INVERTER_CHAIN: &str = "| two inverters\n\
 i a\n\
@@ -33,39 +34,13 @@ fn scratch_dir(test: &str) -> PathBuf {
     dir
 }
 
-/// Spawns `crystal-cli serve` and blocks until it prints its address.
-fn spawn_server(journal_dir: &std::path::Path, extra: &[&str]) -> (Child, SocketAddr) {
-    let mut child = Command::new(BIN)
-        .arg("serve")
-        .arg("--addr")
-        .arg("127.0.0.1:0")
-        .arg("--journal-dir")
-        .arg(journal_dir)
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("serve spawns");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let addr = loop {
-        assert!(Instant::now() < deadline, "serve never printed its address");
-        let mut line = String::new();
-        let n = lines.read_line(&mut line).expect("serve stdout");
-        assert!(n > 0, "serve exited before printing its address");
-        if let Some(addr) = line.trim().strip_prefix("crystal-cli: listening on ") {
-            break addr.parse().expect("socket address");
-        }
-    };
-    // Keep draining stdout so the daemon never blocks on a full pipe.
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        while lines.read_line(&mut sink).map(|n| n > 0).unwrap_or(false) {
-            sink.clear();
-        }
-    });
-    (child, addr)
+/// `crystal-cli serve` in `dir` with its journals in `dir/journals`;
+/// returns once it printed its address.
+fn spawn_server(dir: &Path, extra: &[&str]) -> (Child, SocketAddr) {
+    let mut args = vec!["--journal-dir", "journals"];
+    args.extend(extra);
+    let (child, addr) = start_daemon(dir, &args);
+    (child, addr.parse().expect("socket address"))
 }
 
 fn connect(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
@@ -107,17 +82,6 @@ fn ok(response: &HashMap<String, String>) -> &HashMap<String, String> {
     );
     response
 }
-
-fn send_signal(child: &Child, signal: i32) {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    let rc = unsafe { kill(child.id() as i32, signal) };
-    assert_eq!(rc, 0, "kill({}, {signal}) failed", child.id());
-}
-
-const SIGTERM: i32 = 15;
-const SIGKILL: i32 = 9;
 
 #[test]
 fn sigkill_then_resume_replays_sessions_bit_identically() {

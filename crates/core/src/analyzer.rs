@@ -22,6 +22,7 @@ use crate::extract::stages_to_full;
 use crate::logic::{self, LogicState, LogicValue};
 use crate::memo::{
     stage_fingerprint, tech_stamp, CacheStats, CachedEval, StageCache, StageKey, StageSetKey,
+    SteadyLookup,
 };
 use crate::models::{estimate_with_fallback, ModelKind, TriggerContext};
 use crate::obs::{Phase, TraceSink};
@@ -423,10 +424,12 @@ pub(crate) fn switching_targets<'a>(
 /// The scenario's steady states, inside a logic-phase trace span: every
 /// analysis gets them here. With a `cache`, each of the two is looked up
 /// in its steady-state memo and solved only on a miss, counted as
-/// `logic.steady_hits` and `logic.steady_misses`, with the misses' node
-/// evaluations as `logic.node_evals`; without one, both are solved from
-/// scratch ([`logic::steady_states`]). Either way the states are the
-/// ones a fresh solve gives.
+/// `logic.steady_hits` and `logic.steady_misses`; the misses replayed
+/// against their topology's recorded solve are also counted as
+/// `logic.steady_replays`, and the node evaluations the misses made as
+/// `logic.node_evals`. Without one, both are solved from scratch
+/// ([`logic::steady_states`]). Either way the states are the ones a
+/// fresh solve gives.
 pub(crate) fn traced_steady_states(
     net: &Network,
     scenario: &Scenario,
@@ -437,11 +440,12 @@ pub(crate) fn traced_steady_states(
     let Some(cache) = cache else {
         return logic::steady_states(net, scenario);
     };
-    let (mut misses, mut evals) = (0, 0);
+    let (mut misses, mut replays, mut evals) = (0, 0, 0);
     let steady = logic::steady_states_by(scenario, |inputs| {
-        let (state, miss) = cache.steady_state_counted(net, inputs);
-        if let Some(n) = miss {
+        let (state, lookup) = cache.steady_state(net, inputs);
+        if let SteadyLookup::Solved { evals: n } | SteadyLookup::Replayed { evals: n } = lookup {
             misses += 1;
+            replays += u64::from(matches!(lookup, SteadyLookup::Replayed { .. }));
             evals += n;
         }
         state
@@ -449,6 +453,7 @@ pub(crate) fn traced_steady_states(
     if let Some(t) = trace {
         t.count(Phase::Logic, "steady_hits", 2 - misses);
         t.count(Phase::Logic, "steady_misses", misses);
+        t.count(Phase::Logic, "steady_replays", replays);
         t.count(Phase::Logic, "node_evals", evals);
     }
     steady

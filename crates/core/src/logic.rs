@@ -135,8 +135,12 @@ const MAX_SWEEPS: usize = 10_000;
 /// stored value and strength, so the states are those of evaluating every
 /// node on every sweep.
 ///
-/// Builds the network's switch graph for this one call; a
-/// [`crate::memo::StageCache`] keeps one per topology instead.
+/// Builds the network's switch graph for this one call and always solves
+/// from scratch. A [`crate::memo::StageCache`] keeps one graph per
+/// topology instead, records the topology's first solve, and replays
+/// every later miss against that recording (`SwitchGraph::replay`),
+/// which gives these very states; `solve` and [`steady_states`] stay
+/// scratch solves, so they check the replay independently.
 pub fn solve(net: &Network, inputs: &HashMap<NodeId, bool>) -> LogicState {
     SwitchGraph::new(net).solve(inputs).state()
 }
@@ -360,36 +364,51 @@ impl SwitchGraph {
     /// evaluations in the same order, each one ORing the [`CONTRIBUTION`]
     /// of the node's channels and keeping the strongest.
     pub(crate) fn solve(&self, inputs: &HashMap<NodeId, bool>) -> Settled {
-        let n = self.edge_start.len() - 1;
-        let mut codes = vec![FLOATING; n];
+        self.relax(&self.levels(inputs), None)
+    }
+
+    /// [`SwitchGraph::solve`], and its [`Schedule`] for
+    /// [`SwitchGraph::replay`].
+    pub(crate) fn solve_recorded(&self, inputs: &HashMap<NodeId, bool>) -> (Settled, Schedule) {
+        let levels = self.levels(inputs);
+        let mut schedule = Schedule::default();
+        let settled = self.relax(&levels, Some(&mut schedule));
+        schedule.sweep_start.push(schedule.nodes.len() as u32);
+        schedule.sweep_start.shrink_to_fit();
+        schedule.nodes.shrink_to_fit();
+        schedule.codes.shrink_to_fit();
+        schedule.levels = levels.into();
+        (settled, schedule)
+    }
+
+    /// The one sweep loop of a scratch solve, appending each sweep's
+    /// evaluations to `record` when there is one.
+    fn relax(&self, levels: &[bool], mut record: Option<&mut Schedule>) -> Settled {
+        let mut codes = self.driven_codes(levels);
         // An undriven node starts at `X`/`None`, which is what it computes
         // until a driven node reaches it: only the driven nodes' dependents
         // start dirty.
-        let mut dirty = DirtySet::new(n);
-        let mut drive = |node: u32, value: LogicValue| {
-            codes[node as usize] = driven(value);
+        let mut dirty = DirtySet::new(codes.len());
+        for &node in [self.power, self.ground].iter().chain(self.inputs.iter()) {
             self.mark_dependents(node as usize, &mut dirty);
-        };
-        drive(self.power, LogicValue::One);
-        drive(self.ground, LogicValue::Zero);
-        for &id in self.inputs.iter() {
-            let high = inputs.get(&NodeId::from_index(id as usize));
-            drive(id, LogicValue::from_bool(high.copied().unwrap_or(false)));
         }
 
         let mut evals = 0;
         for _sweep in 0..MAX_SWEEPS {
+            if let Some(record) = record.as_deref_mut() {
+                record.sweep_start.push(record.nodes.len() as u32);
+            }
             // A dependent marked at or below the cursor waits for the next
             // sweep, exactly when a full sweep would first see the change.
             let mut cursor = 0;
             while let Some(i) = dirty.take_from(cursor) {
                 cursor = i + 1;
                 evals += 1;
-                let channels = self.edge_start[i] as usize..self.edge_start[i + 1] as usize;
-                let mask = self.edges[channels]
-                    .iter()
-                    .fold(1 << FLOATING, |mask, e| mask | e.contribution(&codes));
-                let code = resolve(mask);
+                let code = self.evaluate(i, &codes);
+                if let Some(record) = record.as_deref_mut() {
+                    record.nodes.push(i as u32);
+                    record.codes.push(code);
+                }
                 if code != codes[i] {
                     codes[i] = code;
                     self.mark_dependents(i, &mut dirty);
@@ -403,12 +422,152 @@ impl SwitchGraph {
         Settled { codes, evals }
     }
 
+    /// Settles the graph under `inputs` by replaying `base`, a recorded
+    /// solve of this graph under other levels: the states of
+    /// [`SwitchGraph::solve`] under `inputs`, code for code, after the
+    /// same number of sweeps.
+    ///
+    /// The replay walks the base's sweeps in node order beside its own
+    /// candidates. A node is *diverged* while its code differs from the
+    /// base's at the same point of the same sweep, and *active* while it
+    /// is diverged or reads a diverged node. Invariant: a node that reads
+    /// no diverged node computes the base's code, whether or not it is
+    /// evaluated, so an inactive node takes the base's code where the
+    /// base evaluated it and is never evaluated itself. An active node is
+    /// evaluated where the base evaluated it, and so is every candidate:
+    /// a dependent of a node that changed code while or after diverging,
+    /// in this sweep when it lies above the cursor and in the next one
+    /// otherwise, as [`SwitchGraph::solve`] marks its dirty set. Every
+    /// node the target's own solve would find dirty is then evaluated or
+    /// takes the code it would compute, so each sweep leaves the
+    /// target's state; the replay stops after a sweep that changes no
+    /// code, or after [`MAX_SWEEPS`].
+    pub(crate) fn replay(&self, base: &Schedule, inputs: &HashMap<NodeId, bool>) -> Settled {
+        let levels = self.levels(inputs);
+        let mut codes = self.driven_codes(&levels);
+        let mut base_codes = self.driven_codes(&base.levels);
+        // Per node, how many of the nodes it reads are diverged.
+        let mut reads = vec![0u32; codes.len()];
+        for (k, &input) in self.inputs.iter().enumerate() {
+            if levels[k] != base.levels[k] {
+                self.count_reads(input as usize, &mut reads, true);
+            }
+        }
+        let mut candidates = DirtySet::new(codes.len());
+        let mut evals = 0;
+        for sweep in 0..MAX_SWEEPS {
+            let (steps, step_codes) = base.sweep(sweep);
+            let mut step = 0;
+            // The lowest candidate at or above the cursor, kept up to date
+            // by every mark so the set is scanned only once it is taken.
+            let mut next = candidates.first_from(0);
+            let mut changed = false;
+            loop {
+                let scheduled = steps.get(step).map_or(usize::MAX, |&i| i as usize);
+                let i = scheduled.min(next);
+                if i == usize::MAX {
+                    break;
+                }
+                let was = codes[i];
+                let was_diverged = was != base_codes[i];
+                if scheduled == i {
+                    let base = step_codes[step];
+                    step += 1;
+                    base_codes[i] = base;
+                    if i != next && !was_diverged && reads[i] == 0 {
+                        // Inactive: the base's code, without evaluating.
+                        changed |= base != was;
+                        codes[i] = base;
+                        continue;
+                    }
+                }
+                let cursor = i + 1;
+                if i == next {
+                    candidates.remove(i);
+                    next = candidates.first_from(cursor);
+                }
+                evals += 1;
+                let code = self.evaluate(i, &codes);
+                let diverged = code != base_codes[i];
+                if diverged != was_diverged {
+                    self.count_reads(i, &mut reads, diverged);
+                }
+                if code != was {
+                    codes[i] = code;
+                    changed = true;
+                    if was_diverged || diverged {
+                        for m in self.dependents_of(i) {
+                            candidates.insert(m);
+                            if m >= cursor {
+                                next = next.min(m);
+                            }
+                        }
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        Settled { codes, evals }
+    }
+
+    /// The level of each primary input under `inputs`, in graph order:
+    /// `inputs.get(&id).unwrap_or(false)`.
+    fn levels(&self, inputs: &HashMap<NodeId, bool>) -> Vec<bool> {
+        (self.inputs.iter())
+            .map(|&id| inputs.get(&NodeId::from_index(id as usize)) == Some(&true))
+            .collect()
+    }
+
+    /// Every node floating but the rails and the inputs, driven at
+    /// `levels`.
+    fn driven_codes(&self, levels: &[bool]) -> Vec<u8> {
+        let mut codes = vec![FLOATING; self.edge_start.len() - 1];
+        codes[self.power as usize] = driven(LogicValue::One);
+        codes[self.ground as usize] = driven(LogicValue::Zero);
+        for (&id, &high) in self.inputs.iter().zip(levels) {
+            codes[id as usize] = driven(LogicValue::from_bool(high));
+        }
+        codes
+    }
+
+    /// Node `i`'s code under `codes`: the strongest of its channels'
+    /// contributions.
+    #[inline]
+    fn evaluate(&self, i: usize, codes: &[u8]) -> u8 {
+        let channels = self.edge_start[i] as usize..self.edge_start[i + 1] as usize;
+        resolve(
+            self.edges[channels]
+                .iter()
+                .fold(1 << FLOATING, |mask, e| mask | e.contribution(codes)),
+        )
+    }
+
+    /// Counts `node` into (or, unless `diverged`, out of) the diverged
+    /// reads of every node whose update rule reads it.
+    fn count_reads(&self, node: usize, reads: &mut [u32], diverged: bool) {
+        for m in self.dependents_of(node) {
+            if diverged {
+                reads[m] += 1;
+            } else {
+                reads[m] -= 1;
+            }
+        }
+    }
+
+    /// The nodes whose update rule reads `node`.
+    #[inline]
+    fn dependents_of(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        let range = self.dependent_start[node] as usize..self.dependent_start[node + 1] as usize;
+        self.dependents[range].iter().map(|&m| m as usize)
+    }
+
     /// Marks every node whose update rule reads `node`.
     #[inline]
     fn mark_dependents(&self, node: usize, dirty: &mut DirtySet) {
-        let range = self.dependent_start[node] as usize..self.dependent_start[node + 1] as usize;
-        for &m in &self.dependents[range] {
-            dirty.insert(m as usize);
+        for m in self.dependents_of(node) {
+            dirty.insert(m);
         }
     }
 
@@ -440,6 +599,42 @@ impl Settled {
     /// The node codes, in id order.
     pub(crate) fn codes(&self) -> &[u8] {
         &self.codes
+    }
+}
+
+/// A recorded scratch solve of a [`SwitchGraph`], the base
+/// [`SwitchGraph::replay`] replays: every sweep's evaluations in order, as
+/// `(node, code)` pairs, and the input levels it ran under.
+#[derive(Debug, Default)]
+pub(crate) struct Schedule {
+    /// Where each sweep's evaluations start in `nodes`, and where the
+    /// last one ends.
+    sweep_start: Vec<u32>,
+    nodes: Vec<u32>,
+    codes: Vec<u8>,
+    /// The base's level of each primary input, in graph order.
+    levels: Box<[bool]>,
+}
+
+impl Schedule {
+    /// The nodes sweep `sweep` evaluated and the codes it gave them; both
+    /// empty past the last sweep.
+    fn sweep(&self, sweep: usize) -> (&[u32], &[u8]) {
+        match self.sweep_start.get(sweep..sweep + 2) {
+            Some(&[start, end]) => {
+                let steps = start as usize..end as usize;
+                (&self.nodes[steps.clone()], &self.codes[steps])
+            }
+            _ => (&[], &[]),
+        }
+    }
+
+    /// Bytes the schedule holds.
+    pub(crate) fn byte_len(&self) -> usize {
+        std::mem::size_of::<Schedule>()
+            + 4 * (self.sweep_start.capacity() + self.nodes.capacity())
+            + self.codes.capacity()
+            + self.levels.len()
     }
 }
 
@@ -552,17 +747,35 @@ impl DirtySet {
         self.words[i / 64] |= 1 << (i % 64);
     }
 
-    /// Removes and returns the lowest member at or above `from`.
-    fn take_from(&mut self, from: usize) -> Option<usize> {
+    fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// The lowest member at or above `from`, or `usize::MAX` when there
+    /// is none.
+    fn first_from(&self, from: usize) -> usize {
         let mut w = from / 64;
-        let mut bits = *self.words.get(w)? & (u64::MAX << (from % 64));
+        let Some(&word) = self.words.get(w) else {
+            return usize::MAX;
+        };
+        let mut bits = word & (u64::MAX << (from % 64));
         while bits == 0 {
             w += 1;
-            bits = *self.words.get(w)?;
+            match self.words.get(w) {
+                Some(&word) => bits = word,
+                None => return usize::MAX,
+            }
         }
-        let bit = bits.trailing_zeros() as usize;
-        self.words[w] &= !(1 << bit);
-        Some(w * 64 + bit)
+        w * 64 + bits.trailing_zeros() as usize
+    }
+
+    /// Removes and returns the lowest member at or above `from`.
+    fn take_from(&mut self, from: usize) -> Option<usize> {
+        let i = self.first_from(from);
+        (i != usize::MAX).then(|| {
+            self.remove(i);
+            i
+        })
     }
 }
 

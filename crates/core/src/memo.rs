@@ -61,9 +61,25 @@
 //! [`STEADY_MEMO_BYTES`], and an arbitrary entry of any kind is
 //! displaced when the memo is full, as the shards do.
 //!
+//! ## Schedules
+//!
+//! The first miss of a topology solves from scratch and records the
+//! solve's schedule (`logic::Schedule`: each sweep's evaluations in
+//! order, as node and code, and the input levels it ran under), a fourth
+//! kind of entry keyed by the topology fingerprint alone. Every later
+//! miss of that topology replays the schedule under its own inputs
+//! (`logic::SwitchGraph::replay`), evaluating only where its state
+//! diverges from the recorded one, and settles to the very state a
+//! scratch solve gives: a selected SRAM-64 row differs from the all-low
+//! state in two nodes. A schedule is charged its real size, five bytes
+//! per recorded evaluation and four per sweep (about 83 kB on SRAM-64),
+//! to the same budget; one that does not fit, or that was displaced,
+//! leaves the next miss a scratch solve that records a new one.
+//! [`StageCache::steady_state`] says which way a state was found.
+//!
 //! ## Stage sets
 //!
-//! The same memo holds a third kind of entry: the stages a plain cached
+//! The same memo holds one more kind of entry: the stages a plain cached
 //! analysis extracts for every switching target, as one
 //! `stage::StageSet`. Extraction depends on the steady pair, not on the
 //! input transition, so a slope sweep over one input and edge extracts
@@ -75,12 +91,12 @@
 //! before and after the edge. The input transition, the model, the mode
 //! and the thread count are not in it: extraction reads none of them. An
 //! entry interns its RC trees by [`stage_fingerprint`], and is charged to
-//! the same byte budget as states and graphs. An extraction that tripped
-//! a budget is never stored.
+//! the same byte budget as states, graphs and schedules. An extraction
+//! that tripped a budget is never stored.
 
 use crate::analyzer::Scenario;
 use crate::fingerprint::{Fnv64, FNV_OFFSET, FNV_PRIME};
-use crate::logic::{self, LogicState, PackedState, SwitchGraph};
+use crate::logic::{self, LogicState, PackedState, Schedule, SwitchGraph};
 use crate::models::{ModelKind, StageDelay};
 use crate::stage::{Stage, StageSet};
 use crate::tech::{Direction, Technology};
@@ -96,14 +112,14 @@ pub const SHARDS: usize = 16;
 /// Default total entry capacity of a [`StageCache`].
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
-/// Byte budget of a [`StageCache`]'s steady-state memo, switch graphs
-/// included: about 3,800 states of an SRAM 64×64 (8,450 nodes at four
-/// bits each).
+/// Byte budget of a [`StageCache`]'s steady-state memo, switch graphs,
+/// schedules and stage sets included: about 3,800 states of an SRAM
+/// 64×64 (8,450 nodes at four bits each).
 pub const STEADY_MEMO_BYTES: usize = 16 << 20;
 
-/// Bytes charged per memo entry on top of its state or graph and key
-/// ids: the key's fingerprint and vector header, the entry's header, and
-/// a map slot.
+/// Bytes charged per memo entry on top of its payload and key ids: the
+/// key's fingerprint and vector header, the entry's header, and a map
+/// slot.
 const STEADY_ENTRY_OVERHEAD: usize = 96;
 
 /// A dual-stream FNV-1a hasher producing 128 bits: the second stream
@@ -315,6 +331,24 @@ impl CacheStats {
     }
 }
 
+/// How [`StageCache::steady_state`] found a steady state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SteadyLookup {
+    /// Unpacked from the memo.
+    Hit,
+    /// Solved from scratch, and recorded as the topology's base when the
+    /// recording fits the budget.
+    Solved {
+        /// Node evaluations the solve made.
+        evals: u64,
+    },
+    /// Replayed against the topology's recorded solve.
+    Replayed {
+        /// Node evaluations the replay made.
+        evals: u64,
+    },
+}
+
 /// A steady-state memo key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum SteadyKey {
@@ -323,6 +357,8 @@ enum SteadyKey {
     State { topology: u128, high: Vec<NodeId> },
     /// The switch graph of every network with this topology.
     Graph(u128),
+    /// The recorded solve every later miss of this topology replays.
+    Schedule(u128),
     /// A stage set, by what extraction reads (see [`StageSetKey`]).
     Stages {
         network: u128,
@@ -337,7 +373,7 @@ impl SteadyKey {
     fn bytes(&self) -> usize {
         let ids = match self {
             SteadyKey::State { high, .. } => high.len(),
-            SteadyKey::Graph(_) => 0,
+            SteadyKey::Graph(_) | SteadyKey::Schedule(_) => 0,
             SteadyKey::Stages { before, after, .. } => before.len() + after.len(),
         };
         ids * std::mem::size_of::<NodeId>() + STEADY_ENTRY_OVERHEAD
@@ -376,6 +412,7 @@ impl StageSetKey {
 enum Steady {
     State(PackedState),
     Graph(Arc<SwitchGraph>),
+    Schedule(Arc<Schedule>),
     Stages(Arc<StageSet>),
 }
 
@@ -384,13 +421,14 @@ impl Steady {
         match self {
             Steady::State(state) => state.byte_len(),
             Steady::Graph(graph) => graph.byte_len(),
+            Steady::Schedule(schedule) => schedule.byte_len(),
             Steady::Stages(set) => set.byte_len(),
         }
     }
 }
 
-/// Memoized steady states, switch graphs and stage sets within a byte
-/// budget.
+/// Memoized steady states, switch graphs, schedules and stage sets
+/// within a byte budget.
 #[derive(Debug, Default)]
 struct SteadyMemo {
     entries: HashMap<SteadyKey, Steady>,
@@ -452,58 +490,80 @@ impl StageCache {
         }
     }
 
-    /// The state [`logic::solve`] settles `net` to under `inputs`, solved
-    /// on the first request for its key (see the [module docs](self)) and
-    /// unpacked from the memo after. The second value is `true` when the
-    /// state was already memoized. Two threads missing on one key at once
-    /// both solve; the states are equal, so either may stay.
+    /// The state [`logic::solve`] settles `net` to under `inputs`, found
+    /// as the [module docs](self) say, and how it was found: a hit, the
+    /// topology's first miss solved from scratch (and recorded), or a
+    /// later miss replayed against that recording. Two threads missing on
+    /// one key at once both settle it; the states are equal, so either
+    /// may stay.
     pub fn steady_state(
         &self,
         net: &Network,
         inputs: &HashMap<NodeId, bool>,
-    ) -> (LogicState, bool) {
-        let (state, evals) = self.steady_state_counted(net, inputs);
-        (state, evals.is_none())
+    ) -> (LogicState, SteadyLookup) {
+        self.steady_state_within(net, inputs, STEADY_MEMO_BYTES)
     }
 
-    /// [`StageCache::steady_state`], with `None` for a hit and the node
-    /// evaluations the solve took for a miss.
-    pub(crate) fn steady_state_counted(
+    /// [`StageCache::steady_state`], storing what a miss makes within
+    /// `budget` bytes.
+    fn steady_state_within(
         &self,
         net: &Network,
         inputs: &HashMap<NodeId, bool>,
-    ) -> (LogicState, Option<u64>) {
+        budget: usize,
+    ) -> (LogicState, SteadyLookup) {
         let topology = net.topology_fingerprint();
         let key = SteadyKey::State {
             topology,
             high: logic::driven_high(net, inputs),
         };
-        let graph = {
+        let (graph, schedule) = {
             let memo = self.steady_memo();
             if let Some(Steady::State(state)) = memo.entries.get(&key) {
-                return (state.unpack(), None);
+                return (state.unpack(), SteadyLookup::Hit);
             }
-            match memo.entries.get(&SteadyKey::Graph(topology)) {
+            let graph = match memo.entries.get(&SteadyKey::Graph(topology)) {
                 Some(Steady::Graph(graph)) => Some(Arc::clone(graph)),
                 _ => None,
-            }
+            };
+            let schedule = match memo.entries.get(&SteadyKey::Schedule(topology)) {
+                Some(Steady::Schedule(schedule)) => Some(Arc::clone(schedule)),
+                _ => None,
+            };
+            (graph, schedule)
         };
         let graph = graph.unwrap_or_else(|| {
             let graph = Arc::new(SwitchGraph::new(net));
             self.steady_memo().insert(
                 SteadyKey::Graph(topology),
                 Steady::Graph(Arc::clone(&graph)),
-                STEADY_MEMO_BYTES,
+                budget,
             );
             graph
         });
-        let settled = graph.solve(inputs);
+        let (settled, lookup) = match schedule {
+            Some(base) => {
+                let settled = graph.replay(&base, inputs);
+                let evals = settled.evals;
+                (settled, SteadyLookup::Replayed { evals })
+            }
+            None => {
+                let (settled, schedule) = graph.solve_recorded(inputs);
+                self.steady_memo().insert(
+                    SteadyKey::Schedule(topology),
+                    Steady::Schedule(Arc::new(schedule)),
+                    budget,
+                );
+                let evals = settled.evals;
+                (settled, SteadyLookup::Solved { evals })
+            }
+        };
         self.steady_memo().insert(
             key,
             Steady::State(PackedState::pack(settled.codes())),
-            STEADY_MEMO_BYTES,
+            budget,
         );
-        (settled.state(), Some(settled.evals))
+        (settled.state(), lookup)
     }
 
     /// The stage set memoized under `key`, if any (see the
@@ -861,6 +921,52 @@ mod tests {
         assert_eq!(memo.bytes, 3 * entry + graph_size);
         memo.insert(key(10), packed(), 3 * entry);
         assert!(memo.bytes <= 3 * entry);
+        // So is a schedule, at its real size: one code byte and one node
+        // word per evaluation, and the sweep bounds.
+        let (_, schedule) = SwitchGraph::new(&net).solve_recorded(&HashMap::new());
+        assert!(schedule.byte_len() >= 5 * settled.evals as usize);
+        let schedule = Steady::Schedule(Arc::new(schedule));
+        let schedule_size = SteadyKey::Schedule(0).bytes() + schedule.byte_len();
+        memo.insert(SteadyKey::Schedule(0), schedule, 3 * entry + schedule_size);
+        assert!(memo.entries.contains_key(&SteadyKey::Schedule(0)));
+        assert!(memo.bytes <= 3 * entry + schedule_size);
+        memo.insert(key(11), packed(), 3 * entry);
+        assert!(memo.bytes <= 3 * entry);
+        assert!(!memo.entries.contains_key(&SteadyKey::Schedule(0)));
+    }
+
+    #[test]
+    fn a_schedule_over_the_budget_is_not_stored_and_misses_solve_from_scratch() {
+        use mosnet::generators::decoder;
+        let net = decoder(Style::Cmos, 3, Farads::from_femto(100.0)).unwrap();
+        let topology = net.topology_fingerprint();
+        let (_, schedule) = SwitchGraph::new(&net).solve_recorded(&HashMap::new());
+        // One byte short of the schedule: graphs and states still fit.
+        let tight = SteadyKey::Schedule(0).bytes() + schedule.byte_len() - 1;
+        let cache = StageCache::new();
+        for (k, &input) in net.inputs().iter().enumerate() {
+            let inputs = HashMap::from([(input, true)]);
+            let (state, lookup) = cache.steady_state_within(&net, &inputs, tight);
+            assert!(
+                matches!(lookup, SteadyLookup::Solved { .. }),
+                "miss {k}: {lookup:?}"
+            );
+            assert_eq!(state, logic::solve(&net, &inputs));
+        }
+        let memo = cache.steady_memo();
+        assert!(!memo.entries.contains_key(&SteadyKey::Schedule(topology)));
+        assert!(memo.bytes <= tight);
+        drop(memo);
+        // With room for it, the first miss records and the later ones
+        // replay.
+        let cache = StageCache::new();
+        let lookups: Vec<SteadyLookup> = (net.inputs().iter())
+            .map(|&input| cache.steady_state(&net, &HashMap::from([(input, true)])).1)
+            .collect();
+        assert!(matches!(lookups[0], SteadyLookup::Solved { .. }));
+        assert!(lookups[1..]
+            .iter()
+            .all(|lookup| matches!(lookup, SteadyLookup::Replayed { .. })));
     }
 
     #[test]
@@ -924,6 +1030,21 @@ mod tests {
         assert!(Arc::ptr_eq(&found, &set));
         assert!(cache.stage_set(&lookup(1)).is_none());
         assert_eq!(cache.steady_memo().bytes, entry);
+        // A schedule displaces stage sets to fit, and is charged alike.
+        let (_, schedule) = SwitchGraph::new(&inverter(Style::Cmos, Farads::from_femto(1.0)))
+            .solve_recorded(&HashMap::new());
+        let schedule_size = SteadyKey::Schedule(1).bytes() + schedule.byte_len();
+        memo.insert(
+            SteadyKey::Schedule(1),
+            Steady::Schedule(Arc::new(schedule)),
+            3 * entry,
+        );
+        assert!(memo.entries.contains_key(&SteadyKey::Schedule(1)));
+        let charged: usize = (memo.entries.iter())
+            .map(|(key, entry)| key.bytes() + entry.byte_len())
+            .sum();
+        assert_eq!(memo.bytes, charged);
+        assert!(memo.bytes <= 3 * entry && memo.bytes >= schedule_size);
     }
 
     #[test]
@@ -965,6 +1086,10 @@ mod tests {
             })
             .collect();
         assert_eq!(graphs.len(), 2, "one graph per topology");
+        let schedules = (memo.entries.values())
+            .filter(|entry| matches!(entry, Steady::Schedule(_)))
+            .count();
+        assert_eq!(schedules, 2, "one schedule per topology");
         let charged: usize = memo
             .entries
             .iter()

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use crystal::fingerprint::SplitMix64;
 use crystal::logic::{conducts, solve, LogicState, LogicValue, Strength};
-use crystal::memo::StageCache;
+use crystal::memo::{StageCache, SteadyLookup};
 use mosnet::generators::{
     barrel_shifter, carry_chain, decoder, decoder2to4, inverter, inverter_chain, memory_array,
     mux_tree, nand, nor, pass_chain, random_network, superbuffer, wordline, xor2,
@@ -228,8 +228,8 @@ fn cached_steady_states_match_the_full_sweep() {
     let cached = |net: &Network, inputs: &HashMap<NodeId, bool>, what: &str| {
         let (solved, _) = cache.steady_state(net, inputs);
         check_state(net, inputs, &solved, what);
-        let (unpacked, hit) = cache.steady_state(net, inputs);
-        assert!(hit, "{what}: memoized");
+        let (unpacked, lookup) = cache.steady_state(net, inputs);
+        assert_eq!(lookup, SteadyLookup::Hit, "{what}: memoized");
         assert_eq!(unpacked, solved, "{what}: unpacked from the memo");
     };
     let mut rng = SplitMix64::new(0x5eed_0022);

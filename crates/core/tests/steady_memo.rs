@@ -2,7 +2,8 @@
 //! each distinct input assignment once and still give bit-identical
 //! results, one cache serves several networks without handing one
 //! network's states to another, and assignments that `logic::solve`
-//! reads alike share one entry.
+//! reads alike share one entry. The first miss of a topology is solved
+//! from scratch and every later one is replayed against it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -11,7 +12,7 @@ use crystal::analyzer::{analyze, analyze_with_options, AnalyzerOptions, Edge, Sc
 use crystal::error::TimingError;
 use crystal::fingerprint::result_digest;
 use crystal::logic;
-use crystal::memo::StageCache;
+use crystal::memo::{StageCache, SteadyLookup};
 use crystal::models::ModelKind;
 use crystal::obs::{Phase, TraceSink};
 use crystal::tech::Technology;
@@ -57,6 +58,13 @@ fn cached(cache: &Arc<StageCache>, threads: usize, trace: &Arc<TraceSink>) -> An
 
 /// `(hits, misses)` of the steady-state memo recorded into `trace`.
 fn steady_counts(trace: &TraceSink) -> (u64, u64) {
+    let (hits, misses, _) = steady_lookups(trace);
+    (hits, misses)
+}
+
+/// `(hits, misses, replays)` of the steady-state memo recorded into
+/// `trace`; the replays are counted among the misses.
+fn steady_lookups(trace: &TraceSink) -> (u64, u64, u64) {
     let counters = trace.counters();
     let get = |name: &str| {
         counters
@@ -64,7 +72,11 @@ fn steady_counts(trace: &TraceSink) -> (u64, u64) {
             .copied()
             .unwrap_or(0)
     };
-    (get("steady_hits"), get("steady_misses"))
+    (
+        get("steady_hits"),
+        get("steady_misses"),
+        get("steady_replays"),
+    )
 }
 
 fn uncached_digest(net: &Network, tech: &Technology, scenario: &Scenario) -> u64 {
@@ -103,11 +115,16 @@ fn shared_cache_results_match_uncached_bit_for_bit() {
                         "{name} statics={statics} threads={threads}: cached differs from uncached"
                     );
                 }
-                let (hits, misses) = steady_counts(&trace);
+                let (hits, misses, replays) = steady_lookups(&trace);
                 assert_eq!(
                     hits + misses,
                     2 * scenarios.len() as u64,
                     "{name}: two lookups per analysis"
+                );
+                assert_eq!(
+                    replays,
+                    misses - 1,
+                    "{name}: one scratch solve, every later miss replayed"
                 );
                 if !statics {
                     // All inputs low, then each input alone high.
@@ -172,7 +189,13 @@ fn one_cache_keeps_two_topologies_with_the_same_names_apart() {
     // high, though the other network had asked for the same assignment
     // under the same names just before.
     for trace in &traces {
-        assert_eq!(steady_counts(trace).1, 1 + base.inputs().len() as u64);
+        let (_, misses, replays) = steady_lookups(trace);
+        assert_eq!(misses, 1 + base.inputs().len() as u64);
+        assert_eq!(
+            replays,
+            misses - 1,
+            "each topology solved once from scratch"
+        );
     }
 }
 
@@ -206,11 +229,15 @@ fn assignments_solve_reads_alike_share_one_entry() {
         (2, 0)
     );
     // `{}` and `{a0: 0, a1: 0}` hit the all-low entry directly.
-    assert!(cache.steady_state(&net, &HashMap::new()).1);
-    assert!(
+    assert_eq!(
+        cache.steady_state(&net, &HashMap::new()).1,
+        SteadyLookup::Hit
+    );
+    assert_eq!(
         cache
             .steady_state(&net, &HashMap::from([(a0, false), (a1, false)]))
-            .1
+            .1,
+        SteadyLookup::Hit
     );
 }
 

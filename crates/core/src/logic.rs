@@ -11,6 +11,7 @@ use crate::error::TimingError;
 use mosnet::{Network, NodeId, NodeKind, TransistorKind};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A ternary logic value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,30 +80,25 @@ pub fn conducts(kind: TransistorKind, gate: LogicValue) -> LogicValue {
     }
 }
 
-/// The steady logic state of every node.
+/// The steady logic state of every node: the solve's node codes, one
+/// byte per node in id order, held once and shared, so a clone (a memo
+/// hit, a session's copy) copies no node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogicState {
-    values: Vec<LogicValue>,
-    strengths: Vec<Strength>,
+    codes: Arc<[u8]>,
 }
 
 impl LogicState {
-    /// The state of the node codes `codes`, in id order.
-    fn from_codes(codes: impl Iterator<Item = u8>) -> LogicState {
-        let (values, strengths) = codes.map(decode).unzip();
-        LogicState { values, strengths }
-    }
-
     /// The settled value of `node`.
     #[inline]
     pub fn value(&self, node: NodeId) -> LogicValue {
-        self.values[node.index()]
+        decode(self.codes[node.index()]).0
     }
 
     /// The strength with which `node` is driven.
     #[inline]
     pub fn strength(&self, node: NodeId) -> Strength {
-        self.strengths[node.index()]
+        decode(self.codes[node.index()]).1
     }
 
     /// `true` when the transistor's channel conducts in this state
@@ -110,6 +106,11 @@ impl LogicState {
     pub fn transistor_on(&self, net: &Network, t: mosnet::TransistorId) -> bool {
         let tr = net.transistor(t);
         conducts(tr.kind(), self.value(tr.gate())) != LogicValue::Zero
+    }
+
+    /// Bytes the state holds: one per node.
+    pub(crate) fn byte_len(&self) -> usize {
+        self.codes.len()
     }
 }
 
@@ -142,7 +143,7 @@ const MAX_SWEEPS: usize = 10_000;
 /// which gives these very states; `solve` and [`steady_states`] stay
 /// scratch solves, so they check the replay independently.
 pub fn solve(net: &Network, inputs: &HashMap<NodeId, bool>) -> LogicState {
-    SwitchGraph::new(net).solve(inputs).state()
+    SwitchGraph::new(net).solve(inputs).state
 }
 
 /// A node's state as one byte: the [`LogicValue`] discriminant in the
@@ -156,7 +157,8 @@ const fn driven(value: LogicValue) -> u8 {
 }
 
 /// Decodes a node code's value and strength; value bits `3` (never
-/// written) read as `X`, as [`PackedState::unpack`] has always read them.
+/// written) read as `X`.
+#[inline]
 fn decode(code: u8) -> (LogicValue, Strength) {
     const VALUES: [LogicValue; 4] = [
         LogicValue::Zero,
@@ -419,7 +421,7 @@ impl SwitchGraph {
                 break;
             }
         }
-        Settled { codes, evals }
+        Settled::new(codes, evals)
     }
 
     /// Settles the graph under `inputs` by replaying `base`, a recorded
@@ -509,7 +511,7 @@ impl SwitchGraph {
                 break;
             }
         }
-        Settled { codes, evals }
+        Settled::new(codes, evals)
     }
 
     /// The level of each primary input under `inputs`, in graph order:
@@ -582,23 +584,22 @@ impl SwitchGraph {
     }
 }
 
-/// A settled graph: one code per node, and the node evaluations it took.
+/// A settled graph: its state, and the node evaluations it took.
 #[derive(Debug)]
 pub(crate) struct Settled {
-    codes: Vec<u8>,
+    pub(crate) state: LogicState,
     /// Node evaluations over all sweeps.
     pub(crate) evals: u64,
 }
 
 impl Settled {
-    /// The state as a [`LogicState`].
-    pub(crate) fn state(&self) -> LogicState {
-        LogicState::from_codes(self.codes.iter().copied())
-    }
-
-    /// The node codes, in id order.
-    pub(crate) fn codes(&self) -> &[u8] {
-        &self.codes
+    fn new(codes: Vec<u8>, evals: u64) -> Settled {
+        Settled {
+            state: LogicState {
+                codes: codes.into(),
+            },
+            evals,
+        }
     }
 }
 
@@ -638,42 +639,6 @@ impl Schedule {
     }
 }
 
-/// A [`LogicState`] packed four bits per node, two nodes a byte (the
-/// even id in the low half): the node code of [`SwitchGraph::solve`],
-/// the value in the low two bits, the strength above them. The
-/// steady-state memo stores states this way, a quarter of their unpacked
-/// size, and unpacks a copy for each hit, so analyses read states at full
-/// speed.
-#[derive(Debug)]
-pub(crate) struct PackedState {
-    nodes: usize,
-    bytes: Box<[u8]>,
-}
-
-impl PackedState {
-    /// Packs the node codes `codes`.
-    pub(crate) fn pack(codes: &[u8]) -> PackedState {
-        let bytes = codes
-            .chunks(2)
-            .map(|pair| pair[0] | pair.get(1).map_or(0, |&high| high << 4))
-            .collect();
-        PackedState {
-            nodes: codes.len(),
-            bytes,
-        }
-    }
-
-    /// The state [`PackedState::pack`] was given.
-    pub(crate) fn unpack(&self) -> LogicState {
-        LogicState::from_codes((0..self.nodes).map(|i| self.bytes[i / 2] >> (4 * (i % 2)) & 0xf))
-    }
-
-    /// Bytes the packed state holds: one per two nodes.
-    pub(crate) fn byte_len(&self) -> usize {
-        self.bytes.len()
-    }
-}
-
 /// What [`solve`] reads of an input assignment: the primary inputs it
 /// drives high, in ascending id order. `solve` reads a level only as
 /// `inputs.get(&id).unwrap_or(false)` on an `Input` node, so assignments
@@ -696,7 +661,7 @@ pub(crate) fn driven_high(net: &Network, inputs: &HashMap<NodeId, bool>) -> Vec<
 /// from scratch.
 pub fn steady_states(net: &Network, scenario: &Scenario) -> (LogicState, LogicState) {
     let graph = SwitchGraph::new(net);
-    steady_states_by(scenario, |inputs| graph.solve(inputs).state())
+    steady_states_by(scenario, |inputs| graph.solve(inputs).state)
 }
 
 /// `state_of` applied to each of the two input assignments
@@ -780,6 +745,14 @@ impl DirtySet {
 }
 
 #[cfg(test)]
+impl LogicState {
+    /// `true` when `self` and `other` share one allocation of codes.
+    pub(crate) fn shares_codes_with(&self, other: &LogicState) -> bool {
+        Arc::ptr_eq(&self.codes, &other.codes)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use mosnet::generators::{decoder2to4, inverter, nand, nor, pass_chain, Style};
@@ -801,24 +774,32 @@ mod tests {
     ];
 
     #[test]
-    fn packed_states_unpack_to_every_value_and_strength() {
-        let pairs: Vec<(LogicValue, Strength)> = VALUES
-            .iter()
-            .flat_map(|&v| STRENGTHS.iter().map(move |&s| (v, s)))
-            .collect();
-        // An even and an odd node count: the last byte is half used.
-        for pairs in [&pairs[..], &pairs[1..]] {
-            let codes: Vec<u8> = pairs
-                .iter()
-                .map(|&(v, s)| v as u8 | (s as u8) << 2)
-                .collect();
-            let (values, strengths) = pairs.iter().copied().unzip();
-            let state = LogicState { values, strengths };
-            assert_eq!(LogicState::from_codes(codes.iter().copied()), state);
-            let packed = PackedState::pack(&codes);
-            assert_eq!(packed.byte_len(), pairs.len().div_ceil(2));
-            assert_eq!(packed.unpack(), state);
+    fn every_node_code_decodes_through_the_state() {
+        // A code is the value discriminant in the low two bits and the
+        // strength discriminant above them; value bits `3`, never
+        // written, read `X`.
+        let mut cases = Vec::new();
+        for s in STRENGTHS {
+            for v in VALUES {
+                cases.push((v as u8 | (s as u8) << 2, v, s));
+            }
+            cases.push((0b11 | (s as u8) << 2, LogicValue::X, s));
         }
+        let state = LogicState {
+            codes: cases.iter().map(|&(code, ..)| code).collect(),
+        };
+        let mut codes: Vec<u8> = cases.iter().map(|&(code, ..)| code).collect();
+        codes.sort_unstable();
+        assert_eq!(codes, (0..16).collect::<Vec<u8>>(), "all 16 codes");
+        for (i, &(code, v, s)) in cases.iter().enumerate() {
+            let node = NodeId::from_index(i);
+            assert_eq!(
+                (state.value(node), state.strength(node)),
+                (v, s),
+                "code {code:04b}"
+            );
+        }
+        assert_eq!(state.byte_len(), 16);
     }
 
     /// The contribution rule stated over the enums, as the per-node loop

@@ -53,29 +53,30 @@
 //! the ascending ids of the primary inputs driven high
 //! (`logic::driven_high`) — exactly what `solve` reads — so a hit
 //! returns the state a fresh solve would, and one cache can serve several
-//! networks. States are held packed, four bits per node, and a hit
-//! unpacks a copy. A miss solves on the topology's flat switch graph
-//! (`logic::SwitchGraph`), which depends on nothing but what the
-//! fingerprint covers, so the memo also holds one graph per fingerprint,
-//! built on the first miss. Graphs and states share one budget,
-//! [`STEADY_MEMO_BYTES`], and an arbitrary entry of any kind is
-//! displaced when the memo is full, as the shards do.
+//! networks. A state is the solve's node codes, one byte per node, held
+//! once: a hit shares the memo's copy. A miss solves on the topology's
+//! flat switch graph (`logic::SwitchGraph`), which depends on nothing but
+//! what the fingerprint covers. All entries share one budget,
+//! [`STEADY_MEMO_BYTES`], and an arbitrary entry of any kind is displaced
+//! when the memo is full, as the shards do.
 //!
-//! ## Schedules
+//! ## Topologies
 //!
-//! The first miss of a topology solves from scratch and records the
-//! solve's schedule (`logic::Schedule`: each sweep's evaluations in
-//! order, as node and code, and the input levels it ran under), a fourth
-//! kind of entry keyed by the topology fingerprint alone. Every later
-//! miss of that topology replays the schedule under its own inputs
+//! The first miss of a topology builds its graph, solves from scratch and
+//! records the solve's schedule (`logic::Schedule`: each sweep's
+//! evaluations in order, as node and code, and the input levels it ran
+//! under). Graph and schedule are stored together as one entry keyed by
+//! the topology fingerprint alone. Every later miss of that topology
+//! replays the schedule under its own inputs
 //! (`logic::SwitchGraph::replay`), evaluating only where its state
 //! diverges from the recorded one, and settles to the very state a
 //! scratch solve gives: a selected SRAM-64 row differs from the all-low
-//! state in two nodes. A schedule is charged its real size, five bytes
-//! per recorded evaluation and four per sweep (about 83 kB on SRAM-64),
-//! to the same budget; one that does not fit, or that was displaced,
-//! leaves the next miss a scratch solve that records a new one.
-//! [`StageCache::steady_state`] says which way a state was found.
+//! state in two nodes. The entry is charged its real size: the graph,
+//! and five bytes per recorded evaluation and four per sweep for the
+//! schedule (about 83 kB on SRAM-64). One that does not fit, or that was
+//! displaced, leaves the next miss a scratch solve on a new graph that
+//! records a new one. [`StageCache::steady_state`] says which way a state
+//! was found.
 //!
 //! ## Stage sets
 //!
@@ -91,12 +92,12 @@
 //! before and after the edge. The input transition, the model, the mode
 //! and the thread count are not in it: extraction reads none of them. An
 //! entry interns its RC trees by [`stage_fingerprint`], and is charged to
-//! the same byte budget as states, graphs and schedules. An extraction
+//! the same byte budget as states and topologies. An extraction
 //! that tripped a budget is never stored.
 
 use crate::analyzer::Scenario;
 use crate::fingerprint::{Fnv64, FNV_OFFSET, FNV_PRIME};
-use crate::logic::{self, LogicState, PackedState, Schedule, SwitchGraph};
+use crate::logic::{self, LogicState, Schedule, SwitchGraph};
 use crate::models::{ModelKind, StageDelay};
 use crate::stage::{Stage, StageSet};
 use crate::tech::{Direction, Technology};
@@ -112,9 +113,9 @@ pub const SHARDS: usize = 16;
 /// Default total entry capacity of a [`StageCache`].
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
-/// Byte budget of a [`StageCache`]'s steady-state memo, switch graphs,
-/// schedules and stage sets included: about 3,800 states of an SRAM
-/// 64×64 (8,450 nodes at four bits each).
+/// Byte budget of a [`StageCache`]'s steady-state memo, topology entries
+/// and stage sets included: about 1,900 states of an SRAM 64×64 (8,450
+/// nodes at one byte each).
 pub const STEADY_MEMO_BYTES: usize = 16 << 20;
 
 /// Bytes charged per memo entry on top of its payload and key ids: the
@@ -334,7 +335,7 @@ impl CacheStats {
 /// How [`StageCache::steady_state`] found a steady state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SteadyLookup {
-    /// Unpacked from the memo.
+    /// Found in the memo, shared with it.
     Hit,
     /// Solved from scratch, and recorded as the topology's base when the
     /// recording fits the budget.
@@ -355,10 +356,9 @@ enum SteadyKey {
     /// A state, by what [`logic::solve`] reads: the network's topology
     /// and the inputs driven high.
     State { topology: u128, high: Vec<NodeId> },
-    /// The switch graph of every network with this topology.
-    Graph(u128),
-    /// The recorded solve every later miss of this topology replays.
-    Schedule(u128),
+    /// The switch graph of every network with this topology, and the
+    /// recorded solve every later miss of the topology replays.
+    Topology(u128),
     /// A stage set, by what extraction reads (see [`StageSetKey`]).
     Stages {
         network: u128,
@@ -373,7 +373,7 @@ impl SteadyKey {
     fn bytes(&self) -> usize {
         let ids = match self {
             SteadyKey::State { high, .. } => high.len(),
-            SteadyKey::Graph(_) | SteadyKey::Schedule(_) => 0,
+            SteadyKey::Topology(_) => 0,
             SteadyKey::Stages { before, after, .. } => before.len() + after.len(),
         };
         ids * std::mem::size_of::<NodeId>() + STEADY_ENTRY_OVERHEAD
@@ -407,12 +407,19 @@ impl StageSetKey {
     }
 }
 
+/// A topology's switch graph and the recorded solve of its first miss,
+/// which every later miss replays.
+#[derive(Debug)]
+struct Topology {
+    graph: SwitchGraph,
+    base: Schedule,
+}
+
 /// A steady-state memo entry.
 #[derive(Debug)]
 enum Steady {
-    State(PackedState),
-    Graph(Arc<SwitchGraph>),
-    Schedule(Arc<Schedule>),
+    State(LogicState),
+    Topology(Arc<Topology>),
     Stages(Arc<StageSet>),
 }
 
@@ -420,15 +427,14 @@ impl Steady {
     fn byte_len(&self) -> usize {
         match self {
             Steady::State(state) => state.byte_len(),
-            Steady::Graph(graph) => graph.byte_len(),
-            Steady::Schedule(schedule) => schedule.byte_len(),
+            Steady::Topology(topology) => topology.graph.byte_len() + topology.base.byte_len(),
             Steady::Stages(set) => set.byte_len(),
         }
     }
 }
 
-/// Memoized steady states, switch graphs, schedules and stage sets
-/// within a byte budget.
+/// Memoized steady states, topology entries and stage sets within a byte
+/// budget.
 #[derive(Debug, Default)]
 struct SteadyMemo {
     entries: HashMap<SteadyKey, Steady>,
@@ -512,58 +518,42 @@ impl StageCache {
         inputs: &HashMap<NodeId, bool>,
         budget: usize,
     ) -> (LogicState, SteadyLookup) {
-        let topology = net.topology_fingerprint();
+        let fingerprint = net.topology_fingerprint();
         let key = SteadyKey::State {
-            topology,
+            topology: fingerprint,
             high: logic::driven_high(net, inputs),
         };
-        let (graph, schedule) = {
+        let topology = {
             let memo = self.steady_memo();
             if let Some(Steady::State(state)) = memo.entries.get(&key) {
-                return (state.unpack(), SteadyLookup::Hit);
+                return (state.clone(), SteadyLookup::Hit);
             }
-            let graph = match memo.entries.get(&SteadyKey::Graph(topology)) {
-                Some(Steady::Graph(graph)) => Some(Arc::clone(graph)),
+            match memo.entries.get(&SteadyKey::Topology(fingerprint)) {
+                Some(Steady::Topology(topology)) => Some(Arc::clone(topology)),
                 _ => None,
-            };
-            let schedule = match memo.entries.get(&SteadyKey::Schedule(topology)) {
-                Some(Steady::Schedule(schedule)) => Some(Arc::clone(schedule)),
-                _ => None,
-            };
-            (graph, schedule)
+            }
         };
-        let graph = graph.unwrap_or_else(|| {
-            let graph = Arc::new(SwitchGraph::new(net));
-            self.steady_memo().insert(
-                SteadyKey::Graph(topology),
-                Steady::Graph(Arc::clone(&graph)),
-                budget,
-            );
-            graph
-        });
-        let (settled, lookup) = match schedule {
-            Some(base) => {
-                let settled = graph.replay(&base, inputs);
+        let (settled, lookup) = match topology {
+            Some(topology) => {
+                let settled = topology.graph.replay(&topology.base, inputs);
                 let evals = settled.evals;
                 (settled, SteadyLookup::Replayed { evals })
             }
             None => {
-                let (settled, schedule) = graph.solve_recorded(inputs);
+                let graph = SwitchGraph::new(net);
+                let (settled, base) = graph.solve_recorded(inputs);
                 self.steady_memo().insert(
-                    SteadyKey::Schedule(topology),
-                    Steady::Schedule(Arc::new(schedule)),
+                    SteadyKey::Topology(fingerprint),
+                    Steady::Topology(Arc::new(Topology { graph, base })),
                     budget,
                 );
                 let evals = settled.evals;
                 (settled, SteadyLookup::Solved { evals })
             }
         };
-        self.steady_memo().insert(
-            key,
-            Steady::State(PackedState::pack(settled.codes())),
-            budget,
-        );
-        (settled.state(), lookup)
+        self.steady_memo()
+            .insert(key, Steady::State(settled.state.clone()), budget);
+        (settled.state, lookup)
     }
 
     /// The stage set memoized under `key`, if any (see the
@@ -890,49 +880,54 @@ mod tests {
         assert_eq!(200 - cache.len() as u64, stats.evictions);
     }
 
+    /// The topology entry of `net`, as its first miss stores it, and the
+    /// state that miss settles to.
+    fn topology_entry(net: &Network) -> (Steady, LogicState) {
+        let graph = SwitchGraph::new(net);
+        let (settled, base) = graph.solve_recorded(&HashMap::new());
+        let entry = Steady::Topology(Arc::new(Topology { graph, base }));
+        (entry, settled.state)
+    }
+
     #[test]
     fn steady_memo_stays_within_its_byte_budget() {
         let net = inverter(Style::Cmos, Farads::from_femto(100.0));
-        let settled = SwitchGraph::new(&net).solve(&HashMap::new());
-        let packed = || Steady::State(PackedState::pack(settled.codes()));
+        let state = SwitchGraph::new(&net).solve(&HashMap::new()).state;
+        let shared = || Steady::State(state.clone());
         let key = |i: u32| SteadyKey::State {
             topology: u128::from(i),
             high: Vec::new(),
         };
-        let entry = key(0).bytes() + packed().byte_len();
+        let entry = key(0).bytes() + shared().byte_len();
+        assert_eq!(shared().byte_len(), net.node_count(), "a byte a node");
         let mut memo = SteadyMemo::default();
         for i in 0..10 {
-            memo.insert(key(i), packed(), 3 * entry);
+            memo.insert(key(i), shared(), 3 * entry);
         }
         assert_eq!((memo.entries.len(), memo.bytes), (3, 3 * entry));
         // Re-inserting a resident key charges nothing.
         let resident = memo.entries.keys().next().cloned().unwrap();
-        memo.insert(resident, packed(), 3 * entry);
+        memo.insert(resident, shared(), 3 * entry);
         assert_eq!(memo.bytes, 3 * entry);
         // A state larger than the whole budget is not stored.
         let mut small = SteadyMemo::default();
-        small.insert(key(0), packed(), entry - 1);
+        small.insert(key(0), shared(), entry - 1);
         assert!(small.entries.is_empty());
-        // A graph is charged and displaced like a state.
-        let graph = Steady::Graph(Arc::new(SwitchGraph::new(&net)));
-        let graph_size = SteadyKey::Graph(0).bytes() + graph.byte_len();
-        memo.insert(SteadyKey::Graph(0), graph, 3 * entry + graph_size);
-        assert!(memo.entries.contains_key(&SteadyKey::Graph(0)));
-        assert_eq!(memo.bytes, 3 * entry + graph_size);
-        memo.insert(key(10), packed(), 3 * entry);
+        // A topology entry is charged and displaced like a state, at its
+        // real size: the graph, and one code byte and one node word per
+        // recorded evaluation and the sweep bounds.
+        let (topology, settled) = topology_entry(&net);
+        let graph = SwitchGraph::new(&net);
+        let evals = graph.solve(&HashMap::new()).evals as usize;
+        assert!(topology.byte_len() >= graph.byte_len() + 5 * evals);
+        assert_eq!(settled, state);
+        let topology_size = SteadyKey::Topology(0).bytes() + topology.byte_len();
+        memo.insert(SteadyKey::Topology(0), topology, 3 * entry + topology_size);
+        assert!(memo.entries.contains_key(&SteadyKey::Topology(0)));
+        assert_eq!(memo.bytes, 3 * entry + topology_size);
+        memo.insert(key(10), shared(), 3 * entry);
         assert!(memo.bytes <= 3 * entry);
-        // So is a schedule, at its real size: one code byte and one node
-        // word per evaluation, and the sweep bounds.
-        let (_, schedule) = SwitchGraph::new(&net).solve_recorded(&HashMap::new());
-        assert!(schedule.byte_len() >= 5 * settled.evals as usize);
-        let schedule = Steady::Schedule(Arc::new(schedule));
-        let schedule_size = SteadyKey::Schedule(0).bytes() + schedule.byte_len();
-        memo.insert(SteadyKey::Schedule(0), schedule, 3 * entry + schedule_size);
-        assert!(memo.entries.contains_key(&SteadyKey::Schedule(0)));
-        assert!(memo.bytes <= 3 * entry + schedule_size);
-        memo.insert(key(11), packed(), 3 * entry);
-        assert!(memo.bytes <= 3 * entry);
-        assert!(!memo.entries.contains_key(&SteadyKey::Schedule(0)));
+        assert!(!memo.entries.contains_key(&SteadyKey::Topology(0)));
     }
 
     #[test]
@@ -940,9 +935,9 @@ mod tests {
         use mosnet::generators::decoder;
         let net = decoder(Style::Cmos, 3, Farads::from_femto(100.0)).unwrap();
         let topology = net.topology_fingerprint();
-        let (_, schedule) = SwitchGraph::new(&net).solve_recorded(&HashMap::new());
-        // One byte short of the schedule: graphs and states still fit.
-        let tight = SteadyKey::Schedule(0).bytes() + schedule.byte_len() - 1;
+        // One byte short of the topology entry, graph and schedule
+        // together: states still fit.
+        let tight = SteadyKey::Topology(0).bytes() + topology_entry(&net).0.byte_len() - 1;
         let cache = StageCache::new();
         for (k, &input) in net.inputs().iter().enumerate() {
             let inputs = HashMap::from([(input, true)]);
@@ -954,7 +949,8 @@ mod tests {
             assert_eq!(state, logic::solve(&net, &inputs));
         }
         let memo = cache.steady_memo();
-        assert!(!memo.entries.contains_key(&SteadyKey::Schedule(topology)));
+        assert!(!memo.entries.contains_key(&SteadyKey::Topology(topology)));
+        assert_eq!(memo.entries.len(), net.inputs().len(), "only the states");
         assert!(memo.bytes <= tight);
         drop(memo);
         // With room for it, the first miss records and the later ones
@@ -967,6 +963,21 @@ mod tests {
         assert!(lookups[1..]
             .iter()
             .all(|lookup| matches!(lookup, SteadyLookup::Replayed { .. })));
+    }
+
+    #[test]
+    fn hits_share_the_state_the_miss_stored() {
+        use mosnet::generators::decoder;
+        let net = decoder(Style::Cmos, 3, Farads::from_femto(100.0)).unwrap();
+        let inputs = HashMap::from([(net.inputs()[1], true)]);
+        let cache = StageCache::new();
+        let (missed, lookup) = cache.steady_state(&net, &inputs);
+        assert!(matches!(lookup, SteadyLookup::Solved { .. }));
+        for hit in 0..2 {
+            let (state, lookup) = cache.steady_state(&net, &inputs);
+            assert_eq!(lookup, SteadyLookup::Hit);
+            assert!(state.shares_codes_with(&missed), "hit {hit} copied");
+        }
     }
 
     #[test]
@@ -1003,18 +1014,13 @@ mod tests {
         }
         assert_eq!((memo.entries.len(), memo.bytes), (3, 3 * entry));
         // A state displaces a stage set to fit, and is charged alike.
-        let settled = SwitchGraph::new(&inverter(Style::Cmos, Farads::from_femto(1.0)))
-            .solve(&HashMap::new());
+        let (topology, settled) = topology_entry(&inverter(Style::Cmos, Farads::from_femto(1.0)));
         let state = SteadyKey::State {
             topology: 1,
             high: Vec::new(),
         };
-        let state_size = state.bytes() + PackedState::pack(settled.codes()).byte_len();
-        memo.insert(
-            state.clone(),
-            Steady::State(PackedState::pack(settled.codes())),
-            3 * entry,
-        );
+        let state_size = state.bytes() + settled.byte_len();
+        memo.insert(state.clone(), Steady::State(settled), 3 * entry);
         assert!(memo.entries.contains_key(&state));
         assert_eq!(memo.bytes, 2 * entry + state_size);
         // A set larger than the whole budget is not stored.
@@ -1030,21 +1036,16 @@ mod tests {
         assert!(Arc::ptr_eq(&found, &set));
         assert!(cache.stage_set(&lookup(1)).is_none());
         assert_eq!(cache.steady_memo().bytes, entry);
-        // A schedule displaces stage sets to fit, and is charged alike.
-        let (_, schedule) = SwitchGraph::new(&inverter(Style::Cmos, Farads::from_femto(1.0)))
-            .solve_recorded(&HashMap::new());
-        let schedule_size = SteadyKey::Schedule(1).bytes() + schedule.byte_len();
-        memo.insert(
-            SteadyKey::Schedule(1),
-            Steady::Schedule(Arc::new(schedule)),
-            3 * entry,
-        );
-        assert!(memo.entries.contains_key(&SteadyKey::Schedule(1)));
+        // A topology entry displaces stage sets to fit, and is charged
+        // alike.
+        let topology_size = SteadyKey::Topology(1).bytes() + topology.byte_len();
+        memo.insert(SteadyKey::Topology(1), topology, 3 * entry);
+        assert!(memo.entries.contains_key(&SteadyKey::Topology(1)));
         let charged: usize = (memo.entries.iter())
             .map(|(key, entry)| key.bytes() + entry.byte_len())
             .sum();
         assert_eq!(memo.bytes, charged);
-        assert!(memo.bytes <= 3 * entry && memo.bytes >= schedule_size);
+        assert!(memo.bytes <= 3 * entry && memo.bytes >= topology_size);
     }
 
     #[test]
@@ -1077,26 +1078,24 @@ mod tests {
             }
         }
         let memo = cache.steady_memo();
-        let graphs: Vec<usize> = memo
-            .entries
-            .values()
+        let topologies: Vec<usize> = (memo.entries.values())
             .filter_map(|entry| match entry {
-                Steady::Graph(graph) => Some(graph.byte_len()),
+                Steady::Topology(_) => Some(entry.byte_len()),
                 _ => None,
             })
             .collect();
-        assert_eq!(graphs.len(), 2, "one graph per topology");
-        let schedules = (memo.entries.values())
-            .filter(|entry| matches!(entry, Steady::Schedule(_)))
-            .count();
-        assert_eq!(schedules, 2, "one schedule per topology");
+        assert_eq!(topologies.len(), 2, "one entry per topology");
+        for net in [&base, &edited] {
+            let key = SteadyKey::Topology(net.topology_fingerprint());
+            assert!(memo.entries.contains_key(&key));
+        }
         let charged: usize = memo
             .entries
             .iter()
             .map(|(key, entry)| key.bytes() + entry.byte_len())
             .sum();
         assert_eq!(memo.bytes, charged);
-        assert!(graphs.iter().sum::<usize>() < memo.bytes);
+        assert!(topologies.iter().sum::<usize>() < memo.bytes);
         assert!(memo.bytes <= STEADY_MEMO_BYTES);
     }
 

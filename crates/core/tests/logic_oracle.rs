@@ -221,16 +221,16 @@ fn seeded_network(seed: u64, rng: &mut SplitMix64) -> Network {
 }
 
 /// The memoized path: one `StageCache` serves every network, each state
-/// is checked as solved on a miss and again as unpacked on a hit.
+/// is checked as solved on a miss and again as found on a hit.
 #[test]
 fn cached_steady_states_match_the_full_sweep() {
     let cache = StageCache::new();
     let cached = |net: &Network, inputs: &HashMap<NodeId, bool>, what: &str| {
         let (solved, _) = cache.steady_state(net, inputs);
         check_state(net, inputs, &solved, what);
-        let (unpacked, lookup) = cache.steady_state(net, inputs);
+        let (hit, lookup) = cache.steady_state(net, inputs);
         assert_eq!(lookup, SteadyLookup::Hit, "{what}: memoized");
-        assert_eq!(unpacked, solved, "{what}: unpacked from the memo");
+        assert_eq!(hit, solved, "{what}: found in the memo");
     };
     let mut rng = SplitMix64::new(0x5eed_0022);
     for seed in 0..100u64 {

@@ -44,10 +44,10 @@ use crate::error::TimingError;
 use crate::fingerprint::{JsonLine, ReadFields};
 use crate::models::ModelKind;
 use crate::obs::{Phase, TraceSink};
-use crate::pool::ThreadPool;
+use crate::pool;
 use crate::tech::Technology;
 use mosnet::Network;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -617,9 +617,11 @@ pub struct DurableOptions {
     pub resume: bool,
     /// Stop at the first failing scenario in input order: the scenarios
     /// after it become [`Outcome::Skipped`] records that are neither
-    /// journaled nor counted as an interrupted drain. Scenarios are then
-    /// dispatched in bounded chunks (one at a time when serial), so a
-    /// chunk's results are journaled together once the chunk ends.
+    /// journaled nor counted as an interrupted drain. A failure stops the
+    /// dispatch of later scenarios; scenarios are dispatched in input
+    /// order, so every one ahead of the first failure runs. The journal
+    /// receives the in-order prefix of finished records as they complete,
+    /// ending with that first failure.
     pub fail_fast: bool,
     /// Per-scenario wall-clock deadline enforced by the watchdog.
     /// `None` never times out. `Some(ZERO)` cancels every attempt before
@@ -759,13 +761,9 @@ where
 
     let journal = journal.map(Mutex::new);
     let journal_error: Mutex<Option<DurableError>> = Mutex::new(None);
-    let append = |record: &ScenarioRecord| {
+    let append = |line: &str| {
         let Some(journal) = &journal else { return };
-        match journal
-            .lock()
-            .expect("journal lock")
-            .append(&record_line(record))
-        {
+        match journal.lock().expect("journal lock").append(line) {
             Ok(()) => {
                 if let Some(t) = trace {
                     t.count(Phase::Durable, "journal_appends", 1);
@@ -777,59 +775,71 @@ where
             }
         }
     };
+    // Without fail-fast each record is journaled the moment it exists.
+    // Fail-fast journals the in-order prefix of finished records, up to
+    // and including the first failure in input order: the next index to
+    // journal (`usize::MAX` once that failure is written) and the lines
+    // of finished records waiting for it.
+    let prefix = Mutex::new((0usize, BTreeMap::new()));
+    let journal_record = |i: usize, record: &ScenarioRecord| {
+        if journal.is_none() {
+            return;
+        }
+        let line = record_line(record);
+        if !durable.fail_fast {
+            return append(&line);
+        }
+        let mut prefix = prefix.lock().expect("prefix lock");
+        let (next, waiting) = &mut *prefix;
+        waiting.insert(i, (line, record.outcome == Outcome::Ok));
+        while let Some((line, ok)) = waiting.remove(next) {
+            append(&line);
+            *next = if ok { *next + 1 } else { usize::MAX };
+        }
+    };
     // The ticker mirrors a shutdown request into `stop`; one requested
-    // before dispatch stops the run before any scenario starts.
+    // before dispatch stops the run before any scenario starts. Fail-fast
+    // sets it at a failure; the pool dispatches in input order, so every
+    // scenario ahead of the first failure in input order still runs.
     let stop = AtomicBool::new((durable.shutdown.as_ref()).is_some_and(ShutdownFlag::is_requested));
     let watchdog = Watchdog::default();
-    let pool = ThreadPool::new(durable.threads);
-    // Without fail-fast every pending scenario is one dispatch and each
-    // record is journaled the moment it exists. Fail-fast dispatches
-    // bounded chunks and journals in input order, up to the first failure.
-    let chunk_len = match (durable.fail_fast, pool.workers()) {
-        (false, _) => pending.len().max(1),
-        (true, 1) => 1,
-        (true, workers) => 2 * workers,
-    };
     // The 1 ms ticker only runs when there is a deadline or a shutdown
     // flag to watch; a zero timeout pre-cancels without it.
     let ticker_needed = durable.shutdown.is_some()
         || durable
             .scenario_timeout
             .is_some_and(|limit| !limit.is_zero());
-    let fresh: Vec<Option<ScenarioRecord>> = std::thread::scope(|s| {
+    let mut fresh: Vec<Option<ScenarioRecord>> = std::thread::scope(|s| {
         let watchdog = &watchdog;
         let ticker =
             ticker_needed.then(|| s.spawn(|| watchdog.run(durable.shutdown.as_ref(), &stop)));
-        let mut fresh = Vec::with_capacity(pending.len());
-        'chunks: for chunk in pending.chunks(chunk_len) {
-            let records = pool.map_until(chunk, &stop, |_, item| {
-                let (label, payload) = *item;
-                // One Batch-phase span per scenario; the attempts and the
-                // analyzer's own phase spans nest inside it.
-                let _span = trace.map(|t| t.span(Phase::Batch, "scenario"));
-                let record = run_ladder(label, payload, &attempt, durable, watchdog, trace);
-                if !durable.fail_fast {
-                    append(&record);
-                }
-                record
-            });
-            for record in records {
-                let failed = record.as_ref().is_some_and(|r| r.outcome != Outcome::Ok);
-                if let (true, Some(record)) = (durable.fail_fast, &record) {
-                    append(record);
-                }
-                fresh.push(record);
-                if failed && durable.fail_fast {
-                    break 'chunks;
-                }
+        let fresh = pool::map(durable.threads, &pending, Some(&stop), |i, item| {
+            let (label, payload) = *item;
+            // One Batch-phase span per scenario; the attempts and the
+            // analyzer's own phase spans nest inside it.
+            let _span = trace.map(|t| t.span(Phase::Batch, "scenario"));
+            let record = run_ladder(label, payload, &attempt, durable, watchdog, trace);
+            journal_record(i, &record);
+            if durable.fail_fast && record.outcome != Outcome::Ok {
+                stop.store(true, Ordering::Release);
             }
-        }
+            record
+        });
         watchdog.finish();
         if let Some(ticker) = ticker {
             let _ = ticker.join();
         }
         fresh
     });
+    // Fail-fast truncates at the first failure in input order, even when
+    // a later scenario failed first on another worker.
+    if durable.fail_fast {
+        let failed =
+            |r: &Option<ScenarioRecord>| r.as_ref().is_some_and(|r| r.outcome != Outcome::Ok);
+        if let Some(first) = fresh.iter().position(failed) {
+            fresh.truncate(first + 1);
+        }
+    }
     if let Some(e) = journal_error.into_inner().expect("journal error lock") {
         return Err(e);
     }
@@ -1775,55 +1785,94 @@ mod tests {
         }
     }
 
+    /// The journal's text with every `wall_ms` value masked.
+    fn journal_without_wall_clocks(path: &Path) -> String {
+        let text = std::fs::read_to_string(path).expect("journal exists");
+        let key = "\"wall_ms\":";
+        let mut masked = String::with_capacity(text.len());
+        let mut rest = text.as_str();
+        while let Some(at) = rest.find(key) {
+            let (head, tail) = rest.split_at(at + key.len());
+            masked.push_str(head);
+            masked.push('0');
+            rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+        masked.push_str(rest);
+        masked
+    }
+
     #[test]
-    fn parallel_fail_fast_panic_in_later_chunk_truncates_in_input_order() {
-        // threads=2 → dispatch chunks of 4: the panic at index 6 sits in
-        // the *second* chunk, and the error at index 9 in the third chunk
-        // must never surface — truncation is input-order-first even when
-        // the failure is a panic rather than an ordinary error. Only the
-        // records up to the panic reach the journal.
-        let path = temp_journal("fail_fast_chunks");
-        let run = run_durable_with(
-            &numbered(16),
-            7,
-            |&i, _, _| match i {
-                9 => error_at(i, 9, usize::MAX),
-                _ => error_at(i, usize::MAX, 6),
-            },
-            &DurableOptions {
+    fn parallel_fail_fast_panic_truncates_and_journals_the_serial_prefix() {
+        // The panic at index 6 is the first failure in input order; the
+        // error at index 9 may run on another worker but must never
+        // surface — truncation is input-order-first even when the failure
+        // is a panic rather than an ordinary error. At every thread count
+        // the journal holds the records up to the panic, exactly as the
+        // serial run writes them, and a resume replays them.
+        let items = numbered(16);
+        let attempt = |&i: &usize, _: &CancelToken, _| match i {
+            9 => error_at(i, 9, usize::MAX),
+            _ => error_at(i, usize::MAX, 6),
+        };
+        let mut serial = None;
+        for threads in [1, 2, 4, 8] {
+            let path = temp_journal(&format!("fail_fast_prefix_{threads}"));
+            let options = DurableOptions {
                 journal: Some(path.clone()),
-                ..soft(2, true)
-            },
-            None,
-        )
-        .expect("runs");
-        assert!(!run.all_ok(), "a panicking scenario fails the batch");
-        assert!(!run.interrupted);
-        assert_eq!(run.count(Outcome::Ok), 6);
-        let last = &run.records[6];
-        assert_eq!(last.outcome, Outcome::Poisoned);
-        assert!(
-            last.summary.contains("injected panic 6"),
-            "{}",
-            last.summary
-        );
-        assert_eq!(
-            run.count(Outcome::Skipped),
-            9,
-            "truncates right after the panic"
-        );
-        assert_eq!(
-            run.count(Outcome::Error),
-            0,
-            "the later failure never surfaces"
-        );
-        let text = std::fs::read_to_string(&path).expect("journal exists");
-        assert_eq!(
-            text.lines().count(),
-            1 + 7,
-            "header plus the records up to the panic"
-        );
-        let _ = std::fs::remove_file(&path);
+                ..soft(threads, true)
+            };
+            let run = run_durable_with(&items, 7, attempt, &options, None).expect("runs");
+            assert!(!run.all_ok(), "a panicking scenario fails the batch");
+            assert!(!run.interrupted);
+            assert_eq!(run.count(Outcome::Ok), 6, "threads={threads}");
+            let last = &run.records[6];
+            assert_eq!(last.outcome, Outcome::Poisoned);
+            assert!(
+                last.summary.contains("injected panic 6"),
+                "{}",
+                last.summary
+            );
+            assert_eq!(
+                run.count(Outcome::Skipped),
+                9,
+                "truncates right after the panic"
+            );
+            assert_eq!(
+                run.count(Outcome::Error),
+                0,
+                "the later failure never surfaces"
+            );
+            let journal = journal_without_wall_clocks(&path);
+            assert_eq!(
+                journal.lines().count(),
+                1 + 7,
+                "header plus the records up to the panic"
+            );
+
+            let resume = DurableOptions {
+                resume: true,
+                ..options
+            };
+            let resumed = run_durable_with(&items, 7, attempt, &resume, None).expect("resumes");
+            assert_eq!(resumed.resumed, 7, "threads={threads}");
+            for (fresh, replayed) in run.records[..7].iter().zip(&resumed.records) {
+                assert!(replayed.resumed, "{}", replayed.label);
+                let replayed = ScenarioRecord {
+                    resumed: false,
+                    ..replayed.clone()
+                };
+                assert_eq!(&replayed, fresh, "threads={threads}");
+            }
+            let _ = std::fs::remove_file(&path);
+
+            // The serial run is the reference for the journal and for
+            // what a resume over it computes.
+            let resumed = keys(&resumed);
+            let (serial_journal, serial_resumed) =
+                serial.get_or_insert_with(|| (journal.clone(), resumed.clone()));
+            assert_eq!(&journal, serial_journal, "threads={threads}");
+            assert_eq!(&resumed, serial_resumed, "threads={threads}");
+        }
     }
 
     #[test]

@@ -90,7 +90,6 @@ pub use incremental::{ArrivalChange, DeltaReport, IncrementalAnalyzer, ScenarioD
 pub use memo::{stage_fingerprint, tech_stamp, CacheStats, StageCache};
 pub use models::{estimate_with_fallback, try_estimate, ModelFailure, ModelKind, StageDelay};
 pub use obs::{Metrics, Phase, TraceEvent, TraceSink};
-pub use pool::ThreadPool;
 pub use rctree::RcTree;
 pub use runstore::{
     diff as diff_runs, read_run, DiffThresholds, DiffVerdict, RunDiff, RunRecord, RunStore,

@@ -3,15 +3,19 @@
 //! path without being told which input matters.
 //!
 //! The `*_with_options` sweeps fan their scenarios across
-//! [`AnalyzerOptions::threads`] workers, one serial analysis per
-//! scenario; runs come back in scenario order at any thread count.
+//! [`AnalyzerOptions::threads`] workers with [`crate::pool::map`], one
+//! serial analysis per scenario; runs come back in scenario order at any
+//! thread count. A failing scenario stops the dispatch of later ones,
+//! and since the pool dispatches in scenario order, the sweep's error is
+//! the first failure in scenario order at every thread count.
 
 use crate::analyzer::{
     analyze_with_options, AnalyzerOptions, Arrival, Edge, Scenario, TimingResult,
 };
 use crate::error::TimingError;
 use crate::models::ModelKind;
-use crate::pool::ThreadPool;
+use crate::obs::Phase;
+use crate::pool;
 use crate::tech::Technology;
 use mosnet::units::Seconds;
 use mosnet::{Network, NodeId};
@@ -29,7 +33,7 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
-    /// All `(scenario, result)` pairs, in execution order.
+    /// All `(scenario, result)` pairs, in scenario order.
     pub fn runs(&self) -> &[(Scenario, TimingResult)] {
         &self.runs
     }
@@ -181,9 +185,8 @@ pub fn sweep_exhaustive_with_options(
 /// Analyzes every scenario across `options.threads` workers and pairs
 /// each with its result, in scenario order; the first failure in that
 /// order is the sweep's error. A failure stops the dispatch of later
-/// scenarios, so a serial sweep stops at its first failure; a scenario
-/// a worker skipped ahead of the first failure in scenario order is
-/// analyzed here instead.
+/// scenarios, and the pool dispatches in scenario order, so every
+/// scenario ahead of the first failure has run.
 fn run_all(
     net: &Network,
     tech: &Technology,
@@ -191,24 +194,26 @@ fn run_all(
     scenarios: Vec<Scenario>,
     options: &AnalyzerOptions,
 ) -> Result<SweepResult, TimingError> {
-    let analyze =
-        |scenario: &Scenario| analyze_with_options(net, tech, model, scenario, options.clone());
-    // Publishes no data, so relaxed loads and stores do.
     let failed = AtomicBool::new(false);
-    let pool = ThreadPool::new(options.threads);
-    let trace = options.trace.as_deref();
-    let results = pool.map_traced(trace, "sweep", &scenarios, |_, scenario| {
-        if failed.load(Ordering::Relaxed) {
-            return None;
+    let _span = options.trace.as_deref().map(|t| {
+        let mut span = t.span(Phase::Pool, "sweep");
+        let workers = pool::resolve_threads(options.threads).min(scenarios.len().max(1));
+        span.field("workers", workers);
+        span.field("items", scenarios.len());
+        span
+    });
+    let results = pool::map(options.threads, &scenarios, Some(&failed), |_, scenario| {
+        let result = analyze_with_options(net, tech, model, scenario, options.clone());
+        if result.is_err() {
+            failed.store(true, Ordering::Release);
         }
-        let result = analyze(scenario);
-        failed.fetch_or(result.is_err(), Ordering::Relaxed);
-        Some(result)
+        result
     });
     let mut runs = Vec::with_capacity(scenarios.len());
-    for (scenario, result) in scenarios.into_iter().zip(results) {
-        let result = result.unwrap_or_else(|| analyze(&scenario))?;
-        runs.push((scenario, result));
+    // The scenarios that ran are a prefix holding the first failure, so
+    // the `?` returns before the loop reaches a skipped one.
+    for (scenario, result) in scenarios.into_iter().zip(results.into_iter().flatten()) {
+        runs.push((scenario, result?));
     }
     Ok(SweepResult { runs })
 }

@@ -73,11 +73,13 @@ pub fn parse(source: &str, name: &str) -> Result<Network, NetworkError> {
         }
         let cols = token_columns(raw);
         let mut fields = text.split_whitespace();
-        let record = fields.next().expect("non-empty line has a first field");
+        let Some(record) = fields.next() else {
+            continue;
+        };
         let rest: Vec<&str> = fields.collect();
         let at = Cursor { line, cols: &cols };
-        match record {
-            "subckt" => {
+        match (record, current.as_mut()) {
+            ("subckt", _) => {
                 if current.is_some() {
                     return Err(at.err(0, "nested `subckt` definitions".into()));
                 }
@@ -97,13 +99,13 @@ pub fn parse(source: &str, name: &str) -> Result<Network, NetworkError> {
                     },
                 ));
             }
-            "ends" => match current.take() {
+            ("ends", _) => match current.take() {
                 Some((sub_name, def)) => {
                     defs.insert(sub_name, def);
                 }
                 None => return Err(at.err(0, "`ends` without `subckt`".into())),
             },
-            _ if current.is_some() => {
+            (_, Some((_, def))) => {
                 if matches!(record, "i" | "o" | "v" | "g") {
                     return Err(at.err(
                         0,
@@ -111,14 +113,9 @@ pub fn parse(source: &str, name: &str) -> Result<Network, NetworkError> {
                     ));
                 }
                 // Keep the raw line so body records report true columns.
-                current
-                    .as_mut()
-                    .expect("checked is_some")
-                    .1
-                    .body
-                    .push((line, raw.to_string()));
+                def.body.push((line, raw.to_string()));
             }
-            "x" => {
+            ("x", None) => {
                 expand_instance(&mut b, &defs, &rest, at, "", 0)?;
             }
             _ => {
@@ -246,7 +243,9 @@ fn expand_instance(
             cols: &body_cols,
         };
         let mut fields = text.split_whitespace();
-        let record = fields.next().expect("collected lines are non-empty");
+        let Some(record) = fields.next() else {
+            continue;
+        };
         let body_rest: Vec<&str> = fields.collect();
         if record == "x" {
             // Map the nested instance's actuals into this scope, keep the
@@ -277,8 +276,9 @@ fn emit_record(
 ) -> Result<(), NetworkError> {
     match record {
         "n" | "e" | "p" | "d" => {
-            let kind = TransistorKind::from_code(record.chars().next().expect("nonempty"))
-                .expect("match arm guarantees a valid code");
+            let Some(kind) = record.chars().next().and_then(TransistorKind::from_code) else {
+                return Err(at.err(0, format!("unknown record type `{record}`")));
+            };
             if rest.len() != 5 {
                 return Err(at.err(
                     0,

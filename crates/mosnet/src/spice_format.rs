@@ -152,11 +152,9 @@ pub fn parse(source: &str, name: &str) -> Result<Network, NetworkError> {
             column: cols.get(field).copied().unwrap_or(1),
             message,
         };
-        let card = fields[0]
-            .chars()
-            .next()
-            .expect("non-empty field")
-            .to_ascii_uppercase();
+        let Some(card) = t.chars().next().map(|c| c.to_ascii_uppercase()) else {
+            continue;
+        };
         match card {
             'M' => {
                 if fields.len() < 6 {

@@ -1,5 +1,5 @@
-//! Shared plumbing for the experiment binaries (`exp_*`) and criterion
-//! benches: the calibrated technology, the standard benchmark suite, and
+//! Shared plumbing for the experiment binaries (`exp_*`): the calibrated
+//! technology, the standard benchmark suite, and
 //! table/CSV output helpers; and the smoke bench's measurements, shared
 //! by `bench_smoke` and the `bench_gates` tests.
 //!

@@ -122,6 +122,7 @@ impl Mosfet {
 
     /// Drain current and derivatives for an *n-type* device with
     /// `vds >= 0`. Returns `(id, gm, gds)`.
+    #[inline(always)]
     fn eval_n(&self, vgs: f64, vds: f64, vt: f64) -> (f64, f64, f64) {
         debug_assert!(vds >= 0.0);
         let beta = self.beta();
@@ -154,6 +155,7 @@ impl Mosfet {
     }
 
     /// Linearizes the device around `(vd, vg, vs)`; see [`MosStamp`].
+    #[inline(always)]
     pub fn linearize(&self, vd: f64, vg: f64, vs: f64) -> MosStamp {
         // Mirror p-devices through zero: i_p(v) = -i_n(-v) with |vt|-style
         // parameters; derivatives are unchanged by the double negation.
@@ -200,6 +202,13 @@ impl Mosfet {
 }
 
 impl MosStamp {
+    /// True when every term is exactly zero (either sign), as in cutoff:
+    /// the device then adds nothing to the system. A NaN term is not zero.
+    #[inline]
+    pub fn is_zero(&self) -> bool {
+        self.g_d == 0.0 && self.g_g == 0.0 && self.g_s == 0.0 && self.i_eq == 0.0
+    }
+
     /// Evaluates the linearized current at the given voltages.
     #[inline]
     pub fn eval(&self, vd: f64, vg: f64, vs: f64) -> f64 {

@@ -5,7 +5,7 @@ use crate::circuit::Circuit;
 use crate::devices::{Device, NodeRef};
 use crate::error::SimError;
 use crate::recovery::{RecoveryLog, RecoveryPolicy, RescueStrategy};
-use crate::solver::{create_solver, LinearSolver, SolverChoice, Stamp, Stamper};
+use crate::solver::{create_solver, BlockKey, LinearSolver, SolverChoice, Stamp, Stamper};
 use crate::waveform::Waveform;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -433,8 +433,11 @@ impl<'a> Simulator<'a> {
         data.push(x[..n_nodes].to_vec());
         // One solver for every implicit step (and every rescue rung): the
         // dynamic stamp pattern is fixed for the whole run, so the sparse
-        // backend analyzes on the first step only.
+        // backend analyzes on the first step only. `x` is the last
+        // accepted solution and `x_try` the step being solved; an
+        // accepted step swaps them.
         let mut solver = self.new_solver();
+        let mut x_try = x.clone();
 
         for step in 1..=steps {
             self.check_cancelled()?;
@@ -450,15 +453,14 @@ impl<'a> Simulator<'a> {
             while t_now < t_target - 1e-18 {
                 let t_next = (t_now + sub_dt).min(t_target);
                 let h = t_next - t_now;
-                let x_prev = x.clone();
-                let mut x_try = x.clone();
+                x_try.copy_from_slice(&x);
                 let method = if first_step {
                     Integration::BackwardEuler
                 } else {
                     self.options.integration
                 };
                 let ctx = DynamicCtx {
-                    prev: &x_prev,
+                    prev: &x,
                     dt: h,
                     cap_currents: &cap_currents,
                     method,
@@ -483,8 +485,8 @@ impl<'a> Simulator<'a> {
                             }
                             in_reduction = false;
                         }
-                        self.update_cap_currents(&x_prev, &x_try, h, method, &mut cap_currents);
-                        x = x_try;
+                        self.update_cap_currents(&x, &x_try, h, method, &mut cap_currents);
+                        std::mem::swap(&mut x, &mut x_try);
                         t_now = t_next;
                         first_step = false;
                         // Regrow a previously halved step so one hard spot
@@ -514,13 +516,7 @@ impl<'a> Simulator<'a> {
                                 self.step_gmin_rescue(t_next, ctx, policy, solver.as_mut());
                             log.record(RescueStrategy::GminStepping, rescued.is_some(), t_next);
                             if let Some(x_new) = rescued {
-                                self.update_cap_currents(
-                                    &x_prev,
-                                    &x_new,
-                                    h,
-                                    method,
-                                    &mut cap_currents,
-                                );
+                                self.update_cap_currents(&x, &x_new, h, method, &mut cap_currents);
                                 x = x_new;
                                 t_now = t_next;
                                 first_step = false;
@@ -916,6 +912,7 @@ impl<'a> Simulator<'a> {
     ) {
         let a = &mut a;
         let n_nodes = self.circuit.node_count();
+        a.block(BlockKey([GMIN_BLOCK, n_nodes as u32, 0, 0]));
         for i in 0..n_nodes {
             a.add(i, i, gmin);
         }
@@ -923,6 +920,7 @@ impl<'a> Simulator<'a> {
         for device in self.circuit.devices() {
             match device {
                 Device::Resistor(r) => {
+                    a.block(BlockKey([RESISTOR_BLOCK, term(r.a), term(r.b), 0]));
                     stamp_conductance(a, r.a, r.b, r.conductance());
                 }
                 Device::Capacitor(c) => {
@@ -936,6 +934,7 @@ impl<'a> Simulator<'a> {
                                 c.companion_trapezoidal(v_prev, ctx.cap_currents[k], ctx.dt)
                             }
                         };
+                        a.block(BlockKey([CAPACITOR_BLOCK, term(c.a), term(c.b), 0]));
                         stamp_conductance(a, c.a, c.b, g);
                         if let Some(i) = c.a.index() {
                             rhs[i] += ieq;
@@ -947,6 +946,12 @@ impl<'a> Simulator<'a> {
                 }
                 Device::VSource(v) => {
                     let row = n_nodes + v.branch;
+                    a.block(BlockKey([
+                        VSOURCE_BLOCK,
+                        term(v.pos),
+                        term(v.neg),
+                        row as u32,
+                    ]));
                     if let Some(p) = v.pos.index() {
                         a.add(p, row, 1.0);
                         a.add(row, p, 1.0);
@@ -962,6 +967,11 @@ impl<'a> Simulator<'a> {
                     let vg = m.g.voltage(x);
                     let vs = m.s.voltage(x);
                     let st = m.linearize(vd, vg, vs);
+                    let key = BlockKey([MOSFET_BLOCK, term(m.d), term(m.g), term(m.s)]);
+                    if st.is_zero() && a.skip_zero(key) {
+                        continue;
+                    }
+                    a.block(key);
                     // Current i(d→s) leaves node d and enters node s.
                     if let Some(d) = m.d.index() {
                         add_term(a, d, m.d, st.g_d);
@@ -979,6 +989,21 @@ impl<'a> Simulator<'a> {
             }
         }
     }
+}
+
+/// The kinds of stamp block, the first word of each [`BlockKey`]. The gmin
+/// diagonal is one block.
+const GMIN_BLOCK: u32 = 0;
+const RESISTOR_BLOCK: u32 = 1;
+const CAPACITOR_BLOCK: u32 = 2;
+const VSOURCE_BLOCK: u32 = 3;
+const MOSFET_BLOCK: u32 = 4;
+
+/// A terminal's word in a [`BlockKey`]: its unknown, or `u32::MAX` for
+/// ground.
+#[inline(always)]
+fn term(node: NodeRef) -> u32 {
+    node.index().map_or(u32::MAX, |i| i as u32)
 }
 
 #[inline(always)]
@@ -1703,6 +1728,10 @@ mod tests {
         assert_eq!((c.analyses, c.rebuilds, c.full_factors), (1, 0, 1), "{c:?}");
         assert_eq!(c.stale_pivot_fallbacks, 0, "{c:?}");
         assert!(c.refactors >= 150, "{c:?}");
+        // Cutoff devices leave their blocks out, settled columns are left
+        // as they were, and every assembly replays block by block.
+        assert!(c.skipped_blocks > 0 && c.skipped_columns > 0, "{c:?}");
+        assert_eq!(c.per_stamp_fallbacks, 0, "{c:?}");
     }
 
     #[test]

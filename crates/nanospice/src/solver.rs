@@ -15,7 +15,9 @@
 //! one virtual call per assembly, and it hands out a concrete [`Stamp`]
 //! implementation that the assembler is generic over. Each backend has
 //! exactly one stamping implementation; [`LinearSolver::add`] is a
-//! single stamp through it.
+//! single stamp through it. The assembler groups each device's stamps
+//! into a block named by a [`BlockKey`], which lets the sparse replay
+//! check one key per device instead of one coordinate per stamp.
 
 use crate::error::SimError;
 use crate::matrix::{lu_factor_in_place, lu_solve_in_place, Matrix};
@@ -84,6 +86,14 @@ pub trait LinearSolver {
     fn name(&self) -> &'static str;
 }
 
+/// The exact identity of one device's block of stamps: the device kind,
+/// then its terminal unknowns (ground as `u32::MAX`), a source's branch
+/// row among them. The assembler stamps the same `(row, col)` sequence
+/// for every block with the same key; that is what lets a replay trust a
+/// block after one key comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockKey(pub [u32; 4]);
+
 /// Adds values into the matrix being assembled: the MNA stamp
 /// primitive, implemented once per backend.
 pub trait Stamp {
@@ -92,6 +102,28 @@ pub trait Stamp {
     /// # Panics
     /// Panics if `r` or `c` is out of bounds.
     fn add(&mut self, r: usize, c: usize, v: f64);
+
+    /// Starts one device's block of stamps: every stamp up to the next
+    /// `block` call, or the end of this stamper, belongs to `key`. Only
+    /// the sparse backend uses blocks; stamps made outside any block are
+    /// checked one by one.
+    #[inline(always)]
+    fn block(&mut self, key: BlockKey) {
+        let _ = key;
+    }
+
+    /// Offers to leave out the whole block `key`, its right-hand-side
+    /// updates included, because every value in it is exactly zero.
+    /// Returns `true` when the block was left out: the caller then stamps
+    /// nothing for it, and calls [`Self::block`] otherwise. Only the
+    /// replaying sparse stamper accepts, and only where the block is the
+    /// next one it recorded; the recording stamper needs every stamp for
+    /// the pattern, and the dense one never skips.
+    #[inline(always)]
+    fn skip_zero(&mut self, key: BlockKey) -> bool {
+        let _ = key;
+        false
+    }
 }
 
 /// The concrete stamper a backend lends for one assembly. Matching on it
@@ -114,6 +146,22 @@ impl Stamp for Stamper<'_> {
             Stamper::Dense(s) => s.add(r, c, v),
             Stamper::Record(s) => s.add(r, c, v),
             Stamper::Replay(s) => s.add(r, c, v),
+        }
+    }
+
+    fn block(&mut self, key: BlockKey) {
+        match self {
+            Stamper::Dense(s) => s.block(key),
+            Stamper::Record(s) => s.block(key),
+            Stamper::Replay(s) => s.block(key),
+        }
+    }
+
+    fn skip_zero(&mut self, key: BlockKey) -> bool {
+        match self {
+            Stamper::Dense(s) => s.skip_zero(key),
+            Stamper::Record(s) => s.skip_zero(key),
+            Stamper::Replay(s) => s.skip_zero(key),
         }
     }
 }

@@ -26,7 +26,7 @@ use crate::memo::{
 };
 use crate::models::{estimate_with_fallback, ModelKind, TriggerContext};
 use crate::obs::{Phase, TraceSink};
-use crate::stage::{StageSet, TargetStages};
+use crate::stage::{StageSet, SwitchingBits};
 use crate::tech::{Direction, Technology};
 use mosnet::units::Seconds;
 use mosnet::{Network, NodeId, NodeKind, TransistorKind};
@@ -380,38 +380,48 @@ pub fn analyze_with_options(
 ) -> Result<TimingResult, TimingError> {
     let trace = options.trace.as_deref();
     let steady = traced_steady_states(net, scenario, options.cache.as_deref(), trace);
-    let switching = switching_edges(net, &steady, trace);
-    analyze_subset(
-        net, tech, model, scenario, options, None, &steady, &switching,
-    )
-    .map(|outcome| outcome.result)
+    analyze_subset(net, tech, model, scenario, options, None, &steady, None)
+        .map(|outcome| outcome.result)
 }
 
-/// The switching set of a steady pair, dense by node id: the final edge
-/// of every non-rail node whose after value is known and differs from its
-/// before value, `None` for every other node. Inside a logic-phase trace
-/// span.
-pub(crate) fn switching_edges(
-    net: &Network,
-    (before, after): &(LogicState, LogicState),
-    trace: Option<&TraceSink>,
-) -> Vec<Option<Edge>> {
-    let _span = trace.map(|t| t.span(Phase::Logic, "switching_set"));
-    net.nodes()
-        .map(|(id, node)| {
-            let (b, a) = (before.value(id), after.value(id));
-            let switches = !node.kind().is_rail() && a.is_known() && b != a;
-            switches.then_some(if a == LogicValue::One {
-                Edge::Rising
-            } else {
-                Edge::Falling
-            })
-        })
-        .collect()
+/// The switching set of a steady pair: the final edge of every non-rail
+/// node whose after value is known and differs from its before value,
+/// dense by node id (`None` for every other node), and the same set as
+/// one bit per node, which the plans built from it share.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Switching {
+    pub edges: Vec<Option<Edge>>,
+    pub bits: Arc<SwitchingBits>,
+}
+
+impl Switching {
+    /// The switching set of `(before, after)`. Only the nodes whose codes
+    /// differ in value bits are decoded
+    /// ([`LogicState::for_each_value_change`]). Inside a logic-phase trace
+    /// span when `trace` is given.
+    pub(crate) fn new(
+        net: &Network,
+        (before, after): &(LogicState, LogicState),
+        trace: Option<&TraceSink>,
+    ) -> Switching {
+        let _span = trace.map(|t| t.span(Phase::Logic, "switching_set"));
+        let mut edges = vec![None; net.node_count()];
+        before.for_each_value_change(after, |id, a| {
+            if a.is_known() && !net.node(id).kind().is_rail() {
+                edges[id.index()] = Some(if a == LogicValue::One {
+                    Edge::Rising
+                } else {
+                    Edge::Falling
+                });
+            }
+        });
+        let bits = Arc::new(SwitchingBits::new(&edges));
+        Switching { edges, bits }
+    }
 }
 
 /// The targets of stage extraction, in node order: the switching nodes
-/// (see [`switching_edges`]) that are not driven from outside.
+/// (see [`Switching`]) that are not driven from outside.
 pub(crate) fn switching_targets<'a>(
     net: &'a Network,
     switching: &'a [Option<Edge>],
@@ -485,9 +495,11 @@ pub(crate) struct AnalysisOutcome {
 
 /// The full analysis pipeline, optionally restricted to a subset of
 /// targets (see [`SubsetSpec`]), given the scenario's
-/// [`logic::steady_states`] and their [`switching_edges`] so a caller
-/// that keeps them derives them once. `analyze_with_options` is the
-/// public entry point; [`crate::incremental`] calls this directly.
+/// [`logic::steady_states`] and, from a caller that keeps it, their
+/// [`Switching`] set. Without it, the switching set is the memoized
+/// stage set's, or is derived inside the extraction span on a miss.
+/// `analyze_with_options` is the public entry point;
+/// [`crate::incremental`] calls this directly.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn analyze_subset(
     net: &Network,
@@ -497,7 +509,7 @@ pub(crate) fn analyze_subset(
     options: AnalyzerOptions,
     subset: Option<&SubsetSpec>,
     steady: &(LogicState, LogicState),
-    switching: &[Option<Edge>],
+    switching: Option<&Switching>,
 ) -> Result<AnalysisOutcome, TimingError> {
     if net.node(scenario.input).kind() != NodeKind::Input {
         return Err(TimingError::NotAnInput {
@@ -507,8 +519,6 @@ pub(crate) fn analyze_subset(
     logic::require_inputs(net, &scenario.statics)?;
 
     let trace: Option<&TraceSink> = options.trace.as_deref();
-    let (before, after) = steady;
-    let switches = |node: NodeId| switching[node.index()].is_some();
 
     // The input arrival is seeded before any budgeted work so that a
     // budget-exhausted partial result is never empty.
@@ -610,20 +620,29 @@ pub(crate) fn analyze_subset(
             set
         }
         None => {
+            let derived;
+            let switching = match switching {
+                Some(kept) => kept,
+                None => {
+                    derived = Switching::new(net, steady, None);
+                    &derived
+                }
+            };
             // Targets in deterministic node order. Under a subset
             // restriction only the affected targets are (re-)extracted;
             // the rest keep their replayed arrivals.
             let targets: Vec<(NodeId, Edge)> = match subset {
                 Some(spec) => (spec.affected.iter())
-                    .filter_map(|&node| switching[node.index()].map(|edge| (node, edge)))
+                    .filter_map(|&node| switching.edges[node.index()].map(|edge| (node, edge)))
                     .filter(|&(node, _)| !net.node(node).kind().is_driven_externally())
                     .collect(),
-                None => switching_targets(net, switching).collect(),
+                None => switching_targets(net, &switching.edges).collect(),
             };
             let set = extract_stage_set(
                 net,
                 tech,
                 steady,
+                &switching.bits,
                 &targets,
                 options.non_switching_cap_weight,
                 cache_ctx.is_some(),
@@ -640,6 +659,7 @@ pub(crate) fn analyze_subset(
         }
     };
     let targets = stage_set.targets();
+    let plan = stage_set.plan();
     if let Some(span) = extract_span.as_mut() {
         span.field("targets", targets.len());
     }
@@ -651,49 +671,16 @@ pub(crate) fn analyze_subset(
     let mut target_stages: Vec<(NodeId, usize)> =
         targets.iter().map(|t| (t.node, t.len())).collect();
 
-    // Reverse dependency map for the event-driven dirty sets: for every
-    // work item, the switching nodes whose arrivals `evaluate_node`
-    // actually reads — the gates along its stage paths plus the gates of
-    // its "releasing" transistors. An item is re-examined in round r+1
-    // only when one of those changed in round r (Crystal's rule): an
-    // item whose observed arrivals did not change would reproduce its
-    // previous candidate bit for bit, so skipping it cannot alter the
-    // fixpoint or the round count.
-    let mut dependents: HashMap<NodeId, Vec<usize>> = HashMap::new();
-    let dependents_span = trace.map(|t| t.span(Phase::Propagation, "dependents"));
-    for (wi, w) in targets.iter().enumerate() {
-        let mut observed: Vec<NodeId> = Vec::new();
-        for stage in stage_set.stages(w) {
-            for &tid in stage.path {
-                let gate = net.transistor(tid).gate();
-                if gate != w.node && switches(gate) {
-                    observed.push(gate);
-                }
-            }
-        }
-        for &tid in net.channel_neighbors(w.node) {
-            if before.transistor_on(net, tid) && !after.transistor_on(net, tid) {
-                let gate = net.transistor(tid).gate();
-                if gate != w.node && switches(gate) {
-                    observed.push(gate);
-                }
-            }
-        }
-        observed.sort_unstable();
-        observed.dedup();
-        for gate in observed {
-            dependents.entry(gate).or_default().push(wi);
-        }
-    }
-    drop(dependents_span);
-
     // Propagation evaluates against the previous round's arrival
     // snapshot, then merges the updates in node order. The snapshot
     // rounds define the results (every pinned digest was recorded under
     // them): in-round (Gauss-Seidel) updates would converge to other
     // last bits. Round 0 examines every target; each later round
-    // examines only the targets observing an arrival the previous
-    // round's merge changed.
+    // examines only the plan's observers of a target whose arrival the
+    // previous round's merge changed (Crystal's rule): a target whose
+    // observed arrivals did not change would reproduce its previous
+    // candidate bit for bit, so skipping it cannot alter the fixpoint or
+    // the round count.
     let max_rounds = targets.len() + 2;
     let mut dirty: Vec<usize> = (0..targets.len()).collect();
     for round in 0..=max_rounds {
@@ -737,12 +724,9 @@ pub(crate) fn analyze_subset(
                     net,
                     tech,
                     model,
-                    before,
-                    after,
-                    switching,
                     &arrivals,
                     &stage_set,
-                    &targets[wi],
+                    wi,
                     options.mode,
                     cache_ctx.as_ref(),
                 )
@@ -765,9 +749,7 @@ pub(crate) fn analyze_subset(
                 if update {
                     arrivals[node.index()] = Some(candidate);
                     changed = true;
-                    if let Some(deps) = dependents.get(&node) {
-                        next_dirty.extend_from_slice(deps);
-                    }
+                    next_dirty.extend(plan.observers(wi).iter().map(|&o| o as usize));
                 }
             }
         }
@@ -804,18 +786,21 @@ pub(crate) fn analyze_subset(
 }
 
 /// Extracts the stages of every target in node order, with their
-/// fingerprints when `fingerprinted` (the set then interns its trees).
+/// fingerprints when `fingerprinted` (the set then interns its trees),
+/// and the plan of the steady pair, whose switching set is `switching`.
 /// The first target whose extraction trips the budget ends it.
 #[allow(clippy::too_many_arguments)]
 fn extract_stage_set(
     net: &Network,
     tech: &Technology,
-    (before, after): &(LogicState, LogicState),
+    steady: &(LogicState, LogicState),
+    switching: &Arc<SwitchingBits>,
     targets: &[(NodeId, Edge)],
     non_switching_cap_weight: f64,
     fingerprinted: bool,
     tracker: &BudgetTracker,
 ) -> Result<StageSet, crate::budget::BudgetExceeded> {
+    let (before, after) = steady;
     let conducting = |tid| after.transistor_on(net, tid);
     // Capacitance on nodes whose logic value does not change (e.g. a
     // pre-discharged series-stack internal node) only redistributes
@@ -864,9 +849,13 @@ fn extract_stage_set(
             Ok((stages, fingerprints))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(StageSet::new(targets.iter().zip(extracted).map(
-        |(&(node, edge), (stages, fingerprints))| (node, edge, stages, fingerprints),
-    )))
+    let set = StageSet::new(
+        targets
+            .iter()
+            .zip(extracted)
+            .map(|(&(node, edge), (stages, fingerprints))| (node, edge, stages, fingerprints)),
+    );
+    Ok(set.with_plan(net, steady, Arc::clone(switching)))
 }
 
 /// Shared stage-memo handle plus this analysis's private probe counters
@@ -891,22 +880,21 @@ impl CacheCtx<'_> {
     }
 }
 
-/// Computes the worst-case arrival of one switching node, or `None` if no
-/// driving stage is ready yet.
+/// Computes the worst-case arrival of the `wi`th target of `stage_set`,
+/// or `None` if no driving stage is ready yet.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_node(
     net: &Network,
     tech: &Technology,
     model: ModelKind,
-    before: &LogicState,
-    after: &LogicState,
-    switching: &[Option<Edge>],
     arrivals: &[Option<Arrival>],
     stage_set: &StageSet,
-    target: &TargetStages,
+    wi: usize,
     mode: AnalysisMode,
     cache: Option<&CacheCtx<'_>>,
 ) -> Option<Arrival> {
+    let target = &stage_set.targets()[wi];
+    let plan = stage_set.plan();
     let node = target.node;
     let trigger_wins = |candidate: Seconds, best: Seconds| match mode {
         AnalysisMode::WorstCase => candidate > best,
@@ -921,7 +909,7 @@ fn evaluate_node(
         for &tid in stage.path {
             let t = net.transistor(tid);
             let gate = t.gate();
-            if gate == node || switching[gate.index()].is_none() {
+            if gate == node || !plan.switches(gate) {
                 continue;
             }
             match &arrivals[gate.index()] {
@@ -934,20 +922,10 @@ fn evaluate_node(
                 None => waiting = true,
             }
         }
-        // …plus "releasing" transistors: devices touching the target that
-        // conducted before but not after (the old holding path turning
-        // off), e.g. the pull-down under an nMOS depletion load.
-        for &tid in net.channel_neighbors(node) {
-            let was_on = before.transistor_on(net, tid);
-            let is_on = after.transistor_on(net, tid);
-            let releases = was_on && !is_on;
-            if !releases {
-                continue;
-            }
-            let gate = net.transistor(tid).gate();
-            if gate == node || switching[gate.index()].is_none() {
-                continue;
-            }
+        // …plus the plan's releasing gates: devices touching the target
+        // that conducted before but not after (the old holding path
+        // turning off), e.g. the pull-down under an nMOS depletion load.
+        for &gate in plan.releasing(wi) {
             match &arrivals[gate.index()] {
                 Some(a) => {
                     let kind = stage
@@ -1671,6 +1649,307 @@ mod tests {
         for (id, a) in r1.arrivals() {
             let b = r2.arrival(id).expect("same arrival set");
             assert_eq!(a, b);
+        }
+    }
+
+    /// The switching set by its definition, one decoded node at a time.
+    fn switching_by_node(
+        net: &Network,
+        (before, after): &(LogicState, LogicState),
+    ) -> Vec<Option<Edge>> {
+        net.nodes()
+            .map(|(id, node)| {
+                let (b, a) = (before.value(id), after.value(id));
+                let switches = !node.kind().is_rail() && a.is_known() && b != a;
+                switches.then_some(if a == LogicValue::One {
+                    Edge::Rising
+                } else {
+                    Edge::Falling
+                })
+            })
+            .collect()
+    }
+
+    /// [`Switching`] by its definition: the edges one decoded node at a
+    /// time, and a bit for each node with an edge.
+    fn switching_by_definition(net: &Network, steady: &(LogicState, LogicState)) -> Switching {
+        let edges = switching_by_node(net, steady);
+        let mut bits = vec![0u64; edges.len().div_ceil(64)];
+        for (i, edge) in edges.iter().enumerate() {
+            bits[i / 64] |= u64::from(edge.is_some()) << (i % 64);
+        }
+        Switching {
+            bits: Arc::new(SwitchingBits::from_words(bits)),
+            edges,
+        }
+    }
+
+    /// A node code: `value` in the low two bits, `strength` above them.
+    fn code(value: u8, strength: u8) -> u8 {
+        value | strength << 2
+    }
+
+    #[test]
+    fn switching_sets_match_the_per_node_definition() {
+        // Networks of 2 to 17 nodes, with the rails at varying ids, and
+        // seeded code pairs: every kind of change a word can hold, in
+        // every position of the word and its tail.
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for n in 2..=17 {
+            let mut b = mosnet::NetworkBuilder::new("flat");
+            let rails = (n / 3, n - 1);
+            for i in 0..n {
+                match i {
+                    _ if i == rails.0 => drop(b.power()),
+                    _ if i == rails.1 => drop(b.ground()),
+                    _ => drop(b.node(&format!("n{i}"), NodeKind::Internal)),
+                }
+            }
+            let net = b.build().expect("rails given");
+            assert_eq!(net.node_count(), n);
+            for round in 0..64 {
+                let before: Vec<u8> = (0..n).map(|_| (next() % 16) as u8).collect();
+                let after: Vec<u8> = (before.iter())
+                    .map(|&c| match next() % 6 {
+                        0 => c,
+                        1 => c ^ 0b0100,                 // strength only
+                        2 => code(2, c >> 2),            // to X
+                        3 => c & !0b11 | (c & 0b11) ^ 1, // 0 <-> 1, 2 <-> 3
+                        _ => (next() % 16) as u8,
+                    })
+                    .collect();
+                let pair = (
+                    LogicState::from_codes(before),
+                    LogicState::from_codes(after),
+                );
+                assert_eq!(
+                    Switching::new(&net, &pair, None),
+                    switching_by_definition(&net, &pair),
+                    "{n} nodes, round {round}"
+                );
+            }
+        }
+        // Decoder-5: every steady pair of every scenario, and one pair
+        // edited so that the rails flip, one node changes strength only,
+        // and one goes to X.
+        let net = mosnet::generators::decoder(Style::Cmos, 5, Farads::from_femto(50.0)).unwrap();
+        let mut flips = 0;
+        for (_, scenario) in
+            crate::selfcheck::standard_scenarios(&net, &HashMap::new(), Seconds::ZERO)
+        {
+            let pair = logic::steady_states(&net, &scenario);
+            let switching = Switching::new(&net, &pair, None);
+            assert_eq!(switching, switching_by_definition(&net, &pair));
+            let edges = switching.edges;
+            flips += edges.iter().flatten().count();
+        }
+        assert!(flips > 0);
+        let (before, _) =
+            logic::steady_states(&net, &Scenario::step(net.inputs()[0], Edge::Rising));
+        let mut after = before.codes().to_vec();
+        let strong = (net.nodes())
+            .find(|(id, n)| !n.kind().is_rail() && before.value(*id).is_known())
+            .map(|(id, _)| id.index())
+            .expect("a known node");
+        let to_x = (net.nodes())
+            .filter(|(id, n)| !n.kind().is_rail() && before.value(*id).is_known())
+            .nth(1)
+            .map(|(id, _)| id.index())
+            .expect("a second known node");
+        for rail in [net.power(), net.ground()] {
+            after[rail.index()] ^= 1;
+        }
+        after[strong] = code(after[strong] & 0b11, (after[strong] >> 2) ^ 0b01);
+        after[to_x] = code(2, after[to_x] >> 2);
+        let pair = (before, LogicState::from_codes(after));
+        let switching = Switching::new(&net, &pair, None);
+        assert_eq!(switching, switching_by_definition(&net, &pair));
+        assert!(
+            switching.edges.iter().all(Option::is_none),
+            "no rail, strength or X change switches"
+        );
+    }
+
+    /// A plan as plain rows: the switching set, then each target's
+    /// releasing gates and observers.
+    type PlanRows = (Vec<Option<Edge>>, Vec<Vec<NodeId>>, Vec<Vec<u32>>);
+
+    /// The plan of `set` recomputed from the steady pair the way
+    /// propagation once derived it per call: the releasing gates from
+    /// both states' decodes, the observers through a map keyed by gate.
+    fn plan_by_definition(
+        net: &Network,
+        steady: &(LogicState, LogicState),
+        set: &StageSet,
+    ) -> PlanRows {
+        let (before, after) = steady;
+        let switching = switching_by_node(net, steady);
+        let switches = |gate: NodeId| switching[gate.index()].is_some();
+        let targets = set.targets();
+        let releasing: Vec<Vec<NodeId>> = (targets.iter())
+            .map(|w| {
+                let mut gates = Vec::new();
+                for &tid in net.channel_neighbors(w.node) {
+                    if before.transistor_on(net, tid) && !after.transistor_on(net, tid) {
+                        let gate = net.transistor(tid).gate();
+                        if gate != w.node && switches(gate) {
+                            gates.push(gate);
+                        }
+                    }
+                }
+                gates
+            })
+            .collect();
+        let mut dependents: HashMap<NodeId, Vec<u32>> = HashMap::new();
+        for (wi, w) in targets.iter().enumerate() {
+            let mut observed: Vec<NodeId> = releasing[wi].clone();
+            for stage in set.stages(w) {
+                for &tid in stage.path {
+                    let gate = net.transistor(tid).gate();
+                    if gate != w.node && switches(gate) {
+                        observed.push(gate);
+                    }
+                }
+            }
+            observed.sort_unstable();
+            observed.dedup();
+            for gate in observed {
+                dependents.entry(gate).or_default().push(wi as u32);
+            }
+        }
+        let observers = (targets.iter())
+            .map(|w| dependents.remove(&w.node).unwrap_or_default())
+            .collect();
+        (switching, releasing, observers)
+    }
+
+    const TWIN_FED_NOR: &str = "i a\no y\n\
+        n a g1 gnd 2 8\nd g1 vdd g1 8 2\nn a g2 gnd 2 8\nd g2 vdd g2 8 2\n\
+        n g1 y gnd 2 8\nn g2 y gnd 2 8\nd y vdd y 8 2\nC g1 20\nC g2 20\nC y 50\n";
+
+    #[test]
+    fn memoized_plans_equal_recomputed_ones_and_hits_analyze_bit_for_bit() {
+        const TRANSITIONS_NS: [f64; 6] = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0];
+        let tech = tech();
+        let nets = [
+            (
+                "decoder-5",
+                mosnet::generators::decoder(Style::Cmos, 5, Farads::from_femto(50.0)),
+            ),
+            (
+                "cmos sram-8x8",
+                mosnet::generators::memory_array(Style::Cmos, 8, 8, Farads::from_femto(50.0)),
+            ),
+            (
+                "nmos sram-8x8",
+                mosnet::generators::memory_array(Style::Nmos, 8, 8, Farads::from_femto(50.0)),
+            ),
+            // Two like inverters of `a` feed an nMOS NOR: when `a` rises,
+            // `y` has two releasing gates whose arrivals tie, so their
+            // order decides the cause.
+            (
+                "twin-fed nor",
+                mosnet::sim_format::parse(TWIN_FED_NOR, "twin"),
+            ),
+        ];
+        for (name, net) in nets {
+            let net = net.expect("generates");
+            let cache = Arc::new(StageCache::new());
+            let (mut releasing_gates, mut observer_links, mut ordered) = (0, 0, 0);
+            let scenarios =
+                crate::selfcheck::standard_scenarios(&net, &HashMap::new(), Seconds::ZERO);
+            for (label, scenario) in scenarios {
+                for ns in TRANSITIONS_NS {
+                    let scenario = scenario
+                        .clone()
+                        .with_input_transition(Seconds::from_nanos(ns));
+                    let fresh = analyze(&net, &tech, ModelKind::Slope, &scenario).unwrap();
+                    let options = AnalyzerOptions {
+                        cache: Some(Arc::clone(&cache)),
+                        ..AnalyzerOptions::default()
+                    };
+                    let cached =
+                        analyze_with_options(&net, &tech, ModelKind::Slope, &scenario, options)
+                            .unwrap();
+                    assert_eq!(
+                        crate::fingerprint::result_digest(&net, &cached),
+                        crate::fingerprint::result_digest(&net, &fresh),
+                        "{name} {label} at {ns} ns"
+                    );
+                    assert_eq!(cached, fresh, "{name} {label} at {ns} ns");
+                }
+                let key =
+                    StageSetKey::new(&net, tech_stamp(&tech), NON_SWITCHING_CAP_WEIGHT, &scenario);
+                let memoized = cache
+                    .stage_set(&key)
+                    .expect("memoized after its first transition");
+                let steady = logic::steady_states(&net, &scenario);
+                let plan = memoized.plan();
+                let (switching, releasing, observers) =
+                    plan_by_definition(&net, &steady, &memoized);
+                for (id, _) in net.nodes() {
+                    let switches = switching[id.index()].is_some();
+                    assert_eq!(plan.switches(id), switches, "{name} {label}: switching set");
+                }
+                for (i, target) in memoized.targets().iter().enumerate() {
+                    let at = format!("{name} {label}, target {}", net.node(target.node).name());
+                    assert_eq!(
+                        plan.releasing(i),
+                        &releasing[i][..],
+                        "{at}: releasing gates"
+                    );
+                    assert_eq!(plan.observers(i), &observers[i][..], "{at}: observers");
+                }
+                releasing_gates += releasing.iter().map(Vec::len).sum::<usize>();
+                ordered += releasing.iter().filter(|gates| gates.len() > 1).count();
+                observer_links += observers.iter().map(Vec::len).sum::<usize>();
+
+                // The plan is charged to the set: a fresh extraction of the
+                // pair weighs its plan's bytes more than the bare set.
+                let switching = Switching::new(&net, &steady, None);
+                let targets: Vec<(NodeId, Edge)> =
+                    switching_targets(&net, &switching.edges).collect();
+                let tracker = BudgetTracker::new(AnalysisBudget::default(), None);
+                let mut set = extract_stage_set(
+                    &net,
+                    &tech,
+                    &steady,
+                    &switching.bits,
+                    &targets,
+                    NON_SWITCHING_CAP_WEIGHT,
+                    true,
+                    &tracker,
+                )
+                .unwrap();
+                let planned = set.byte_len();
+                let plan = set.take_plan();
+                assert_eq!(&plan, memoized.plan(), "{name} {label}");
+                let rows = |n: usize, items: usize| 4 * (n + items);
+                let targets = memoized.targets().len();
+                let plan_bytes = 8 * net.node_count().div_ceil(64)
+                    + rows(targets, releasing.iter().map(Vec::len).sum())
+                    + rows(targets, observers.iter().map(Vec::len).sum());
+                assert_eq!(plan.byte_len(), plan_bytes, "{name} {label}");
+                assert_eq!(planned - set.byte_len(), plan_bytes, "{name} {label}");
+            }
+            // The decoder's gates observe its predecoders, and the nMOS
+            // array's depletion loads release; the CMOS array's X cells
+            // leave every target driven by an input alone.
+            if name == "decoder-5" {
+                assert!(observer_links > 0, "{name}: some target observes another");
+            }
+            if name.starts_with("nmos") {
+                assert!(releasing_gates > 0, "{name}: depletion loads release");
+            }
+            if name == "twin-fed nor" {
+                assert!(ordered > 0, "{name}: a target releases through two gates");
+            }
         }
     }
 }

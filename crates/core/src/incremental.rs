@@ -63,8 +63,8 @@
 //! tripped budget aborts the edit and leaves the session untouched.
 
 use crate::analyzer::{
-    analyze_subset, switching_edges, switching_targets, traced_steady_states, AnalyzerOptions,
-    Arrival, Edge, IncrementalStats, Scenario, SubsetSpec, TimingResult,
+    analyze_subset, switching_targets, traced_steady_states, AnalyzerOptions, Arrival, Edge,
+    IncrementalStats, Scenario, SubsetSpec, Switching, TimingResult,
 };
 use crate::error::TimingError;
 use crate::logic::LogicState;
@@ -147,8 +147,8 @@ const RAIL: u32 = u32::MAX;
 struct SwitchingIndex {
     /// The `(before, after)` steady states.
     steady: (LogicState, LogicState),
-    /// The switching set ([`switching_edges`]), dense by node id.
-    edges: Vec<Option<Edge>>,
+    /// The switching set.
+    switching: Switching,
     /// The switching targets with their edges, in node order: exactly
     /// the nodes the analyzer extracts stages for.
     targets: Vec<(NodeId, Edge)>,
@@ -164,8 +164,8 @@ impl SwitchingIndex {
         steady: (LogicState, LogicState),
         trace: Option<&TraceSink>,
     ) -> SwitchingIndex {
-        let edges = switching_edges(net, &steady, trace);
-        let targets: Vec<(NodeId, Edge)> = switching_targets(net, &edges).collect();
+        let switching = Switching::new(net, &steady, trace);
+        let targets: Vec<(NodeId, Edge)> = switching_targets(net, &switching.edges).collect();
         let (comp, n_comp) = components(net, &steady);
         let mut by_comp = vec![Vec::new(); n_comp];
         for &(id, _) in &targets {
@@ -173,7 +173,7 @@ impl SwitchingIndex {
         }
         SwitchingIndex {
             steady,
-            edges,
+            switching,
             targets,
             comp,
             by_comp,
@@ -288,7 +288,7 @@ impl IncrementalAnalyzer {
                 options.clone(),
                 None,
                 &index.steady,
-                &index.edges,
+                Some(&index.switching),
             )?;
             states.push(ScenarioState {
                 label,
@@ -699,7 +699,7 @@ impl Pass<'_> {
             options.clone(),
             Some(&spec),
             &index.steady,
-            &index.edges,
+            Some(&index.switching),
         )?;
         let mut result = outcome.result;
         let mut invalidated_stages = 0usize;

@@ -112,6 +112,45 @@ impl LogicState {
     pub(crate) fn byte_len(&self) -> usize {
         self.codes.len()
     }
+
+    /// Calls `f(node, value)` for every node whose value in `after`
+    /// differs from its value here, in id order. Eight codes are compared
+    /// as one word, and only the codes whose value bits differ are
+    /// decoded: a strength-only change costs nothing, and value bits `2`
+    /// and `3` (both `X`) are told apart by the decode.
+    ///
+    /// # Panics
+    /// Panics when the two states have different node counts.
+    pub(crate) fn for_each_value_change(
+        &self,
+        after: &LogicState,
+        mut f: impl FnMut(NodeId, LogicValue),
+    ) {
+        const VALUE_BITS: u64 = u64::from_ne_bytes([0b11; 8]);
+        assert_eq!(self.codes.len(), after.codes.len(), "states of one network");
+        let mut visit = |i: usize| {
+            let (b, a) = (decode(self.codes[i]).0, decode(after.codes[i]).0);
+            if b != a {
+                f(NodeId::from_index(i), a);
+            }
+        };
+        let words = self.codes.chunks_exact(8).zip(after.codes.chunks_exact(8));
+        for (w, (b, a)) in words.enumerate() {
+            let word = |codes: &[u8]| u64::from_ne_bytes(codes.try_into().expect("eight codes"));
+            let differ = (word(b) ^ word(a)) & VALUE_BITS;
+            if differ == 0 {
+                continue;
+            }
+            // A differing byte sits where its code does whatever the byte
+            // order, so the word is read back as bytes.
+            for (k, byte) in differ.to_ne_bytes().into_iter().enumerate() {
+                if byte != 0 {
+                    visit(8 * w + k);
+                }
+            }
+        }
+        (self.codes.len() / 8 * 8..self.codes.len()).for_each(visit);
+    }
 }
 
 /// Maximum relaxation sweeps before the solve gives up and returns the
@@ -750,6 +789,18 @@ impl LogicState {
     pub(crate) fn shares_codes_with(&self, other: &LogicState) -> bool {
         Arc::ptr_eq(&self.codes, &other.codes)
     }
+
+    /// A state holding `codes`, one per node in id order.
+    pub(crate) fn from_codes(codes: Vec<u8>) -> LogicState {
+        LogicState {
+            codes: codes.into(),
+        }
+    }
+
+    /// The node codes, one per node in id order.
+    pub(crate) fn codes(&self) -> &[u8] {
+        &self.codes
+    }
 }
 
 #[cfg(test)]
@@ -772,6 +823,46 @@ mod tests {
         Strength::Pass,
         Strength::Driven,
     ];
+
+    #[test]
+    fn value_changes_are_the_nodes_whose_decoded_values_differ() {
+        // Every length from one code to two words and one: each position
+        // of a word and of the tail, with strength-only changes, changes
+        // between the two `X` encodings, and changes to and from `X`.
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 32) as u8
+        };
+        for n in 1..=17 {
+            for round in 0..128 {
+                let before: Vec<u8> = (0..n).map(|_| next() % 16).collect();
+                let after: Vec<u8> = (before.iter())
+                    .map(|&c| match next() % 5 {
+                        0 => c,
+                        1 => c ^ 0b1000,
+                        2 => c ^ 0b0001,
+                        3 => c & !0b11 | 0b10,
+                        _ => next() % 16,
+                    })
+                    .collect();
+                let want: Vec<(NodeId, LogicValue)> = (0..n)
+                    .map(|i| (decode(before[i]).0, decode(after[i]).0, i))
+                    .filter(|&(b, a, _)| b != a)
+                    .map(|(_, a, i)| (NodeId::from_index(i), a))
+                    .collect();
+                let (before, after) = (
+                    LogicState::from_codes(before),
+                    LogicState::from_codes(after),
+                );
+                let mut got = Vec::new();
+                before.for_each_value_change(&after, |id, a| got.push((id, a)));
+                assert_eq!(got, want, "{n} nodes, round {round}");
+            }
+        }
+    }
 
     #[test]
     fn every_node_code_decodes_through_the_state() {

@@ -32,11 +32,15 @@
 //! ## Concurrency
 //!
 //! The map is split into [`SHARDS`] independently locked shards selected
-//! by key hash, so parallel analyzer workers rarely contend. Hit, miss,
-//! and eviction counters are relaxed atomics; under concurrency two
-//! workers can miss on the same key simultaneously and both insert —
-//! counters are exact event counts, not a deduplicated key census, and
-//! may differ run to run. [`StageCache::stats`] reads the three counters
+//! by key hash, so parallel analyzer workers rarely contend. A key hashes
+//! to one word, every field mixed in by a SplitMix64 finalizer; the shard
+//! maps pass that word through rather than hash the fields again, and
+//! the shard is bits 32–35 of it, leaving the low bits (a map's bucket)
+//! and the top seven (its control tag) to tell a shard's keys apart.
+//! Hit, miss, and eviction counters are relaxed atomics; under
+//! concurrency two workers can miss on the same key simultaneously and
+//! both insert — counters are exact event counts, not a deduplicated key
+//! census, and may differ run to run. [`StageCache::stats`] reads the three counters
 //! one at a time, so a snapshot taken under traffic is approximate;
 //! per-analysis counts come from the analyzer's own counters instead.
 //! Cached *values* never differ: an entry is only ever written with the
@@ -91,9 +95,12 @@
 //! the non-switching capacitance weight, and the inputs driven high
 //! before and after the edge. The input transition, the model, the mode
 //! and the thread count are not in it: extraction reads none of them. An
-//! entry interns its RC trees by [`stage_fingerprint`], and is charged to
-//! the same byte budget as states and topologies. An extraction
-//! that tripped a budget is never stored.
+//! entry interns its RC trees by [`stage_fingerprint`]. It also carries
+//! the plan of its steady pair (`stage::Plan`: the switching set, each
+//! target's releasing gates and the targets observing each target), so
+//! a hit goes from the steady lookups straight to delay arithmetic. The
+//! entry, plan included, is charged to the same byte budget as states
+//! and topologies. An extraction that tripped a budget is never stored.
 
 use crate::analyzer::Scenario;
 use crate::fingerprint::{Fnv64, FNV_OFFSET, FNV_PRIME};
@@ -104,6 +111,7 @@ use crate::tech::{Direction, Technology};
 use mosnet::units::Seconds;
 use mosnet::{Network, NodeId, TransistorKind};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -244,8 +252,9 @@ pub fn slope_bucket(input_transition: Seconds) -> u64 {
     }
 }
 
-/// The complete lookup key for one stage evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The complete lookup key for one stage evaluation. It hashes as one
+/// word, every field mixed in (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageKey {
     fingerprint: u128,
     tech: u64,
@@ -273,9 +282,9 @@ impl StageKey {
         }
     }
 
-    fn shard(&self) -> usize {
-        // Mix every field so distinct keys spread across shards even when
-        // fingerprints collide in their low bits.
+    /// Every field mixed into one word, so distinct keys spread even
+    /// when fingerprints collide in their low bits.
+    fn mixed(&self) -> u64 {
         let mut x = (self.fingerprint as u64)
             ^ (self.fingerprint >> 64) as u64
             ^ self.tech.rotate_left(17)
@@ -285,9 +294,44 @@ impl StageKey {
         // SplitMix64 finalizer.
         x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (x ^ (x >> 31)) as usize % SHARDS
+        x ^ (x >> 31)
+    }
+
+    /// The key's shard: bits 32–35 of the mixed word. A shard's map
+    /// finds buckets by the low bits and tells keys in a bucket apart by
+    /// the top seven, so keys of one shard still differ in both.
+    fn shard(&self) -> usize {
+        (self.mixed() >> 32) as usize % SHARDS
     }
 }
+
+impl Hash for StageKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.mixed());
+    }
+}
+
+/// The hasher of the stage shards: a [`StageKey`] is already one mixed
+/// word, which it passes through.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a stage key hashes as one word");
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
+    }
+}
+
+/// One stage shard's map.
+type Shard = HashMap<StageKey, CachedEval, BuildHasherDefault<KeyHasher>>;
 
 fn model_tag(model: ModelKind) -> u8 {
     match model {
@@ -468,7 +512,7 @@ impl SteadyMemo {
 /// across a whole batch).
 #[derive(Debug)]
 pub struct StageCache {
-    shards: Vec<Mutex<HashMap<StageKey, CachedEval>>>,
+    shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -487,7 +531,7 @@ impl StageCache {
     /// exact slope keying.
     pub fn with_capacity(capacity: usize) -> StageCache {
         StageCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard_capacity: capacity.div_ceil(SHARDS).max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -860,6 +904,64 @@ mod tests {
                 count <= 2 * fair,
                 "shard {shard} took {count} of 10000 keys (fair share {fair})"
             );
+        }
+    }
+
+    #[test]
+    fn keys_of_one_shard_spread_over_buckets_and_tags() {
+        // A shard's map takes a key's bucket from the low bits of its
+        // hash and its control tag from the top seven. The shard bits
+        // must leave both free, or a shard's keys would crowd into one
+        // bucket run, or share one tag, however many buckets it has.
+        use std::hash::BuildHasher;
+        let sweeps: [&dyn Fn(u64) -> StageKey; 2] = [
+            &|i| {
+                StageKey::new(
+                    0xdead_beef_cafe_f00d_u128,
+                    42,
+                    Seconds(i as f64 * 1.0e-12),
+                    ModelKind::Slope,
+                    TransistorKind::NEnhancement,
+                )
+            },
+            &|i| {
+                StageKey::new(
+                    u128::from(i) << 3 | 0x5,
+                    42,
+                    Seconds::ZERO,
+                    ModelKind::Slope,
+                    TransistorKind::NEnhancement,
+                )
+            },
+        ];
+        let hasher = BuildHasherDefault::<KeyHasher>::default();
+        for (sweep, key) in sweeps.iter().enumerate() {
+            for shard in [0, SHARDS - 1] {
+                let hashes: Vec<u64> = (0..40_000)
+                    .map(key)
+                    .filter(|key| key.shard() == shard)
+                    .map(|key| hasher.hash_one(key))
+                    .collect();
+                let fair = hashes.len() / 16;
+                assert!(
+                    fair >= 100,
+                    "sweep {sweep}: shard {shard} took {}",
+                    hashes.len()
+                );
+                for (bits, of) in [("low", 0), ("top", 60)] {
+                    let mut counts = [0usize; 16];
+                    for hash in &hashes {
+                        counts[(hash >> of & 0xf) as usize] += 1;
+                    }
+                    for (value, &count) in counts.iter().enumerate() {
+                        assert!(
+                            count <= 2 * fair && 2 * count >= fair,
+                            "sweep {sweep}, shard {shard}: {count} keys read {value} \
+                             in the {bits} four bits (fair share {fair})"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -8,10 +8,12 @@
 //! [`crate::models`] turn the stage's RC tree into a delay estimate.
 
 use crate::analyzer::Edge;
+use crate::logic::LogicState;
 use crate::rctree::RcTree;
 use crate::tech::Direction;
-use mosnet::{NodeId, TransistorId};
+use mosnet::{Network, NodeId, TransistorId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One extracted stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,6 +58,9 @@ impl Stage {
 /// bit like their own because the fingerprint covers all the models
 /// read. That stage keeps its own target and labels, which no model
 /// reads, and gives up its path to the arena.
+///
+/// Beside the stages, a set carries the [`Plan`] of its steady pair, so
+/// an analysis that finds the set memoized derives nothing from the pair.
 #[derive(Debug, Default)]
 pub(crate) struct StageSet {
     targets: Vec<TargetStages>,
@@ -64,6 +69,185 @@ pub(crate) struct StageSet {
     electrical: Vec<Stage>,
     /// Parallel to `electrical`; empty when built without fingerprints.
     fingerprints: Vec<u128>,
+    plan: Plan,
+}
+
+/// What propagation reads of a stage set's steady pair besides the
+/// stages, derived once when the set is built:
+///
+/// * the switching set, one bit per node ([`SwitchingBits`]):
+///   propagation asks only whether a gate switches, and a target's edge
+///   is in its [`TargetStages`];
+/// * each target's *releasing gates*: the switching gates, other than the
+///   target itself, of the devices touching the target that conduct
+///   before the edge and not after (the old holding path turning off), in
+///   `channel_neighbors` order;
+/// * each target's *observers*: the targets, ascending by index, whose
+///   evaluation reads its arrival, through a gate along one of their
+///   stage paths or a releasing gate. A target is re-examined in round
+///   r+1 only when a target it observes changed in round r.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Plan {
+    switching: Arc<SwitchingBits>,
+    releasing: Rows<NodeId>,
+    observers: Rows<u32>,
+}
+
+/// A switching set as one bit per node, shared by the plans of one
+/// steady pair.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct SwitchingBits(Vec<u64>);
+
+impl SwitchingBits {
+    /// The nodes that have an edge in `edges`, dense by node id.
+    pub fn new(edges: &[Option<Edge>]) -> SwitchingBits {
+        let mut words = vec![0u64; edges.len().div_ceil(64)];
+        for (i, _) in edges.iter().enumerate().filter(|(_, e)| e.is_some()) {
+            words[i / 64] |= 1 << (i % 64);
+        }
+        SwitchingBits(words)
+    }
+
+    /// `true` when `node` switches.
+    pub fn contains(&self, node: NodeId) -> bool {
+        let i = node.index();
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// The set held in `words`, node `i` at bit `i % 64` of word `i / 64`.
+    #[cfg(test)]
+    pub fn from_words(words: Vec<u64>) -> SwitchingBits {
+        SwitchingBits(words)
+    }
+}
+
+/// Rows of items in one arena, each row ending where the next begins.
+#[derive(Debug, PartialEq)]
+struct Rows<T> {
+    ends: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Default for Rows<T> {
+    fn default() -> Rows<T> {
+        Rows {
+            ends: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> Rows<T> {
+    fn push_row(&mut self, row: impl IntoIterator<Item = T>) {
+        self.items.extend(row);
+        self.ends.push(arena_index(self.items.len()));
+    }
+
+    fn row(&self, i: usize) -> &[T] {
+        let start = match i {
+            0 => 0,
+            _ => self.ends[i - 1] as usize,
+        };
+        &self.items[start..self.ends[i] as usize]
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.ends.shrink_to_fit();
+        self.items.shrink_to_fit();
+    }
+
+    fn byte_len(&self) -> usize {
+        self.ends.capacity() * std::mem::size_of::<u32>()
+            + self.items.capacity() * std::mem::size_of::<T>()
+    }
+}
+
+impl Plan {
+    /// The plan of `set`'s targets under the steady pair `(before,
+    /// after)`, whose switching set is `switching`.
+    ///
+    /// # Panics
+    /// Panics when the targets are not in ascending node order.
+    pub fn new(
+        net: &Network,
+        (before, after): &(LogicState, LogicState),
+        switching: Arc<SwitchingBits>,
+        set: &StageSet,
+    ) -> Plan {
+        let targets = set.targets();
+        assert!(
+            targets.windows(2).all(|w| w[0].node < w[1].node),
+            "stage set targets in node order"
+        );
+        let switches = |gate: NodeId| switching.contains(gate);
+        let mut releasing = Rows::default();
+        for target in targets {
+            let node = target.node;
+            releasing.push_row(
+                (net.channel_neighbors(node).iter())
+                    .filter(|&&tid| {
+                        before.transistor_on(net, tid) && !after.transistor_on(net, tid)
+                    })
+                    .map(|&tid| net.transistor(tid).gate())
+                    .filter(|&gate| gate != node && switches(gate)),
+            );
+        }
+        // `(observed target, observer)`, one per distinct pair.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut observed: Vec<NodeId> = Vec::new();
+        for (wi, target) in targets.iter().enumerate() {
+            observed.clear();
+            for stage in set.stages(target) {
+                let gates = stage.path.iter().map(|&tid| net.transistor(tid).gate());
+                observed.extend(gates.filter(|&gate| gate != target.node && switches(gate)));
+            }
+            observed.extend_from_slice(releasing.row(wi));
+            observed.sort_unstable();
+            observed.dedup();
+            for gate in &observed {
+                if let Ok(t) = targets.binary_search_by_key(gate, |t| t.node) {
+                    pairs.push((arena_index(t), arena_index(wi)));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        let mut observers = Rows::default();
+        let mut rest = &pairs[..];
+        for t in 0..targets.len() {
+            let n = rest.partition_point(|&(observed, _)| observed as usize == t);
+            observers.push_row(rest[..n].iter().map(|&(_, observer)| observer));
+            rest = &rest[n..];
+        }
+        releasing.shrink_to_fit();
+        observers.shrink_to_fit();
+        Plan {
+            switching,
+            releasing,
+            observers,
+        }
+    }
+
+    /// `true` when `node` is in the switching set.
+    pub fn switches(&self, node: NodeId) -> bool {
+        self.switching.contains(node)
+    }
+
+    /// The releasing gates of the `i`th target.
+    pub fn releasing(&self, i: usize) -> &[NodeId] {
+        self.releasing.row(i)
+    }
+
+    /// The targets observing the `i`th target's arrival, ascending.
+    pub fn observers(&self, i: usize) -> &[u32] {
+        self.observers.row(i)
+    }
+
+    /// Heap bytes the plan holds.
+    pub fn byte_len(&self) -> usize {
+        self.switching.0.capacity() * std::mem::size_of::<u64>()
+            + self.releasing.byte_len()
+            + self.observers.byte_len()
+    }
 }
 
 /// One target's extraction: the node, its edge, its stages, and their
@@ -161,6 +345,24 @@ impl StageSet {
         set
     }
 
+    /// This set with the [`Plan`] of the steady pair it was extracted
+    /// under, whose switching set is `switching`.
+    pub fn with_plan(
+        mut self,
+        net: &Network,
+        steady: &(LogicState, LogicState),
+        switching: Arc<SwitchingBits>,
+    ) -> StageSet {
+        self.plan = Plan::new(net, steady, switching, &self);
+        self
+    }
+
+    /// The plan of the steady pair (empty unless built
+    /// [`with_plan`](StageSet::with_plan)).
+    pub fn plan(&self) -> &Plan {
+        &self.plan
+    }
+
     /// The targets, in the order given.
     pub fn targets(&self) -> &[TargetStages] {
         &self.targets
@@ -196,7 +398,14 @@ impl StageSet {
         self.electrical.len()
     }
 
-    /// Heap and inline bytes this set holds, for the memo's budget.
+    /// Takes the plan out, leaving an empty one.
+    #[cfg(test)]
+    pub fn take_plan(&mut self) -> Plan {
+        std::mem::take(&mut self.plan)
+    }
+
+    /// Heap and inline bytes this set holds, plan included, for the
+    /// memo's budget.
     pub fn byte_len(&self) -> usize {
         use std::mem::size_of;
         let trees: usize = (self.electrical.iter())
@@ -209,6 +418,7 @@ impl StageSet {
             + self.electrical.capacity() * size_of::<Stage>()
             + self.fingerprints.capacity() * size_of::<u128>()
             + trees
+            + self.plan.byte_len()
     }
 }
 

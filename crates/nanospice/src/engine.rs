@@ -662,11 +662,14 @@ impl<'a> Simulator<'a> {
         let mut t = 0.0;
         let mut h = dt_out.min(dt_max);
         let mut next_out = dt_out;
-        // Last accepted point behind the output grid, for interpolation.
-        let mut t_prev = 0.0;
-        let mut x_prev_out = x.clone();
         let mut guard = 0usize;
         let guard_limit = 200_000;
+        // Trial solutions and currents, kept for the whole run: an
+        // accepted step swaps the second half step into the state.
+        let mut x_full = x.clone();
+        let mut x_half = x.clone();
+        let mut x_half2 = x.clone();
+        let mut i_half = cap_currents.clone();
 
         while t < tstop - 1e-18 {
             self.check_cancelled()?;
@@ -683,15 +686,14 @@ impl<'a> Simulator<'a> {
             } else {
                 self.options.integration
             };
-            // Full step.
             let attempt = |solver: &mut dyn LinearSolver,
-                           target_x: &mut Vec<f64>,
+                           target_x: &mut [f64],
                            from_x: &[f64],
                            from_i: &[f64],
                            step: f64,
                            at: f64|
              -> Result<(), SimError> {
-                *target_x = from_x.to_vec();
+                target_x.copy_from_slice(from_x);
                 let ctx = DynamicCtx {
                     prev: from_x,
                     dt: step,
@@ -708,89 +710,70 @@ impl<'a> Simulator<'a> {
                     solver,
                 )
             };
-            let mut x_full = Vec::new();
-            let full = attempt(
+            // The full step, then two half steps; any failure rejects.
+            let solved = attempt(
                 solver.as_mut(),
                 &mut x_full,
                 &x,
                 &cap_currents,
                 h_eff,
                 t + h_eff,
-            );
-            // Two half steps.
-            let half_result = full.as_ref().ok().map(|()| {
-                let mut x_half = Vec::new();
-                let mut i_half = cap_currents.clone();
-                let r1 = attempt(
+            )
+            .and_then(|()| {
+                attempt(
                     solver.as_mut(),
                     &mut x_half,
                     &x,
                     &cap_currents,
                     h_eff / 2.0,
                     t + h_eff / 2.0,
-                );
-                if r1.is_err() {
-                    return Err(r1.expect_err("checked"));
-                }
+                )
+            })
+            .and_then(|()| {
+                i_half.copy_from_slice(&cap_currents);
                 self.update_cap_currents(&x, &x_half, h_eff / 2.0, method, &mut i_half);
-                let mut x_half2 = Vec::new();
-                let r2 = attempt(
+                attempt(
                     solver.as_mut(),
                     &mut x_half2,
                     &x_half,
                     &i_half,
                     h_eff / 2.0,
                     t + h_eff,
-                );
-                r2.map(|()| (x_half2, x_half, i_half))
+                )
+            });
+            let err = solved.ok().map(|()| {
+                x_full[..n_nodes]
+                    .iter()
+                    .zip(&x_half2[..n_nodes])
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0f64, f64::max)
             });
 
-            let accept = match (&full, &half_result) {
-                (Ok(()), Some(Ok((x_half2, _, _)))) => {
-                    let err = x_full[..n_nodes]
-                        .iter()
-                        .zip(&x_half2[..n_nodes])
-                        .map(|(a, b)| (a - b).abs())
-                        .fold(0.0f64, f64::max);
-                    if err <= tol {
-                        Some((x_half2.clone(), err))
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            };
-
-            match accept {
-                Some((x_new, err)) => {
+            match err.filter(|&err| err <= tol) {
+                Some(err) => {
                     // Advance state using the more accurate half-step pair.
-                    let mut i_new = cap_currents.clone();
-                    if let Some(Ok((_, x_half, i_half))) = half_result {
-                        i_new = i_half;
-                        self.update_cap_currents(&x_half, &x_new, h_eff / 2.0, method, &mut i_new);
-                    }
+                    self.update_cap_currents(&x_half, &x_half2, h_eff / 2.0, method, &mut i_half);
                     let t_new = t + h_eff;
-                    // Emit output samples crossed by this step.
+                    // Emit output samples crossed by this step, between
+                    // the last accepted point and this one.
                     while next_out <= t_new + 1e-18 && times.len() <= steps_out {
-                        let frac = if t_new > t_prev {
-                            (next_out - t_prev) / (t_new - t_prev)
+                        let frac = if t_new > t {
+                            (next_out - t) / (t_new - t)
                         } else {
                             1.0
                         };
-                        let row: Vec<f64> = x_prev_out[..n_nodes]
+                        let row: Vec<f64> = x[..n_nodes]
                             .iter()
-                            .zip(&x_new[..n_nodes])
+                            .zip(&x_half2[..n_nodes])
                             .map(|(a, b)| a + frac * (b - a))
                             .collect();
                         times.push(next_out);
                         data.push(row);
                         next_out += dt_out;
                     }
-                    t_prev = t_new;
-                    x_prev_out = x_new.clone();
                     t = t_new;
-                    x = x_new;
-                    cap_currents = i_new;
+                    std::mem::swap(&mut x, &mut x_half2);
+                    std::mem::swap(&mut cap_currents, &mut i_half);
                     first_step = false;
                     // Grow when comfortably inside tolerance.
                     if err < 0.25 * tol {
